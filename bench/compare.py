@@ -7,9 +7,11 @@ side's median and quartiles and a verdict against the metric's bound in
 BENCHMARK.json: "within bound", "worse", or "unresolved" when either
 side's spread (quartile distance over median) exceeds the bound, unless
 every run of the change beats every run of the base.  Metrics without a
-bound (per-layer) get their relative change only.  When a file holds
-both traced and untraced runs of a workload, the tracing overhead is
-printed as the difference of their round medians.
+bound (per-layer) get their relative change only, and a metric whose
+base median is 0 (a layer idle on that workload) gets its absolute
+change, or "idle on both".  When a file holds both traced and untraced
+runs of a workload, that file's tracing overhead is printed as the
+difference of their round medians.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ def failed_share(records) -> dict:
 def verdict(base, change, spec) -> str:
     lower = spec.get("better", "lower") == "lower"
     mb, mc = statistics.median(base), statistics.median(change)
+    if mb == 0:
+        # a layer idle on a workload reads 0 there: no relative change
+        return "idle on both" if mc == 0 else f"change {mc - mb:+.4g} from 0"
     worse_by = (mc - mb) / mb if lower else (mb - mc) / mb
     bound = spec.get("bound")
     if bound is None:
@@ -79,6 +84,7 @@ def verdict(base, change, spec) -> str:
 
 
 def tracing_overhead(records) -> list:
+    """Traced against untraced round medians, per workload of one file."""
     lines = []
     by = series(records)
     for (workload, name), traced in sorted(by.items()):
@@ -108,8 +114,9 @@ def main(argv) -> int:
     for w in sorted(set(fa) & set(fb)):
         print(f"{w}: failed share {fa[w]:.6f} vs {fb[w]:.6f}"
               + ("" if fa[w] == fb[w] else "  DIFFERENT"))
-    for line in tracing_overhead(base + change):
-        print(line)
+    for label, records in (("base", base), ("change", change)):
+        for line in tracing_overhead(records):
+            print(f"{label} {line}")
     return 0
 
 

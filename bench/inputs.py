@@ -22,7 +22,8 @@ GAMMA = 2 * math.pi * 0.1
 THETA = 0.2 * math.pi
 DELTA = 2 * math.pi * 0.3
 TAU_START, TAU_STOP = 0.05, 7.0
-# weak-noise point for the renewal workload (Gamma / lambda = 0.1)
+# weak-noise point of the renewal and finite-pulse spot checks
+# (Gamma / lambda = 0.1)
 GAMMA_WEAK = 0.25
 RABI = 2 * math.pi * 1.0
 

@@ -8,8 +8,10 @@ requests (see workloads.py), and rounds repeat until --seconds have
 passed.  Every output is checked against the benchmark's own reference.
 
 --trace 0 prints the end-to-end metrics, --trace 1 the per-layer metrics
-of a traced run (see tracing.py).  The last line of standard output is
-one JSON object with the keys correct, attempted, failed and metrics.
+of a traced run (see tracing.py), which also writes its spans to
+.bench_results/spans-<workload>-<seed>.npz.  The last line of standard
+output is one JSON object with the keys correct, attempted, failed and
+metrics.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ import workloads  # noqa: E402
 from inputs import DELTA, GAMMA, GAMMA_WEAK, LAM, RABI, THETA  # noqa: E402
 from workloads import CLOSED_FORM_TOL, Request, f, read_csv  # noqa: E402
 
-SETUP_PROBES = 5
+# set-up probes, spread evenly over the timed loop: this machine's speed
+# wanders over seconds, and probes taken together all see the same speed
+SETUP_PROBES = 11
 PROBE_TIMEOUT_S = 120
 
 
@@ -60,7 +64,10 @@ def import_program():
 
 
 def execute(cli, req) -> tuple:
-    """Run one request; returns (exit code or error text, seconds, stderr)."""
+    """Run one request into an emptied output directory, so that its
+    checks read only what this request wrote; returns (exit code or
+    error text, seconds, stderr)."""
+    shutil.rmtree(req.out, ignore_errors=True)
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -71,6 +78,15 @@ def execute(cli, req) -> tuple:
         except Exception as exc:  # noqa: BLE001 - reported as a failed request
             rc = f"{type(exc).__name__}: {exc}"
     return rc, time.perf_counter() - t0, err.getvalue().strip()
+
+
+def check(req) -> list:
+    """The request's output checks; an output that cannot be read (a file
+    left out, a malformed row) is a failed check, not a crash."""
+    try:
+        return req.check()
+    except Exception as exc:  # noqa: BLE001 - reported as a failed check
+        return [f"{req.kind}: outputs unreadable: {type(exc).__name__}: {exc}"]
 
 
 def calibrate() -> float:
@@ -109,13 +125,14 @@ def setup_probe(args) -> int:
             print(f"warm-up {req.kind} failed: {rc} {err}", file=sys.stderr)
             return 1
     print("ready", flush=True)
-    return 0
+    os._exit(0)      # skip the interpreter's teardown: it comes after 'ready'
 
 
-def measure_setup(args, workdir: Path) -> list:
-    """Wall time from process start to 'ready' of SETUP_PROBES children."""
+def measure_setup(args, workdir: Path, probes) -> list:
+    """Wall time from process start to 'ready' of one child per probe
+    number in `probes`."""
     times = []
-    for k in range(SETUP_PROBES):
+    for k in probes:
         cmd = [sys.executable, str(HERE / "run.py"), "--setup-probe",
                "--workload", args.workload, "--seed", str(args.seed),
                "--workdir", str(workdir / f"setup{k}")]
@@ -254,8 +271,6 @@ def run(args) -> dict:
 
 def _run(args, cli, wl_cls, workdir: Path) -> dict:
     info = {}
-    if not args.trace:
-        info["setup_probes_s"] = measure_setup(args, workdir)
 
     wl = wl_cls(args.seed, workdir)
     wl.prepare()
@@ -279,11 +294,19 @@ def _run(args, cli, wl_cls, workdir: Path) -> dict:
         tracer.install()
 
     attempted = failed = 0
-    round_s, cal_s, kind_s, layers, kept_spans = [], [], {}, [], []
+    round_s, cal_s, kind_s, layers = [], [], {}, []
+    span_chunks, span_names = [], {}
+    probes = []
+    probes_due = 0 if args.trace else SETUP_PROBES
     t_start = time.perf_counter()
     r = 0
     try:
         while r == 0 or time.perf_counter() - t_start < args.seconds:
+            due_at = len(probes) * args.seconds / max(probes_due, 1)
+            if len(probes) < probes_due and time.perf_counter() - t_start >= due_at:
+                t0 = time.perf_counter()
+                probes += measure_setup(args, workdir, [len(probes)])
+                t_start += time.perf_counter() - t0   # not part of the run's seconds
             reqs = wl.round(r)
             cal_s.append(calibrate())
             spent = 0.0
@@ -299,12 +322,12 @@ def _run(args, cli, wl_cls, workdir: Path) -> dict:
                     continue
                 if tracer is not None:
                     written += dir_bytes(req.out)
-                problems += [f"round {r}: {p}" for p in req.check()]
+                problems += [f"round {r}: {p}" for p in check(req)]
             round_s.append(spent)
             if tracer is not None:
                 red = tracer.take()
-                if args.spans:
-                    kept_spans.extend(red["spans"])
+                span_chunks.append(tracing.spans_to_arrays(red.pop("spans"),
+                                                           span_names))
                 layers.append({**layer_metrics(red, reqs),
                                "cli.bytes_written": written})
                 if r == 0 and snapshot(q.out for q in reqs) != untraced:
@@ -315,6 +338,9 @@ def _run(args, cli, wl_cls, workdir: Path) -> dict:
             tracer.uninstall()
     cal_s.append(calibrate())
     problems += wl.finish()
+    probes += measure_setup(args, workdir, range(len(probes), probes_due))
+    if probes:
+        info["setup_probes_s"] = probes
     # each round in units of the calibration runs just before and after it
     round_cal = [t / (0.5 * (a + b)) for t, a, b in zip(round_s, cal_s, cal_s[1:])]
 
@@ -328,10 +354,9 @@ def _run(args, cli, wl_cls, workdir: Path) -> dict:
                    for name in layers[0]}
         metrics["trace.round_p50_cal"] = statistics.median(round_cal)
         units = {name: unit_of(name) for name in metrics}
-        if args.spans:
-            path = ROOT / args.spans
-            path.parent.mkdir(parents=True, exist_ok=True)
-            np.savez_compressed(path, **tracing.spans_to_arrays(kept_spans))
+        spans_path = ROOT / ".bench_results" / f"spans-{args.workload}-{args.seed}.npz"
+        tracing.write_spans(spans_path, span_chunks, span_names)
+        info["spans_file"] = str(spans_path.relative_to(ROOT))
     else:
         metrics = {
             "setup_s": statistics.median(info["setup_probes_s"]),
@@ -363,8 +388,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=45.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--spans", help="traced mode: write the spans to this .npz "
-                                    "file (relative to the checkout root)")
     ap.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--workdir", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)

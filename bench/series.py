@@ -56,7 +56,8 @@ def main(argv=None) -> int:
             rec = {"workload": workload, "seed": seed, "trace": args.trace,
                    "result": json.loads(lines[-1])}
             for line in lines:
-                for key in ("round_p50_s", "round_s", "calibration_s", "kind_p50_s"):
+                for key in ("setup_probes_s", "round_p50_s", "round_s", "calibration_s",
+                            "kind_p50_s"):
                     if line.startswith(f"# {key}: "):
                         rec[key] = json.loads(line.split(": ", 1)[1])
             records.append(rec)

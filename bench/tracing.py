@@ -8,7 +8,8 @@ e.g. ``analysis.hr_signal_derivative`` or ``montecarlo.rotation_matrix``
 for functions the module imported from elsewhere.  A span belongs to the
 layer that defines the function.  Spans are kept in memory; a layer's
 self time is its spans' durations minus the part of each span that its
-child spans cover.
+child spans cover.  The traced run writes them out at the end
+(see write_spans).
 """
 
 from __future__ import annotations
@@ -197,10 +198,12 @@ def span_time(reduced: dict, name: str, caller: str | None = "*") -> float:
                if n == name and (caller == "*" or c == caller))
 
 
-def spans_to_arrays(spans) -> dict:
-    """Columnar form of a span list, for writing out with numpy."""
-    names = sorted({s[2] for s in spans})
-    index = {n: k for k, n in enumerate(names)}
+def spans_to_arrays(spans, index: dict) -> dict:
+    """Columnar form of a span list.  `index` maps span names to codes and
+    grows with names it has not seen, so that the chunks of a run share
+    one code table."""
+    for s in spans:
+        index.setdefault(s[2], len(index))
     return {
         "id": np.array([s[0] for s in spans], dtype=np.int64),
         "parent": np.array([s[1] for s in spans], dtype=np.int64),
@@ -208,6 +211,15 @@ def spans_to_arrays(spans) -> dict:
         "layer": np.array([LAYERS.index(s[3]) for s in spans], dtype=np.int8),
         "start": np.array([s[4] for s in spans]),
         "end": np.array([s[5] for s in spans]),
-        "names": np.array(names),
-        "layers": np.array(LAYERS),
     }
+
+
+def write_spans(path, chunks, index: dict) -> None:
+    """Write the span chunks of a run to one .npz file: the columns of
+    spans_to_arrays, plus the tables `names` (by code) and `layers`."""
+    columns = {}
+    for key in list(chunks[0]):      # column by column, freeing the chunks' copy
+        columns[key] = np.concatenate([c.pop(key) for c in chunks])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez_compressed(path, **columns, names=np.array(list(index)),
+                        layers=np.array(LAYERS))

@@ -19,7 +19,7 @@ import numpy as np
 
 import inputs
 import reference
-from inputs import DELTA, GAMMA, GAMMA_WEAK, LAM, RABI, THETA
+from inputs import DELTA, GAMMA, LAM, THETA
 
 BLOCK = 8192                 # trajectories per Monte Carlo block
 MC_TAUS = 8                  # noisy tau points per Monte Carlo curve
@@ -33,9 +33,6 @@ THETA_TOL = 1e-6
 FIT_Z_MAX = 5.0              # |tau_c - truth| within this many tau_c_err
 # z-scores of Monte Carlo means are pooled per curve over the run's rounds
 Z_SOFT, Z_SOFT_SHARE, Z_HARD = 3.0, 0.95, 5.0
-# noisy finite pulses: the closed form assumes instantaneous pulses, so the
-# noise acting during the 0.15-0.3 us pulses is outside it (see README)
-FINITE_PULSE_ALLOWANCE = 0.01
 
 
 @dataclass
@@ -111,7 +108,7 @@ class Workload:
 
     # -- Monte Carlo checks ---------------------------------------------
 
-    def check_mc(self, label, path, taus, ref, n, allowance=None):
+    def check_mc(self, label, path, taus, ref, n):
         comments, header, rows = read_csv(path)
         problems = _hashed(comments)
         if header != ["tau", "mean", "stderr", "n"] or rows.shape != (taus.size, 4):
@@ -129,13 +126,7 @@ class Workload:
             return problems
         if not (count == n).all():
             problems.append(f"{path.name}: n column != {n}")
-        if allowance is None:
-            self.pools.setdefault(label, []).append((mean - ref) / err)
-        else:
-            excess = np.abs(mean - ref) - (Z_HARD * err + allowance)
-            if (excess > 0).any():
-                problems.append(f"{path.name}: |mean - reference| exceeds "
-                                f"{Z_HARD} stderr + {allowance}")
+        self.pools.setdefault(label, []).append((mean - ref) / err)
         return problems
 
 
@@ -216,45 +207,6 @@ class McOuFigure(Workload):
         return [self._request(seq, MC_TAUS, MC_TRAJECTORIES,
                               inputs.mc_seed(self.seed, r, k))
                 for k, seq in enumerate(SEQUENCES)]
-
-
-class McRenewalFinite(Workload):
-    """simulate --engine montecarlo on the detuned echo with renewal noise
-    at Gamma/lambda = 0.1, instantaneous and finite pulses, two workers."""
-
-    name = "mc_renewal_finite"
-
-    def _request(self, finite, taus_count, n, seed, stop=inputs.TAU_STOP):
-        label = "hahn_ramsey_finite" if finite else "hahn_ramsey_renewal"
-        out = self.out(label)
-        taus = np.linspace(inputs.TAU_START, stop, taus_count)
-        argv = (["simulate", "--sequence", "hahn_ramsey", "--theta", f(THETA),
-                 "--delta", f(DELTA), "--lam", f(LAM), "--gamma", f(GAMMA_WEAK),
-                 "--noise-kind", "renewal", "--engine", "montecarlo",
-                 "--n-trajectories", str(n), "--workers", "2",
-                 "--seed", str(seed), "--out", str(out)]
-                + _tau_grid(taus_count, stop=stop))
-        if finite:
-            argv += ["--pulse-model", "finite", "--rabi", f(RABI)]
-        ref = reference.hahn_ramsey(THETA, DELTA, LAM, GAMMA_WEAK, taus)
-
-        def check():
-            return self.check_mc(label, out / "hahn_ramsey_montecarlo.csv",
-                                 taus, ref, n,
-                                 FINITE_PULSE_ALLOWANCE if finite else None)
-
-        return Request(f"simulate:{label}", argv, out, check,
-                       traj_points=taus_count * n,
-                       blocks=taus_count * math.ceil(n / BLOCK))
-
-    def warmup(self):
-        return [self._request(False, 2, 64, 1, stop=0.5),
-                self._request(True, 2, 64, 1, stop=0.5)]
-
-    def round(self, r):
-        return [self._request(finite, MC_TAUS, MC_TRAJECTORIES,
-                              inputs.mc_seed(self.seed, r, k))
-                for k, finite in enumerate((False, True))]
 
 
 class AnalysisReport(Workload):
@@ -412,4 +364,4 @@ class AnalysisReport(Workload):
                 self.fit(), self.components(COMPONENT_TAUS), self.bloch(60)]
 
 
-WORKLOADS = {w.name: w for w in (McOuFigure, McRenewalFinite, AnalysisReport)}
+WORKLOADS = {w.name: w for w in (McOuFigure, AnalysisReport)}
