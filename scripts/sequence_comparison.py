@@ -15,22 +15,25 @@ from pathlib import Path
 import numpy as np
 
 from hahnramsey.analysis import fit_decay
-from hahnramsey.analytic import (hahn_echo_signal, hahn_ramsey_signal,
-                                 ramsey_signal)
+from hahnramsey.analytic import closed_form_signal
 from hahnramsey.cli import main as cli
 from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams
+from hahnramsey.spincore import SequenceKind, build_sequence
 
 THETA = 0.2 * np.pi
 DELTA = 2 * np.pi * 0.3
 LAM = 2.5
 GAMMA = 2 * np.pi * 0.1
 
+# sequence, detuning, tilt, end of the total-duration window for the fit
+SEQUENCES = [("ramsey", DELTA, np.pi / 2, 9.0),
+             ("hahn_echo", 0.0, np.pi / 2, 14.0),
+             ("hahn_ramsey", DELTA, THETA, 14.0)]
+
 
 def run(out: Path, n_traj: int, seed: int) -> None:
-    for seq, delta, theta in [("ramsey", DELTA, np.pi / 2),
-                              ("hahn_echo", 0.0, np.pi / 2),
-                              ("hahn_ramsey", DELTA, THETA)]:
+    for seq, delta, theta, _ in SEQUENCES:
         rc = cli(["simulate", "--sequence", seq, "--theta", str(theta),
                   "--delta", str(delta), "--lam", str(LAM),
                   "--gamma", str(GAMMA), "--tau-start", "0.05",
@@ -39,20 +42,17 @@ def run(out: Path, n_traj: int, seed: int) -> None:
                   "--seed", str(seed), "--out", str(out)])
         assert rc == 0, f"simulate {seq} failed"
 
-    # decay constants on the total-duration axis (echoes last 2 tau)
-    t_r = np.linspace(0.05, 9.0, 90)
-    t_e = np.linspace(0.05, 14.0, 90)
+    # decay constants on the total-duration axis: a sequence with n
+    # delays of tau each lasts n tau
     p = NoiseParams(LAM, GAMMA)
-    curves = {
-        "ramsey": (t_r, np.asarray(ramsey_signal(DELTA, p, t_r))),
-        "hahn_echo": (t_e, np.asarray(hahn_echo_signal(p, t_e / 2))),
-        "hahn_ramsey": (t_e, np.asarray(
-            hahn_ramsey_signal(THETA, DELTA, p, t_e / 2))),
-    }
     print("fitted decay constants (total-duration axis):")
-    for name, (t, y) in curves.items():
+    for seq, delta, theta, t_end in SEQUENCES:
+        kind = SequenceKind(seq)
+        n_delays = len(build_sequence(kind, theta, delta, 1.0).delays)
+        t = np.linspace(0.05, t_end, 90)
+        y = np.asarray(closed_form_signal(kind, theta, delta, p, t / n_delays))
         fit = fit_decay(SignalCurve(t, y, np.zeros_like(t), 0))
-        print(f"  {name:12s} tau_c = {fit.tau_c:6.2f} +- {fit.tau_c_err:.2f} us")
+        print(f"  {seq:12s} tau_c = {fit.tau_c:6.2f} +- {fit.tau_c_err:.2f} us")
 
 
 if __name__ == "__main__":

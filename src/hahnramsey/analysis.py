@@ -10,7 +10,9 @@ bare envelope (frequency and phase reported as 0).
 
 The residual scan evaluates the analytic model on a (lambda, gamma) grid
 and reports SSR normalized by the total sum of squares; ties at the
-minimum break toward the smallest indices (row-major order).
+minimum break toward the smallest indices (row-major order).  Both
+exponents scale as (gamma/lambda)^2 at fixed lambda, so each lambda row
+is evaluated over the whole gamma grid at once.
 
 Sensitivity follows the shot-noise readout model: with mean photon
 counts u (bright) and v (dark), contrast alpha = (u-v)/(u+v) and
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, curve_fit, minimize_scalar
 
-from .analytic import (BiasParams, hahn_echo_signal, hahn_ramsey_signal,
-                       hr_signal_derivative, ramsey_signal)
+from .analytic import (BiasParams, hahn_ramsey_signal, hr_signal_derivative,
+                       signal_from_exponents)
 from .montecarlo import SignalCurve
-from .noise import NoiseParams, f1
+from .noise import NoiseParams, delta_f, f1
 from .spincore import SequenceKind
 
 __all__ = [
@@ -132,34 +134,21 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
     tc0 = _tau_c_guess(t, y)
     tmax = float(t.max()) if t.max() > 0 else 1.0
 
-    if model is FitModel.PLAIN_EXPONENTIAL:
-        p0 = [y[0] - y[-1], tc0, float(y[-1])]
-        lo = [-10 * span - 1e-9, tmax * 1e-4, y.min() - span - 1.0]
-        hi = [10 * span + 1e-9, tmax * 1e3, y.max() + span + 1.0]
-        try:
-            popt, pcov = curve_fit(_plain_exponential, t, y, p0=p0,
-                                   bounds=(lo, hi), sigma=sigma,
-                                   absolute_sigma=sigma is not None,
-                                   maxfev=20000)
-        except RuntimeError as exc:
-            raise FitError(f"exponential fit failed to converge: {exc}") from exc
-        resid = _plain_exponential(t, *popt) - y
-        return _make_fit(popt[1], pcov[1][1], popt[0], popt[2], 0.0, 0.0, resid, y)
-
-    w0 = _freq_guess(t, y)
+    exponential = model is FitModel.PLAIN_EXPONENTIAL
+    w0 = 0.0 if exponential else _freq_guess(t, y)
     if w0 == 0.0:
-        # no resolvable fringe: bare Gaussian envelope
+        # plain exponential, or no resolvable fringe: bare Gaussian envelope
+        fn = _plain_exponential if exponential else _gaussian_bare
         p0 = [y[0] - y[-1], tc0, float(y[-1])]
         lo = [-10 * span - 1e-9, tmax * 1e-4, y.min() - span - 1.0]
         hi = [10 * span + 1e-9, tmax * 1e3, y.max() + span + 1.0]
         try:
-            popt, pcov = curve_fit(_gaussian_bare, t, y, p0=p0,
-                                   bounds=(lo, hi), sigma=sigma,
-                                   absolute_sigma=sigma is not None,
+            popt, pcov = curve_fit(fn, t, y, p0=p0, bounds=(lo, hi),
+                                   sigma=sigma, absolute_sigma=sigma is not None,
                                    maxfev=20000)
         except RuntimeError as exc:
-            raise FitError(f"envelope fit failed to converge: {exc}") from exc
-        resid = _gaussian_bare(t, *popt) - y
+            raise FitError(f"{model.value} fit failed to converge: {exc}") from exc
+        resid = fn(t, *popt) - y
         return _make_fit(popt[1], pcov[1][1], popt[0], popt[2], 0.0, 0.0, resid, y)
 
     dt = float(np.median(np.diff(t)))
@@ -228,38 +217,33 @@ class ResidualMap:
                     fh.write(f"{lam:.17g},{gam:.17g},{self.residuals[i, j]:.17g}\n")
 
 
-def _model_curve(seq_kind: SequenceKind, theta, delta, noise, taus):
-    if seq_kind is SequenceKind.RAMSEY:
-        return ramsey_signal(delta, noise, taus)
-    if seq_kind is SequenceKind.HAHN_ECHO:
-        return hahn_echo_signal(noise, taus)
-    if seq_kind is SequenceKind.HAHN_RAMSEY:
-        return hahn_ramsey_signal(theta, delta, noise, taus)
-    raise ValueError(f"no closed-form model for {seq_kind!r}")
-
-
 def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,
                       delta: float, lambda_grid, gamma_grid) -> ResidualMap:
     """Normalized residual ||data - model||^2 / ||data - mean||^2 on a
-    (lambda, gamma) grid; model failures are recorded as NaN cells."""
+    (lambda, gamma) grid of finite values with lambda > 0, gamma >= 0."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     if lambda_grid.size == 0 or gamma_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
+    if not (np.isfinite(lambda_grid).all() and np.isfinite(gamma_grid).all()
+            and (lambda_grid > 0).all() and (gamma_grid >= 0).all()):
+        raise ValueError("scan grids need finite lambda > 0 and gamma >= 0")
     taus = np.asarray(data.taus, dtype=float)
     y = np.asarray(data.means, dtype=float)
+    if not (np.isfinite(taus).all() and np.isfinite(y).all()):
+        raise ValueError("scan data must be finite")
     tss = float(((y - y.mean()) ** 2).sum())
     norm = tss if tss > 0 else 1.0
-    res = np.full((lambda_grid.size, gamma_grid.size), np.nan)
+    res = np.empty((lambda_grid.size, gamma_grid.size))
     for i, lam in enumerate(lambda_grid):
-        for j, gam in enumerate(gamma_grid):
-            try:
-                model = _model_curve(seq_kind, theta, delta,
-                                     NoiseParams(lam, gam), taus)
-                res[i, j] = float(((y - model) ** 2).sum()) / norm
-            except Exception:
-                continue
-    flat = np.nanargmin(res)   # first minimum in row-major order on ties
+        # exponents at gamma = lam carry the factor (gamma/lam)^2 = 1
+        unit = NoiseParams(lam, lam)
+        scale = (gamma_grid[:, None] / lam) ** 2
+        model = signal_from_exponents(seq_kind, theta, delta,
+                                      scale * f1(unit, taus),
+                                      scale * delta_f(unit, taus), taus)
+        res[i] = ((y - model) ** 2).sum(axis=1) / norm
+    flat = np.argmin(res)   # first minimum in row-major order on ties
     return ResidualMap(lambda_grid, gamma_grid, res,
                        tuple(np.unravel_index(flat, res.shape)))
 
@@ -320,8 +304,8 @@ def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
     if tau <= 0:
         raise ValueError("tau must be > 0")
     us = np.linspace(-np.pi, np.pi, n_grid)   # epsilon*tau is 2pi-periodic
-    vals = np.abs([hr_signal_derivative(theta, delta, BiasParams(u / tau),
-                                        noise, tau) for u in us])
+    vals = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / tau),
+                                       noise, tau))
     k = int(vals.argmax())
     lo, hi = us[max(0, k - 1)], us[min(n_grid - 1, k + 1)]
     ref = minimize_scalar(

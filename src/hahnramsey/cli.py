@@ -11,8 +11,9 @@ config file > defaults.  Every output file embeds a header comment with
 a hash of the fully resolved configuration, and reruns with the same
 configuration and seed are byte-identical at any worker count.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 runtime
-failure.
+Exit codes: 0 success; 2 bad input (a configuration value, flag or data
+file line), with the field, flag or file line named on stderr; 3 runtime
+failure.  Non-finite numbers are bad input wherever they are read.
 """
 
 from __future__ import annotations
@@ -32,11 +33,8 @@ from . import analysis, analytic, montecarlo, noise, spincore
 
 ENV_PREFIX = "HRSIM_"
 
-_SEQ = {
-    "ramsey": spincore.SequenceKind.RAMSEY,
-    "hahn_echo": spincore.SequenceKind.HAHN_ECHO,
-    "hahn_ramsey": spincore.SequenceKind.HAHN_RAMSEY,
-}
+# spincore.SequenceKind values that have a standard sequence
+_SEQUENCES = ("hahn_echo", "hahn_ramsey", "ramsey")
 
 
 class ConfigError(ValueError):
@@ -68,7 +66,11 @@ class RunConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if self.sequence not in _SEQ:
+        for name in sorted(_FLOAT_FIELDS):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(name, f"must be finite, got {value!r}")
+        if self.sequence not in _SEQUENCES:
             raise ConfigError("sequence", f"unknown sequence '{self.sequence}'")
         if self.engine not in ("analytic", "montecarlo", "both"):
             raise ConfigError("engine", f"unknown engine '{self.engine}'")
@@ -114,19 +116,22 @@ class RunConfig:
         if self.theta is not None:
             return self.theta
         if self.rabi is not None:
-            conv = (spincore.TiltConvention.GEOMETRIC
-                    if self.tilt_convention == "geometric"
-                    else spincore.TiltConvention.NUTATION)
             return spincore.tilt_angle(
-                spincore.DrivingParams(self.rabi, self.delta), conv).theta
+                spincore.DrivingParams(self.rabi, self.delta),
+                spincore.TiltConvention(self.tilt_convention)).theta
         if self.sequence == "ramsey":
             return math.pi / 2
         raise ConfigError("theta", "hahn_ramsey needs theta or rabi+delta")
 
+    def closed_form_theta(self) -> float:
+        """resolved_theta; the closed forms know ramsey at pi/2 only."""
+        theta = self.resolved_theta()
+        if self.sequence == "ramsey" and theta != math.pi / 2:
+            raise ConfigError("theta", "analytic ramsey signal assumes theta = pi/2")
+        return theta
+
     def noise_params(self) -> noise.NoiseParams:
-        kind = {"ou": noise.NoiseKind.ORNSTEIN_UHLENBECK,
-                "renewal": noise.NoiseKind.RENEWAL,
-                "none": noise.NoiseKind.NONE}[self.noise_kind]
+        kind = noise.NoiseKind(self.noise_kind)
         gamma = 0.0 if kind is noise.NoiseKind.NONE else self.gamma
         return noise.NoiseParams(self.lam, gamma, kind)
 
@@ -163,10 +168,9 @@ def load_config(path: str | None, flags: dict) -> RunConfig:
         if val is not None:
             values[key] = val
 
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     cfg = RunConfig()
     for key, val in values.items():
-        if key not in known:
+        if key not in _CFG_KEYS:
             raise ConfigError(key, "unknown configuration key")
         try:
             if key in _FLOAT_FIELDS and val is not None:
@@ -200,38 +204,53 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _write_curve_csv(path, taus, values, comment):
+def _write_csv(path, comment: str, header: str, rows) -> None:
+    """Data file: the config comment, a header line, rows at %.17g."""
     with open(path, "w") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write("tau,signal\n")
-        for t, v in zip(taus, values):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+        fh.write(f"# {comment}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
     """Read tau,signal[,stderr] (or tau,mean,stderr,n) data files.
 
     tau_scale converts the file's declared time unit to the working unit
-    (microseconds): stored tau = file tau * tau_scale.
+    (microseconds): stored tau = file tau * tau_scale.  A row that is short,
+    does not parse or holds a non-finite value raises ConfigError naming
+    the file and line.
     """
+    if not (math.isfinite(tau_scale) and tau_scale > 0):
+        raise ConfigError("--tau-scale", "must be finite and > 0")
+    if not Path(path).is_file():
+        raise ConfigError("data", f"file not found: {path}")
     taus, means, errs = [], [], []
     n = 0
     with open(path) as fh:
         header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if header is None:
                 header = [c.strip().lower() for c in line.split(",")]
                 continue
+            where = f"{path} line {lineno}"
             cells = line.split(",")
-            taus.append(float(cells[0]) * tau_scale)
-            means.append(float(cells[1]))
-            if len(cells) > 2 and len(header) > 2 and header[2] == "stderr":
-                errs.append(float(cells[2]))
-            if len(cells) > 3 and header[-1] == "n":
-                n = int(cells[3])
+            has_err = len(cells) > 2 and len(header) > 2 and header[2] == "stderr"
+            try:
+                row = [float(c) for c in cells[:3 if has_err else 2]]
+                if len(cells) > 3 and header[-1] == "n":
+                    n = int(cells[3])
+            except ValueError:
+                raise ConfigError("data", f"{where}: cannot parse {line!r}") from None
+            row[0] *= tau_scale
+            if len(row) < 2 or not all(map(math.isfinite, row)):
+                raise ConfigError("data", f"{where}: need finite tau and signal "
+                                          f"cells, got {line!r}")
+            taus.append(row[0])
+            means.append(row[1])
+            errs.extend(row[2:])
     if header is None or len(taus) == 0:
         raise ConfigError("data", f"no data rows in {path}")
     errs = errs if len(errs) == len(taus) else [0.0] * len(taus)
@@ -245,21 +264,9 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _analytic_curve(cfg: RunConfig, taus) -> np.ndarray:
-    kind = _SEQ[cfg.sequence]
-    p = cfg.noise_params()
-    if kind is spincore.SequenceKind.RAMSEY:
-        return np.asarray(analytic.ramsey_signal(cfg.delta, p, taus))
-    if kind is spincore.SequenceKind.HAHN_ECHO:
-        return np.asarray(analytic.hahn_echo_signal(p, taus))
-    return np.asarray(analytic.hahn_ramsey_signal(cfg.resolved_theta(),
-                                                  cfg.delta, p, taus))
-
-
 def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
-    if (cfg.sequence == "ramsey" and cfg.engine in ("analytic", "both")
-            and cfg.resolved_theta() != math.pi / 2):
-        raise ConfigError("theta", "analytic ramsey signal assumes theta = pi/2")
+    theta = (cfg.closed_form_theta() if cfg.engine in ("analytic", "both")
+             else cfg.resolved_theta())
     if with_components and cfg.sequence != "hahn_ramsey":
         raise ConfigError("sequence",
                           "component columns exist only for hahn_ramsey")
@@ -267,51 +274,41 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
     tag = config_hash(cfg)
     comment = f"config_sha256={tag}"
     taus = cfg.taus()
-    kind = _SEQ[cfg.sequence]
+    kind = spincore.SequenceKind(cfg.sequence)
     wrote = []
     an = mc = None
     if cfg.engine in ("analytic", "both"):
-        an = _analytic_curve(cfg, taus)
+        an = analytic.closed_form_signal(kind, theta, cfg.delta,
+                                         cfg.noise_params(), taus)
         path = out / f"{cfg.sequence}_analytic.csv"
+        header, rows = "tau,signal", zip(taus, an)
         if with_components:
-            names = ("constant", "ramsey_like", "cos_delta", "cos_2delta")
-            with open(path, "w") as fh:
-                fh.write(f"# {comment}\n")
-                fh.write("tau,signal," +
-                         ",".join(f"component_{n}" for n in names) + "\n")
-                for t, v in zip(taus, an):
-                    c = analytic.signal_components(
-                        cfg.resolved_theta(), cfg.delta, cfg.noise_params(),
-                        float(t))
-                    terms = (c.constant_term, c.ramsey_like_term,
-                             c.cos_delta_term, c.cos_2delta_term)
-                    fh.write(f"{t:.17g},{v:.17g}," +
-                             ",".join(f"{x:.17g}" for x in terms) + "\n")
-        else:
-            _write_curve_csv(path, taus, an, comment)
+            header += "".join(f",component_{n}" for n in
+                              ("constant", "ramsey_like", "cos_delta", "cos_2delta"))
+            rows = ((t, v, *dataclasses.astuple(analytic.signal_components(
+                theta, cfg.delta, cfg.noise_params(), float(t)))[:4])
+                for t, v in rows)
+        _write_csv(path, comment, header, rows)
         wrote.append(path)
     if cfg.engine in ("montecarlo", "both"):
         mcfg = montecarlo.McConfig(cfg.n_trajectories, cfg.seed, cfg.time_step,
                                    cfg.pulse_model, cfg.rabi, cfg.workers)
-        runner = (montecarlo.run_mc_finite_pulses
-                  if cfg.pulse_model == "finite" else montecarlo.run_mc)
-        curve = runner(kind, cfg.resolved_theta(), cfg.delta,
-                       cfg.noise_params(), taus, mcfg)
+        curve = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(),
+                                  taus, mcfg)
         path = out / f"{cfg.sequence}_montecarlo.csv"
         curve.to_csv(path, comment)
         wrote.append(path)
         mc = curve
     if cfg.engine == "both":
         path = out / f"{cfg.sequence}_compare.csv"
-        with open(path, "w") as fh:
-            fh.write(f"# {comment}\n")
-            fh.write("tau,analytic,mc_mean,mc_stderr,zscore\n")
-            for t, a, m, s in zip(taus, an, mc.means, mc.stderrs):
-                if s > 0:
-                    z = (m - a) / s
-                else:
-                    z = 0.0 if abs(m - a) < 1e-12 else math.inf
-                fh.write(f"{t:.17g},{a:.17g},{m:.17g},{s:.17g},{z:.17g}\n")
+        rows = []
+        for t, a, m, s in zip(taus, an, mc.means, mc.stderrs):
+            if s > 0:
+                z = (m - a) / s
+            else:
+                z = 0.0 if abs(m - a) < 1e-12 else math.inf
+            rows.append((t, a, m, s, z))
+        _write_csv(path, comment, "tau,analytic,mc_mean,mc_stderr,zscore", rows)
         wrote.append(path)
     for p in wrote:
         print(p)
@@ -319,27 +316,20 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
 
 
 def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
+    if theta_count < 1:
+        raise ConfigError("--theta-count", "must be >= 1")
     out = _out_dir(cfg)
     comment = f"config_sha256={config_hash(cfg)}"
     p = cfg.noise_params()
     taus = cfg.taus()
     path1 = out / "filter_exponents.csv"
-    with open(path1, "w") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write("tau,ramsey_like,half_period,hahn_like\n")
-        for t in taus:
-            vals = [noise.chi_filter(k, p, float(t)) for k in
-                    (noise.FilterKind.RAMSEY_LIKE, noise.FilterKind.HALF_PERIOD,
-                     noise.FilterKind.HAHN_LIKE)]
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in vals) + "\n")
+    _write_csv(path1, comment, "tau," + ",".join(k.value for k in noise.FilterKind),
+               ((t, *(noise.chi_filter(k, p, float(t)) for k in noise.FilterKind))
+                for t in taus))
     path2 = out / "component_weights.csv"
     thetas = np.linspace(1e-3, math.pi / 2, theta_count)
-    with open(path2, "w") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write("theta,constant,ramsey_like,cos_delta,cos_2delta\n")
-        for th in thetas:
-            w = analytic.component_weights(float(th))
-            fh.write(f"{th:.17g}," + ",".join(f"{v:.17g}" for v in w) + "\n")
+    _write_csv(path2, comment, "theta,constant,ramsey_like,cos_delta,cos_2delta",
+               ((th, *analytic.component_weights(float(th))) for th in thetas))
     print(path1)
     print(path2)
     return 0
@@ -348,9 +338,7 @@ def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
 def cmd_fit(cfg: RunConfig, data_path: str, model: str,
             tau_scale: float = 1.0) -> int:
     curve = read_curve_csv(data_path, tau_scale)
-    fm = (analysis.FitModel.GAUSSIAN_ENVELOPE if model == "gaussian"
-          else analysis.FitModel.PLAIN_EXPONENTIAL)
-    fit = analysis.fit_decay(curve, fm)
+    fit = analysis.fit_decay(curve, analysis.FitModel(model))
     payload = {"config_sha256": config_hash(cfg), "model": model,
                "data": str(data_path), **fit.to_dict()}
     out = _out_dir(cfg)
@@ -361,16 +349,28 @@ def cmd_fit(cfg: RunConfig, data_path: str, model: str,
     return 0
 
 
+def _scan_grid(name: str, spec, positive: bool) -> np.ndarray:
+    """Grid of the --NAME-min/max/count flags: finite values, > 0 when
+    positive, else >= 0, and at least one point."""
+    for suffix, value in zip(("min", "max"), spec):
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise ConfigError(f"--{name}-{suffix}",
+                              "must be finite and " + ("> 0" if positive else ">= 0"))
+    if spec[2] < 1:
+        raise ConfigError(f"--{name}-count", "must be >= 1")
+    return np.linspace(*spec)
+
+
 def cmd_scan(cfg: RunConfig, data_paths, lam_spec, gamma_spec,
              tau_scale: float = 1.0) -> int:
+    lam_grid = _scan_grid("lambda", lam_spec, positive=True)
+    gamma_grid = _scan_grid("gamma", gamma_spec, positive=False)
+    theta = cfg.closed_form_theta()
+    curves = [read_curve_csv(dp, tau_scale) for dp in data_paths]
     out = _out_dir(cfg)
     comment = f"config_sha256={config_hash(cfg)}"
-    lam_grid = np.linspace(*lam_spec)
-    gamma_grid = np.linspace(*gamma_spec)
-    kind = _SEQ[cfg.sequence]
-    theta = cfg.resolved_theta()
-    for dp in data_paths:
-        curve = read_curve_csv(dp, tau_scale)
+    kind = spincore.SequenceKind(cfg.sequence)
+    for dp, curve in zip(data_paths, curves):
         m = analysis.scan_noise_params(curve, kind, theta, cfg.delta,
                                        lam_grid, gamma_grid)
         path = out / f"scan_{Path(dp).stem}.csv"
@@ -380,6 +380,12 @@ def cmd_scan(cfg: RunConfig, data_paths, lam_spec, gamma_spec,
 
 
 def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
+    if not (math.isfinite(u) and u > v >= 0):
+        raise ConfigError("--u", "need finite u > v >= 0 (bright above dark)")
+    if not (math.isfinite(gamma_e) and gamma_e > 0):
+        raise ConfigError("--gamma-e", "must be finite and > 0")
+    if not cfg.noise_params().gamma > 0:
+        raise ConfigError("gamma", "sensitivity needs a dephasing strength > 0")
     readout = analysis.ReadoutModel(u, v)
     theta = None
     if cfg.theta is not None or cfg.rabi is not None:
@@ -401,9 +407,14 @@ def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
 
 
 def cmd_bloch(cfg: RunConfig, tau: float, samples: int) -> int:
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ConfigError("--tau", "must be finite and >= 0")
+    if samples < 1:
+        raise ConfigError("--samples", "must be >= 1")
     out = _out_dir(cfg)
-    pts = montecarlo.bloch_trajectory(_SEQ[cfg.sequence], cfg.resolved_theta(),
-                                      cfg.delta, tau, samples)
+    pts = montecarlo.bloch_trajectory(spincore.SequenceKind(cfg.sequence),
+                                      cfg.resolved_theta(), cfg.delta, tau,
+                                      samples)
     path = out / f"bloch_{cfg.sequence}.csv"
     montecarlo.bloch_to_csv(pts, path, f"config_sha256={config_hash(cfg)}")
     print(path)
@@ -415,7 +426,7 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int)
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--freq-unit", choices=["rad", "cycles"], dest="freq_unit")
-    sub.add_argument("--sequence", choices=sorted(_SEQ))
+    sub.add_argument("--sequence", choices=_SEQUENCES)
     sub.add_argument("--theta", type=float, help="tilt angle in rad")
     sub.add_argument("--rabi", type=float)
     sub.add_argument("--tilt-convention", choices=["geometric", "nutation"],
@@ -509,15 +520,8 @@ def main(argv=None) -> int:
         if ns.command == "components":
             return cmd_components(cfg, ns.theta_count)
         if ns.command == "fit":
-            if not Path(ns.data).exists():
-                print(f"error: data file not found: {ns.data}", file=sys.stderr)
-                return 2
             return cmd_fit(cfg, ns.data, ns.model, ns.tau_scale)
         if ns.command == "scan":
-            for dp in ns.data:
-                if not Path(dp).exists():
-                    print(f"error: data file not found: {dp}", file=sys.stderr)
-                    return 2
             return cmd_scan(cfg, ns.data,
                             (ns.lambda_min, ns.lambda_max, ns.lambda_count),
                             (ns.gamma_min, ns.gamma_max, ns.gamma_count),

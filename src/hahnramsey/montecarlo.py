@@ -4,16 +4,22 @@ standard errors.  Independent of the closed forms in `analytic`, which
 is the point: agreement between the two is the end-to-end check of the
 Gaussian averaging behind every decay law.
 
+One function, run_mc, serves both pulse models of McConfig.pulse_model:
+instantaneous pulses (tilted-axis rotations that take no time) and
+finite pulses (the spin is stepped through each pulse while the noise
+keeps running).  Both share the seeding, block reduction and worker
+fan-out below; only the per-block sampler differs.
+
 Reproducibility scheme
 ----------------------
 Trajectories are processed in fixed blocks of BLOCK_SIZE; the random
 stream of block b at tau-point i is seeded by
 ``SeedSequence(master_seed, spawn_key=(i, b))``.  Block results are
 reduced in ascending block order.  The estimate is therefore bitwise
-identical for a given master seed at any worker count, since neither
-stream layout nor summation order depends on scheduling.  Within a
-tau-point, per-trajectory sigma_z values are summed with numpy's
-pairwise summation over each block.
+identical for a given master seed at any worker count, for either
+pulse model, since neither stream layout nor summation order depends
+on scheduling.  Within a tau-point, per-trajectory sigma_z values are
+summed with numpy's pairwise summation over each block.
 
 Delays use a uniform grid with step min(time_step, 0.05/lambda); the
 trapezoidal OU phase integral then carries an O(step^2) bias well below
@@ -23,6 +29,7 @@ phase integrals are event-driven and exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,12 +38,10 @@ import numpy as np
 
 from .noise import NoiseKind, NoiseParams
 from .spincore import (Delay, PulseParams, PulseSequence, SequenceKind,
-                       SPIN_UP, hahn_echo_sequence, hahn_ramsey_sequence,
-                       ramsey_sequence, rotation_matrix)
+                       SPIN_UP, build_sequence, rotation_matrix)
 
 __all__ = ["McConfig", "SignalCurve", "BlochPoint", "run_mc",
-           "run_mc_finite_pulses", "bloch_trajectory", "bloch_to_csv",
-           "BLOCK_SIZE"]
+           "bloch_trajectory", "bloch_to_csv", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 8192
 
@@ -94,19 +99,7 @@ class BlochPoint:
     z: float
 
 
-def _build_sequence(seq_kind: SequenceKind, theta: float, tau: float) -> PulseSequence:
-    if seq_kind is SequenceKind.RAMSEY:
-        return ramsey_sequence(theta, tau)
-    if seq_kind is SequenceKind.HAHN_ECHO:
-        if not math.isclose(theta, math.pi / 2):
-            raise ValueError("hahn_echo uses resonant pulses, theta = pi/2")
-        return hahn_echo_sequence(tau)
-    if seq_kind is SequenceKind.HAHN_RAMSEY:
-        return hahn_ramsey_sequence(theta, tau)
-    raise ValueError(f"unsupported sequence kind {seq_kind!r}")
-
-
-def _validate(seq_kind, theta, delta, noise, taus, cfg):
+def _validate(theta, delta, noise, taus):
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("taus must be a non-empty 1-d array")
@@ -115,8 +108,6 @@ def _validate(seq_kind, theta, delta, noise, taus, cfg):
         raise ValueError("non-finite simulation parameter")
     if (taus < 0).any():
         raise ValueError("taus must be >= 0")
-    if seq_kind is SequenceKind.HAHN_ECHO and delta != 0.0:
-        raise ValueError("hahn_echo is resonant, delta must be 0")
     return taus
 
 
@@ -190,20 +181,33 @@ def _ops_for(seq: PulseSequence):
     return ops
 
 
-def _noiseless_value(seq, delta):
-    ops = _ops_for(seq)
-    zeros = np.zeros((len(seq.delays), 1))
-    return float(_propagate_block(ops, delta, zeros)[0])
-
-
-def _point_estimate(seq_kind, theta, delta, noise, tau, cfg, point_idx):
-    seq = _build_sequence(seq_kind, theta, tau)
+def _instantaneous_sampler(seq, delta, noise, cfg):
+    """sample(rng, m): sigma_z of m trajectories with instantaneous
+    pulses; rng None means noiseless."""
     ops = _ops_for(seq)
     durations = [d.duration for d in seq.delays]
-    n = cfg.n_trajectories
-    if noise.gamma == 0.0 or noise.kind is NoiseKind.NONE:
-        return _noiseless_value(seq, delta), 0.0
     max_step = min(cfg.time_step, 0.05 / noise.lam)
+
+    def sample(rng, m):
+        if rng is None:
+            x = np.zeros((len(durations), m))
+        elif noise.kind is NoiseKind.ORNSTEIN_UHLENBECK:
+            x = _ou_segment_integrals(rng, m, noise.lam, noise.gamma,
+                                      durations, max_step)
+        else:
+            x = _renewal_segment_integrals(rng, m, noise.lam, noise.gamma,
+                                           durations)
+        return _propagate_block(ops, delta, x)
+
+    return sample
+
+
+def _point_estimate(sample, noisy, cfg, point_idx):
+    """Mean and standard error at one tau-point, blocks seeded and reduced
+    as in the module docstring; a noiseless point is one exact sample."""
+    if not noisy:
+        return float(sample(None, 1)[0]), 0.0
+    n = cfg.n_trajectories
     total = 0.0
     total_sq = 0.0
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -211,13 +215,7 @@ def _point_estimate(seq_kind, theta, delta, noise, tau, cfg, point_idx):
         m = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.master_seed, spawn_key=(point_idx, b)))
-        if noise.kind is NoiseKind.ORNSTEIN_UHLENBECK:
-            x = _ou_segment_integrals(rng, m, noise.lam, noise.gamma,
-                                      durations, max_step)
-        else:
-            x = _renewal_segment_integrals(rng, m, noise.lam, noise.gamma,
-                                           durations)
-        sz = _propagate_block(ops, delta, x)
+        sz = sample(rng, m)
         total += float(sz.sum())
         total_sq += float((sz * sz).sum())
     mean = total / n
@@ -227,18 +225,33 @@ def _point_estimate(seq_kind, theta, delta, noise, tau, cfg, point_idx):
 
 def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
            noise: NoiseParams, taus, cfg: McConfig) -> SignalCurve:
-    """Monte Carlo estimate of <sigma_z> per tau with instantaneous pulses.
+    """Monte Carlo estimate of <sigma_z> per tau under cfg.pulse_model.
 
-    Deterministic for a fixed master_seed at any cfg.workers; see the
-    module docstring for the seeding scheme.
+    Finite pulses evolve under ((det + f(t))/2) sigma_z + (rabi/2) sigma_x,
+    stepped with piecewise-constant matrix exponentials on the time_step
+    grid, and the noise runs continuously through them.  Deterministic
+    for a fixed master_seed at any cfg.workers; see the module docstring
+    for the seeding scheme.
     """
-    taus = _validate(seq_kind, theta, delta, noise, taus, cfg)
+    taus = _validate(theta, delta, noise, taus)
+    seqs = [build_sequence(seq_kind, theta, delta, float(t)) for t in taus]
+    finite = cfg.pulse_model == "finite"
+    make_sampler = _finite_sampler if finite else _instantaneous_sampler
+    warnings = []
+    if finite:
+        for w in _finite_windows(seqs[0], delta, cfg.rabi):
+            if w[0] == "pulse" and w[1] / cfg.time_step < 10:
+                warnings.append(
+                    f"pulse of duration {w[1]:.3g} resolved by fewer than 10 "
+                    f"steps of {cfg.time_step:.3g}")
+                break
+    noisy = noise.gamma > 0.0
     means = np.empty(taus.size)
     errs = np.empty(taus.size)
 
     def work(i):
-        means[i], errs[i] = _point_estimate(
-            seq_kind, theta, delta, noise, float(taus[i]), cfg, i)
+        sample = make_sampler(seqs[i], delta, noise, cfg)
+        means[i], errs[i] = _point_estimate(sample, noisy, cfg, i)
 
     if cfg.workers == 1:
         for i in range(taus.size):
@@ -246,7 +259,8 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             list(pool.map(work, range(taus.size)))
-    return SignalCurve(taus, means, errs, cfg.n_trajectories, seq_kind)
+    return SignalCurve(taus, means, errs, cfg.n_trajectories, seq_kind,
+                       tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -272,56 +286,15 @@ def _finite_windows(seq: PulseSequence, delta: float, rabi: float):
     return windows
 
 
-def run_mc_finite_pulses(seq_kind: SequenceKind, theta: float, delta: float,
-                         noise: NoiseParams, taus, cfg: McConfig) -> SignalCurve:
-    """As run_mc but pulses have finite duration: during a pulse the spin
-    evolves under ((det + f(t))/2) sigma_z + (rabi/2) sigma_x, stepped
-    with piecewise-constant matrix exponentials on the time_step grid,
-    and the noise runs continuously through the pulse."""
-    if cfg.pulse_model != "finite":
-        raise ValueError("cfg.pulse_model must be 'finite'")
-    taus = _validate(seq_kind, theta, delta, noise, taus, cfg)
-    warnings = []
-    sample_seq = _build_sequence(seq_kind, theta, float(taus.max()))
-    for w in _finite_windows(sample_seq, delta, cfg.rabi):
-        if w[0] == "pulse" and w[1] / cfg.time_step < 10:
-            warnings.append(
-                f"pulse of duration {w[1]:.3g} resolved by fewer than 10 steps "
-                f"of {cfg.time_step:.3g}")
-            break
-
-    means = np.empty(taus.size)
-    errs = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        seq = _build_sequence(seq_kind, theta, float(tau))
-        windows = _finite_windows(seq, delta, cfg.rabi)
-        if noise.gamma == 0.0:
-            mean, err = _finite_block(windows, noise, cfg, None, 1)
-            means[i], errs[i] = mean, 0.0
-            continue
-        n = cfg.n_trajectories
-        total = total_sq = 0.0
-        n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-        for b in range(n_blocks):
-            m = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.master_seed, spawn_key=(i, b)))
-            sz = _finite_block_samples(windows, noise, cfg, rng, m)
-            total += float(sz.sum())
-            total_sq += float((sz * sz).sum())
-        mean = total / n
-        var = max(0.0, (total_sq - n * mean * mean) / max(1, n - 1))
-        means[i], errs[i] = mean, math.sqrt(var / n)
-    return SignalCurve(taus, means, errs, cfg.n_trajectories, seq_kind,
-                       tuple(warnings))
-
-
-def _finite_block(windows, noise, cfg, rng, m):
-    sz = _finite_block_samples(windows, noise, cfg, rng, m)
-    return float(sz.mean()), 0.0
+def _finite_sampler(seq, delta, noise, cfg):
+    """sample(rng, m) with finite pulses; see _finite_block_samples."""
+    return functools.partial(_finite_block_samples,
+                             _finite_windows(seq, delta, cfg.rabi), noise, cfg)
 
 
 def _finite_block_samples(windows, noise, cfg, rng, m):
+    """sigma_z of m trajectories through the finite-pulse window
+    timeline; rng None means noiseless."""
     lam, gamma = noise.lam, noise.gamma
     noisy = gamma > 0.0 and rng is not None
     renewal = noise.kind is NoiseKind.RENEWAL
@@ -393,7 +366,7 @@ def bloch_trajectory(seq_kind: SequenceKind, theta: float, delta: float,
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    seq = _build_sequence(seq_kind, theta, tau)
+    seq = build_sequence(seq_kind, theta, delta, tau)
     psi = SPIN_UP.copy()
     t = 0.0
     pts = [BlochPoint(t, *_xyz(psi))]

@@ -226,8 +226,13 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
     return value
 
 
-def _rng_from(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+def _checked_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("grid must be a non-empty 1-d array")
+    if grid.size > 1 and not (np.diff(grid) > 0).all():
+        raise ValueError("grid must be strictly increasing")
+    return grid
 
 
 def sample_ou_ensemble(p: NoiseParams, grid, n: int, seed) -> np.ndarray:
@@ -238,12 +243,8 @@ def sample_ou_ensemble(p: NoiseParams, grid, n: int, seed) -> np.ndarray:
     """
     if p.kind is not NoiseKind.ORNSTEIN_UHLENBECK:
         raise ValueError("sample_ou requires kind ORNSTEIN_UHLENBECK")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a non-empty 1-d array")
-    if grid.size > 1 and not (np.diff(grid) > 0).all():
-        raise ValueError("grid must be strictly increasing")
-    rng = _rng_from(seed)
+    grid = _checked_grid(grid)
+    rng = np.random.default_rng(seed)
     out = np.empty((n, grid.size))
     if p.gamma == 0.0:
         out[:] = 0.0
@@ -273,12 +274,8 @@ def sample_renewal_ensemble(p: NoiseParams, grid, n: int, seed) -> np.ndarray:
     """
     if p.kind is not NoiseKind.RENEWAL:
         raise ValueError("sample_renewal requires kind RENEWAL")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a non-empty 1-d array")
-    if grid.size > 1 and not (np.diff(grid) > 0).all():
-        raise ValueError("grid must be strictly increasing")
-    rng = _rng_from(seed)
+    grid = _checked_grid(grid)
+    rng = np.random.default_rng(seed)
     out = np.empty((n, grid.size))
     out[:, 0] = rng.normal(0.0, p.gamma, n)
     for k in range(grid.size - 1):
@@ -294,12 +291,8 @@ def sample_renewal(p: NoiseParams, grid, seed) -> NoiseTrajectory:
     so the returned samples represent the path exactly."""
     if p.kind is not NoiseKind.RENEWAL:
         raise ValueError("sample_renewal requires kind RENEWAL")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a non-empty 1-d array")
-    if grid.size > 1 and not (np.diff(grid) > 0).all():
-        raise ValueError("grid must be strictly increasing")
-    rng = _rng_from(seed)
+    grid = _checked_grid(grid)
+    rng = np.random.default_rng(seed)
     t0, t1 = grid[0], grid[-1]
     jumps = []
     t = t0

@@ -36,7 +36,7 @@ __all__ = [
     "SequenceKind", "PulseSequence", "TiltConvention", "TiltAngle",
     "ry", "rz", "rotation_matrix", "free_phase_unitary", "tilt_angle",
     "ramsey_sequence", "hahn_echo_sequence", "hahn_ramsey_sequence",
-    "delay_phases", "propagate", "expectation_sigma_z",
+    "build_sequence", "delay_phases", "propagate", "expectation_sigma_z",
     "analytic_density_matrix_hr", "long_time_density_matrix",
 ]
 
@@ -269,6 +269,26 @@ def hahn_echo_sequence(tau: float) -> PulseSequence:
         Delay(tau, -1),
         PulseParams(np.pi / 2, np.pi / 2, +1),
     ))
+
+
+def build_sequence(kind: SequenceKind, theta: float, delta: float,
+                   tau: float) -> PulseSequence:
+    """The standard sequence of a kind at tilt theta and delay tau.
+
+    delta is only checked here: the hahn echo is resonant, so it needs
+    theta = pi/2 and delta = 0.  CUSTOM has no standard sequence.
+    """
+    if kind is SequenceKind.RAMSEY:
+        return ramsey_sequence(theta, tau)
+    if kind is SequenceKind.HAHN_ECHO:
+        if not math.isclose(theta, math.pi / 2):
+            raise ValueError("hahn_echo uses resonant pulses, theta = pi/2")
+        if delta != 0.0:
+            raise ValueError("hahn_echo is resonant, delta must be 0")
+        return hahn_echo_sequence(tau)
+    if kind is SequenceKind.HAHN_RAMSEY:
+        return hahn_ramsey_sequence(theta, tau)
+    raise ValueError(f"no standard sequence for {kind!r}")
 
 
 def delay_phases(seq: PulseSequence, delta: float,

@@ -5,7 +5,8 @@ from hahnramsey.analysis import (FitError, FitModel, ReadoutModel,
                                  fit_decay, max_bias_slope,
                                  min_detectable_field, optimal_theta,
                                  scan_noise_params, sensitivity)
-from hahnramsey.analytic import hahn_ramsey_signal, ramsey_signal
+from hahnramsey.analytic import (closed_form_signal, hahn_ramsey_signal,
+                                 ramsey_signal)
 from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams
 from hahnramsey.spincore import SequenceKind
@@ -128,13 +129,53 @@ def test_scan_recovery_with_noise():
     assert hits >= 9
 
 
-def test_scan_records_failures_as_nan():
-    taus = np.linspace(0.1, 2.0, 10)
-    data = make_data(2.5, 0.3, taus)
-    m = scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
-                          np.array([-1.0, 2.5]), np.array([0.3]))
-    assert np.isnan(m.residuals[0, 0])
-    assert m.argmin == (1, 0)
+def test_scan_rows_match_cell_by_cell_models():
+    # reference: one closed-form curve per (lambda, gamma) cell
+    taus = np.linspace(0.1, 4.0, 30)
+    data = make_data(2.5, 0.5, taus, sigma=0.01, seed=4)
+    lam_grid = np.linspace(1.0, 4.0, 7)
+    gam_grid = np.linspace(0.0, 1.0, 6)
+    y = data.means
+    tss = ((y - y.mean()) ** 2).sum()
+    for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, DELTA),
+                               (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+                               (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]:
+        m = scan_noise_params(data, kind, theta, delta, lam_grid, gam_grid)
+        ref = [[((y - closed_form_signal(kind, theta, delta,
+                                         NoiseParams(lam, gam), taus)) ** 2
+                 ).sum() / tss for gam in gam_grid] for lam in lam_grid]
+        np.testing.assert_allclose(m.residuals, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lam_grid, gam_grid", [
+    ([-1.0, 2.5], [0.3]),
+    ([0.0, 2.5], [0.3]),
+    ([2.5], [-0.1, 0.3]),
+    ([np.nan, 2.5], [0.3]),
+    ([2.5], [0.3, np.inf]),
+    ([], [0.3]),
+])
+def test_scan_rejects_bad_grids(lam_grid, gam_grid):
+    data = make_data(2.5, 0.3, np.linspace(0.1, 2.0, 10))
+    with pytest.raises(ValueError):
+        scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
+                          np.array(lam_grid), np.array(gam_grid))
+
+
+def test_scan_rejects_non_finite_data():
+    data = make_data(2.5, 0.3, np.linspace(0.1, 2.0, 10))
+    data.means[3] = np.nan
+    with pytest.raises(ValueError):
+        scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
+                          np.array([2.5]), np.array([0.3]))
+
+
+def test_scan_rejects_tilted_ramsey():
+    # the ramsey closed form exists at theta = pi/2 only
+    data = make_data(2.5, 0.3, np.linspace(0.1, 2.0, 10))
+    with pytest.raises(ValueError):
+        scan_noise_params(data, SequenceKind.RAMSEY, 0.5, DELTA,
+                          np.array([2.5]), np.array([0.3]))
 
 
 # --------------------------------------------------------------------------

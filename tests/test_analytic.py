@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnramsey.analytic import (BiasParams, component_weights,
-                                 hahn_echo_signal, hahn_ramsey_signal,
-                                 hr_signal_biased, hr_signal_derivative,
-                                 ramsey_signal, signal_components)
+from hahnramsey.analytic import (BiasParams, closed_form_signal,
+                                 component_weights, hahn_echo_signal,
+                                 hahn_ramsey_signal, hr_signal_biased,
+                                 hr_signal_derivative, ramsey_signal,
+                                 signal_components)
 from hahnramsey.noise import NoiseParams, f1, delta_f
-from hahnramsey.spincore import (SpinState, delay_phases, expectation_sigma_z,
+from hahnramsey.spincore import (SequenceKind, SpinState, build_sequence,
+                                 delay_phases, expectation_sigma_z,
                                  hahn_ramsey_sequence, propagate,
                                  ramsey_sequence)
 
@@ -214,3 +216,46 @@ def test_consistency_with_spectral_exponents():
         w[2] * np.exp(-chi_filter(FilterKind.HALF_PERIOD, P, tau)), rel=1e-4)
     assert c.cos_2delta_term == pytest.approx(
         w[3] * np.exp(-chi_filter(FilterKind.HAHN_LIKE, P, tau)), rel=1e-4)
+
+
+# (theta, delta) at which each standard sequence has a closed form
+_CLOSED_FORM_ARGS = {
+    SequenceKind.RAMSEY: (np.pi / 2, 1.3),
+    SequenceKind.HAHN_ECHO: (np.pi / 2, 0.0),
+    SequenceKind.HAHN_RAMSEY: (0.2 * np.pi, 1.3),
+}
+
+
+@pytest.mark.parametrize(
+    "kind", [k for k in SequenceKind if k is not SequenceKind.CUSTOM])
+def test_closed_form_dispatch_matches_built_sequence(kind):
+    theta, delta = _CLOSED_FORM_ARGS[kind]
+    taus = np.linspace(0.0, 4.0, 9)
+    expect = []
+    for tau in taus:
+        seq = build_sequence(kind, theta, delta, tau)
+        expect.append(expectation_sigma_z(
+            propagate(UP, seq, delay_phases(seq, delta))))
+    np.testing.assert_allclose(
+        closed_form_signal(kind, theta, delta, QUIET, taus), expect, atol=1e-12)
+
+
+def test_closed_form_dispatch_rejects_unknown_cases():
+    with pytest.raises(ValueError):
+        closed_form_signal(SequenceKind.CUSTOM, np.pi / 2, 0.0, P, 1.0)
+    with pytest.raises(ValueError):
+        closed_form_signal(SequenceKind.RAMSEY, 0.5, 0.0, P, 1.0)
+
+
+def test_bias_grid_in_one_call_equals_scalar_calls():
+    us = np.linspace(-np.pi, np.pi, 101)
+    tau = 1.3
+    grid = hr_signal_derivative(0.3, 0.5, BiasParams(us / tau), P, tau)
+    loop = [hr_signal_derivative(0.3, 0.5, BiasParams(u / tau), P, tau)
+            for u in us]
+    assert grid.tobytes() == np.array(loop).tobytes()
+    biased = hr_signal_biased(0.3, 0.5, BiasParams(us / tau), P, tau)
+    loop = [hr_signal_biased(0.3, 0.5, BiasParams(u / tau), P, tau) for u in us]
+    np.testing.assert_array_equal(biased, loop)
+    with pytest.raises(ValueError):
+        BiasParams(np.array([0.0, np.nan]))

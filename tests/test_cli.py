@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hahnramsey.analytic import hahn_ramsey_signal
+from hahnramsey.analytic import hahn_ramsey_signal, ramsey_signal
 from hahnramsey.cli import main, read_curve_csv
 from hahnramsey.noise import NoiseParams, FilterKind, chi_filter, f1, delta_f
 
@@ -237,3 +237,99 @@ def test_read_curve_csv_roundtrip(tmp_path):
     c = read_curve_csv(path)
     assert c.n == 500
     np.testing.assert_allclose(c.stderrs, [0.01, 0.02])
+
+
+# --------------------------------------------------------------------------
+# bad input exits 2 and names the field, flag or file line
+
+_FLOAT_FLAGS = {"theta": "--theta", "rabi": "--rabi", "delta": "--delta",
+                "lam": "--lam", "gamma": "--gamma", "tau_start": "--tau-start",
+                "tau_stop": "--tau-stop", "time_step": "--time-step"}
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(_FLOAT_FLAGS))
+def test_non_finite_config_value_exits_2(field, value, source, tmp_path,
+                                         monkeypatch, capsys):
+    out = tmp_path / "o"
+    args = ["simulate", "--engine", "both", "--out", out]
+    if source == "flag":
+        args.append(f"{_FLOAT_FLAGS[field]}={value}")
+    else:
+        monkeypatch.setenv(f"HRSIM_{field.upper()}", value)
+    assert run(args) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_ramsey_data(path, rows=None):
+    taus = np.linspace(0.1, 6, 40)
+    y = np.asarray(ramsey_signal(1.885, NoiseParams(2.5, 0.6), taus))
+    with open(path, "w") as fh:
+        fh.write("tau,signal\n")
+        for ti, yi in zip(taus, y):
+            fh.write(f"{ti},{yi}\n")
+        for row in rows or ():
+            fh.write(row + "\n")
+    return path
+
+
+_SCAN = ["scan", "--sequence", "ramsey", "--delta", 1.885,
+         "--lambda-min", 1.5, "--lambda-max", 3.5, "--lambda-count", 5,
+         "--gamma-min", 0.3, "--gamma-max", 1.0, "--gamma-count", 8]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda-min", "-1"), ("--lambda-min", "0"), ("--lambda-max", "nan"),
+    ("--lambda-count", "0"), ("--gamma-min", "-1"), ("--gamma-max", "inf"),
+    ("--gamma-count", "-3"),
+])
+def test_scan_rejects_bad_grid(flag, value, tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    out = tmp_path / "o"
+    assert run([*_SCAN, "--data", data, f"{flag}={value}", "--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_and_simulate_share_the_ramsey_tilt_check(tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    assert run([*_SCAN, "--theta", 0.5, "--data", data,
+                "--out", tmp_path / "s"]) == 2
+    assert "'theta'" in capsys.readouterr().err
+    assert run(["simulate", "--sequence", "ramsey", "--theta", 0.5,
+                "--engine", "analytic", "--out", tmp_path / "a"]) == 2
+    assert "'theta'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "scan"])
+@pytest.mark.parametrize("row", ["1.0,abc", "7.0", "7.0,nan", "inf,0.5"])
+def test_bad_data_row_names_file_and_line(command, row, tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "bad.csv", rows=[row])
+    args = (["fit", "--data", data] if command == "fit"
+            else [*_SCAN, "--data", data])
+    assert run([*args, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv line 42" in err       # header, 40 rows, then the bad one
+
+
+@pytest.mark.parametrize("args, name", [
+    (["bloch", "--sequence", "ramsey", "--tau", 1.0, "--samples", 0], "--samples"),
+    (["bloch", "--sequence", "ramsey", "--tau", "nan"], "--tau"),
+    (["components", "--theta-count", -1], "--theta-count"),
+    (["components", "--theta-count", 0], "--theta-count"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.0], "'gamma'"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--u", 0.5], "--u"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--gamma-e", 0], "--gamma-e"),
+])
+def test_bad_command_option_exits_2(args, name, tmp_path, capsys):
+    assert run([*args, "--out", tmp_path / "o"]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_fit_rejects_bad_tau_scale(tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    assert run(["fit", "--data", data, "--tau-scale", 0,
+                "--out", tmp_path]) == 2
+    assert "--tau-scale" in capsys.readouterr().err

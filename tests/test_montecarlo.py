@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from hahnramsey.analytic import hahn_echo_signal, hahn_ramsey_signal, ramsey_signal
 from hahnramsey.montecarlo import (BLOCK_SIZE, McConfig, bloch_trajectory,
-                                   bloch_to_csv, run_mc, run_mc_finite_pulses)
+                                   bloch_to_csv, run_mc)
 from hahnramsey.noise import NoiseKind, NoiseParams, sample_ou_ensemble
 from hahnramsey.spincore import (PulseParams, SequenceKind, SPIN_UP,
                                  analytic_density_matrix_hr,
@@ -125,8 +125,7 @@ def test_finite_pulses_noiseless_match_instantaneous():
     taus = np.linspace(0.0, 2.0, 5)
     cfg = McConfig(10, master_seed=1, time_step=0.001, pulse_model="finite",
                    rabi=20.0)
-    curve = run_mc_finite_pulses(SequenceKind.HAHN_RAMSEY, THETA, DELTA,
-                                 QUIET, taus, cfg)
+    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, QUIET, taus, cfg)
     ref = hahn_ramsey_signal(THETA, DELTA, QUIET, taus)
     assert_allclose(curve.means, ref, atol=1e-9)
     assert (curve.stderrs == 0).all()
@@ -137,8 +136,7 @@ def test_finite_pulse_matches_rotation_composition():
     cfg = McConfig(1, master_seed=1, time_step=np.pi / 2 / 20 / 1000,
                    pulse_model="finite", rabi=20.0)
     taus = np.array([0.0])
-    curve = run_mc_finite_pulses(SequenceKind.RAMSEY, np.pi / 2, 0.0, QUIET,
-                                 taus, cfg)
+    curve = run_mc(SequenceKind.RAMSEY, np.pi / 2, 0.0, QUIET, taus, cfg)
     # pi/2 then 3pi/2 about x is the identity on <sigma_z>
     u = rotation_matrix(PulseParams(np.pi / 2, 3 * np.pi / 2)) @ \
         rotation_matrix(PulseParams(np.pi / 2, np.pi / 2))
@@ -156,8 +154,8 @@ def test_finite_pulses_converge_to_instantaneous_with_noise():
     for rabi in (5.0, 50.0):
         cfg = McConfig(8000, master_seed=33, time_step=0.002,
                        pulse_model="finite", rabi=rabi)
-        curve = run_mc_finite_pulses(SequenceKind.HAHN_RAMSEY, THETA, DELTA,
-                                     FIG_NOISE, taus, cfg)
+        curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE,
+                       taus, cfg)
         errs.append(abs(curve.means[0] - ref[0]))
         stderr = curve.stderrs[0]
     assert errs[1] < 4 * stderr
@@ -168,8 +166,7 @@ def test_finite_pulses_renewal_small_strength():
     cfg = McConfig(8000, master_seed=61, time_step=0.002,
                    pulse_model="finite", rabi=50.0)
     taus = np.array([1.0])
-    curve = run_mc_finite_pulses(SequenceKind.HAHN_RAMSEY, THETA, DELTA,
-                                 p, taus, cfg)
+    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus, cfg)
     ref = hahn_ramsey_signal(THETA, DELTA, NoiseParams(2.5, 0.25), taus)
     assert abs(curve.means[0] - ref[0]) < 4 * curve.stderrs[0]
 
@@ -177,9 +174,31 @@ def test_finite_pulses_renewal_small_strength():
 def test_finite_pulse_warning_for_coarse_steps():
     cfg = McConfig(4, master_seed=1, time_step=0.5, pulse_model="finite",
                    rabi=10.0)
-    curve = run_mc_finite_pulses(SequenceKind.HAHN_RAMSEY, THETA, DELTA,
-                                 QUIET, np.array([1.0]), cfg)
+    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, QUIET,
+                   np.array([1.0]), cfg)
     assert curve.warnings
+
+
+def test_finite_pulses_worker_independent():
+    p = NoiseParams(2.5, 0.4, NoiseKind.RENEWAL)
+    taus = np.linspace(0.2, 1.5, 4)
+    runs = [run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, noise, taus,
+                   McConfig(300, master_seed=4, time_step=0.005,
+                            pulse_model="finite", rabi=2 * np.pi,
+                            workers=workers))
+            for noise in (FIG_NOISE, p) for workers in (1, 3)]
+    for a, b in (runs[:2], runs[2:]):
+        assert a.means.tobytes() == b.means.tobytes()
+        assert a.stderrs.tobytes() == b.stderrs.tobytes()
+
+
+def test_pulse_model_selects_the_sampler():
+    # a finite-pulse config must not silently run instantaneous pulses
+    taus = np.array([0.5, 1.0])
+    inst, fin = (run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+                        McConfig(200, master_seed=3, **extra))
+                 for extra in ({}, {"pulse_model": "finite", "rabi": 2 * np.pi}))
+    assert not np.array_equal(inst.means, fin.means)
 
 
 def test_finite_config_requires_rabi():

@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 from hahnramsey.spincore import (DensityMatrix, DrivingParams, PulseParams,
                                  SequenceKind, SpinState, TiltConvention,
-                                 analytic_density_matrix_hr, delay_phases,
-                                 expectation_sigma_z, free_phase_unitary,
+                                 analytic_density_matrix_hr, build_sequence,
+                                 delay_phases, expectation_sigma_z,
+                                 free_phase_unitary,
                                  hahn_echo_sequence, hahn_ramsey_sequence,
                                  long_time_density_matrix, propagate,
                                  ramsey_sequence, rotation_matrix, ry, rz,
@@ -218,3 +219,18 @@ def test_state_validation():
         PulseParams(0.0, 1.0)
     with pytest.raises(ValueError):
         PulseParams(0.3, -1.0)
+
+
+def test_build_sequence_dispatch():
+    assert build_sequence(SequenceKind.RAMSEY, 0.4, 1.0, 2.0) == \
+        ramsey_sequence(0.4, 2.0)
+    assert build_sequence(SequenceKind.HAHN_RAMSEY, 0.4, 1.0, 2.0) == \
+        hahn_ramsey_sequence(0.4, 2.0)
+    assert build_sequence(SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, 2.0) == \
+        hahn_echo_sequence(2.0)
+    with pytest.raises(ValueError):     # the hahn echo is resonant
+        build_sequence(SequenceKind.HAHN_ECHO, 0.4, 0.0, 2.0)
+    with pytest.raises(ValueError):
+        build_sequence(SequenceKind.HAHN_ECHO, np.pi / 2, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        build_sequence(SequenceKind.CUSTOM, 0.4, 1.0, 2.0)
