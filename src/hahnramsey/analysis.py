@@ -39,8 +39,8 @@ from .noise import NoiseParams, delta_f, f1
 from .spincore import SequenceKind
 
 __all__ = [
-    "GAMMA_E_PER_GAUSS", "FitModel", "FitError", "DecayFit", "fit_decay",
-    "ResidualMap", "scan_noise_params", "ReadoutModel",
+    "GAMMA_E_PER_GAUSS", "FitModel", "FitError", "FitInputError", "DecayFit",
+    "fit_decay", "ResidualMap", "scan_noise_params", "ReadoutModel",
     "min_detectable_field", "max_bias_slope", "optimal_theta",
     "SensitivityResult", "sensitivity",
 ]
@@ -57,6 +57,10 @@ class FitModel(enum.Enum):
 
 class FitError(RuntimeError):
     pass
+
+
+class FitInputError(FitError, ValueError):
+    """Data no fit can use: too few points, or flat."""
 
 
 @dataclass(frozen=True)
@@ -114,15 +118,16 @@ def _tau_c_guess(t, y):
 def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) -> DecayFit:
     """Nonlinear least-squares envelope fit of a signal curve.
 
-    Uses curve stderrs as weights when available.  Raises FitError on
-    flat data or when every restart fails to converge.
+    Uses curve stderrs as weights when available.  Raises FitInputError
+    on fewer than 6 points or flat data, FitError when every restart
+    fails to converge.
     """
     t = np.asarray(curve.taus, dtype=float)
     y = np.asarray(curve.means, dtype=float)
     if t.size < 6:
-        raise FitError(f"need at least 6 points, got {t.size}")
+        raise FitInputError(f"need at least 6 points, got {t.size}")
     if np.ptp(y) < 1e-13 * max(1.0, np.abs(y).max()):
-        raise FitError("flat data, decay constant unidentifiable")
+        raise FitInputError("flat data, decay constant unidentifiable")
     sigma = None
     errs = np.asarray(curve.stderrs, dtype=float)
     if errs.size == t.size and (errs > 0).all():

@@ -204,10 +204,13 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _write_csv(path, comment: str, header: str, rows) -> None:
-    """Data file: the config comment, a header line, rows at %.17g."""
+def _write_csv(path, comment: str, header: str, rows, warnings=()) -> None:
+    """Data file: the config comment, warning comments, a header line,
+    rows at %.17g."""
     with open(path, "w") as fh:
-        fh.write(f"# {comment}\n{header}\n")
+        fh.write(f"# {comment}\n")
+        fh.writelines(f"# warning: {w}\n" for w in warnings)
+        fh.write(f"{header}\n")
         for row in rows:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
@@ -308,7 +311,12 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
             else:
                 z = 0.0 if abs(m - a) < 1e-12 else math.inf
             rows.append((t, a, m, s, z))
-        _write_csv(path, comment, "tau,analytic,mc_mean,mc_stderr,zscore", rows)
+        warnings = ()
+        if cfg.pulse_model == "finite" and cfg.noise_params().gamma > 0:
+            warnings = ("the closed form assumes instantaneous pulses, so with "
+                        "noise these z-scores are not a correctness gate",)
+        _write_csv(path, comment, "tau,analytic,mc_mean,mc_stderr,zscore", rows,
+                   warnings)
         wrote.append(path)
     for p in wrote:
         print(p)
@@ -338,7 +346,10 @@ def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
 def cmd_fit(cfg: RunConfig, data_path: str, model: str,
             tau_scale: float = 1.0) -> int:
     curve = read_curve_csv(data_path, tau_scale)
-    fit = analysis.fit_decay(curve, analysis.FitModel(model))
+    try:
+        fit = analysis.fit_decay(curve, analysis.FitModel(model))
+    except analysis.FitInputError as exc:
+        raise ConfigError("data", f"{data_path}: {exc}") from None
     payload = {"config_sha256": config_hash(cfg), "model": model,
                "data": str(data_path), **fit.to_dict()}
     out = _out_dir(cfg)
@@ -452,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
     sim.add_argument("--engine", choices=["analytic", "montecarlo", "both"])
     sim.add_argument("--n-trajectories", type=int, dest="n_trajectories")
-    sim.add_argument("--time-step", type=float, dest="time_step")
+    sim.add_argument("--time-step", type=float, dest="time_step",
+                     help="step of finite pulses; delays are drawn exactly "
+                          "and do not use it")
     sim.add_argument("--pulse-model", choices=["instantaneous", "finite"],
                      dest="pulse_model")
     sim.add_argument("--workers", type=int)
@@ -541,3 +554,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -21,10 +21,10 @@ pulse model, since neither stream layout nor summation order depends
 on scheduling.  Within a tau-point, per-trajectory sigma_z values are
 summed with numpy's pairwise summation over each block.
 
-Delays use a uniform grid with step min(time_step, 0.05/lambda); the
-trapezoidal OU phase integral then carries an O(step^2) bias well below
-the statistical error at the trajectory counts used here.  Renewal
-phase integrals are event-driven and exact.
+The phase integral of every delay is drawn exactly, for both noise
+kinds and both pulse models, from the window kernels in `noise`: two
+normals per delay for OU noise, event-driven for renewal noise.
+time_step only sets the grid on which finite pulses are stepped.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseKind, NoiseParams
+from .noise import _WINDOW_INTEGRALS, NoiseParams
 from .spincore import (Delay, PulseParams, PulseSequence, SequenceKind,
                        SPIN_UP, build_sequence, rotation_matrix)
 
@@ -111,93 +111,30 @@ def _validate(theta, delta, noise, taus):
     return taus
 
 
-def _ou_segment_integrals(rng, n, lam, gamma, durations, max_step):
-    """Trapezoidal phase integrals of an exact-kernel OU chain over
-    consecutive windows; returns shape (len(durations), n)."""
-    f = rng.normal(0.0, gamma, n)
-    out = np.zeros((len(durations), n))
-    for j, dur in enumerate(durations):
-        if dur == 0.0:
-            continue
-        steps = max(1, int(np.ceil(dur / max_step)))
-        h = dur / steps
-        decay = math.exp(-lam * h)
-        sd = gamma * math.sqrt(max(0.0, 1.0 - decay * decay))
-        acc = np.zeros(n)
-        for _ in range(steps):
-            fn = f * decay + rng.normal(0.0, sd, n)
-            acc += f
-            acc += fn
-            f = fn
-        out[j] = 0.5 * h * acc
-    return out
-
-
-def _renewal_segment_integrals(rng, n, lam, gamma, durations):
-    """Exact piecewise-constant phase integrals over consecutive windows."""
-    edges = np.concatenate([[0.0], np.cumsum(durations)])
-    total = edges[-1]
-    out = np.zeros((len(durations), n))
-    if total == 0.0:
-        return out
-    t = np.zeros(n)
-    val = rng.normal(0.0, gamma, n)
-    while (t < total).any():
-        t_next = np.minimum(t + rng.exponential(1.0 / lam, n), total)
-        for j in range(len(durations)):
-            lo = np.maximum(t, edges[j])
-            hi = np.minimum(t_next, edges[j + 1])
-            out[j] += val * np.clip(hi - lo, 0.0, None)
-        val = np.where(t_next < total, rng.normal(0.0, gamma, n), val)
-        t = t_next
-    return out
-
-
-def _propagate_block(ops, delta, phase_noise):
-    """sigma_z per trajectory for one block; phase_noise has one row per
-    delay."""
-    n = phase_noise.shape[1] if phase_noise.size else 1
-    psi = np.tile(SPIN_UP, (n, 1))
-    d_idx = 0
-    for kind, payload in ops:
-        if kind == "pulse":
-            psi = psi @ payload.T
-        else:  # delay: payload = (duration, sign)
-            dur, sign = payload
-            phi = sign * delta * dur + phase_noise[d_idx]
-            d_idx += 1
-            psi[:, 0] *= np.exp(-0.5j * phi)
-            psi[:, 1] *= np.exp(+0.5j * phi)
-    return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
-
-
-def _ops_for(seq: PulseSequence):
-    ops = []
-    for el in seq.elements:
-        if isinstance(el, PulseParams):
-            ops.append(("pulse", rotation_matrix(el)))
-        else:
-            ops.append(("delay", (el.duration, el.detuning_sign)))
-    return ops
-
-
 def _instantaneous_sampler(seq, delta, noise, cfg):
     """sample(rng, m): sigma_z of m trajectories with instantaneous
     pulses; rng None means noiseless."""
-    ops = _ops_for(seq)
+    ops = [el if isinstance(el, Delay) else rotation_matrix(el)
+           for el in seq.elements]
     durations = [d.duration for d in seq.delays]
-    max_step = min(cfg.time_step, 0.05 / noise.lam)
+    window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
 
     def sample(rng, m):
         if rng is None:
             x = np.zeros((len(durations), m))
-        elif noise.kind is NoiseKind.ORNSTEIN_UHLENBECK:
-            x = _ou_segment_integrals(rng, m, noise.lam, noise.gamma,
-                                      durations, max_step)
         else:
-            x = _renewal_segment_integrals(rng, m, noise.lam, noise.gamma,
-                                           durations)
-        return _propagate_block(ops, delta, x)
+            f0 = rng.normal(0.0, noise.gamma, m)
+            x = window_integrals(rng, f0, noise.lam, noise.gamma, durations)[1]
+        psi = np.tile(SPIN_UP, (m, 1))
+        rows = iter(x)
+        for op in ops:
+            if isinstance(op, Delay):
+                phi = op.detuning_sign * delta * op.duration + next(rows)
+                psi[:, 0] *= np.exp(-0.5j * phi)
+                psi[:, 1] *= np.exp(+0.5j * phi)
+            else:
+                psi = psi @ op.T
+        return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
 
     return sample
 
@@ -229,9 +166,9 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
 
     Finite pulses evolve under ((det + f(t))/2) sigma_z + (rabi/2) sigma_x,
     stepped with piecewise-constant matrix exponentials on the time_step
-    grid, and the noise runs continuously through them.  Deterministic
-    for a fixed master_seed at any cfg.workers; see the module docstring
-    for the seeding scheme.
+    grid, and the noise runs continuously through pulses and delays.
+    Deterministic for a fixed master_seed at any cfg.workers; see the
+    module docstring for the seeding scheme.
     """
     taus = _validate(theta, delta, noise, taus)
     seqs = [build_sequence(seq_kind, theta, delta, float(t)) for t in taus]
@@ -294,56 +231,37 @@ def _finite_sampler(seq, delta, noise, cfg):
 
 def _finite_block_samples(windows, noise, cfg, rng, m):
     """sigma_z of m trajectories through the finite-pulse window
-    timeline; rng None means noiseless."""
+    timeline; rng None means noiseless.
+
+    Each window is cut into steps: one for a delay or a noiseless pulse,
+    the time_step grid for a noisy pulse.  A step draws the mean of f over
+    it from the exact window kernel of the noise kind and applies the
+    rotation of its constant generator.
+    """
     lam, gamma = noise.lam, noise.gamma
     noisy = gamma > 0.0 and rng is not None
-    renewal = noise.kind is NoiseKind.RENEWAL
-    f = rng.normal(0.0, gamma, m) if noisy else np.zeros(m)
+    window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
+    f = rng.normal(0.0, gamma, m) if noisy else None
     psi = np.tile(SPIN_UP, (m, 1))
-
-    def advance(f):
-        # one noise step of size h: exact OU kernel, or exact renewal
-        # end-value kernel with the held (left) value as the step sample
-        if renewal:
-            jumped = rng.random(m) < -math.expm1(-lam * h)
-            fn = np.where(jumped, rng.normal(0.0, gamma, m), f)
-            return fn, f
-        fn = f * decay + rng.normal(0.0, sd, m)
-        return fn, 0.5 * (f + fn)
-
     for kind, dur, nz_rate, nx_rate in windows:
         if dur == 0.0:
             continue
-        max_step = min(cfg.time_step, 0.05 / lam) if noisy else dur
-        steps = max(1, int(np.ceil(dur / max_step)))
+        steps = 1
+        if noisy and kind == "pulse":
+            steps = max(1, int(np.ceil(dur / min(cfg.time_step, 0.05 / lam))))
         h = dur / steps
-        if noisy and not renewal:
-            decay = math.exp(-lam * h)
-            sd = gamma * math.sqrt(max(0.0, 1.0 - decay * decay))
-        if kind == "delay":
-            # pure z rotation: integrate the phase, apply once
-            acc = np.zeros(m)
+        for _ in range(steps):
+            nz = nz_rate
             if noisy:
-                for _ in range(steps):
-                    f, fstep = advance(f)
-                    acc += h * fstep
-            phi = nz_rate * dur + acc
-            psi[:, 0] *= np.exp(-0.5j * phi)
-            psi[:, 1] *= np.exp(+0.5j * phi)
-        else:
-            for _ in range(steps):
-                if noisy:
-                    f, fstep = advance(f)
-                else:
-                    fstep = 0.0
-                nz = nz_rate + fstep
-                w = np.sqrt(nz * nz + nx_rate * nx_rate)
-                ang = w * h
-                c = np.cos(ang / 2)
-                s = np.where(w > 0, np.sin(ang / 2) / np.maximum(w, 1e-300), 0.5 * h)
-                a0 = (c - 1j * s * nz) * psi[:, 0] - 1j * s * nx_rate * psi[:, 1]
-                a1 = -1j * s * nx_rate * psi[:, 0] + (c + 1j * s * nz) * psi[:, 1]
-                psi[:, 0], psi[:, 1] = a0, a1
+                f, x = window_integrals(rng, f, lam, gamma, [h])
+                nz = nz_rate + x[0] / h
+            w = np.sqrt(nz * nz + nx_rate * nx_rate)
+            ang = w * h
+            c = np.cos(ang / 2)
+            s = np.where(w > 0, np.sin(ang / 2) / np.maximum(w, 1e-300), 0.5 * h)
+            a0 = (c - 1j * s * nz) * psi[:, 0] - 1j * s * nx_rate * psi[:, 1]
+            a1 = -1j * s * nx_rate * psi[:, 0] + (c + 1j * s * nz) * psi[:, 1]
+            psi[:, 0], psi[:, 1] = a0, a1
     return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
 
 

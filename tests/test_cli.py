@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hahnramsey.analytic import hahn_ramsey_signal, ramsey_signal
+import hahnramsey
 from hahnramsey.cli import main, read_curve_csv
 from hahnramsey.noise import NoiseParams, FilterKind, chi_filter, f1, delta_f
 
@@ -230,6 +235,38 @@ def test_simulate_finite_pulses(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("pulse_model, gamma, warned", [
+    ("finite", 0.6283, True), ("finite", 0.0, False),
+    ("instantaneous", 0.6283, False)])
+def test_finite_pulse_compare_warns_it_is_no_gate(pulse_model, gamma, warned,
+                                                  tmp_path):
+    args = ["simulate", *BASE, "--gamma", gamma, "--engine", "both",
+            "--pulse-model", pulse_model, "--rabi", 20.0,
+            "--n-trajectories", 200, "--out", tmp_path]
+    assert run(args) == 0
+    lines = (tmp_path / "hahn_ramsey_compare.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_sha256=")
+    if warned:
+        assert lines[1].startswith("# warning: ")
+        assert "instantaneous pulses" in lines[1]
+        assert "not a correctness gate" in lines[1]
+        assert lines[2] == "tau,analytic,mc_mean,mc_stderr,zscore"
+    else:
+        assert lines[1] == "tau,analytic,mc_mean,mc_stderr,zscore"
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = str(Path(hahnramsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hahnramsey.cli", "simulate", *map(str, BASE),
+         "--engine", "analytic", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "hahn_ramsey_analytic.csv").is_file()
+    assert "hahn_ramsey_analytic.csv" in proc.stdout
+
+
 def test_read_curve_csv_roundtrip(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("# comment\ntau,mean,stderr,n\n0.0,1.0,0.01,500\n"
@@ -333,3 +370,20 @@ def test_fit_rejects_bad_tau_scale(tmp_path, capsys):
     assert run(["fit", "--data", data, "--tau-scale", 0,
                 "--out", tmp_path]) == 2
     assert "--tau-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signal", [
+    lambda t: np.cos(t)[:5],                  # fewer than 6 rows
+    lambda t: np.full(t.size, 0.25)])         # flat data
+def test_fit_unusable_data_exits_2(signal, tmp_path, capsys):
+    t = np.linspace(0.1, 6, 20)
+    data = tmp_path / "unusable.csv"
+    with open(data, "w") as fh:
+        fh.write("tau,signal\n")
+        for ti, yi in zip(t, signal(t)):
+            fh.write(f"{ti},{yi}\n")
+    out = tmp_path / "o"
+    assert run(["fit", "--data", data, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'data'" in err and "unusable.csv" in err
+    assert not out.exists()

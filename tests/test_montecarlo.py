@@ -101,6 +101,53 @@ def test_stderr_bound():
     assert (curve.stderrs <= 2 / np.sqrt(2000)).all()
 
 
+class _CountingRng:
+    """Delegates to a numpy Generator and counts the values it draws."""
+
+    def __init__(self, gen, counts):
+        self._gen = gen
+        self._counts = counts
+
+    def __getattr__(self, name):
+        draw = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self._counts[name] = self._counts.get(name, 0) + np.size(out)
+            return out
+
+        return counted
+
+
+@pytest.mark.parametrize("kind, theta, delta, n_delays", [
+    (SequenceKind.RAMSEY, np.pi / 2, DELTA, 1),
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, 2),
+    (SequenceKind.HAHN_RAMSEY, THETA, DELTA, 2)])
+def test_ou_draws_two_normals_per_delay(kind, theta, delta, n_delays,
+                                        monkeypatch):
+    # exact window kernel: one stationary start value, then two normals
+    # per delay, whatever the delay length
+    counts = {}
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: _CountingRng(make(*a), counts))
+    taus = np.array([0.0, 1e-6, 0.7, 40.0])
+    n = BLOCK_SIZE + 100
+    run_mc(kind, theta, delta, FIG_NOISE, taus, McConfig(n, master_seed=7))
+    assert counts == {"normal": taus.size * n * (1 + 2 * n_delays)}
+
+
+def test_ou_instantaneous_bytes_ignore_time_step(tmp_path):
+    taus = np.linspace(0.0, 3.0, 5)
+    paths = []
+    for step in (0.01, 0.5):
+        curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+                       McConfig(3000, master_seed=11, time_step=step))
+        paths.append(tmp_path / f"step_{step}.csv")
+        curve.to_csv(paths[-1], "same header")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         McConfig(0)

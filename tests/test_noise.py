@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
-                              QuadratureError, chi_filter, correlation,
+                              QuadratureError, _ou_window_integrals,
+                              chi_filter, correlation,
                               delta_f, dephasing_constants, f1,
                               integrate_trajectory, sample_ou,
                               sample_ou_ensemble, sample_renewal,
@@ -227,3 +228,90 @@ def test_rejects_bad_grid():
         sample_ou(P, np.array([0.0, 1.0, 0.5]), 1)
     with pytest.raises(ValueError):
         sample_renewal(P_REN, np.array([1.0, 1.0]), 1)
+
+
+# --------------------------------------------------------------------------
+# exact OU window kernel
+
+
+def _var_within(sample, expected, k=4):
+    var = sample.var(ddof=1)
+    return abs(var - expected) < k * var * np.sqrt(2 / (sample.size - 1))
+
+
+def _cov_within(a, b, expected, k=4):
+    prod = (a - a.mean()) * (b - b.mean())
+    return abs(prod.mean() - expected) < k * prod.std(ddof=1) / np.sqrt(a.size)
+
+
+@pytest.mark.parametrize("lam_t", [0.01, 1.0, 7.0])
+def test_ou_window_kernel_moments(lam_t):
+    n, tau = 200_000, lam_t / P.lam
+    lam, gam = P.lam, P.gamma
+    rng = np.random.default_rng(int(100 * lam_t))
+    # stationary start: Var X = 2 F1, Cov(X1, X2) = 2 dF over adjacent windows
+    f0 = rng.normal(0.0, gam, n)
+    _, (x1, x2) = _ou_window_integrals(rng, f0, lam, gam, [tau, tau])
+    assert _var_within(x1, 2 * f1(P, tau))
+    assert _var_within(x2, 2 * f1(P, tau))
+    assert _cov_within(x1, x2, 2 * delta_f(P, tau))
+    # fixed start c: the joint Gaussian moments of (f(T), X) given f(0)
+    c, e = 0.8 * gam, np.exp(-lam_t)
+    f_end, (x,) = _ou_window_integrals(rng, np.full(n, c), lam, gam, [tau])
+    var_x = (2 * gam ** 2 / lam ** 2 * (lam_t + np.expm1(-lam_t))
+             - gam ** 2 * (1 - e) ** 2 / lam ** 2)
+    assert abs(f_end.mean() - c * e) < 4 * gam * np.sqrt((1 - e * e) / n)
+    assert abs(x.mean() - c * (1 - e) / lam) < 4 * np.sqrt(var_x / n)
+    assert _var_within(f_end, gam ** 2 * (1 - e * e))
+    assert _var_within(x, var_x)
+    assert _cov_within(f_end, x, gam ** 2 / lam * (1 - e) ** 2)
+
+
+@pytest.mark.parametrize("lam_t", [0.01, 1.0, 7.0])
+def test_ou_window_kernel_matches_stepped_oracle(lam_t):
+    # fine trapezoid integrals of the stepped exact-transition chain
+    n, tau, steps = 10_000, lam_t / P.lam, 100
+    grid = np.linspace(0.0, 2 * tau, 2 * steps + 1)
+    vals = sample_ou_ensemble(P, grid, n, 5)
+    o1 = np.trapezoid(vals[:, :steps + 1], grid[:steps + 1], axis=1)
+    o2 = np.trapezoid(vals[:, steps:], grid[steps:], axis=1)
+    rng = np.random.default_rng(6)
+    _, (x1, x2) = _ou_window_integrals(rng, rng.normal(0.0, P.gamma, n),
+                                       P.lam, P.gamma, [tau, tau])
+    for a, b in ((o1, x1), (o2, x2)):
+        va, vb = a.var(ddof=1), b.var(ddof=1)
+        assert abs(va - vb) < 4 * np.hypot(va, vb) * np.sqrt(2 / (n - 1))
+    ca, cb = np.cov(o1, o2)[0, 1], np.cov(x1, x2)[0, 1]
+    se = np.hypot((o1 * o2).std(), (x1 * x2).std()) / np.sqrt(n)
+    assert abs(ca - cb) < 4 * se
+
+
+class _ScaleRecorder:
+    """Generator wrapper that records the scale of every normal draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.scales = []
+
+    def normal(self, loc, scale, size):
+        self.scales.append(scale)
+        return self._rng.normal(loc, scale, size)
+
+
+def test_ou_window_kernel_tiny_window_variances():
+    rng = _ScaleRecorder(3)
+    f0 = np.linspace(-1.0, 1.0, 7)
+    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, [1e-9 / P.lam])
+    assert len(rng.scales) == 2
+    assert all(np.isfinite(s) and s >= 0 for s in rng.scales)
+    assert np.isfinite(f_end).all() and np.isfinite(x).all()
+    # X = T f0 up to the O(sqrt(lam T)) change of f over the window
+    assert_allclose(x[0], f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
+
+
+def test_ou_window_kernel_zero_window_is_identity():
+    rng = np.random.default_rng(4)
+    f0 = rng.normal(0.0, P.gamma, 50)
+    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, [0.0])
+    assert (f_end == f0).all()
+    assert (x == 0.0).all()
