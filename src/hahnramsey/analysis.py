@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq, curve_fit, minimize_scalar
@@ -74,9 +74,7 @@ class DecayFit:
     residual_norm: float
 
     def to_dict(self) -> dict:
-        return {k: float(getattr(self, k)) for k in
-                ("tau_c", "tau_c_err", "amplitude", "offset",
-                 "frequency", "phase", "residual_norm")}
+        return {k: float(v) for k, v in asdict(self).items()}
 
 
 def _gaussian_envelope(t, amp, w, phi, tc, c):
@@ -217,9 +215,11 @@ class ResidualMap:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             fh.write("lambda,gamma,residual\n")
-            for i, lam in enumerate(self.lambda_grid):
-                for j, gam in enumerate(self.gamma_grid):
-                    fh.write(f"{lam:.17g},{gam:.17g},{self.residuals[i, j]:.17g}\n")
+            gams = [f"{gam:.17g}" for gam in self.gamma_grid]
+            for lam, row in zip(self.lambda_grid, self.residuals):
+                lam = f"{lam:.17g}"
+                fh.writelines(f"{lam},{gam},{r:.17g}\n"
+                              for gam, r in zip(gams, row.tolist()))
 
 
 def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,

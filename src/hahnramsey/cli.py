@@ -30,8 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, analytic, montecarlo, noise, spincore
+from ._datafile import write_csv as _write_csv
 
 ENV_PREFIX = "HRSIM_"
+# bound on |float input|, and 1/MAX_MAGNITUDE on lam: (Gamma/lam)^2 must not overflow
+MAX_MAGNITUDE = 1e12
 
 # spincore.SequenceKind values that have a standard sequence
 _SEQUENCES = ("hahn_echo", "hahn_ramsey", "ramsey")
@@ -68,8 +71,9 @@ class RunConfig:
     def validate(self) -> None:
         for name in sorted(_FLOAT_FIELDS):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(name, f"must be finite, got {value!r}")
+            if value is not None and not abs(value) <= MAX_MAGNITUDE:
+                raise ConfigError(name, f"must be finite, |x| <= {MAX_MAGNITUDE:g}, "
+                                        f"got {value!r}")
         if self.sequence not in _SEQUENCES:
             raise ConfigError("sequence", f"unknown sequence '{self.sequence}'")
         if self.engine not in ("analytic", "montecarlo", "both"):
@@ -84,8 +88,8 @@ class RunConfig:
             raise ConfigError("tau_count", "grid needs at least 2 points")
         if not (self.tau_stop > self.tau_start >= 0):
             raise ConfigError("tau_stop", "need stop > start >= 0")
-        if self.lam <= 0:
-            raise ConfigError("lam", "correlation rate must be > 0")
+        if not self.lam >= 1 / MAX_MAGNITUDE:
+            raise ConfigError("lam", f"correlation rate must be >= {1 / MAX_MAGNITUDE:g}")
         if self.gamma < 0:
             raise ConfigError("gamma", "noise strength must be >= 0")
         if self.n_trajectories < 1:
@@ -195,24 +199,15 @@ def load_config(path: str | None, flags: dict) -> RunConfig:
 
 def config_hash(cfg: RunConfig) -> str:
     """Hash of the resolved physics + seed configuration; placement
-    (out) and scheduling (workers) do not change the result bytes and
-    are excluded."""
+    (out), scheduling (workers) and, unless pulses are finite, time_step
+    do not change the result bytes and are excluded."""
     d = dataclasses.asdict(cfg)
     d.pop("out", None)
     d.pop("workers", None)
+    if cfg.pulse_model != "finite":
+        d.pop("time_step", None)
     blob = json.dumps(d, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _write_csv(path, comment: str, header: str, rows, warnings=()) -> None:
-    """Data file: the config comment, warning comments, a header line,
-    rows at %.17g."""
-    with open(path, "w") as fh:
-        fh.write(f"# {comment}\n")
-        fh.writelines(f"# warning: {w}\n" for w in warnings)
-        fh.write(f"{header}\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
@@ -291,17 +286,16 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
             rows = ((t, v, *dataclasses.astuple(analytic.signal_components(
                 theta, cfg.delta, cfg.noise_params(), float(t)))[:4])
                 for t, v in rows)
-        _write_csv(path, comment, header, rows)
+        _write_csv(path, header, rows, [comment])
         wrote.append(path)
     if cfg.engine in ("montecarlo", "both"):
         mcfg = montecarlo.McConfig(cfg.n_trajectories, cfg.seed, cfg.time_step,
                                    cfg.pulse_model, cfg.rabi, cfg.workers)
-        curve = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(),
-                                  taus, mcfg)
+        mc = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(),
+                               taus, mcfg)
         path = out / f"{cfg.sequence}_montecarlo.csv"
-        curve.to_csv(path, comment)
+        mc.to_csv(path, comment)
         wrote.append(path)
-        mc = curve
     if cfg.engine == "both":
         path = out / f"{cfg.sequence}_compare.csv"
         rows = []
@@ -311,12 +305,11 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
             else:
                 z = 0.0 if abs(m - a) < 1e-12 else math.inf
             rows.append((t, a, m, s, z))
-        warnings = ()
+        comments = [comment]
         if cfg.pulse_model == "finite" and cfg.noise_params().gamma > 0:
-            warnings = ("the closed form assumes instantaneous pulses, so with "
-                        "noise these z-scores are not a correctness gate",)
-        _write_csv(path, comment, "tau,analytic,mc_mean,mc_stderr,zscore", rows,
-                   warnings)
+            comments.append("warning: the closed form assumes instantaneous pulses, "
+                            "so with noise these z-scores are not a correctness gate")
+        _write_csv(path, "tau,analytic,mc_mean,mc_stderr,zscore", rows, comments)
         wrote.append(path)
     for p in wrote:
         print(p)
@@ -326,18 +319,22 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
 def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
     if theta_count < 1:
         raise ConfigError("--theta-count", "must be >= 1")
-    out = _out_dir(cfg)
-    comment = f"config_sha256={config_hash(cfg)}"
     p = cfg.noise_params()
-    taus = cfg.taus()
+    try:
+        rows = [(t, *(noise.chi_filter(k, p, float(t)) for k in noise.FilterKind))
+                for t in cfg.taus()]
+    except noise.QuadratureError as exc:
+        raise ConfigError("lam, gamma, tau_start, tau_stop",
+                          f"out of reach of the filter quadrature: {exc}") from None
+    out = _out_dir(cfg)
+    comments = [f"config_sha256={config_hash(cfg)}"]
     path1 = out / "filter_exponents.csv"
-    _write_csv(path1, comment, "tau," + ",".join(k.value for k in noise.FilterKind),
-               ((t, *(noise.chi_filter(k, p, float(t)) for k in noise.FilterKind))
-                for t in taus))
+    _write_csv(path1, "tau," + ",".join(k.value for k in noise.FilterKind), rows,
+               comments)
     path2 = out / "component_weights.csv"
     thetas = np.linspace(1e-3, math.pi / 2, theta_count)
-    _write_csv(path2, comment, "theta,constant,ramsey_like,cos_delta,cos_2delta",
-               ((th, *analytic.component_weights(float(th))) for th in thetas))
+    _write_csv(path2, "theta,constant,ramsey_like,cos_delta,cos_2delta",
+               ((th, *analytic.component_weights(float(th))) for th in thetas), comments)
     print(path1)
     print(path2)
     return 0
@@ -350,10 +347,14 @@ def cmd_fit(cfg: RunConfig, data_path: str, model: str,
         fit = analysis.fit_decay(curve, analysis.FitModel(model))
     except analysis.FitInputError as exc:
         raise ConfigError("data", f"{data_path}: {exc}") from None
-    payload = {"config_sha256": config_hash(cfg), "model": model,
-               "data": str(data_path), **fit.to_dict()}
-    out = _out_dir(cfg)
-    path = out / f"fit_{Path(data_path).stem}.json"
+    return _write_json(cfg, f"fit_{Path(data_path).stem}.json",
+                       {"config_sha256": config_hash(cfg), "model": model,
+                        "data": str(data_path), **fit.to_dict()})
+
+
+def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:
+    """Write the report to the output directory and echo it."""
+    path = _out_dir(cfg) / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True))
     print(path)
@@ -361,12 +362,13 @@ def cmd_fit(cfg: RunConfig, data_path: str, model: str,
 
 
 def _scan_grid(name: str, spec, positive: bool) -> np.ndarray:
-    """Grid of the --NAME-min/max/count flags: finite values, > 0 when
-    positive, else >= 0, and at least one point."""
+    """Grid of the --NAME-min/max/count flags: values up to MAX_MAGNITUDE
+    and >= 1/MAX_MAGNITUDE when positive, else >= 0; at least one point."""
+    low = 1 / MAX_MAGNITUDE if positive else 0.0
     for suffix, value in zip(("min", "max"), spec):
-        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        if not low <= value <= MAX_MAGNITUDE:
             raise ConfigError(f"--{name}-{suffix}",
-                              "must be finite and " + ("> 0" if positive else ">= 0"))
+                              f"must lie in [{low:g}, {MAX_MAGNITUDE:g}]")
     if spec[2] < 1:
         raise ConfigError(f"--{name}-count", "must be >= 1")
     return np.linspace(*spec)
@@ -402,19 +404,10 @@ def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
     if cfg.theta is not None or cfg.rabi is not None:
         theta = cfg.resolved_theta()
     res = analysis.sensitivity(cfg.noise_params(), readout, theta, gamma_e)
-    payload = {"config_sha256": config_hash(cfg),
-               "delta_b_min_gauss": res.delta_b_min,
-               "optimal_tau": res.optimal_tau,
-               "optimal_theta_rad": res.optimal_theta,
-               "eta": res.eta,
-               "t2": res.t2,
-               "gamma_e": gamma_e, "u": u, "v": v}
-    out = _out_dir(cfg)
-    path = out / "sensitivity.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    print(path)
-    return 0
+    return _write_json(cfg, "sensitivity.json", {
+        "config_sha256": config_hash(cfg), "delta_b_min_gauss": res.delta_b_min,
+        "optimal_tau": res.optimal_tau, "optimal_theta_rad": res.optimal_theta,
+        "eta": res.eta, "t2": res.t2, "gamma_e": gamma_e, "u": u, "v": v})
 
 
 def cmd_bloch(cfg: RunConfig, tau: float, samples: int) -> int:
@@ -524,10 +517,6 @@ def main(argv=None) -> int:
     flags = {k: v for k, v in vars(ns).items() if k in _CFG_KEYS}
     try:
         cfg = load_config(ns.config, flags)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if ns.command == "simulate":
             return cmd_simulate(cfg, ns.with_components)
         if ns.command == "components":

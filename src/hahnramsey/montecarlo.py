@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._datafile import write_csv as _write_csv
 from .noise import _WINDOW_INTEGRALS, NoiseParams
 from .spincore import (Delay, PulseParams, PulseSequence, SequenceKind,
                        SPIN_UP, build_sequence, rotation_matrix)
@@ -81,14 +82,10 @@ class SignalCurve:
     warnings: tuple = ()
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        with open(path, "w") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            for w in self.warnings:
-                fh.write(f"# warning: {w}\n")
-            fh.write("tau,mean,stderr,n\n")
-            for t, m, s in zip(self.taus, self.means, self.stderrs):
-                fh.write(f"{t:.17g},{m:.17g},{s:.17g},{self.n}\n")
+        comments = [header_comment] if header_comment else []
+        _write_csv(path, "tau,mean,stderr,n",
+                   ((*row, self.n) for row in zip(self.taus, self.means, self.stderrs)),
+                   comments + [f"warning: {w}" for w in self.warnings])
 
 
 @dataclass(frozen=True)
@@ -310,9 +307,5 @@ def bloch_trajectory(seq_kind: SequenceKind, theta: float, delta: float,
 
 
 def bloch_to_csv(points, path, header_comment: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("t,x,y,z\n")
-        for p in points:
-            fh.write(f"{p.t:.17g},{p.x:.17g},{p.y:.17g},{p.z:.17g}\n")
+    _write_csv(path, "t,x,y,z", ((p.t, p.x, p.y, p.z) for p in points),
+               [header_comment] if header_comment else [])

@@ -11,7 +11,8 @@ Two generators share the stationary correlation C(dt) = Gamma^2 exp(-lambda|dt|)
 
 The module also provides the three dephasing exponents as closed forms
 (f1, delta_f) and as frequency-domain integrals over the Lorentzian
-spectral density (chi_filter), which must agree, and one exact window
+spectral density (chi_filter, uniform Gauss-Legendre panels whose node
+windows come by angle addition), which must agree, and one exact window
 kernel per noise kind (_WINDOW_INTEGRALS) from which the Monte Carlo
 engine draws the phase integral of every free-precession delay.
 
@@ -31,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from ._datafile import write_csv as _write_csv
 
 __all__ = [
     "NoiseKind", "NoiseParams", "NoiseTrajectory", "DephasingConstants",
@@ -102,10 +105,7 @@ class NoiseTrajectory:
         return np.interp(t, self.grid, self.values)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,f\n")
-            for t, v in zip(self.grid, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        _write_csv(path, "t,f", zip(self.grid, self.values))
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,22 @@ class QuadratureError(RuntimeError):
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
+_MAX_PANELS = 2 ** 17     # the fine rule's arrays then hold about 25 MB each
 
 
-def _composite_gl(fn, edges: np.ndarray) -> float:
-    a = edges[:-1]
-    h = np.diff(edges)
-    x = (a[:, None] + 0.5 * h[:, None] * (_GL_NODES[None, :] + 1.0)).ravel()
-    w = (0.5 * h[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return float(fn(x) @ w)
+def _panel_sum(half_t: float, power: int, lam: float, w_max: float, n: int) -> float:
+    """12-point Gauss-Legendre sum of sin(half_t w)^power / (w^2 (w^2 + lam^2))
+    over n uniform panels of [0, w_max].  Node j of panel i is i h + c_j, so
+    angle addition gives its sin from 2 (n + 12) sin/cos calls in all."""
+    h = w_max / n
+    c = 0.5 * h * (_GL_NODES + 1.0)
+    start = h * np.arange(n)[:, None]
+    s = (np.sin(half_t * start) * np.cos(half_t * c)
+         + np.cos(half_t * start) * np.sin(half_t * c))
+    s2 = s * s
+    window = s2 if power == 2 else s2 * s2
+    x2 = (start + c) ** 2
+    return float(np.sum(window / (x2 * (x2 + lam * lam)) @ (0.5 * h * _GL_WEIGHTS)))
 
 
 def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
@@ -177,10 +185,12 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
     """Decay exponent from the frequency-domain overlap of the sequence
     window with the Lorentzian noise spectrum 2 Gamma^2 lambda/(w^2+lam^2).
 
-    Evaluated by composite Gauss-Legendre quadrature up to a cutoff of at
-    least max(50 lam, 50/tau), extended until the analytic tail bound
-    (from the 1/w^4 falloff of the integrand) meets target_error.  Raises
-    QuadratureError when the achieved error estimate exceeds the target.
+    Evaluated by composite Gauss-Legendre quadrature on uniform panels up
+    to a cutoff of at least max(50 lam, 50/tau), extended until the analytic
+    tail bound (from the 1/w^4 falloff of the integrand) meets target_error;
+    the window sin(half_t w)^2 or ^4 comes by angle addition from the panel
+    starts (_panel_sum).  Raises QuadratureError when the achieved error
+    estimate exceeds the target or the rule needs over _MAX_PANELS panels.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -188,19 +198,14 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
         return 0.0
     lam = p.lam
     if kind is FilterKind.RAMSEY_LIKE:
-        half_t, pref, mean = tau, 4.0 * lam * p.gamma ** 2 / np.pi, 0.5
-        window = lambda w: np.sin(w * tau) ** 2
+        half_t, power, weight, mean = tau, 2, 4.0, 0.5
     elif kind is FilterKind.HALF_PERIOD:
-        half_t, pref, mean = tau / 2, 4.0 * lam * p.gamma ** 2 / np.pi, 0.5
-        window = lambda w: np.sin(w * tau / 2) ** 2
+        half_t, power, weight, mean = tau / 2, 2, 4.0, 0.5
     elif kind is FilterKind.HAHN_LIKE:
-        half_t, pref, mean = tau / 2, 16.0 * lam * p.gamma ** 2 / np.pi, 0.375
-        window = lambda w: np.sin(w * tau / 2) ** 4
+        half_t, power, weight, mean = tau / 2, 4, 16.0, 0.375
     else:
         raise ValueError(f"unknown filter kind {kind!r}")
-
-    def integrand(w):
-        return window(w) / (w * w * (w * w + lam * lam))
+    pref = weight * lam * p.gamma ** 2 / np.pi
 
     floor = max(50.0 * lam, 50.0 / tau)
     # truncation keeps the oscillatory tail remainder, ~pref/(2 half_t w^4)
@@ -210,9 +215,13 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
     # panels resolve the fastest window harmonic (2 w half_t at most a
     # half period each) and the Lorentzian knee at w ~ lam
     width = min(np.pi / (2.0 * tau), lam / 2.0, w_max / 8.0)
-    n = int(np.ceil(w_max / width))
-    coarse = _composite_gl(integrand, np.linspace(0.0, w_max, n + 1))
-    fine = _composite_gl(integrand, np.linspace(0.0, w_max, 2 * n + 1))
+    n = w_max / width
+    if not n <= _MAX_PANELS:       # lam tau below about 1e-3, or far above 1e3
+        raise QuadratureError(f"chi_filter({kind.value}) at lam tau = {lam * tau:.3g} "
+                              f"needs {n:.3g} panels, over {_MAX_PANELS}")
+    n = math.ceil(n)
+    coarse = _panel_sum(half_t, power, lam, w_max, n)
+    fine = _panel_sum(half_t, power, lam, w_max, 2 * n)
     # analytic tail: window replaced by its mean value
     tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
     remainder = pref / (2.0 * half_t * w_max ** 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hahnramsey.analysis import (FitError, FitModel, ReadoutModel,
-                                 fit_decay, max_bias_slope,
+                                 ResidualMap, fit_decay, max_bias_slope,
                                  min_detectable_field, optimal_theta,
                                  scan_noise_params, sensitivity)
 from hahnramsey.analytic import (closed_form_signal, hahn_ramsey_signal,
@@ -176,6 +176,19 @@ def test_scan_rejects_tilted_ramsey():
     with pytest.raises(ValueError):
         scan_noise_params(data, SequenceKind.RAMSEY, 0.5, DELTA,
                           np.array([2.5]), np.array([0.3]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 2)])
+def test_residual_map_csv_is_the_per_cell_format(shape, tmp_path):
+    rng = np.random.default_rng(3)
+    lam = np.sort(rng.uniform(0.1, 4.0, shape[0]))
+    gam = np.sort(rng.uniform(0.0, 1.2, shape[1]))
+    res = rng.random(shape) * 10.0 ** rng.integers(-12, 3, shape)
+    ResidualMap(lam, gam, res, (0, 0)).to_csv(tmp_path / "m.csv", "hdr")
+    cells = "".join(f"{lam[i]:.17g},{gam[j]:.17g},{res[i, j]:.17g}\n"
+                    for i in range(shape[0]) for j in range(shape[1]))
+    assert (tmp_path / "m.csv").read_text() == (
+        "# hdr\nlambda,gamma,residual\n" + cells)
 
 
 # --------------------------------------------------------------------------

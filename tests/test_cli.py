@@ -1,11 +1,19 @@
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hahnramsey.analytic import hahn_ramsey_signal, ramsey_signal
 import hahnramsey
@@ -112,6 +120,21 @@ def test_config_hash_header_stable(tmp_path):
     la = (tmp_path / "a" / "hahn_ramsey_analytic.csv").read_text().splitlines()[0]
     lb = (tmp_path / "b" / "hahn_ramsey_analytic.csv").read_text().splitlines()[0]
     assert la.startswith("# config_sha256=") and la == lb
+
+
+def test_time_step_is_hashed_only_for_finite_pulses(tmp_path):
+    mc = ["simulate", *BASE, "--engine", "montecarlo", "--n-trajectories", 200]
+    files = {}
+    for pulses in (["--pulse-model", "instantaneous"],
+                   ["--pulse-model", "finite", "--rabi", 6.283]):
+        for step in (0.01, 0.5):
+            out = tmp_path / f"{pulses[1]}-{step}"
+            assert run([*mc, *pulses, "--time-step", step, "--out", out]) == 0
+            files[pulses[1], step] = (out / "hahn_ramsey_montecarlo.csv").read_text()
+    # instantaneous pulses: time_step changes neither the data nor the header
+    assert files["instantaneous", 0.01] == files["instantaneous", 0.5]
+    headers = [files["finite", step].splitlines()[0] for step in (0.01, 0.5)]
+    assert headers[0].startswith("# config_sha256=") and headers[0] != headers[1]
 
 
 def test_components(tmp_path):
@@ -320,7 +343,7 @@ _SCAN = ["scan", "--sequence", "ramsey", "--delta", 1.885,
 @pytest.mark.parametrize("flag, value", [
     ("--lambda-min", "-1"), ("--lambda-min", "0"), ("--lambda-max", "nan"),
     ("--lambda-count", "0"), ("--gamma-min", "-1"), ("--gamma-max", "inf"),
-    ("--gamma-count", "-3"),
+    ("--gamma-count", "-3"), ("--lambda-max", "1e300"), ("--lambda-min", "1e-300"),
 ])
 def test_scan_rejects_bad_grid(flag, value, tmp_path, capsys):
     data = _write_ramsey_data(tmp_path / "ram.csv")
@@ -359,10 +382,19 @@ def test_bad_data_row_names_file_and_line(command, row, tmp_path, capsys):
     (["sensitivity", "--lam", 2.5, "--gamma", 0.0], "'gamma'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--u", 0.5], "--u"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--gamma-e", 0], "--gamma-e"),
+    # out of range: these overflowed to exit 3, wrote NaN with exit 0, or
+    # asked the filter quadrature for gigabytes of nodes
+    (["simulate", "--gamma=1e300"], "'gamma'"),
+    (["simulate", "--delta=1.7e308"], "'delta'"),
+    (["simulate", "--lam=1e-300", "--gamma=0.6"], "'lam'"),
+    (["components", "--lam=1e-6", "--gamma=0.6"], "'lam, gamma, tau_start"),
+    (["components", "--lam=2.5", "--gamma=1e6"], "'lam, gamma, tau_start"),
+    (["components", "--gamma=0.6", "--tau-stop=1e6"], "'lam, gamma, tau_start"),
 ])
 def test_bad_command_option_exits_2(args, name, tmp_path, capsys):
     assert run([*args, "--out", tmp_path / "o"]) == 2
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_fit_rejects_bad_tau_scale(tmp_path, capsys):
@@ -387,3 +419,85 @@ def test_fit_unusable_data_exits_2(signal, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'data'" in err and "unusable.csv" in err
     assert not out.exists()
+
+
+# --------------------------------------------------------------------------
+# property: any flag or HRSIM_* value either runs clean or exits 2 naming it
+
+_ODD_FLOATS = st.one_of(
+    st.floats(-10.0, 10.0), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-13, 1e-9, 1e-6, -1e-6,
+                     1e6, 1e9, 1e13, 1e300, -1e300, 1.7e308,
+                     math.inf, -math.inf, math.nan]))
+_ODD_COUNTS = st.integers(-2, 4)
+# a valid base run; generated values replace some of these
+_BASE_FIELDS = {"sequence": "hahn_ramsey", "theta": 0.6283, "delta": 1.885,
+                "lam": 2.5, "gamma": 0.6283, "tau_start": 0.0, "tau_stop": 2.0,
+                "tau_count": 3}
+_FIELD_VALUES = {"theta": _ODD_FLOATS, "rabi": _ODD_FLOATS, "delta": _ODD_FLOATS,
+                 "lam": _ODD_FLOATS, "gamma": _ODD_FLOATS,
+                 "tau_start": _ODD_FLOATS, "tau_stop": _ODD_FLOATS,
+                 "tau_count": _ODD_COUNTS}
+_COMMAND_FLAGS = {
+    "simulate": {},
+    "components": {"--theta-count": _ODD_COUNTS},
+    "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
+             "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
+             "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS}}
+_SCAN_GRID = {"--lambda-min": 1.5, "--lambda-max": 3.5, "--lambda-count": 2,
+              "--gamma-min": 0.3, "--gamma-max": 1.0, "--gamma-count": 2}
+
+
+def _only_finite_numbers(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        values = [v for v in json.loads(text).values()
+                  if isinstance(v, (int, float))]
+    else:
+        rows = [line for line in text.splitlines() if not line.startswith("#")]
+        values = [float(c) for line in rows[1:] for c in line.split(",")]
+    return all(map(math.isfinite, values))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    fields = data.draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)),
+                                max_size=2, unique=True))
+    fields = {k: data.draw(_FIELD_VALUES[k], label=k) for k in fields}
+    from_env = data.draw(st.sets(st.sampled_from(sorted(fields)))
+                         if fields else st.just(set()), label="env")
+    extra_flags = _COMMAND_FLAGS[command]
+    flags = {k: data.draw(v, label=k) for k, v in extra_flags.items()
+             if data.draw(st.booleans(), label=f"set {k}")}
+    cfg = {**_BASE_FIELDS, **fields}
+    if command == "scan":
+        cfg["sequence"] = "ramsey"
+        cfg.pop("theta")
+    env = {f"HRSIM_{k.upper()}": repr(v) for k, v in cfg.items() if k in from_env}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        args = [command, "--out", str(out)]
+        args += [f"--{k.replace('_', '-')}={v}" for k, v in cfg.items()
+                 if k not in from_env]
+        if command == "simulate":
+            args += ["--engine", "analytic"]
+        if command == "scan":
+            args += ["--data", str(_write_ramsey_data(Path(tmp) / "ram.csv"))]
+            args += [f"{k}={v}" for k, v in {**_SCAN_GRID, **flags}.items()]
+        else:
+            args += [f"{k}={v}" for k, v in flags.items()]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, env), redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            rc = main(args)
+        if rc == 0:
+            written = sorted(out.iterdir())
+            assert written and all(map(_only_finite_numbers, written))
+        else:
+            assert rc == 2, err.getvalue()
+            named = re.search(r"config field '([^']+)'", err.getvalue())
+            known = {*_FIELD_VALUES, *_BASE_FIELDS, *extra_flags}
+            assert named and set(named[1].split(", ")) <= known, err.getvalue()
+            assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
@@ -94,6 +95,56 @@ def test_chi_filter_identities(tau):
         F1, rel=1e-4)
     assert chi_filter(FilterKind.HAHN_LIKE, P, tau) == pytest.approx(
         2 * (F1 - dF), rel=1e-4)
+
+
+def _closed_form_exponent(kind, p, tau):
+    F1, dF = f1(p, tau), delta_f(p, tau)
+    return {FilterKind.RAMSEY_LIKE: 2 * (F1 + dF), FilterKind.HALF_PERIOD: F1,
+            FilterKind.HAHN_LIKE: 2 * (F1 - dF)}[kind]
+
+
+def test_chi_filter_meets_its_target_error_against_the_closed_forms():
+    worst = max(abs(chi_filter(kind, P, tau) - _closed_form_exponent(kind, P, tau))
+                for tau in np.linspace(0.05, 7.0, 81) for kind in FilterKind)
+    assert worst <= 1e-8      # the default target_error
+
+
+def _chi_filter_per_node(kind, p, tau, target_error=1e-8):
+    """Oracle: the same cutoff, panels and tail as chi_filter, with one
+    sin per Gauss-Legendre node on np.linspace panel edges."""
+    lam = p.lam
+    half_t = tau if kind is FilterKind.RAMSEY_LIKE else tau / 2
+    power = 4 if kind is FilterKind.HAHN_LIKE else 2
+    pref = (16.0 if power == 4 else 4.0) * lam * p.gamma ** 2 / np.pi
+    mean = 0.375 if power == 4 else 0.5
+    floor = max(50.0 * lam, 50.0 / tau)
+    need = (pref / (half_t * target_error)) ** 0.25
+    w_max = max(floor, min(need, 100.0 * floor))
+    n = int(np.ceil(w_max / min(np.pi / (2.0 * tau), lam / 2.0, w_max / 8.0)))
+    edges = np.linspace(0.0, w_max, 2 * n + 1)
+    nodes, weights = leggauss(12)
+    a, h = edges[:-1, None], np.diff(edges)[:, None]
+    w = (a + 0.5 * h * (nodes + 1.0)).ravel()
+    fine = (np.sin(w * half_t) ** power / (w * w * (w * w + lam * lam))
+            @ (0.5 * h * weights).ravel())
+    tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
+    return pref * (fine + tail)
+
+
+@pytest.mark.parametrize("p", [P, NoiseParams(10.0, 3.0)])
+@pytest.mark.parametrize("lam_tau", [1e-3, 0.5, 5.0, 50.0])
+def test_chi_filter_matches_the_per_node_oracle(lam_tau, p):
+    tau = lam_tau / p.lam
+    for kind in FilterKind:
+        assert chi_filter(kind, p, tau) == pytest.approx(
+            _chi_filter_per_node(kind, p, tau), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("lam_tau", [1e-6, 1e5])
+def test_chi_filter_refuses_rules_beyond_its_panel_budget(lam_tau):
+    # 1e8 and 3e6 panels: gigabytes of nodes, refused before allocation
+    with pytest.raises(QuadratureError, match="panels"):
+        chi_filter(FilterKind.HAHN_LIKE, P, lam_tau / P.lam)
 
 
 def test_chi_filter_hahn_matches_standard_echo_exponent():
