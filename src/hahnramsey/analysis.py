@@ -21,16 +21,18 @@ deltaB = sqrt(beta) / (alpha beta |dS/dB|).  The closed form
 1/(3 pi gamma_e tau alpha sqrt(beta)) packages the kinematic maximum of
 that slope at the optimal tilt and neglects envelope decay, so it is a
 small-tau law; the numeric estimator here keeps the decay.
+
+scipy.optimize loads on the first fit or sensitivity call, not on import.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit, minimize_scalar
 
 from .analytic import (BiasParams, hahn_ramsey_signal, hr_signal_derivative,
                        signal_from_exponents)
@@ -44,6 +46,22 @@ __all__ = [
     "min_detectable_field", "max_bias_slope", "optimal_theta",
     "SensitivityResult", "sensitivity",
 ]
+
+# scipy.optimize takes most of the package's import time and only the fits
+# and the sensitivity search use it, so these names load on first access
+# (PEP 562) and are then plain module globals.  Callers look them up through
+# _module at call time, so a wrapper set on analysis.curve_fit is honoured.
+_OPTIMIZE_NAMES = ("brentq", "curve_fit", "minimize_scalar")
+_module = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _OPTIMIZE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.optimize
+    value = globals()[name] = getattr(scipy.optimize, name)
+    return value
+
 
 #: electron gyromagnetic ratio, cycles per (time unit x gauss); with time
 #: in microseconds this is the NV value 2.8025 MHz/G.  Overridable.
@@ -146,9 +164,10 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
         lo = [-10 * span - 1e-9, tmax * 1e-4, y.min() - span - 1.0]
         hi = [10 * span + 1e-9, tmax * 1e3, y.max() + span + 1.0]
         try:
-            popt, pcov = curve_fit(fn, t, y, p0=p0, bounds=(lo, hi),
-                                   sigma=sigma, absolute_sigma=sigma is not None,
-                                   maxfev=20000)
+            popt, pcov = _module.curve_fit(fn, t, y, p0=p0, bounds=(lo, hi),
+                                           sigma=sigma,
+                                           absolute_sigma=sigma is not None,
+                                           maxfev=20000)
         except RuntimeError as exc:
             raise FitError(f"{model.value} fit failed to converge: {exc}") from exc
         resid = fn(t, *popt) - y
@@ -162,10 +181,10 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
     for phi0 in (0.0, np.pi / 2, np.pi, -np.pi / 2):
         p0 = [max(amp0, 1e-12), w0, phi0, tc0, c0]
         try:
-            popt, pcov = curve_fit(_gaussian_envelope, t, y, p0=p0,
-                                   bounds=(lo, hi), sigma=sigma,
-                                   absolute_sigma=sigma is not None,
-                                   maxfev=20000)
+            popt, pcov = _module.curve_fit(_gaussian_envelope, t, y, p0=p0,
+                                           bounds=(lo, hi), sigma=sigma,
+                                           absolute_sigma=sigma is not None,
+                                           maxfev=20000)
         except RuntimeError as exc:
             failures.append(str(exc))
             continue
@@ -313,7 +332,7 @@ def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
                                        noise, tau))
     k = int(vals.argmax())
     lo, hi = us[max(0, k - 1)], us[min(n_grid - 1, k + 1)]
-    ref = minimize_scalar(
+    ref = _module.minimize_scalar(
         lambda u: -abs(hr_signal_derivative(theta, delta, BiasParams(u / tau),
                                             noise, tau)),
         bounds=(lo, hi), method="bounded",
@@ -338,8 +357,8 @@ def optimal_theta(noise: NoiseParams, delta: float, tau_grid,
     k = int(vals.argmax())           # first maximum = smallest theta on ties
     lo = thetas[max(0, k - 1)]
     hi = thetas[min(n_grid - 1, k + 1)]
-    ref = minimize_scalar(lambda th: -objective(th), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10})
+    ref = _module.minimize_scalar(lambda th: -objective(th), bounds=(lo, hi),
+                                  method="bounded", options={"xatol": 1e-10})
     return float(ref.x) if -ref.fun >= vals[k] else float(thetas[k])
 
 
@@ -391,7 +410,7 @@ def _fringe_envelope_fit(theta: float, noise: NoiseParams) -> DecayFit:
     # F1 grows like gamma^2 tau / lam at long times, so this upper
     # bracket always clears the 1/e crossing
     hi = 10.0 * (noise.lam / noise.gamma ** 2 + 1.0 / noise.lam)
-    tau_e = brentq(lambda t: f1(noise, t) - 1.0, 1e-12, hi)
+    tau_e = _module.brentq(lambda t: f1(noise, t) - 1.0, 1e-12, hi)
     taus = np.linspace(tau_e / 60, 2.2 * tau_e, 130)
     delta_fit = 8 * 2 * np.pi / (2.2 * tau_e)   # ~8 fringes in the window
     y = np.asarray(hahn_ramsey_signal(theta, delta_fit, noise, taus))

@@ -268,16 +268,24 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
     if with_components and cfg.sequence != "hahn_ramsey":
         raise ConfigError("sequence",
                           "component columns exist only for hahn_ramsey")
-    out = _out_dir(cfg)
-    tag = config_hash(cfg)
-    comment = f"config_sha256={tag}"
     taus = cfg.taus()
     kind = spincore.SequenceKind(cfg.sequence)
-    wrote = []
     an = mc = None
     if cfg.engine in ("analytic", "both"):
         an = analytic.closed_form_signal(kind, theta, cfg.delta,
                                          cfg.noise_params(), taus)
+    if cfg.engine in ("montecarlo", "both"):
+        mcfg = montecarlo.McConfig(cfg.n_trajectories, cfg.seed, cfg.time_step,
+                                   cfg.pulse_model, cfg.rabi, cfg.workers)
+        try:
+            mc = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(),
+                                   taus, mcfg)
+        except montecarlo.PulseStepError as exc:
+            raise ConfigError("rabi", f"{exc}; raise rabi or time_step") from None
+    out = _out_dir(cfg)
+    comment = f"config_sha256={config_hash(cfg)}"
+    wrote = []
+    if an is not None:
         path = out / f"{cfg.sequence}_analytic.csv"
         header, rows = "tau,signal", zip(taus, an)
         if with_components:
@@ -288,11 +296,7 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
                 for t, v in rows)
         _write_csv(path, header, rows, [comment])
         wrote.append(path)
-    if cfg.engine in ("montecarlo", "both"):
-        mcfg = montecarlo.McConfig(cfg.n_trajectories, cfg.seed, cfg.time_step,
-                                   cfg.pulse_model, cfg.rabi, cfg.workers)
-        mc = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(),
-                               taus, mcfg)
+    if mc is not None:
         path = out / f"{cfg.sequence}_montecarlo.csv"
         mc.to_csv(path, comment)
         wrote.append(path)

@@ -42,9 +42,18 @@ from .spincore import (Delay, PulseParams, PulseSequence, SequenceKind,
                        SPIN_UP, build_sequence, rotation_matrix)
 
 __all__ = ["McConfig", "SignalCurve", "BlochPoint", "run_mc",
-           "bloch_trajectory", "bloch_to_csv", "BLOCK_SIZE"]
+           "bloch_trajectory", "bloch_to_csv", "BLOCK_SIZE",
+           "MAX_PULSE_STEPS", "PulseStepError"]
 
 BLOCK_SIZE = 8192
+#: bound on the noisy finite-pulse steps of one trajectory; each step is a
+#: pass of the Python loop in _finite_block_samples
+MAX_PULSE_STEPS = 10 ** 5
+
+
+class PulseStepError(ValueError):
+    """Finite pulses that would need more than MAX_PULSE_STEPS noisy steps
+    per trajectory (pulses too long for the step grid: rabi too small)."""
 
 
 @dataclass(frozen=True)
@@ -164,22 +173,33 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     Finite pulses evolve under ((det + f(t))/2) sigma_z + (rabi/2) sigma_x,
     stepped with piecewise-constant matrix exponentials on the time_step
     grid, and the noise runs continuously through pulses and delays.
-    Deterministic for a fixed master_seed at any cfg.workers; see the
-    module docstring for the seeding scheme.
+    Raises PulseStepError when a trajectory would take over
+    MAX_PULSE_STEPS noisy pulse steps.  Deterministic for a fixed
+    master_seed at any cfg.workers; see the module docstring for the
+    seeding scheme.
     """
     taus = _validate(theta, delta, noise, taus)
     seqs = [build_sequence(seq_kind, theta, delta, float(t)) for t in taus]
     finite = cfg.pulse_model == "finite"
     make_sampler = _finite_sampler if finite else _instantaneous_sampler
+    noisy = noise.gamma > 0.0
     warnings = []
     if finite:
-        for w in _finite_windows(seqs[0], delta, cfg.rabi):
+        windows = _finite_windows(seqs[0], delta, cfg.rabi)
+        if noisy:
+            steps = sum(_pulse_steps(w[1], noise.lam, cfg.time_step)
+                        for w in windows if w[0] == "pulse")
+            if steps > MAX_PULSE_STEPS:
+                raise PulseStepError(
+                    f"finite pulses need {steps:.3g} noisy steps per trajectory "
+                    f"(pulse time / min(time_step, 0.05/lam)), over "
+                    f"{MAX_PULSE_STEPS}")
+        for w in windows:
             if w[0] == "pulse" and w[1] / cfg.time_step < 10:
                 warnings.append(
                     f"pulse of duration {w[1]:.3g} resolved by fewer than 10 "
                     f"steps of {cfg.time_step:.3g}")
                 break
-    noisy = noise.gamma > 0.0
     means = np.empty(taus.size)
     errs = np.empty(taus.size)
 
@@ -220,6 +240,12 @@ def _finite_windows(seq: PulseSequence, delta: float, rabi: float):
     return windows
 
 
+def _pulse_steps(duration, lam, time_step):
+    """Steps of a noisy pulse: the time_step grid, refined to resolve the
+    noise correlation time 1/lam."""
+    return max(1, math.ceil(duration / min(time_step, 0.05 / lam)))
+
+
 def _finite_sampler(seq, delta, noise, cfg):
     """sample(rng, m) with finite pulses; see _finite_block_samples."""
     return functools.partial(_finite_block_samples,
@@ -245,7 +271,7 @@ def _finite_block_samples(windows, noise, cfg, rng, m):
             continue
         steps = 1
         if noisy and kind == "pulse":
-            steps = max(1, int(np.ceil(dur / min(cfg.time_step, 0.05 / lam))))
+            steps = _pulse_steps(dur, lam, cfg.time_step)
         h = dur / steps
         for _ in range(steps):
             nz = nz_rate

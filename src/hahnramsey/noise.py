@@ -190,7 +190,8 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
     tail bound (from the 1/w^4 falloff of the integrand) meets target_error;
     the window sin(half_t w)^2 or ^4 comes by angle addition from the panel
     starts (_panel_sum).  Raises QuadratureError when the achieved error
-    estimate exceeds the target or the rule needs over _MAX_PANELS panels.
+    estimate exceeds target_error (times |value|/1e5, at most 1e3, for
+    exponents above 1e5) or the rule needs over _MAX_PANELS panels.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -230,10 +231,15 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
     # conservative Richardson factor.  The last term is the float floor.
     err = (pref * abs(fine - coarse) / 10.0 + remainder
            + 1e-15 * max(1.0, abs(value)))
-    if err > target_error:
+    # target_error bounds the error of the exponent, i.e. the relative error
+    # of the decay factor exp(-value).  Past exponents of 1e5 it scales with
+    # |value|, since the float floor would pass the default 1e-8 near 1e7,
+    # but by at most 1e3: exponents beyond about 1e10 stay out of reach.
+    target = target_error * min(max(1.0, abs(value) / 1e5), 1e3)
+    if err > target:
         raise QuadratureError(
             f"chi_filter({kind.value}) did not converge: error estimate {err:.3e} "
-            f"exceeds target {target_error:.1e}")
+            f"exceeds target {target:.1e}")
     return value
 
 

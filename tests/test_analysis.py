@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hahnramsey
 from hahnramsey.analysis import (FitError, FitModel, ReadoutModel,
                                  ResidualMap, fit_decay, max_bias_slope,
                                  min_detectable_field, optimal_theta,
@@ -278,3 +284,46 @@ def test_sensitivity_gamma_scaling():
     res1 = sensitivity(FIG_NOISE, r, THETA)
     res2 = sensitivity(NoiseParams(2.5, 2 * FIG_NOISE.gamma), r, THETA)
     assert res2.eta / res1.eta == pytest.approx(2.0, rel=0.2)
+
+
+# the benchmark tracer's contract, in a fresh process: getattr(analysis,
+# "curve_fit") gives scipy's function, and a wrapper set in its place is the
+# one fit_decay calls, also after brentq and minimize_scalar load
+_COUNTED_FITS = """
+import sys
+import numpy as np
+from hahnramsey import analysis
+from hahnramsey.montecarlo import SignalCurve
+from hahnramsey.noise import NoiseParams
+
+assert "curve_fit" not in vars(analysis) and "scipy" not in sys.modules
+real = getattr(analysis, "curve_fit")
+import scipy.optimize
+assert real is scipy.optimize.curve_fit
+calls = []
+
+def counting(*args, **kwargs):
+    calls.append(1)
+    return real(*args, **kwargs)
+
+analysis.curve_fit = counting
+t = np.linspace(0.0, 6.0, 50)
+y = np.cos(1.7 * t) * np.exp(-((t / 2.0) ** 2))
+fit = analysis.fit_decay(SignalCurve(t, y, np.zeros_like(t), 0))
+assert abs(fit.tau_c - 2.0) < 1e-6
+print(len(calls))
+analysis.sensitivity(NoiseParams(2.5, 0.6), analysis.ReadoutModel(1.3, 0.7))
+assert analysis.curve_fit is counting
+print(len(calls))
+"""
+
+
+def test_fit_decay_calls_a_wrapper_set_on_analysis_curve_fit():
+    src = str(Path(hahnramsey.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _COUNTED_FITS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # four phase restarts per oscillating fit: fit_decay, then the fringe
+    # fit inside sensitivity
+    assert proc.stdout.split() == ["4", "8"]

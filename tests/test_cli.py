@@ -290,6 +290,93 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert "hahn_ramsey_analytic.csv" in proc.stdout
 
 
+def _python(code, *args, timeout=120):
+    src = str(Path(hahnramsey.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# one fresh process: the commands without fits must not load scipy, fit and
+# sensitivity load it on first use
+_COLD_START = """
+import json, sys
+import hahnramsey
+from hahnramsey import cli
+
+def run(*args):
+    assert cli.main([str(a) for a in args]) == 0, args
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out, fit_data = sys.argv[1:]
+noise = ["--lam", 2.5, "--gamma", 0.6]
+run("simulate", "--sequence", "ramsey", "--delta", 1.885, *noise, "--tau-start", 0.1,
+    "--tau-stop", 6, "--tau-count", 40, "--engine", "both",
+    "--n-trajectories", 200, "--out", out)
+run("components", *noise, "--tau-count", 5, "--theta-count", 5, "--out", out)
+run("scan", "--sequence", "ramsey", "--delta", 1.885, "--data",
+    out + "/ramsey_analytic.csv", "--lambda-min", 1.5, "--lambda-max", 3.5,
+    "--lambda-count", 5, "--gamma-min", 0.3, "--gamma-max", 1.0,
+    "--gamma-count", 8, "--out", out)
+run("bloch", "--sequence", "hahn_ramsey", "--theta", 0.6, "--delta", 1.885,
+    "--tau", 1.0, "--samples", 15, "--out", out)
+before = scipy_modules()
+run("fit", "--data", fit_data, "--out", out)
+run("sensitivity", *noise, "--theta", 0.6, "--u", 1.3, "--v", 0.7, "--out", out)
+print(json.dumps({"before": before, "after": scipy_modules()}))
+"""
+
+
+def test_only_fit_and_sensitivity_load_scipy(tmp_path):
+    data = tmp_path / "c.csv"
+    t = np.linspace(0, 6, 50)
+    with open(data, "w") as fh:
+        fh.write("tau,signal\n")
+        for ti, yi in zip(t, np.cos(1.7 * t) * np.exp(-((t / 2) ** 2))):
+            fh.write(f"{ti},{yi}\n")
+    proc = _python(_COLD_START, tmp_path / "cold", data)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    assert modules["before"] == []
+    assert "scipy.optimize" in modules["after"]
+    # same bytes as the same commands run in this process
+    assert run(["fit", "--data", data, "--out", tmp_path / "warm"]) == 0
+    assert run(["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--theta", 0.6,
+                "--u", 1.3, "--v", 0.7, "--out", tmp_path / "warm"]) == 0
+    for name in ("fit_c.json", "sensitivity.json"):
+        assert ((tmp_path / "cold" / name).read_bytes()
+                == (tmp_path / "warm" / name).read_bytes())
+    assert abs(json.loads((tmp_path / "cold" / "fit_c.json").read_text())["tau_c"]
+               - 2.0) < 1e-6
+
+
+def test_finite_pulses_beyond_the_step_budget_exit_2(tmp_path):
+    # a pulse of theta/rabi = 6e5 us would take about 3.5e8 noisy steps
+    proc = _python("from hahnramsey.cli import entry; entry()",
+                   "simulate", "--engine", "montecarlo", "--pulse-model", "finite",
+                   "--rabi", 1e-6, "--lam", 2.5, "--gamma", 0.6, "--theta", 0.6,
+                   "--delta", 1, "--sequence", "hahn_ramsey",
+                   "--n-trajectories", 10, "--tau-count", 2,
+                   "--out", tmp_path / "o", timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "'rabi'" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_components_resolve_large_exponents(tmp_path):
+    # exponents near 1e8: the absolute 1e-8 target is below the float floor
+    assert run(["components", "--lam", 2.5, "--gamma", 1e4, "--tau-stop", 2,
+                "--out", tmp_path]) == 0
+    header, rows = read_rows(tmp_path / "filter_exponents.csv")
+    assert header == ["tau", "ramsey_like", "half_period", "hahn_like"]
+    p = NoiseParams(2.5, 1e4)
+    F1, dF = f1(p, rows[:, 0]), delta_f(p, rows[:, 0])
+    np.testing.assert_allclose(rows[:, 1:], np.column_stack(
+        [2 * (F1 + dF), F1, 2 * (F1 - dF)]), rtol=1e-12, atol=0)
+
+
 def test_read_curve_csv_roundtrip(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("# comment\ntau,mean,stderr,n\n0.0,1.0,0.01,500\n"
