@@ -20,7 +20,10 @@ beta = (u+v)/2, a fringe slope d<s>/dB limits the detectable field to
 deltaB = sqrt(beta) / (alpha beta |dS/dB|).  The closed form
 1/(3 pi gamma_e tau alpha sqrt(beta)) packages the kinematic maximum of
 that slope at the optimal tilt and neglects envelope decay, so it is a
-small-tau law; the numeric estimator here keeps the decay.
+small-tau law; the numeric estimator here keeps the decay.  Its searches
+are array passes: the tilt grid is one closed-form call against the tau
+grid, and the bias grids of all delays are one (tau x bias) call whose
+maxima are refined together by Newton steps in epsilon tau.
 
 scipy.optimize loads on the first fit or sensitivity call, not on import.
 """
@@ -322,28 +325,63 @@ def min_detectable_field(readout: ReadoutModel, tau: float,
 
 
 def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
-                   tau: float, n_grid: int = 4001) -> float:
+                   tau: float | np.ndarray, n_grid: int = 4001):
     """max over the bias epsilon of |d<s>/d epsilon| at fixed tau; the
-    slope at the steepest point of the bias fringe."""
-    if tau <= 0:
+    slope at the steepest point of the bias fringe.
+
+    tau is a positive float or array; the result has its shape.  The
+    n_grid-point bias grid of every tau is evaluated in one call, and the
+    grid maximum is refined by Newton steps within its neighbouring grid
+    points (_refine_bias_peak).  Where refining does not raise the slope
+    the grid value is kept.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if (tau <= 0).any():
         raise ValueError("tau must be > 0")
     us = np.linspace(-np.pi, np.pi, n_grid)   # epsilon*tau is 2pi-periodic
-    vals = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / tau),
-                                       noise, tau))
-    k = int(vals.argmax())
-    lo, hi = us[max(0, k - 1)], us[min(n_grid - 1, k + 1)]
-    ref = _module.minimize_scalar(
-        lambda u: -abs(hr_signal_derivative(theta, delta, BiasParams(u / tau),
-                                            noise, tau)),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12})
-    return float(-ref.fun)
+    col = tau[..., None]
+    vals = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / col),
+                                       noise, col))
+    k = vals.argmax(axis=-1)
+    grid_best = np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
+    u = _refine_bias_peak(theta, delta, noise, tau, us[k],
+                          us[np.maximum(k - 1, 0)],
+                          us[np.minimum(k + 1, n_grid - 1)])
+    refined = np.abs(hr_signal_derivative(theta, delta, BiasParams(u / tau),
+                                          noise, tau))
+    out = np.maximum(refined, grid_best)
+    return out if out.ndim else float(out)
+
+
+def _refine_bias_peak(theta, delta, noise, tau, u, lo, hi):
+    """Two Newton steps toward the stationary point of the bias slope in
+    u = epsilon tau, each clipped to [lo, hi].
+
+    From the epsilon derivatives of the two bias-dependent terms of
+    analytic._detuned_echo_terms, the slope is
+        p (cos u - a sin u) + q (2 a cos 2u + b^2 sin 2u),
+    p = -4 a^3 b^2 tau cos(delta tau) exp(-F1),
+    q = -2 a^2 b^2 tau exp(-2 (F1 + dF)), with a = cos theta, b = sin theta.
+    """
+    a, b = math.cos(theta), math.sin(theta)
+    F1, dF = f1(noise, tau), delta_f(noise, tau)
+    p = -4 * a ** 3 * b ** 2 * tau * np.cos(delta * tau) * np.exp(-F1)
+    q = -2 * a ** 2 * b ** 2 * tau * np.exp(-2.0 * (F1 + dF))
+    for _ in range(2):    # quadratic convergence from a grid point
+        c1, s1, c2, s2 = np.cos(u), np.sin(u), np.cos(2 * u), np.sin(2 * u)
+        d1 = -p * (s1 + a * c1) + q * (2 * b ** 2 * c2 - 4 * a * s2)
+        d2 = -p * (c1 - a * s1) - q * (8 * a * c2 + 4 * b ** 2 * s2)
+        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0)
+        u = np.clip(u - step, lo, hi)
+    return u
 
 
 def optimal_theta(noise: NoiseParams, delta: float, tau_grid,
                   n_grid: int = 181) -> float:
     """Tilt maximizing the bias slope |d<s>/d epsilon| at epsilon 0 over
-    the tau grid; ties break toward smaller theta."""
+    the tau grid; ties break toward smaller theta.  The tilt grid is one
+    (n_grid x tau) call; its maximum is refined by a bounded scalar
+    search between the neighbouring grid tilts."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0 or (tau_grid <= 0).any():
         raise ValueError("tau_grid must be non-empty and positive")
@@ -353,7 +391,8 @@ def optimal_theta(noise: NoiseParams, delta: float, tau_grid,
         return float(np.max(np.abs(hr_signal_derivative(
             th, delta, BiasParams(0.0), noise, tau_grid))))
 
-    vals = np.array([objective(th) for th in thetas])
+    vals = np.abs(hr_signal_derivative(thetas[:, None], delta, BiasParams(0.0),
+                                       noise, tau_grid)).max(axis=1)
     k = int(vals.argmax())           # first maximum = smallest theta on ties
     lo = thetas[max(0, k - 1)]
     hi = thetas[min(n_grid - 1, k + 1)]
@@ -369,7 +408,8 @@ def sensitivity(noise: NoiseParams, readout: ReadoutModel,
     """DC-field sensitivity at the optimal operating point.
 
     Picks tau maximizing slope-per-sqrt-time (max over bias, decay
-    included, evaluated on a fringe peak) and reports the closed-form
+    included, evaluated on a fringe peak; one max_bias_slope call for the
+    whole tau grid) and reports the closed-form
     per-shot field floor there.  The coherence time t2 comes from a
     decay-envelope fit of the oscillating analytic fringe curve on the
     total-duration axis, and eta = 1/(3 pi gamma_e alpha sqrt(beta t2))
@@ -385,8 +425,7 @@ def sensitivity(noise: NoiseParams, readout: ReadoutModel,
         tau_grid = np.linspace(0.1, 10.0, 60) / noise.lam
     tau_grid = np.asarray(tau_grid, dtype=float)
     # delta = 0 puts every tau on a fringe peak (cos(delta tau) = 1)
-    slopes = np.array([max_bias_slope(theta, 0.0, noise, t, n_grid=801)
-                       for t in tau_grid])
+    slopes = max_bias_slope(theta, 0.0, noise, tau_grid, n_grid=801)
     objective = slopes / np.sqrt(2 * tau_grid)
     k = int(objective.argmax())
     tau_star = float(tau_grid[k])

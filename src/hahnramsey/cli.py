@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -256,6 +257,14 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
                                   np.asarray(errs), n)
 
 
+def _require_gaussian(cfg: RunConfig, what: str) -> None:
+    """Renewal noise shares the OU second moments but not the Gaussian
+    averaging behind every closed form, so those are no model for it."""
+    if cfg.noise_kind == "renewal":
+        raise ConfigError("noise_kind", f"{what} assumes Gaussian (ou) noise, "
+                                        f"renewal noise has no closed form here")
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,6 +277,8 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
     if with_components and cfg.sequence != "hahn_ramsey":
         raise ConfigError("sequence",
                           "component columns exist only for hahn_ramsey")
+    if cfg.engine == "analytic":
+        _require_gaussian(cfg, "the analytic engine")
     taus = cfg.taus()
     kind = spincore.SequenceKind(cfg.sequence)
     an = mc = None
@@ -313,6 +324,10 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
         if cfg.pulse_model == "finite" and cfg.noise_params().gamma > 0:
             comments.append("warning: the closed form assumes instantaneous pulses, "
                             "so with noise these z-scores are not a correctness gate")
+        if cfg.noise_kind == "renewal":
+            comments.append("warning: the closed form assumes Gaussian (ou) noise, "
+                            "so with renewal noise these z-scores are not a "
+                            "correctness gate")
         _write_csv(path, "tau,analytic,mc_mean,mc_stderr,zscore", rows, comments)
         wrote.append(path)
     for p in wrote:
@@ -382,6 +397,7 @@ def cmd_scan(cfg: RunConfig, data_paths, lam_spec, gamma_spec,
              tau_scale: float = 1.0) -> int:
     lam_grid = _scan_grid("lambda", lam_spec, positive=True)
     gamma_grid = _scan_grid("gamma", gamma_spec, positive=False)
+    _require_gaussian(cfg, "the scan's residual model")
     theta = cfg.closed_form_theta()
     curves = [read_curve_csv(dp, tau_scale) for dp in data_paths]
     out = _out_dir(cfg)
@@ -403,6 +419,7 @@ def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
         raise ConfigError("--gamma-e", "must be finite and > 0")
     if not cfg.noise_params().gamma > 0:
         raise ConfigError("gamma", "sensitivity needs a dephasing strength > 0")
+    _require_gaussian(cfg, "the bias-slope model of sensitivity")
     readout = analysis.ReadoutModel(u, v)
     theta = None
     if cfg.theta is not None or cfg.rabi is not None:
@@ -513,11 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CFG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+# parse_args leaves the parser unchanged, so a process builds it once
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = _parser().parse_args(argv)
     flags = {k: v for k, v in vars(ns).items() if k in _CFG_KEYS}
     try:
         cfg = load_config(ns.config, flags)

@@ -39,7 +39,7 @@ import numpy as np
 from ._datafile import write_csv as _write_csv
 from .noise import _WINDOW_INTEGRALS, NoiseParams
 from .spincore import (Delay, PulseParams, PulseSequence, SequenceKind,
-                       SPIN_UP, build_sequence, rotation_matrix)
+                       SPIN_UP, build_sequence, rotation_matrix, ry)
 
 __all__ = ["McConfig", "SignalCurve", "BlochPoint", "run_mc",
            "bloch_trajectory", "bloch_to_csv", "BLOCK_SIZE",
@@ -293,9 +293,10 @@ def _finite_block_samples(windows, noise, cfg, rng, m):
 
 
 def _xyz(psi):
-    z01 = psi[0].conjugate() * psi[1]
+    """Bloch vectors of the rows of psi (shape (m, 2))."""
+    z01 = psi[:, 0].conjugate() * psi[:, 1]
     return (2 * z01.real, 2 * z01.imag,
-            float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2))
+            np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2)
 
 
 def bloch_trajectory(seq_kind: SequenceKind, theta: float, delta: float,
@@ -303,33 +304,37 @@ def bloch_trajectory(seq_kind: SequenceKind, theta: float, delta: float,
     """Noiseless (x, y, z) path of the pure state along the sequence.
 
     Pulses are swept as continuous rotations about their tilted axes but
-    advance no time (instantaneous-pulse model); delays advance t.
+    advance no time (instantaneous-pulse model); delays advance t.  Each
+    segment's samples are one array expression: a pulse rotates the
+    state into its tilted frame once, applies the sigma_z phases of the
+    partial areas there and rotates back; a delay applies its phases.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
     seq = build_sequence(seq_kind, theta, delta, tau)
-    psi = SPIN_UP.copy()
+    frac = np.arange(1, samples_per_segment + 1)
+    psi = SPIN_UP[None, :]
     t = 0.0
-    pts = [BlochPoint(t, *_xyz(psi))]
+    ts, paths = [np.zeros(1)], [psi]
     for el in seq.elements:
+        start = psi[-1]
         if isinstance(el, PulseParams):
-            start = psi
-            for k in range(1, samples_per_segment + 1):
-                part = PulseParams(el.theta, el.beta * k / samples_per_segment,
-                                   el.detuning_sign)
-                psi = rotation_matrix(part) @ start
-                pts.append(BlochPoint(t, *_xyz(psi)))
+            th = el.detuning_sign * el.theta
+            phi = el.beta * frac / samples_per_segment
+            tilted = ry(-th) @ start
+            psi = np.stack([np.exp(-0.5j * phi) * tilted[0],
+                            np.exp(+0.5j * phi) * tilted[1]], axis=1) @ ry(th).T
+            ts.append(np.full(samples_per_segment, t))
         else:
-            start = psi
-            rate = el.detuning_sign * delta
-            for k in range(1, samples_per_segment + 1):
-                dt = el.duration * k / samples_per_segment
-                phi = rate * dt
-                psi = np.array([np.exp(-0.5j * phi) * start[0],
-                                np.exp(+0.5j * phi) * start[1]])
-                pts.append(BlochPoint(t + dt, *_xyz(psi)))
+            dt = el.duration * frac / samples_per_segment
+            phi = el.detuning_sign * delta * dt
+            psi = np.stack([np.exp(-0.5j * phi) * start[0],
+                            np.exp(+0.5j * phi) * start[1]], axis=1)
+            ts.append(t + dt)
             t += el.duration
-    return pts
+        paths.append(psi)
+    cols = (np.concatenate(ts), *_xyz(np.concatenate(paths)))
+    return [BlochPoint(*p) for p in zip(*(c.tolist() for c in cols))]
 
 
 def bloch_to_csv(points, path, header_comment: str | None = None) -> None:

@@ -168,16 +168,24 @@ _MAX_PANELS = 2 ** 17     # the fine rule's arrays then hold about 25 MB each
 def _panel_sum(half_t: float, power: int, lam: float, w_max: float, n: int) -> float:
     """12-point Gauss-Legendre sum of sin(half_t w)^power / (w^2 (w^2 + lam^2))
     over n uniform panels of [0, w_max].  Node j of panel i is i h + c_j, so
-    angle addition gives its sin from 2 (n + 12) sin/cos calls in all."""
+    angle addition gives its sin from 2 (n + 12) sin/cos calls in all.  The
+    (n, 12) arrays are updated in place."""
     h = w_max / n
     c = 0.5 * h * (_GL_NODES + 1.0)
     start = h * np.arange(n)[:, None]
-    s = (np.sin(half_t * start) * np.cos(half_t * c)
-         + np.cos(half_t * start) * np.sin(half_t * c))
-    s2 = s * s
-    window = s2 if power == 2 else s2 * s2
-    x2 = (start + c) ** 2
-    return float(np.sum(window / (x2 * (x2 + lam * lam)) @ (0.5 * h * _GL_WEIGHTS)))
+    a, b = half_t * start, half_t * c
+    s = np.sin(a) * np.cos(b)
+    x2 = np.cos(a) * np.sin(b)      # scratch until it holds (start + c)^2
+    s += x2
+    s *= s
+    if power == 4:
+        s *= s
+    np.add(start, c, out=x2)
+    x2 *= x2
+    den = x2 + lam * lam
+    den *= x2
+    s /= den
+    return float(np.sum(s @ (0.5 * h * _GL_WEIGHTS)))
 
 
 def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
@@ -210,8 +218,10 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
 
     floor = max(50.0 * lam, 50.0 / tau)
     # truncation keeps the oscillatory tail remainder, ~pref/(2 half_t w^4)
-    # by integration by parts, below half the target
-    need = (pref / (half_t * target_error)) ** 0.25
+    # by integration by parts, below half the target.  For tau near the
+    # smallest subnormal the product underflows to 0; the floor keeps the
+    # division finite and the panel budget below then refuses the rule.
+    need = (pref / max(half_t * target_error, math.ulp(0.0))) ** 0.25
     w_max = max(floor, min(need, 100.0 * floor))
     # panels resolve the fastest window harmonic (2 w half_t at most a
     # half period each) and the Lorentzian knee at w ~ lam

@@ -286,6 +286,73 @@ def test_sensitivity_gamma_scaling():
     assert res2.eta / res1.eta == pytest.approx(2.0, rel=0.2)
 
 
+# --------------------------------------------------------------------------
+# the array passes against per-point loops: one tilt, or one tau, per
+# closed-form call, refined by scipy's bounded scalar search
+
+
+def _optimal_theta_per_tilt(noise, delta, tau_grid, n_grid=181):
+    from scipy.optimize import minimize_scalar
+    from hahnramsey.analytic import hr_signal_derivative, BiasParams
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    thetas = np.linspace(1e-4, np.pi / 2 - 1e-4, n_grid)
+
+    def objective(th):
+        return float(np.max(np.abs(hr_signal_derivative(
+            th, delta, BiasParams(0.0), noise, tau_grid))))
+
+    vals = np.array([objective(th) for th in thetas])
+    k = int(vals.argmax())
+    lo, hi = thetas[max(0, k - 1)], thetas[min(n_grid - 1, k + 1)]
+    ref = minimize_scalar(lambda th: -objective(th), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-10})
+    return float(ref.x) if -ref.fun >= vals[k] else float(thetas[k])
+
+
+def _max_bias_slope_per_tau(theta, delta, noise, tau, n_grid=801):
+    """The bounded search stops about 1e-8 short of a bracket end in u, so
+    where the maximum of the bracket is its end, the grid value is kept."""
+    from scipy.optimize import minimize_scalar
+    from hahnramsey.analytic import hr_signal_derivative, BiasParams
+    us = np.linspace(-np.pi, np.pi, n_grid)
+    vals = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / tau),
+                                       noise, tau))
+    k = int(vals.argmax())
+    lo, hi = us[max(0, k - 1)], us[min(n_grid - 1, k + 1)]
+    ref = minimize_scalar(
+        lambda u: -abs(hr_signal_derivative(theta, delta, BiasParams(u / tau),
+                                            noise, tau)),
+        bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    return max(float(-ref.fun), float(vals[k]))
+
+
+@pytest.mark.parametrize("noise, delta, tau_grid", [
+    (FIG_NOISE, 0.0, np.linspace(0.2, 2.0, 10) / 2.5),
+    (FIG_NOISE, DELTA, np.linspace(0.3, 2.0, 8)),
+    (QUIET, 1.0, np.linspace(0.3, 2.0, 8)),
+    (NoiseParams(0.3, 1.0), 0.0, np.linspace(0.2, 2.0, 10) / 0.3),
+    (NoiseParams(10.0, 3.0), 1.3, np.linspace(0.2, 2.0, 10) / 10.0)])
+def test_optimal_theta_equals_the_per_tilt_loop(noise, delta, tau_grid):
+    assert optimal_theta(noise, delta, tau_grid) == \
+        _optimal_theta_per_tilt(noise, delta, tau_grid)
+
+
+@pytest.mark.parametrize("theta, delta, noise", [
+    (THETA, 0.0, FIG_NOISE), (0.7, 1.3, FIG_NOISE), (0.3, 0.4, NoiseParams(1.0, 0.5)),
+    (1.2, 0.0, NoiseParams(0.3, 1.0)), (0.95, 3.0, NoiseParams(10.0, 3.0)),
+    (THETA, 2 * np.pi, QUIET)])
+def test_max_bias_slope_matches_the_per_tau_search(theta, delta, noise):
+    taus = np.linspace(0.1, 10.0, 60) / noise.lam
+    slopes = max_bias_slope(theta, delta, noise, taus, n_grid=801)
+    assert slopes.shape == taus.shape
+    want = [_max_bias_slope_per_tau(theta, delta, noise, t) for t in taus]
+    np.testing.assert_allclose(slopes, want, rtol=1e-14, atol=0)
+    singles = [max_bias_slope(theta, delta, noise, float(t), n_grid=801)
+               for t in taus]
+    assert all(isinstance(s, float) for s in singles)
+    np.testing.assert_allclose(singles, want, rtol=1e-14, atol=0)
+
+
 # the benchmark tracer's contract, in a fresh process: getattr(analysis,
 # "curve_fit") gives scipy's function, and a wrapper set in its place is the
 # one fit_decay calls, also after brentq and minimize_scalar load

@@ -477,11 +477,64 @@ def test_bad_data_row_names_file_and_line(command, row, tmp_path, capsys):
     (["components", "--lam=1e-6", "--gamma=0.6"], "'lam, gamma, tau_start"),
     (["components", "--lam=2.5", "--gamma=1e6"], "'lam, gamma, tau_start"),
     (["components", "--gamma=0.6", "--tau-stop=1e6"], "'lam, gamma, tau_start"),
+    # the closed forms and the models built on them assume Gaussian noise
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--noise-kind", "renewal"],
+     "'noise_kind'"),
+    (["simulate", "--theta", 0.6, "--gamma", 0.6, "--noise-kind", "renewal",
+      "--engine", "analytic"], "'noise_kind'"),
+    # tau / 2 underflowed to 0 in the quadrature cutoff: ZeroDivisionError, exit 3
+    (["components", "--gamma=0.6", "--tau-start=5e-324"], "'lam, gamma, tau_start"),
 ])
 def test_bad_command_option_exits_2(args, name, tmp_path, capsys):
     assert run([*args, "--out", tmp_path / "o"]) == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_scan_with_renewal_noise_exits_2(tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    out = tmp_path / "o"
+    assert run([*_SCAN, "--gamma", 0.6, "--noise-kind", "renewal",
+                "--data", data, "--out", out]) == 2
+    assert "'noise_kind'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, warned", [("renewal", True), ("ou", False)])
+def test_renewal_compare_warns_the_closed_form_is_gaussian(kind, warned, tmp_path):
+    assert run(["simulate", *BASE, "--noise-kind", kind, "--engine", "both",
+                "--n-trajectories", 200, "--out", tmp_path]) == 0
+    lines = (tmp_path / "hahn_ramsey_compare.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_sha256=")
+    if warned:
+        assert lines[1].startswith("# warning: ")
+        assert "Gaussian" in lines[1] and "not a correctness gate" in lines[1]
+        assert lines[2] == "tau,analytic,mc_mean,mc_stderr,zscore"
+    else:
+        assert lines[1] == "tau,analytic,mc_mean,mc_stderr,zscore"
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    data = [_write_ramsey_data(tmp_path / f"d{i}.csv") for i in range(2)]
+    sim = ["simulate", *BASE, "--engine", "analytic"]
+    assert run([*sim, "--out", tmp_path / "first"]) == 0
+    with mock.patch("argparse.ArgumentParser",
+                    side_effect=AssertionError("parser rebuilt")):
+        assert run([*_SCAN, "--data", data[0], "--data", data[1],
+                    "--out", tmp_path / "two"]) == 0
+        # action="append" must start from an empty list on every call
+        assert run([*_SCAN, "--data", data[1], "--out", tmp_path / "one"]) == 0
+        assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["scan_d1.csv"]
+        # rejected calls: by argparse, then by the configuration
+        with pytest.raises(SystemExit):
+            run([*sim, "--engine", "bogus", "--out", tmp_path / "x"])
+        assert run([*sim, "--tau-count", 1, "--out", tmp_path / "y"]) == 2
+        assert run([*sim, "--out", tmp_path / "again"]) == 0
+    capsys.readouterr()
+    name = "hahn_ramsey_analytic.csv"
+    assert (tmp_path / "again" / name).read_bytes() == \
+        (tmp_path / "first" / name).read_bytes()
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 def test_fit_rejects_bad_tau_scale(tmp_path, capsys):

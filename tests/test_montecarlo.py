@@ -3,11 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hahnramsey.analytic import hahn_echo_signal, hahn_ramsey_signal, ramsey_signal
-from hahnramsey.montecarlo import (BLOCK_SIZE, McConfig, bloch_trajectory,
-                                   bloch_to_csv, run_mc)
+from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
+                                   bloch_trajectory, bloch_to_csv, run_mc)
 from hahnramsey.noise import NoiseKind, NoiseParams, sample_ou_ensemble
 from hahnramsey.spincore import (PulseParams, SequenceKind, SPIN_UP,
-                                 analytic_density_matrix_hr,
+                                 analytic_density_matrix_hr, build_sequence,
                                  long_time_density_matrix, rotation_matrix)
 
 FIG_NOISE = NoiseParams(2.5, 2 * np.pi * 0.1)
@@ -283,6 +283,50 @@ def test_bloch_csv(tmp_path):
     assert lines[0].startswith("#")
     assert lines[1] == "t,x,y,z"
     assert len(lines) == 2 + len(pts)
+
+
+def _bloch_per_sample(seq_kind, theta, delta, tau, samples):
+    """Oracle: one rotation_matrix or one pair of phases per sample."""
+    def xyz(psi):
+        z01 = psi[0].conjugate() * psi[1]
+        return (2 * z01.real, 2 * z01.imag, abs(psi[0]) ** 2 - abs(psi[1]) ** 2)
+
+    psi, t = SPIN_UP.copy(), 0.0
+    pts = [(t, *xyz(psi))]
+    for el in build_sequence(seq_kind, theta, delta, tau).elements:
+        start = psi
+        for k in range(1, samples + 1):
+            if isinstance(el, PulseParams):
+                part = PulseParams(el.theta, el.beta * k / samples,
+                                   el.detuning_sign)
+                psi = rotation_matrix(part) @ start
+                pts.append((t, *xyz(psi)))
+            else:
+                dt = el.duration * k / samples
+                phi = el.detuning_sign * delta * dt
+                psi = np.array([np.exp(-0.5j * phi) * start[0],
+                                np.exp(+0.5j * phi) * start[1]])
+                pts.append((t + dt, *xyz(psi)))
+        if not isinstance(el, PulseParams):
+            t += el.duration
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("kind, theta, delta, tau, samples", [
+    (SequenceKind.HAHN_RAMSEY, THETA, DELTA, 1.0, 60),
+    (SequenceKind.HAHN_RAMSEY, 0.45 * np.pi, -2.0, 2.7, 13),
+    (SequenceKind.RAMSEY, np.pi / 2, 3.0, 2.0, 25),
+    (SequenceKind.RAMSEY, 0.6, 1.885, 0.0, 1),
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, 0.7, 7)])
+def test_bloch_trajectory_matches_the_per_sample_path(kind, theta, delta, tau,
+                                                      samples):
+    pts = bloch_trajectory(kind, theta, delta, tau, samples)
+    assert all(type(p) is BlochPoint for p in pts)
+    got = np.array([(p.t, p.x, p.y, p.z) for p in pts])
+    want = _bloch_per_sample(kind, theta, delta, tau, samples)
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, 0], want[:, 0])
+    assert_allclose(got[:, 1:], want[:, 1:], rtol=0, atol=1e-15)
 
 
 def test_bloch_tilt_families_distinct():

@@ -6,7 +6,7 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
-                              QuadratureError, _ou_window_integrals,
+                              QuadratureError, _ou_window_integrals, _panel_sum,
                               chi_filter, correlation,
                               delta_f, dephasing_constants, f1,
                               integrate_trajectory, sample_ou,
@@ -129,6 +129,30 @@ def _chi_filter_per_node(kind, p, tau, target_error=1e-8):
             @ (0.5 * h * weights).ravel())
     tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
     return pref * (fine + tail)
+
+
+def _panel_sum_with_temporaries(half_t, power, lam, w_max, n):
+    """Oracle: _panel_sum's operations in the same order, each into a new
+    array."""
+    h = w_max / n
+    c = 0.5 * h * (leggauss(12)[0] + 1.0)
+    start = h * np.arange(n)[:, None]
+    s = (np.sin(half_t * start) * np.cos(half_t * c)
+         + np.cos(half_t * start) * np.sin(half_t * c))
+    s2 = s * s
+    window = s2 if power == 2 else s2 * s2
+    x2 = (start + c) ** 2
+    return float(np.sum(window / (x2 * (x2 + lam * lam))
+                        @ (0.5 * h * leggauss(12)[1])))
+
+
+@pytest.mark.parametrize("power", [2, 4])
+@pytest.mark.parametrize("half_t, lam, w_max, n", [
+    (1.3, 2.5, 125.0, 1), (0.5, 2.5, 125.0, 160), (3.5, 0.3, 40.0, 1703),
+    (0.01, 10.0, 5000.0, 20000)])
+def test_panel_sum_equals_the_sum_with_temporaries(half_t, power, lam, w_max, n):
+    assert _panel_sum(half_t, power, lam, w_max, n) == \
+        _panel_sum_with_temporaries(half_t, power, lam, w_max, n)
 
 
 @pytest.mark.parametrize("p", [P, NoiseParams(10.0, 3.0)])
