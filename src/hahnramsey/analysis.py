@@ -332,8 +332,8 @@ def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
     tau is a positive float or array; the result has its shape.  The
     n_grid-point bias grid of every tau is evaluated in one call, and the
     grid maximum is refined by Newton steps within its neighbouring grid
-    points (_refine_bias_peak).  Where refining does not raise the slope
-    the grid value is kept.
+    points (_refine_bias_peak), which wrap around at u = +-pi.  Where
+    refining does not raise the slope the grid value is kept.
     """
     tau = np.asarray(tau, dtype=float)
     if (tau <= 0).any():
@@ -344,9 +344,10 @@ def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
                                        noise, col))
     k = vals.argmax(axis=-1)
     grid_best = np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
-    u = _refine_bias_peak(theta, delta, noise, tau, us[k],
-                          us[np.maximum(k - 1, 0)],
-                          us[np.minimum(k + 1, n_grid - 1)])
+    h = us[1] - us[0]     # u = -pi and pi are the same bias
+    wrapped = np.concatenate([[us[0] - h], us, [us[-1] + h]])
+    u = _refine_bias_peak(theta, delta, noise, tau, us[k], wrapped[k],
+                          wrapped[k + 2])
     refined = np.abs(hr_signal_derivative(theta, delta, BiasParams(u / tau),
                                           noise, tau))
     out = np.maximum(refined, grid_best)

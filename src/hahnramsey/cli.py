@@ -293,6 +293,8 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
                                    taus, mcfg)
         except montecarlo.PulseStepError as exc:
             raise ConfigError("rabi", f"{exc}; raise rabi or time_step") from None
+        except montecarlo.RenewalEventError as exc:
+            raise ConfigError("lam", f"{exc}; lower lam or tau_stop") from None
     out = _out_dir(cfg)
     comment = f"config_sha256={config_hash(cfg)}"
     wrote = []

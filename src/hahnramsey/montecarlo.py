@@ -5,10 +5,11 @@ is the point: agreement between the two is the end-to-end check of the
 Gaussian averaging behind every decay law.
 
 One function, run_mc, serves both pulse models of McConfig.pulse_model:
-instantaneous pulses (tilted-axis rotations that take no time) and
-finite pulses (the spin is stepped through each pulse while the noise
-keeps running).  Both share the seeding, block reduction and worker
-fan-out below; only the per-block sampler differs.
+instantaneous pulses (tilted-axis rotations that take no time, applied
+to the real Bloch vector: one 3x3 rotation per pulse and one cos/sin
+pair per delay) and finite pulses (the spinor is stepped through each
+pulse while the noise keeps running).  Both share the seeding, block
+reduction and worker fan-out below; only the per-block sampler differs.
 
 Reproducibility scheme
 ----------------------
@@ -37,23 +38,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._datafile import write_csv as _write_csv
-from .noise import _WINDOW_INTEGRALS, NoiseParams
+from .noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from .spincore import (Delay, PulseParams, PulseSequence, SequenceKind,
-                       SPIN_UP, build_sequence, rotation_matrix, ry)
+                       SPIN_UP, build_sequence)
 
 __all__ = ["McConfig", "SignalCurve", "BlochPoint", "run_mc",
            "bloch_trajectory", "bloch_to_csv", "BLOCK_SIZE",
-           "MAX_PULSE_STEPS", "PulseStepError"]
+           "MAX_PULSE_STEPS", "PulseStepError", "MAX_RENEWAL_EVENTS",
+           "RenewalEventError"]
 
 BLOCK_SIZE = 8192
 #: bound on the noisy finite-pulse steps of one trajectory; each step is a
 #: pass of the Python loop in _finite_block_samples
 MAX_PULSE_STEPS = 10 ** 5
+#: bound on the expected renewal events of one trajectory, lam times the
+#: sequence time; each event is a pass of the event loop in
+#: noise._renewal_window_integrals
+MAX_RENEWAL_EVENTS = 10 ** 5
 
 
 class PulseStepError(ValueError):
     """Finite pulses that would need more than MAX_PULSE_STEPS noisy steps
     per trajectory (pulses too long for the step grid: rabi too small)."""
+
+
+class RenewalEventError(ValueError):
+    """Renewal noise with more than MAX_RENEWAL_EVENTS expected events per
+    trajectory (lam times the longest sequence too large)."""
 
 
 @dataclass(frozen=True)
@@ -117,30 +128,55 @@ def _validate(theta, delta, noise, taus):
     return taus
 
 
+def _pulse_axis(p: PulseParams) -> np.ndarray:
+    """Rotation axis n = (sin th, 0, cos th) of a tilted-axis pulse,
+    th = detuning_sign * theta."""
+    th = p.detuning_sign * p.theta
+    return np.array([math.sin(th), 0.0, math.cos(th)])
+
+
+def _bloch_rotation(p: PulseParams) -> np.ndarray:
+    """SO(3) matrix of a tilted-axis pulse: the rotation by beta about
+    n = _pulse_axis(p), by Rodrigues' formula
+    n n^T + cos(beta) (I - n n^T) + sin(beta) [n]x.  It is the Bloch-vector
+    image of spincore.rotation_matrix(p)."""
+    n = _pulse_axis(p)
+    along = np.outer(n, n)
+    cross = np.cross(n, np.eye(3)).T      # [n]x: cross @ v = n x v
+    return (along + math.cos(p.beta) * (np.eye(3) - along)
+            + math.sin(p.beta) * cross)
+
+
 def _instantaneous_sampler(seq, delta, noise, cfg):
     """sample(rng, m): sigma_z of m trajectories with instantaneous
-    pulses; rng None means noiseless."""
-    ops = [el if isinstance(el, Delay) else rotation_matrix(el)
+    pulses; rng None means noiseless.
+
+    The state is carried as the real Bloch vector (x, y, z), starting as
+    the scalars (0, 0, 1): each pulse is one 3x3 rotation (_bloch_rotation)
+    and each delay the z rotation by its phase, one cos/sin pair.
+    """
+    ops = [el if isinstance(el, Delay) else _bloch_rotation(el).tolist()
            for el in seq.elements]
     durations = [d.duration for d in seq.delays]
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
 
     def sample(rng, m):
         if rng is None:
-            x = np.zeros((len(durations), m))
+            phases = np.zeros((len(durations), m))
         else:
             f0 = rng.normal(0.0, noise.gamma, m)
-            x = window_integrals(rng, f0, noise.lam, noise.gamma, durations)[1]
-        psi = np.tile(SPIN_UP, (m, 1))
-        rows = iter(x)
+            phases = window_integrals(rng, f0, noise.lam, noise.gamma,
+                                      durations)[1]
+        x, y, z = 0.0, 0.0, 1.0
+        rows = iter(phases)
         for op in ops:
             if isinstance(op, Delay):
                 phi = op.detuning_sign * delta * op.duration + next(rows)
-                psi[:, 0] *= np.exp(-0.5j * phi)
-                psi[:, 1] *= np.exp(+0.5j * phi)
+                c, s = np.cos(phi), np.sin(phi)
+                x, y = x * c - y * s, x * s + y * c
             else:
-                psi = psi @ op.T
-        return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
+                x, y, z = [r[0] * x + r[1] * y + r[2] * z for r in op]
+        return z
 
     return sample
 
@@ -174,7 +210,8 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     stepped with piecewise-constant matrix exponentials on the time_step
     grid, and the noise runs continuously through pulses and delays.
     Raises PulseStepError when a trajectory would take over
-    MAX_PULSE_STEPS noisy pulse steps.  Deterministic for a fixed
+    MAX_PULSE_STEPS noisy pulse steps, and RenewalEventError when it would
+    expect over MAX_RENEWAL_EVENTS renewal events.  Deterministic for a fixed
     master_seed at any cfg.workers; see the module docstring for the
     seeding scheme.
     """
@@ -184,8 +221,15 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     make_sampler = _finite_sampler if finite else _instantaneous_sampler
     noisy = noise.gamma > 0.0
     warnings = []
+    windows = _finite_windows(seqs[0], delta, cfg.rabi) if finite else []
+    if noisy and noise.kind is NoiseKind.RENEWAL:
+        span = (max(sum(d.duration for d in s.delays) for s in seqs)
+                + sum(w[1] for w in windows if w[0] == "pulse"))
+        if noise.lam * span > MAX_RENEWAL_EVENTS:
+            raise RenewalEventError(
+                f"renewal noise expects lam * {span:.3g} = {noise.lam * span:.3g} "
+                f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
     if finite:
-        windows = _finite_windows(seqs[0], delta, cfg.rabi)
         if noisy:
             steps = sum(_pulse_steps(w[1], noise.lam, cfg.time_step)
                         for w in windows if w[0] == "pulse")
@@ -292,48 +336,43 @@ def _finite_block_samples(windows, noise, cfg, rng, m):
 # noiseless Bloch-sphere trajectories
 
 
-def _xyz(psi):
-    """Bloch vectors of the rows of psi (shape (m, 2))."""
-    z01 = psi[:, 0].conjugate() * psi[:, 1]
-    return (2 * z01.real, 2 * z01.imag,
-            np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2)
-
-
 def bloch_trajectory(seq_kind: SequenceKind, theta: float, delta: float,
                      tau: float, samples_per_segment: int = 60) -> list:
     """Noiseless (x, y, z) path of the pure state along the sequence.
 
     Pulses are swept as continuous rotations about their tilted axes but
     advance no time (instantaneous-pulse model); delays advance t.  Each
-    segment's samples are one array expression: a pulse rotates the
-    state into its tilted frame once, applies the sigma_z phases of the
-    partial areas there and rotates back; a delay applies its phases.
+    segment's samples are one array expression on the Bloch vector: a
+    pulse applies Rodrigues' rotation (as in _bloch_rotation) by its
+    partial areas, a delay the z rotations by its partial phases.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
     seq = build_sequence(seq_kind, theta, delta, tau)
     frac = np.arange(1, samples_per_segment + 1)
-    psi = SPIN_UP[None, :]
+    xyz = np.array([[0.0, 0.0, 1.0]])
     t = 0.0
-    ts, paths = [np.zeros(1)], [psi]
+    ts, paths = [np.zeros(1)], [xyz]
     for el in seq.elements:
-        start = psi[-1]
+        start = xyz[-1]
         if isinstance(el, PulseParams):
-            th = el.detuning_sign * el.theta
-            phi = el.beta * frac / samples_per_segment
-            tilted = ry(-th) @ start
-            psi = np.stack([np.exp(-0.5j * phi) * tilted[0],
-                            np.exp(+0.5j * phi) * tilted[1]], axis=1) @ ry(th).T
+            n = _pulse_axis(el)
+            along = (n @ start) * n
+            angle = (el.beta * frac / samples_per_segment)[:, None]
+            xyz = (along + np.cos(angle) * (start - along)
+                   + np.sin(angle) * np.cross(n, start))
             ts.append(np.full(samples_per_segment, t))
         else:
             dt = el.duration * frac / samples_per_segment
             phi = el.detuning_sign * delta * dt
-            psi = np.stack([np.exp(-0.5j * phi) * start[0],
-                            np.exp(+0.5j * phi) * start[1]], axis=1)
+            c, s = np.cos(phi), np.sin(phi)
+            x, y, z = start
+            xyz = np.stack([x * c - y * s, x * s + y * c,
+                            np.full(samples_per_segment, z)], axis=1)
             ts.append(t + dt)
             t += el.duration
-        paths.append(psi)
-    cols = (np.concatenate(ts), *_xyz(np.concatenate(paths)))
+        paths.append(xyz)
+    cols = (np.concatenate(ts), *np.concatenate(paths).T)
     return [BlochPoint(*p) for p in zip(*(c.tolist() for c in cols))]
 
 

@@ -318,7 +318,8 @@ def _max_bias_slope_per_tau(theta, delta, noise, tau, n_grid=801):
     vals = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / tau),
                                        noise, tau))
     k = int(vals.argmax())
-    lo, hi = us[max(0, k - 1)], us[min(n_grid - 1, k + 1)]
+    h = us[1] - us[0]
+    lo, hi = us[k] - h, us[k] + h     # wraps at u = +-pi: the slope is periodic
     ref = minimize_scalar(
         lambda u: -abs(hr_signal_derivative(theta, delta, BiasParams(u / tau),
                                             noise, tau)),
@@ -351,6 +352,24 @@ def test_max_bias_slope_matches_the_per_tau_search(theta, delta, noise):
                for t in taus]
     assert all(isinstance(s, float) for s in singles)
     np.testing.assert_allclose(singles, want, rtol=1e-14, atol=0)
+
+
+def test_max_bias_slope_wraps_its_bracket_at_the_grid_ends():
+    # the slope is 2 pi-periodic in u = epsilon tau; here the 801-point grid
+    # maximum is u = pi and the peak lies just past it, at u = -pi + 6.5e-4
+    from hahnramsey.analytic import BiasParams, hr_signal_derivative
+    theta, delta = 0.7, 1.3
+    tau = np.linspace(0.1, 10.0, 60)[24] / FIG_NOISE.lam
+    grid = np.linspace(-np.pi, np.pi, 801)
+    assert np.abs(hr_signal_derivative(theta, delta, BiasParams(grid / tau),
+                                       FIG_NOISE, tau)).argmax() == 800
+    # the spacing of a 2e6-point grid, over the +-0.05 around u = pi
+    dense_us = np.pi + np.arange(-15_915, 15_916) * (2 * np.pi / 2e6)
+    dense = np.abs(hr_signal_derivative(theta, delta, BiasParams(dense_us / tau),
+                                        FIG_NOISE, tau)).max()
+    for n_grid in (801, 4001):
+        got = max_bias_slope(theta, delta, FIG_NOISE, tau, n_grid=n_grid)
+        assert got == pytest.approx(dense, rel=1e-12, abs=0)
 
 
 # the benchmark tracer's contract, in a fresh process: getattr(analysis,

@@ -365,6 +365,18 @@ def test_finite_pulses_beyond_the_step_budget_exit_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_renewal_beyond_the_event_budget_exit_2(tmp_path):
+    # lam * sequence time = 2e8 expected events, one event-loop pass each
+    proc = _python("from hahnramsey.cli import entry; entry()",
+                   "simulate", "--engine", "montecarlo", "--noise-kind", "renewal",
+                   "--lam", 1e8, "--gamma", 0.6, "--sequence", "ramsey",
+                   "--delta", 1, "--tau-stop", 2, "--tau-count", 2,
+                   "--n-trajectories", 4, "--out", tmp_path / "o", timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "'lam'" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_components_resolve_large_exponents(tmp_path):
     # exponents near 1e8: the absolute 1e-8 target is below the float floor
     assert run(["components", "--lam", 2.5, "--gamma", 1e4, "--tau-stop", 2,
@@ -578,12 +590,17 @@ _FIELD_VALUES = {"theta": _ODD_FLOATS, "rabi": _ODD_FLOATS, "delta": _ODD_FLOATS
                  "lam": _ODD_FLOATS, "gamma": _ODD_FLOATS,
                  "tau_start": _ODD_FLOATS, "tau_stop": _ODD_FLOATS,
                  "tau_count": _ODD_COUNTS}
+# per command: its extra flags; "montecarlo" is simulate --engine montecarlo
+# with instantaneous pulses, which always sets the fields of _MC_FIELDS
 _COMMAND_FLAGS = {
     "simulate": {},
+    "montecarlo": {},
     "components": {"--theta-count": _ODD_COUNTS},
     "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
              "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
              "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS}}
+_MC_FIELDS = {"n_trajectories": st.integers(-2, 16),
+              "noise_kind": st.sampled_from(["ou", "renewal", "none"])}
 _SCAN_GRID = {"--lambda-min": 1.5, "--lambda-max": 3.5, "--lambda-count": 2,
               "--gamma-min": 0.3, "--gamma-max": 1.0, "--gamma-count": 2}
 
@@ -600,29 +617,32 @@ def _only_finite_numbers(path):
 
 
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
     command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     fields = data.draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)),
                                 max_size=2, unique=True))
     fields = {k: data.draw(_FIELD_VALUES[k], label=k) for k in fields}
-    from_env = data.draw(st.sets(st.sampled_from(sorted(fields)))
-                         if fields else st.just(set()), label="env")
     extra_flags = _COMMAND_FLAGS[command]
     flags = {k: data.draw(v, label=k) for k, v in extra_flags.items()
              if data.draw(st.booleans(), label=f"set {k}")}
+    if command == "montecarlo":
+        fields.update({k: data.draw(v, label=k) for k, v in _MC_FIELDS.items()})
+    from_env = data.draw(st.sets(st.sampled_from(sorted(fields)))
+                         if fields else st.just(set()), label="env")
     cfg = {**_BASE_FIELDS, **fields}
     if command == "scan":
         cfg["sequence"] = "ramsey"
         cfg.pop("theta")
-    env = {f"HRSIM_{k.upper()}": repr(v) for k, v in cfg.items() if k in from_env}
+    env = {f"HRSIM_{k.upper()}": str(v) for k, v in cfg.items() if k in from_env}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        args = [command, "--out", str(out)]
+        engine = {"simulate": "analytic", "montecarlo": "montecarlo"}.get(command)
+        args = ["simulate" if engine else command, "--out", str(out)]
         args += [f"--{k.replace('_', '-')}={v}" for k, v in cfg.items()
                  if k not in from_env]
-        if command == "simulate":
-            args += ["--engine", "analytic"]
+        if engine:
+            args += ["--engine", engine]
         if command == "scan":
             args += ["--data", str(_write_ramsey_data(Path(tmp) / "ram.csv"))]
             args += [f"{k}={v}" for k, v in {**_SCAN_GRID, **flags}.items()]
@@ -638,6 +658,6 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
         else:
             assert rc == 2, err.getvalue()
             named = re.search(r"config field '([^']+)'", err.getvalue())
-            known = {*_FIELD_VALUES, *_BASE_FIELDS, *extra_flags}
+            known = {*_FIELD_VALUES, *_BASE_FIELDS, *_MC_FIELDS, *extra_flags}
             assert named and set(named[1].split(", ")) <= known, err.getvalue()
             assert not out.exists()

@@ -4,9 +4,12 @@ from numpy.testing import assert_allclose
 
 from hahnramsey.analytic import hahn_echo_signal, hahn_ramsey_signal, ramsey_signal
 from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
+                                   _bloch_rotation, _instantaneous_sampler,
                                    bloch_trajectory, bloch_to_csv, run_mc)
-from hahnramsey.noise import NoiseKind, NoiseParams, sample_ou_ensemble
-from hahnramsey.spincore import (PulseParams, SequenceKind, SPIN_UP,
+from hahnramsey.noise import (_WINDOW_INTEGRALS, NoiseKind, NoiseParams,
+                              sample_ou_ensemble)
+from hahnramsey.spincore import (SIGMA_X, SIGMA_Y, SIGMA_Z, Delay, PulseParams,
+                                 SequenceKind, SPIN_UP,
                                  analytic_density_matrix_hr, build_sequence,
                                  long_time_density_matrix, rotation_matrix)
 
@@ -160,6 +163,78 @@ def test_input_validation():
     with pytest.raises(ValueError):
         run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, [],
                McConfig(10))
+
+
+# --------------------------------------------------------------------------
+# instantaneous pulses on the Bloch vector
+
+
+def _spinor_sampler(seq, delta, noise):
+    """Oracle: sample(rng, m) propagating the complex spinor, one (2, 2)
+    matmul per pulse and a pair of phase factors per delay; same draws."""
+    ops = [el if isinstance(el, Delay) else rotation_matrix(el)
+           for el in seq.elements]
+    durations = [d.duration for d in seq.delays]
+    window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
+
+    def sample(rng, m):
+        if rng is None:
+            x = np.zeros((len(durations), m))
+        else:
+            f0 = rng.normal(0.0, noise.gamma, m)
+            x = window_integrals(rng, f0, noise.lam, noise.gamma, durations)[1]
+        psi = np.tile(SPIN_UP, (m, 1))
+        rows = iter(x)
+        for op in ops:
+            if isinstance(op, Delay):
+                phi = op.detuning_sign * delta * op.duration + next(rows)
+                psi[:, 0] *= np.exp(-0.5j * phi)
+                psi[:, 1] *= np.exp(+0.5j * phi)
+            else:
+                psi = psi @ op.T
+        return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
+
+    return sample
+
+
+_NOISES = {"ou": FIG_NOISE, "renewal": NoiseParams(2.5, 0.6, NoiseKind.RENEWAL),
+           "none": NoiseParams(2.5, 0.0, NoiseKind.NONE)}
+
+
+@pytest.mark.parametrize("noise_kind", sorted(_NOISES))
+@pytest.mark.parametrize("tau", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("kind, theta, delta", [
+    (SequenceKind.RAMSEY, np.pi / 2, DELTA),
+    (SequenceKind.RAMSEY, 0.45 * np.pi, -1.3),
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+    (SequenceKind.HAHN_RAMSEY, THETA, DELTA),
+    (SequenceKind.HAHN_RAMSEY, 0.45 * np.pi, -1.3),
+    (SequenceKind.HAHN_RAMSEY, np.pi / 2, DELTA)])
+def test_bloch_sampler_matches_the_spinor_oracle(kind, theta, delta, tau,
+                                                 noise_kind):
+    # hahn sequences mirror their pi pulse (-theta), so both tilt signs run
+    noise = _NOISES[noise_kind]
+    seq = build_sequence(kind, theta, delta, tau)
+    got = _instantaneous_sampler(seq, delta, noise, McConfig(1))
+    want = _spinor_sampler(seq, delta, noise)
+    assert_allclose(got(None, 3), want(None, 3), rtol=0, atol=2e-15)
+    if noise_kind != "none":
+        a = got(np.random.default_rng(17), 500)
+        b = want(np.random.default_rng(17), 500)
+        assert a.shape == (500,)
+        assert_allclose(a, b, rtol=0, atol=2e-15)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("theta", [0.2 * np.pi, 0.7, np.pi / 2])
+def test_bloch_rotation_is_the_adjoint_of_the_pulse_unitary(theta, sign):
+    sigmas = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    for beta in (0.0, 0.3, np.pi / 2, np.pi, 3 * np.pi / 2, 5.0):
+        p = PulseParams(theta, beta, sign)
+        u = rotation_matrix(p)
+        adjoint = np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real
+                             for sj in sigmas] for si in sigmas])
+        assert_allclose(_bloch_rotation(p), adjoint, rtol=0, atol=1e-15)
 
 
 # --------------------------------------------------------------------------
