@@ -22,11 +22,8 @@ from .analytic import (BiasParams, SignalComponents, closed_form_signal,
                        signal_components, signal_from_exponents)
 from .montecarlo import (BlochPoint, McConfig, SignalCurve, bloch_to_csv,
                          bloch_trajectory, run_mc)
-from .noise import (DephasingConstants, FilterKind, NoiseKind, NoiseParams,
-                    NoiseTrajectory, QuadratureError, chi_filter, correlation,
-                    delta_f, dephasing_constants, f1, integrate_trajectory,
-                    sample_ou, sample_ou_ensemble, sample_renewal,
-                    sample_renewal_ensemble)
+from .noise import (FilterKind, NoiseKind, NoiseParams, QuadratureError,
+                    chi_filter, correlation, delta_f, f1)
 from .spincore import (DensityMatrix, Delay, DrivingParams, PulseParams,
                        PulseSequence, SequenceKind, SpinState, TiltAngle,
                        TiltConvention, analytic_density_matrix_hr,

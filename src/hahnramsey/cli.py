@@ -36,6 +36,9 @@ from ._datafile import write_csv as _write_csv
 ENV_PREFIX = "HRSIM_"
 # bound on |float input|, and 1/MAX_MAGNITUDE on lam: (Gamma/lam)^2 must not overflow
 MAX_MAGNITUDE = 1e12
+# bound on the points of every grid (tau, theta, scan, bloch samples): numpy
+# cannot allocate 1e20 of them
+MAX_COUNT = 10 ** 6
 
 # spincore.SequenceKind values that have a standard sequence
 _SEQUENCES = ("hahn_echo", "hahn_ramsey", "ramsey")
@@ -85,8 +88,8 @@ class RunConfig:
             raise ConfigError("noise_kind", "must be ou, renewal or none")
         if self.tilt_convention not in ("geometric", "nutation"):
             raise ConfigError("tilt_convention", "must be geometric or nutation")
-        if self.tau_count < 2:
-            raise ConfigError("tau_count", "grid needs at least 2 points")
+        if not 2 <= self.tau_count <= MAX_COUNT:
+            raise ConfigError("tau_count", f"grid needs 2 to {MAX_COUNT} points")
         if not (self.tau_stop > self.tau_start >= 0):
             raise ConfigError("tau_stop", "need stop > start >= 0")
         if not self.lam >= 1 / MAX_MAGNITUDE:
@@ -181,6 +184,8 @@ def load_config(path: str | None, flags: dict) -> RunConfig:
             if key in _FLOAT_FIELDS and val is not None:
                 val = float(val)
             elif key in _INT_FIELDS:
+                if isinstance(val, float) and not val.is_integer():
+                    raise ValueError   # int() truncates 2.7 and overflows on inf
                 val = int(val)
             elif key in ("sequence", "engine", "freq_unit", "noise_kind",
                          "tilt_convention", "pulse_model", "out"):
@@ -338,8 +343,8 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
 
 
 def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
-    if theta_count < 1:
-        raise ConfigError("--theta-count", "must be >= 1")
+    if not 1 <= theta_count <= MAX_COUNT:
+        raise ConfigError("--theta-count", f"must lie in [1, {MAX_COUNT}]")
     p = cfg.noise_params()
     try:
         rows = [(t, *(noise.chi_filter(k, p, float(t)) for k in noise.FilterKind))
@@ -384,14 +389,14 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:
 
 def _scan_grid(name: str, spec, positive: bool) -> np.ndarray:
     """Grid of the --NAME-min/max/count flags: values up to MAX_MAGNITUDE
-    and >= 1/MAX_MAGNITUDE when positive, else >= 0; at least one point."""
+    and >= 1/MAX_MAGNITUDE when positive, else >= 0; 1 to MAX_COUNT points."""
     low = 1 / MAX_MAGNITUDE if positive else 0.0
     for suffix, value in zip(("min", "max"), spec):
         if not low <= value <= MAX_MAGNITUDE:
             raise ConfigError(f"--{name}-{suffix}",
                               f"must lie in [{low:g}, {MAX_MAGNITUDE:g}]")
-    if spec[2] < 1:
-        raise ConfigError(f"--{name}-count", "must be >= 1")
+    if not 1 <= spec[2] <= MAX_COUNT:
+        raise ConfigError(f"--{name}-count", f"must lie in [1, {MAX_COUNT}]")
     return np.linspace(*spec)
 
 
@@ -436,8 +441,8 @@ def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
 def cmd_bloch(cfg: RunConfig, tau: float, samples: int) -> int:
     if not (math.isfinite(tau) and tau >= 0):
         raise ConfigError("--tau", "must be finite and >= 0")
-    if samples < 1:
-        raise ConfigError("--samples", "must be >= 1")
+    if not 1 <= samples <= MAX_COUNT:
+        raise ConfigError("--samples", f"must lie in [1, {MAX_COUNT}]")
     out = _out_dir(cfg)
     pts = montecarlo.bloch_trajectory(spincore.SequenceKind(cfg.sequence),
                                       cfg.resolved_theta(), cfg.delta, tau,
@@ -450,7 +455,8 @@ def cmd_bloch(cfg: RunConfig, tau: float, samples: int) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int)
+    # integer fields take strings: load_config parses them, as from env and files
+    sub.add_argument("--seed")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--freq-unit", choices=["rad", "cycles"], dest="freq_unit")
     sub.add_argument("--sequence", choices=_SEQUENCES)
@@ -465,7 +471,7 @@ def _add_common(sub):
                      dest="noise_kind")
     sub.add_argument("--tau-start", type=float, dest="tau_start")
     sub.add_argument("--tau-stop", type=float, dest="tau_stop")
-    sub.add_argument("--tau-count", type=int, dest="tau_count")
+    sub.add_argument("--tau-count", dest="tau_count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,13 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="signal curves per engine")
     _add_common(sim)
     sim.add_argument("--engine", choices=["analytic", "montecarlo", "both"])
-    sim.add_argument("--n-trajectories", type=int, dest="n_trajectories")
+    sim.add_argument("--n-trajectories", dest="n_trajectories")
     sim.add_argument("--time-step", type=float, dest="time_step",
                      help="step of finite pulses; delays are drawn exactly "
                           "and do not use it")
     sim.add_argument("--pulse-model", choices=["instantaneous", "finite"],
                      dest="pulse_model")
-    sim.add_argument("--workers", type=int)
+    sim.add_argument("--workers")
     sim.add_argument("--with-components", action="store_true",
                      help="append component_* columns to the analytic CSV")
 

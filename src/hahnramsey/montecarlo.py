@@ -188,17 +188,21 @@ def _point_estimate(sample, noisy, cfg, point_idx):
         return float(sample(None, 1)[0]), 0.0
     n = cfg.n_trajectories
     total = 0.0
-    total_sq = 0.0
+    dev = dev_sq = 0.0
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     for b in range(n_blocks):
         m = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.master_seed, spawn_key=(point_idx, b)))
         sz = sample(rng, m)
+        if b == 0:   # deviations from a sample: 0 when all agree, no cancellation
+            shift = sz[0]
         total += float(sz.sum())
-        total_sq += float((sz * sz).sum())
+        d = sz - shift
+        dev += float(d.sum())
+        dev_sq += float((d * d).sum())
     mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / max(1, n - 1))
+    var = max(0.0, (dev_sq - dev * dev / n) / max(1, n - 1))
     return mean, math.sqrt(var / n)
 
 

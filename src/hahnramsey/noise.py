@@ -1,27 +1,24 @@
 """Classical dephasing noise with exponential correlation.
 
-Two generators share the stationary correlation C(dt) = Gamma^2 exp(-lambda|dt|):
+Two processes share the stationary correlation C(dt) = Gamma^2 exp(-lambda|dt|):
 
 * an Ornstein-Uhlenbeck process (Gaussian, the model under which all
-  closed-form decay laws are exact), sampled with the exact transition
-  kernel so there is no step-size bias, and
+  closed-form decay laws are exact), and
 * a renewal process that holds a Normal(0, Gamma^2) value and redraws it
   at Poisson(lambda) event times.  Same second moments, different higher
   moments.
 
-The module also provides the three dephasing exponents as closed forms
+The module provides the three dephasing exponents as closed forms
 (f1, delta_f) and as frequency-domain integrals over the Lorentzian
 spectral density (chi_filter, uniform Gauss-Legendre panels whose node
-windows come by angle addition), which must agree, and one exact window
-kernel per noise kind (_WINDOW_INTEGRALS) from which the Monte Carlo
-engine draws the phase integral of every free-precession delay.
+windows come by angle addition), which must agree.
 
-Sampling is deterministic per seed: identical (params, grid, seed) give
-identical trajectories regardless of how many are drawn in parallel
-elsewhere.  The ensemble helpers draw a whole batch from one seeded
-stream; for concurrent fan-out give worker i its own child stream,
-numpy.random.SeedSequence(master_seed, spawn_key=(i,)), the counter-based
-splitting scheme the Monte Carlo engine uses per block.
+Its samplers are the two exact window kernels, one per noise kind
+(_WINDOW_INTEGRALS): from the values f0 at the start of a run of
+consecutive windows they draw the phase integral of each window and the
+value at the end, with no step-size bias.  The Monte Carlo engine draws
+the phase of every free-precession delay from them.  They take the
+random generator as an argument; the engine seeds one per block.
 """
 
 from __future__ import annotations
@@ -33,13 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._datafile import write_csv as _write_csv
-
 __all__ = [
-    "NoiseKind", "NoiseParams", "NoiseTrajectory", "DephasingConstants",
-    "FilterKind", "correlation", "f1", "delta_f", "dephasing_constants",
-    "chi_filter", "sample_ou", "sample_renewal", "sample_ou_ensemble",
-    "sample_renewal_ensemble", "integrate_trajectory", "QuadratureError",
+    "NoiseKind", "NoiseParams", "FilterKind", "correlation", "f1", "delta_f",
+    "chi_filter", "QuadratureError",
 ]
 
 
@@ -64,57 +57,6 @@ class NoiseParams:
             raise ValueError("noise strength gamma must be >= 0")
         if self.kind is NoiseKind.NONE and self.gamma != 0:
             raise ValueError("kind NONE requires gamma = 0")
-
-
-@dataclass(frozen=True)
-class NoiseTrajectory:
-    """One sampled realization f(t) on a strictly increasing grid.
-
-    For renewal noise the grid is the requested grid augmented with the
-    jump times, so the stored samples represent the path exactly;
-    values[i] holds on [grid[i], grid[i+1]).
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    seed: int
-    kind: NoiseKind
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape or g.size < 1:
-            raise ValueError("grid and values must be equal-length 1-d arrays")
-        if g.size > 1 and not (np.diff(g) > 0).all():
-            raise ValueError("grid must be strictly increasing")
-        g.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    def at(self, times) -> np.ndarray:
-        """Values at arbitrary times inside the span: step lookup for the
-        piecewise-constant renewal process, linear interpolation for OU."""
-        t = np.asarray(times, dtype=float)
-        if t.min() < self.grid[0] or t.max() > self.grid[-1]:
-            raise ValueError("query times outside the trajectory span")
-        if self.kind is NoiseKind.RENEWAL:
-            idx = np.clip(np.searchsorted(self.grid, t, side="right") - 1,
-                          0, self.grid.size - 1)
-            return self.values[idx]
-        return np.interp(t, self.grid, self.values)
-
-    def to_csv(self, path) -> None:
-        _write_csv(path, "t,f", zip(self.grid, self.values))
-
-
-@dataclass(frozen=True)
-class DephasingConstants:
-    """Same-interval (f1) and cross-interval (delta_f) phase-variance
-    integrals at a given tau."""
-
-    f1: float
-    delta_f: float
 
 
 def correlation(p: NoiseParams, dt: float):
@@ -142,10 +84,6 @@ def delta_f(p: NoiseParams, tau):
     e = np.exp(-p.lam * tau)
     out = 0.5 * (p.gamma / p.lam) ** 2 * (1.0 - 2.0 * e + e * e)
     return out if out.ndim else float(out)
-
-
-def dephasing_constants(p: NoiseParams, tau: float) -> DephasingConstants:
-    return DephasingConstants(f1(p, tau), delta_f(p, tau))
 
 
 class FilterKind(enum.Enum):
@@ -253,94 +191,6 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
     return value
 
 
-def _checked_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a non-empty 1-d array")
-    if grid.size > 1 and not (np.diff(grid) > 0).all():
-        raise ValueError("grid must be strictly increasing")
-    return grid
-
-
-def sample_ou_ensemble(p: NoiseParams, grid, n: int, seed) -> np.ndarray:
-    """n OU trajectories on the given grid, shape (n, len(grid)).
-
-    Exact discretization: stationary start F(t0) ~ Normal(0, Gamma^2),
-    then F(t+d) = F(t) exp(-lam d) + Normal(0, Gamma^2 (1 - exp(-2 lam d))).
-    """
-    if p.kind is not NoiseKind.ORNSTEIN_UHLENBECK:
-        raise ValueError("sample_ou requires kind ORNSTEIN_UHLENBECK")
-    grid = _checked_grid(grid)
-    rng = np.random.default_rng(seed)
-    out = np.empty((n, grid.size))
-    if p.gamma == 0.0:
-        out[:] = 0.0
-        return out
-    out[:, 0] = rng.normal(0.0, p.gamma, n)
-    for k in range(grid.size - 1):
-        d = grid[k + 1] - grid[k]
-        decay = math.exp(-p.lam * d)
-        sd = p.gamma * math.sqrt(max(0.0, 1.0 - decay * decay))
-        out[:, k + 1] = out[:, k] * decay + rng.normal(0.0, sd, n)
-    return out
-
-
-def sample_ou(p: NoiseParams, grid, seed) -> NoiseTrajectory:
-    """One OU trajectory; see sample_ou_ensemble for the kernel."""
-    values = sample_ou_ensemble(p, grid, 1, seed)[0]
-    return NoiseTrajectory(np.asarray(grid, dtype=float), values, seed,
-                           NoiseKind.ORNSTEIN_UHLENBECK)
-
-
-def sample_renewal_ensemble(p: NoiseParams, grid, n: int, seed) -> np.ndarray:
-    """n renewal trajectories sampled exactly at the grid times.
-
-    Between consecutive grid times the held value redraws with probability
-    1 - exp(-lam d); conditioned on at least one jump the end value is a
-    fresh Normal(0, Gamma^2) draw, so grid sampling is exact.
-    """
-    if p.kind is not NoiseKind.RENEWAL:
-        raise ValueError("sample_renewal requires kind RENEWAL")
-    grid = _checked_grid(grid)
-    rng = np.random.default_rng(seed)
-    out = np.empty((n, grid.size))
-    out[:, 0] = rng.normal(0.0, p.gamma, n)
-    for k in range(grid.size - 1):
-        d = grid[k + 1] - grid[k]
-        jumped = rng.random(n) < -math.expm1(-p.lam * d)
-        fresh = rng.normal(0.0, p.gamma, n)
-        out[:, k + 1] = np.where(jumped, fresh, out[:, k])
-    return out
-
-
-def sample_renewal(p: NoiseParams, grid, seed) -> NoiseTrajectory:
-    """One renewal trajectory with its jump times merged into the grid,
-    so the returned samples represent the path exactly."""
-    if p.kind is not NoiseKind.RENEWAL:
-        raise ValueError("sample_renewal requires kind RENEWAL")
-    grid = _checked_grid(grid)
-    rng = np.random.default_rng(seed)
-    t0, t1 = grid[0], grid[-1]
-    jumps = []
-    t = t0
-    while True:
-        t = t + rng.exponential(1.0 / p.lam)
-        if t >= t1:
-            break
-        jumps.append(t)
-    full = np.unique(np.concatenate([grid, np.asarray(jumps)]))
-    # held values: fresh draw at start and after each jump
-    values = np.empty(full.size)
-    draw = rng.normal(0.0, p.gamma)
-    j = 0
-    for i, ti in enumerate(full):
-        while j < len(jumps) and jumps[j] <= ti:
-            draw = rng.normal(0.0, p.gamma)
-            j += 1
-        values[i] = draw
-    return NoiseTrajectory(full, values, seed, NoiseKind.RENEWAL)
-
-
 def _ou_window_integrals(rng, f0, lam, gamma, durations):
     """Exact OU draw over consecutive windows from the start values f0;
     returns (f at the end, integrals of shape (len(durations), f0.size)).
@@ -397,22 +247,3 @@ def _renewal_window_integrals(rng, f0, lam, gamma, durations):
 #: kernel(rng, f0, lam, gamma, durations) -> (f_end, integrals) per noise kind
 _WINDOW_INTEGRALS = {NoiseKind.ORNSTEIN_UHLENBECK: _ou_window_integrals,
                      NoiseKind.RENEWAL: _renewal_window_integrals}
-
-
-def integrate_trajectory(traj: NoiseTrajectory, t0: float, t1: float) -> float:
-    """integral of f(t) dt over [t0, t1], using the generator-consistent
-    rule: exact piecewise-constant integration for renewal noise,
-    trapezoidal (O(step^2) bias) for OU."""
-    if t0 > t1:
-        raise ValueError("need t0 <= t1")
-    g, v = traj.grid, traj.values
-    if t0 < g[0] or t1 > g[-1]:
-        raise ValueError("integration window outside the trajectory span")
-    if traj.kind is NoiseKind.RENEWAL:
-        lo = np.maximum(np.clip(g[:-1], t0, t1), t0)
-        hi = np.minimum(np.clip(g[1:], t0, t1), t1)
-        return float(np.sum(v[:-1] * np.clip(hi - lo, 0.0, None)))
-    inner = (g > t0) & (g < t1)
-    ts = np.concatenate([[t0], g[inner], [t1]])
-    vs = np.concatenate([[traj.at(t0)], v[inner], [traj.at(t1)]])
-    return float(np.trapezoid(vs, ts))

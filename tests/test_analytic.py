@@ -174,10 +174,9 @@ def test_derivative_vanishes_at_zero_tilt():
         pytest.approx(0.0, abs=1e-12)
 
 
-def test_biased_signal_matches_noise_averaged_propagation():
+def test_biased_signal_matches_noise_averaged_propagation(sample_ou_ensemble):
     # Monte Carlo consistency for the biased form: average the matrix
     # signal over sampled OU phase integrals at a nonzero bias
-    from hahnramsey.noise import sample_ou_ensemble
     from hahnramsey.spincore import PulseParams, rotation_matrix, SPIN_UP
     th, d, e, tau, n = 0.2 * np.pi, 1.3, 0.4, 1.0, 20_000
     grid = np.linspace(0.0, 2 * tau, 101)

@@ -65,6 +65,17 @@ def test_simulate_quiet_engines_agree(tmp_path):
     assert (cmp_rows[:, 4] == 0).all()     # z-scores
 
 
+def test_noisy_tau_zero_has_zero_stderr_and_zscore(tmp_path):
+    # at theta 0.2 pi the rounding residue happened to cancel
+    assert run(["simulate", *BASE[:2], "--theta", 0.6283, *BASE[4:], "--engine",
+                "both", "--n-trajectories", 20000, "--seed", 7,
+                "--out", tmp_path]) == 0
+    _, rows = read_rows(tmp_path / "hahn_ramsey_compare.csv")
+    assert rows[0, 0] == 0.0
+    assert rows[0, 3] == 0.0 and rows[0, 4] == 0.0   # stderr, zscore
+    assert (rows[1:, 3] > 0).all()
+
+
 def test_simulate_rejects_bad_grid(tmp_path, capsys):
     out = tmp_path / "o"
     rc = run(["simulate", *BASE[:-4], "--tau-stop", -1, "--tau-count", 6,
@@ -422,6 +433,22 @@ def test_non_finite_config_value_exits_2(field, value, source, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, field", [
+    ('"seed": 1e400', "seed"),                    # overflowed int(): exit 3
+    ('"tau_count": Infinity', "tau_count"),
+    ('"n_trajectories": 2.7', "n_trajectories"),  # was truncated to 2, exit 0
+    ('"tau_count": 1e20', "tau_count"),           # numpy size error, exit 3
+])
+def test_bad_config_file_count_exits_2(text, field, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(f'{{"theta": 0.5, {text}}}')
+    out = tmp_path / "o"
+    assert run(["simulate", "--engine", "both", "--config", cfgfile,
+                "--out", out]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_ramsey_data(path, rows=None):
     taus = np.linspace(0.1, 6, 40)
     y = np.asarray(ramsey_signal(1.885, NoiseParams(2.5, 0.6), taus))
@@ -443,6 +470,7 @@ _SCAN = ["scan", "--sequence", "ramsey", "--delta", 1.885,
     ("--lambda-min", "-1"), ("--lambda-min", "0"), ("--lambda-max", "nan"),
     ("--lambda-count", "0"), ("--gamma-min", "-1"), ("--gamma-max", "inf"),
     ("--gamma-count", "-3"), ("--lambda-max", "1e300"), ("--lambda-min", "1e-300"),
+    ("--lambda-count", str(10 ** 20)),
 ])
 def test_scan_rejects_bad_grid(flag, value, tmp_path, capsys):
     data = _write_ramsey_data(tmp_path / "ram.csv")
@@ -478,6 +506,11 @@ def test_bad_data_row_names_file_and_line(command, row, tmp_path, capsys):
     (["bloch", "--sequence", "ramsey", "--tau", "nan"], "--tau"),
     (["components", "--theta-count", -1], "--theta-count"),
     (["components", "--theta-count", 0], "--theta-count"),
+    # grids of 1e20 points raised numpy's size error, exit 3
+    (["components", "--theta-count", 10 ** 20], "--theta-count"),
+    (["bloch", "--sequence", "ramsey", "--tau", 1.0, "--samples", 10 ** 20],
+     "--samples"),
+    (["simulate", "--theta", 0.5, "--tau-count", 10 ** 20], "'tau_count'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.0], "'gamma'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--u", 0.5], "--u"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--gamma-e", 0], "--gamma-e"),
@@ -574,14 +607,18 @@ def test_fit_unusable_data_exits_2(signal, tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# property: any flag or HRSIM_* value either runs clean or exits 2 naming it
+# property: any flag, HRSIM_* or --config value either runs clean or exits 2
+# naming it
 
 _ODD_FLOATS = st.one_of(
     st.floats(-10.0, 10.0), st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-13, 1e-9, 1e-6, -1e-6,
                      1e6, 1e9, 1e13, 1e300, -1e300, 1.7e308,
                      math.inf, -math.inf, math.nan]))
-_ODD_COUNTS = st.integers(-2, 4)
+# command flags are argparse ints; config fields also take what a file or
+# the environment can hold
+_ODD_COUNTS = st.one_of(st.integers(-2, 4), st.just(10 ** 20))
+_ODD_FIELD_COUNTS = st.one_of(_ODD_COUNTS, st.sampled_from([2.5, math.inf]))
 # a valid base run; generated values replace some of these
 _BASE_FIELDS = {"sequence": "hahn_ramsey", "theta": 0.6283, "delta": 1.885,
                 "lam": 2.5, "gamma": 0.6283, "tau_start": 0.0, "tau_stop": 2.0,
@@ -589,7 +626,7 @@ _BASE_FIELDS = {"sequence": "hahn_ramsey", "theta": 0.6283, "delta": 1.885,
 _FIELD_VALUES = {"theta": _ODD_FLOATS, "rabi": _ODD_FLOATS, "delta": _ODD_FLOATS,
                  "lam": _ODD_FLOATS, "gamma": _ODD_FLOATS,
                  "tau_start": _ODD_FLOATS, "tau_stop": _ODD_FLOATS,
-                 "tau_count": _ODD_COUNTS}
+                 "tau_count": _ODD_FIELD_COUNTS}
 # per command: its extra flags; "montecarlo" is simulate --engine montecarlo
 # with instantaneous pulses, which always sets the fields of _MC_FIELDS
 _COMMAND_FLAGS = {
@@ -599,7 +636,9 @@ _COMMAND_FLAGS = {
     "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
              "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
              "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS}}
-_MC_FIELDS = {"n_trajectories": st.integers(-2, 16),
+# no huge n_trajectories: it has no upper bound yet, and 1e20 runs for ever
+_MC_FIELDS = {"n_trajectories": st.one_of(st.integers(-2, 16),
+                                          st.sampled_from([2.5, math.inf])),
               "noise_kind": st.sampled_from(["ou", "renewal", "none"])}
 _SCAN_GRID = {"--lambda-min": 1.5, "--lambda-max": 3.5, "--lambda-count": 2,
               "--gamma-min": 0.3, "--gamma-max": 1.0, "--gamma-count": 2}
@@ -628,19 +667,25 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
              if data.draw(st.booleans(), label=f"set {k}")}
     if command == "montecarlo":
         fields.update({k: data.draw(v, label=k) for k, v in _MC_FIELDS.items()})
-    from_env = data.draw(st.sets(st.sampled_from(sorted(fields)))
-                         if fields else st.just(set()), label="env")
+    source = {k: data.draw(st.sampled_from(["flag", "env", "config"]),
+                           label=f"source of {k}") for k in fields}
     cfg = {**_BASE_FIELDS, **fields}
     if command == "scan":
         cfg["sequence"] = "ramsey"
         cfg.pop("theta")
-    env = {f"HRSIM_{k.upper()}": str(v) for k, v in cfg.items() if k in from_env}
+    env = {f"HRSIM_{k.upper()}": str(v) for k, v in cfg.items()
+           if source.get(k) == "env"}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         engine = {"simulate": "analytic", "montecarlo": "montecarlo"}.get(command)
         args = ["simulate" if engine else command, "--out", str(out)]
         args += [f"--{k.replace('_', '-')}={v}" for k, v in cfg.items()
-                 if k not in from_env]
+                 if source.get(k, "flag") == "flag"]
+        from_file = {k: v for k, v in cfg.items() if source.get(k) == "config"}
+        if from_file:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(from_file))
+            args += ["--config", str(path)]
         if engine:
             args += ["--engine", engine]
         if command == "scan":

@@ -6,8 +6,7 @@ from hahnramsey.analytic import hahn_echo_signal, hahn_ramsey_signal, ramsey_sig
 from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
                                    _bloch_rotation, _instantaneous_sampler,
                                    bloch_trajectory, bloch_to_csv, run_mc)
-from hahnramsey.noise import (_WINDOW_INTEGRALS, NoiseKind, NoiseParams,
-                              sample_ou_ensemble)
+from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from hahnramsey.spincore import (SIGMA_X, SIGMA_Y, SIGMA_Z, Delay, PulseParams,
                                  SequenceKind, SPIN_UP,
                                  analytic_density_matrix_hr, build_sequence,
@@ -48,6 +47,16 @@ def test_ou_agreement_with_closed_forms():
         z = np.abs(curve.means - ref) / curve.stderrs
         assert (z < 4).all(), f"{kind}: z-scores {z}"
         assert (z < 3).sum() >= len(taus) - 1
+
+
+def test_agreeing_noisy_trajectories_have_zero_stderr():
+    # at tau 0 the noise has no time to act: every trajectory gives the
+    # same sigma_z, and the variance must not be rounding residue
+    curve = run_mc(SequenceKind.HAHN_RAMSEY, 0.6283, 1.885,
+                   NoiseParams(2.5, 0.6283), [0.0, 0.5],
+                   McConfig(20_000, master_seed=7))
+    assert curve.stderrs[0] == 0.0
+    assert curve.stderrs[1] > 0.0
 
 
 def test_renewal_agreement_small_strength():
@@ -417,7 +426,7 @@ def test_bloch_tilt_families_distinct():
 # long-time mixed state
 
 
-def test_mc_density_matrix_reaches_long_time_limit():
+def test_mc_density_matrix_reaches_long_time_limit(sample_ou_ensemble):
     # average the pre-readout density matrix over noise at lambda*tau >> 1
     tau, n = 40.0, 6000
     p = FIG_NOISE

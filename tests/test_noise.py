@@ -7,11 +7,8 @@ from numpy.testing import assert_allclose
 
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
                               QuadratureError, _ou_window_integrals, _panel_sum,
-                              chi_filter, correlation,
-                              delta_f, dephasing_constants, f1,
-                              integrate_trajectory, sample_ou,
-                              sample_ou_ensemble, sample_renewal,
-                              sample_renewal_ensemble, NoiseTrajectory)
+                              _renewal_window_integrals, chi_filter,
+                              correlation, delta_f, f1)
 
 P = NoiseParams(2.5, 2 * np.pi * 0.1)
 P_REN = NoiseParams(2.5, 2 * np.pi * 0.1, NoiseKind.RENEWAL)
@@ -70,11 +67,11 @@ def test_f1_delta_f_against_quadrature():
 @given(taus_st)
 @settings(max_examples=80, deadline=None)
 def test_dephasing_constant_invariants(tau):
-    c = dephasing_constants(P, tau)
-    assert c.f1 >= 0
-    assert c.f1 - c.delta_f >= -1e-15
-    assert c.f1 + c.delta_f >= 0
-    assert c.delta_f <= P.gamma ** 2 / (2 * P.lam ** 2) + 1e-15
+    F1, dF = f1(P, tau), delta_f(P, tau)
+    assert F1 >= 0
+    assert F1 - dF >= -1e-15
+    assert F1 + dF >= 0
+    assert dF <= P.gamma ** 2 / (2 * P.lam ** 2) + 1e-15
     eps = 1e-4
     assert f1(P, tau + eps) >= f1(P, tau)
     assert delta_f(P, tau + eps) >= delta_f(P, tau) - 1e-15
@@ -185,128 +182,8 @@ def test_chi_filter_reports_nonconvergence():
         chi_filter(FilterKind.RAMSEY_LIKE, P, 2.0, target_error=1e-18)
 
 
-def test_ou_zero_strength_is_silent():
-    traj = sample_ou(NoiseParams(2.5, 0.0), np.linspace(0, 1, 11), 5)
-    assert_allclose(traj.values, 0.0)
-
-
-def test_ou_determinism():
-    grid = np.linspace(0, 2, 41)
-    a = sample_ou(P, grid, 123)
-    b = sample_ou(P, grid, 123)
-    assert (a.values == b.values).all()
-    c = sample_ou(P, grid, 124)
-    assert (a.values != c.values).any()
-
-
-def test_ou_stationary_statistics():
-    n = 100_000
-    grid = np.array([0.0, 0.4, 1.0])
-    vals = sample_ou_ensemble(P, grid, n, 999)
-    se = P.gamma / np.sqrt(n)
-    for k in range(3):
-        assert abs(vals[:, k].mean()) < 4 * se
-    # lagged autocovariance vs the exponential correlation
-    for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        dt = grid[j] - grid[i]
-        emp = (vals[:, i] * vals[:, j]).mean()
-        se_cov = (vals[:, i] * vals[:, j]).std(ddof=1) / np.sqrt(n)
-        assert abs(emp - correlation(P, dt)) < 4 * se_cov
-
-
-def test_renewal_constant_in_no_jump_limit():
-    p = NoiseParams(1e-9, 1.0, NoiseKind.RENEWAL)
-    traj = sample_renewal(p, np.linspace(0, 10, 30), 7)
-    assert np.ptp(traj.values) == 0.0
-
-
-def test_renewal_statistics():
-    n = 100_000
-    grid = np.array([0.0, 0.3, 0.9])
-    vals = sample_renewal_ensemble(P_REN, grid, n, 2024)
-    var = vals[:, 0].var(ddof=1)
-    se_var = var * np.sqrt(2 / (n - 1))
-    assert abs(var - P.gamma ** 2) < 4 * se_var
-    for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        dt = grid[j] - grid[i]
-        emp = (vals[:, i] * vals[:, j]).mean()
-        se_cov = (vals[:, i] * vals[:, j]).std(ddof=1) / np.sqrt(n)
-        assert abs(emp - correlation(P_REN, dt)) < 4 * se_cov
-
-
-def test_renewal_trajectory_grid_contains_requested_points():
-    grid = np.linspace(0, 4, 9)
-    traj = sample_renewal(P_REN, grid, 31)
-    assert np.isin(grid, traj.grid).all()
-    assert traj.kind is NoiseKind.RENEWAL
-
-
-def test_integrate_zero_and_constant():
-    zero = NoiseTrajectory(np.linspace(0, 1, 5), np.zeros(5), 0,
-                           NoiseKind.ORNSTEIN_UHLENBECK)
-    assert integrate_trajectory(zero, 0.0, 1.0) == 0.0
-    const = NoiseTrajectory(np.array([0.0, 2.0]), np.array([1.7, 1.7]), 0,
-                            NoiseKind.RENEWAL)
-    assert integrate_trajectory(const, 0.0, 2.0) == pytest.approx(3.4)
-    assert integrate_trajectory(const, 0.25, 1.0) == pytest.approx(1.7 * 0.75)
-    with pytest.raises(ValueError):
-        integrate_trajectory(const, -0.5, 1.0)
-
-
-def test_integrate_is_additive_over_subwindows():
-    for traj in (sample_ou(P, np.linspace(0, 3, 200), 17),
-                 sample_renewal(P_REN, np.linspace(0, 3, 12), 17)):
-        whole = integrate_trajectory(traj, 0.0, 3.0)
-        parts = (integrate_trajectory(traj, 0.0, 0.7)
-                 + integrate_trajectory(traj, 0.7, 2.1)
-                 + integrate_trajectory(traj, 2.1, 3.0))
-        assert whole == pytest.approx(parts, rel=1e-12, abs=1e-12)
-
-
-def test_ou_integral_variance_matches_2f1():
-    # Var(integral of f over [0, tau]) = 2 F1(tau)
-    n, tau = 100_000, 1.0
-    grid = np.linspace(0.0, tau, 51)   # step 0.02 = 0.05/lam
-    vals = sample_ou_ensemble(P, grid, n, 77)
-    integrals = np.trapezoid(vals, grid, axis=1)
-    var = integrals.var(ddof=1)
-    se = var * np.sqrt(2 / (n - 1))
-    assert abs(var - 2 * f1(P, tau)) < 4 * se
-
-
-def test_gaussian_averaging_identity():
-    # mean of exp(i * integral f) equals exp(-F1) for the OU process
-    n = 100_000
-    for tau in (0.5, 1.0, 2.0):
-        grid = np.linspace(0.0, tau, int(tau / 0.02) + 1)
-        vals = sample_ou_ensemble(P, grid, n, int(1000 * tau))
-        x = np.trapezoid(vals, grid, axis=1)
-        phasors = np.exp(1j * x)
-        emp = phasors.mean()
-        se_re = phasors.real.std(ddof=1) / np.sqrt(n)
-        se_im = phasors.imag.std(ddof=1) / np.sqrt(n)
-        assert abs(emp.real - np.exp(-f1(P, tau))) < 4 * se_re
-        assert abs(emp.imag) < 4 * se_im
-
-
-def test_trajectory_csv(tmp_path):
-    traj = sample_ou(P, np.linspace(0, 1, 6), 11)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,f"
-    assert len(lines) == 7
-
-
-def test_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        sample_ou(P, np.array([0.0, 1.0, 0.5]), 1)
-    with pytest.raises(ValueError):
-        sample_renewal(P_REN, np.array([1.0, 1.0]), 1)
-
-
 # --------------------------------------------------------------------------
-# exact OU window kernel
+# exact window kernels: the noise samplers of the Monte Carlo engine
 
 
 def _var_within(sample, expected, k=4):
@@ -317,6 +194,57 @@ def _var_within(sample, expected, k=4):
 def _cov_within(a, b, expected, k=4):
     prod = (a - a.mean()) * (b - b.mean())
     return abs(prod.mean() - expected) < k * prod.std(ddof=1) / np.sqrt(a.size)
+
+
+def _ou_integrals(tau, n, seed):
+    """OU integrals over one window of length tau from a stationary start."""
+    rng = np.random.default_rng(seed)
+    f0 = rng.normal(0.0, P.gamma, n)
+    return _ou_window_integrals(rng, f0, P.lam, P.gamma, [tau])[1][0]
+
+
+def test_ou_zero_strength_is_silent():
+    rng = np.random.default_rng(5)
+    f_end, x = _ou_window_integrals(rng, np.zeros(11), 2.5, 0.0, [0.3, 1.0])
+    assert (f_end == 0.0).all() and (x == 0.0).all()
+
+
+def test_ou_stationary_statistics():
+    # f at the times 0, 0.4 and 1: the end values of consecutive windows
+    # from a stationary start
+    n, times = 100_000, np.array([0.0, 0.4, 1.0])
+    rng = np.random.default_rng(999)
+    vals = [rng.normal(0.0, P.gamma, n)]
+    for dt in np.diff(times):
+        vals.append(_ou_window_integrals(rng, vals[-1], P.lam, P.gamma, [dt])[0])
+    se = P.gamma / np.sqrt(n)
+    for v in vals:
+        assert abs(v.mean()) < 4 * se
+    # lagged autocovariance vs the exponential correlation
+    for (i, j) in [(0, 1), (0, 2), (1, 2)]:
+        prod = vals[i] * vals[j]
+        se_cov = prod.std(ddof=1) / np.sqrt(n)
+        assert abs(prod.mean() - correlation(P, times[j] - times[i])) < 4 * se_cov
+
+
+def test_ou_integral_variance_matches_2f1():
+    # Var(integral of f over [0, tau]) = 2 F1(tau)
+    tau = 1.0
+    x = _ou_integrals(tau, 100_000, 77)
+    assert _var_within(x, 2 * f1(P, tau))
+
+
+def test_gaussian_averaging_identity():
+    # mean of exp(i * integral f) equals exp(-F1) for the OU process
+    n = 100_000
+    for tau in (0.5, 1.0, 2.0):
+        x = _ou_integrals(tau, n, int(1000 * tau))
+        phasors = np.exp(1j * x)
+        emp = phasors.mean()
+        se_re = phasors.real.std(ddof=1) / np.sqrt(n)
+        se_im = phasors.imag.std(ddof=1) / np.sqrt(n)
+        assert abs(emp.real - np.exp(-f1(P, tau))) < 4 * se_re
+        assert abs(emp.imag) < 4 * se_im
 
 
 @pytest.mark.parametrize("lam_t", [0.01, 1.0, 7.0])
@@ -343,7 +271,7 @@ def test_ou_window_kernel_moments(lam_t):
 
 
 @pytest.mark.parametrize("lam_t", [0.01, 1.0, 7.0])
-def test_ou_window_kernel_matches_stepped_oracle(lam_t):
+def test_ou_window_kernel_matches_stepped_oracle(lam_t, sample_ou_ensemble):
     # fine trapezoid integrals of the stepped exact-transition chain
     n, tau, steps = 10_000, lam_t / P.lam, 100
     grid = np.linspace(0.0, 2 * tau, 2 * steps + 1)
@@ -384,9 +312,40 @@ def test_ou_window_kernel_tiny_window_variances():
     assert_allclose(x[0], f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
 
 
-def test_ou_window_kernel_zero_window_is_identity():
+@pytest.mark.parametrize("kernel", [_ou_window_integrals, _renewal_window_integrals],
+                         ids=["ou", "renewal"])
+def test_window_kernel_zero_window_is_identity(kernel):
     rng = np.random.default_rng(4)
     f0 = rng.normal(0.0, P.gamma, 50)
-    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, [0.0])
+    f_end, x = kernel(rng, f0, P.lam, P.gamma, [0.0])
     assert (f_end == f0).all()
     assert (x == 0.0).all()
+    # and between two windows
+    _, x = kernel(rng, f0, P.lam, P.gamma, [0.5, 0.0, 0.5])
+    assert (x[1] == 0.0).all()
+
+
+@pytest.mark.parametrize("lam_t", [0.01, 1.0, 7.0])
+def test_renewal_window_kernel_moments(lam_t):
+    n, tau = 100_000, lam_t / P.lam
+    rng = np.random.default_rng(int(100 * lam_t))
+    # stationary start: the same second moments as OU noise
+    f0 = rng.normal(0.0, P.gamma, n)
+    f_end, (x1, x2) = _renewal_window_integrals(rng, f0, P.lam, P.gamma,
+                                                [tau, tau])
+    assert _var_within(x1, 2 * f1(P, tau))
+    assert _var_within(x2, 2 * f1(P, tau))
+    assert _cov_within(x1, x2, 2 * delta_f(P, tau))
+    assert _var_within(f_end, P.gamma ** 2)
+    assert _cov_within(f0, f_end, correlation(P_REN, 2 * tau))
+    # the start value is held to the end when no event falls in 2 tau
+    kept = np.exp(-2 * lam_t)
+    assert abs((f_end == f0).mean() - kept) < 4 * np.sqrt(kept * (1 - kept) / n)
+
+
+def test_renewal_constant_in_no_jump_limit():
+    rng = np.random.default_rng(7)
+    f0 = rng.normal(0.0, 1.0, 1000)
+    f_end, (x,) = _renewal_window_integrals(rng, f0, 1e-9, 1.0, [10.0])
+    assert (f_end == f0).all()
+    assert (x == f0 * 10.0).all()
