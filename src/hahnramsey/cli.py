@@ -39,6 +39,9 @@ MAX_MAGNITUDE = 1e12
 # bound on the points of every grid (tau, theta, scan, bloch samples): numpy
 # cannot allocate 1e20 of them
 MAX_COUNT = 10 ** 6
+# bound on Monte Carlo trajectories times tau points: about two minutes of
+# instantaneous-pulse OU sampling on one core (1e20 trajectories never end)
+MAX_TRAJECTORY_POINTS = 10 ** 9
 
 # spincore.SequenceKind values that have a standard sequence
 _SEQUENCES = ("hahn_echo", "hahn_ramsey", "ramsey")
@@ -98,6 +101,12 @@ class RunConfig:
             raise ConfigError("gamma", "noise strength must be >= 0")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories", "must be >= 1")
+        if (self.engine != "analytic"
+                and self.n_trajectories * self.tau_count > MAX_TRAJECTORY_POINTS):
+            raise ConfigError("n_trajectories",
+                              f"n_trajectories * tau_count must be <= "
+                              f"{MAX_TRAJECTORY_POINTS:g}, got "
+                              f"{self.n_trajectories} * {self.tau_count}")
         if self.time_step <= 0:
             raise ConfigError("time_step", "must be > 0")
         if self.workers < 1:

@@ -6,10 +6,12 @@ Gaussian averaging behind every decay law.
 
 One function, run_mc, serves both pulse models of McConfig.pulse_model:
 instantaneous pulses (tilted-axis rotations that take no time, applied
-to the real Bloch vector: one 3x3 rotation per pulse and one cos/sin
-pair per delay) and finite pulses (the spinor is stepped through each
-pulse while the noise keeps running).  Both share the seeding, block
-reduction and worker fan-out below; only the per-block sampler differs.
+to the real Bloch vector: one 3x3 rotation per pulse and one half-angle
+tangent per delay rotation, since numpy's tan is SIMD-vectorized and its
+cos and sin are not; see _cos_sin) and finite pulses (the spinor is
+stepped through each pulse while the noise keeps running).  Both share
+the seeding, block reduction and worker fan-out below; only the
+per-block sampler differs.
 
 Reproducibility scheme
 ----------------------
@@ -135,16 +137,35 @@ def _pulse_axis(p: PulseParams) -> np.ndarray:
     return np.array([math.sin(th), 0.0, math.cos(th)])
 
 
-def _bloch_rotation(p: PulseParams) -> np.ndarray:
-    """SO(3) matrix of a tilted-axis pulse: the rotation by beta about
-    n = _pulse_axis(p), by Rodrigues' formula
-    n n^T + cos(beta) (I - n n^T) + sin(beta) [n]x.  It is the Bloch-vector
-    image of spincore.rotation_matrix(p)."""
-    n = _pulse_axis(p)
-    along = np.outer(n, n)
-    cross = np.cross(n, np.eye(3)).T      # [n]x: cross @ v = n x v
-    return (along + math.cos(p.beta) * (np.eye(3) - along)
-            + math.sin(p.beta) * cross)
+def _bloch_rotation(p: PulseParams) -> list:
+    """SO(3) matrix, as nested lists of floats, of a tilted-axis pulse: the
+    rotation by beta about n = (sin th, 0, cos th) = _pulse_axis(p), with
+    the entries of Rodrigues' formula
+    n n^T + cos(beta) (I - n n^T) + sin(beta) [n]x written out for n_y = 0.
+    It is the Bloch-vector image of spincore.rotation_matrix(p)."""
+    th = p.detuning_sign * p.theta
+    nx, nz = math.sin(th), math.cos(th)
+    c, s = math.cos(p.beta), math.sin(p.beta)
+    xx, xz, zz = nx * nx, nx * nz, nz * nz
+    return [[xx + c * (1.0 - xx), -s * nz, xz - c * xz],
+            [s * nz, c, -s * nx],
+            [xz - c * xz, s * nx, zz + c * (1.0 - zz)]]
+
+
+def _cos_sin(phi):
+    """cos(phi) and sin(phi) from one half-angle tangent t = tan(phi/2):
+    cos = (1 - t^2) / (1 + t^2), sin = 2 t / (1 + t^2).  numpy's float64
+    tan is vectorized with SIMD while its cos and sin are not, so this
+    costs about a quarter of np.cos plus np.sin, within 2 ulp of them (t
+    stays finite: no double is an odd multiple of pi).  For |t| < 1 cos is
+    taken as 1 - 2 t^2 / (1 + t^2): the rounding of 1 + t^2 then touches
+    only the small term, so cos^2 + sin^2 stays as close to 1 as with
+    np.cos and np.sin, and many small finite-pulse steps do not pile up
+    norm error."""
+    t = np.tan(0.5 * phi)
+    t2 = t * t
+    d = 1.0 + t2
+    return np.where(t2 < 1.0, 1.0 - 2.0 * t2 / d, (1.0 - t2) / d), 2.0 * t / d
 
 
 def _instantaneous_sampler(seq, delta, noise, cfg):
@@ -153,10 +174,13 @@ def _instantaneous_sampler(seq, delta, noise, cfg):
 
     The state is carried as the real Bloch vector (x, y, z), starting as
     the scalars (0, 0, 1): each pulse is one 3x3 rotation (_bloch_rotation)
-    and each delay the z rotation by its phase, one cos/sin pair.
+    and each delay the z rotation by its phase, from one half-angle tangent
+    (_cos_sin: SIMD tan instead of scalar cos and sin).  Only z is read out,
+    so a final pulse applies just its z row.
     """
-    ops = [el if isinstance(el, Delay) else _bloch_rotation(el).tolist()
+    ops = [el if isinstance(el, Delay) else _bloch_rotation(el)
            for el in seq.elements]
+    readout = ops.pop()[2]      # standard sequences end on their readout pulse
     durations = [d.duration for d in seq.delays]
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
 
@@ -172,11 +196,11 @@ def _instantaneous_sampler(seq, delta, noise, cfg):
         for op in ops:
             if isinstance(op, Delay):
                 phi = op.detuning_sign * delta * op.duration + next(rows)
-                c, s = np.cos(phi), np.sin(phi)
+                c, s = _cos_sin(phi)
                 x, y = x * c - y * s, x * s + y * c
             else:
                 x, y, z = [r[0] * x + r[1] * y + r[2] * z for r in op]
-        return z
+        return readout[0] * x + readout[1] * y + readout[2] * z
 
     return sample
 
@@ -327,9 +351,8 @@ def _finite_block_samples(windows, noise, cfg, rng, m):
                 f, x = window_integrals(rng, f, lam, gamma, [h])
                 nz = nz_rate + x[0] / h
             w = np.sqrt(nz * nz + nx_rate * nx_rate)
-            ang = w * h
-            c = np.cos(ang / 2)
-            s = np.where(w > 0, np.sin(ang / 2) / np.maximum(w, 1e-300), 0.5 * h)
+            c, s = _cos_sin(w * h / 2)
+            s = np.where(w > 0, s / np.maximum(w, 1e-300), 0.5 * h)
             a0 = (c - 1j * s * nz) * psi[:, 0] - 1j * s * nx_rate * psi[:, 1]
             a1 = -1j * s * nx_rate * psi[:, 0] + (c + 1j * s * nz) * psi[:, 1]
             psi[:, 0], psi[:, 1] = a0, a1

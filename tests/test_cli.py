@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hahnramsey.analytic import hahn_ramsey_signal, ramsey_signal
 import hahnramsey
-from hahnramsey.cli import main, read_curve_csv
+from hahnramsey.cli import MAX_TRAJECTORY_POINTS, main, read_curve_csv
 from hahnramsey.noise import NoiseParams, FilterKind, chi_filter, f1, delta_f
 
 
@@ -388,6 +388,27 @@ def test_renewal_beyond_the_event_budget_exit_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("engine", ["montecarlo", "both"])
+def test_trajectory_points_beyond_the_bound_exit_2(engine, tmp_path):
+    # 1e20 trajectories at 2 tau points: about 1e16 blocks per point
+    proc = _python("from hahnramsey.cli import entry; entry()",
+                   "simulate", "--engine", engine, "--theta", 0.6283,
+                   "--delta", 1.885, "--lam", 2.5, "--gamma", 0.6283,
+                   "--n-trajectories", 10 ** 20, "--tau-count", 2,
+                   "--out", tmp_path / "o", timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "'n_trajectories'" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_trajectory_bound_keeps_the_demo_and_spares_the_analytic_engine(tmp_path):
+    # README demo: 1e5 trajectories x 60 taus
+    assert 100_000 * 60 <= MAX_TRAJECTORY_POINTS
+    assert run(["simulate", "--engine", "analytic", "--n-trajectories", 10 ** 20,
+                "--theta", 0.6283, "--lam", 2.5, "--gamma", 0.6283,
+                "--out", tmp_path]) == 0
+
+
 def test_components_resolve_large_exponents(tmp_path):
     # exponents near 1e8: the absolute 1e-8 target is below the float floor
     assert run(["components", "--lam", 2.5, "--gamma", 1e4, "--tau-stop", 2,
@@ -636,9 +657,10 @@ _COMMAND_FLAGS = {
     "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
              "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
              "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS}}
-# no huge n_trajectories: it has no upper bound yet, and 1e20 runs for ever
-_MC_FIELDS = {"n_trajectories": st.one_of(st.integers(-2, 16),
-                                          st.sampled_from([2.5, math.inf])),
+# huge n_trajectories exit 2 through MAX_TRAJECTORY_POINTS
+_MC_FIELDS = {"n_trajectories": st.one_of(
+                  st.integers(-2, 16),
+                  st.sampled_from([2.5, math.inf, 10 ** 9, 10 ** 20])),
               "noise_kind": st.sampled_from(["ou", "renewal", "none"])}
 _SCAN_GRID = {"--lambda-min": 1.5, "--lambda-max": 3.5, "--lambda-count": 2,
               "--gamma-min": 0.3, "--gamma-max": 1.0, "--gamma-count": 2}

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from hahnramsey.analytic import hahn_echo_signal, hahn_ramsey_signal, ramsey_signal
 from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
-                                   _bloch_rotation, _instantaneous_sampler,
+                                   _bloch_rotation, _cos_sin,
+                                   _finite_block_samples, _finite_windows,
+                                   _instantaneous_sampler, _pulse_steps,
                                    bloch_trajectory, bloch_to_csv, run_mc)
 from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from hahnramsey.spincore import (SIGMA_X, SIGMA_Y, SIGMA_Z, Delay, PulseParams,
@@ -246,8 +248,79 @@ def test_bloch_rotation_is_the_adjoint_of_the_pulse_unitary(theta, sign):
         assert_allclose(_bloch_rotation(p), adjoint, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("theta", [0.2 * np.pi, 0.7, np.pi / 2])
+def test_bloch_rotation_is_a_proper_rotation(theta, sign):
+    for beta in (0.0, 0.3, np.pi / 2, np.pi, 3 * np.pi / 2, 5.0):
+        r = np.array(_bloch_rotation(PulseParams(theta, beta, sign)))
+        assert_allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-15)
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-15
+
+
+def test_cos_sin_is_within_two_ulp_of_numpy():
+    rng = np.random.default_rng(5)
+    odd_pi = (2 * np.arange(-500, 500) + 1) * np.pi     # odd multiples up to 1e3 pi
+    phi = np.concatenate([[0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi], odd_pi,
+                          rng.uniform(-1e12, 1e12, 20000),
+                          rng.uniform(-1e20, 1e20, 20000)])
+    c, s = _cos_sin(phi)
+    assert_allclose(c, np.cos(phi), rtol=0, atol=4.5e-16)
+    assert_allclose(s, np.sin(phi), rtol=0, atol=4.5e-16)
+    assert np.abs(c * c + s * s - 1.0).max() <= 4.5e-16
+    assert _cos_sin(0.0) == (1.0, 0.0)
+
+
 # --------------------------------------------------------------------------
 # finite-duration pulses
+
+
+def _finite_block_samples_cos_sin(windows, noise, cfg, rng, m):
+    """Oracle: the finite-pulse sampler with its step half-angle from
+    np.cos and np.sin of ang / 2; same draws."""
+    lam, gamma = noise.lam, noise.gamma
+    noisy = gamma > 0.0 and rng is not None
+    window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
+    f = rng.normal(0.0, gamma, m) if noisy else None
+    psi = np.tile(SPIN_UP, (m, 1))
+    for kind, dur, nz_rate, nx_rate in windows:
+        if dur == 0.0:
+            continue
+        steps = 1
+        if noisy and kind == "pulse":
+            steps = _pulse_steps(dur, lam, cfg.time_step)
+        h = dur / steps
+        for _ in range(steps):
+            nz = nz_rate
+            if noisy:
+                f, x = window_integrals(rng, f, lam, gamma, [h])
+                nz = nz_rate + x[0] / h
+            w = np.sqrt(nz * nz + nx_rate * nx_rate)
+            ang = w * h
+            c = np.cos(ang / 2)
+            s = np.where(w > 0, np.sin(ang / 2) / np.maximum(w, 1e-300), 0.5 * h)
+            a0 = (c - 1j * s * nz) * psi[:, 0] - 1j * s * nx_rate * psi[:, 1]
+            a1 = -1j * s * nx_rate * psi[:, 0] + (c + 1j * s * nz) * psi[:, 1]
+            psi[:, 0], psi[:, 1] = a0, a1
+    return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
+
+
+@pytest.mark.parametrize("noise_kind", sorted(_NOISES))
+@pytest.mark.parametrize("kind, theta, delta", [
+    (SequenceKind.RAMSEY, np.pi / 2, DELTA),
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+    (SequenceKind.HAHN_RAMSEY, THETA, DELTA)])
+def test_finite_sampler_matches_the_cos_sin_oracle(kind, theta, delta,
+                                                   noise_kind):
+    noise = _NOISES[noise_kind]
+    cfg = McConfig(1, time_step=0.01, pulse_model="finite", rabi=2 * np.pi)
+    for tau in (0.0, 0.7):
+        windows = _finite_windows(build_sequence(kind, theta, delta, tau),
+                                  delta, cfg.rabi)
+        got, want = (fn(windows, noise, cfg, np.random.default_rng(23), 400)
+                     for fn in (_finite_block_samples,
+                                _finite_block_samples_cos_sin))
+        assert got.shape == (400,)
+        assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_finite_pulses_noiseless_match_instantaneous():
