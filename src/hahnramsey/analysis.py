@@ -110,6 +110,30 @@ def _plain_exponential(t, amp, tc, c):
     return amp * np.exp(-t / tc) + c
 
 
+# Exact Jacobians of the three models, one column per parameter.  The tc
+# columns are written in x = t/tc, which the fit bounds keep at most 1e4,
+# and not as t^2/tc^3, so no term overflows while the model is finite.
+
+def _gaussian_envelope_jac(t, amp, w, phi, tc, c):
+    x = t / tc
+    g = np.exp(-(x ** 2))
+    cos, sin = np.cos(w * t + phi), np.sin(w * t + phi)
+    return np.column_stack([cos * g, -amp * sin * g * t, -amp * sin * g,
+                            2 * amp * cos * g * x * x / tc, np.ones_like(t)])
+
+
+def _gaussian_bare_jac(t, amp, tc, c):
+    x = t / tc
+    g = np.exp(-(x ** 2))
+    return np.column_stack([g, 2 * amp * g * x * x / tc, np.ones_like(t)])
+
+
+def _plain_exponential_jac(t, amp, tc, c):
+    x = t / tc
+    e = np.exp(-x)
+    return np.column_stack([e, amp * e * x / tc, np.ones_like(t)])
+
+
 def _freq_guess(t, y):
     """Spectrum-peak frequency of the detrended data; 0 when the peak sits
     in the lowest nonzero bin (no resolvable oscillation)."""
@@ -137,9 +161,12 @@ def _tau_c_guess(t, y):
 def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) -> DecayFit:
     """Nonlinear least-squares envelope fit of a signal curve.
 
-    Uses curve stderrs as weights when available.  Raises FitInputError
-    on fewer than 6 points or flat data, FitError when every restart
-    fails to converge.
+    Uses curve stderrs as weights when available.  The solver gets each
+    model's exact Jacobian (_gaussian_envelope_jac and its siblings) in
+    place of forward differences, in the curve's own time unit; against
+    the finite-difference fit tau_c moves by at most 1e-3 of tau_c_err
+    (tests/test_analysis.py).  Raises FitInputError on fewer than 6
+    points or flat data, FitError when every restart fails to converge.
     """
     t = np.asarray(curve.taus, dtype=float)
     y = np.asarray(curve.means, dtype=float)
@@ -162,13 +189,14 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
     w0 = 0.0 if exponential else _freq_guess(t, y)
     if w0 == 0.0:
         # plain exponential, or no resolvable fringe: bare Gaussian envelope
-        fn = _plain_exponential if exponential else _gaussian_bare
+        fn, jac = ((_plain_exponential, _plain_exponential_jac) if exponential
+                   else (_gaussian_bare, _gaussian_bare_jac))
         p0 = [y[0] - y[-1], tc0, float(y[-1])]
         lo = [-10 * span - 1e-9, tmax * 1e-4, y.min() - span - 1.0]
         hi = [10 * span + 1e-9, tmax * 1e3, y.max() + span + 1.0]
         try:
             popt, pcov = _module.curve_fit(fn, t, y, p0=p0, bounds=(lo, hi),
-                                           sigma=sigma,
+                                           jac=jac, sigma=sigma,
                                            absolute_sigma=sigma is not None,
                                            maxfev=20000)
         except RuntimeError as exc:
@@ -185,7 +213,8 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
         p0 = [max(amp0, 1e-12), w0, phi0, tc0, c0]
         try:
             popt, pcov = _module.curve_fit(_gaussian_envelope, t, y, p0=p0,
-                                           bounds=(lo, hi), sigma=sigma,
+                                           bounds=(lo, hi),
+                                           jac=_gaussian_envelope_jac, sigma=sigma,
                                            absolute_sigma=sigma is not None,
                                            maxfev=20000)
         except RuntimeError as exc:

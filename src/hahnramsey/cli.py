@@ -225,6 +225,11 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _check_tau_scale(tau_scale: float) -> None:
+    if not (math.isfinite(tau_scale) and tau_scale > 0):
+        raise ConfigError("--tau-scale", "must be finite and > 0")
+
+
 def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
     """Read tau,signal[,stderr] (or tau,mean,stderr,n) data files.
 
@@ -233,8 +238,7 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
     does not parse or holds a non-finite value raises ConfigError naming
     the file and line.
     """
-    if not (math.isfinite(tau_scale) and tau_scale > 0):
-        raise ConfigError("--tau-scale", "must be finite and > 0")
+    _check_tau_scale(tau_scale)
     if not Path(path).is_file():
         raise ConfigError("data", f"file not found: {path}")
     taus, means, errs = [], [], []
@@ -377,14 +381,22 @@ def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
 
 def cmd_fit(cfg: RunConfig, data_path: str, model: str,
             tau_scale: float = 1.0) -> int:
-    curve = read_curve_csv(data_path, tau_scale)
+    # the fit runs in the file's own time unit, so the solver and its
+    # covariance never see the scale; the time-valued results convert after
+    _check_tau_scale(tau_scale)
+    curve = read_curve_csv(data_path)
     try:
         fit = analysis.fit_decay(curve, analysis.FitModel(model))
     except analysis.FitInputError as exc:
         raise ConfigError("data", f"{data_path}: {exc}") from None
+    scaled = {"tau_c": fit.tau_c * tau_scale, "tau_c_err": fit.tau_c_err * tau_scale,
+              "frequency": fit.frequency / tau_scale}
+    if not all(map(math.isfinite, scaled.values())):
+        raise ConfigError("--tau-scale", f"{tau_scale:g} takes the fitted tau_c, "
+                                         f"tau_c_err or frequency out of float range")
     return _write_json(cfg, f"fit_{Path(data_path).stem}.json",
                        {"config_sha256": config_hash(cfg), "model": model,
-                        "data": str(data_path), **fit.to_dict()})
+                        "data": str(data_path), **fit.to_dict(), **scaled})
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:

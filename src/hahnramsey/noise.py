@@ -10,8 +10,9 @@ Two processes share the stationary correlation C(dt) = Gamma^2 exp(-lambda|dt|):
 
 The module provides the three dephasing exponents as closed forms
 (f1, delta_f) and as frequency-domain integrals over the Lorentzian
-spectral density (chi_filter, uniform Gauss-Legendre panels whose node
-windows come by angle addition), which must agree.
+spectral density, which must agree.  chi_filter evaluates one rule of
+uniform Gauss-Legendre panels whose node windows come by angle addition,
+and estimates its error from the same rule on half the panels.
 
 Its samplers are the two exact window kernels, one per noise kind
 (_WINDOW_INTEGRALS): from the values f0 at the start of a run of
@@ -100,7 +101,7 @@ class QuadratureError(RuntimeError):
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
-_MAX_PANELS = 2 ** 17     # the fine rule's arrays then hold about 25 MB each
+_MAX_PANELS = 2 ** 17     # the rule's (n, 12) arrays then hold about 12.6 MB each
 
 
 def _panel_sum(half_t: float, power: int, lam: float, w_max: float, n: int) -> float:
@@ -131,18 +132,26 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
     """Decay exponent from the frequency-domain overlap of the sequence
     window with the Lorentzian noise spectrum 2 Gamma^2 lambda/(w^2+lam^2).
 
-    Evaluated by composite Gauss-Legendre quadrature on uniform panels up
-    to a cutoff of at least max(50 lam, 50/tau), extended until the analytic
-    tail bound (from the 1/w^4 falloff of the integrand) meets target_error;
-    the window sin(half_t w)^2 or ^4 comes by angle addition from the panel
-    starts (_panel_sum).  Raises QuadratureError when the achieved error
+    Evaluated by one composite 12-point Gauss-Legendre rule on n uniform
+    panels up to a cutoff of at least max(50 lam, 50/tau), extended until
+    the analytic tail bound (from the 1/w^4 falloff of the integrand) meets
+    target_error; the window sin(half_t w)^2 or ^4 comes by angle addition
+    from the panel starts (_panel_sum).  Its error is estimated against the
+    same rule on ceil(n/2) panels.  Raises QuadratureError when that
     estimate exceeds target_error (times |value|/1e5, at most 1e3, for
     exponents above 1e5) or the rule needs over _MAX_PANELS panels.
     """
+    return _chi_filter_with_error(kind, p, tau, target_error)[0]
+
+
+def _chi_filter_with_error(kind: FilterKind, p: NoiseParams, tau: float,
+                           target_error: float) -> tuple:
+    """chi_filter's (value, error estimate); the estimate is at most the
+    target the value was accepted against."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0 or p.gamma == 0.0:
-        return 0.0
+        return 0.0, 0.0
     lam = p.lam
     if kind is FilterKind.RAMSEY_LIKE:
         half_t, power, weight, mean = tau, 2, 4.0, 0.5
@@ -169,15 +178,15 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
         raise QuadratureError(f"chi_filter({kind.value}) at lam tau = {lam * tau:.3g} "
                               f"needs {n:.3g} panels, over {_MAX_PANELS}")
     n = math.ceil(n)
-    coarse = _panel_sum(half_t, power, lam, w_max, n)
-    fine = _panel_sum(half_t, power, lam, w_max, 2 * n)
+    rule = _panel_sum(half_t, power, lam, w_max, n)
+    half = _panel_sum(half_t, power, lam, w_max, math.ceil(n / 2))
     # analytic tail: window replaced by its mean value
     tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
     remainder = pref / (2.0 * half_t * w_max ** 4)
-    value = pref * (fine + tail)
+    value = pref * (rule + tail)
     # 12-point panels converge far faster than halving suggests; /10 is a
     # conservative Richardson factor.  The last term is the float floor.
-    err = (pref * abs(fine - coarse) / 10.0 + remainder
+    err = (pref * abs(rule - half) / 10.0 + remainder
            + 1e-15 * max(1.0, abs(value)))
     # target_error bounds the error of the exponent, i.e. the relative error
     # of the decay factor exp(-value).  Past exponents of 1e5 it scales with
@@ -188,7 +197,7 @@ def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
         raise QuadratureError(
             f"chi_filter({kind.value}) did not converge: error estimate {err:.3e} "
             f"exceeds target {target:.1e}")
-    return value
+    return value, err
 
 
 def _ou_window_integrals(rng, f0, lam, gamma, durations):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import hahnramsey
+from hahnramsey import analysis
 from hahnramsey.analysis import (FitError, FitModel, ReadoutModel,
                                  ResidualMap, fit_decay, max_bias_slope,
                                  min_detectable_field, optimal_theta,
                                  scan_noise_params, sensitivity)
-from hahnramsey.analytic import (closed_form_signal, hahn_ramsey_signal,
-                                 ramsey_signal)
+from hahnramsey.analytic import (closed_form_signal, hahn_echo_signal,
+                                 hahn_ramsey_signal, ramsey_signal)
 from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams
 from hahnramsey.spincore import SequenceKind
@@ -83,6 +84,82 @@ def test_fit_ordering_detuned_echo_beats_ramsey():
     t2 = np.linspace(0.05, 14.0, 90)
     hr = fit_decay(curve(t2, hahn_ramsey_signal(THETA, DELTA, FIG_NOISE, t2 / 2)))
     assert hr.tau_c - hr.tau_c_err > ram.tau_c + ram.tau_c_err
+
+
+_MODELS = [(analysis._gaussian_envelope, analysis._gaussian_envelope_jac),
+           (analysis._gaussian_bare, analysis._gaussian_bare_jac),
+           (analysis._plain_exponential, analysis._plain_exponential_jac)]
+
+
+@pytest.mark.parametrize("model, jac", _MODELS)
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_jacobian_matches_central_differences(model, jac, seed):
+    rng = np.random.default_rng(seed)
+    amp, w, phi, tc, c = (rng.uniform(0.3, 2.0), rng.uniform(0.5, 5.0),
+                          rng.uniform(-3.0, 3.0), rng.uniform(0.5, 5.0),
+                          rng.uniform(-0.5, 0.5))
+    params = [amp, w, phi, tc, c] if model is analysis._gaussian_envelope \
+        else [amp, tc, c]
+    # t/tc from 0 to 1e4, the bound the fit's tc limits allow
+    t = tc * np.concatenate([[0.0], np.logspace(-3, 4, 400)])
+    got = jac(t, *params)
+    assert got.shape == (t.size, len(params)) and np.isfinite(got).all()
+    fd = np.empty_like(got)
+    for j, pj in enumerate(params):
+        h = 1e-6 * abs(pj)
+        up, down = list(params), list(params)
+        up[j], down[j] = pj + h, pj - h
+        fd[:, j] = (model(t, *up) - model(t, *down)) / (2 * h)
+    # relative per entry, with a floor at the rounding level of the column
+    tol = 1e-6 * np.abs(fd) + 1e-9 * np.abs(fd).max(axis=0)
+    assert (np.abs(got - fd) <= tol).all()
+
+
+def _fit_move_cases():
+    """(name, curve, model): benchmark-style noisy fringes with a stderr
+    column, the decay curves of acceptance criterion 5, and noisy
+    bare-Gaussian and exponential decays (the fits without a fringe)."""
+    t = np.linspace(0.0, 12.0, 121)
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        amp, w, phi = rng.uniform(0.6, 0.9), rng.uniform(1.5, 2.5), rng.uniform(-0.5, 0.5)
+        tc, c = rng.uniform(3.0, 5.0), rng.uniform(-0.1, 0.1)
+        y = amp * np.cos(w * t + phi) * np.exp(-((t / tc) ** 2)) + c
+        y = y + rng.normal(0.0, 0.01, t.size)
+        yield f"fringe-{seed}", curve(t, y, np.full(t.size, 0.01)), FitModel.GAUSSIAN_ENVELOPE
+    t_r = np.linspace(0.05, 9.0, 90)
+    t_e = np.linspace(0.05, 14.0, 90)
+    yield "ramsey", curve(t_r, ramsey_signal(DELTA, FIG_NOISE, t_r)), FitModel.GAUSSIAN_ENVELOPE
+    yield "hahn_ramsey", curve(t_e, hahn_ramsey_signal(THETA, DELTA, FIG_NOISE, t_e / 2)), \
+        FitModel.GAUSSIAN_ENVELOPE
+    yield "hahn_echo", curve(t_e, hahn_echo_signal(FIG_NOISE, t_e / 2)), \
+        FitModel.GAUSSIAN_ENVELOPE
+    noise = np.random.default_rng(7).normal(0.0, 0.01, t_r.size)
+    yield "bare", curve(t_r, np.exp(-((t_r / 4.0) ** 2)) + noise), \
+        FitModel.GAUSSIAN_ENVELOPE
+    yield "exponential", curve(t_r, 0.8 * np.exp(-t_r / 3.0) + 0.1 + noise), \
+        FitModel.PLAIN_EXPONENTIAL
+
+
+@pytest.mark.parametrize("fit", [
+    pytest.param(lambda c=c, m=m: fit_decay(c, m), id=name)
+    for name, c, m in _fit_move_cases()] + [
+    # the fringe fit inside sensitivity, at the tilt it picks
+    pytest.param(lambda: analysis._fringe_envelope_fit(
+        optimal_theta(FIG_NOISE, 0.0, np.linspace(0.2, 2.0, 10) / FIG_NOISE.lam),
+        FIG_NOISE), id="sensitivity-fringe")])
+def test_exact_jacobian_fit_matches_the_finite_difference_fit(monkeypatch, fit):
+    import scipy.optimize
+
+    def without_jac(*args, jac=None, **kwargs):
+        return scipy.optimize.curve_fit(*args, **kwargs)
+
+    exact = fit()
+    # oracle: the same fit with scipy's default finite-difference Jacobian
+    monkeypatch.setattr(analysis, "curve_fit", without_jac)
+    oracle = fit()
+    assert exact.tau_c_err > 0
+    assert abs(exact.tau_c - oracle.tau_c) <= 1e-3 * exact.tau_c_err
 
 
 # --------------------------------------------------------------------------

@@ -603,6 +603,35 @@ def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
+def _fit_report(tmp_path, data, scale):
+    out = tmp_path / f"out{scale:g}"
+    assert run(["fit", "--data", data, "--tau-scale", repr(scale),
+                "--out", out]) == 0
+    return json.loads((out / f"fit_{data.stem}.json").read_text())
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-6, 1e6, 1e290, 1e306])
+def test_fit_tau_scale_converts_the_fit_in_the_file_unit(tmp_path, scale):
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    base = _fit_report(tmp_path, data, 1.0)
+    rep = _fit_report(tmp_path, data, scale)
+    assert all(math.isfinite(v) for v in rep.values() if isinstance(v, float))
+    assert rep["tau_c_err"] > 0
+    assert rep["tau_c"] / scale == pytest.approx(base["tau_c"], rel=1e-12, abs=0)
+    assert rep["tau_c_err"] / scale == pytest.approx(base["tau_c_err"], rel=1e-12, abs=0)
+    assert rep["frequency"] * scale == pytest.approx(base["frequency"], rel=1e-12, abs=0)
+    for key in ("amplitude", "offset", "phase", "residual_norm"):
+        assert rep[key] == base[key]
+
+
+def test_fit_tau_scale_beyond_float_range_exits_2(tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    assert run(["fit", "--data", data, "--tau-scale", 1e308,
+                "--out", tmp_path / "out"]) == 2
+    assert "--tau-scale" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit_ram.json").exists()
+
+
 def test_fit_rejects_bad_tau_scale(tmp_path, capsys):
     data = _write_ramsey_data(tmp_path / "ram.csv")
     assert run(["fit", "--data", data, "--tau-scale", 0,

@@ -6,7 +6,8 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
-                              QuadratureError, _ou_window_integrals, _panel_sum,
+                              QuadratureError, _chi_filter_with_error,
+                              _ou_window_integrals, _panel_sum,
                               _renewal_window_integrals, chi_filter,
                               correlation, delta_f, f1)
 
@@ -106,9 +107,8 @@ def test_chi_filter_meets_its_target_error_against_the_closed_forms():
     assert worst <= 1e-8      # the default target_error
 
 
-def _chi_filter_per_node(kind, p, tau, target_error=1e-8):
-    """Oracle: the same cutoff, panels and tail as chi_filter, with one
-    sin per Gauss-Legendre node on np.linspace panel edges."""
+def _chi_filter_rule(kind, p, tau, target_error=1e-8):
+    """chi_filter's rule written out: (half_t, power, pref, w_max, n, tail)."""
     lam = p.lam
     half_t = tau if kind is FilterKind.RAMSEY_LIKE else tau / 2
     power = 4 if kind is FilterKind.HAHN_LIKE else 2
@@ -118,14 +118,21 @@ def _chi_filter_per_node(kind, p, tau, target_error=1e-8):
     need = (pref / (half_t * target_error)) ** 0.25
     w_max = max(floor, min(need, 100.0 * floor))
     n = int(np.ceil(w_max / min(np.pi / (2.0 * tau), lam / 2.0, w_max / 8.0)))
-    edges = np.linspace(0.0, w_max, 2 * n + 1)
+    tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
+    return half_t, power, pref, w_max, n, tail
+
+
+def _chi_filter_per_node(kind, p, tau, target_error=1e-8):
+    """Oracle: the same cutoff, panels and tail as chi_filter, with one
+    sin per Gauss-Legendre node on np.linspace panel edges."""
+    half_t, power, pref, w_max, n, tail = _chi_filter_rule(kind, p, tau, target_error)
+    edges = np.linspace(0.0, w_max, n + 1)
     nodes, weights = leggauss(12)
     a, h = edges[:-1, None], np.diff(edges)[:, None]
     w = (a + 0.5 * h * (nodes + 1.0)).ravel()
-    fine = (np.sin(w * half_t) ** power / (w * w * (w * w + lam * lam))
+    rule = (np.sin(w * half_t) ** power / (w * w * (w * w + p.lam ** 2))
             @ (0.5 * h * weights).ravel())
-    tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
-    return pref * (fine + tail)
+    return pref * (rule + tail)
 
 
 def _panel_sum_with_temporaries(half_t, power, lam, w_max, n):
@@ -159,6 +166,20 @@ def test_chi_filter_matches_the_per_node_oracle(lam_tau, p):
     for kind in FilterKind:
         assert chi_filter(kind, p, tau) == pytest.approx(
             _chi_filter_per_node(kind, p, tau), rel=1e-13, abs=0)
+
+
+def test_chi_filter_equals_the_2n_panel_rule_on_the_components_grid():
+    # the reported n-panel rule has converged to rounding: twice the panels
+    # give the same value
+    for tau in np.linspace(0.05, 7.0, 81):
+        for kind in FilterKind:
+            value, err = _chi_filter_with_error(kind, P, tau, 1e-8)
+            half_t, power, pref, w_max, n, tail = _chi_filter_rule(kind, P, tau)
+            fine = pref * (_panel_sum(half_t, power, P.lam, w_max, 2 * n) + tail)
+            assert value == chi_filter(kind, P, tau)
+            assert value == pytest.approx(fine, rel=2e-15, abs=0)
+            # the estimate stays within its target and bounds the true error
+            assert abs(value - _closed_form_exponent(kind, P, tau)) <= err <= 1e-8
 
 
 @pytest.mark.parametrize("lam_tau", [1e-6, 1e5])
