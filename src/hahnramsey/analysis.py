@@ -3,10 +3,12 @@ sensitivity.
 
 Fit initialization is deterministic: the fringe frequency comes from the
 peak of the discrete spectrum of the detrended data, the decay constant
-from the first crossing of the envelope below 1/e, amplitude and offset
-from the data range.  Curves whose detrended spectrum peaks in the
-lowest nonzero bin are treated as non-oscillating and fitted with the
-bare envelope (frequency and phase reported as 0).
+from the first crossing of the envelope below 1/e.  At those two the
+fringe is linear in A cos phi, A sin phi and c (separable least squares:
+Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so one weighted
+linear solve starts the one bounded fit.  Curves whose detrended
+spectrum peaks in the lowest nonzero bin are fitted with the bare
+envelope (frequency and phase reported as 0).
 
 The residual scan evaluates the analytic model on a (lambda, gamma) grid
 and reports SSR normalized by the total sum of squares; ties at the
@@ -161,12 +163,12 @@ def _tau_c_guess(t, y):
 def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) -> DecayFit:
     """Nonlinear least-squares envelope fit of a signal curve.
 
-    Uses curve stderrs as weights when available.  The solver gets each
-    model's exact Jacobian (_gaussian_envelope_jac and its siblings) in
-    place of forward differences, in the curve's own time unit; against
-    the finite-difference fit tau_c moves by at most 1e-3 of tau_c_err
+    Uses curve stderrs as weights when available and each model's exact
+    Jacobian.  One curve_fit call; a fringe starts from its linear
+    least-squares amplitude, phase and offset, and lands within 1e-8 of
+    the SSR and 1e-3 tau_c_err of the best of four blind-phase starts
     (tests/test_analysis.py).  Raises FitInputError on fewer than 6
-    points or flat data, FitError when every restart fails to converge.
+    points or flat data, FitError when the fit fails to converge.
     """
     t = np.asarray(curve.taus, dtype=float)
     y = np.asarray(curve.means, dtype=float)
@@ -174,19 +176,19 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
         raise FitInputError(f"need at least 6 points, got {t.size}")
     if np.ptp(y) < 1e-13 * max(1.0, np.abs(y).max()):
         raise FitInputError("flat data, decay constant unidentifiable")
-    sigma = None
     errs = np.asarray(curve.stderrs, dtype=float)
-    if errs.size == t.size and (errs > 0).all():
-        sigma = errs
+    sigma = errs if errs.size == t.size and (errs > 0).all() else None
 
     span = float(np.ptp(y))
-    amp0 = span / 2
-    c0 = float(y.mean())
     tc0 = _tau_c_guess(t, y)
     tmax = float(t.max()) if t.max() > 0 else 1.0
 
     exponential = model is FitModel.PLAIN_EXPONENTIAL
     w0 = 0.0 if exponential else _freq_guess(t, y)
+    # fringes are fitted in units of tmax: in the curve's unit the w and tc
+    # columns scale as t and 1/t, which spoils the covariance past taus of 1e7
+    unit = tmax if w0 else 1.0
+    x = t / unit
     if w0 == 0.0:
         # plain exponential, or no resolvable fringe: bare Gaussian envelope
         fn, jac = ((_plain_exponential, _plain_exponential_jac) if exponential
@@ -194,52 +196,42 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
         p0 = [y[0] - y[-1], tc0, float(y[-1])]
         lo = [-10 * span - 1e-9, tmax * 1e-4, y.min() - span - 1.0]
         hi = [10 * span + 1e-9, tmax * 1e3, y.max() + span + 1.0]
-        try:
-            popt, pcov = _module.curve_fit(fn, t, y, p0=p0, bounds=(lo, hi),
-                                           jac=jac, sigma=sigma,
-                                           absolute_sigma=sigma is not None,
-                                           maxfev=20000)
-        except RuntimeError as exc:
-            raise FitError(f"{model.value} fit failed to converge: {exc}") from exc
-        resid = fn(t, *popt) - y
+    else:
+        fn, jac = _gaussian_envelope, _gaussian_envelope_jac
+        w0, tc0 = w0 * unit, tc0 / unit
+        lo = [0.0, 0.0, -2 * np.pi, 1e-4, y.min() - span - 1.0]
+        hi = [10 * span + 1e-9, np.pi / np.median(np.diff(x)), 2 * np.pi, 1e3,
+              y.max() + span + 1.0]
+        # least-SSR A cos phi, A sin phi and c at (w0, tc0): module docstring
+        g = np.exp(-((x / tc0) ** 2))
+        cols = np.column_stack([g * np.cos(w0 * x), -g * np.sin(w0 * x),
+                                np.ones_like(x)])
+        wts = np.ones_like(x) if sigma is None else 1.0 / sigma
+        (a, b, c0), *_ = np.linalg.lstsq(cols * wts[:, None], y * wts, rcond=None)
+        p0 = np.clip([math.hypot(a, b), w0, math.atan2(b, a), tc0, c0], lo, hi)
+    try:
+        popt, pcov = _module.curve_fit(fn, x, y, p0=p0, bounds=(lo, hi), jac=jac,
+                                       sigma=sigma, absolute_sigma=sigma is not None,
+                                       maxfev=20000)
+    except RuntimeError as exc:
+        raise FitError(f"{model.value} fit failed to converge: {exc}") from exc
+    resid = fn(x, *popt) - y
+    if w0 == 0.0:
         return _make_fit(popt[1], pcov[1][1], popt[0], popt[2], 0.0, 0.0, resid, y)
-
-    dt = float(np.median(np.diff(t)))
-    lo = [0.0, 0.0, -2 * np.pi, tmax * 1e-4, y.min() - span - 1.0]
-    hi = [10 * span + 1e-9, np.pi / dt, 2 * np.pi, tmax * 1e3, y.max() + span + 1.0]
-    best = None
-    failures = []
-    for phi0 in (0.0, np.pi / 2, np.pi, -np.pi / 2):
-        p0 = [max(amp0, 1e-12), w0, phi0, tc0, c0]
-        try:
-            popt, pcov = _module.curve_fit(_gaussian_envelope, t, y, p0=p0,
-                                           bounds=(lo, hi),
-                                           jac=_gaussian_envelope_jac, sigma=sigma,
-                                           absolute_sigma=sigma is not None,
-                                           maxfev=20000)
-        except RuntimeError as exc:
-            failures.append(str(exc))
-            continue
-        ssr = float(((_gaussian_envelope(t, *popt) - y) ** 2).sum())
-        if best is None or ssr < best[2]:
-            best = (popt, pcov, ssr)
-    if best is None:
-        raise FitError("all fit restarts failed: " + "; ".join(failures))
-    popt, pcov, _ = best
-    resid = _gaussian_envelope(t, *popt) - y
     return _make_fit(popt[3], pcov[3][3], popt[0], popt[4], popt[1], popt[2],
-                     resid, y)
+                     resid, y, unit)
 
 
-def _make_fit(tc, tc_var, amp, c, w, phi, resid, y) -> DecayFit:
+def _make_fit(tc, tc_var, amp, c, w, phi, resid, y, unit=1.0) -> DecayFit:
+    """tc, tc_var and w come in units of `unit` curve time units."""
     tss = float(((y - y.mean()) ** 2).sum())
     ssr = float((resid ** 2).sum())
     return DecayFit(
-        tau_c=float(tc),
-        tau_c_err=float(np.sqrt(max(0.0, tc_var))),
+        tau_c=float(tc * unit),
+        tau_c_err=float(np.sqrt(max(0.0, tc_var)) * unit),
         amplitude=float(amp),
         offset=float(c),
-        frequency=float(w),
+        frequency=float(w / unit),
         phase=float(phi),
         residual_norm=ssr / tss if tss > 0 else ssr,
     )

@@ -235,8 +235,8 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
 
     tau_scale converts the file's declared time unit to the working unit
     (microseconds): stored tau = file tau * tau_scale.  A row that is short,
-    does not parse or holds a non-finite value raises ConfigError naming
-    the file and line.
+    does not parse, holds a non-finite value or a stored |tau| over
+    MAX_MAGNITUDE raises ConfigError naming the file and line.
     """
     _check_tau_scale(tau_scale)
     if not Path(path).is_file():
@@ -262,9 +262,10 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
             except ValueError:
                 raise ConfigError("data", f"{where}: cannot parse {line!r}") from None
             row[0] *= tau_scale
-            if len(row) < 2 or not all(map(math.isfinite, row)):
-                raise ConfigError("data", f"{where}: need finite tau and signal "
-                                          f"cells, got {line!r}")
+            if len(row) < 2 or not (all(map(math.isfinite, row))
+                                    and abs(row[0]) <= MAX_MAGNITUDE):
+                raise ConfigError("data", f"{where}: need finite cells and |tau| <= "
+                                          f"{MAX_MAGNITUDE:g} after scaling, got {line!r}")
             taus.append(row[0])
             means.append(row[1])
             errs.extend(row[2:])

@@ -233,24 +233,29 @@ def _ou_window_integrals(rng, f0, lam, gamma, durations):
 
 def _renewal_window_integrals(rng, f0, lam, gamma, durations):
     """Exact renewal draw over consecutive windows from the held values
-    f0, returned as for _ou_window_integrals.  Event-driven: memoryless
-    Exponential(1/lam) waiting times, a fresh Normal(0, Gamma^2) value at
-    each event, piecewise-constant integrals."""
-    edges = np.concatenate([[0.0], np.cumsum(durations)])
-    total = edges[-1]
-    n = f0.size
-    out = np.zeros((len(durations), n))
-    t = np.zeros(n)
-    val = f0
-    while (t < total).any():
-        t_next = np.minimum(t + rng.exponential(1.0 / lam, n), total)
-        for j in range(len(durations)):
-            lo = np.maximum(t, edges[j])
-            hi = np.minimum(t_next, edges[j + 1])
-            out[j] += val * np.clip(hi - lo, 0.0, None)
-        val = np.where(t_next < total, rng.normal(0.0, gamma, n), val)
-        t = t_next
-    return val, out
+    f0, returned as for _ou_window_integrals: Exponential(1/lam) waiting
+    times, a fresh Normal(0, Gamma^2) value at each event.  A pass draws
+    only for trajectories short of the end and records the running
+    integral at each window end a hold crosses; their differences are
+    the window integrals."""
+    ends = np.cumsum(durations)
+    total = ends[-1]
+    at_end = np.zeros((len(durations), f0.size))
+    val = f0.copy()
+    live = np.arange(f0.size if total > 0 else 0)
+    t = integral = np.zeros(live.size)
+    while live.size:
+        t_next = np.minimum(t + rng.exponential(1.0 / lam, live.size), total)
+        v = val[live]
+        for j, e in enumerate(ends[:-1]):
+            hit = (t < e) & (t_next >= e)
+            at_end[j, live[hit]] = integral[hit] + v[hit] * (e - t[hit])
+        integral = integral + v * (t_next - t)
+        on = t_next < total
+        at_end[-1, live[~on]] = integral[~on]
+        live, t, integral = live[on], t_next[on], integral[on]
+        val[live] = rng.normal(0.0, gamma, live.size)
+    return val, np.diff(at_end, axis=0, prepend=0.0)
 
 
 #: kernel(rng, f0, lam, gamma, durations) -> (f_end, integrals) per noise kind

@@ -64,14 +64,18 @@ def test_fit_rejects_flat_and_short_data():
         fit_decay(curve(t[:4], np.cos(t[:4])))
 
 
-def test_fit_noisy_scatter_within_reported_uncertainty():
+def _scatter_curve(seed):
+    """A tau_c = 2 fringe with 0.02 Gaussian scatter and its stderr column."""
     t = np.linspace(0.0, 6.0, 60)
     clean = np.cos(2.1 * t) * np.exp(-((t / 2.0) ** 2))
+    y = clean + np.random.default_rng(seed).normal(0, 0.02, t.size)
+    return curve(t, y, 0.02 * np.ones_like(t))
+
+
+def test_fit_noisy_scatter_within_reported_uncertainty():
     hits = 0
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        y = clean + rng.normal(0, 0.02, t.size)
-        fit = fit_decay(curve(t, y, 0.02 * np.ones_like(t)))
+        fit = fit_decay(_scatter_curve(seed))
         if abs(fit.tau_c - 2.0) <= 3 * fit.tau_c_err:
             hits += 1
     assert hits >= 9
@@ -115,18 +119,23 @@ def test_fit_jacobian_matches_central_differences(model, jac, seed):
     assert (np.abs(got - fd) <= tol).all()
 
 
+def _bench_fringe(seed):
+    """A benchmark-style noisy fringe: 121 points, noise 0.01, stderr column."""
+    t = np.linspace(0.0, 12.0, 121)
+    rng = np.random.default_rng(seed)
+    amp, w, phi = rng.uniform(0.6, 0.9), rng.uniform(1.5, 2.5), rng.uniform(-0.5, 0.5)
+    tc, c = rng.uniform(3.0, 5.0), rng.uniform(-0.1, 0.1)
+    y = amp * np.cos(w * t + phi) * np.exp(-((t / tc) ** 2)) + c
+    y = y + rng.normal(0.0, 0.01, t.size)
+    return curve(t, y, np.full(t.size, 0.01))
+
+
 def _fit_move_cases():
     """(name, curve, model): benchmark-style noisy fringes with a stderr
     column, the decay curves of acceptance criterion 5, and noisy
     bare-Gaussian and exponential decays (the fits without a fringe)."""
-    t = np.linspace(0.0, 12.0, 121)
     for seed in range(1, 6):
-        rng = np.random.default_rng(seed)
-        amp, w, phi = rng.uniform(0.6, 0.9), rng.uniform(1.5, 2.5), rng.uniform(-0.5, 0.5)
-        tc, c = rng.uniform(3.0, 5.0), rng.uniform(-0.1, 0.1)
-        y = amp * np.cos(w * t + phi) * np.exp(-((t / tc) ** 2)) + c
-        y = y + rng.normal(0.0, 0.01, t.size)
-        yield f"fringe-{seed}", curve(t, y, np.full(t.size, 0.01)), FitModel.GAUSSIAN_ENVELOPE
+        yield f"fringe-{seed}", _bench_fringe(seed), FitModel.GAUSSIAN_ENVELOPE
     t_r = np.linspace(0.05, 9.0, 90)
     t_e = np.linspace(0.05, 14.0, 90)
     yield "ramsey", curve(t_r, ramsey_signal(DELTA, FIG_NOISE, t_r)), FitModel.GAUSSIAN_ENVELOPE
@@ -160,6 +169,100 @@ def test_exact_jacobian_fit_matches_the_finite_difference_fit(monkeypatch, fit):
     oracle = fit()
     assert exact.tau_c_err > 0
     assert abs(exact.tau_c - oracle.tau_c) <= 1e-3 * exact.tau_c_err
+
+
+def _four_phase_fit(c):
+    """Oracle of the oscillating fit: the bounded Gaussian-envelope fit run
+    from the blind start phases 0, pi/2, pi and -pi/2 (amplitude half the
+    data range, offset the data mean), keeping the fit of least SSR."""
+    import scipy.optimize
+    t, y = np.asarray(c.taus, float), np.asarray(c.means, float)
+    errs = np.asarray(c.stderrs, float)
+    sigma = errs if errs.size == t.size and (errs > 0).all() else None
+    span, tmax = float(np.ptp(y)), float(t.max())
+    w0, tc0 = analysis._freq_guess(t, y), analysis._tau_c_guess(t, y)
+    dt = float(np.median(np.diff(t)))
+    lo = [0.0, 0.0, -2 * np.pi, tmax * 1e-4, y.min() - span - 1.0]
+    hi = [10 * span + 1e-9, np.pi / dt, 2 * np.pi, tmax * 1e3, y.max() + span + 1.0]
+    fits = []
+    for phi0 in (0.0, np.pi / 2, np.pi, -np.pi / 2):
+        popt, pcov = scipy.optimize.curve_fit(
+            analysis._gaussian_envelope, t, y,
+            p0=[span / 2, w0, phi0, tc0, float(y.mean())], bounds=(lo, hi),
+            jac=analysis._gaussian_envelope_jac, sigma=sigma,
+            absolute_sigma=sigma is not None, maxfev=20000)
+        resid = analysis._gaussian_envelope(t, *popt) - y
+        fits.append(analysis._make_fit(popt[3], pcov[3][3], popt[0], popt[4],
+                                       popt[1], popt[2], resid, y))
+    return min(fits, key=lambda f: f.residual_norm)
+
+
+def _sensitivity_fringe():
+    """The curve the fringe fit inside sensitivity fits, at the tilt it picks."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "fit_decay", lambda c: seen.append(c) or fit_decay(c))
+        analysis._fringe_envelope_fit(
+            optimal_theta(FIG_NOISE, 0.0, np.linspace(0.2, 2.0, 10) / FIG_NOISE.lam),
+            FIG_NOISE)
+    return seen[0]
+
+
+def _oscillating(c):
+    return analysis._freq_guess(np.asarray(c.taus), np.asarray(c.means)) > 0
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda c=c: c, id=name) for name, c, m in _fit_move_cases()
+    if m is FitModel.GAUSSIAN_ENVELOPE and _oscillating(c)] + [
+    pytest.param(lambda s=s: _scatter_curve(s), id=f"scatter-{s}") for s in range(10)] + [
+    pytest.param(lambda s=s: _bench_fringe(s), id=f"bench-{s}") for s in range(1, 21)] + [
+    pytest.param(_sensitivity_fringe, id="sensitivity-fringe")])
+def test_single_start_fit_matches_the_four_phase_oracle(monkeypatch, make):
+    c = make()
+    assert _oscillating(c)
+    real, calls = analysis.curve_fit, []
+    monkeypatch.setattr(analysis, "curve_fit",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    fit = fit_decay(c)
+    oracle = _four_phase_fit(c)
+    assert len(calls) == 1
+    assert fit.residual_norm <= (1 + 1e-8) * oracle.residual_norm
+    assert abs(fit.tau_c - oracle.tau_c) <= 1e-3 * fit.tau_c_err
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-6, 1e8, 1e11, 1e300])
+def test_fringe_fit_does_not_depend_on_the_time_unit(scale):
+    # in the curve's own unit, taus from about 1e7 on gave a tau_c_err 1e-18
+    # too small, and from about 3e10 on a single start stopped short
+    c = _bench_fringe(3)
+    base = fit_decay(c)
+    fit = fit_decay(curve(c.taus * scale, c.means, c.stderrs))
+    assert fit.tau_c / scale == pytest.approx(base.tau_c, rel=1e-12, abs=0)
+    assert fit.tau_c_err / scale == pytest.approx(base.tau_c_err, rel=1e-12, abs=0)
+    assert fit.frequency * scale == pytest.approx(base.frequency, rel=1e-12, abs=0)
+    for key in ("amplitude", "offset", "phase", "residual_norm"):
+        assert getattr(fit, key) == pytest.approx(getattr(base, key), rel=1e-12,
+                                                  abs=1e-15)
+
+
+@pytest.mark.parametrize("c, model", [
+    pytest.param(_bench_fringe(1), FitModel.GAUSSIAN_ENVELOPE, id="fringe"),
+    pytest.param(curve(np.linspace(0.05, 12.0, 80),
+                       np.exp(-((np.linspace(0.05, 12.0, 80) / 4.0) ** 2))),
+                 FitModel.GAUSSIAN_ENVELOPE, id="bare"),
+    pytest.param(curve(np.linspace(0.0, 10.0, 40),
+                       0.8 * np.exp(-np.linspace(0.0, 10.0, 40) / 3.0)),
+                 FitModel.PLAIN_EXPONENTIAL, id="exponential")])
+def test_fit_that_does_not_converge_raises_fit_error_naming_the_model(
+        monkeypatch, c, model):
+    def failing(*args, **kwargs):
+        raise RuntimeError("Optimal parameters not found")
+
+    monkeypatch.setattr(analysis, "curve_fit", failing)
+    with pytest.raises(FitError, match=f"^{model.value} fit failed to converge: "
+                                       "Optimal parameters not found$"):
+        fit_decay(c, model)
 
 
 # --------------------------------------------------------------------------
@@ -487,6 +590,6 @@ def test_fit_decay_calls_a_wrapper_set_on_analysis_curve_fit():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # four phase restarts per oscillating fit: fit_decay, then the fringe
-    # fit inside sensitivity
-    assert proc.stdout.split() == ["4", "8"]
+    # one curve_fit per oscillating fit: fit_decay, then the fringe fit
+    # inside sensitivity
+    assert proc.stdout.split() == ["1", "2"]

@@ -512,7 +512,8 @@ def test_scan_and_simulate_share_the_ramsey_tilt_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["fit", "scan"])
-@pytest.mark.parametrize("row", ["1.0,abc", "7.0", "7.0,nan", "inf,0.5"])
+@pytest.mark.parametrize("row", ["1.0,abc", "7.0", "7.0,nan", "inf,0.5",
+                                 "1.1e12,0.5", "-1.1e12,0.5"])
 def test_bad_data_row_names_file_and_line(command, row, tmp_path, capsys):
     data = _write_ramsey_data(tmp_path / "bad.csv", rows=[row])
     args = (["fit", "--data", data] if command == "fit"
@@ -520,6 +521,34 @@ def test_bad_data_row_names_file_and_line(command, row, tmp_path, capsys):
     assert run([*args, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert "bad.csv line 42" in err       # header, 40 rows, then the bad one
+
+
+@pytest.mark.parametrize("command", ["fit", "scan"])
+def test_data_taus_beyond_max_magnitude_exit_2(command, tmp_path, capsys):
+    # a tau_c 4, w 2 fringe on taus 0..12 x 1e300 used to fit to tau_c
+    # 3.5e300 with tau_c_err 0 and exit 0
+    x = np.linspace(0.0, 12.0, 121)
+    data = tmp_path / "huge.csv"
+    with open(data, "w") as fh:
+        fh.write("tau,signal\n")
+        for xi, yi in zip(x, np.cos(2 * x) * np.exp(-((x / 4) ** 2))):
+            fh.write(f"{xi * 1e300:.17g},{yi:.17g}\n")
+    args = (["fit", "--data", data] if command == "fit"
+            else [*_SCAN, "--data", data])
+    out = tmp_path / "o"
+    assert run([*args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'data'" in err and "huge.csv line 3" in err   # tau 1e299, after 0
+    assert not out.exists()
+
+
+def test_scan_refuses_taus_the_tau_scale_takes_beyond_max_magnitude(tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "ram.csv")    # taus 0.1 .. 6
+    out = tmp_path / "o"
+    assert run([*_SCAN, "--data", data, "--tau-scale", 1e14, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'data'" in err and "ram.csv line 2" in err   # tau 0.1 x 1e14
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, name", [
@@ -685,7 +714,8 @@ _COMMAND_FLAGS = {
     "components": {"--theta-count": _ODD_COUNTS},
     "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
              "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
-             "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS}}
+             "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS},
+    "fit": {"--tau-scale": _ODD_FLOATS}}
 # huge n_trajectories exit 2 through MAX_TRAJECTORY_POINTS
 _MC_FIELDS = {"n_trajectories": st.one_of(
                   st.integers(-2, 16),
@@ -693,6 +723,23 @@ _MC_FIELDS = {"n_trajectories": st.one_of(
               "noise_kind": st.sampled_from(["ou", "renewal", "none"])}
 _SCAN_GRID = {"--lambda-min": 1.5, "--lambda-max": 3.5, "--lambda-count": 2,
               "--gamma-min": 0.3, "--gamma-max": 1.0, "--gamma-count": 2}
+
+
+def _write_fit_data(data, path):
+    """A generated fit data file: 0 to 130 rows of a noisy tau_c 4, w 2
+    fringe on taus 0..12 times a magnitude from 1e-6 to 1e300, with or
+    without a stderr column."""
+    rows = data.draw(st.integers(0, 130), label="rows")
+    magnitude = data.draw(st.floats(-6.0, 300.0), label="log10 tau magnitude")
+    with_err = data.draw(st.booleans(), label="stderr column")
+    x = np.linspace(0.0, 12.0, rows)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="noise seed"))
+    y = 0.8 * np.cos(2 * x) * np.exp(-((x / 4) ** 2)) + rng.normal(0.0, 0.01, rows)
+    with open(path, "w") as fh:
+        fh.write("tau,signal,stderr\n" if with_err else "tau,signal\n")
+        for xi, yi in zip(x * 10.0 ** magnitude, y):
+            fh.write(f"{xi:.17g},{yi:.17g},0.01\n" if with_err else f"{xi:.17g},{yi:.17g}\n")
+    return path
 
 
 def _only_finite_numbers(path):
@@ -742,6 +789,9 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
         if command == "scan":
             args += ["--data", str(_write_ramsey_data(Path(tmp) / "ram.csv"))]
             args += [f"{k}={v}" for k, v in {**_SCAN_GRID, **flags}.items()]
+        elif command == "fit":
+            args += ["--data", str(_write_fit_data(data, Path(tmp) / "fringe.csv"))]
+            args += [f"{k}={v}" for k, v in flags.items()]
         else:
             args += [f"{k}={v}" for k, v in flags.items()]
         err = io.StringIO()
@@ -754,6 +804,6 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
         else:
             assert rc == 2, err.getvalue()
             named = re.search(r"config field '([^']+)'", err.getvalue())
-            known = {*_FIELD_VALUES, *_BASE_FIELDS, *_MC_FIELDS, *extra_flags}
+            known = {*_FIELD_VALUES, *_BASE_FIELDS, *_MC_FIELDS, *extra_flags, "data"}
             assert named and set(named[1].split(", ")) <= known, err.getvalue()
             assert not out.exists()

@@ -364,6 +364,39 @@ def test_renewal_window_kernel_moments(lam_t):
     assert abs((f_end == f0).mean() - kept) < 4 * np.sqrt(kept * (1 - kept) / n)
 
 
+class _DrawRecorder:
+    """Generator wrapper that records the size of every exponential and
+    normal draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.exponential_sizes, self.normal_sizes = [], []
+
+    def exponential(self, scale, size):
+        self.exponential_sizes.append(size)
+        return self._rng.exponential(scale, size)
+
+    def normal(self, loc, scale, size):
+        self.normal_sizes.append(size)
+        return self._rng.normal(loc, scale, size)
+
+
+def test_renewal_window_kernel_draws_nothing_for_finished_trajectories():
+    n = 2000
+    rng = _DrawRecorder(5)
+    f0 = np.random.default_rng(6).normal(0.0, P.gamma, n)
+    _renewal_window_integrals(rng, f0, P.lam, P.gamma, [0.3, 0.9, 0.3])
+    waits, values = rng.exponential_sizes, rng.normal_sizes
+    # a pass draws one waiting time per trajectory still short of the end,
+    # then one value per trajectory whose event fell before the end: those
+    # are the ones the next pass draws for
+    assert waits[0] == n and all(a >= b > 0 for a, b in zip(waits, waits[1:]))
+    assert values == waits[1:] + [0]
+    # so each trajectory draws one waiting time per event, plus the one
+    # that ends it
+    assert sum(waits) == n + sum(values)
+
+
 def test_renewal_constant_in_no_jump_limit():
     rng = np.random.default_rng(7)
     f0 = rng.normal(0.0, 1.0, 1000)
