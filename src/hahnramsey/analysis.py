@@ -180,25 +180,23 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
     sigma = errs if errs.size == t.size and (errs > 0).all() else None
 
     span = float(np.ptp(y))
-    tc0 = _tau_c_guess(t, y)
-    tmax = float(t.max()) if t.max() > 0 else 1.0
-
     exponential = model is FitModel.PLAIN_EXPONENTIAL
-    w0 = 0.0 if exponential else _freq_guess(t, y)
-    # fringes are fitted in units of tmax: in the curve's unit the w and tc
-    # columns scale as t and 1/t, which spoils the covariance past taus of 1e7
-    unit = tmax if w0 else 1.0
+    # every model is fitted in units of the largest tau: in the curve's unit
+    # the w and tc columns scale as t and 1/t, which spoils the covariance
+    # far from 1
+    unit = float(t.max()) if t.max() > 0 else 1.0
     x = t / unit
+    tc0 = _tau_c_guess(t, y) / unit
+    w0 = 0.0 if exponential else _freq_guess(t, y) * unit
     if w0 == 0.0:
         # plain exponential, or no resolvable fringe: bare Gaussian envelope
         fn, jac = ((_plain_exponential, _plain_exponential_jac) if exponential
                    else (_gaussian_bare, _gaussian_bare_jac))
         p0 = [y[0] - y[-1], tc0, float(y[-1])]
-        lo = [-10 * span - 1e-9, tmax * 1e-4, y.min() - span - 1.0]
-        hi = [10 * span + 1e-9, tmax * 1e3, y.max() + span + 1.0]
+        lo = [-10 * span - 1e-9, 1e-4, y.min() - span - 1.0]
+        hi = [10 * span + 1e-9, 1e3, y.max() + span + 1.0]
     else:
         fn, jac = _gaussian_envelope, _gaussian_envelope_jac
-        w0, tc0 = w0 * unit, tc0 / unit
         lo = [0.0, 0.0, -2 * np.pi, 1e-4, y.min() - span - 1.0]
         hi = [10 * span + 1e-9, np.pi / np.median(np.diff(x)), 2 * np.pi, 1e3,
               y.max() + span + 1.0]
@@ -217,7 +215,8 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
         raise FitError(f"{model.value} fit failed to converge: {exc}") from exc
     resid = fn(x, *popt) - y
     if w0 == 0.0:
-        return _make_fit(popt[1], pcov[1][1], popt[0], popt[2], 0.0, 0.0, resid, y)
+        return _make_fit(popt[1], pcov[1][1], popt[0], popt[2], 0.0, 0.0, resid, y,
+                         unit)
     return _make_fit(popt[3], pcov[3][3], popt[0], popt[4], popt[1], popt[2],
                      resid, y, unit)
 

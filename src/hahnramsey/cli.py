@@ -101,6 +101,9 @@ class RunConfig:
             raise ConfigError("gamma", "noise strength must be >= 0")
         if self.n_trajectories < 1:
             raise ConfigError("n_trajectories", "must be >= 1")
+        if self.engine == "both" and self.n_trajectories < 2:
+            raise ConfigError("n_trajectories", "the z-scores of --engine both "
+                                                "need a stderr, so >= 2")
         if (self.engine != "analytic"
                 and self.n_trajectories * self.tau_count > MAX_TRAJECTORY_POINTS):
             raise ConfigError("n_trajectories",
@@ -117,8 +120,10 @@ class RunConfig:
             raise ConfigError("pulse_model", "must be instantaneous or finite")
         if self.rabi is not None and self.rabi <= 0:
             raise ConfigError("rabi", "must be > 0")
-        if self.pulse_model == "finite" and not self.rabi:
-            raise ConfigError("rabi", "finite pulses need a rabi frequency")
+        if self.pulse_model == "finite" and not (self.rabi or 0.0) >= 1 / MAX_MAGNITUDE:
+            # pulses of area/rabi must last a finite time
+            raise ConfigError("rabi", f"finite pulses need a rabi frequency "
+                                      f">= {1 / MAX_MAGNITUDE:g}")
         if self.theta is not None and not (0 < self.theta <= math.pi / 2):
             raise ConfigError("theta", "must lie in (0, pi/2]")
         if self.sequence == "hahn_echo":

@@ -5,13 +5,14 @@ is the point: agreement between the two is the end-to-end check of the
 Gaussian averaging behind every decay law.
 
 One function, run_mc, serves both pulse models of McConfig.pulse_model:
-instantaneous pulses (tilted-axis rotations that take no time, applied
-to the real Bloch vector: one 3x3 rotation per pulse and one half-angle
-tangent per delay rotation, since numpy's tan is SIMD-vectorized and its
-cos and sin are not; see _cos_sin) and finite pulses (the spinor is
-stepped through each pulse while the noise keeps running).  Both share
-the seeding, block reduction and worker fan-out below; only the
-per-block sampler differs.
+instantaneous pulses (tilted-axis rotations that take no time) and
+finite pulses (driven windows through which the noise keeps running).
+Both list the sequence as one timeline of ops (_timeline) and run one
+sampler (_sampler) on the real Bloch vector: a 3x3 rotation per
+instantaneous pulse and, per window step, one rotation from one
+half-angle tangent, since numpy's tan is SIMD-vectorized and its cos and
+sin are not (see _cos_sin).  Seeding, block reduction and worker fan-out
+are shared as well.
 
 Reproducibility scheme
 ----------------------
@@ -24,15 +25,14 @@ pulse model, since neither stream layout nor summation order depends
 on scheduling.  Within a tau-point, per-trajectory sigma_z values are
 summed with numpy's pairwise summation over each block.
 
-The phase integral of every delay is drawn exactly, for both noise
-kinds and both pulse models, from the window kernels in `noise`: two
-normals per delay for OU noise, event-driven for renewal noise.
-time_step only sets the grid on which finite pulses are stepped.
+The phase integral of every window step is drawn exactly, for both
+noise kinds, from the window kernels in `noise`, one call per step: two
+normals for OU noise, event-driven for renewal noise.  time_step only
+sets the grid on which noisy finite pulses are stepped.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,8 +41,7 @@ import numpy as np
 
 from ._datafile import write_csv as _write_csv
 from .noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
-from .spincore import (Delay, PulseParams, PulseSequence, SequenceKind,
-                       SPIN_UP, build_sequence)
+from .spincore import Delay, PulseParams, SequenceKind, build_sequence
 
 __all__ = ["McConfig", "SignalCurve", "BlochPoint", "run_mc",
            "bloch_trajectory", "bloch_to_csv", "BLOCK_SIZE",
@@ -51,7 +50,7 @@ __all__ = ["McConfig", "SignalCurve", "BlochPoint", "run_mc",
 
 BLOCK_SIZE = 8192
 #: bound on the noisy finite-pulse steps of one trajectory; each step is a
-#: pass of the Python loop in _finite_block_samples
+#: pass of the Python loop in _sampler
 MAX_PULSE_STEPS = 10 ** 5
 #: bound on the expected renewal events of one trajectory, lam times the
 #: sequence time; each event is a pass of the event loop in
@@ -168,39 +167,93 @@ def _cos_sin(phi):
     return np.where(t2 < 1.0, 1.0 - 2.0 * t2 / d, (1.0 - t2) / d), 2.0 * t / d
 
 
-def _instantaneous_sampler(seq, delta, noise, cfg):
-    """sample(rng, m): sigma_z of m trajectories with instantaneous
-    pulses; rng None means noiseless.
+def _timeline(seq, delta, noise, cfg) -> list:
+    """seq as the ops of _sampler: a 3x3 rotation (an instantaneous pulse,
+    _bloch_rotation) or a window (h, sigma_z rate, sigma_x rate, steps) of
+    `steps` steps of length h.
+
+    A delay is one step at sigma_x rate 0 with the instantaneous-pulse
+    phase convention sign*delta.  A finite pulse realizes the requested
+    tilt exactly: the drive detuning is rabi/tan(theta) (mirrored for
+    detuning_sign -1) and the duration is area/effective_rabi, each window
+    in its own drive frame; a noisy pulse is cut into _pulse_steps steps.
+    Zero-length windows are left out, so they draw no noise.
+    """
+    ops = []
+    for el in seq.elements:
+        if isinstance(el, Delay):
+            window = (el.duration, el.detuning_sign * delta, 0.0, 1)
+        elif cfg.pulse_model == "instantaneous":
+            ops.append(_bloch_rotation(el))
+            continue
+        else:
+            det = cfg.rabi / math.tan(el.theta) if el.theta < math.pi / 2 else 0.0
+            dur = el.beta / math.hypot(cfg.rabi, det)
+            steps = (_pulse_steps(dur, noise.lam, cfg.time_step)
+                     if noise.gamma > 0.0 else 1)
+            window = (dur / steps, el.detuning_sign * det, cfg.rabi, steps)
+        if window[0] > 0.0:
+            ops.append(window)
+    return ops
+
+
+def _pulse_steps(duration, lam, time_step):
+    """Steps of a noisy pulse: the time_step grid, refined to resolve the
+    noise correlation time 1/lam.  A count past MAX_PULSE_STEPS, which
+    run_mc refuses, comes back as MAX_PULSE_STEPS + 1, so that one too
+    large for a float still gives an int."""
+    steps = duration / min(time_step, 0.05 / lam)
+    return max(1, math.ceil(min(steps, MAX_PULSE_STEPS + 1)))
+
+
+def _sampler(seq, delta, noise, cfg):
+    """sample(rng, m): sigma_z of m trajectories through the _timeline of
+    seq; rng None or gamma 0 means noiseless.
 
     The state is carried as the real Bloch vector (x, y, z), starting as
-    the scalars (0, 0, 1): each pulse is one 3x3 rotation (_bloch_rotation)
-    and each delay the z rotation by its phase, from one half-angle tangent
-    (_cos_sin: SIMD tan instead of scalar cos and sin).  Only z is read out,
-    so a final pulse applies just its z row.
+    the scalars (0, 0, 1).  A rotation op is applied as it stands, a
+    final one only in its z row, since only z is read out.  Each
+    window step draws the phase integral X of its noise from the exact
+    window kernel of the noise kind and rotates by the angle vector
+    (nx h, 0, nz h + X): about z for a delay (nx = 0), by Rodrigues'
+    formula about its per-trajectory axis for a pulse step, with cos and
+    sin from one half-angle tangent (_cos_sin: SIMD tan instead of scalar
+    cos and sin).
     """
-    ops = [el if isinstance(el, Delay) else _bloch_rotation(el)
-           for el in seq.elements]
-    readout = ops.pop()[2]      # standard sequences end on their readout pulse
-    durations = [d.duration for d in seq.delays]
-    window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
+    ops = _timeline(seq, delta, noise, cfg)
+    # only z is read out, so a final rotation applies just its z row
+    readout = ops.pop()[2] if ops and isinstance(ops[-1], list) else None
+    kernel = _WINDOW_INTEGRALS.get(noise.kind)
+    lam, gamma = noise.lam, noise.gamma
 
     def sample(rng, m):
-        if rng is None:
-            phases = np.zeros((len(durations), m))
-        else:
-            f0 = rng.normal(0.0, noise.gamma, m)
-            phases = window_integrals(rng, f0, noise.lam, noise.gamma,
-                                      durations)[1]
+        f = rng.normal(0.0, gamma, m) if rng is not None and gamma > 0.0 else None
         x, y, z = 0.0, 0.0, 1.0
-        rows = iter(phases)
         for op in ops:
-            if isinstance(op, Delay):
-                phi = op.detuning_sign * delta * op.duration + next(rows)
-                c, s = _cos_sin(phi)
-                x, y = x * c - y * s, x * s + y * c
-            else:
+            if isinstance(op, list):
                 x, y, z = [r[0] * x + r[1] * y + r[2] * z for r in op]
-        return readout[0] * x + readout[1] * y + readout[2] * z
+                continue
+            h, nz, nx, steps = op
+            for _ in range(steps):
+                az = nz * h
+                if f is not None:
+                    f, phase = kernel(rng, f, lam, gamma, h)
+                    az = az + phase
+                if nx == 0.0:
+                    c, s = _cos_sin(az)
+                    x, y = x * c - y * s, x * s + y * c
+                else:
+                    ax = nx * h
+                    angle = np.sqrt(ax * ax + az * az)
+                    c, s = _cos_sin(angle)
+                    kx, kz = ax / angle, az / angle
+                    d = (1.0 - c) * (kx * x + kz * z)
+                    x, y, z = (x * c - kz * y * s + kx * d,
+                               y * c + (kz * x - kx * z) * s,
+                               z * c + kx * y * s + kz * d)
+        if readout is not None:
+            z = readout[0] * x + readout[1] * y + readout[2] * z
+        return np.broadcast_to(z, (m,))     # scalar while nothing was drawn
 
     return sample
 
@@ -234,49 +287,42 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
            noise: NoiseParams, taus, cfg: McConfig) -> SignalCurve:
     """Monte Carlo estimate of <sigma_z> per tau under cfg.pulse_model.
 
-    Finite pulses evolve under ((det + f(t))/2) sigma_z + (rabi/2) sigma_x,
-    stepped with piecewise-constant matrix exponentials on the time_step
-    grid, and the noise runs continuously through pulses and delays.
-    Raises PulseStepError when a trajectory would take over
-    MAX_PULSE_STEPS noisy pulse steps, and RenewalEventError when it would
-    expect over MAX_RENEWAL_EVENTS renewal events.  Deterministic for a fixed
-    master_seed at any cfg.workers; see the module docstring for the
-    seeding scheme.
+    Both pulse models run the one sampler (_sampler) over the window
+    timeline of each sequence (_timeline).  Finite pulses evolve under
+    ((det + f(t))/2) sigma_z + (rabi/2) sigma_x, stepped on the time_step
+    grid with f held at its mean over each step, and the noise runs
+    continuously through pulses and delays.  Raises PulseStepError when a
+    trajectory would take over MAX_PULSE_STEPS pulse steps, and
+    RenewalEventError when it would expect over MAX_RENEWAL_EVENTS renewal
+    events.  Deterministic for a fixed master_seed at any cfg.workers; see
+    the module docstring for the seeding scheme.
     """
     taus = _validate(theta, delta, noise, taus)
     seqs = [build_sequence(seq_kind, theta, delta, float(t)) for t in taus]
-    finite = cfg.pulse_model == "finite"
-    make_sampler = _finite_sampler if finite else _instantaneous_sampler
     noisy = noise.gamma > 0.0
-    warnings = []
-    windows = _finite_windows(seqs[0], delta, cfg.rabi) if finite else []
-    if noisy and noise.kind is NoiseKind.RENEWAL:
-        span = (max(sum(d.duration for d in s.delays) for s in seqs)
-                + sum(w[1] for w in windows if w[0] == "pulse"))
-        if noise.lam * span > MAX_RENEWAL_EVENTS:
-            raise RenewalEventError(
-                f"renewal noise expects lam * {span:.3g} = {noise.lam * span:.3g} "
-                f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
-    if finite:
-        if noisy:
-            steps = sum(_pulse_steps(w[1], noise.lam, cfg.time_step)
-                        for w in windows if w[0] == "pulse")
-            if steps > MAX_PULSE_STEPS:
-                raise PulseStepError(
-                    f"finite pulses need {steps:.3g} noisy steps per trajectory "
-                    f"(pulse time / min(time_step, 0.05/lam)), over "
-                    f"{MAX_PULSE_STEPS}")
-        for w in windows:
-            if w[0] == "pulse" and w[1] / cfg.time_step < 10:
-                warnings.append(
-                    f"pulse of duration {w[1]:.3g} resolved by fewer than 10 "
-                    f"steps of {cfg.time_step:.3g}")
-                break
+    # the longest sequence; its pulses are those of every tau
+    windows = [op for op in _timeline(seqs[int(np.argmax(taus))], delta, noise, cfg)
+               if isinstance(op, tuple)]
+    span = sum(h * steps for h, _, _, steps in windows)
+    if (noisy and noise.kind is NoiseKind.RENEWAL
+            and noise.lam * span > MAX_RENEWAL_EVENTS):
+        raise RenewalEventError(
+            f"renewal noise expects lam * {span:.3g} = {noise.lam * span:.3g} "
+            f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
+    pulses = [(h * steps, steps) for h, _, nx, steps in windows if nx]
+    pulse_steps = sum(steps for _, steps in pulses)
+    if pulse_steps > MAX_PULSE_STEPS:
+        raise PulseStepError(
+            f"finite pulses need over {MAX_PULSE_STEPS} noisy steps per "
+            f"trajectory (pulse time / min(time_step, 0.05/lam))")
+    coarse = [dur for dur, _ in pulses if dur / cfg.time_step < 10]
+    warnings = [f"pulse of duration {coarse[0]:.3g} resolved by fewer than 10 "
+                f"steps of {cfg.time_step:.3g}"] if coarse else []
     means = np.empty(taus.size)
     errs = np.empty(taus.size)
 
     def work(i):
-        sample = make_sampler(seqs[i], delta, noise, cfg)
+        sample = _sampler(seqs[i], delta, noise, cfg)
         means[i], errs[i] = _point_estimate(sample, noisy, cfg, i)
 
     if cfg.workers == 1:
@@ -287,76 +333,6 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
             list(pool.map(work, range(taus.size)))
     return SignalCurve(taus, means, errs, cfg.n_trajectories, seq_kind,
                        tuple(warnings))
-
-
-# ---------------------------------------------------------------------------
-# finite-duration pulses
-
-
-def _finite_windows(seq: PulseSequence, delta: float, rabi: float):
-    """Timeline of (kind, duration, sigma_z rate, sigma_x rate) windows.
-
-    Pulses realize the requested tilt exactly: the drive detuning is
-    rabi/tan(theta) (mirrored for detuning_sign -1) and the duration is
-    area/effective_rabi.  Delays keep the instantaneous-pulse phase
-    convention sign*delta, each window expressed in its own drive frame.
-    """
-    windows = []
-    for el in seq.elements:
-        if isinstance(el, Delay):
-            windows.append(("delay", el.duration, el.detuning_sign * delta, 0.0))
-        else:
-            det = rabi / math.tan(el.theta) if el.theta < math.pi / 2 else 0.0
-            w1 = math.hypot(rabi, det)
-            windows.append(("pulse", el.beta / w1, el.detuning_sign * det, rabi))
-    return windows
-
-
-def _pulse_steps(duration, lam, time_step):
-    """Steps of a noisy pulse: the time_step grid, refined to resolve the
-    noise correlation time 1/lam."""
-    return max(1, math.ceil(duration / min(time_step, 0.05 / lam)))
-
-
-def _finite_sampler(seq, delta, noise, cfg):
-    """sample(rng, m) with finite pulses; see _finite_block_samples."""
-    return functools.partial(_finite_block_samples,
-                             _finite_windows(seq, delta, cfg.rabi), noise, cfg)
-
-
-def _finite_block_samples(windows, noise, cfg, rng, m):
-    """sigma_z of m trajectories through the finite-pulse window
-    timeline; rng None means noiseless.
-
-    Each window is cut into steps: one for a delay or a noiseless pulse,
-    the time_step grid for a noisy pulse.  A step draws the mean of f over
-    it from the exact window kernel of the noise kind and applies the
-    rotation of its constant generator.
-    """
-    lam, gamma = noise.lam, noise.gamma
-    noisy = gamma > 0.0 and rng is not None
-    window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
-    f = rng.normal(0.0, gamma, m) if noisy else None
-    psi = np.tile(SPIN_UP, (m, 1))
-    for kind, dur, nz_rate, nx_rate in windows:
-        if dur == 0.0:
-            continue
-        steps = 1
-        if noisy and kind == "pulse":
-            steps = _pulse_steps(dur, lam, cfg.time_step)
-        h = dur / steps
-        for _ in range(steps):
-            nz = nz_rate
-            if noisy:
-                f, x = window_integrals(rng, f, lam, gamma, [h])
-                nz = nz_rate + x[0] / h
-            w = np.sqrt(nz * nz + nx_rate * nx_rate)
-            c, s = _cos_sin(w * h / 2)
-            s = np.where(w > 0, s / np.maximum(w, 1e-300), 0.5 * h)
-            a0 = (c - 1j * s * nz) * psi[:, 0] - 1j * s * nx_rate * psi[:, 1]
-            a1 = -1j * s * nx_rate * psi[:, 0] + (c + 1j * s * nz) * psi[:, 1]
-            psi[:, 0], psi[:, 1] = a0, a1
-    return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
 
 
 # ---------------------------------------------------------------------------

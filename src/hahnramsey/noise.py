@@ -15,11 +15,12 @@ uniform Gauss-Legendre panels whose node windows come by angle addition,
 and estimates its error from the same rule on half the panels.
 
 Its samplers are the two exact window kernels, one per noise kind
-(_WINDOW_INTEGRALS): from the values f0 at the start of a run of
-consecutive windows they draw the phase integral of each window and the
-value at the end, with no step-size bias.  The Monte Carlo engine draws
-the phase of every free-precession delay from them.  They take the
-random generator as an argument; the engine seeds one per block.
+(_WINDOW_INTEGRALS): from the values f0 at the start of one window they
+draw its phase integral and the value at its end, with no step-size
+bias; consecutive windows chain the end values.  The Monte Carlo engine
+draws the phase of every delay and finite-pulse step from them.  They
+take the random generator as an argument; the engine seeds one per
+block.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ def _chi_filter_with_error(kind: FilterKind, p: NoiseParams, tau: float,
     return value, err
 
 
-def _ou_window_integrals(rng, f0, lam, gamma, durations):
-    """Exact OU draw over consecutive windows from the start values f0;
-    returns (f at the end, integrals of shape (len(durations), f0.size)).
+def _ou_window_integrals(rng, f0, lam, gamma, dur):
+    """Exact OU draw over one window of length dur from the start values
+    f0; returns (f at the end, the integral of f over the window).
 
     Over a window T, with x = lam T and e = exp(-x), f(T) and X = int f dt
     given f(0) are jointly Gaussian (Gillespie, Phys. Rev. E 54, 2084
@@ -218,46 +219,33 @@ def _ou_window_integrals(rng, f0, lam, gamma, durations):
     O(x^2) trapezoid term dominates.  A zero-length window leaves f as it
     is and gives X = 0.
     """
-    f = f0
-    out = np.empty((len(durations), f0.size))
-    for j, dur in enumerate(durations):
-        x = lam * dur
-        t = math.tanh(0.5 * x)
-        f_sd = gamma * math.sqrt(-math.expm1(-2.0 * x))
-        x_sd = gamma / lam * math.sqrt(2.0 * max(0.0, x - 2.0 * t))
-        f_end = f * math.exp(-x) + rng.normal(0.0, f_sd, f.size)
-        out[j] = t / lam * (f + f_end) + rng.normal(0.0, x_sd, f.size)
-        f = f_end
-    return f, out
+    x = lam * dur
+    t = math.tanh(0.5 * x)
+    f_sd = gamma * math.sqrt(-math.expm1(-2.0 * x))
+    x_sd = gamma / lam * math.sqrt(2.0 * max(0.0, x - 2.0 * t))
+    f_end = f0 * math.exp(-x) + rng.normal(0.0, f_sd, f0.size)
+    return f_end, t / lam * (f0 + f_end) + rng.normal(0.0, x_sd, f0.size)
 
 
-def _renewal_window_integrals(rng, f0, lam, gamma, durations):
-    """Exact renewal draw over consecutive windows from the held values
-    f0, returned as for _ou_window_integrals: Exponential(1/lam) waiting
+def _renewal_window_integrals(rng, f0, lam, gamma, dur):
+    """Exact renewal draw over one window from the held values f0,
+    returned as for _ou_window_integrals: Exponential(1/lam) waiting
     times, a fresh Normal(0, Gamma^2) value at each event.  A pass draws
-    only for trajectories short of the end and records the running
-    integral at each window end a hold crosses; their differences are
-    the window integrals."""
-    ends = np.cumsum(durations)
-    total = ends[-1]
-    at_end = np.zeros((len(durations), f0.size))
+    only for trajectories short of the end."""
     val = f0.copy()
-    live = np.arange(f0.size if total > 0 else 0)
+    out = np.zeros(f0.size)
+    live = np.arange(f0.size if dur > 0 else 0)
     t = integral = np.zeros(live.size)
     while live.size:
-        t_next = np.minimum(t + rng.exponential(1.0 / lam, live.size), total)
-        v = val[live]
-        for j, e in enumerate(ends[:-1]):
-            hit = (t < e) & (t_next >= e)
-            at_end[j, live[hit]] = integral[hit] + v[hit] * (e - t[hit])
-        integral = integral + v * (t_next - t)
-        on = t_next < total
-        at_end[-1, live[~on]] = integral[~on]
+        t_next = np.minimum(t + rng.exponential(1.0 / lam, live.size), dur)
+        integral = integral + val[live] * (t_next - t)
+        on = t_next < dur
+        out[live[~on]] = integral[~on]
         live, t, integral = live[on], t_next[on], integral[on]
         val[live] = rng.normal(0.0, gamma, live.size)
-    return val, np.diff(at_end, axis=0, prepend=0.0)
+    return val, out
 
 
-#: kernel(rng, f0, lam, gamma, durations) -> (f_end, integrals) per noise kind
+#: kernel(rng, f0, lam, gamma, dur) -> (f_end, integral) per noise kind
 _WINDOW_INTEGRALS = {NoiseKind.ORNSTEIN_UHLENBECK: _ou_window_integrals,
                      NoiseKind.RENEWAL: _renewal_window_integrals}

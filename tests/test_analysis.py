@@ -231,13 +231,18 @@ def test_single_start_fit_matches_the_four_phase_oracle(monkeypatch, make):
     assert abs(fit.tau_c - oracle.tau_c) <= 1e-3 * fit.tau_c_err
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-6, 1e8, 1e11, 1e300])
-def test_fringe_fit_does_not_depend_on_the_time_unit(scale):
+@pytest.mark.parametrize("c, model, scale", [
+    pytest.param(c, m, scale, id=f"{scale}" if name == "fringe" else f"{name}-{scale}")
+    for name, c, m in [("fringe", _bench_fringe(3), FitModel.GAUSSIAN_ENVELOPE),
+                       *(case for case in _fit_move_cases()
+                         if case[0] in ("bare", "exponential"))]
+    for scale in [1e-300, 1e-6, 1e8, 1e11, 1e300]])
+def test_fringe_fit_does_not_depend_on_the_time_unit(c, model, scale):
     # in the curve's own unit, taus from about 1e7 on gave a tau_c_err 1e-18
-    # too small, and from about 3e10 on a single start stopped short
-    c = _bench_fringe(3)
-    base = fit_decay(c)
-    fit = fit_decay(curve(c.taus * scale, c.means, c.stderrs))
+    # too small, and from about 3e10 on a single start stopped short; the
+    # bare-envelope and exponential fits broke at tiny and huge taus
+    base = fit_decay(c, model)
+    fit = fit_decay(curve(c.taus * scale, c.means, c.stderrs), model)
     assert fit.tau_c / scale == pytest.approx(base.tau_c, rel=1e-12, abs=0)
     assert fit.tau_c_err / scale == pytest.approx(base.tau_c_err, rel=1e-12, abs=0)
     assert fit.frequency * scale == pytest.approx(base.frequency, rel=1e-12, abs=0)

@@ -579,6 +579,16 @@ def test_scan_refuses_taus_the_tau_scale_takes_beyond_max_magnitude(tmp_path, ca
       "--engine", "analytic"], "'noise_kind'"),
     # tau / 2 underflowed to 0 in the quadrature cutoff: ZeroDivisionError, exit 3
     (["components", "--gamma=0.6", "--tau-start=5e-324"], "'lam, gamma, tau_start"),
+    # one trajectory has no stderr: the compare CSV wrote z-scores of inf
+    (["simulate", "--theta", 0.6283, "--gamma", 0.6, "--engine", "both",
+      "--n-trajectories", 1], "'n_trajectories'"),
+    # finite pulses of area/rabi: an infinite duration wrote NaN with exit 0,
+    # and a step count past float range raised OverflowError, exit 3
+    (["simulate", "--theta", 0.6283, "--engine", "montecarlo", "--pulse-model",
+      "finite", "--rabi=5e-324", "--n-trajectories", 4], "'rabi'"),
+    (["simulate", "--theta", 0.6283, "--gamma", 0.6, "--engine", "montecarlo",
+      "--pulse-model", "finite", "--rabi", 6.283, "--time-step=1e-320",
+      "--n-trajectories", 4], "'rabi'"),
 ])
 def test_bad_command_option_exits_2(args, name, tmp_path, capsys):
     assert run([*args, "--out", tmp_path / "o"]) == 2
@@ -707,10 +717,13 @@ _FIELD_VALUES = {"theta": _ODD_FLOATS, "rabi": _ODD_FLOATS, "delta": _ODD_FLOATS
                  "tau_start": _ODD_FLOATS, "tau_stop": _ODD_FLOATS,
                  "tau_count": _ODD_FIELD_COUNTS}
 # per command: its extra flags; "montecarlo" is simulate --engine montecarlo
-# with instantaneous pulses, which always sets the fields of _MC_FIELDS
+# with instantaneous pulses, which always sets the fields of _MC_FIELDS;
+# "finite" is simulate --pulse-model finite with --engine montecarlo or
+# both, which sets those and the fields of _FINITE_FIELDS as well
 _COMMAND_FLAGS = {
     "simulate": {},
     "montecarlo": {},
+    "finite": {},
     "components": {"--theta-count": _ODD_COUNTS},
     "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
              "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
@@ -721,6 +734,7 @@ _MC_FIELDS = {"n_trajectories": st.one_of(
                   st.integers(-2, 16),
                   st.sampled_from([2.5, math.inf, 10 ** 9, 10 ** 20])),
               "noise_kind": st.sampled_from(["ou", "renewal", "none"])}
+_FINITE_FIELDS = {"rabi": _ODD_FLOATS, "time_step": _ODD_FLOATS}
 _SCAN_GRID = {"--lambda-min": 1.5, "--lambda-max": 3.5, "--lambda-count": 2,
               "--gamma-min": 0.3, "--gamma-max": 1.0, "--gamma-count": 2}
 
@@ -754,7 +768,7 @@ def _only_finite_numbers(path):
 
 
 @given(data=st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=96, deadline=None)
 def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
     command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     fields = data.draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)),
@@ -763,8 +777,10 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
     extra_flags = _COMMAND_FLAGS[command]
     flags = {k: data.draw(v, label=k) for k, v in extra_flags.items()
              if data.draw(st.booleans(), label=f"set {k}")}
-    if command == "montecarlo":
+    if command in ("montecarlo", "finite"):
         fields.update({k: data.draw(v, label=k) for k, v in _MC_FIELDS.items()})
+    if command == "finite":
+        fields.update({k: data.draw(v, label=k) for k, v in _FINITE_FIELDS.items()})
     source = {k: data.draw(st.sampled_from(["flag", "env", "config"]),
                            label=f"source of {k}") for k in fields}
     cfg = {**_BASE_FIELDS, **fields}
@@ -776,6 +792,8 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         engine = {"simulate": "analytic", "montecarlo": "montecarlo"}.get(command)
+        if command == "finite":
+            engine = data.draw(st.sampled_from(["montecarlo", "both"]), label="engine")
         args = ["simulate" if engine else command, "--out", str(out)]
         args += [f"--{k.replace('_', '-')}={v}" for k, v in cfg.items()
                  if source.get(k, "flag") == "flag"]
@@ -786,6 +804,8 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
             args += ["--config", str(path)]
         if engine:
             args += ["--engine", engine]
+        if command == "finite":
+            args += ["--pulse-model", "finite"]
         if command == "scan":
             args += ["--data", str(_write_ramsey_data(Path(tmp) / "ram.csv"))]
             args += [f"{k}={v}" for k, v in {**_SCAN_GRID, **flags}.items()]
@@ -804,6 +824,7 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
         else:
             assert rc == 2, err.getvalue()
             named = re.search(r"config field '([^']+)'", err.getvalue())
-            known = {*_FIELD_VALUES, *_BASE_FIELDS, *_MC_FIELDS, *extra_flags, "data"}
+            known = {*_FIELD_VALUES, *_BASE_FIELDS, *_MC_FIELDS, *_FINITE_FIELDS,
+                     *extra_flags, "data"}
             assert named and set(named[1].split(", ")) <= known, err.getvalue()
             assert not out.exists()

@@ -1,13 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hahnramsey.analytic import hahn_echo_signal, hahn_ramsey_signal, ramsey_signal
 from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
-                                   _bloch_rotation, _cos_sin,
-                                   _finite_block_samples, _finite_windows,
-                                   _instantaneous_sampler, _pulse_steps,
-                                   bloch_trajectory, bloch_to_csv, run_mc)
+                                   _bloch_rotation, _cos_sin, _pulse_steps,
+                                   _sampler, bloch_trajectory, bloch_to_csv,
+                                   run_mc)
 from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from hahnramsey.spincore import (SIGMA_X, SIGMA_Y, SIGMA_Z, Delay, PulseParams,
                                  SequenceKind, SPIN_UP,
@@ -140,7 +141,8 @@ class _CountingRng:
 def test_ou_draws_two_normals_per_delay(kind, theta, delta, n_delays,
                                         monkeypatch):
     # exact window kernel: one stationary start value, then two normals
-    # per delay, whatever the delay length
+    # per delay, whatever the delay length; zero-length delays (tau 0)
+    # draw nothing
     counts = {}
     make = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
@@ -148,7 +150,7 @@ def test_ou_draws_two_normals_per_delay(kind, theta, delta, n_delays,
     taus = np.array([0.0, 1e-6, 0.7, 40.0])
     n = BLOCK_SIZE + 100
     run_mc(kind, theta, delta, FIG_NOISE, taus, McConfig(n, master_seed=7))
-    assert counts == {"normal": taus.size * n * (1 + 2 * n_delays)}
+    assert counts == {"normal": n + (taus.size - 1) * n * (1 + 2 * n_delays)}
 
 
 def test_ou_instantaneous_bytes_ignore_time_step(tmp_path):
@@ -182,23 +184,22 @@ def test_input_validation():
 
 def _spinor_sampler(seq, delta, noise):
     """Oracle: sample(rng, m) propagating the complex spinor, one (2, 2)
-    matmul per pulse and a pair of phase factors per delay; same draws."""
+    matmul per pulse and a pair of phase factors per delay; same draws,
+    one kernel call per delay."""
     ops = [el if isinstance(el, Delay) else rotation_matrix(el)
            for el in seq.elements]
-    durations = [d.duration for d in seq.delays]
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
 
     def sample(rng, m):
-        if rng is None:
-            x = np.zeros((len(durations), m))
-        else:
-            f0 = rng.normal(0.0, noise.gamma, m)
-            x = window_integrals(rng, f0, noise.lam, noise.gamma, durations)[1]
+        f = None if rng is None else rng.normal(0.0, noise.gamma, m)
         psi = np.tile(SPIN_UP, (m, 1))
-        rows = iter(x)
         for op in ops:
             if isinstance(op, Delay):
-                phi = op.detuning_sign * delta * op.duration + next(rows)
+                x = 0.0
+                if f is not None:
+                    f, x = window_integrals(rng, f, noise.lam, noise.gamma,
+                                            op.duration)
+                phi = op.detuning_sign * delta * op.duration + x
                 psi[:, 0] *= np.exp(-0.5j * phi)
                 psi[:, 1] *= np.exp(+0.5j * phi)
             else:
@@ -226,7 +227,7 @@ def test_bloch_sampler_matches_the_spinor_oracle(kind, theta, delta, tau,
     # hahn sequences mirror their pi pulse (-theta), so both tilt signs run
     noise = _NOISES[noise_kind]
     seq = build_sequence(kind, theta, delta, tau)
-    got = _instantaneous_sampler(seq, delta, noise, McConfig(1))
+    got = _sampler(seq, delta, noise, McConfig(1))
     want = _spinor_sampler(seq, delta, noise)
     assert_allclose(got(None, 3), want(None, 3), rtol=0, atol=2e-15)
     if noise_kind != "none":
@@ -274,34 +275,46 @@ def test_cos_sin_is_within_two_ulp_of_numpy():
 # finite-duration pulses
 
 
-def _finite_block_samples_cos_sin(windows, noise, cfg, rng, m):
-    """Oracle: the finite-pulse sampler with its step half-angle from
-    np.cos and np.sin of ang / 2; same draws."""
+def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
+    """Oracle: the finite pulses as a spinor stepped in extended precision
+    (np.clongdouble), each step's half-angle from np.cos and np.sin of
+    ang / 2; same float draws, on its own window timeline of (kind,
+    duration, sigma_z rate, sigma_x rate)."""
+    windows = []
+    for el in seq.elements:
+        if isinstance(el, Delay):
+            windows.append(("delay", el.duration, el.detuning_sign * delta, 0.0))
+        else:
+            det = cfg.rabi / math.tan(el.theta) if el.theta < math.pi / 2 else 0.0
+            windows.append(("pulse", el.beta / math.hypot(cfg.rabi, det),
+                            el.detuning_sign * det, cfg.rabi))
     lam, gamma = noise.lam, noise.gamma
     noisy = gamma > 0.0 and rng is not None
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
     f = rng.normal(0.0, gamma, m) if noisy else None
-    psi = np.tile(SPIN_UP, (m, 1))
+    psi = np.zeros((m, 2), dtype=np.clongdouble)
+    psi[:, 0] = 1
     for kind, dur, nz_rate, nx_rate in windows:
         if dur == 0.0:
             continue
         steps = 1
         if noisy and kind == "pulse":
             steps = _pulse_steps(dur, lam, cfg.time_step)
-        h = dur / steps
+        h = np.longdouble(dur / steps)
+        nx = np.longdouble(nx_rate)
         for _ in range(steps):
-            nz = nz_rate
+            nz = np.full(m, np.longdouble(nz_rate))
             if noisy:
-                f, x = window_integrals(rng, f, lam, gamma, [h])
-                nz = nz_rate + x[0] / h
-            w = np.sqrt(nz * nz + nx_rate * nx_rate)
+                f, x = window_integrals(rng, f, lam, gamma, float(h))
+                nz = nz + x.astype(np.longdouble) / h
+            w = np.sqrt(nz * nz + nx * nx)
             ang = w * h
             c = np.cos(ang / 2)
             s = np.where(w > 0, np.sin(ang / 2) / np.maximum(w, 1e-300), 0.5 * h)
-            a0 = (c - 1j * s * nz) * psi[:, 0] - 1j * s * nx_rate * psi[:, 1]
-            a1 = -1j * s * nx_rate * psi[:, 0] + (c + 1j * s * nz) * psi[:, 1]
+            a0 = (c - 1j * s * nz) * psi[:, 0] - 1j * s * nx * psi[:, 1]
+            a1 = -1j * s * nx * psi[:, 0] + (c + 1j * s * nz) * psi[:, 1]
             psi[:, 0], psi[:, 1] = a0, a1
-    return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).real
+    return (np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2).astype(float)
 
 
 @pytest.mark.parametrize("noise_kind", sorted(_NOISES))
@@ -314,11 +327,10 @@ def test_finite_sampler_matches_the_cos_sin_oracle(kind, theta, delta,
     noise = _NOISES[noise_kind]
     cfg = McConfig(1, time_step=0.01, pulse_model="finite", rabi=2 * np.pi)
     for tau in (0.0, 0.7):
-        windows = _finite_windows(build_sequence(kind, theta, delta, tau),
-                                  delta, cfg.rabi)
-        got, want = (fn(windows, noise, cfg, np.random.default_rng(23), 400)
-                     for fn in (_finite_block_samples,
-                                _finite_block_samples_cos_sin))
+        seq = build_sequence(kind, theta, delta, tau)
+        got = _sampler(seq, delta, noise, cfg)(np.random.default_rng(23), 400)
+        want = _finite_block_samples_cos_sin(seq, delta, noise, cfg,
+                                             np.random.default_rng(23), 400)
         assert got.shape == (400,)
         assert_allclose(got, want, rtol=0, atol=1e-14)
 
@@ -329,10 +341,16 @@ def test_finite_pulses_noiseless_match_instantaneous():
     taus = np.linspace(0.0, 2.0, 5)
     cfg = McConfig(10, master_seed=1, time_step=0.001, pulse_model="finite",
                    rabi=20.0)
-    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, QUIET, taus, cfg)
-    ref = hahn_ramsey_signal(THETA, DELTA, QUIET, taus)
-    assert_allclose(curve.means, ref, atol=1e-9)
-    assert (curve.stderrs == 0).all()
+    for kind, theta, delta, ref in [
+            (SequenceKind.RAMSEY, np.pi / 2, 1.3,
+             ramsey_signal(1.3, QUIET, taus)),
+            (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0,
+             hahn_echo_signal(QUIET, taus)),
+            (SequenceKind.HAHN_RAMSEY, THETA, DELTA,
+             hahn_ramsey_signal(THETA, DELTA, QUIET, taus))]:
+        curve = run_mc(kind, theta, delta, QUIET, taus, cfg)
+        assert_allclose(curve.means, ref, rtol=0, atol=1e-12)
+        assert (curve.stderrs == 0).all()
 
 
 def test_finite_pulse_matches_rotation_composition():

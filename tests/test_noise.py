@@ -221,13 +221,24 @@ def _ou_integrals(tau, n, seed):
     """OU integrals over one window of length tau from a stationary start."""
     rng = np.random.default_rng(seed)
     f0 = rng.normal(0.0, P.gamma, n)
-    return _ou_window_integrals(rng, f0, P.lam, P.gamma, [tau])[1][0]
+    return _ou_window_integrals(rng, f0, P.lam, P.gamma, tau)[1]
+
+
+def _chain(kernel, rng, f0, lam, gamma, durations):
+    """Consecutive windows as the Monte Carlo sampler draws them: one
+    kernel call per window, f carried from each window's end to the next;
+    returns (f at the last end, the integrals of the windows)."""
+    f, xs = f0, []
+    for dur in durations:
+        f, x = kernel(rng, f, lam, gamma, dur)
+        xs.append(x)
+    return f, xs
 
 
 def test_ou_zero_strength_is_silent():
     rng = np.random.default_rng(5)
-    f_end, x = _ou_window_integrals(rng, np.zeros(11), 2.5, 0.0, [0.3, 1.0])
-    assert (f_end == 0.0).all() and (x == 0.0).all()
+    f_end, xs = _chain(_ou_window_integrals, rng, np.zeros(11), 2.5, 0.0, [0.3, 1.0])
+    assert (f_end == 0.0).all() and (np.array(xs) == 0.0).all()
 
 
 def test_ou_stationary_statistics():
@@ -237,7 +248,7 @@ def test_ou_stationary_statistics():
     rng = np.random.default_rng(999)
     vals = [rng.normal(0.0, P.gamma, n)]
     for dt in np.diff(times):
-        vals.append(_ou_window_integrals(rng, vals[-1], P.lam, P.gamma, [dt])[0])
+        vals.append(_ou_window_integrals(rng, vals[-1], P.lam, P.gamma, dt)[0])
     se = P.gamma / np.sqrt(n)
     for v in vals:
         assert abs(v.mean()) < 4 * se
@@ -275,13 +286,13 @@ def test_ou_window_kernel_moments(lam_t):
     rng = np.random.default_rng(int(100 * lam_t))
     # stationary start: Var X = 2 F1, Cov(X1, X2) = 2 dF over adjacent windows
     f0 = rng.normal(0.0, gam, n)
-    _, (x1, x2) = _ou_window_integrals(rng, f0, lam, gam, [tau, tau])
+    _, (x1, x2) = _chain(_ou_window_integrals, rng, f0, lam, gam, [tau, tau])
     assert _var_within(x1, 2 * f1(P, tau))
     assert _var_within(x2, 2 * f1(P, tau))
     assert _cov_within(x1, x2, 2 * delta_f(P, tau))
     # fixed start c: the joint Gaussian moments of (f(T), X) given f(0)
     c, e = 0.8 * gam, np.exp(-lam_t)
-    f_end, (x,) = _ou_window_integrals(rng, np.full(n, c), lam, gam, [tau])
+    f_end, x = _ou_window_integrals(rng, np.full(n, c), lam, gam, tau)
     var_x = (2 * gam ** 2 / lam ** 2 * (lam_t + np.expm1(-lam_t))
              - gam ** 2 * (1 - e) ** 2 / lam ** 2)
     assert abs(f_end.mean() - c * e) < 4 * gam * np.sqrt((1 - e * e) / n)
@@ -300,8 +311,8 @@ def test_ou_window_kernel_matches_stepped_oracle(lam_t, sample_ou_ensemble):
     o1 = np.trapezoid(vals[:, :steps + 1], grid[:steps + 1], axis=1)
     o2 = np.trapezoid(vals[:, steps:], grid[steps:], axis=1)
     rng = np.random.default_rng(6)
-    _, (x1, x2) = _ou_window_integrals(rng, rng.normal(0.0, P.gamma, n),
-                                       P.lam, P.gamma, [tau, tau])
+    _, (x1, x2) = _chain(_ou_window_integrals, rng, rng.normal(0.0, P.gamma, n),
+                         P.lam, P.gamma, [tau, tau])
     for a, b in ((o1, x1), (o2, x2)):
         va, vb = a.var(ddof=1), b.var(ddof=1)
         assert abs(va - vb) < 4 * np.hypot(va, vb) * np.sqrt(2 / (n - 1))
@@ -325,12 +336,12 @@ class _ScaleRecorder:
 def test_ou_window_kernel_tiny_window_variances():
     rng = _ScaleRecorder(3)
     f0 = np.linspace(-1.0, 1.0, 7)
-    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, [1e-9 / P.lam])
+    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, 1e-9 / P.lam)
     assert len(rng.scales) == 2
     assert all(np.isfinite(s) and s >= 0 for s in rng.scales)
     assert np.isfinite(f_end).all() and np.isfinite(x).all()
     # X = T f0 up to the O(sqrt(lam T)) change of f over the window
-    assert_allclose(x[0], f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
+    assert_allclose(x, f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
 
 
 @pytest.mark.parametrize("kernel", [_ou_window_integrals, _renewal_window_integrals],
@@ -338,11 +349,11 @@ def test_ou_window_kernel_tiny_window_variances():
 def test_window_kernel_zero_window_is_identity(kernel):
     rng = np.random.default_rng(4)
     f0 = rng.normal(0.0, P.gamma, 50)
-    f_end, x = kernel(rng, f0, P.lam, P.gamma, [0.0])
+    f_end, x = kernel(rng, f0, P.lam, P.gamma, 0.0)
     assert (f_end == f0).all()
     assert (x == 0.0).all()
     # and between two windows
-    _, x = kernel(rng, f0, P.lam, P.gamma, [0.5, 0.0, 0.5])
+    _, x = _chain(kernel, rng, f0, P.lam, P.gamma, [0.5, 0.0, 0.5])
     assert (x[1] == 0.0).all()
 
 
@@ -352,8 +363,8 @@ def test_renewal_window_kernel_moments(lam_t):
     rng = np.random.default_rng(int(100 * lam_t))
     # stationary start: the same second moments as OU noise
     f0 = rng.normal(0.0, P.gamma, n)
-    f_end, (x1, x2) = _renewal_window_integrals(rng, f0, P.lam, P.gamma,
-                                                [tau, tau])
+    f_end, (x1, x2) = _chain(_renewal_window_integrals, rng, f0, P.lam, P.gamma,
+                             [tau, tau])
     assert _var_within(x1, 2 * f1(P, tau))
     assert _var_within(x2, 2 * f1(P, tau))
     assert _cov_within(x1, x2, 2 * delta_f(P, tau))
@@ -384,22 +395,24 @@ class _DrawRecorder:
 def test_renewal_window_kernel_draws_nothing_for_finished_trajectories():
     n = 2000
     rng = _DrawRecorder(5)
-    f0 = np.random.default_rng(6).normal(0.0, P.gamma, n)
-    _renewal_window_integrals(rng, f0, P.lam, P.gamma, [0.3, 0.9, 0.3])
-    waits, values = rng.exponential_sizes, rng.normal_sizes
-    # a pass draws one waiting time per trajectory still short of the end,
-    # then one value per trajectory whose event fell before the end: those
-    # are the ones the next pass draws for
-    assert waits[0] == n and all(a >= b > 0 for a, b in zip(waits, waits[1:]))
-    assert values == waits[1:] + [0]
-    # so each trajectory draws one waiting time per event, plus the one
-    # that ends it
-    assert sum(waits) == n + sum(values)
+    f = np.random.default_rng(6).normal(0.0, P.gamma, n)
+    for dur in (0.3, 0.9, 0.3):
+        rng.exponential_sizes, rng.normal_sizes = [], []
+        f, _ = _renewal_window_integrals(rng, f, P.lam, P.gamma, dur)
+        waits, values = rng.exponential_sizes, rng.normal_sizes
+        # a pass draws one waiting time per trajectory still short of the
+        # end, then one value per trajectory whose event fell before the
+        # end: those are the ones the next pass draws for
+        assert waits[0] == n and all(a >= b > 0 for a, b in zip(waits, waits[1:]))
+        assert values == waits[1:] + [0]
+        # so each trajectory draws one waiting time per event, plus the one
+        # that ends it
+        assert sum(waits) == n + sum(values)
 
 
 def test_renewal_constant_in_no_jump_limit():
     rng = np.random.default_rng(7)
     f0 = rng.normal(0.0, 1.0, 1000)
-    f_end, (x,) = _renewal_window_integrals(rng, f0, 1e-9, 1.0, [10.0])
+    f_end, x = _renewal_window_integrals(rng, f0, 1e-9, 1.0, 10.0)
     assert (f_end == f0).all()
     assert (x == f0 * 10.0).all()
