@@ -26,9 +26,11 @@ on scheduling.  Within a tau-point, per-trajectory sigma_z values are
 summed with numpy's pairwise summation over each block.
 
 The phase integral of every window step is drawn exactly, for both
-noise kinds, from the window kernels in `noise`, one call per step: two
-normals for OU noise, event-driven for renewal noise.  time_step only
-sets the grid on which noisy finite pulses are stepped.
+noise kinds, from the window kernels in `noise`, one call per step:
+event-driven for renewal noise; for OU noise two normals per step and
+one for the last step of a trajectory, whose end value nothing reads,
+plus one for the stationary start value.  time_step only sets the grid
+on which noisy finite pulses are stepped.
 """
 
 from __future__ import annotations
@@ -219,17 +221,31 @@ def _sampler(seq, delta, noise, cfg):
     formula about its per-trajectory axis for a pulse step, with cos and
     sin from one half-angle tangent (_cos_sin: SIMD tan instead of scalar
     cos and sin).
+
+    Nothing reads the noise value at the end of the last window step, so
+    that step asks its kernel for the integral alone (with_end false: one
+    normal instead of two for OU noise), and the stationary start value is
+    drawn only when the timeline has a window to read it.
     """
     ops = _timeline(seq, delta, noise, cfg)
     # only z is read out, so a final rotation applies just its z row
     readout = ops.pop()[2] if ops and isinstance(ops[-1], list) else None
+    # the last window step becomes an op of its own, the only one whose
+    # end value goes unread
+    last = max((i for i, op in enumerate(ops) if isinstance(op, tuple)),
+               default=None)
+    if last is not None and ops[last][3] > 1:
+        h, nz, nx, steps = ops[last]
+        ops[last:last + 1] = [(h, nz, nx, steps - 1), (h, nz, nx, 1)]
+        last += 1
     kernel = _WINDOW_INTEGRALS.get(noise.kind)
     lam, gamma = noise.lam, noise.gamma
+    noisy = gamma > 0.0 and last is not None
 
     def sample(rng, m):
-        f = rng.normal(0.0, gamma, m) if rng is not None and gamma > 0.0 else None
+        f = rng.normal(0.0, gamma, m) if rng is not None and noisy else None
         x, y, z = 0.0, 0.0, 1.0
-        for op in ops:
+        for i, op in enumerate(ops):
             if isinstance(op, list):
                 x, y, z = [r[0] * x + r[1] * y + r[2] * z for r in op]
                 continue
@@ -237,7 +253,7 @@ def _sampler(seq, delta, noise, cfg):
             for _ in range(steps):
                 az = nz * h
                 if f is not None:
-                    f, phase = kernel(rng, f, lam, gamma, h)
+                    f, phase = kernel(rng, f, lam, gamma, h, i != last)
                     az = az + phase
                 if nx == 0.0:
                     c, s = _cos_sin(az)

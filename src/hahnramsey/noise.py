@@ -17,10 +17,11 @@ and estimates its error from the same rule on half the panels.
 Its samplers are the two exact window kernels, one per noise kind
 (_WINDOW_INTEGRALS): from the values f0 at the start of one window they
 draw its phase integral and the value at its end, with no step-size
-bias; consecutive windows chain the end values.  The Monte Carlo engine
-draws the phase of every delay and finite-pulse step from them.  They
-take the random generator as an argument; the engine seeds one per
-block.
+bias; consecutive windows chain the end values.  A caller that will not
+read the end value says so, and the OU kernel then draws the integral
+alone, with the end value integrated out.  The Monte Carlo engine draws
+the phase of every delay and finite-pulse step from them.  They take the
+random generator as an argument; the engine seeds one per block.
 """
 
 from __future__ import annotations
@@ -66,25 +67,45 @@ def correlation(p: NoiseParams, dt: float):
     return p.gamma ** 2 * np.exp(-p.lam * np.abs(dt))
 
 
+#: below this lambda tau, f1 and delta_f leave their direct forms, which
+#: cancel there: from about 1e-8 f1's rounds to 0 or below, and a factor
+#: (Gamma/lambda)^2 of 1e20 turns that residue into an exponent of -1e4
+_SMALL_LAM_TAU = 0.05
+
+
 def f1(p: NoiseParams, tau):
     """Half the variance of the phase integrated over one interval of
-    length tau:  (Gamma/lambda)^2 (lambda tau + exp(-lambda tau) - 1)."""
+    length tau:  (Gamma/lambda)^2 (lambda tau + exp(-lambda tau) - 1),
+    the bracket by its Taylor series to x^9 below _SMALL_LAM_TAU."""
     tau = np.asarray(tau, dtype=float)
-    if (tau < 0).any():
+    low = tau.min(initial=np.inf)
+    if low < 0:
         raise ValueError("tau must be >= 0")
     x = p.lam * tau
-    out = (p.gamma / p.lam) ** 2 * (x + np.exp(-x) - 1.0)
+    core = x + np.exp(-x) - 1.0
+    if p.lam * low < _SMALL_LAM_TAU:
+        s = np.minimum(x, _SMALL_LAM_TAU)     # no overflow in lanes left direct
+        core = np.where(x < _SMALL_LAM_TAU, s * s * (1 / 2 - s * (1 / 6 - s * (
+            1 / 24 - s * (1 / 120 - s * (1 / 720 - s * (1 / 5040 - s * (
+                1 / 40320 - s / 362880))))))), core)
+    out = (p.gamma / p.lam) ** 2 * core
     return out if out.ndim else float(out)
 
 
 def delta_f(p: NoiseParams, tau):
     """Half the covariance between the phases of two adjacent intervals:
-    (Gamma/lambda)^2 (1 - 2 exp(-lambda tau) + exp(-2 lambda tau)) / 2."""
+    (Gamma/lambda)^2 (1 - 2 exp(-lambda tau) + exp(-2 lambda tau)) / 2,
+    the bracket as expm1(-lambda tau)^2 below _SMALL_LAM_TAU."""
     tau = np.asarray(tau, dtype=float)
-    if (tau < 0).any():
+    low = tau.min(initial=np.inf)
+    if low < 0:
         raise ValueError("tau must be >= 0")
-    e = np.exp(-p.lam * tau)
-    out = 0.5 * (p.gamma / p.lam) ** 2 * (1.0 - 2.0 * e + e * e)
+    x = p.lam * tau
+    e = np.exp(-x)
+    core = 1.0 - 2.0 * e + e * e
+    if p.lam * low < _SMALL_LAM_TAU:
+        core = np.where(x < _SMALL_LAM_TAU, np.expm1(-x) ** 2, core)
+    out = 0.5 * (p.gamma / p.lam) ** 2 * core
     return out if out.ndim else float(out)
 
 
@@ -201,9 +222,23 @@ def _chi_filter_with_error(kind: FilterKind, p: NoiseParams, tau: float,
     return value, err
 
 
-def _ou_window_integrals(rng, f0, lam, gamma, dur):
+def _x_minus_2_tanh_half(x):
+    """x - 2 tanh(x/2) for x >= 0, the O(x^3) core of the OU window
+    variances.  The direct difference cancels: it is 1.4e-5 relative off
+    at x = 1e-5 and rounds to 0 from about x = 1e-8.  Below x = 0.2 the
+    Taylor series to x^13 is used instead, within 5e-15 relative of
+    50-digit values; above it the direct form is within 6e-14."""
+    if x >= 0.2:
+        return x - 2.0 * math.tanh(0.5 * x)
+    x2 = x * x
+    return x * x2 * (1 / 12 - x2 * (1 / 120 - x2 * (17 / 20160 - x2 * (
+        31 / 362880 - x2 * (691 / 79833600 - x2 * (5461 / 6227020800))))))
+
+
+def _ou_window_integrals(rng, f0, lam, gamma, dur, with_end=True):
     """Exact OU draw over one window of length dur from the start values
-    f0; returns (f at the end, the integral of f over the window).
+    f0; returns (f at the end, the integral of f over the window), or
+    (None, the integral) when with_end is false.
 
     Over a window T, with x = lam T and e = exp(-x), f(T) and X = int f dt
     given f(0) are jointly Gaussian (Gillespie, Phys. Rev. E 54, 2084
@@ -214,24 +249,35 @@ def _ou_window_integrals(rng, f0, lam, gamma, dur):
 
         X = tanh(x/2)/lam (f(0) + f(T)) + Normal(0, 2 (Gamma/lam)^2 (x - 2 tanh(x/2))),
 
-    two normals per window and no step bias.  The remainder variance is
-    O(x^3); it rounds to 0 near x = 1e-9 and is clamped at 0, where the
-    O(x^2) trapezoid term dominates.  A zero-length window leaves f as it
-    is and gives X = 0.
+    two normals per window and no step bias.  Without the end value, X is
+    drawn from its law given f(0) alone, one normal per window:
+
+        X = f(0) (1 - e)/lam + Normal(0, (Gamma/lam)^2 [2 (x - 2 tanh(x/2))
+                                          + tanh(x/2)^2 (1 - e^2)]),
+
+    Var X from above as a sum of two non-negative terms (the remainder and
+    the trapezoid term's share of Var f(T)), so that it keeps its digits
+    at tiny windows; x - 2 tanh(x/2) comes from _x_minus_2_tanh_half.  A
+    zero-length window leaves f as it is and gives X = 0.
     """
     x = lam * dur
     t = math.tanh(0.5 * x)
+    remainder = 2.0 * _x_minus_2_tanh_half(x)
+    if not with_end:
+        x_sd = gamma / lam * math.sqrt(remainder - t * t * math.expm1(-2.0 * x))
+        return None, -math.expm1(-x) / lam * f0 + rng.normal(0.0, x_sd, f0.size)
     f_sd = gamma * math.sqrt(-math.expm1(-2.0 * x))
-    x_sd = gamma / lam * math.sqrt(2.0 * max(0.0, x - 2.0 * t))
+    x_sd = gamma / lam * math.sqrt(remainder)
     f_end = f0 * math.exp(-x) + rng.normal(0.0, f_sd, f0.size)
     return f_end, t / lam * (f0 + f_end) + rng.normal(0.0, x_sd, f0.size)
 
 
-def _renewal_window_integrals(rng, f0, lam, gamma, dur):
+def _renewal_window_integrals(rng, f0, lam, gamma, dur, with_end=True):
     """Exact renewal draw over one window from the held values f0,
-    returned as for _ou_window_integrals: Exponential(1/lam) waiting
+    returned as (f at the end, the integral): Exponential(1/lam) waiting
     times, a fresh Normal(0, Gamma^2) value at each event.  A pass draws
-    only for trajectories short of the end."""
+    only for trajectories short of the end, so nothing is drawn that is
+    not read, and with_end is ignored."""
     val = f0.copy()
     out = np.zeros(f0.size)
     live = np.arange(f0.size if dur > 0 else 0)
@@ -246,6 +292,7 @@ def _renewal_window_integrals(rng, f0, lam, gamma, dur):
     return val, out
 
 
-#: kernel(rng, f0, lam, gamma, dur) -> (f_end, integral) per noise kind
+#: kernel(rng, f0, lam, gamma, dur, with_end=True) -> (f_end, integral) per
+#: noise kind; f_end may be None when with_end is false
 _WINDOW_INTEGRALS = {NoiseKind.ORNSTEIN_UHLENBECK: _ou_window_integrals,
                      NoiseKind.RENEWAL: _renewal_window_integrals}

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnramsey.analytic import hahn_ramsey_signal, ramsey_signal
+from hahnramsey.analytic import (hahn_ramsey_signal, ramsey_signal,
+                                 signal_from_exponents)
 import hahnramsey
 from hahnramsey.cli import MAX_TRAJECTORY_POINTS, main, read_curve_csv
 from hahnramsey.noise import NoiseParams, FilterKind, chi_filter, f1, delta_f
+from hahnramsey.spincore import SequenceKind
 
 
 def run(args):
@@ -511,6 +513,33 @@ def test_scan_and_simulate_share_the_ramsey_tilt_check(tmp_path, capsys):
     assert "'theta'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["scan", "simulate"])
+def test_tiny_lambda_tau_with_large_gamma_over_lambda_stays_finite(command,
+                                                                   tmp_path):
+    # at lambda 1e-10 the exponents carry (Gamma/lambda)^2 = 1e20 times a
+    # bracket of order (lambda tau)^2 = 1e-18; its rounding residue used to
+    # write inf with exit 0
+    out = tmp_path / "o"
+    if command == "scan":
+        args = [*_SCAN, "--lambda-max", 1e-10, "--lambda-count", 2,
+                "--data", _write_ramsey_data(tmp_path / "ram.csv")]
+    else:
+        args = ["simulate", "--theta", 0.6283, "--delta", 1.885, "--lam", 1e-10,
+                "--gamma", 1.0, "--tau-start", 0, "--tau-stop", 12,
+                "--tau-count", 7]
+    assert run([*args, "--out", out]) == 0
+    (path,) = out.iterdir()
+    rows = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
+    assert np.isfinite(rows).all()
+    if command == "simulate":
+        # quasi-static noise: f1 = delta_f = (Gamma tau)^2 / 2 up to a
+        # relative lambda tau = 1.2e-9
+        taus = rows[:, 0]
+        want = signal_from_exponents(SequenceKind.HAHN_RAMSEY, 0.6283, 1.885,
+                                     taus ** 2 / 2, taus ** 2 / 2, taus)
+        np.testing.assert_allclose(rows[:, 1], want, rtol=0, atol=1e-6)
+
+
 @pytest.mark.parametrize("command", ["fit", "scan"])
 @pytest.mark.parametrize("row", ["1.0,abc", "7.0", "7.0,nan", "inf,0.5",
                                  "1.1e12,0.5", "-1.1e12,0.5"])
@@ -717,9 +746,10 @@ _FIELD_VALUES = {"theta": _ODD_FLOATS, "rabi": _ODD_FLOATS, "delta": _ODD_FLOATS
                  "tau_start": _ODD_FLOATS, "tau_stop": _ODD_FLOATS,
                  "tau_count": _ODD_FIELD_COUNTS}
 # per command: its extra flags; "montecarlo" is simulate --engine montecarlo
-# with instantaneous pulses, which always sets the fields of _MC_FIELDS;
-# "finite" is simulate --pulse-model finite with --engine montecarlo or
-# both, which sets those and the fields of _FINITE_FIELDS as well
+# or both with instantaneous pulses, which always sets the fields of
+# _MC_FIELDS; "finite" is simulate --pulse-model finite with --engine
+# montecarlo or both, which sets those and the fields of _FINITE_FIELDS as
+# well; "scan" and "fit" read a generated data file (_write_data)
 _COMMAND_FLAGS = {
     "simulate": {},
     "montecarlo": {},
@@ -739,10 +769,10 @@ _SCAN_GRID = {"--lambda-min": 1.5, "--lambda-max": 3.5, "--lambda-count": 2,
               "--gamma-min": 0.3, "--gamma-max": 1.0, "--gamma-count": 2}
 
 
-def _write_fit_data(data, path):
-    """A generated fit data file: 0 to 130 rows of a noisy tau_c 4, w 2
-    fringe on taus 0..12 times a magnitude from 1e-6 to 1e300, with or
-    without a stderr column."""
+def _write_data(data, path):
+    """A generated data file for fit and scan: 0 to 130 rows of a noisy
+    tau_c 4, w 2 fringe on taus 0..12 times a magnitude from 1e-6 to
+    1e300, with or without a stderr column."""
     rows = data.draw(st.integers(0, 130), label="rows")
     magnitude = data.draw(st.floats(-6.0, 300.0), label="log10 tau magnitude")
     with_err = data.draw(st.booleans(), label="stderr column")
@@ -768,7 +798,7 @@ def _only_finite_numbers(path):
 
 
 @given(data=st.data())
-@settings(max_examples=96, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
     command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     fields = data.draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)),
@@ -791,8 +821,8 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
            if source.get(k) == "env"}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        engine = {"simulate": "analytic", "montecarlo": "montecarlo"}.get(command)
-        if command == "finite":
+        engine = {"simulate": "analytic"}.get(command)
+        if command in ("montecarlo", "finite"):
             engine = data.draw(st.sampled_from(["montecarlo", "both"]), label="engine")
         args = ["simulate" if engine else command, "--out", str(out)]
         args += [f"--{k.replace('_', '-')}={v}" for k, v in cfg.items()
@@ -806,14 +836,11 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
             args += ["--engine", engine]
         if command == "finite":
             args += ["--pulse-model", "finite"]
+        if command in ("scan", "fit"):
+            args += ["--data", str(_write_data(data, Path(tmp) / "fringe.csv"))]
         if command == "scan":
-            args += ["--data", str(_write_ramsey_data(Path(tmp) / "ram.csv"))]
-            args += [f"{k}={v}" for k, v in {**_SCAN_GRID, **flags}.items()]
-        elif command == "fit":
-            args += ["--data", str(_write_fit_data(data, Path(tmp) / "fringe.csv"))]
-            args += [f"{k}={v}" for k, v in flags.items()]
-        else:
-            args += [f"{k}={v}" for k, v in flags.items()]
+            flags = {**_SCAN_GRID, **flags}
+        args += [f"{k}={v}" for k, v in flags.items()]
         err = io.StringIO()
         with mock.patch.dict(os.environ, env), redirect_stderr(err), \
                 redirect_stdout(io.StringIO()):

@@ -138,19 +138,21 @@ class _CountingRng:
     (SequenceKind.RAMSEY, np.pi / 2, DELTA, 1),
     (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, 2),
     (SequenceKind.HAHN_RAMSEY, THETA, DELTA, 2)])
-def test_ou_draws_two_normals_per_delay(kind, theta, delta, n_delays,
-                                        monkeypatch):
+def test_ou_draws_the_start_and_two_normals_per_delay_less_the_unread_end(
+        kind, theta, delta, n_delays, monkeypatch):
     # exact window kernel: one stationary start value, then two normals
-    # per delay, whatever the delay length; zero-length delays (tau 0)
-    # draw nothing
+    # per delay, whatever the delay length, except that the end value of
+    # the last delay is never drawn; zero-length delays (tau 0) leave no
+    # window to read the start value, so nothing is drawn at all
     counts = {}
     make = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a: _CountingRng(make(*a), counts))
-    taus = np.array([0.0, 1e-6, 0.7, 40.0])
     n = BLOCK_SIZE + 100
-    run_mc(kind, theta, delta, FIG_NOISE, taus, McConfig(n, master_seed=7))
-    assert counts == {"normal": n + (taus.size - 1) * n * (1 + 2 * n_delays)}
+    for tau in (0.0, 1e-6, 0.7, 40.0):
+        counts.clear()
+        run_mc(kind, theta, delta, FIG_NOISE, [tau], McConfig(n, master_seed=7))
+        assert counts == ({"normal": n * 2 * n_delays} if tau else {})
 
 
 def test_ou_instantaneous_bytes_ignore_time_step(tmp_path):
@@ -185,20 +187,21 @@ def test_input_validation():
 def _spinor_sampler(seq, delta, noise):
     """Oracle: sample(rng, m) propagating the complex spinor, one (2, 2)
     matmul per pulse and a pair of phase factors per delay; same draws,
-    one kernel call per delay."""
+    one kernel call per delay, the last one without the end value."""
     ops = [el if isinstance(el, Delay) else rotation_matrix(el)
            for el in seq.elements]
+    last = max(i for i, op in enumerate(ops) if isinstance(op, Delay))
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
 
     def sample(rng, m):
         f = None if rng is None else rng.normal(0.0, noise.gamma, m)
         psi = np.tile(SPIN_UP, (m, 1))
-        for op in ops:
+        for i, op in enumerate(ops):
             if isinstance(op, Delay):
                 x = 0.0
                 if f is not None:
                     f, x = window_integrals(rng, f, noise.lam, noise.gamma,
-                                            op.duration)
+                                            op.duration, i != last)
                 phi = op.detuning_sign * delta * op.duration + x
                 psi[:, 0] *= np.exp(-0.5j * phi)
                 psi[:, 1] *= np.exp(+0.5j * phi)
@@ -278,8 +281,9 @@ def test_cos_sin_is_within_two_ulp_of_numpy():
 def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
     """Oracle: the finite pulses as a spinor stepped in extended precision
     (np.clongdouble), each step's half-angle from np.cos and np.sin of
-    ang / 2; same float draws, on its own window timeline of (kind,
-    duration, sigma_z rate, sigma_x rate)."""
+    ang / 2; same float draws, the last step without the end value, on
+    its own window timeline of (kind, duration, sigma_z rate, sigma_x
+    rate)."""
     windows = []
     for el in seq.elements:
         if isinstance(el, Delay):
@@ -294,7 +298,8 @@ def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
     f = rng.normal(0.0, gamma, m) if noisy else None
     psi = np.zeros((m, 2), dtype=np.clongdouble)
     psi[:, 0] = 1
-    for kind, dur, nz_rate, nx_rate in windows:
+    last = max(i for i, w in enumerate(windows) if w[1] > 0.0)
+    for i, (kind, dur, nz_rate, nx_rate) in enumerate(windows):
         if dur == 0.0:
             continue
         steps = 1
@@ -302,10 +307,11 @@ def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
             steps = _pulse_steps(dur, lam, cfg.time_step)
         h = np.longdouble(dur / steps)
         nx = np.longdouble(nx_rate)
-        for _ in range(steps):
+        for k in range(steps):
             nz = np.full(m, np.longdouble(nz_rate))
             if noisy:
-                f, x = window_integrals(rng, f, lam, gamma, float(h))
+                with_end = (i, k) != (last, steps - 1)
+                f, x = window_integrals(rng, f, lam, gamma, float(h), with_end)
                 nz = nz + x.astype(np.longdouble) / h
             w = np.sqrt(nz * nz + nx * nx)
             ang = w * h

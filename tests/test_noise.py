@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from numpy.testing import assert_allclose
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
                               QuadratureError, _chi_filter_with_error,
                               _ou_window_integrals, _panel_sum,
-                              _renewal_window_integrals, chi_filter,
+                              _renewal_window_integrals,
+                              _x_minus_2_tanh_half, chi_filter,
                               correlation, delta_f, f1)
 
 P = NoiseParams(2.5, 2 * np.pi * 0.1)
@@ -63,6 +66,28 @@ def test_f1_delta_f_against_quadrature():
             epsabs=1e-13, epsrel=1e-12)[0]
         cross = 0.5 * quad(innerx, tau, 2 * tau, epsabs=1e-13, epsrel=1e-12)[0]
         assert delta_f(P, tau) == pytest.approx(cross, rel=1e-8)
+
+
+def _f1_delta_f_50_digits(x):
+    """(x + e^-x - 1, (1 - e^-x)^2 / 2) in decimals that keep 50 digits
+    through the cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = 50 + max(0, round(-3 * np.log10(x)))
+        d = Decimal(x)
+        e = (-d).exp()
+        return float(d + e - 1), float((1 - e) ** 2 / 2)
+
+
+def test_f1_and_delta_f_keep_their_digits_at_small_lam_tau():
+    unit = NoiseParams(1.0, 1.0)
+    xs = np.concatenate([np.logspace(-100, 2, 81), np.linspace(0.04, 0.06, 21)])
+    for x in xs:
+        want_f1, want_df = _f1_delta_f_50_digits(x)
+        assert f1(unit, x) == pytest.approx(want_f1, rel=2e-13, abs=0)
+        assert delta_f(unit, x) == pytest.approx(want_df, rel=2e-13, abs=0)
+    # arrays take the same branches as scalars
+    assert_allclose(f1(unit, xs), [f1(unit, x) for x in xs], rtol=0, atol=0)
+    assert_allclose(delta_f(unit, xs), [delta_f(unit, x) for x in xs], rtol=0, atol=0)
 
 
 @given(taus_st)
@@ -226,19 +251,22 @@ def _ou_integrals(tau, n, seed):
 
 def _chain(kernel, rng, f0, lam, gamma, durations):
     """Consecutive windows as the Monte Carlo sampler draws them: one
-    kernel call per window, f carried from each window's end to the next;
-    returns (f at the last end, the integrals of the windows)."""
+    kernel call per window, f carried from each window's end to the next,
+    the last window without its end value; returns (what the kernel
+    gives for f at the last end, the integrals of the windows)."""
     f, xs = f0, []
-    for dur in durations:
-        f, x = kernel(rng, f, lam, gamma, dur)
+    for k, dur in enumerate(durations):
+        f, x = kernel(rng, f, lam, gamma, dur, k < len(durations) - 1)
         xs.append(x)
     return f, xs
 
 
 def test_ou_zero_strength_is_silent():
     rng = np.random.default_rng(5)
+    f_end, x = _ou_window_integrals(rng, np.zeros(11), 2.5, 0.0, 0.3)
+    assert (f_end == 0.0).all() and (x == 0.0).all()
     f_end, xs = _chain(_ou_window_integrals, rng, np.zeros(11), 2.5, 0.0, [0.3, 1.0])
-    assert (f_end == 0.0).all() and (np.array(xs) == 0.0).all()
+    assert f_end is None and (np.array(xs) == 0.0).all()
 
 
 def test_ou_stationary_statistics():
@@ -300,6 +328,11 @@ def test_ou_window_kernel_moments(lam_t):
     assert _var_within(f_end, gam ** 2 * (1 - e * e))
     assert _var_within(x, var_x)
     assert _cov_within(f_end, x, gam ** 2 / lam * (1 - e) ** 2)
+    # the end-free form: the same law of X given f(0), f(T) integrated out
+    f_end, x = _ou_window_integrals(rng, np.full(n, c), lam, gam, tau, False)
+    assert f_end is None
+    assert abs(x.mean() - c * (1 - e) / lam) < 4 * np.sqrt(var_x / n)
+    assert _var_within(x, var_x)
 
 
 @pytest.mark.parametrize("lam_t", [0.01, 1.0, 7.0])
@@ -334,14 +367,50 @@ class _ScaleRecorder:
 
 
 def test_ou_window_kernel_tiny_window_variances():
+    lam_t = 1e-9
     rng = _ScaleRecorder(3)
     f0 = np.linspace(-1.0, 1.0, 7)
-    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, 1e-9 / P.lam)
+    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, lam_t / P.lam)
     assert len(rng.scales) == 2
     assert all(np.isfinite(s) and s >= 0 for s in rng.scales)
     assert np.isfinite(f_end).all() and np.isfinite(x).all()
     # X = T f0 up to the O(sqrt(lam T)) change of f over the window
     assert_allclose(x, f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
+    # the remainder keeps its O(x^3) variance 2 (Gamma/lam)^2 x^3/12
+    assert rng.scales[1] ** 2 == pytest.approx(
+        lam_t ** 3 / 6 * (P.gamma / P.lam) ** 2, rel=1e-12, abs=0)
+    # the end-free form: one draw, of variance (2/3 - x/2) x^3 (Gamma/lam)^2
+    # (the x^5 term is 1e-18 of it)
+    rng.scales = []
+    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, lam_t / P.lam, False)
+    assert f_end is None and len(rng.scales) == 1
+    assert rng.scales[0] ** 2 == pytest.approx(
+        (2 / 3 - lam_t / 2) * lam_t ** 3 * (P.gamma / P.lam) ** 2, rel=1e-12, abs=0)
+    assert_allclose(x, f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
+
+
+def _x_minus_2_tanh_half_50_digits(x):
+    """x - 2 tanh(x/2) = x - 2 (1 - e^-x)/(1 + e^-x) in decimals that keep
+    50 digits through the cancellation of the leading x."""
+    with localcontext() as ctx:
+        ctx.prec = 50 + max(0, round(-3 * np.log10(x)))
+        d = Decimal(x)
+        e = (-d).exp()
+        return float(d - 2 * (1 - e) / (1 + e))
+
+
+def test_x_minus_2_tanh_half_keeps_its_digits():
+    # the series below the switch at x = 0.2, the direct form above it
+    xs = np.concatenate([np.logspace(-100, -1, 60), np.linspace(0.15, 0.25, 41),
+                         np.logspace(-0.5, 3, 30)])
+    for x in xs:
+        assert _x_minus_2_tanh_half(x) == pytest.approx(
+            _x_minus_2_tanh_half_50_digits(x), rel=1e-13, abs=0)
+    # the direct difference rounds to 0 where the value is x^3/12
+    x = 1e-8
+    assert x - 2 * np.tanh(x / 2) == 0.0
+    assert _x_minus_2_tanh_half(x) == pytest.approx(x ** 3 / 12, rel=1e-15)
+    assert _x_minus_2_tanh_half(0.0) == 0.0
 
 
 @pytest.mark.parametrize("kernel", [_ou_window_integrals, _renewal_window_integrals],
@@ -352,6 +421,7 @@ def test_window_kernel_zero_window_is_identity(kernel):
     f_end, x = kernel(rng, f0, P.lam, P.gamma, 0.0)
     assert (f_end == f0).all()
     assert (x == 0.0).all()
+    assert (kernel(rng, f0, P.lam, P.gamma, 0.0, False)[1] == 0.0).all()
     # and between two windows
     _, x = _chain(kernel, rng, f0, P.lam, P.gamma, [0.5, 0.0, 0.5])
     assert (x[1] == 0.0).all()
@@ -408,6 +478,15 @@ def test_renewal_window_kernel_draws_nothing_for_finished_trajectories():
         # so each trajectory draws one waiting time per event, plus the one
         # that ends it
         assert sum(waits) == n + sum(values)
+
+
+def test_renewal_window_kernel_ignores_with_end():
+    # it draws nothing it does not read, so both forms draw the same
+    f0 = np.random.default_rng(8).normal(0.0, P.gamma, 500)
+    a = _renewal_window_integrals(np.random.default_rng(9), f0, P.lam, P.gamma, 0.7)
+    b = _renewal_window_integrals(np.random.default_rng(9), f0, P.lam, P.gamma, 0.7,
+                                  False)
+    assert all((u == v).all() for u, v in zip(a, b))
 
 
 def test_renewal_constant_in_no_jump_limit():
