@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import (BiasParams, hahn_ramsey_signal, hr_signal_derivative,
+from .analytic import (BiasParams, closed_form_signal, hr_signal_derivative,
                        signal_from_exponents)
 from .montecarlo import SignalCurve
 from .noise import NoiseParams, delta_f, f1
@@ -473,5 +473,6 @@ def _fringe_envelope_fit(theta: float, noise: NoiseParams) -> DecayFit:
     tau_e = _module.brentq(lambda t: f1(noise, t) - 1.0, 1e-12, hi)
     taus = np.linspace(tau_e / 60, 2.2 * tau_e, 130)
     delta_fit = 8 * 2 * np.pi / (2.2 * tau_e)   # ~8 fringes in the window
-    y = np.asarray(hahn_ramsey_signal(theta, delta_fit, noise, taus))
+    y = np.asarray(closed_form_signal(SequenceKind.HAHN_RAMSEY, theta,
+                                      delta_fit, noise, taus))
     return fit_decay(SignalCurve(2 * taus, y, np.zeros_like(taus), 0))

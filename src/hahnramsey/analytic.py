@@ -31,8 +31,7 @@ from .spincore import SequenceKind
 
 __all__ = [
     "BiasParams", "SignalComponents", "closed_form_signal",
-    "signal_from_exponents", "ramsey_signal", "hahn_echo_signal",
-    "hahn_ramsey_signal", "signal_components", "hr_signal_biased",
+    "signal_from_exponents", "signal_components", "hr_signal_biased",
     "hr_signal_derivative", "component_weights",
 ]
 
@@ -118,9 +117,7 @@ def signal_from_exponents(kind: SequenceKind, theta: float, delta: float,
         return np.cos(delta * tau) * np.exp(-F1)
     if kind is SequenceKind.HAHN_ECHO:
         return np.exp(-2.0 * (F1 - dF))
-    if kind is SequenceKind.HAHN_RAMSEY:
-        return 2.0 * sum(_detuned_echo_terms(theta, delta, F1, dF, tau, 0.0))
-    raise ValueError(f"no closed-form signal for {kind!r}")
+    return 2.0 * sum(_detuned_echo_terms(theta, delta, F1, dF, tau, 0.0))
 
 
 def closed_form_signal(kind: SequenceKind, theta: float, delta: float,
@@ -132,26 +129,9 @@ def closed_form_signal(kind: SequenceKind, theta: float, delta: float,
         kind, theta, delta, *_exponents(noise, tau), tau))
 
 
-def ramsey_signal(delta: float, noise: NoiseParams, tau):
-    """Free-precession fringe cos(delta tau) exp(-F1) for ideal pi/2
-    pulses (theta = pi/2); tau is the full free-precession time."""
-    return closed_form_signal(SequenceKind.RAMSEY, math.pi / 2, delta, noise, tau)
-
-
-def hahn_echo_signal(noise: NoiseParams, tau):
-    """Resonant echo envelope exp(-2 (F1 - dF)); tau is the half
-    interval, total sequence time 2 tau."""
-    return closed_form_signal(SequenceKind.HAHN_ECHO, math.pi / 2, 0.0, noise, tau)
-
-
-def hahn_ramsey_signal(theta: float, delta: float, noise: NoiseParams, tau):
-    """Detuned-echo signal at total time 2 tau, in [-1, 1]."""
-    return closed_form_signal(SequenceKind.HAHN_RAMSEY, theta, delta, noise, tau)
-
-
 def signal_components(theta: float, delta: float, noise: NoiseParams,
                       tau: float) -> SignalComponents:
-    """Split hahn_ramsey_signal into its four terms (S_z normalization)."""
+    """Split the detuned-echo signal into its four terms (S_z normalization)."""
     terms = _detuned_echo_terms(theta, delta, *_exponents(noise, float(tau)),
                                 tau, 0.0)
     return SignalComponents(*(float(t) for t in terms),
@@ -161,7 +141,8 @@ def signal_components(theta: float, delta: float, noise: NoiseParams,
 def hr_signal_biased(theta: float, delta: float, bias: BiasParams,
                      noise: NoiseParams, tau):
     """Detuned-echo signal with a bias field shifting both free-interval
-    phases by +epsilon*tau; reduces to hahn_ramsey_signal at epsilon 0."""
+    phases by +epsilon*tau; reduces to the closed-form hahn_ramsey signal
+    at epsilon 0."""
     tau = np.asarray(tau, dtype=float)
     terms = _detuned_echo_terms(theta, delta, *_exponents(noise, tau), tau,
                                 bias.epsilon)

@@ -43,8 +43,8 @@ MAX_COUNT = 10 ** 6
 # instantaneous-pulse OU sampling on one core (1e20 trajectories never end)
 MAX_TRAJECTORY_POINTS = 10 ** 9
 
-# spincore.SequenceKind values that have a standard sequence
-_SEQUENCES = ("hahn_echo", "hahn_ramsey", "ramsey")
+# sorted, so --sequence's choices read in a fixed order in --help and errors
+_SEQUENCES = tuple(sorted(k.value for k in spincore.SequenceKind))
 
 
 class ConfigError(ValueError):
@@ -140,7 +140,7 @@ class RunConfig:
         if self.rabi is not None:
             return spincore.tilt_angle(
                 spincore.DrivingParams(self.rabi, self.delta),
-                spincore.TiltConvention(self.tilt_convention)).theta
+                spincore.TiltConvention(self.tilt_convention))
         if self.sequence == "ramsey":
             return math.pi / 2
         raise ConfigError("theta", "hahn_ramsey needs theta or rabi+delta")
@@ -466,8 +466,8 @@ def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
 
 
 def cmd_bloch(cfg: RunConfig, tau: float, samples: int) -> int:
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ConfigError("--tau", "must be finite and >= 0")
+    if not 0 <= tau <= MAX_MAGNITUDE:
+        raise ConfigError("--tau", f"must lie in [0, {MAX_MAGNITUDE:g}]")
     if not 1 <= samples <= MAX_COUNT:
         raise ConfigError("--samples", f"must lie in [1, {MAX_COUNT}]")
     out = _out_dir(cfg)

@@ -143,7 +143,8 @@ def _bloch_rotation(p: PulseParams) -> list:
     rotation by beta about n = (sin th, 0, cos th) = _pulse_axis(p), with
     the entries of Rodrigues' formula
     n n^T + cos(beta) (I - n n^T) + sin(beta) [n]x written out for n_y = 0.
-    It is the Bloch-vector image of spincore.rotation_matrix(p)."""
+    It is the Bloch-vector image of the pulse unitary
+    cos(beta/2) I - i sin(beta/2) (n . sigma)."""
     th = p.detuning_sign * p.theta
     nx, nz = math.sin(th), math.cos(th)
     c, s = math.cos(p.beta), math.sin(p.beta)

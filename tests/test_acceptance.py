@@ -11,15 +11,13 @@ from scipy.integrate import quad
 from hahnramsey.analysis import (FitModel, ReadoutModel, fit_decay,
                                  max_bias_slope, min_detectable_field,
                                  optimal_theta, scan_noise_params)
-from hahnramsey.analytic import (BiasParams, hahn_echo_signal,
-                                 hahn_ramsey_signal, hr_signal_biased,
-                                 ramsey_signal)
+from hahnramsey.analytic import (BiasParams, closed_form_signal,
+                                 hr_signal_biased)
 from hahnramsey.cli import main as cli_main
 from hahnramsey.montecarlo import McConfig, run_mc, SignalCurve
 from hahnramsey.noise import FilterKind, NoiseParams, chi_filter, delta_f, f1
-from hahnramsey.spincore import (SequenceKind, SpinState, delay_phases,
-                                 expectation_sigma_z, hahn_ramsey_sequence,
-                                 propagate)
+from hahnramsey.spincore import SequenceKind, build_sequence
+from spin_oracle import propagate, sigma_z
 
 LAM = 2.5
 GAMMA = 2 * np.pi * 0.1
@@ -27,7 +25,6 @@ THETA = 0.2 * np.pi
 DELTA = 2 * np.pi * 0.3
 FIG_NOISE = NoiseParams(LAM, GAMMA)
 QUIET = NoiseParams(LAM, 0.0)
-UP = SpinState(np.array([1, 0], dtype=complex))
 
 
 def report(num, desc, ok, elapsed, detail=""):
@@ -37,9 +34,8 @@ def report(num, desc, ok, elapsed, detail=""):
 
 
 def matrix_signal(theta, delta, tau, eps=0.0):
-    seq = hahn_ramsey_sequence(theta, tau)
-    out = propagate(UP, seq, delay_phases(seq, delta, None, eps))
-    return expectation_sigma_z(out)
+    seq = build_sequence(SequenceKind.HAHN_RAMSEY, theta, delta, tau)
+    return sigma_z(propagate(seq.elements, delta, eps=eps))
 
 
 def test_criterion_1_closed_form_matches_matrix_oracle():
@@ -51,7 +47,8 @@ def test_criterion_1_closed_form_matches_matrix_oracle():
         d = rng.uniform(-6, 6)
         tau = rng.uniform(0, 5)
         e = rng.uniform(-2, 2)
-        worst = max(worst, abs(hahn_ramsey_signal(th, d, QUIET, tau)
+        worst = max(worst, abs(closed_form_signal(SequenceKind.HAHN_RAMSEY, th, d,
+                                                  QUIET, tau)
                                - matrix_signal(th, d, tau)))
         worst = max(worst, abs(hr_signal_biased(th, d, BiasParams(e), QUIET, tau)
                                - matrix_signal(th, d, tau, e)))
@@ -100,21 +97,17 @@ def test_criterion_4_monte_carlo_agreement():
     t0 = time.perf_counter()
     taus = np.linspace(0.15, 6.0, 40)
     cfg = McConfig(n_trajectories=100_000, master_seed=777)
-    runs = [
-        ("ramsey", SequenceKind.RAMSEY, np.pi / 2, DELTA,
-         np.asarray(ramsey_signal(DELTA, FIG_NOISE, taus))),
-        ("hahn_echo", SequenceKind.HAHN_ECHO, np.pi / 2, 0.0,
-         np.asarray(hahn_echo_signal(FIG_NOISE, taus))),
-        ("hahn_ramsey", SequenceKind.HAHN_RAMSEY, THETA, DELTA,
-         np.asarray(hahn_ramsey_signal(THETA, DELTA, FIG_NOISE, taus))),
-    ]
+    runs = [(SequenceKind.RAMSEY, np.pi / 2, DELTA),
+            (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+            (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]
     ok = True
     details = []
-    for name, kind, th, d, ref in runs:
+    for kind, th, d in runs:
+        ref = closed_form_signal(kind, th, d, FIG_NOISE, taus)
         curve = run_mc(kind, th, d, FIG_NOISE, taus, cfg)
         z = np.abs(curve.means - ref) / curve.stderrs
         frac = (z < 3).mean()
-        details.append(f"{name}: {100 * frac:.0f}% within 3 sigma")
+        details.append(f"{kind.value}: {100 * frac:.0f}% within 3 sigma")
         ok = ok and frac >= 0.95
     el = time.perf_counter() - t0
     report(4, "MC (1e5 traj) vs closed forms, 40 taus x 3 sequences",
@@ -127,10 +120,12 @@ def test_criterion_5_decay_constant_ordering():
     t_e = np.linspace(0.05, 14.0, 90)     # echoes total time = 2 tau
     def as_curve(t, y):
         return SignalCurve(t, np.asarray(y), np.zeros_like(t), 0)
-    ram = fit_decay(as_curve(t_r, ramsey_signal(DELTA, FIG_NOISE, t_r)))
-    hr = fit_decay(as_curve(t_e, hahn_ramsey_signal(THETA, DELTA, FIG_NOISE,
-                                                    t_e / 2)))
-    he = fit_decay(as_curve(t_e, hahn_echo_signal(FIG_NOISE, t_e / 2)))
+    ram = fit_decay(as_curve(t_r, closed_form_signal(
+        SequenceKind.RAMSEY, np.pi / 2, DELTA, FIG_NOISE, t_r)))
+    hr = fit_decay(as_curve(t_e, closed_form_signal(
+        SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, t_e / 2)))
+    he = fit_decay(as_curve(t_e, closed_form_signal(
+        SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, FIG_NOISE, t_e / 2)))
     ok = (hr.tau_c - hr.tau_c_err > ram.tau_c + ram.tau_c_err
           and hr.tau_c - hr.tau_c_err > he.tau_c + he.tau_c_err)
     el = time.perf_counter() - t0
@@ -144,7 +139,8 @@ def test_criterion_5_decay_constant_ordering():
 def test_criterion_6_hahn_echo_reduction():
     t0 = time.perf_counter()
     taus = np.linspace(0.0, 8.0, 161)
-    hr = np.asarray(hahn_ramsey_signal(np.pi / 2, 0.0, FIG_NOISE, taus))
+    hr = np.asarray(closed_form_signal(SequenceKind.HAHN_RAMSEY, np.pi / 2, 0.0,
+                                       FIG_NOISE, taus))
     expected = np.exp(-(GAMMA / LAM) ** 2
                       * (2 * LAM * taus - 3 + 4 * np.exp(-LAM * taus)
                          - np.exp(-2 * LAM * taus)))
@@ -187,8 +183,9 @@ def test_criterion_9_scan_truth_recovery():
     lam_grid = np.linspace(1.5, 3.5, 11)
     gam_grid = np.linspace(2 * np.pi * 0.06, 2 * np.pi * 0.14, 11)
     truth = (5, 5)
-    clean = np.asarray(ramsey_signal(
-        DELTA, NoiseParams(lam_grid[truth[0]], gam_grid[truth[1]]), taus))
+    clean = np.asarray(closed_form_signal(
+        SequenceKind.RAMSEY, np.pi / 2, DELTA,
+        NoiseParams(lam_grid[truth[0]], gam_grid[truth[1]]), taus))
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(8000 + seed)

@@ -12,8 +12,7 @@ from hahnramsey.analysis import (FitError, FitModel, ReadoutModel,
                                  ResidualMap, fit_decay, max_bias_slope,
                                  min_detectable_field, optimal_theta,
                                  scan_noise_params, sensitivity)
-from hahnramsey.analytic import (closed_form_signal, hahn_echo_signal,
-                                 hahn_ramsey_signal, ramsey_signal)
+from hahnramsey.analytic import closed_form_signal
 from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams
 from hahnramsey.spincore import SequenceKind
@@ -84,9 +83,11 @@ def test_fit_noisy_scatter_within_reported_uncertainty():
 def test_fit_ordering_detuned_echo_beats_ramsey():
     # compare on the total-duration axis: ramsey lasts tau, echoes 2 tau
     t = np.linspace(0.05, 9.0, 90)
-    ram = fit_decay(curve(t, ramsey_signal(DELTA, FIG_NOISE, t)))
+    ram = fit_decay(curve(t, closed_form_signal(SequenceKind.RAMSEY, np.pi / 2,
+                                                DELTA, FIG_NOISE, t)))
     t2 = np.linspace(0.05, 14.0, 90)
-    hr = fit_decay(curve(t2, hahn_ramsey_signal(THETA, DELTA, FIG_NOISE, t2 / 2)))
+    hr = fit_decay(curve(t2, closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA,
+                                                DELTA, FIG_NOISE, t2 / 2)))
     assert hr.tau_c - hr.tau_c_err > ram.tau_c + ram.tau_c_err
 
 
@@ -138,10 +139,13 @@ def _fit_move_cases():
         yield f"fringe-{seed}", _bench_fringe(seed), FitModel.GAUSSIAN_ENVELOPE
     t_r = np.linspace(0.05, 9.0, 90)
     t_e = np.linspace(0.05, 14.0, 90)
-    yield "ramsey", curve(t_r, ramsey_signal(DELTA, FIG_NOISE, t_r)), FitModel.GAUSSIAN_ENVELOPE
-    yield "hahn_ramsey", curve(t_e, hahn_ramsey_signal(THETA, DELTA, FIG_NOISE, t_e / 2)), \
+    yield "ramsey", curve(t_r, closed_form_signal(
+        SequenceKind.RAMSEY, np.pi / 2, DELTA, FIG_NOISE, t_r)), FitModel.GAUSSIAN_ENVELOPE
+    yield "hahn_ramsey", curve(t_e, closed_form_signal(
+        SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, t_e / 2)), \
         FitModel.GAUSSIAN_ENVELOPE
-    yield "hahn_echo", curve(t_e, hahn_echo_signal(FIG_NOISE, t_e / 2)), \
+    yield "hahn_echo", curve(t_e, closed_form_signal(
+        SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, FIG_NOISE, t_e / 2)), \
         FitModel.GAUSSIAN_ENVELOPE
     noise = np.random.default_rng(7).normal(0.0, 0.01, t_r.size)
     yield "bare", curve(t_r, np.exp(-((t_r / 4.0) ** 2)) + noise), \
@@ -275,7 +279,8 @@ def test_fit_that_does_not_converge_raises_fit_error_naming_the_model(
 
 
 def make_data(lam, gam, taus, sigma=0.0, seed=0):
-    y = np.asarray(ramsey_signal(DELTA, NoiseParams(lam, gam), taus))
+    y = np.asarray(closed_form_signal(SequenceKind.RAMSEY, np.pi / 2, DELTA,
+                                      NoiseParams(lam, gam), taus))
     if sigma > 0:
         y = y + np.random.default_rng(seed).normal(0, sigma, taus.size)
     return curve(taus, y)

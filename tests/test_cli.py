@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnramsey.analytic import (hahn_ramsey_signal, ramsey_signal,
-                                 signal_from_exponents)
+from hahnramsey.analytic import closed_form_signal, signal_from_exponents
 import hahnramsey
 from hahnramsey.cli import MAX_TRAJECTORY_POINTS, main, read_curve_csv
 from hahnramsey.noise import NoiseParams, FilterKind, chi_filter, f1, delta_f
@@ -50,8 +49,8 @@ def test_simulate_analytic(tmp_path):
                 "--out", tmp_path]) == 0
     header, rows = read_rows(tmp_path / "hahn_ramsey_analytic.csv")
     assert header == ["tau", "signal"]
-    ref = hahn_ramsey_signal(0.2 * np.pi, 1.885, NoiseParams(2.5, 0.6283),
-                             rows[:, 0])
+    ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, 0.2 * np.pi, 1.885,
+                             NoiseParams(2.5, 0.6283), rows[:, 0])
     np.testing.assert_allclose(rows[:, 1], ref, atol=1e-12)
 
 
@@ -186,11 +185,11 @@ def test_fit_roundtrip_and_missing_file(tmp_path, capsys):
 def test_scan_command(tmp_path):
     taus = np.linspace(0.1, 6, 40)
     p = NoiseParams(2.5, 0.6)      # truth on both scan grids
-    from hahnramsey.analytic import ramsey_signal
     data = tmp_path / "ram.csv"
     with open(data, "w") as fh:
         fh.write("tau,signal\n")
-        for ti, yi in zip(taus, np.asarray(ramsey_signal(1.885, p, taus))):
+        for ti, yi in zip(taus, np.asarray(closed_form_signal(
+                SequenceKind.RAMSEY, np.pi / 2, 1.885, p, taus))):
             fh.write(f"{ti},{yi}\n")
     assert run(["scan", "--sequence", "ramsey", "--delta", 1.885,
                 "--data", data,
@@ -474,7 +473,8 @@ def test_bad_config_file_count_exits_2(text, field, tmp_path, capsys):
 
 def _write_ramsey_data(path, rows=None):
     taus = np.linspace(0.1, 6, 40)
-    y = np.asarray(ramsey_signal(1.885, NoiseParams(2.5, 0.6), taus))
+    y = np.asarray(closed_form_signal(SequenceKind.RAMSEY, np.pi / 2, 1.885,
+                                      NoiseParams(2.5, 0.6), taus))
     with open(path, "w") as fh:
         fh.write("tau,signal\n")
         for ti, yi in zip(taus, y):
@@ -583,6 +583,9 @@ def test_scan_refuses_taus_the_tau_scale_takes_beyond_max_magnitude(tmp_path, ca
 @pytest.mark.parametrize("args, name", [
     (["bloch", "--sequence", "ramsey", "--tau", 1.0, "--samples", 0], "--samples"),
     (["bloch", "--sequence", "ramsey", "--tau", "nan"], "--tau"),
+    # delta * tau overflowed: bloch wrote NaN with exit 0
+    (["bloch", "--sequence", "hahn_ramsey", "--theta", 0.6, "--delta", 1e12,
+      "--tau", 1e300, "--samples", 3], "--tau"),
     (["components", "--theta-count", -1], "--theta-count"),
     (["components", "--theta-count", 0], "--theta-count"),
     # grids of 1e20 points raised numpy's size error, exit 3

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hahnramsey.analytic import hahn_echo_signal, hahn_ramsey_signal, ramsey_signal
+from hahnramsey.analytic import closed_form_signal
 from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
                                    _bloch_rotation, _cos_sin, _pulse_steps,
                                    _sampler, bloch_trajectory, bloch_to_csv,
                                    run_mc)
 from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
-from hahnramsey.spincore import (SIGMA_X, SIGMA_Y, SIGMA_Z, Delay, PulseParams,
-                                 SequenceKind, SPIN_UP,
+from hahnramsey.spincore import (Delay, PulseParams, SequenceKind,
                                  analytic_density_matrix_hr, build_sequence,
-                                 long_time_density_matrix, rotation_matrix)
+                                 long_time_density_matrix)
+from spin_oracle import (SIGMA_X, SIGMA_Y, SIGMA_Z, UP, free_phase,
+                         pulse_unitary, sigma_z)
 
 FIG_NOISE = NoiseParams(2.5, 2 * np.pi * 0.1)
 QUIET = NoiseParams(2.5, 0.0)
@@ -24,14 +25,11 @@ DELTA = 2 * np.pi * 0.3
 def test_noiseless_matches_matrix_exactly():
     taus = np.linspace(0.0, 3.0, 7)
     cfg = McConfig(n_trajectories=50, master_seed=1)
-    for kind, theta, delta, ref in [
-            (SequenceKind.RAMSEY, np.pi / 2, 1.3,
-             ramsey_signal(1.3, QUIET, taus)),
-            (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0,
-             hahn_echo_signal(QUIET, taus)),
-            (SequenceKind.HAHN_RAMSEY, THETA, DELTA,
-             hahn_ramsey_signal(THETA, DELTA, QUIET, taus))]:
+    for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, 1.3),
+                               (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+                               (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]:
         curve = run_mc(kind, theta, delta, QUIET, taus, cfg)
+        ref = closed_form_signal(kind, theta, delta, QUIET, taus)
         assert_allclose(curve.means, ref, atol=1e-12)
         assert (curve.stderrs == 0).all()
 
@@ -39,14 +37,11 @@ def test_noiseless_matches_matrix_exactly():
 def test_ou_agreement_with_closed_forms():
     taus = np.linspace(0.3, 4.0, 6)
     cfg = McConfig(n_trajectories=20_000, master_seed=42)
-    for kind, theta, delta, ref in [
-            (SequenceKind.RAMSEY, np.pi / 2, DELTA,
-             ramsey_signal(DELTA, FIG_NOISE, taus)),
-            (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0,
-             hahn_echo_signal(FIG_NOISE, taus)),
-            (SequenceKind.HAHN_RAMSEY, THETA, DELTA,
-             hahn_ramsey_signal(THETA, DELTA, FIG_NOISE, taus))]:
+    for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, DELTA),
+                               (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+                               (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]:
         curve = run_mc(kind, theta, delta, FIG_NOISE, taus, cfg)
+        ref = closed_form_signal(kind, theta, delta, FIG_NOISE, taus)
         z = np.abs(curve.means - ref) / curve.stderrs
         assert (z < 4).all(), f"{kind}: z-scores {z}"
         assert (z < 3).sum() >= len(taus) - 1
@@ -69,7 +64,8 @@ def test_renewal_agreement_small_strength():
     taus = np.linspace(0.5, 4.0, 4)
     cfg = McConfig(n_trajectories=20_000, master_seed=9)
     curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus, cfg)
-    ref = hahn_ramsey_signal(THETA, DELTA, NoiseParams(2.5, 0.25), taus)
+    ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA, DELTA,
+                             NoiseParams(2.5, 0.25), taus)
     z = np.abs(curve.means - ref) / curve.stderrs
     assert (z < 3).all(), f"z-scores {z}"
 
@@ -188,14 +184,14 @@ def _spinor_sampler(seq, delta, noise):
     """Oracle: sample(rng, m) propagating the complex spinor, one (2, 2)
     matmul per pulse and a pair of phase factors per delay; same draws,
     one kernel call per delay, the last one without the end value."""
-    ops = [el if isinstance(el, Delay) else rotation_matrix(el)
+    ops = [el if isinstance(el, Delay) else pulse_unitary(el)
            for el in seq.elements]
     last = max(i for i, op in enumerate(ops) if isinstance(op, Delay))
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
 
     def sample(rng, m):
         f = None if rng is None else rng.normal(0.0, noise.gamma, m)
-        psi = np.tile(SPIN_UP, (m, 1))
+        psi = np.tile(UP, (m, 1))
         for i, op in enumerate(ops):
             if isinstance(op, Delay):
                 x = 0.0
@@ -246,7 +242,7 @@ def test_bloch_rotation_is_the_adjoint_of_the_pulse_unitary(theta, sign):
     sigmas = (SIGMA_X, SIGMA_Y, SIGMA_Z)
     for beta in (0.0, 0.3, np.pi / 2, np.pi, 3 * np.pi / 2, 5.0):
         p = PulseParams(theta, beta, sign)
-        u = rotation_matrix(p)
+        u = pulse_unitary(p)
         adjoint = np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real
                              for sj in sigmas] for si in sigmas])
         assert_allclose(_bloch_rotation(p), adjoint, rtol=0, atol=1e-15)
@@ -347,14 +343,11 @@ def test_finite_pulses_noiseless_match_instantaneous():
     taus = np.linspace(0.0, 2.0, 5)
     cfg = McConfig(10, master_seed=1, time_step=0.001, pulse_model="finite",
                    rabi=20.0)
-    for kind, theta, delta, ref in [
-            (SequenceKind.RAMSEY, np.pi / 2, 1.3,
-             ramsey_signal(1.3, QUIET, taus)),
-            (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0,
-             hahn_echo_signal(QUIET, taus)),
-            (SequenceKind.HAHN_RAMSEY, THETA, DELTA,
-             hahn_ramsey_signal(THETA, DELTA, QUIET, taus))]:
+    for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, 1.3),
+                               (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+                               (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]:
         curve = run_mc(kind, theta, delta, QUIET, taus, cfg)
+        ref = closed_form_signal(kind, theta, delta, QUIET, taus)
         assert_allclose(curve.means, ref, rtol=0, atol=1e-12)
         assert (curve.stderrs == 0).all()
 
@@ -366,10 +359,9 @@ def test_finite_pulse_matches_rotation_composition():
     taus = np.array([0.0])
     curve = run_mc(SequenceKind.RAMSEY, np.pi / 2, 0.0, QUIET, taus, cfg)
     # pi/2 then 3pi/2 about x is the identity on <sigma_z>
-    u = rotation_matrix(PulseParams(np.pi / 2, 3 * np.pi / 2)) @ \
-        rotation_matrix(PulseParams(np.pi / 2, np.pi / 2))
-    psi = u @ SPIN_UP
-    ref = float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2)
+    u = pulse_unitary(PulseParams(np.pi / 2, 3 * np.pi / 2)) @ \
+        pulse_unitary(PulseParams(np.pi / 2, np.pi / 2))
+    ref = sigma_z(u @ UP)
     assert curve.means[0] == pytest.approx(ref, abs=1e-6)
 
 
@@ -377,7 +369,7 @@ def test_finite_pulses_converge_to_instantaneous_with_noise():
     # noise runs through the pulses; shorter pulses converge to the
     # instantaneous model
     taus = np.array([1.0])
-    ref = hahn_ramsey_signal(THETA, DELTA, FIG_NOISE, taus)
+    ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus)
     errs = []
     for rabi in (5.0, 50.0):
         cfg = McConfig(8000, master_seed=33, time_step=0.002,
@@ -395,7 +387,8 @@ def test_finite_pulses_renewal_small_strength():
                    pulse_model="finite", rabi=50.0)
     taus = np.array([1.0])
     curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus, cfg)
-    ref = hahn_ramsey_signal(THETA, DELTA, NoiseParams(2.5, 0.25), taus)
+    ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA, DELTA,
+                             NoiseParams(2.5, 0.25), taus)
     assert abs(curve.means[0] - ref[0]) < 4 * curve.stderrs[0]
 
 
@@ -444,7 +437,7 @@ def test_bloch_trajectory_invariants():
     assert (pts[0].x, pts[0].y, pts[0].z) == (0.0, 0.0, 1.0)
     norms = np.array([p.x ** 2 + p.y ** 2 + p.z ** 2 for p in pts])
     assert np.abs(norms - 1).max() < 1e-10
-    ref = hahn_ramsey_signal(THETA, DELTA, QUIET, 1.3)
+    ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA, DELTA, QUIET, 1.3)
     assert pts[-1].z == pytest.approx(ref, abs=1e-10)
 
 
@@ -467,12 +460,12 @@ def test_bloch_csv(tmp_path):
 
 
 def _bloch_per_sample(seq_kind, theta, delta, tau, samples):
-    """Oracle: one rotation_matrix or one pair of phases per sample."""
+    """Oracle: one pulse unitary or one free phase per sample."""
     def xyz(psi):
         z01 = psi[0].conjugate() * psi[1]
         return (2 * z01.real, 2 * z01.imag, abs(psi[0]) ** 2 - abs(psi[1]) ** 2)
 
-    psi, t = SPIN_UP.copy(), 0.0
+    psi, t = UP, 0.0
     pts = [(t, *xyz(psi))]
     for el in build_sequence(seq_kind, theta, delta, tau).elements:
         start = psi
@@ -480,13 +473,12 @@ def _bloch_per_sample(seq_kind, theta, delta, tau, samples):
             if isinstance(el, PulseParams):
                 part = PulseParams(el.theta, el.beta * k / samples,
                                    el.detuning_sign)
-                psi = rotation_matrix(part) @ start
+                psi = pulse_unitary(part) @ start
                 pts.append((t, *xyz(psi)))
             else:
                 dt = el.duration * k / samples
                 phi = el.detuning_sign * delta * dt
-                psi = np.array([np.exp(-0.5j * phi) * start[0],
-                                np.exp(+0.5j * phi) * start[1]])
+                psi = free_phase(phi) @ start
                 pts.append((t + dt, *xyz(psi)))
         if not isinstance(el, PulseParams):
             t += el.duration
@@ -537,8 +529,8 @@ def test_mc_density_matrix_reaches_long_time_limit(sample_ou_ensemble):
     for i in range(n):
         f = (DELTA * tau + x1[i]) / 2
         g = (-DELTA * tau + x2[i]) / 2
-        rhos[i] = analytic_density_matrix_hr(THETA, f, g).entries
+        rhos[i] = analytic_density_matrix_hr(THETA, f, g)
     mean = rhos.mean(axis=0)
     se = rhos.std(axis=0, ddof=1) / np.sqrt(n)
-    expected = long_time_density_matrix(THETA).entries
+    expected = long_time_density_matrix(THETA)
     assert (np.abs(mean - expected) <= 3 * se + 1e-4).all()
