@@ -3,8 +3,8 @@
 Modules:
 
 * ``spincore``   pulses, pulse sequences and drive tilt
-* ``noise``      exponentially correlated dephasing noise and its
-                 decay exponents (closed form and spectral quadrature)
+* ``noise``      exponentially correlated dephasing noise, its exact
+                 window samplers and its closed-form decay exponents
 * ``analytic``   closed-form expected signals and their decomposition
 * ``montecarlo`` independent stochastic validation engine, one entry point
                  for instantaneous and finite pulses
@@ -21,10 +21,9 @@ from .analytic import (BiasParams, SignalComponents, closed_form_signal,
                        signal_components, signal_from_exponents)
 from .montecarlo import (BlochPoint, McConfig, SignalCurve, bloch_to_csv,
                          bloch_trajectory, run_mc)
-from .noise import (FilterKind, NoiseKind, NoiseParams, QuadratureError,
-                    chi_filter, correlation, delta_f, f1)
+from .noise import (FilterKind, NoiseKind, NoiseParams, correlation, delta_f,
+                    f1, filter_exponent)
 from .spincore import (Delay, DrivingParams, PulseParams, PulseSequence,
-                       SequenceKind, TiltConvention, analytic_density_matrix_hr,
-                       build_sequence, long_time_density_matrix, tilt_angle)
+                       SequenceKind, TiltConvention, build_sequence, tilt_angle)
 
 __version__ = "0.1.0"

@@ -34,7 +34,8 @@ from . import analysis, analytic, montecarlo, noise, spincore
 from ._datafile import write_csv as _write_csv
 
 ENV_PREFIX = "HRSIM_"
-# bound on |float input|, and 1/MAX_MAGNITUDE on lam: (Gamma/lam)^2 must not overflow
+# bound on |float input|, and 1/MAX_MAGNITUDE on lam (so that (Gamma/lam)^2
+# does not overflow) and on --gamma-e
 MAX_MAGNITUDE = 1e12
 # bound on the points of every grid (tau, theta, scan, bloch samples): numpy
 # cannot allocate 1e20 of them
@@ -364,13 +365,9 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
 def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
     if not 1 <= theta_count <= MAX_COUNT:
         raise ConfigError("--theta-count", f"must lie in [1, {MAX_COUNT}]")
-    p = cfg.noise_params()
-    try:
-        rows = [(t, *(noise.chi_filter(k, p, float(t)) for k in noise.FilterKind))
-                for t in cfg.taus()]
-    except noise.QuadratureError as exc:
-        raise ConfigError("lam, gamma, tau_start, tau_stop",
-                          f"out of reach of the filter quadrature: {exc}") from None
+    taus, p = cfg.taus(), cfg.noise_params()
+    rows = np.column_stack([taus, *(noise.filter_exponent(k, p, taus)
+                                    for k in noise.FilterKind)])
     out = _out_dir(cfg)
     comments = [f"config_sha256={config_hash(cfg)}"]
     path1 = out / "filter_exponents.csv"
@@ -447,18 +444,27 @@ def cmd_scan(cfg: RunConfig, data_paths, lam_spec, gamma_spec,
 
 
 def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
-    if not (math.isfinite(u) and u > v >= 0):
-        raise ConfigError("--u", "need finite u > v >= 0 (bright above dark)")
-    if not (math.isfinite(gamma_e) and gamma_e > 0):
-        raise ConfigError("--gamma-e", "must be finite and > 0")
-    if not cfg.noise_params().gamma > 0:
-        raise ConfigError("gamma", "sensitivity needs a dephasing strength > 0")
+    # within these bounds, and gamma's, the field floor and eta stay finite
+    # and nonzero: u / 2 does not underflow, nor gamma^2
+    low = 1 / MAX_MAGNITUDE
+    if not (low <= u <= MAX_MAGNITUDE and 0 <= v < u):
+        raise ConfigError("--u", f"need u in [{low:g}, {MAX_MAGNITUDE:g}] and "
+                                 f"0 <= v < u (bright above dark)")
+    if not low <= gamma_e <= MAX_MAGNITUDE:
+        raise ConfigError("--gamma-e", f"must lie in [{low:g}, {MAX_MAGNITUDE:g}]")
+    if not cfg.noise_params().gamma >= low:
+        raise ConfigError("gamma", f"sensitivity needs a dephasing strength >= {low:g}")
     _require_gaussian(cfg, "the bias-slope model of sensitivity")
     readout = analysis.ReadoutModel(u, v)
     theta = None
     if cfg.theta is not None or cfg.rabi is not None:
         theta = cfg.resolved_theta()
-    res = analysis.sensitivity(cfg.noise_params(), readout, theta, gamma_e)
+    try:
+        res = analysis.sensitivity(cfg.noise_params(), readout, theta, gamma_e)
+    except analysis.FitInputError as exc:
+        # below a tilt of about 3e-7 the fringe has no contrast left to fit
+        raise ConfigError("theta" if cfg.theta is not None else "rabi",
+                          f"the tilt leaves the fringe flat: {exc}") from None
     return _write_json(cfg, "sensitivity.json", {
         "config_sha256": config_hash(cfg), "delta_b_min_gauss": res.delta_b_min,
         "optimal_tau": res.optimal_tau, "optimal_theta_rad": res.optimal_theta,

@@ -8,11 +8,10 @@ Two processes share the stationary correlation C(dt) = Gamma^2 exp(-lambda|dt|):
   at Poisson(lambda) event times.  Same second moments, different higher
   moments.
 
-The module provides the three dephasing exponents as closed forms
-(f1, delta_f) and as frequency-domain integrals over the Lorentzian
-spectral density, which must agree.  chi_filter evaluates one rule of
-uniform Gauss-Legendre panels whose node windows come by angle addition,
-and estimates its error from the same rule on half the panels.
+The module provides the dephasing integrals f1 and delta_f in closed
+form, and from them filter_exponent: the decay exponents of the three
+filter windows (FilterKind) of the detuned echo, which equal the
+overlaps of those windows with the Lorentzian spectral density.
 
 Its samplers are the two exact window kernels, one per noise kind
 (_WINDOW_INTEGRALS): from the values f0 at the start of one window they
@@ -31,11 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "NoiseKind", "NoiseParams", "FilterKind", "correlation", "f1", "delta_f",
-    "chi_filter", "QuadratureError",
+    "filter_exponent",
 ]
 
 
@@ -118,118 +116,45 @@ class FilterKind(enum.Enum):
     HAHN_LIKE = "hahn_like"
 
 
-class QuadratureError(RuntimeError):
-    pass
+def filter_exponent(kind: FilterKind, p: NoiseParams, tau):
+    """Decay exponent of the filter window `kind` at tau (a float or an
+    array; the result has its shape), by the closed form FilterKind names.
 
-
-_GL_NODES, _GL_WEIGHTS = leggauss(12)
-_MAX_PANELS = 2 ** 17     # the rule's (n, 12) arrays then hold about 12.6 MB each
-
-
-def _panel_sum(half_t: float, power: int, lam: float, w_max: float, n: int) -> float:
-    """12-point Gauss-Legendre sum of sin(half_t w)^power / (w^2 (w^2 + lam^2))
-    over n uniform panels of [0, w_max].  Node j of panel i is i h + c_j, so
-    angle addition gives its sin from 2 (n + 12) sin/cos calls in all.  The
-    (n, 12) arrays are updated in place."""
-    h = w_max / n
-    c = 0.5 * h * (_GL_NODES + 1.0)
-    start = h * np.arange(n)[:, None]
-    a, b = half_t * start, half_t * c
-    s = np.sin(a) * np.cos(b)
-    x2 = np.cos(a) * np.sin(b)      # scratch until it holds (start + c)^2
-    s += x2
-    s *= s
-    if power == 4:
-        s *= s
-    np.add(start, c, out=x2)
-    x2 *= x2
-    den = x2 + lam * lam
-    den *= x2
-    s /= den
-    return float(np.sum(s @ (0.5 * h * _GL_WEIGHTS)))
-
-
-def chi_filter(kind: FilterKind, p: NoiseParams, tau: float,
-               target_error: float = 1e-8) -> float:
-    """Decay exponent from the frequency-domain overlap of the sequence
-    window with the Lorentzian noise spectrum 2 Gamma^2 lambda/(w^2+lam^2).
-
-    Evaluated by one composite 12-point Gauss-Legendre rule on n uniform
-    panels up to a cutoff of at least max(50 lam, 50/tau), extended until
-    the analytic tail bound (from the 1/w^4 falloff of the integrand) meets
-    target_error; the window sin(half_t w)^2 or ^4 comes by angle addition
-    from the panel starts (_panel_sum).  Its error is estimated against the
-    same rule on ceil(n/2) panels.  Raises QuadratureError when that
-    estimate exceeds target_error (times |value|/1e5, at most 1e3, for
-    exponents above 1e5) or the rule needs over _MAX_PANELS panels.
-    """
-    return _chi_filter_with_error(kind, p, tau, target_error)[0]
-
-
-def _chi_filter_with_error(kind: FilterKind, p: NoiseParams, tau: float,
-                           target_error: float) -> tuple:
-    """chi_filter's (value, error estimate); the estimate is at most the
-    target the value was accepted against."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0.0 or p.gamma == 0.0:
-        return 0.0, 0.0
-    lam = p.lam
+    The Hahn-like exponent is not taken as 2 (f1 - delta_f), whose terms
+    cancel at small x = lambda tau (it goes negative there), but as
+    (Gamma/lambda)^2 [2 (x - 2 tanh(x/2)) + tanh(x/2) expm1(-x)^2], two
+    non-negative terms: within 1.5e-14 relative of 420-digit values over
+    x in [1e-100, 1e3]."""
     if kind is FilterKind.RAMSEY_LIKE:
-        half_t, power, weight, mean = tau, 2, 4.0, 0.5
-    elif kind is FilterKind.HALF_PERIOD:
-        half_t, power, weight, mean = tau / 2, 2, 4.0, 0.5
-    elif kind is FilterKind.HAHN_LIKE:
-        half_t, power, weight, mean = tau / 2, 4, 16.0, 0.375
-    else:
+        return 2.0 * (f1(p, tau) + delta_f(p, tau))
+    if kind is FilterKind.HALF_PERIOD:
+        return f1(p, tau)
+    if kind is not FilterKind.HAHN_LIKE:
         raise ValueError(f"unknown filter kind {kind!r}")
-    pref = weight * lam * p.gamma ** 2 / np.pi
-
-    floor = max(50.0 * lam, 50.0 / tau)
-    # truncation keeps the oscillatory tail remainder, ~pref/(2 half_t w^4)
-    # by integration by parts, below half the target.  For tau near the
-    # smallest subnormal the product underflows to 0; the floor keeps the
-    # division finite and the panel budget below then refuses the rule.
-    need = (pref / max(half_t * target_error, math.ulp(0.0))) ** 0.25
-    w_max = max(floor, min(need, 100.0 * floor))
-    # panels resolve the fastest window harmonic (2 w half_t at most a
-    # half period each) and the Lorentzian knee at w ~ lam
-    width = min(np.pi / (2.0 * tau), lam / 2.0, w_max / 8.0)
-    n = w_max / width
-    if not n <= _MAX_PANELS:       # lam tau below about 1e-3, or far above 1e3
-        raise QuadratureError(f"chi_filter({kind.value}) at lam tau = {lam * tau:.3g} "
-                              f"needs {n:.3g} panels, over {_MAX_PANELS}")
-    n = math.ceil(n)
-    rule = _panel_sum(half_t, power, lam, w_max, n)
-    half = _panel_sum(half_t, power, lam, w_max, math.ceil(n / 2))
-    # analytic tail: window replaced by its mean value
-    tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
-    remainder = pref / (2.0 * half_t * w_max ** 4)
-    value = pref * (rule + tail)
-    # 12-point panels converge far faster than halving suggests; /10 is a
-    # conservative Richardson factor.  The last term is the float floor.
-    err = (pref * abs(rule - half) / 10.0 + remainder
-           + 1e-15 * max(1.0, abs(value)))
-    # target_error bounds the error of the exponent, i.e. the relative error
-    # of the decay factor exp(-value).  Past exponents of 1e5 it scales with
-    # |value|, since the float floor would pass the default 1e-8 near 1e7,
-    # but by at most 1e3: exponents beyond about 1e10 stay out of reach.
-    target = target_error * min(max(1.0, abs(value) / 1e5), 1e3)
-    if err > target:
-        raise QuadratureError(
-            f"chi_filter({kind.value}) did not converge: error estimate {err:.3e} "
-            f"exceeds target {target:.1e}")
-    return value, err
+    tau = np.asarray(tau, dtype=float)
+    if tau.min(initial=np.inf) < 0:
+        raise ValueError("tau must be >= 0")
+    x = p.lam * tau
+    g = np.where(x < 0.2, _x_minus_2_tanh_half_series(np.minimum(x, 0.2)),
+                 x - 2.0 * np.tanh(0.5 * x))
+    out = (p.gamma / p.lam) ** 2 * (2.0 * g + np.tanh(0.5 * x) * np.expm1(-x) ** 2)
+    return out if out.ndim else float(out)
 
 
 def _x_minus_2_tanh_half(x):
-    """x - 2 tanh(x/2) for x >= 0, the O(x^3) core of the OU window
+    """x - 2 tanh(x/2) for a float x >= 0, the O(x^3) core of the OU window
     variances.  The direct difference cancels: it is 1.4e-5 relative off
     at x = 1e-5 and rounds to 0 from about x = 1e-8.  Below x = 0.2 the
-    Taylor series to x^13 is used instead, within 5e-15 relative of
-    50-digit values; above it the direct form is within 6e-14."""
+    Taylor series (_x_minus_2_tanh_half_series) is used instead, within
+    5e-15 relative of 50-digit values; above it the direct form is within
+    6e-14.  filter_exponent takes the same branches over arrays."""
     if x >= 0.2:
         return x - 2.0 * math.tanh(0.5 * x)
+    return _x_minus_2_tanh_half_series(x)
+
+
+def _x_minus_2_tanh_half_series(x):
+    """Taylor series of x - 2 tanh(x/2) to x^13, for x below 0.2."""
     x2 = x * x
     return x * x2 * (1 / 12 - x2 * (1 / 120 - x2 * (17 / 20160 - x2 * (
         31 / 362880 - x2 * (691 / 79833600 - x2 * (5461 / 6227020800))))))

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "PulseParams", "Delay", "DrivingParams", "SequenceKind", "PulseSequence",
     "TiltConvention", "tilt_angle", "build_sequence",
-    "analytic_density_matrix_hr", "long_time_density_matrix",
 ]
 
 
@@ -165,34 +164,3 @@ def build_sequence(kind: SequenceKind, theta: float, delta: float,
         Delay(tau, -1),
         PulseParams(theta, np.pi / 2, +1),
     ))
-
-
-def analytic_density_matrix_hr(theta: float, f: float, g: float) -> np.ndarray:
-    """State after pi/2 -- phase 2f -- mirrored pi -- phase 2g, closed form,
-    as a 2x2 complex density matrix.
-
-    f and g are the half-phases of the two free-precession intervals,
-    f = (delta*tau + X1)/2 and g = (-delta*tau + X2)/2 for the detuned
-    echo sequence.  Equals matrix propagation of |up> entrywise.
-    """
-    a, b = math.cos(theta), math.sin(theta)
-    cs = a * math.cos(2 * f) + math.sin(2 * f)
-    r00 = a ** 2 + a ** 4 + b ** 4 - 2 * a * b ** 2 * cs
-    r11 = b ** 2 + 2 * a ** 2 * b ** 2 + 2 * a * b ** 2 * cs
-    r01 = (-a ** 2 * b * (1j + a) * np.exp(-2j * (f + g))
-           - 2 * a ** 3 * b * np.exp(-2j * g)
-           + b ** 3 * (a - 1j) * np.exp(2j * (f - g)))
-    r10 = (-a ** 2 * b * (-1j + a) * np.exp(2j * (f + g))
-           - 2 * a ** 3 * b * np.exp(2j * g)
-           + b ** 3 * (a + 1j) * np.exp(-2j * (f - g)))
-    return 0.5 * np.array([[r00, r01], [r10, r11]])
-
-
-def long_time_density_matrix(theta: float) -> np.ndarray:
-    """Fully dephased limit, as a 2x2 complex density matrix: the diagonal
-    mixture left once every decaying term has averaged away."""
-    a, b = math.cos(theta), math.sin(theta)
-    return 0.5 * np.diag([
-        a ** 2 + a ** 4 + b ** 4,
-        b ** 2 + 2 * a ** 2 * b ** 2,
-    ]).astype(complex)

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hahnramsey.analytic import (BiasParams, closed_form_signal,
                                  component_weights, hr_signal_biased,
                                  hr_signal_derivative, signal_components)
-from hahnramsey.noise import NoiseParams, f1, delta_f
+from hahnramsey.noise import FilterKind, NoiseParams, f1, delta_f, filter_exponent
 from hahnramsey.spincore import PulseParams, SequenceKind, build_sequence
+from filter_oracle import chi_filter
 from spin_oracle import UP, propagate, pulse_unitary, sigma_z
 
 P = NoiseParams(2.5, 2 * np.pi * 0.1)
@@ -206,17 +207,16 @@ def test_long_time_limit_is_constant_term():
 
 
 def test_consistency_with_spectral_exponents():
-    # the three decay exponents of the decomposition match chi_filter
-    from hahnramsey.noise import FilterKind, chi_filter
+    # the three decay exponents of the decomposition match the quadrature
+    # oracle and filter_exponent
     tau = 1.2
     c = signal_components(0.2 * np.pi, 0.0, P, tau)
     w = c.weights
-    assert c.ramsey_like_term == pytest.approx(
-        w[1] * np.exp(-chi_filter(FilterKind.RAMSEY_LIKE, P, tau)), rel=1e-4)
-    assert c.cos_delta_term == pytest.approx(
-        w[2] * np.exp(-chi_filter(FilterKind.HALF_PERIOD, P, tau)), rel=1e-4)
-    assert c.cos_2delta_term == pytest.approx(
-        w[3] * np.exp(-chi_filter(FilterKind.HAHN_LIKE, P, tau)), rel=1e-4)
+    terms = (c.ramsey_like_term, c.cos_delta_term, c.cos_2delta_term)
+    for term, weight, kind in zip(terms, w[1:], FilterKind):
+        assert term == pytest.approx(weight * np.exp(-chi_filter(kind, P, tau)), rel=1e-4)
+        assert term == pytest.approx(weight * np.exp(-filter_exponent(kind, P, tau)),
+                                     rel=1e-12)
 
 
 # (theta, delta) at which each standard sequence has a closed form

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hahnramsey.analytic import closed_form_signal, signal_from_exponents
 import hahnramsey
 from hahnramsey.cli import MAX_TRAJECTORY_POINTS, main, read_curve_csv
-from hahnramsey.noise import NoiseParams, FilterKind, chi_filter, f1, delta_f
+from hahnramsey.noise import NoiseParams, FilterKind, filter_exponent, f1, delta_f
 from hahnramsey.spincore import SequenceKind
 
 
@@ -161,6 +161,9 @@ def test_components(tmp_path):
         expect = [2 * (f1(p, tau) + delta_f(p, tau)), f1(p, tau),
                   2 * (f1(p, tau) - delta_f(p, tau))]
         np.testing.assert_allclose(row[1:], expect, rtol=1e-4)
+    # the file holds filter_exponent to the last written digit
+    for col, kind in enumerate(FilterKind, 1):
+        assert exps[:, col].tolist() == filter_exponent(kind, p, exps[:, 0]).tolist()
     _, w = read_rows(tmp_path / "component_weights.csv")
     last = w[-1]                           # theta = pi/2 row
     assert np.allclose(last[1:4], 0.0, atol=1e-12)
@@ -422,6 +425,20 @@ def test_components_resolve_large_exponents(tmp_path):
         [2 * (F1 + dF), F1, 2 * (F1 - dF)]), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("args", [
+    ["--lam=1e-6", "--gamma=0.6"], ["--lam=2.5", "--gamma=1e6"],
+    ["--gamma=0.6", "--tau-stop=1e6"], ["--gamma=0.6", "--tau-start=5e-324"]])
+def test_components_write_grids_past_the_former_quadrature(args, tmp_path):
+    # grids the filter quadrature refused with exit 2; the closed forms hold
+    assert run(["components", *args, "--out", tmp_path]) == 0
+    _, rows = read_rows(tmp_path / "filter_exponents.csv")
+    assert np.isfinite(rows).all() and (rows[:, 1:] >= 0).all()
+    flags = dict(a.lstrip("-").split("=") for a in args)
+    p = NoiseParams(float(flags.get("lam", 1.0)), float(flags["gamma"]))
+    for col, kind in enumerate(FilterKind, 1):
+        assert rows[:, col].tolist() == filter_exponent(kind, p, rows[:, 0]).tolist()
+
+
 def test_read_curve_csv_roundtrip(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("# comment\ntau,mean,stderr,n\n0.0,1.0,0.01,500\n"
@@ -596,21 +613,26 @@ def test_scan_refuses_taus_the_tau_scale_takes_beyond_max_magnitude(tmp_path, ca
     (["sensitivity", "--lam", 2.5, "--gamma", 0.0], "'gamma'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--u", 0.5], "--u"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--gamma-e", 0], "--gamma-e"),
-    # out of range: these overflowed to exit 3, wrote NaN with exit 0, or
-    # asked the filter quadrature for gigabytes of nodes
+    # wrote "eta": Infinity, and eta 0.0 beside a field floor of 2.7e-156
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--gamma-e", 1e-320], "--gamma-e"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--u", 1e308, "--v", 1e307],
+     "--u"),
+    # exit 3: u / 2 and gamma^2 underflowed to 0, and a fringe at a tilt
+    # of 1e-9 (given, or from rabi and delta) was too flat to fit
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--u", 5e-324, "--v", 0], "--u"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 1e-200], "'gamma'"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--theta", 1e-9], "'theta'"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--rabi", 1, "--delta", 1e9],
+     "'rabi'"),
+    # out of range: these overflowed to exit 3 or wrote NaN with exit 0
     (["simulate", "--gamma=1e300"], "'gamma'"),
     (["simulate", "--delta=1.7e308"], "'delta'"),
     (["simulate", "--lam=1e-300", "--gamma=0.6"], "'lam'"),
-    (["components", "--lam=1e-6", "--gamma=0.6"], "'lam, gamma, tau_start"),
-    (["components", "--lam=2.5", "--gamma=1e6"], "'lam, gamma, tau_start"),
-    (["components", "--gamma=0.6", "--tau-stop=1e6"], "'lam, gamma, tau_start"),
     # the closed forms and the models built on them assume Gaussian noise
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--noise-kind", "renewal"],
      "'noise_kind'"),
     (["simulate", "--theta", 0.6, "--gamma", 0.6, "--noise-kind", "renewal",
       "--engine", "analytic"], "'noise_kind'"),
-    # tau / 2 underflowed to 0 in the quadrature cutoff: ZeroDivisionError, exit 3
-    (["components", "--gamma=0.6", "--tau-start=5e-324"], "'lam, gamma, tau_start"),
     # one trajectory has no stderr: the compare CSV wrote z-scores of inf
     (["simulate", "--theta", 0.6283, "--gamma", 0.6, "--engine", "both",
       "--n-trajectories", 1], "'n_trajectories'"),
@@ -758,6 +780,7 @@ _COMMAND_FLAGS = {
     "montecarlo": {},
     "finite": {},
     "components": {"--theta-count": _ODD_COUNTS},
+    "sensitivity": {"--u": _ODD_FLOATS, "--v": _ODD_FLOATS, "--gamma-e": _ODD_FLOATS},
     "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
              "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
              "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS},

@@ -10,11 +10,10 @@ from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
                                    _sampler, bloch_trajectory, bloch_to_csv,
                                    run_mc)
 from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
-from hahnramsey.spincore import (Delay, PulseParams, SequenceKind,
-                                 analytic_density_matrix_hr, build_sequence,
-                                 long_time_density_matrix)
-from spin_oracle import (SIGMA_X, SIGMA_Y, SIGMA_Z, UP, free_phase,
-                         pulse_unitary, sigma_z)
+from hahnramsey.spincore import Delay, PulseParams, SequenceKind, build_sequence
+from spin_oracle import (SIGMA_X, SIGMA_Y, SIGMA_Z, UP, analytic_density_matrix_hr,
+                         free_phase, long_time_density_matrix, pulse_unitary,
+                         sigma_z)
 
 FIG_NOISE = NoiseParams(2.5, 2 * np.pi * 0.1)
 QUIET = NoiseParams(2.5, 0.0)

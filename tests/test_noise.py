@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
+from filter_oracle import TARGET_ERROR, chi_filter
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
-                              QuadratureError, _chi_filter_with_error,
-                              _ou_window_integrals, _panel_sum,
-                              _renewal_window_integrals,
-                              _x_minus_2_tanh_half, chi_filter,
-                              correlation, delta_f, f1)
+                              _ou_window_integrals, _renewal_window_integrals,
+                              _x_minus_2_tanh_half, correlation, delta_f,
+                              f1, filter_exponent)
 
 P = NoiseParams(2.5, 2 * np.pi * 0.1)
 P_REN = NoiseParams(2.5, 2 * np.pi * 0.1, NoiseKind.RENEWAL)
@@ -103,21 +101,20 @@ def test_dephasing_constant_invariants(tau):
     assert delta_f(P, tau + eps) >= delta_f(P, tau) - 1e-15
 
 
+def test_filter_exponent_zero_cases():
+    for kind in FilterKind:
+        assert filter_exponent(kind, P, 0.0) == 0.0
+        assert filter_exponent(kind, NoiseParams(2.5, 0.0), 1.0) == 0.0
+    with pytest.raises(ValueError):
+        filter_exponent(FilterKind.HAHN_LIKE, P, [1.0, -1e-9])
+    with pytest.raises(ValueError):
+        filter_exponent("hahn_like", P, 1.0)
+
+
 def test_chi_filter_zero_cases():
     for kind in FilterKind:
         assert chi_filter(kind, P, 0.0) == 0.0
         assert chi_filter(kind, NoiseParams(2.5, 0.0), 1.0) == 0.0
-
-
-@pytest.mark.parametrize("tau", [0.01 / 2.5, 0.2, 1.0, 4.0])
-def test_chi_filter_identities(tau):
-    F1, dF = f1(P, tau), delta_f(P, tau)
-    assert chi_filter(FilterKind.RAMSEY_LIKE, P, tau) == pytest.approx(
-        2 * (F1 + dF), rel=1e-4)
-    assert chi_filter(FilterKind.HALF_PERIOD, P, tau) == pytest.approx(
-        F1, rel=1e-4)
-    assert chi_filter(FilterKind.HAHN_LIKE, P, tau) == pytest.approx(
-        2 * (F1 - dF), rel=1e-4)
 
 
 def _closed_form_exponent(kind, p, tau):
@@ -126,92 +123,32 @@ def _closed_form_exponent(kind, p, tau):
             FilterKind.HAHN_LIKE: 2 * (F1 - dF)}[kind]
 
 
+@pytest.mark.parametrize("tau", [0.01 / 2.5, 0.2, 1.0, 4.0])
+def test_chi_filter_identities(tau):
+    # the quadrature oracle against filter_exponent and the closed forms
+    for kind in FilterKind:
+        closed = _closed_form_exponent(kind, P, tau)
+        assert chi_filter(kind, P, tau) == pytest.approx(
+            filter_exponent(kind, P, tau), rel=1e-4)
+        assert chi_filter(kind, P, tau) == pytest.approx(closed, rel=1e-4)
+        assert filter_exponent(kind, P, tau) == pytest.approx(closed, rel=1e-12)
+
+
 def test_chi_filter_meets_its_target_error_against_the_closed_forms():
-    worst = max(abs(chi_filter(kind, P, tau) - _closed_form_exponent(kind, P, tau))
-                for tau in np.linspace(0.05, 7.0, 81) for kind in FilterKind)
-    assert worst <= 1e-8      # the default target_error
-
-
-def _chi_filter_rule(kind, p, tau, target_error=1e-8):
-    """chi_filter's rule written out: (half_t, power, pref, w_max, n, tail)."""
-    lam = p.lam
-    half_t = tau if kind is FilterKind.RAMSEY_LIKE else tau / 2
-    power = 4 if kind is FilterKind.HAHN_LIKE else 2
-    pref = (16.0 if power == 4 else 4.0) * lam * p.gamma ** 2 / np.pi
-    mean = 0.375 if power == 4 else 0.5
-    floor = max(50.0 * lam, 50.0 / tau)
-    need = (pref / (half_t * target_error)) ** 0.25
-    w_max = max(floor, min(need, 100.0 * floor))
-    n = int(np.ceil(w_max / min(np.pi / (2.0 * tau), lam / 2.0, w_max / 8.0)))
-    tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
-    return half_t, power, pref, w_max, n, tail
-
-
-def _chi_filter_per_node(kind, p, tau, target_error=1e-8):
-    """Oracle: the same cutoff, panels and tail as chi_filter, with one
-    sin per Gauss-Legendre node on np.linspace panel edges."""
-    half_t, power, pref, w_max, n, tail = _chi_filter_rule(kind, p, tau, target_error)
-    edges = np.linspace(0.0, w_max, n + 1)
-    nodes, weights = leggauss(12)
-    a, h = edges[:-1, None], np.diff(edges)[:, None]
-    w = (a + 0.5 * h * (nodes + 1.0)).ravel()
-    rule = (np.sin(w * half_t) ** power / (w * w * (w * w + p.lam ** 2))
-            @ (0.5 * h * weights).ravel())
-    return pref * (rule + tail)
-
-
-def _panel_sum_with_temporaries(half_t, power, lam, w_max, n):
-    """Oracle: _panel_sum's operations in the same order, each into a new
-    array."""
-    h = w_max / n
-    c = 0.5 * h * (leggauss(12)[0] + 1.0)
-    start = h * np.arange(n)[:, None]
-    s = (np.sin(half_t * start) * np.cos(half_t * c)
-         + np.cos(half_t * start) * np.sin(half_t * c))
-    s2 = s * s
-    window = s2 if power == 2 else s2 * s2
-    x2 = (start + c) ** 2
-    return float(np.sum(window / (x2 * (x2 + lam * lam))
-                        @ (0.5 * h * leggauss(12)[1])))
-
-
-@pytest.mark.parametrize("power", [2, 4])
-@pytest.mark.parametrize("half_t, lam, w_max, n", [
-    (1.3, 2.5, 125.0, 1), (0.5, 2.5, 125.0, 160), (3.5, 0.3, 40.0, 1703),
-    (0.01, 10.0, 5000.0, 20000)])
-def test_panel_sum_equals_the_sum_with_temporaries(half_t, power, lam, w_max, n):
-    assert _panel_sum(half_t, power, lam, w_max, n) == \
-        _panel_sum_with_temporaries(half_t, power, lam, w_max, n)
+    taus = np.linspace(0.05, 7.0, 81)
+    for kind in FilterKind:
+        oracle = np.array([chi_filter(kind, P, tau) for tau in taus])
+        assert np.abs(oracle - filter_exponent(kind, P, taus)).max() <= TARGET_ERROR
+        assert np.abs(oracle - _closed_form_exponent(kind, P, taus)).max() <= TARGET_ERROR
 
 
 @pytest.mark.parametrize("p", [P, NoiseParams(10.0, 3.0)])
 @pytest.mark.parametrize("lam_tau", [1e-3, 0.5, 5.0, 50.0])
-def test_chi_filter_matches_the_per_node_oracle(lam_tau, p):
+def test_filter_exponent_matches_the_quadrature_oracle(lam_tau, p):
     tau = lam_tau / p.lam
     for kind in FilterKind:
-        assert chi_filter(kind, p, tau) == pytest.approx(
-            _chi_filter_per_node(kind, p, tau), rel=1e-13, abs=0)
-
-
-def test_chi_filter_equals_the_2n_panel_rule_on_the_components_grid():
-    # the reported n-panel rule has converged to rounding: twice the panels
-    # give the same value
-    for tau in np.linspace(0.05, 7.0, 81):
-        for kind in FilterKind:
-            value, err = _chi_filter_with_error(kind, P, tau, 1e-8)
-            half_t, power, pref, w_max, n, tail = _chi_filter_rule(kind, P, tau)
-            fine = pref * (_panel_sum(half_t, power, P.lam, w_max, 2 * n) + tail)
-            assert value == chi_filter(kind, P, tau)
-            assert value == pytest.approx(fine, rel=2e-15, abs=0)
-            # the estimate stays within its target and bounds the true error
-            assert abs(value - _closed_form_exponent(kind, P, tau)) <= err <= 1e-8
-
-
-@pytest.mark.parametrize("lam_tau", [1e-6, 1e5])
-def test_chi_filter_refuses_rules_beyond_its_panel_budget(lam_tau):
-    # 1e8 and 3e6 panels: gigabytes of nodes, refused before allocation
-    with pytest.raises(QuadratureError, match="panels"):
-        chi_filter(FilterKind.HAHN_LIKE, P, lam_tau / P.lam)
+        assert abs(chi_filter(kind, p, tau) - filter_exponent(kind, p, tau)) \
+            <= TARGET_ERROR
 
 
 def test_chi_filter_hahn_matches_standard_echo_exponent():
@@ -221,11 +158,66 @@ def test_chi_filter_hahn_matches_standard_echo_exponent():
             2 * lam * tau - 3 + 4 * np.exp(-lam * tau) - np.exp(-2 * lam * tau))
         assert chi_filter(FilterKind.HAHN_LIKE, P, tau) == pytest.approx(
             expected, rel=1e-4)
+        assert filter_exponent(FilterKind.HAHN_LIKE, P, tau) == pytest.approx(
+            expected, rel=1e-12)
 
 
-def test_chi_filter_reports_nonconvergence():
-    with pytest.raises(QuadratureError):
-        chi_filter(FilterKind.RAMSEY_LIKE, P, 2.0, target_error=1e-18)
+def test_chi_filter_equals_the_2n_panel_rule_on_the_components_grid():
+    # the oracle's n-panel rule has converged to rounding: twice the panels
+    # give the same value
+    for tau in np.linspace(0.05, 7.0, 81):
+        for kind in FilterKind:
+            assert chi_filter(kind, P, tau) == pytest.approx(
+                chi_filter(kind, P, tau, refine=2), rel=2e-15, abs=0)
+
+
+def _hahn_exponent_digits(x):
+    """2x - 3 + 4 e^-x - e^-2x, the Hahn-like exponent over (Gamma/lam)^2,
+    in decimals that keep 50 digits through the cancellation to x^3/3."""
+    with localcontext() as ctx:
+        ctx.prec = 50 + max(0, round(-3 * np.log10(x)))
+        d = Decimal(x)
+        e = (-d).exp()
+        return float(2 * d - 3 + 4 * e - e * e)
+
+
+def test_filter_exponent_hahn_keeps_its_digits():
+    # the echo column where 2 (f1 - delta_f) cancels: x = lam tau from 1e-100
+    xs = np.concatenate([np.logspace(-100, 3, 104), np.linspace(0.15, 0.25, 41)])
+    p = NoiseParams(2.5, 0.6283)
+    scale = (p.gamma / p.lam) ** 2
+    got = filter_exponent(FilterKind.HAHN_LIKE, p, xs / p.lam)
+    want = scale * np.array([_hahn_exponent_digits(x) for x in xs])
+    assert_allclose(got, want, rtol=1e-13, atol=0)
+    # scalars take the same branches as arrays
+    assert [filter_exponent(FilterKind.HAHN_LIKE, p, t) for t in xs / p.lam] == \
+        got.tolist()
+
+
+@pytest.mark.parametrize("lam_tau", [1e-6, 1e5])
+def test_filter_exponents_keep_their_digits_where_the_quadrature_ran_out_of_panels(lam_tau):
+    # 1e8 and 3e6 panels would have taken the quadrature gigabytes of nodes
+    tau = lam_tau / P.lam
+    scale = (P.gamma / P.lam) ** 2
+    want_f1, want_df = _f1_delta_f_50_digits(lam_tau)
+    want = {FilterKind.RAMSEY_LIKE: 2 * (want_f1 + want_df),
+            FilterKind.HALF_PERIOD: want_f1,
+            FilterKind.HAHN_LIKE: _hahn_exponent_digits(lam_tau)}
+    for kind in FilterKind:
+        assert filter_exponent(kind, P, tau) == pytest.approx(
+            scale * want[kind], rel=1e-13, abs=0)
+
+
+def test_filter_exponents_are_finite_and_non_negative_over_the_input_range():
+    # lam and gamma over the range the CLI accepts, tau from the smallest
+    # subnormal to 1e12
+    taus = np.concatenate([[0.0, 5e-324], np.logspace(-320, 12, 2000)])
+    for lam in np.logspace(-12, 12, 25):
+        for gamma in np.logspace(-12, 12, 9):
+            p = NoiseParams(lam, gamma)
+            for kind in FilterKind:
+                out = filter_exponent(kind, p, taus)
+                assert np.isfinite(out).all() and (out >= 0).all(), (kind, lam, gamma)
 
 
 # --------------------------------------------------------------------------

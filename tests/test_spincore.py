@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 
 from hahnramsey.spincore import (Delay, DrivingParams, PulseParams,
                                  PulseSequence, SequenceKind, TiltConvention,
-                                 analytic_density_matrix_hr, build_sequence,
-                                 long_time_density_matrix, tilt_angle)
-from spin_oracle import UP, free_phase, propagate, pulse_unitary, sigma_z
+                                 build_sequence, tilt_angle)
+from spin_oracle import (UP, analytic_density_matrix_hr, free_phase,
+                         long_time_density_matrix, propagate, pulse_unitary,
+                         sigma_z)
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
