@@ -13,9 +13,9 @@ Modules:
 """
 
 from .analysis import (DecayFit, FitError, FitModel, GAMMA_E_PER_GAUSS,
-                       ReadoutModel, ResidualMap, SensitivityResult,
-                       fit_decay, max_bias_slope, min_detectable_field,
-                       optimal_theta, scan_noise_params, sensitivity)
+                       OPTIMAL_THETA, ReadoutModel, ResidualMap,
+                       SensitivityResult, fit_decay, max_bias_slope,
+                       min_detectable_field, scan_noise_params, sensitivity)
 from .analytic import (BiasParams, SignalComponents, closed_form_signal,
                        component_weights, hr_signal_biased, hr_signal_derivative,
                        signal_components, signal_from_exponents)

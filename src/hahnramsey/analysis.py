@@ -22,10 +22,12 @@ beta = (u+v)/2, a fringe slope d<s>/dB limits the detectable field to
 deltaB = sqrt(beta) / (alpha beta |dS/dB|).  The closed form
 1/(3 pi gamma_e tau alpha sqrt(beta)) packages the kinematic maximum of
 that slope at the optimal tilt and neglects envelope decay, so it is a
-small-tau law; the numeric estimator here keeps the decay.  Its searches
-are array passes: the tilt grid is one closed-form call against the tau
-grid, and the bias grids of all delays are one (tau x bias) call whose
-maxima are refined together by Newton steps in epsilon tau.
+small-tau law; the numeric estimator here keeps the decay.  The optimal
+tilt needs no search: at zero bias the slope's whole tilt dependence is
+cos^3 theta sin^2 theta, which peaks at OPTIMAL_THETA = arctan(sqrt(2/3))
+for every noise, detuning and tau.  The bias search is an array pass: the
+bias grids of all delays are one (tau x bias) call whose maxima are
+refined together by Newton steps in epsilon tau.
 
 scipy.optimize loads on the first fit or sensitivity call, not on import.
 """
@@ -39,8 +41,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import (BiasParams, closed_form_signal, hr_signal_derivative,
-                       signal_from_exponents)
+from .analytic import (BiasParams, _bias_slope_coefficients, closed_form_signal,
+                       hr_signal_derivative, signal_from_exponents)
 from .montecarlo import SignalCurve
 from .noise import NoiseParams, delta_f, f1
 from .spincore import SequenceKind
@@ -48,15 +50,16 @@ from .spincore import SequenceKind
 __all__ = [
     "GAMMA_E_PER_GAUSS", "FitModel", "FitError", "FitInputError", "DecayFit",
     "fit_decay", "ResidualMap", "scan_noise_params", "ReadoutModel",
-    "min_detectable_field", "max_bias_slope", "optimal_theta",
+    "min_detectable_field", "max_bias_slope", "OPTIMAL_THETA",
     "SensitivityResult", "sensitivity",
 ]
 
 # scipy.optimize takes most of the package's import time and only the fits
-# and the sensitivity search use it, so these names load on first access
-# (PEP 562) and are then plain module globals.  Callers look them up through
-# _module at call time, so a wrapper set on analysis.curve_fit is honoured.
-_OPTIMIZE_NAMES = ("brentq", "curve_fit", "minimize_scalar")
+# use it (brentq sizes the window of the sensitivity fringe fit), so these
+# names load on first access (PEP 562) and are then plain module globals.
+# Callers look them up through _module at call time, so a wrapper set on
+# analysis.curve_fit is honoured.
+_OPTIMIZE_NAMES = ("brentq", "curve_fit")
 _module = sys.modules[__name__]
 
 
@@ -71,6 +74,11 @@ def __getattr__(name):
 #: electron gyromagnetic ratio, cycles per (time unit x gauss); with time
 #: in microseconds this is the NV value 2.8025 MHz/G.  Overridable.
 GAMMA_E_PER_GAUSS = 2.8025
+
+#: tilt of the steepest bias slope: at epsilon = 0 the slope is cos^3 theta
+#: sin^2 theta times a factor free of theta, and d/dtheta (cos^3 sin^2) = 0
+#: at 2 cos^2 theta = 3 sin^2 theta, whatever the noise, delta and tau grid.
+OPTIMAL_THETA = math.atan(math.sqrt(2 / 3))
 
 
 class FitModel(enum.Enum):
@@ -376,18 +384,12 @@ def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
 
 def _refine_bias_peak(theta, delta, noise, tau, u, lo, hi):
     """Two Newton steps toward the stationary point of the bias slope in
-    u = epsilon tau, each clipped to [lo, hi].
-
-    From the epsilon derivatives of the two bias-dependent terms of
-    analytic._detuned_echo_terms, the slope is
-        p (cos u - a sin u) + q (2 a cos 2u + b^2 sin 2u),
-    p = -4 a^3 b^2 tau cos(delta tau) exp(-F1),
-    q = -2 a^2 b^2 tau exp(-2 (F1 + dF)), with a = cos theta, b = sin theta.
+    u = epsilon tau, each clipped to [lo, hi]; the slope is
+    2 [p (cos u - a sin u) + q (2 a cos 2u + b^2 sin 2u)] with p, q from
+    analytic._bias_slope_coefficients, a = cos theta, b = sin theta.
     """
     a, b = math.cos(theta), math.sin(theta)
-    F1, dF = f1(noise, tau), delta_f(noise, tau)
-    p = -4 * a ** 3 * b ** 2 * tau * np.cos(delta * tau) * np.exp(-F1)
-    q = -2 * a ** 2 * b ** 2 * tau * np.exp(-2.0 * (F1 + dF))
+    p, q = _bias_slope_coefficients(theta, delta, noise, tau)
     for _ in range(2):    # quadratic convergence from a grid point
         c1, s1, c2, s2 = np.cos(u), np.sin(u), np.cos(2 * u), np.sin(2 * u)
         d1 = -p * (s1 + a * c1) + q * (2 * b ** 2 * c2 - 4 * a * s2)
@@ -397,51 +399,28 @@ def _refine_bias_peak(theta, delta, noise, tau, u, lo, hi):
     return u
 
 
-def optimal_theta(noise: NoiseParams, delta: float, tau_grid,
-                  n_grid: int = 181) -> float:
-    """Tilt maximizing the bias slope |d<s>/d epsilon| at epsilon 0 over
-    the tau grid; ties break toward smaller theta.  The tilt grid is one
-    (n_grid x tau) call; its maximum is refined by a bounded scalar
-    search between the neighbouring grid tilts."""
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.size == 0 or (tau_grid <= 0).any():
-        raise ValueError("tau_grid must be non-empty and positive")
-    thetas = np.linspace(1e-4, np.pi / 2 - 1e-4, n_grid)
-
-    def objective(th):
-        return float(np.max(np.abs(hr_signal_derivative(
-            th, delta, BiasParams(0.0), noise, tau_grid))))
-
-    vals = np.abs(hr_signal_derivative(thetas[:, None], delta, BiasParams(0.0),
-                                       noise, tau_grid)).max(axis=1)
-    k = int(vals.argmax())           # first maximum = smallest theta on ties
-    lo = thetas[max(0, k - 1)]
-    hi = thetas[min(n_grid - 1, k + 1)]
-    ref = _module.minimize_scalar(lambda th: -objective(th), bounds=(lo, hi),
-                                  method="bounded", options={"xatol": 1e-10})
-    return float(ref.x) if -ref.fun >= vals[k] else float(thetas[k])
-
-
 def sensitivity(noise: NoiseParams, readout: ReadoutModel,
                 theta: float | None = None,
                 gamma_e: float = GAMMA_E_PER_GAUSS,
                 tau_grid=None) -> SensitivityResult:
     """DC-field sensitivity at the optimal operating point.
 
+    theta defaults to OPTIMAL_THETA, the tilt of the steepest bias slope.
     Picks tau maximizing slope-per-sqrt-time (max over bias, decay
     included, evaluated on a fringe peak; one max_bias_slope call for the
-    whole tau grid) and reports the closed-form
-    per-shot field floor there.  The coherence time t2 comes from a
-    decay-envelope fit of the oscillating analytic fringe curve on the
-    total-duration axis, and eta = 1/(3 pi gamma_e alpha sqrt(beta t2))
-    is the field noise per unit sqrt(bandwidth), with the 3 pi factor
-    inherited from the per-shot formula (a convention, not a derived
-    constant).
+    whole tau grid) and reports the closed-form per-shot field floor
+    there, min_detectable_field at optimal_tau.  That floor is the
+    optimal-tilt law: it does not follow the bias slope of a given theta.
+    The coherence time t2 comes from a decay-envelope fit of the
+    oscillating analytic fringe curve on the total-duration axis, and
+    eta = 1/(3 pi gamma_e alpha sqrt(beta t2)) is the field noise per unit
+    sqrt(bandwidth), with the 3 pi factor inherited from the per-shot
+    formula (a convention, not a derived constant).
     """
     if noise.gamma <= 0:
         raise ValueError("sensitivity needs a dephasing strength gamma > 0")
     if theta is None:
-        theta = optimal_theta(noise, 0.0, np.linspace(0.2, 2.0, 10) / noise.lam)
+        theta = OPTIMAL_THETA
     if tau_grid is None:
         tau_grid = np.linspace(0.1, 10.0, 60) / noise.lam
     tau_grid = np.asarray(tau_grid, dtype=float)

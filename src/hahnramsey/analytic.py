@@ -21,13 +21,12 @@ derivative drive the DC-sensitivity analysis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import NoiseParams, delta_f, f1
-from .spincore import SequenceKind
+from .spincore import SequenceKind, is_resonant
 
 __all__ = [
     "BiasParams", "SignalComponents", "closed_form_signal",
@@ -112,7 +111,7 @@ def signal_from_exponents(kind: SequenceKind, theta: float, delta: float,
     resonant (theta = pi/2, delta = 0), so both are ignored for it.
     """
     if kind is SequenceKind.RAMSEY:
-        if not math.isclose(theta, math.pi / 2):
+        if not is_resonant(theta):
             raise ValueError("the closed-form ramsey signal assumes theta = pi/2")
         return np.cos(delta * tau) * np.exp(-F1)
     if kind is SequenceKind.HAHN_ECHO:
@@ -149,16 +148,28 @@ def hr_signal_biased(theta: float, delta: float, bias: BiasParams,
     return _float_or_array(2.0 * sum(terms))
 
 
+def _bias_slope_coefficients(theta, delta, noise: NoiseParams, tau) -> tuple:
+    """Coefficients of the bias slope, the epsilon derivative of the two
+    bias-dependent terms of _detuned_echo_terms: with u = epsilon tau,
+    a = cos theta and b = sin theta, d<s>/d epsilon =
+    2 [p (cos u - a sin u) + q (2 a cos 2u + b^2 sin 2u)], where
+    p = -2 a^3 b^2 tau cos(delta tau) exp(-F1), q = -a^2 b^2 tau
+    exp(-2 (F1 + dF)).  At u = 0 the slope is 2 (p + 2 a q), so its whole
+    tilt dependence is the factor cos^3 theta sin^2 theta."""
+    a, b = np.cos(theta), np.sin(theta)
+    F1, dF = _exponents(noise, tau)
+    p = -2 * a ** 3 * b ** 2 * np.exp(-F1) * tau * np.cos(delta * tau)
+    q = -a ** 2 * b ** 2 * np.exp(-2.0 * (F1 + dF)) * tau
+    return p, q
+
+
 def hr_signal_derivative(theta: float, delta: float, bias: BiasParams,
                          noise: NoiseParams, tau):
     """d(hr_signal_biased)/d(epsilon) at the given bias point."""
     tau = np.asarray(tau, dtype=float)
     a, b = np.cos(theta), np.sin(theta)
     e = bias.epsilon
-    F1, dF = _exponents(noise, tau)
-    out = 2.0 * (
-        -2 * a ** 3 * b ** 2 * np.exp(-F1) * tau * np.cos(delta * tau)
-        * (np.cos(e * tau) - a * np.sin(e * tau))
-        - a ** 2 * b ** 2 * np.exp(-2.0 * (F1 + dF)) * tau
-        * (2 * a * np.cos(2 * e * tau) + b ** 2 * np.sin(2 * e * tau)))
+    p, q = _bias_slope_coefficients(theta, delta, noise, tau)
+    out = 2.0 * (p * (np.cos(e * tau) - a * np.sin(e * tau))
+                 + q * (2 * a * np.cos(2 * e * tau) + b ** 2 * np.sin(2 * e * tau)))
     return _float_or_array(out)

@@ -130,7 +130,7 @@ class RunConfig:
         if self.sequence == "hahn_echo":
             if self.delta != 0.0:
                 raise ConfigError("delta", "hahn_echo is resonant, set delta = 0")
-            if self.theta not in (None, math.pi / 2):
+            if self.theta is not None and not spincore.is_resonant(self.theta):
                 raise ConfigError("theta", "hahn_echo uses theta = pi/2")
 
     def resolved_theta(self) -> float:
@@ -149,7 +149,7 @@ class RunConfig:
     def closed_form_theta(self) -> float:
         """resolved_theta; the closed forms know ramsey at pi/2 only."""
         theta = self.resolved_theta()
-        if self.sequence == "ramsey" and theta != math.pi / 2:
+        if self.sequence == "ramsey" and not spincore.is_resonant(theta):
             raise ConfigError("theta", "analytic ramsey signal assumes theta = pi/2")
         return theta
 

@@ -101,7 +101,6 @@ class SignalCurve:
     means: np.ndarray
     stderrs: np.ndarray
     n: int
-    kind: SequenceKind | None = None
     warnings: tuple = ()
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
@@ -348,8 +347,7 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             list(pool.map(work, range(taus.size)))
-    return SignalCurve(taus, means, errs, cfg.n_trajectories, seq_kind,
-                       tuple(warnings))
+    return SignalCurve(taus, means, errs, cfg.n_trajectories, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "PulseParams", "Delay", "DrivingParams", "SequenceKind", "PulseSequence",
-    "TiltConvention", "tilt_angle", "build_sequence",
+    "TiltConvention", "tilt_angle", "is_resonant", "build_sequence",
 ]
 
 
@@ -131,6 +131,13 @@ def tilt_angle(d: DrivingParams,
     raise ValueError(f"unknown tilt convention {convention!r}")
 
 
+def is_resonant(theta: float) -> bool:
+    """Whether a tilt counts as resonant driving, theta = pi/2 to
+    math.isclose's 1e-9 relative: the one rule for the hahn echo and the
+    ramsey closed form, which hold at pi/2 only."""
+    return math.isclose(theta, math.pi / 2)
+
+
 def build_sequence(kind: SequenceKind, theta: float, delta: float,
                    tau: float) -> PulseSequence:
     """The standard sequence of a kind at tilt theta and delay tau.
@@ -152,7 +159,7 @@ def build_sequence(kind: SequenceKind, theta: float, delta: float,
             PulseParams(theta, 3 * np.pi / 2, +1),
         ))
     if kind is SequenceKind.HAHN_ECHO:
-        if not math.isclose(theta, math.pi / 2):
+        if not is_resonant(theta):
             raise ValueError("hahn_echo uses resonant pulses, theta = pi/2")
         if delta != 0.0:
             raise ValueError("hahn_echo is resonant, delta must be 0")

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hahnramsey.analysis import (FitModel, ReadoutModel, fit_decay,
-                                 max_bias_slope, min_detectable_field,
-                                 optimal_theta, scan_noise_params)
+from hahnramsey.analysis import (OPTIMAL_THETA, FitModel, ReadoutModel,
+                                 fit_decay, max_bias_slope,
+                                 min_detectable_field, scan_noise_params)
 from hahnramsey.analytic import (BiasParams, closed_form_signal,
                                  hr_signal_biased)
 from hahnramsey.cli import main as cli_main
@@ -20,6 +20,7 @@ from hahnramsey.noise import (FilterKind, NoiseParams, delta_f, f1,
 from hahnramsey.spincore import SequenceKind, build_sequence
 from filter_oracle import chi_filter
 from spin_oracle import propagate, sigma_z
+from tilt_oracle import optimal_theta_per_tilt
 
 LAM = 2.5
 GAMMA = 2 * np.pi * 0.1
@@ -153,11 +154,13 @@ def test_criterion_6_hahn_echo_reduction():
 
 def test_criterion_7_optimal_tilt_angle():
     t0 = time.perf_counter()
-    th = optimal_theta(FIG_NOISE, DELTA, np.linspace(0.2, 4.0, 20))
+    # a per-tilt search of the slope lands on the closed form arctan(sqrt(2/3))
+    found = optimal_theta_per_tilt(FIG_NOISE, DELTA, np.linspace(0.2, 4.0, 20))
+    miss = abs(found - OPTIMAL_THETA)
     el = time.perf_counter() - t0
-    ok = abs(th - 0.2 * np.pi) < 0.05 * np.pi and el < 60.0
+    ok = abs(OPTIMAL_THETA - 0.2 * np.pi) < 0.05 * np.pi and miss < 2e-8 and el < 60.0
     report(7, "slope-maximizing tilt within 0.2 pi +- 0.05 pi",
-           ok, el, f"theta={th / np.pi:.4f} pi")
+           ok, el, f"theta={OPTIMAL_THETA / np.pi:.4f} pi, search off by {miss:.1e}")
 
 
 def test_criterion_8_sensitivity_formula_cross_check():
@@ -165,9 +168,8 @@ def test_criterion_8_sensitivity_formula_cross_check():
     # optimal tilt, fringe peak (cos(delta tau) = 1), operating delay
     # inside the coherence window; the closed formula neglects envelope
     # decay so the tolerance absorbs the decay loss at lambda tau = 2.5
-    th = optimal_theta(FIG_NOISE, DELTA, np.linspace(0.2, 4.0, 20))
     tau = 1.0
-    slope = max_bias_slope(th, 2 * np.pi / tau, FIG_NOISE, tau)
+    slope = max_bias_slope(OPTIMAL_THETA, 2 * np.pi / tau, FIG_NOISE, tau)
     r = ReadoutModel(1.3, 0.7)
     gamma_e = 2.8025
     db_numeric = 1.0 / (r.alpha * np.sqrt(r.beta) * 2 * np.pi * gamma_e * slope)

@@ -8,14 +8,15 @@ import pytest
 
 import hahnramsey
 from hahnramsey import analysis
-from hahnramsey.analysis import (FitError, FitModel, ReadoutModel,
-                                 ResidualMap, fit_decay, max_bias_slope,
-                                 min_detectable_field, optimal_theta,
+from hahnramsey.analysis import (OPTIMAL_THETA, FitError, FitModel,
+                                 ReadoutModel, ResidualMap, fit_decay,
+                                 max_bias_slope, min_detectable_field,
                                  scan_noise_params, sensitivity)
-from hahnramsey.analytic import closed_form_signal
+from hahnramsey.analytic import BiasParams, closed_form_signal, hr_signal_derivative
 from hahnramsey.montecarlo import SignalCurve
-from hahnramsey.noise import NoiseParams
+from hahnramsey.noise import NoiseParams, delta_f, f1
 from hahnramsey.spincore import SequenceKind
+from tilt_oracle import optimal_theta_per_tilt
 
 FIG_NOISE = NoiseParams(2.5, 2 * np.pi * 0.1)
 QUIET = NoiseParams(2.5, 0.0)
@@ -158,9 +159,8 @@ def _fit_move_cases():
     pytest.param(lambda c=c, m=m: fit_decay(c, m), id=name)
     for name, c, m in _fit_move_cases()] + [
     # the fringe fit inside sensitivity, at the tilt it picks
-    pytest.param(lambda: analysis._fringe_envelope_fit(
-        optimal_theta(FIG_NOISE, 0.0, np.linspace(0.2, 2.0, 10) / FIG_NOISE.lam),
-        FIG_NOISE), id="sensitivity-fringe")])
+    pytest.param(lambda: analysis._fringe_envelope_fit(OPTIMAL_THETA, FIG_NOISE),
+                 id="sensitivity-fringe")])
 def test_exact_jacobian_fit_matches_the_finite_difference_fit(monkeypatch, fit):
     import scipy.optimize
 
@@ -206,9 +206,7 @@ def _sensitivity_fringe():
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "fit_decay", lambda c: seen.append(c) or fit_decay(c))
-        analysis._fringe_envelope_fit(
-            optimal_theta(FIG_NOISE, 0.0, np.linspace(0.2, 2.0, 10) / FIG_NOISE.lam),
-            FIG_NOISE)
+        analysis._fringe_envelope_fit(OPTIMAL_THETA, FIG_NOISE)
     return seen[0]
 
 
@@ -431,20 +429,17 @@ def test_formula_against_numeric_slope_noiseless():
 
 
 def test_optimal_theta_interior_maximum():
-    grid = np.linspace(0.3, 2.0, 8)
-    th = optimal_theta(QUIET, 1.0, grid)
-    assert 0.15 * np.pi < th < 0.25 * np.pi
-    # the factorized tilt dependence peaks at arctan(sqrt(2/3))
-    assert th == pytest.approx(np.arctan(np.sqrt(2 / 3)), abs=1e-4)
-    th2 = optimal_theta(FIG_NOISE, DELTA, grid)
-    assert th2 == pytest.approx(np.arctan(np.sqrt(2 / 3)), abs=1e-4)
+    assert 0.15 * np.pi < OPTIMAL_THETA < 0.25 * np.pi
+    # the factorized tilt dependence cos^3 sin^2 peaks at arctan(sqrt(2/3)),
+    # where its derivative cos^2 sin (2 cos^2 - 3 sin^2) vanishes
+    assert OPTIMAL_THETA == pytest.approx(np.arctan(np.sqrt(2 / 3)), rel=1e-15)
+    c, s = np.cos(OPTIMAL_THETA), np.sin(OPTIMAL_THETA)
+    assert 2 * c ** 2 == pytest.approx(3 * s ** 2, rel=1e-15)
 
 
 def test_optimal_theta_is_a_maximizer():
     grid = np.linspace(0.3, 2.0, 8)
-    from hahnramsey.analytic import hr_signal_derivative, BiasParams
-    th = optimal_theta(FIG_NOISE, DELTA, grid)
-    best = np.max(np.abs(hr_signal_derivative(th, DELTA, BiasParams(0.0),
+    best = np.max(np.abs(hr_signal_derivative(OPTIMAL_THETA, DELTA, BiasParams(0.0),
                                               FIG_NOISE, grid)))
     for other in np.linspace(0.05, np.pi / 2 - 0.05, 25):
         val = np.max(np.abs(hr_signal_derivative(other, DELTA, BiasParams(0.0),
@@ -477,33 +472,15 @@ def test_sensitivity_gamma_scaling():
 
 
 # --------------------------------------------------------------------------
-# the array passes against per-point loops: one tilt, or one tau, per
-# closed-form call, refined by scipy's bounded scalar search
-
-
-def _optimal_theta_per_tilt(noise, delta, tau_grid, n_grid=181):
-    from scipy.optimize import minimize_scalar
-    from hahnramsey.analytic import hr_signal_derivative, BiasParams
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    thetas = np.linspace(1e-4, np.pi / 2 - 1e-4, n_grid)
-
-    def objective(th):
-        return float(np.max(np.abs(hr_signal_derivative(
-            th, delta, BiasParams(0.0), noise, tau_grid))))
-
-    vals = np.array([objective(th) for th in thetas])
-    k = int(vals.argmax())
-    lo, hi = thetas[max(0, k - 1)], thetas[min(n_grid - 1, k + 1)]
-    ref = minimize_scalar(lambda th: -objective(th), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10})
-    return float(ref.x) if -ref.fun >= vals[k] else float(thetas[k])
+# the closed-form tilt and the bias-slope array pass against per-point
+# searches: one tilt, or one tau, per closed-form call, refined by scipy's
+# bounded scalar search
 
 
 def _max_bias_slope_per_tau(theta, delta, noise, tau, n_grid=801):
     """The bounded search stops about 1e-8 short of a bracket end in u, so
     where the maximum of the bracket is its end, the grid value is kept."""
     from scipy.optimize import minimize_scalar
-    from hahnramsey.analytic import hr_signal_derivative, BiasParams
     us = np.linspace(-np.pi, np.pi, n_grid)
     vals = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / tau),
                                        noise, tau))
@@ -517,15 +494,39 @@ def _max_bias_slope_per_tau(theta, delta, noise, tau, n_grid=801):
     return max(float(-ref.fun), float(vals[k]))
 
 
-@pytest.mark.parametrize("noise, delta, tau_grid", [
+_TILT_CASES = [
     (FIG_NOISE, 0.0, np.linspace(0.2, 2.0, 10) / 2.5),
     (FIG_NOISE, DELTA, np.linspace(0.3, 2.0, 8)),
     (QUIET, 1.0, np.linspace(0.3, 2.0, 8)),
     (NoiseParams(0.3, 1.0), 0.0, np.linspace(0.2, 2.0, 10) / 0.3),
-    (NoiseParams(10.0, 3.0), 1.3, np.linspace(0.2, 2.0, 10) / 10.0)])
+    (NoiseParams(10.0, 3.0), 1.3, np.linspace(0.2, 2.0, 10) / 10.0)]
+
+
+@pytest.mark.parametrize("noise, delta, tau_grid", _TILT_CASES)
 def test_optimal_theta_equals_the_per_tilt_loop(noise, delta, tau_grid):
-    assert optimal_theta(noise, delta, tau_grid) == \
-        _optimal_theta_per_tilt(noise, delta, tau_grid)
+    # the search lands 1e-12 to 1e-10 off the closed form on these grids,
+    # 1e-8 off on criterion 7's
+    assert abs(optimal_theta_per_tilt(noise, delta, tau_grid)
+               - OPTIMAL_THETA) < 2e-8
+
+
+@pytest.mark.parametrize("noise, delta, tau_grid", _TILT_CASES)
+def test_zero_bias_slope_factorizes_in_the_tilt(noise, delta, tau_grid):
+    # slope(theta) / cos^3 sin^2 (theta) is one tilt-free factor
+    # -4 tau [cos(delta tau) exp(-F1) + exp(-2 (F1 + dF))] at every tau and
+    # detuning, so one tilt is steepest on every grid.  Checked to 1e-12 of
+    # the factor's size before its two terms cancel, which is the float
+    # accuracy of a slope near one of its zeros.
+    F1, dF = f1(noise, tau_grid), delta_f(noise, tau_grid)
+    rng = np.random.default_rng(1717)
+    for d in [delta, *rng.uniform(-6.0, 6.0, 20)]:
+        fringe, echo = np.cos(d * tau_grid) * np.exp(-F1), np.exp(-2 * (F1 + dF))
+        want = -4 * tau_grid * (fringe + echo)
+        size = 4 * tau_grid * (np.abs(fringe) + echo)
+        for th in rng.uniform(1e-3, np.pi / 2 - 1e-3, 5):
+            got = (hr_signal_derivative(th, d, BiasParams(0.0), noise, tau_grid)
+                   / (np.cos(th) ** 3 * np.sin(th) ** 2))
+            assert (np.abs(got - want) <= 1e-12 * size).all(), (th, d)
 
 
 @pytest.mark.parametrize("theta, delta, noise", [
@@ -547,7 +548,6 @@ def test_max_bias_slope_matches_the_per_tau_search(theta, delta, noise):
 def test_max_bias_slope_wraps_its_bracket_at_the_grid_ends():
     # the slope is 2 pi-periodic in u = epsilon tau; here the 801-point grid
     # maximum is u = pi and the peak lies just past it, at u = -pi + 6.5e-4
-    from hahnramsey.analytic import BiasParams, hr_signal_derivative
     theta, delta = 0.7, 1.3
     tau = np.linspace(0.1, 10.0, 60)[24] / FIG_NOISE.lam
     grid = np.linspace(-np.pi, np.pi, 801)
@@ -564,7 +564,7 @@ def test_max_bias_slope_wraps_its_bracket_at_the_grid_ends():
 
 # the benchmark tracer's contract, in a fresh process: getattr(analysis,
 # "curve_fit") gives scipy's function, and a wrapper set in its place is the
-# one fit_decay calls, also after brentq and minimize_scalar load
+# one fit_decay calls, also after brentq loads
 _COUNTED_FITS = """
 import sys
 import numpy as np

@@ -19,7 +19,7 @@ from hahnramsey.analytic import closed_form_signal, signal_from_exponents
 import hahnramsey
 from hahnramsey.cli import MAX_TRAJECTORY_POINTS, main, read_curve_csv
 from hahnramsey.noise import NoiseParams, FilterKind, filter_exponent, f1, delta_f
-from hahnramsey.spincore import SequenceKind
+from hahnramsey.spincore import SequenceKind, build_sequence
 
 
 def run(args):
@@ -257,6 +257,40 @@ def test_hahn_echo_rejects_detuning(tmp_path, capsys):
               "--tau-stop", 2, "--tau-count", 4, "--engine", "analytic",
               "--out", tmp_path])
     assert rc == 2
+
+
+# a tilt 1 ulp below pi/2 (and pi/2 - 1.6e-12) was exit 2 for the CLI while
+# build_sequence and the closed forms took it as resonant
+_NEAR_RESONANT = [math.pi / 2, math.nextafter(math.pi / 2, 0.0),
+                  math.pi / 2 * (1 - 1e-12)]
+
+
+@pytest.mark.parametrize("theta", [*_NEAR_RESONANT, math.pi / 2 * (1 - 1e-8), 1.0])
+@pytest.mark.parametrize("sequence, engine", [
+    ("hahn_echo", "analytic"), ("hahn_echo", "montecarlo"), ("ramsey", "analytic")])
+def test_cli_takes_a_tilt_as_resonant_where_the_sequences_do(sequence, engine,
+                                                             theta, tmp_path):
+    kind = SequenceKind(sequence)
+    try:
+        if kind is SequenceKind.HAHN_ECHO:
+            build_sequence(kind, theta, 0.0, 1.0)
+        else:
+            closed_form_signal(kind, theta, 0.0, NoiseParams(2.5, 0.6), 1.0)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted is (theta in _NEAR_RESONANT)
+    args = ["simulate", "--sequence", sequence, "--lam", 2.5, "--gamma", 0.6,
+            "--tau-stop", 2, "--tau-count", 5, "--engine", engine,
+            "--n-trajectories", 50]
+    assert run([*args, "--theta", theta, "--out", tmp_path / "t"]) == \
+        (0 if accepted else 2)
+    if accepted:
+        # hahn_echo runs at exactly pi/2; ramsey's closed form ignores the tilt
+        assert run([*args, "--out", tmp_path / "r"]) == 0
+        name = f"{sequence}_{engine}.csv"
+        assert read_rows(tmp_path / "t" / name)[1].tobytes() == \
+            read_rows(tmp_path / "r" / name)[1].tobytes()
 
 
 def test_simulate_finite_pulses(tmp_path):
@@ -757,12 +791,14 @@ _ODD_FLOATS = st.one_of(
     st.floats(-10.0, 10.0), st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-13, 1e-9, 1e-6, -1e-6,
                      1e6, 1e9, 1e13, 1e300, -1e300, 1.7e308,
-                     math.inf, -math.inf, math.nan]))
+                     math.inf, -math.inf, math.nan,
+                     math.nextafter(math.pi / 2, 0.0)]))   # resonant to 1 ulp
 # command flags are argparse ints; config fields also take what a file or
 # the environment can hold
 _ODD_COUNTS = st.one_of(st.integers(-2, 4), st.just(10 ** 20))
 _ODD_FIELD_COUNTS = st.one_of(_ODD_COUNTS, st.sampled_from([2.5, math.inf]))
-# a valid base run; generated values replace some of these
+# a valid base run; generated values replace some of these, and the drawn
+# sequence replaces hahn_ramsey
 _BASE_FIELDS = {"sequence": "hahn_ramsey", "theta": 0.6283, "delta": 1.885,
                 "lam": 2.5, "gamma": 0.6283, "tau_start": 0.0, "tau_stop": 2.0,
                 "tau_count": 3}
@@ -774,7 +810,8 @@ _FIELD_VALUES = {"theta": _ODD_FLOATS, "rabi": _ODD_FLOATS, "delta": _ODD_FLOATS
 # or both with instantaneous pulses, which always sets the fields of
 # _MC_FIELDS; "finite" is simulate --pulse-model finite with --engine
 # montecarlo or both, which sets those and the fields of _FINITE_FIELDS as
-# well; "scan" and "fit" read a generated data file (_write_data)
+# well; "scan" and "fit" read a generated data file (_write_data); "bloch"
+# always gets a --tau, 1.0 unless drawn
 _COMMAND_FLAGS = {
     "simulate": {},
     "montecarlo": {},
@@ -784,7 +821,8 @@ _COMMAND_FLAGS = {
     "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
              "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
              "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS},
-    "fit": {"--tau-scale": _ODD_FLOATS}}
+    "fit": {"--tau-scale": _ODD_FLOATS},
+    "bloch": {"--tau": _ODD_FLOATS, "--samples": _ODD_COUNTS}}
 # huge n_trajectories exit 2 through MAX_TRAJECTORY_POINTS
 _MC_FIELDS = {"n_trajectories": st.one_of(
                   st.integers(-2, 16),
@@ -839,10 +877,14 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
         fields.update({k: data.draw(v, label=k) for k, v in _FINITE_FIELDS.items()})
     source = {k: data.draw(st.sampled_from(["flag", "env", "config"]),
                            label=f"source of {k}") for k in fields}
-    cfg = {**_BASE_FIELDS, **fields}
-    if command == "scan":
-        cfg["sequence"] = "ramsey"
-        cfg.pop("theta")
+    sequence = data.draw(st.sampled_from([k.value for k in SequenceKind]),
+                         label="sequence")
+    base = {**_BASE_FIELDS, "sequence": sequence}
+    if sequence != "hahn_ramsey":
+        base.pop("theta")       # ramsey and hahn_echo default to pi/2
+    if sequence == "hahn_echo" and data.draw(st.booleans(), label="echo at delta 0"):
+        base["delta"] = 0.0
+    cfg = {**base, **fields}
     env = {f"HRSIM_{k.upper()}": str(v) for k, v in cfg.items()
            if source.get(k) == "env"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -866,6 +908,8 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
             args += ["--data", str(_write_data(data, Path(tmp) / "fringe.csv"))]
         if command == "scan":
             flags = {**_SCAN_GRID, **flags}
+        if command == "bloch":
+            flags = {"--tau": 1.0, **flags}
         args += [f"{k}={v}" for k, v in flags.items()]
         err = io.StringIO()
         with mock.patch.dict(os.environ, env), redirect_stderr(err), \

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from hahnramsey.spincore import (Delay, DrivingParams, PulseParams,
                                  PulseSequence, SequenceKind, TiltConvention,
-                                 build_sequence, tilt_angle)
+                                 build_sequence, is_resonant, tilt_angle)
 from spin_oracle import (UP, analytic_density_matrix_hr, free_phase,
                          long_time_density_matrix, propagate, pulse_unitary,
                          sigma_z)
@@ -233,5 +233,12 @@ def test_build_sequence_dispatch():
         assert he.kind is SequenceKind.HAHN_ECHO and he.elements == hr.elements
     with pytest.raises(ValueError):     # the hahn echo is resonant
         build_sequence(SequenceKind.HAHN_ECHO, 0.4, 0.0, 2.0)
+    # resonance is pi/2 to isclose's 1e-9 relative, in one predicate
+    for theta in (np.pi / 2, math.nextafter(np.pi / 2, 0.0), np.pi / 2 * (1 - 1e-10)):
+        assert is_resonant(theta)
+    for theta in (np.pi / 2 * (1 - 1e-8), 0.4):
+        assert not is_resonant(theta)
+        with pytest.raises(ValueError):
+            build_sequence(SequenceKind.HAHN_ECHO, theta, 0.0, 2.0)
     with pytest.raises(ValueError):
         build_sequence(SequenceKind.HAHN_ECHO, np.pi / 2, 1.0, 2.0)
