@@ -22,7 +22,7 @@ from .analytic import (BiasParams, SignalComponents, closed_form_signal,
 from .montecarlo import (BlochPoint, McConfig, SignalCurve, bloch_to_csv,
                          bloch_trajectory, run_mc)
 from .noise import (FilterKind, NoiseKind, NoiseParams, correlation, delta_f,
-                    f1, filter_exponent)
+                    f1, filter_exponent, filter_exponents)
 from .spincore import (Delay, DrivingParams, PulseParams, PulseSequence,
                        SequenceKind, TiltConvention, build_sequence, tilt_angle)
 

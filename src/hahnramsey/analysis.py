@@ -12,9 +12,10 @@ envelope (frequency and phase reported as 0).
 
 The residual scan evaluates the analytic model on a (lambda, gamma) grid
 and reports SSR normalized by the total sum of squares; ties at the
-minimum break toward the smallest indices (row-major order).  Both
-exponents scale as (gamma/lambda)^2 at fixed lambda, so each lambda row
-is evaluated over the whole gamma grid at once.
+minimum break toward the smallest indices (row-major order).  The three
+filter exponents scale as (gamma/lambda)^2 at fixed lambda tau, so one
+call forms them at unit strength for every (lambda, tau), and each lambda
+row is evaluated over the whole gamma grid at once.
 
 Sensitivity follows the shot-noise readout model: with mean photon
 counts u (bright) and v (dark), contrast alpha = (u-v)/(u+v) and
@@ -44,7 +45,7 @@ import numpy as np
 from .analytic import (BiasParams, _bias_slope_coefficients, closed_form_signal,
                        hr_signal_derivative, signal_from_exponents)
 from .montecarlo import SignalCurve
-from .noise import NoiseParams, delta_f, f1
+from .noise import NoiseParams, f1, filter_exponents
 from .spincore import SequenceKind
 
 __all__ = [
@@ -290,13 +291,13 @@ def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,
     tss = float(((y - y.mean()) ** 2).sum())
     norm = tss if tss > 0 else 1.0
     res = np.empty((lambda_grid.size, gamma_grid.size))
+    # the exponents at lambda tau with the factor (gamma/lam)^2 = 1, every
+    # lambda row in one call
+    unit = filter_exponents(NoiseParams(1.0, 1.0), lambda_grid[:, None] * taus)
     for i, lam in enumerate(lambda_grid):
-        # exponents at gamma = lam carry the factor (gamma/lam)^2 = 1
-        unit = NoiseParams(lam, lam)
         scale = (gamma_grid[:, None] / lam) ** 2
         model = signal_from_exponents(seq_kind, theta, delta,
-                                      scale * f1(unit, taus),
-                                      scale * delta_f(unit, taus), taus)
+                                      [scale * e[i] for e in unit], taus)
         res[i] = ((y - model) ** 2).sum(axis=1) / norm
     flat = np.argmin(res)   # first minimum in row-major order on ties
     return ResidualMap(lambda_grid, gamma_grid, res,

@@ -5,14 +5,18 @@ The detuned-echo (Hahn-Ramsey) signal decomposes into a constant plus
 three decaying components,
 
     s(2 tau) = 2 [ a^4/2 (1 - 2 b^2)
-                 + a^2 b^4 / 2        exp(-2 (F1 + dF))
-                 - 2 a^4 b^2          cos(delta tau)   exp(-F1)
-                 + b^4/2 (a^2 + 1)    cos(2 delta tau) exp(-2 (F1 - dF)) ]
+                 + a^2 b^4 / 2        exp(-chi_R)
+                 - 2 a^4 b^2          cos(delta tau)   exp(-chi_1)
+                 + b^4/2 (a^2 + 1)    cos(2 delta tau) exp(-chi_H) ]
 
-with a = cos theta, b = sin theta, and F1, dF the dephasing integrals of
-the noise module.  The bracketed sum is the spin-1/2 (S_z) expectation;
-the factor 2 converts uniformly to the canonical sigma_z signal in
-[-1, 1], which is what direct matrix propagation yields.
+with a = cos theta, b = sin theta, and (chi_R, chi_1, chi_H) the
+Ramsey-like, half-period and Hahn-like filter exponents, which
+noise.filter_exponents forms in that (FilterKind) order: in the
+dephasing integrals F1 and dF, chi_1 = F1 and chi_R, chi_H = 2 F1 +/- 2 dF.
+Every closed form here takes those three and builds none of them.  The
+bracketed sum is the spin-1/2 (S_z) expectation; the factor 2 converts
+uniformly to the canonical sigma_z signal in [-1, 1], which is what
+direct matrix propagation yields.
 
 A static bias field shifts the accumulated phase of both free intervals
 by +epsilon*tau (common mode); the biased signal and its epsilon
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseParams, delta_f, f1
+from .noise import NoiseParams, _float_or_array, filter_exponents
 from .spincore import SequenceKind, is_resonant
 
 __all__ = [
@@ -78,34 +82,29 @@ def component_weights(theta: float) -> tuple:
             b ** 4 / 2 * (a ** 2 + 1))
 
 
-def _exponents(noise: NoiseParams, tau):
-    return f1(noise, tau), delta_f(noise, tau)
-
-
-def _float_or_array(out):
-    return out if out.ndim else float(out)
-
-
-def _detuned_echo_terms(theta, delta, F1, dF, tau, epsilon) -> tuple:
+def _detuned_echo_terms(theta, delta, exponents, tau, epsilon) -> tuple:
     """The four terms of the detuned-echo signal (S_z normalization) for
-    exponents F1, dF and a common-mode bias epsilon; F1, dF, tau and
-    epsilon broadcast.  At epsilon = 0 the bias factors are exactly 1 and
-    0, so each term is its weight times its decay and fringe factors."""
+    the filter exponents (Ramsey-like, half-period, Hahn-like) and a
+    common-mode bias epsilon; the exponents, tau and epsilon broadcast.
+    At epsilon = 0 the bias factors are exactly 1 and 0, so each term is
+    its weight times its decay and fringe factors."""
+    ramsey_like, half_period, hahn_like = exponents
     w0, w1, w2, w3 = component_weights(theta)
     k = np.cos(theta) ** 3 * np.sin(theta) ** 2
     u = epsilon * tau
     return (w0,
-            (w1 * np.cos(2 * u) - k * np.sin(2 * u)) * np.exp(-2.0 * (F1 + dF)),
+            (w1 * np.cos(2 * u) - k * np.sin(2 * u)) * np.exp(-ramsey_like),
             (w2 * np.cos(u) - 2 * k * np.sin(u)) * np.cos(delta * tau)
-            * np.exp(-F1),
-            w3 * np.cos(2.0 * delta * tau) * np.exp(-2.0 * (F1 - dF)))
+            * np.exp(-half_period),
+            w3 * np.cos(2.0 * delta * tau) * np.exp(-hahn_like))
 
 
 def signal_from_exponents(kind: SequenceKind, theta: float, delta: float,
-                          F1, dF, tau):
+                          exponents, tau):
     """Closed-form signal of the standard sequence of a kind (see
-    spincore.build_sequence), given the dephasing exponents F1 and dF at
-    tau; F1, dF and tau broadcast.
+    spincore.build_sequence), given its three filter exponents at tau in
+    FilterKind order, as noise.filter_exponents returns them; the
+    exponents and tau broadcast.
 
     The ramsey closed form holds at theta = pi/2 only.  The hahn echo is
     resonant (theta = pi/2, delta = 0), so both are ignored for it.
@@ -113,10 +112,10 @@ def signal_from_exponents(kind: SequenceKind, theta: float, delta: float,
     if kind is SequenceKind.RAMSEY:
         if not is_resonant(theta):
             raise ValueError("the closed-form ramsey signal assumes theta = pi/2")
-        return np.cos(delta * tau) * np.exp(-F1)
+        return np.cos(delta * tau) * np.exp(-exponents[1])
     if kind is SequenceKind.HAHN_ECHO:
-        return np.exp(-2.0 * (F1 - dF))
-    return 2.0 * sum(_detuned_echo_terms(theta, delta, F1, dF, tau, 0.0))
+        return np.exp(-exponents[2])
+    return 2.0 * sum(_detuned_echo_terms(theta, delta, exponents, tau, 0.0))
 
 
 def closed_form_signal(kind: SequenceKind, theta: float, delta: float,
@@ -125,13 +124,13 @@ def closed_form_signal(kind: SequenceKind, theta: float, delta: float,
     tau is the delay of each free interval, as in spincore.build_sequence."""
     tau = np.asarray(tau, dtype=float)
     return _float_or_array(signal_from_exponents(
-        kind, theta, delta, *_exponents(noise, tau), tau))
+        kind, theta, delta, filter_exponents(noise, tau), tau))
 
 
 def signal_components(theta: float, delta: float, noise: NoiseParams,
                       tau: float) -> SignalComponents:
     """Split the detuned-echo signal into its four terms (S_z normalization)."""
-    terms = _detuned_echo_terms(theta, delta, *_exponents(noise, float(tau)),
+    terms = _detuned_echo_terms(theta, delta, filter_exponents(noise, float(tau)),
                                 tau, 0.0)
     return SignalComponents(*(float(t) for t in terms),
                             weights=tuple(float(w) for w in component_weights(theta)))
@@ -143,7 +142,7 @@ def hr_signal_biased(theta: float, delta: float, bias: BiasParams,
     phases by +epsilon*tau; reduces to the closed-form hahn_ramsey signal
     at epsilon 0."""
     tau = np.asarray(tau, dtype=float)
-    terms = _detuned_echo_terms(theta, delta, *_exponents(noise, tau), tau,
+    terms = _detuned_echo_terms(theta, delta, filter_exponents(noise, tau), tau,
                                 bias.epsilon)
     return _float_or_array(2.0 * sum(terms))
 
@@ -153,13 +152,14 @@ def _bias_slope_coefficients(theta, delta, noise: NoiseParams, tau) -> tuple:
     bias-dependent terms of _detuned_echo_terms: with u = epsilon tau,
     a = cos theta and b = sin theta, d<s>/d epsilon =
     2 [p (cos u - a sin u) + q (2 a cos 2u + b^2 sin 2u)], where
-    p = -2 a^3 b^2 tau cos(delta tau) exp(-F1), q = -a^2 b^2 tau
-    exp(-2 (F1 + dF)).  At u = 0 the slope is 2 (p + 2 a q), so its whole
-    tilt dependence is the factor cos^3 theta sin^2 theta."""
+    p = -2 a^3 b^2 tau cos(delta tau) exp(-chi_1), q = -a^2 b^2 tau
+    exp(-chi_R), with chi_1 and chi_R the half-period and Ramsey-like
+    exponents.  At u = 0 the slope is 2 (p + 2 a q), so its whole tilt
+    dependence is the factor cos^3 theta sin^2 theta."""
     a, b = np.cos(theta), np.sin(theta)
-    F1, dF = _exponents(noise, tau)
-    p = -2 * a ** 3 * b ** 2 * np.exp(-F1) * tau * np.cos(delta * tau)
-    q = -a ** 2 * b ** 2 * np.exp(-2.0 * (F1 + dF)) * tau
+    ramsey_like, half_period, _ = filter_exponents(noise, tau)
+    p = -2 * a ** 3 * b ** 2 * np.exp(-half_period) * tau * np.cos(delta * tau)
+    q = -a ** 2 * b ** 2 * np.exp(-ramsey_like) * tau
     return p, q
 
 

@@ -329,9 +329,10 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
         if with_components:
             header += "".join(f",component_{n}" for n in
                               ("constant", "ramsey_like", "cos_delta", "cos_2delta"))
-            rows = ((t, v, *dataclasses.astuple(analytic.signal_components(
-                theta, cfg.delta, cfg.noise_params(), float(t)))[:4])
-                for t, v in rows)
+            terms = analytic._detuned_echo_terms(
+                theta, cfg.delta, noise.filter_exponents(cfg.noise_params(), taus),
+                taus, 0.0)
+            rows = np.column_stack([taus, an, *np.broadcast_arrays(*terms)])
         _write_csv(path, header, rows, [comment])
         wrote.append(path)
     if mc is not None:
@@ -366,8 +367,7 @@ def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
     if not 1 <= theta_count <= MAX_COUNT:
         raise ConfigError("--theta-count", f"must lie in [1, {MAX_COUNT}]")
     taus, p = cfg.taus(), cfg.noise_params()
-    rows = np.column_stack([taus, *(noise.filter_exponent(k, p, taus)
-                                    for k in noise.FilterKind)])
+    rows = np.column_stack([taus, *noise.filter_exponents(p, taus)])
     out = _out_dir(cfg)
     comments = [f"config_sha256={config_hash(cfg)}"]
     path1 = out / "filter_exponents.csv"
@@ -444,6 +444,9 @@ def cmd_scan(cfg: RunConfig, data_paths, lam_spec, gamma_spec,
 
 
 def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
+    if cfg.sequence != "hahn_ramsey":
+        raise ConfigError("sequence", "the sensitivity model is the detuned "
+                                      "echo's: only hahn_ramsey has it")
     # within these bounds, and gamma's, the field floor and eta stay finite
     # and nonzero: u / 2 does not underflow, nor gamma^2
     low = 1 / MAX_MAGNITUDE

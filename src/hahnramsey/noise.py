@@ -8,10 +8,12 @@ Two processes share the stationary correlation C(dt) = Gamma^2 exp(-lambda|dt|):
   at Poisson(lambda) event times.  Same second moments, different higher
   moments.
 
-The module provides the dephasing integrals f1 and delta_f in closed
-form, and from them filter_exponent: the decay exponents of the three
-filter windows (FilterKind) of the detuned echo, which equal the
-overlaps of those windows with the Lorentzian spectral density.
+One function, filter_exponents, forms the decay exponents of the three
+filter windows (FilterKind) of the detuned echo, which equal the overlaps
+of those windows with the Lorentzian spectral density; each is a sum of
+non-negative terms in x = lambda tau, so none cancels at small x.  The
+dephasing integrals f1 (the half-period exponent) and delta_f (half the
+gap between the Ramsey-like and Hahn-like exponents) are read from it.
 
 Its samplers are the two exact window kernels, one per noise kind
 (_WINDOW_INTEGRALS): from the values f0 at the start of one window they
@@ -33,7 +35,7 @@ import numpy as np
 
 __all__ = [
     "NoiseKind", "NoiseParams", "FilterKind", "correlation", "f1", "delta_f",
-    "filter_exponent",
+    "filter_exponent", "filter_exponents",
 ]
 
 
@@ -65,80 +67,70 @@ def correlation(p: NoiseParams, dt: float):
     return p.gamma ** 2 * np.exp(-p.lam * np.abs(dt))
 
 
-#: below this lambda tau, f1 and delta_f leave their direct forms, which
-#: cancel there: from about 1e-8 f1's rounds to 0 or below, and a factor
-#: (Gamma/lambda)^2 of 1e20 turns that residue into an exponent of -1e4
-_SMALL_LAM_TAU = 0.05
+class FilterKind(enum.Enum):
+    #: sin^2(w tau) window; full-window free-precession decay, 2 (f1 + delta_f)
+    RAMSEY_LIKE = "ramsey_like"
+    #: sin^2(w tau / 2) window; half-window decay, f1
+    HALF_PERIOD = "half_period"
+    #: sin^4(w tau / 2) window; refocused (echo) decay, 2 (f1 - delta_f)
+    HAHN_LIKE = "hahn_like"
+
+
+def _lam_tau(p: NoiseParams, tau):
+    """x = lambda tau as a float array, for tau >= 0."""
+    tau = np.asarray(tau, dtype=float)
+    if tau.min(initial=np.inf) < 0:
+        raise ValueError("tau must be >= 0")
+    return p.lam * tau
+
+
+def _float_or_array(out):
+    return out if out.ndim else float(out)
+
+
+def filter_exponents(p: NoiseParams, tau) -> tuple:
+    """Decay exponents of the three filter windows at tau (a float or an
+    array; each result has its shape), in FilterKind order.
+
+    With x = lambda tau, g = x - 2 tanh(x/2) (by its Taylor series below
+    x = 0.2), t = tanh(x/2) and m = expm1(-x), each is (Gamma/lambda)^2
+    times a sum of non-negative terms:
+
+        Ramsey-like  2 (f1 + delta_f) = 2 f1 + m^2
+        half-period  f1               = (g + x t) / (1 + t)   (= x + m)
+        Hahn-like    2 (f1 - delta_f) = 2 g + t m^2
+
+    so nothing cancels at small x, where x + e^-x - 1 and 2 (f1 - delta_f)
+    lose every digit.  Over x in [1e-100, 1e24] the first two are within
+    1e-15 relative of 50-digit values and the Hahn-like one within 1e-14
+    (g's direct form just above x = 0.2 holds the most error)."""
+    x = _lam_tau(p, tau)
+    t, m = np.tanh(0.5 * x), np.expm1(-x)
+    g = np.where(x < 0.2, _x_minus_2_tanh_half_series(np.minimum(x, 0.2)),
+                 x - 2.0 * t)
+    half = (g + x * t) / (1.0 + t)
+    scale = (p.gamma / p.lam) ** 2
+    return tuple(_float_or_array(scale * e)
+                 for e in (2.0 * half + m * m, half, 2.0 * g + t * m * m))
+
+
+def filter_exponent(kind: FilterKind, p: NoiseParams, tau):
+    """The exponent of the filter window `kind` from filter_exponents."""
+    return filter_exponents(p, tau)[list(FilterKind).index(kind)]
 
 
 def f1(p: NoiseParams, tau):
     """Half the variance of the phase integrated over one interval of
-    length tau:  (Gamma/lambda)^2 (lambda tau + exp(-lambda tau) - 1),
-    the bracket by its Taylor series to x^9 below _SMALL_LAM_TAU."""
-    tau = np.asarray(tau, dtype=float)
-    low = tau.min(initial=np.inf)
-    if low < 0:
-        raise ValueError("tau must be >= 0")
-    x = p.lam * tau
-    core = x + np.exp(-x) - 1.0
-    if p.lam * low < _SMALL_LAM_TAU:
-        s = np.minimum(x, _SMALL_LAM_TAU)     # no overflow in lanes left direct
-        core = np.where(x < _SMALL_LAM_TAU, s * s * (1 / 2 - s * (1 / 6 - s * (
-            1 / 24 - s * (1 / 120 - s * (1 / 720 - s * (1 / 5040 - s * (
-                1 / 40320 - s / 362880))))))), core)
-    out = (p.gamma / p.lam) ** 2 * core
-    return out if out.ndim else float(out)
+    length tau, (Gamma/lambda)^2 (lambda tau + exp(-lambda tau) - 1): the
+    half-period exponent."""
+    return filter_exponents(p, tau)[1]
 
 
 def delta_f(p: NoiseParams, tau):
-    """Half the covariance between the phases of two adjacent intervals:
-    (Gamma/lambda)^2 (1 - 2 exp(-lambda tau) + exp(-2 lambda tau)) / 2,
-    the bracket as expm1(-lambda tau)^2 below _SMALL_LAM_TAU."""
-    tau = np.asarray(tau, dtype=float)
-    low = tau.min(initial=np.inf)
-    if low < 0:
-        raise ValueError("tau must be >= 0")
-    x = p.lam * tau
-    e = np.exp(-x)
-    core = 1.0 - 2.0 * e + e * e
-    if p.lam * low < _SMALL_LAM_TAU:
-        core = np.where(x < _SMALL_LAM_TAU, np.expm1(-x) ** 2, core)
-    out = 0.5 * (p.gamma / p.lam) ** 2 * core
-    return out if out.ndim else float(out)
-
-
-class FilterKind(enum.Enum):
-    #: sin^2(w tau) window; full-window free-precession decay, equals 2(f1 + delta_f)
-    RAMSEY_LIKE = "ramsey_like"
-    #: sin^2(w tau / 2) window; half-window decay, equals f1
-    HALF_PERIOD = "half_period"
-    #: sin^4(w tau / 2) window; refocused (echo) decay, equals 2(f1 - delta_f)
-    HAHN_LIKE = "hahn_like"
-
-
-def filter_exponent(kind: FilterKind, p: NoiseParams, tau):
-    """Decay exponent of the filter window `kind` at tau (a float or an
-    array; the result has its shape), by the closed form FilterKind names.
-
-    The Hahn-like exponent is not taken as 2 (f1 - delta_f), whose terms
-    cancel at small x = lambda tau (it goes negative there), but as
-    (Gamma/lambda)^2 [2 (x - 2 tanh(x/2)) + tanh(x/2) expm1(-x)^2], two
-    non-negative terms: within 1.5e-14 relative of 420-digit values over
-    x in [1e-100, 1e3]."""
-    if kind is FilterKind.RAMSEY_LIKE:
-        return 2.0 * (f1(p, tau) + delta_f(p, tau))
-    if kind is FilterKind.HALF_PERIOD:
-        return f1(p, tau)
-    if kind is not FilterKind.HAHN_LIKE:
-        raise ValueError(f"unknown filter kind {kind!r}")
-    tau = np.asarray(tau, dtype=float)
-    if tau.min(initial=np.inf) < 0:
-        raise ValueError("tau must be >= 0")
-    x = p.lam * tau
-    g = np.where(x < 0.2, _x_minus_2_tanh_half_series(np.minimum(x, 0.2)),
-                 x - 2.0 * np.tanh(0.5 * x))
-    out = (p.gamma / p.lam) ** 2 * (2.0 * g + np.tanh(0.5 * x) * np.expm1(-x) ** 2)
-    return out if out.ndim else float(out)
+    """Half the covariance between the phases of two adjacent intervals,
+    (Gamma/lambda)^2 expm1(-lambda tau)^2 / 2."""
+    m = np.expm1(-_lam_tau(p, tau))
+    return _float_or_array(0.5 * (p.gamma / p.lam) ** 2 * (m * m))
 
 
 def _x_minus_2_tanh_half(x):
@@ -147,7 +139,7 @@ def _x_minus_2_tanh_half(x):
     at x = 1e-5 and rounds to 0 from about x = 1e-8.  Below x = 0.2 the
     Taylor series (_x_minus_2_tanh_half_series) is used instead, within
     5e-15 relative of 50-digit values; above it the direct form is within
-    6e-14.  filter_exponent takes the same branches over arrays."""
+    6e-14.  filter_exponents takes the same branches over arrays."""
     if x >= 0.2:
         return x - 2.0 * math.tanh(0.5 * x)
     return _x_minus_2_tanh_half_series(x)

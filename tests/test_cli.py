@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnramsey.analytic import closed_form_signal, signal_from_exponents
+from hahnramsey.analytic import (closed_form_signal, signal_components,
+                                 signal_from_exponents)
 import hahnramsey
 from hahnramsey.cli import MAX_TRAJECTORY_POINTS, main, read_curve_csv
 from hahnramsey.noise import NoiseParams, FilterKind, filter_exponent, f1, delta_f
@@ -236,6 +238,11 @@ def test_simulate_with_component_columns(tmp_path):
     # term sum is the half-normalized signal
     np.testing.assert_allclose(2 * rows[:, 2:].sum(axis=1), rows[:, 1],
                                atol=1e-12)
+    # one array call over the taus gives the per-tau decomposition
+    p = NoiseParams(2.5, 0.6283)
+    per_tau = [dataclasses.astuple(signal_components(0.2 * np.pi, 1.885, p, t))[:4]
+               for t in rows[:, 0]]
+    np.testing.assert_allclose(rows[:, 2:], per_tau, rtol=0, atol=1e-15)
 
 
 def test_fit_tau_scale(tmp_path):
@@ -583,11 +590,12 @@ def test_tiny_lambda_tau_with_large_gamma_over_lambda_stays_finite(command,
     rows = np.loadtxt(path, delimiter=",", comments="#", skiprows=2)
     assert np.isfinite(rows).all()
     if command == "simulate":
-        # quasi-static noise: f1 = delta_f = (Gamma tau)^2 / 2 up to a
-        # relative lambda tau = 1.2e-9
+        # quasi-static noise: the (Ramsey-like, half-period, Hahn-like)
+        # exponents are (2, 1/2, 0) (Gamma tau)^2 up to a relative
+        # lambda tau = 1.2e-9; the Hahn-like one stays below 1.2e-7
         taus = rows[:, 0]
         want = signal_from_exponents(SequenceKind.HAHN_RAMSEY, 0.6283, 1.885,
-                                     taus ** 2 / 2, taus ** 2 / 2, taus)
+                                     (2 * taus ** 2, taus ** 2 / 2, 0.0), taus)
         np.testing.assert_allclose(rows[:, 1], want, rtol=0, atol=1e-6)
 
 
@@ -647,6 +655,9 @@ def test_scan_refuses_taus_the_tau_scale_takes_beyond_max_magnitude(tmp_path, ca
     (["sensitivity", "--lam", 2.5, "--gamma", 0.0], "'gamma'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--u", 0.5], "--u"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--gamma-e", 0], "--gamma-e"),
+    # the flag was ignored: every sequence got the detuned echo's report
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--sequence", "ramsey"],
+     "'sequence'"),
     # wrote "eta": Infinity, and eta 0.0 beside a field floor of 2.7e-156
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--gamma-e", 1e-320], "--gamma-e"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--u", 1e308, "--v", 1e307],
@@ -877,8 +888,10 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
         fields.update({k: data.draw(v, label=k) for k, v in _FINITE_FIELDS.items()})
     source = {k: data.draw(st.sampled_from(["flag", "env", "config"]),
                            label=f"source of {k}") for k in fields}
-    sequence = data.draw(st.sampled_from([k.value for k in SequenceKind]),
-                         label="sequence")
+    # sensitivity refuses the other sequences before it reads anything else
+    sequences = (["hahn_ramsey"] if command == "sensitivity"
+                 else [k.value for k in SequenceKind])
+    sequence = data.draw(st.sampled_from(sequences), label="sequence")
     base = {**_BASE_FIELDS, "sequence": sequence}
     if sequence != "hahn_ramsey":
         base.pop("theta")       # ramsey and hahn_echo default to pi/2

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from filter_oracle import TARGET_ERROR, chi_filter
+from hahnramsey.analytic import closed_form_signal, component_weights
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
                               _ou_window_integrals, _renewal_window_integrals,
                               _x_minus_2_tanh_half, correlation, delta_f,
                               f1, filter_exponent)
+from hahnramsey.spincore import SequenceKind
 
 P = NoiseParams(2.5, 2 * np.pi * 0.1)
 P_REN = NoiseParams(2.5, 2 * np.pi * 0.1, NoiseKind.RENEWAL)
@@ -78,11 +80,11 @@ def _f1_delta_f_50_digits(x):
 
 def test_f1_and_delta_f_keep_their_digits_at_small_lam_tau():
     unit = NoiseParams(1.0, 1.0)
-    xs = np.concatenate([np.logspace(-100, 2, 81), np.linspace(0.04, 0.06, 21)])
+    xs = np.concatenate([np.logspace(-100, 2, 81), np.linspace(0.04, 0.3, 131)])
     for x in xs:
         want_f1, want_df = _f1_delta_f_50_digits(x)
-        assert f1(unit, x) == pytest.approx(want_f1, rel=2e-13, abs=0)
-        assert delta_f(unit, x) == pytest.approx(want_df, rel=2e-13, abs=0)
+        assert f1(unit, x) == pytest.approx(want_f1, rel=2e-15, abs=0)
+        assert delta_f(unit, x) == pytest.approx(want_df, rel=2e-15, abs=0)
     # arrays take the same branches as scalars
     assert_allclose(f1(unit, xs), [f1(unit, x) for x in xs], rtol=0, atol=0)
     assert_allclose(delta_f(unit, xs), [delta_f(unit, x) for x in xs], rtol=0, atol=0)
@@ -192,6 +194,44 @@ def test_filter_exponent_hahn_keeps_its_digits():
     # scalars take the same branches as arrays
     assert [filter_exponent(FilterKind.HAHN_LIKE, p, t) for t in xs / p.lam] == \
         got.tolist()
+
+
+_QUASI_STATIC = NoiseParams(1e-12, 1e6)     # (Gamma/lambda)^2 = 1e36
+_QUASI_STATIC_TAUS = np.array([0.25, 0.5, 0.75, 1.0])
+
+
+def _quasi_static_exponents_50_digits():
+    """The (Ramsey-like, half-period, Hahn-like) exponents of _QUASI_STATIC
+    at _QUASI_STATIC_TAUS from 50-digit decimals."""
+    scale = (_QUASI_STATIC.gamma / _QUASI_STATIC.lam) ** 2
+    out = []
+    for x in _QUASI_STATIC.lam * _QUASI_STATIC_TAUS:
+        f, df = _f1_delta_f_50_digits(x)
+        out.append([2 * (f + df), f, _hahn_exponent_digits(x)])
+    return scale * np.array(out).T
+
+
+def test_quasi_static_hahn_echo_keeps_its_digits():
+    # the echo decays on 1e36 x (2/3) (lambda tau)^3, whose digits
+    # 2 (f1 - delta_f) loses to cancellation (8e-5 relative here)
+    got = closed_form_signal(SequenceKind.HAHN_ECHO, np.pi / 2, 0.0,
+                             _QUASI_STATIC, _QUASI_STATIC_TAUS)
+    hahn = _quasi_static_exponents_50_digits()[2]
+    assert_allclose(got, np.exp(-hahn), rtol=1e-13, atol=0)
+    assert got[-1] == pytest.approx(0.51341711903284874, rel=1e-15)
+
+
+def test_quasi_static_hahn_ramsey_keeps_its_digits():
+    # the echo term carries the cancellation (6.7e-6 absolute here)
+    theta, delta, taus = 0.6283, 1.885, _QUASI_STATIC_TAUS
+    got = closed_form_signal(SequenceKind.HAHN_RAMSEY, theta, delta,
+                             _QUASI_STATIC, taus)
+    ramsey_like, half_period, hahn_like = _quasi_static_exponents_50_digits()
+    w0, w1, w2, w3 = component_weights(theta)
+    want = 2 * (w0 + w1 * np.exp(-ramsey_like)
+                + w2 * np.cos(delta * taus) * np.exp(-half_period)
+                + w3 * np.cos(2 * delta * taus) * np.exp(-hahn_like))
+    assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("lam_tau", [1e-6, 1e5])
