@@ -26,9 +26,10 @@ that slope at the optimal tilt and neglects envelope decay, so it is a
 small-tau law; the numeric estimator here keeps the decay.  The optimal
 tilt needs no search: at zero bias the slope's whole tilt dependence is
 cos^3 theta sin^2 theta, which peaks at OPTIMAL_THETA = arctan(sqrt(2/3))
-for every noise, detuning and tau.  The bias search is an array pass: the
-bias grids of all delays are one (tau x bias) call whose maxima are
-refined together by Newton steps in epsilon tau.
+for every noise, detuning and tau.  The bias needs no search either: the
+slope is a trigonometric polynomial of degree 2 in epsilon tau, whose
+stationary points are the roots of one quartic in tan(epsilon tau / 2),
+so its maximum is the largest of at most five values.
 
 scipy.optimize loads on the first fit or sensitivity call, not on import.
 """
@@ -354,63 +355,52 @@ def min_detectable_field(readout: ReadoutModel, tau: float,
 
 
 def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
-                   tau: float | np.ndarray, n_grid: int = 4001):
+                   tau: float | np.ndarray):
     """max over the bias epsilon of |d<s>/d epsilon| at fixed tau; the
     slope at the steepest point of the bias fringe.
 
-    tau is a positive float or array; the result has its shape.  The
-    n_grid-point bias grid of every tau is evaluated in one call, and the
-    grid maximum is refined by Newton steps within its neighbouring grid
-    points (_refine_bias_peak), which wrap around at u = +-pi.  Where
-    refining does not raise the slope the grid value is kept.
+    tau is a positive float or array; the result has its shape.  With
+    u = epsilon tau, a = cos theta, b = sin theta and p, q from
+    analytic._bias_slope_coefficients, the slope is 2 [p (cos u - a sin u)
+    + q (2 a cos 2u + b^2 sin 2u)], a trigonometric polynomial of degree 2
+    in u, so its maximum is exact: in t = tan(u/2) the stationary points
+    are the real roots of the quartic
+
+        (p a + 2 q b^2) t^4 + (16 a q - 2 p) t^3 - 12 q b^2 t^2
+            - (2 p + 16 a q) t + (2 q b^2 - p a) = 0,
+
+    and u = pi is its root at t = infinity.  The slope is evaluated at
+    u = 2 arctan(Re t_k) for every root t_k (a double root may round into
+    a complex pair) and at u = pi, and the largest |slope| is kept.
     """
     tau = np.asarray(tau, dtype=float)
     if (tau <= 0).any():
         raise ValueError("tau must be > 0")
-    us = np.linspace(-np.pi, np.pi, n_grid)   # epsilon*tau is 2pi-periodic
-    col = tau[..., None]
-    vals = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / col),
-                                       noise, col))
-    k = vals.argmax(axis=-1)
-    grid_best = np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
-    h = us[1] - us[0]     # u = -pi and pi are the same bias
-    wrapped = np.concatenate([[us[0] - h], us, [us[-1] + h]])
-    u = _refine_bias_peak(theta, delta, noise, tau, us[k], wrapped[k],
-                          wrapped[k + 2])
-    refined = np.abs(hr_signal_derivative(theta, delta, BiasParams(u / tau),
-                                          noise, tau))
-    out = np.maximum(refined, grid_best)
-    return out if out.ndim else float(out)
-
-
-def _refine_bias_peak(theta, delta, noise, tau, u, lo, hi):
-    """Two Newton steps toward the stationary point of the bias slope in
-    u = epsilon tau, each clipped to [lo, hi]; the slope is
-    2 [p (cos u - a sin u) + q (2 a cos 2u + b^2 sin 2u)] with p, q from
-    analytic._bias_slope_coefficients, a = cos theta, b = sin theta.
-    """
-    a, b = math.cos(theta), math.sin(theta)
+    a, b2 = math.cos(theta), math.sin(theta) ** 2
     p, q = _bias_slope_coefficients(theta, delta, noise, tau)
-    for _ in range(2):    # quadratic convergence from a grid point
-        c1, s1, c2, s2 = np.cos(u), np.sin(u), np.cos(2 * u), np.sin(2 * u)
-        d1 = -p * (s1 + a * c1) + q * (2 * b ** 2 * c2 - 4 * a * s2)
-        d2 = -p * (c1 - a * s1) - q * (8 * a * c2 + 4 * b ** 2 * s2)
-        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0)
-        u = np.clip(u - step, lo, hi)
-    return u
+    us = np.full((tau.size, 5), np.pi)   # per tau: the roots' u, then pi
+    for row, pk, qk in zip(us, np.ravel(p), np.ravel(q)):
+        roots = np.roots([pk * a + 2 * qk * b2, 16 * a * qk - 2 * pk,
+                          -12 * qk * b2, -2 * pk - 16 * a * qk, 2 * qk * b2 - pk * a])
+        row[:roots.size] = 2 * np.arctan(roots.real)
+    col = tau[..., None]
+    us = us.reshape(tau.shape + (5,))
+    out = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / col),
+                                      noise, col)).max(axis=-1)
+    return out if out.ndim else float(out)
 
 
 def sensitivity(noise: NoiseParams, readout: ReadoutModel,
                 theta: float | None = None,
-                gamma_e: float = GAMMA_E_PER_GAUSS,
-                tau_grid=None) -> SensitivityResult:
+                gamma_e: float = GAMMA_E_PER_GAUSS) -> SensitivityResult:
     """DC-field sensitivity at the optimal operating point.
 
     theta defaults to OPTIMAL_THETA, the tilt of the steepest bias slope.
-    Picks tau maximizing slope-per-sqrt-time (max over bias, decay
-    included, evaluated on a fringe peak; one max_bias_slope call for the
-    whole tau grid) and reports the closed-form per-shot field floor
-    there, min_detectable_field at optimal_tau.  That floor is the
+    Picks, from 60 delays over [0.1, 10] / lam, the tau maximizing
+    slope-per-sqrt-time (the exact max over bias, decay included,
+    evaluated on a fringe peak; one max_bias_slope call for all 60) and
+    reports the closed-form per-shot field floor there,
+    min_detectable_field at optimal_tau.  That floor is the
     optimal-tilt law: it does not follow the bias slope of a given theta.
     The coherence time t2 comes from a decay-envelope fit of the
     oscillating analytic fringe curve on the total-duration axis, and
@@ -422,11 +412,9 @@ def sensitivity(noise: NoiseParams, readout: ReadoutModel,
         raise ValueError("sensitivity needs a dephasing strength gamma > 0")
     if theta is None:
         theta = OPTIMAL_THETA
-    if tau_grid is None:
-        tau_grid = np.linspace(0.1, 10.0, 60) / noise.lam
-    tau_grid = np.asarray(tau_grid, dtype=float)
+    tau_grid = np.linspace(0.1, 10.0, 60) / noise.lam
     # delta = 0 puts every tau on a fringe peak (cos(delta tau) = 1)
-    slopes = max_bias_slope(theta, 0.0, noise, tau_grid, n_grid=801)
+    slopes = max_bias_slope(theta, 0.0, noise, tau_grid)
     objective = slopes / np.sqrt(2 * tau_grid)
     k = int(objective.argmax())
     tau_star = float(tau_grid[k])

@@ -460,13 +460,18 @@ def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
     _require_gaussian(cfg, "the bias-slope model of sensitivity")
     readout = analysis.ReadoutModel(u, v)
     theta = None
+    tilt_name = "theta" if cfg.theta is not None else "rabi"
     if cfg.theta is not None or cfg.rabi is not None:
         theta = cfg.resolved_theta()
+        if spincore.is_resonant(theta):
+            # the bias slope carries cos^3 theta: about 1e-32 at pi/2
+            raise ConfigError(tilt_name, "a resonant tilt (pi/2) has no bias "
+                                         "slope to sense a field with")
     try:
         res = analysis.sensitivity(cfg.noise_params(), readout, theta, gamma_e)
     except analysis.FitInputError as exc:
         # below a tilt of about 3e-7 the fringe has no contrast left to fit
-        raise ConfigError("theta" if cfg.theta is not None else "rabi",
+        raise ConfigError(tilt_name,
                           f"the tilt leaves the fringe flat: {exc}") from None
     return _write_json(cfg, "sensitivity.json", {
         "config_sha256": config_hash(cfg), "delta_b_min_gauss": res.delta_b_min,

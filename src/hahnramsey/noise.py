@@ -92,22 +92,19 @@ def filter_exponents(p: NoiseParams, tau) -> tuple:
     """Decay exponents of the three filter windows at tau (a float or an
     array; each result has its shape), in FilterKind order.
 
-    With x = lambda tau, g = x - 2 tanh(x/2) (by its Taylor series below
-    x = 0.2), t = tanh(x/2) and m = expm1(-x), each is (Gamma/lambda)^2
-    times a sum of non-negative terms:
+    With x = lambda tau, g = x - 2 tanh(x/2) (by a series of positive
+    terms below x = 2), t = tanh(x/2) and m = expm1(-x), each is
+    (Gamma/lambda)^2 times a sum of non-negative terms:
 
         Ramsey-like  2 (f1 + delta_f) = 2 f1 + m^2
         half-period  f1               = (g + x t) / (1 + t)   (= x + m)
         Hahn-like    2 (f1 - delta_f) = 2 g + t m^2
 
     so nothing cancels at small x, where x + e^-x - 1 and 2 (f1 - delta_f)
-    lose every digit.  Over x in [1e-100, 1e24] the first two are within
-    1e-15 relative of 50-digit values and the Hahn-like one within 1e-14
-    (g's direct form just above x = 0.2 holds the most error)."""
+    lose every digit.  Over x in [1e-100, 1e24] each is within 1e-15
+    relative of 50-digit values."""
     x = _lam_tau(p, tau)
-    t, m = np.tanh(0.5 * x), np.expm1(-x)
-    g = np.where(x < 0.2, _x_minus_2_tanh_half_series(np.minimum(x, 0.2)),
-                 x - 2.0 * t)
+    t, m, g = np.tanh(0.5 * x), np.expm1(-x), _x_minus_2_tanh_half(x)
     half = (g + x * t) / (1.0 + t)
     scale = (p.gamma / p.lam) ** 2
     return tuple(_float_or_array(scale * e)
@@ -133,23 +130,27 @@ def delta_f(p: NoiseParams, tau):
     return _float_or_array(0.5 * (p.gamma / p.lam) ** 2 * (m * m))
 
 
+#: 2k / (2k+1)! for k = 12 down to 1: y cosh y - sinh y is y^3 times
+#: their series in y^2
+_X_MINUS_2_TANH_HALF_TERMS = tuple(2 * k / math.factorial(2 * k + 1)
+                                   for k in range(12, 0, -1))
+
+
 def _x_minus_2_tanh_half(x):
-    """x - 2 tanh(x/2) for a float x >= 0, the O(x^3) core of the OU window
-    variances.  The direct difference cancels: it is 1.4e-5 relative off
-    at x = 1e-5 and rounds to 0 from about x = 1e-8.  Below x = 0.2 the
-    Taylor series (_x_minus_2_tanh_half_series) is used instead, within
-    5e-15 relative of 50-digit values; above it the direct form is within
-    6e-14.  filter_exponents takes the same branches over arrays."""
-    if x >= 0.2:
-        return x - 2.0 * math.tanh(0.5 * x)
-    return _x_minus_2_tanh_half_series(x)
-
-
-def _x_minus_2_tanh_half_series(x):
-    """Taylor series of x - 2 tanh(x/2) to x^13, for x below 0.2."""
-    x2 = x * x
-    return x * x2 * (1 / 12 - x2 * (1 / 120 - x2 * (17 / 20160 - x2 * (
-        31 / 362880 - x2 * (691 / 79833600 - x2 * (5461 / 6227020800))))))
+    """x - 2 tanh(x/2) for x >= 0 (a float or an array; the result has
+    its shape), the O(x^3) core of the OU window variances and of the
+    filter exponents.  The direct difference cancels: it is 1.4e-5
+    relative off at x = 1e-5 and rounds to 0 from about x = 1e-8.  Below
+    x = 2 it is 2 (y cosh y - sinh y) / cosh y with y = x/2 instead,
+    whose numerator's series terms are all positive; over x in
+    [1e-100, 1e3] it is within 6e-16 relative of 50-digit values."""
+    y = 0.5 * np.minimum(x, 2.0)
+    y2 = y * y
+    total = 0.0
+    for c in _X_MINUS_2_TANH_HALF_TERMS:
+        total = total * y2 + c
+    return _float_or_array(np.where(x < 2.0, 2.0 * y * y2 * total / np.cosh(y),
+                                    x - 2.0 * np.tanh(0.5 * x)))
 
 
 def _ou_window_integrals(rng, f0, lam, gamma, dur, with_end=True):

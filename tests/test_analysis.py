@@ -12,9 +12,10 @@ from hahnramsey.analysis import (OPTIMAL_THETA, FitError, FitModel,
                                  ReadoutModel, ResidualMap, fit_decay,
                                  max_bias_slope, min_detectable_field,
                                  scan_noise_params, sensitivity)
-from hahnramsey.analytic import BiasParams, closed_form_signal, hr_signal_derivative
+from hahnramsey.analytic import (BiasParams, _bias_slope_coefficients,
+                                 closed_form_signal, hr_signal_derivative)
 from hahnramsey.montecarlo import SignalCurve
-from hahnramsey.noise import NoiseParams, delta_f, f1
+from hahnramsey.noise import NoiseParams, delta_f, f1, filter_exponents
 from hahnramsey.spincore import SequenceKind
 from tilt_oracle import optimal_theta_per_tilt
 
@@ -535,31 +536,75 @@ def test_zero_bias_slope_factorizes_in_the_tilt(noise, delta, tau_grid):
     (THETA, 2 * np.pi, QUIET)])
 def test_max_bias_slope_matches_the_per_tau_search(theta, delta, noise):
     taus = np.linspace(0.1, 10.0, 60) / noise.lam
-    slopes = max_bias_slope(theta, delta, noise, taus, n_grid=801)
+    slopes = max_bias_slope(theta, delta, noise, taus)
     assert slopes.shape == taus.shape
     want = [_max_bias_slope_per_tau(theta, delta, noise, t) for t in taus]
     np.testing.assert_allclose(slopes, want, rtol=1e-14, atol=0)
-    singles = [max_bias_slope(theta, delta, noise, float(t), n_grid=801)
+    singles = [max_bias_slope(theta, delta, noise, float(t))
                for t in taus]
     assert all(isinstance(s, float) for s in singles)
     np.testing.assert_allclose(singles, want, rtol=1e-14, atol=0)
 
 
+def _grid_peak_and_dense_max_near_pi(theta, delta, tau):
+    """The index of the largest |slope| on an 801-point grid of u over
+    [-pi, pi], and the largest |slope| on a 2e6-point grid's spacing over
+    the +-0.05 around u = pi."""
+    grid = np.linspace(-np.pi, np.pi, 801)
+    k = np.abs(hr_signal_derivative(theta, delta, BiasParams(grid / tau),
+                                    FIG_NOISE, tau)).argmax()
+    dense_us = np.pi + np.arange(-15_915, 15_916) * (2 * np.pi / 2e6)
+    return k, np.abs(hr_signal_derivative(theta, delta, BiasParams(dense_us / tau),
+                                          FIG_NOISE, tau)).max()
+
+
 def test_max_bias_slope_wraps_its_bracket_at_the_grid_ends():
-    # the slope is 2 pi-periodic in u = epsilon tau; here the 801-point grid
+    # the slope is 2 pi-periodic in u = epsilon tau; here an 801-point grid's
     # maximum is u = pi and the peak lies just past it, at u = -pi + 6.5e-4
     theta, delta = 0.7, 1.3
     tau = np.linspace(0.1, 10.0, 60)[24] / FIG_NOISE.lam
-    grid = np.linspace(-np.pi, np.pi, 801)
-    assert np.abs(hr_signal_derivative(theta, delta, BiasParams(grid / tau),
-                                       FIG_NOISE, tau)).argmax() == 800
-    # the spacing of a 2e6-point grid, over the +-0.05 around u = pi
-    dense_us = np.pi + np.arange(-15_915, 15_916) * (2 * np.pi / 2e6)
-    dense = np.abs(hr_signal_derivative(theta, delta, BiasParams(dense_us / tau),
-                                        FIG_NOISE, tau)).max()
-    for n_grid in (801, 4001):
-        got = max_bias_slope(theta, delta, FIG_NOISE, tau, n_grid=n_grid)
-        assert got == pytest.approx(dense, rel=1e-12, abs=0)
+    k, dense = _grid_peak_and_dense_max_near_pi(theta, delta, tau)
+    assert k == 800
+    got = max_bias_slope(theta, delta, FIG_NOISE, tau)
+    assert got == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+def test_max_bias_slope_at_a_resonant_tilt():
+    # at theta = pi/2, p and q carry cos^3 and cos^2 of 6e-17: the steepest
+    # slope is about 1e-33, and the quartic's roots keep its digits
+    taus = np.linspace(0.1, 10.0, 60) / FIG_NOISE.lam
+    with np.errstate(all="raise"):
+        got = max_bias_slope(np.pi / 2, 0.0, FIG_NOISE, taus)
+    assert (got > 0).all() and got.max() < 1e-32
+    want = [_max_bias_slope_per_tau(np.pi / 2, 0.0, FIG_NOISE, t) for t in taus]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_max_bias_slope_is_zero_where_both_decays_underflow():
+    # at lam tau = 1e5 and 1e6, exp(-chi_1) and exp(-chi_R) round to 0, so
+    # p = q = 0, the quartic has no roots and u = pi gives the slope 0; the
+    # underflow itself is the expected result, every other flag raises
+    taus = np.array([1e5, 1e6]) / FIG_NOISE.lam
+    with np.errstate(all="raise", under="ignore"):
+        assert max_bias_slope(OPTIMAL_THETA, 0.0, FIG_NOISE, taus).tolist() == [0.0, 0.0]
+        assert max_bias_slope(OPTIMAL_THETA, 0.0, FIG_NOISE, float(taus[0])) == 0.0
+
+
+def test_max_bias_slope_with_its_stationary_point_at_u_pi():
+    # the quartic's leading coefficient p a + 2 q b^2 vanishes where
+    # cos(delta tau) = -(b/a)^2 exp(chi_1 - chi_R): its root t = infinity is
+    # u = pi, the steepest point of this fringe
+    theta, tau = OPTIMAL_THETA, 1.0
+    a, b = np.cos(theta), np.sin(theta)
+    ramsey_like, half_period, _ = filter_exponents(FIG_NOISE, tau)
+    delta = np.arccos(-(b / a) ** 2 * np.exp(half_period - ramsey_like)) / tau
+    p, q = _bias_slope_coefficients(theta, delta, FIG_NOISE, tau)
+    assert abs(p * a + 2 * q * b ** 2) <= 1e-15 * abs(p)
+    k, dense = _grid_peak_and_dense_max_near_pi(theta, delta, tau)
+    assert k in (0, 800)
+    with np.errstate(all="raise"):
+        got = max_bias_slope(theta, delta, FIG_NOISE, tau)
+    assert got == pytest.approx(dense, rel=1e-12, abs=0)
 
 
 # the benchmark tracer's contract, in a fresh process: getattr(analysis,

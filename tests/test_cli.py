@@ -669,6 +669,12 @@ def test_scan_refuses_taus_the_tau_scale_takes_beyond_max_magnitude(tmp_path, ca
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--theta", 1e-9], "'theta'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--rabi", 1, "--delta", 1e9],
      "'rabi'"),
+    # a resonant tilt, given or from rabi and delta: exit 0 with a field floor
+    # beside a bias slope of 9e-33
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--rabi", 1, "--delta", 0],
+     "'rabi'"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--theta", 1.5707963267948963],
+     "'theta'"),
     # out of range: these overflowed to exit 3 or wrote NaN with exit 0
     (["simulate", "--gamma=1e300"], "'gamma'"),
     (["simulate", "--delta=1.7e308"], "'delta'"),

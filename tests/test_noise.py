@@ -185,12 +185,12 @@ def _hahn_exponent_digits(x):
 
 def test_filter_exponent_hahn_keeps_its_digits():
     # the echo column where 2 (f1 - delta_f) cancels: x = lam tau from 1e-100
-    xs = np.concatenate([np.logspace(-100, 3, 104), np.linspace(0.15, 0.25, 41)])
+    xs = np.concatenate([np.logspace(-100, 3, 104), np.linspace(0.15, 3.0, 115)])
     p = NoiseParams(2.5, 0.6283)
     scale = (p.gamma / p.lam) ** 2
     got = filter_exponent(FilterKind.HAHN_LIKE, p, xs / p.lam)
     want = scale * np.array([_hahn_exponent_digits(x) for x in xs])
-    assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert_allclose(got, want, rtol=1e-15, atol=0)
     # scalars take the same branches as arrays
     assert [filter_exponent(FilterKind.HAHN_LIKE, p, t) for t in xs / p.lam] == \
         got.tolist()
@@ -432,12 +432,12 @@ def _x_minus_2_tanh_half_50_digits(x):
 
 
 def test_x_minus_2_tanh_half_keeps_its_digits():
-    # the series below the switch at x = 0.2, the direct form above it
-    xs = np.concatenate([np.logspace(-100, -1, 60), np.linspace(0.15, 0.25, 41),
+    # the series below the switch at x = 2, the direct form above it
+    xs = np.concatenate([np.logspace(-100, -1, 60), np.linspace(0.15, 3.0, 115),
                          np.logspace(-0.5, 3, 30)])
     for x in xs:
         assert _x_minus_2_tanh_half(x) == pytest.approx(
-            _x_minus_2_tanh_half_50_digits(x), rel=1e-13, abs=0)
+            _x_minus_2_tanh_half_50_digits(x), rel=1e-15, abs=0)
     # the direct difference rounds to 0 where the value is x^3/12
     x = 1e-8
     assert x - 2 * np.tanh(x / 2) == 0.0
