@@ -12,10 +12,13 @@ envelope (frequency and phase reported as 0).
 
 The residual scan evaluates the analytic model on a (lambda, gamma) grid
 and reports SSR normalized by the total sum of squares; ties at the
-minimum break toward the smallest indices (row-major order).  The three
-filter exponents scale as (gamma/lambda)^2 at fixed lambda tau, so one
-call forms them at unit strength for every (lambda, tau), and each lambda
-row is evaluated over the whole gamma grid at once.
+minimum break toward the smallest indices (row-major order).  The model
+is a constant plus, per filter window it reads, a tau-only amplitude
+times exp(-(gamma/lambda)^2 e_k(lambda tau)), so the amplitudes are
+formed once, and one call forms the exponents e_k at unit strength for
+every (lambda, tau).  Lambda rows are then evaluated a chunk at a time
+over the whole gamma grid, in two work buffers allocated once per call,
+with the residual taken by einsum.
 
 Sensitivity follows the shot-noise readout model: with mean photon
 counts u (bright) and v (dark), contrast alpha = (u-v)/(u+v) and
@@ -43,8 +46,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import (BiasParams, _bias_slope_coefficients, closed_form_signal,
-                       hr_signal_derivative, signal_from_exponents)
+from ._datafile import write_grid_csv as _write_grid_csv
+from .analytic import (BiasParams, _bias_slope_coefficients, _decay_amplitudes,
+                       closed_form_signal, hr_signal_derivative)
 from .montecarlo import SignalCurve
 from .noise import NoiseParams, f1, filter_exponents
 from .spincore import SequenceKind
@@ -263,21 +267,23 @@ class ResidualMap:
                 float(self.gamma_grid[self.argmin[1]]))
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        with open(path, "w") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("lambda,gamma,residual\n")
-            gams = [f"{gam:.17g}" for gam in self.gamma_grid]
-            for lam, row in zip(self.lambda_grid, self.residuals):
-                lam = f"{lam:.17g}"
-                fh.writelines(f"{lam},{gam},{r:.17g}\n"
-                              for gam, r in zip(gams, row.tolist()))
+        _write_grid_csv(path, "lambda,gamma,residual", self.lambda_grid,
+                        self.gamma_grid, self.residuals,
+                        [header_comment] if header_comment else [])
+
+
+#: bytes in each of the scan's two work buffers, whole lambda rows of
+#: gamma x tau cells and at least one: under glibc's 128 KiB mmap
+#: threshold, so they come from the heap and cost no fresh page faults
+#: (4 rows of the benchmark's 101 x 40)
+_SCAN_BUFFER_BYTES = 127 * 2 ** 10
 
 
 def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,
                       delta: float, lambda_grid, gamma_grid) -> ResidualMap:
     """Normalized residual ||data - model||^2 / ||data - mean||^2 on a
-    (lambda, gamma) grid of finite values with lambda > 0, gamma >= 0."""
+    (lambda, gamma) grid of finite values with lambda > 0, gamma >= 0, for
+    non-empty finite data."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     if lambda_grid.size == 0 or gamma_grid.size == 0:
@@ -287,19 +293,31 @@ def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,
         raise ValueError("scan grids need finite lambda > 0 and gamma >= 0")
     taus = np.asarray(data.taus, dtype=float)
     y = np.asarray(data.means, dtype=float)
-    if not (np.isfinite(taus).all() and np.isfinite(y).all()):
-        raise ValueError("scan data must be finite")
+    if taus.size == 0 or not (np.isfinite(taus).all() and np.isfinite(y).all()):
+        raise ValueError("scan data must be non-empty and finite")
     tss = float(((y - y.mean()) ** 2).sum())
-    norm = tss if tss > 0 else 1.0
-    res = np.empty((lambda_grid.size, gamma_grid.size))
+    constant, amplitudes = _decay_amplitudes(seq_kind, theta, delta, taus)
     # the exponents at lambda tau with the factor (gamma/lam)^2 = 1, every
-    # lambda row in one call
+    # lambda row in one call; only the windows the kind reads are kept
     unit = filter_exponents(NoiseParams(1.0, 1.0), lambda_grid[:, None] * taus)
-    for i, lam in enumerate(lambda_grid):
-        scale = (gamma_grid[:, None] / lam) ** 2
-        model = signal_from_exponents(seq_kind, theta, delta,
-                                      [scale * e[i] for e in unit], taus)
-        res[i] = ((y - model) ** 2).sum(axis=1) / norm
+    windows = [(a, e) for a, e in zip(amplitudes, unit) if a is not None]
+    rows = max(1, _SCAN_BUFFER_BYTES // (8 * gamma_grid.size * taus.size))
+    diff = np.empty((rows, gamma_grid.size, taus.size))
+    term = np.empty_like(diff)
+    res = np.empty((lambda_grid.size, gamma_grid.size))
+    for start in range(0, lambda_grid.size, rows):
+        chunk = slice(start, start + rows)
+        # each exponent is (gamma/lam)^2 times its unit value
+        minus_scale = -(gamma_grid / lambda_grid[chunk, None]) ** 2
+        d, t = diff[:minus_scale.shape[0]], term[:minus_scale.shape[0]]
+        d[...] = y - constant
+        for a, e in windows:
+            np.multiply(minus_scale[:, :, None], e[chunk, None, :], out=t)
+            np.exp(t, out=t)
+            t *= a
+            d -= t
+        np.einsum("ijk,ijk->ij", d, d, out=res[chunk])
+    res /= tss if tss > 0 else 1.0
     flat = np.argmin(res)   # first minimum in row-major order on ties
     return ResidualMap(lambda_grid, gamma_grid, res,
                        tuple(np.unravel_index(flat, res.shape)))

@@ -13,7 +13,10 @@ with a = cos theta, b = sin theta, and (chi_R, chi_1, chi_H) the
 Ramsey-like, half-period and Hahn-like filter exponents, which
 noise.filter_exponents forms in that (FilterKind) order: in the
 dephasing integrals F1 and dF, chi_1 = F1 and chi_R, chi_H = 2 F1 +/- 2 dF.
-Every closed form here takes those three and builds none of them.  The
+Every closed form here takes those three and builds none of them; each
+signal is a constant plus a tau-only amplitude times exp(-exponent) per
+window (_decay_amplitudes), so a scan over the noise parameters forms
+the amplitudes once.  The
 bracketed sum is the spin-1/2 (S_z) expectation; the factor 2 converts
 uniformly to the canonical sigma_z signal in [-1, 1], which is what
 direct matrix propagation yields.
@@ -82,21 +85,50 @@ def component_weights(theta: float) -> tuple:
             b ** 4 / 2 * (a ** 2 + 1))
 
 
-def _detuned_echo_terms(theta, delta, exponents, tau, epsilon) -> tuple:
-    """The four terms of the detuned-echo signal (S_z normalization) for
-    the filter exponents (Ramsey-like, half-period, Hahn-like) and a
-    common-mode bias epsilon; the exponents, tau and epsilon broadcast.
-    At epsilon = 0 the bias factors are exactly 1 and 0, so each term is
-    its weight times its decay and fringe factors."""
-    ramsey_like, half_period, hahn_like = exponents
+def _detuned_echo_amplitudes(theta, delta, tau, epsilon) -> tuple:
+    """The constant and, in FilterKind order, the three decay amplitudes of
+    the detuned-echo signal (S_z normalization) for a common-mode bias
+    epsilon: each term is its amplitude times exp(-its filter exponent).
+    tau and epsilon broadcast.  At epsilon = 0 the bias factors are
+    exactly 1 and 0, so each amplitude is its weight times its fringe
+    factor."""
     w0, w1, w2, w3 = component_weights(theta)
     k = np.cos(theta) ** 3 * np.sin(theta) ** 2
     u = epsilon * tau
-    return (w0,
-            (w1 * np.cos(2 * u) - k * np.sin(2 * u)) * np.exp(-ramsey_like),
-            (w2 * np.cos(u) - 2 * k * np.sin(u)) * np.cos(delta * tau)
-            * np.exp(-half_period),
-            w3 * np.cos(2.0 * delta * tau) * np.exp(-hahn_like))
+    return w0, (w1 * np.cos(2 * u) - k * np.sin(2 * u),
+                (w2 * np.cos(u) - 2 * k * np.sin(u)) * np.cos(delta * tau),
+                w3 * np.cos(2.0 * delta * tau))
+
+
+def _detuned_echo_terms(theta, delta, exponents, tau, epsilon) -> tuple:
+    """The four terms of the detuned-echo signal (S_z normalization) for
+    the filter exponents (Ramsey-like, half-period, Hahn-like) and a
+    common-mode bias epsilon; the exponents, tau and epsilon broadcast."""
+    constant, amplitudes = _detuned_echo_amplitudes(theta, delta, tau, epsilon)
+    return (constant, *(a * np.exp(-e) for a, e in zip(amplitudes, exponents)))
+
+
+def _decay_amplitudes(kind: SequenceKind, theta: float, delta: float, tau) -> tuple:
+    """(constant, amplitudes) of the closed-form signal of the standard
+    sequence of a kind: the signal is the constant plus, per filter window
+    in FilterKind order, its amplitude times exp(-its exponent).  An
+    amplitude is None where the kind has no term in that window.  Neither
+    depends on the noise, so a caller scanning many noise parameters forms
+    them once per tau.
+
+    The ramsey closed form holds at theta = pi/2 only.  The hahn echo is
+    resonant (theta = pi/2, delta = 0), so both are ignored for it.
+    """
+    # no constant term: -0.0, the exact additive identity (a zero term,
+    # an underflowed fringe, keeps its sign)
+    if kind is SequenceKind.RAMSEY:
+        if not is_resonant(theta):
+            raise ValueError("the closed-form ramsey signal assumes theta = pi/2")
+        return -0.0, (None, np.cos(delta * tau), None)
+    if kind is SequenceKind.HAHN_ECHO:
+        return -0.0, (None, None, 1.0)
+    constant, amplitudes = _detuned_echo_amplitudes(theta, delta, tau, 0.0)
+    return 2.0 * constant, tuple(2.0 * a for a in amplitudes)
 
 
 def signal_from_exponents(kind: SequenceKind, theta: float, delta: float,
@@ -104,18 +136,13 @@ def signal_from_exponents(kind: SequenceKind, theta: float, delta: float,
     """Closed-form signal of the standard sequence of a kind (see
     spincore.build_sequence), given its three filter exponents at tau in
     FilterKind order, as noise.filter_exponents returns them; the
-    exponents and tau broadcast.
-
-    The ramsey closed form holds at theta = pi/2 only.  The hahn echo is
-    resonant (theta = pi/2, delta = 0), so both are ignored for it.
-    """
-    if kind is SequenceKind.RAMSEY:
-        if not is_resonant(theta):
-            raise ValueError("the closed-form ramsey signal assumes theta = pi/2")
-        return np.cos(delta * tau) * np.exp(-exponents[1])
-    if kind is SequenceKind.HAHN_ECHO:
-        return np.exp(-exponents[2])
-    return 2.0 * sum(_detuned_echo_terms(theta, delta, exponents, tau, 0.0))
+    exponents and tau broadcast.  The sum of _decay_amplitudes, whose
+    docstring states where each kind's closed form holds."""
+    out, amplitudes = _decay_amplitudes(kind, theta, delta, tau)
+    for a, e in zip(amplitudes, exponents):
+        if a is not None:
+            out = out + a * np.exp(-e)
+    return out
 
 
 def closed_form_signal(kind: SequenceKind, theta: float, delta: float,

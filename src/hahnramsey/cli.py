@@ -37,8 +37,9 @@ ENV_PREFIX = "HRSIM_"
 # bound on |float input|, and 1/MAX_MAGNITUDE on lam (so that (Gamma/lam)^2
 # does not overflow) and on --gamma-e
 MAX_MAGNITUDE = 1e12
-# bound on the points of every grid (tau, theta, scan, bloch samples): numpy
-# cannot allocate 1e20 of them
+# bound on the points of every grid (tau, theta, bloch samples) and on the
+# cells of a scan: numpy cannot allocate 1e20 of them, and a 3e4 x 3e4 scan
+# would take 7 GB
 MAX_COUNT = 10 ** 6
 # bound on Monte Carlo trajectories times tau points: about two minutes of
 # instantaneous-pulse OU sampling on one core (1e20 trajectories never end)
@@ -411,9 +412,10 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:
     return 0
 
 
-def _scan_grid(name: str, spec, positive: bool) -> np.ndarray:
-    """Grid of the --NAME-min/max/count flags: values up to MAX_MAGNITUDE
-    and >= 1/MAX_MAGNITUDE when positive, else >= 0; 1 to MAX_COUNT points."""
+def _check_scan_grid(name: str, spec, positive: bool) -> None:
+    """Check the --NAME-min/max/count flags of a scan grid: values up to
+    MAX_MAGNITUDE and >= 1/MAX_MAGNITUDE when positive, else >= 0; 1 to
+    MAX_COUNT points."""
     low = 1 / MAX_MAGNITUDE if positive else 0.0
     for suffix, value in zip(("min", "max"), spec):
         if not low <= value <= MAX_MAGNITUDE:
@@ -421,13 +423,17 @@ def _scan_grid(name: str, spec, positive: bool) -> np.ndarray:
                               f"must lie in [{low:g}, {MAX_MAGNITUDE:g}]")
     if not 1 <= spec[2] <= MAX_COUNT:
         raise ConfigError(f"--{name}-count", f"must lie in [1, {MAX_COUNT}]")
-    return np.linspace(*spec)
 
 
 def cmd_scan(cfg: RunConfig, data_paths, lam_spec, gamma_spec,
              tau_scale: float = 1.0) -> int:
-    lam_grid = _scan_grid("lambda", lam_spec, positive=True)
-    gamma_grid = _scan_grid("gamma", gamma_spec, positive=False)
+    _check_scan_grid("lambda", lam_spec, positive=True)
+    _check_scan_grid("gamma", gamma_spec, positive=False)
+    if lam_spec[2] * gamma_spec[2] > MAX_COUNT:
+        raise ConfigError("--lambda-count, --gamma-count",
+                          f"the scan needs at most {MAX_COUNT} cells, got "
+                          f"{lam_spec[2]} * {gamma_spec[2]}")
+    lam_grid, gamma_grid = np.linspace(*lam_spec), np.linspace(*gamma_spec)
     _require_gaussian(cfg, "the scan's residual model")
     theta = cfg.closed_form_theta()
     curves = [read_curve_csv(dp, tau_scale) for dp in data_paths]

@@ -325,11 +325,14 @@ def test_scan_recovery_with_noise():
 
 
 def test_scan_rows_match_cell_by_cell_models():
-    # reference: one closed-form curve per (lambda, gamma) cell
+    # reference: one closed-form curve per (lambda, gamma) cell, on a lambda
+    # grid of three chunks of rows, the last one ragged
     taus = np.linspace(0.1, 4.0, 30)
     data = make_data(2.5, 0.5, taus, sigma=0.01, seed=4)
-    lam_grid = np.linspace(1.0, 4.0, 7)
-    gam_grid = np.linspace(0.0, 1.0, 6)
+    gam_grid = np.linspace(0.0, 1.0, 101)
+    rows = analysis._SCAN_BUFFER_BYTES // (8 * gam_grid.size * taus.size)
+    assert rows >= 2
+    lam_grid = np.linspace(1.0, 4.0, 2 * rows + rows // 2 + 1)
     y = data.means
     tss = ((y - y.mean()) ** 2).sum()
     for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, DELTA),
@@ -365,6 +368,12 @@ def test_scan_rejects_non_finite_data():
                           np.array([2.5]), np.array([0.3]))
 
 
+def test_scan_rejects_empty_data():
+    with pytest.raises(ValueError, match="non-empty"):
+        scan_noise_params(curve(np.empty(0), np.empty(0)), SequenceKind.RAMSEY,
+                          np.pi / 2, DELTA, np.array([2.5]), np.array([0.3]))
+
+
 def test_scan_rejects_tilted_ramsey():
     # the ramsey closed form exists at theta = pi/2 only
     data = make_data(2.5, 0.3, np.linspace(0.1, 2.0, 10))
@@ -373,7 +382,10 @@ def test_scan_rejects_tilted_ramsey():
                           np.array([2.5]), np.array([0.3]))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 2)])
+# at 2^10 cells per write, (700, 3), (23, 101) and (1, 2000) are written
+# in 3, 3 and 1 chunks, the first two with a ragged last chunk
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 2), (37, 3), (1, 101),
+                                   (23, 101), (700, 3), (1, 2000)])
 def test_residual_map_csv_is_the_per_cell_format(shape, tmp_path):
     rng = np.random.default_rng(3)
     lam = np.sort(rng.uniform(0.1, 4.0, shape[0]))
@@ -382,8 +394,9 @@ def test_residual_map_csv_is_the_per_cell_format(shape, tmp_path):
     ResidualMap(lam, gam, res, (0, 0)).to_csv(tmp_path / "m.csv", "hdr")
     cells = "".join(f"{lam[i]:.17g},{gam[j]:.17g},{res[i, j]:.17g}\n"
                     for i in range(shape[0]) for j in range(shape[1]))
-    assert (tmp_path / "m.csv").read_text() == (
-        "# hdr\nlambda,gamma,residual\n" + cells)
+    # the exact text, compared line by line so that a failure reports fast
+    assert (tmp_path / "m.csv").read_text().split("\n") == (
+        "# hdr\nlambda,gamma,residual\n" + cells).split("\n")
 
 
 # --------------------------------------------------------------------------

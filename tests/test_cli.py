@@ -561,6 +561,16 @@ def test_scan_rejects_bad_grid(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_refuses_more_cells_than_max_count(tmp_path, capsys):
+    # each count is within MAX_COUNT, their product is not
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    out = tmp_path / "o"
+    assert run([*_SCAN, "--data", data, "--lambda-count=1001",
+                "--gamma-count=1000", "--out", out]) == 2
+    assert "'--lambda-count, --gamma-count'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_and_simulate_share_the_ramsey_tilt_check(tmp_path, capsys):
     data = _write_ramsey_data(tmp_path / "ram.csv")
     assert run([*_SCAN, "--theta", 0.5, "--data", data,
