@@ -16,13 +16,11 @@ from .analysis import (DecayFit, FitError, FitModel, GAMMA_E_PER_GAUSS,
                        OPTIMAL_THETA, ReadoutModel, ResidualMap,
                        SensitivityResult, fit_decay, max_bias_slope,
                        min_detectable_field, scan_noise_params, sensitivity)
-from .analytic import (BiasParams, SignalComponents, closed_form_signal,
-                       component_weights, hr_signal_biased, hr_signal_derivative,
-                       signal_components, signal_from_exponents)
+from .analytic import (BiasParams, closed_form_signal, component_weights,
+                       hr_signal_derivative, signal_from_exponents)
 from .montecarlo import (BlochPoint, McConfig, SignalCurve, bloch_to_csv,
                          bloch_trajectory, run_mc)
-from .noise import (FilterKind, NoiseKind, NoiseParams, correlation, delta_f,
-                    f1, filter_exponent, filter_exponents)
+from .noise import FilterKind, NoiseKind, NoiseParams, f1, filter_exponents
 from .spincore import (Delay, DrivingParams, PulseParams, PulseSequence,
                        SequenceKind, TiltConvention, build_sequence, tilt_angle)
 

@@ -22,8 +22,9 @@ uniformly to the canonical sigma_z signal in [-1, 1], which is what
 direct matrix propagation yields.
 
 A static bias field shifts the accumulated phase of both free intervals
-by +epsilon*tau (common mode); the biased signal and its epsilon
-derivative drive the DC-sensitivity analysis.
+by +epsilon*tau (common mode).  _detuned_echo_terms forms the biased
+terms; the DC-sensitivity analysis reads the epsilon derivative of their
+sum, hr_signal_derivative.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from .noise import NoiseParams, _float_or_array, filter_exponents
 from .spincore import SequenceKind, is_resonant
 
 __all__ = [
-    "BiasParams", "SignalComponents", "closed_form_signal",
-    "signal_from_exponents", "signal_components", "hr_signal_biased",
+    "BiasParams", "closed_form_signal", "signal_from_exponents",
     "hr_signal_derivative", "component_weights",
 ]
 
@@ -52,28 +52,6 @@ class BiasParams:
     def __post_init__(self):
         if not np.isfinite(self.epsilon).all():
             raise ValueError("epsilon must be finite")
-
-
-@dataclass(frozen=True)
-class SignalComponents:
-    """Term-by-term decomposition at one tau, in the spin-1/2 (S_z)
-    normalization; the canonical sigma_z signal is 2x the term sum.
-
-    weights are the bare coefficients (a^4/2 (1-2b^2), a^2 b^4/2,
-    -2 a^4 b^2, b^4/2 (a^2+1)) without decay or oscillation factors.
-    """
-
-    constant_term: float
-    ramsey_like_term: float
-    cos_delta_term: float
-    cos_2delta_term: float
-    weights: tuple
-
-    @property
-    def total(self) -> float:
-        """Canonical sigma_z signal: twice the term sum."""
-        return 2.0 * (self.constant_term + self.ramsey_like_term
-                      + self.cos_delta_term + self.cos_2delta_term)
 
 
 def component_weights(theta: float) -> tuple:
@@ -154,26 +132,6 @@ def closed_form_signal(kind: SequenceKind, theta: float, delta: float,
         kind, theta, delta, filter_exponents(noise, tau), tau))
 
 
-def signal_components(theta: float, delta: float, noise: NoiseParams,
-                      tau: float) -> SignalComponents:
-    """Split the detuned-echo signal into its four terms (S_z normalization)."""
-    terms = _detuned_echo_terms(theta, delta, filter_exponents(noise, float(tau)),
-                                tau, 0.0)
-    return SignalComponents(*(float(t) for t in terms),
-                            weights=tuple(float(w) for w in component_weights(theta)))
-
-
-def hr_signal_biased(theta: float, delta: float, bias: BiasParams,
-                     noise: NoiseParams, tau):
-    """Detuned-echo signal with a bias field shifting both free-interval
-    phases by +epsilon*tau; reduces to the closed-form hahn_ramsey signal
-    at epsilon 0."""
-    tau = np.asarray(tau, dtype=float)
-    terms = _detuned_echo_terms(theta, delta, filter_exponents(noise, tau), tau,
-                                bias.epsilon)
-    return _float_or_array(2.0 * sum(terms))
-
-
 def _bias_slope_coefficients(theta, delta, noise: NoiseParams, tau) -> tuple:
     """Coefficients of the bias slope, the epsilon derivative of the two
     bias-dependent terms of _detuned_echo_terms: with u = epsilon tau,
@@ -192,7 +150,10 @@ def _bias_slope_coefficients(theta, delta, noise: NoiseParams, tau) -> tuple:
 
 def hr_signal_derivative(theta: float, delta: float, bias: BiasParams,
                          noise: NoiseParams, tau):
-    """d(hr_signal_biased)/d(epsilon) at the given bias point."""
+    """d<s>/d(epsilon) at the given bias point, where the biased
+    detuned-echo signal <s> in [-1, 1] is twice the sum of
+    _detuned_echo_terms; at epsilon 0 <s> is the closed-form hahn_ramsey
+    signal."""
     tau = np.asarray(tau, dtype=float)
     a, b = np.cos(theta), np.sin(theta)
     e = bias.epsilon

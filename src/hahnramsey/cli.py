@@ -45,14 +45,42 @@ MAX_COUNT = 10 ** 6
 # instantaneous-pulse OU sampling on one core (1e20 trajectories never end)
 MAX_TRAJECTORY_POINTS = 10 ** 9
 
-# sorted, so --sequence's choices read in a fixed order in --help and errors
-_SEQUENCES = tuple(sorted(k.value for k in spincore.SequenceKind))
+#: the values each choice field takes, for argparse's choices and for
+#: RunConfig.validate; --sequence's are sorted, so that they read in a
+#: fixed order in --help and errors
+_CHOICES = {
+    "sequence": tuple(sorted(k.value for k in spincore.SequenceKind)),
+    "engine": ("analytic", "montecarlo", "both"),
+    "freq_unit": ("rad", "cycles"),
+    "noise_kind": tuple(k.value for k in noise.NoiseKind),
+    "tilt_convention": tuple(k.value for k in spincore.TiltConvention),
+    "pulse_model": ("instantaneous", "finite"),
+}
 
 
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+
+
+def _text(x) -> str:
+    """x in %g where that reads back as x, else in full."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
+def _check_range(field: str, value, low, high, ends: str = "[]") -> None:
+    """Refuse a value outside the interval from low to high, each end
+    closed ("[", "]") or open ("(", ")"); an infinite high end is open,
+    and None (a JSON null) and NaN lie in no interval."""
+    if high == math.inf:
+        ends = ends[0] + ")"
+    if not (value is not None
+            and (value > low if ends[0] == "(" else value >= low)
+            and (value < high if ends[1] == ")" else value <= high)):
+        raise ConfigError(field, f"must lie in {ends[0]}{_text(low)}, "
+                                 f"{_text(high)}{ends[1]}, got {value!r}")
 
 
 @dataclasses.dataclass
@@ -78,56 +106,36 @@ class RunConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        for name in sorted(_FLOAT_FIELDS):
+        for name, allowed in _CHOICES.items():
             value = getattr(self, name)
-            if value is not None and not abs(value) <= MAX_MAGNITUDE:
-                raise ConfigError(name, f"must be finite, |x| <= {MAX_MAGNITUDE:g}, "
+            if value not in allowed:
+                raise ConfigError(name, f"must be one of {', '.join(allowed)}, "
                                         f"got {value!r}")
-        if self.sequence not in _SEQUENCES:
-            raise ConfigError("sequence", f"unknown sequence '{self.sequence}'")
-        if self.engine not in ("analytic", "montecarlo", "both"):
-            raise ConfigError("engine", f"unknown engine '{self.engine}'")
-        if self.freq_unit not in ("rad", "cycles"):
-            raise ConfigError("freq_unit", "must be 'rad' or 'cycles'")
-        if self.noise_kind not in ("ou", "renewal", "none"):
-            raise ConfigError("noise_kind", "must be ou, renewal or none")
-        if self.tilt_convention not in ("geometric", "nutation"):
-            raise ConfigError("tilt_convention", "must be geometric or nutation")
-        if not 2 <= self.tau_count <= MAX_COUNT:
-            raise ConfigError("tau_count", f"grid needs 2 to {MAX_COUNT} points")
-        if not (self.tau_stop > self.tau_start >= 0):
-            raise ConfigError("tau_stop", "need stop > start >= 0")
-        if not self.lam >= 1 / MAX_MAGNITUDE:
-            raise ConfigError("lam", f"correlation rate must be >= {1 / MAX_MAGNITUDE:g}")
-        if self.gamma < 0:
-            raise ConfigError("gamma", "noise strength must be >= 0")
-        if self.n_trajectories < 1:
-            raise ConfigError("n_trajectories", "must be >= 1")
-        if self.engine == "both" and self.n_trajectories < 2:
-            raise ConfigError("n_trajectories", "the z-scores of --engine both "
-                                                "need a stderr, so >= 2")
-        if (self.engine != "analytic"
-                and self.n_trajectories * self.tau_count > MAX_TRAJECTORY_POINTS):
-            raise ConfigError("n_trajectories",
-                              f"n_trajectories * tau_count must be <= "
-                              f"{MAX_TRAJECTORY_POINTS:g}, got "
-                              f"{self.n_trajectories} * {self.tau_count}")
-        if self.time_step <= 0:
-            raise ConfigError("time_step", "must be > 0")
-        if self.workers < 1:
-            raise ConfigError("workers", "must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be a non-negative integer")
-        if self.pulse_model not in ("instantaneous", "finite"):
-            raise ConfigError("pulse_model", "must be instantaneous or finite")
-        if self.rabi is not None and self.rabi <= 0:
-            raise ConfigError("rabi", "must be > 0")
-        if self.pulse_model == "finite" and not (self.rabi or 0.0) >= 1 / MAX_MAGNITUDE:
-            # pulses of area/rabi must last a finite time
-            raise ConfigError("rabi", f"finite pulses need a rabi frequency "
-                                      f">= {1 / MAX_MAGNITUDE:g}")
-        if self.theta is not None and not (0 < self.theta <= math.pi / 2):
-            raise ConfigError("theta", "must lie in (0, pi/2]")
+        big = MAX_MAGNITUDE
+        _check_range("delta", self.delta, -big, big)
+        _check_range("lam", self.lam, 1 / big, big)
+        _check_range("gamma", self.gamma, 0.0, big)
+        _check_range("tau_start", self.tau_start, 0.0, big)
+        _check_range("tau_stop", self.tau_stop, self.tau_start, big, "(]")
+        _check_range("tau_count", self.tau_count, 2, MAX_COUNT)
+        # --engine both needs a stderr for its z-scores; Monte Carlo runs
+        # at most MAX_TRAJECTORY_POINTS trajectories times tau points
+        _check_range("n_trajectories", self.n_trajectories,
+                     2 if self.engine == "both" else 1,
+                     math.inf if self.engine == "analytic"
+                     else MAX_TRAJECTORY_POINTS // self.tau_count)
+        _check_range("time_step", self.time_step, 0.0, big, "(]")
+        _check_range("workers", self.workers, 1, math.inf)
+        _check_range("seed", self.seed, 0, math.inf)
+        if self.pulse_model == "finite" and self.rabi is None:
+            raise ConfigError("rabi", "finite pulses need a rabi frequency")
+        if self.rabi is not None:
+            # finite pulses of area/rabi must last a finite time
+            finite = self.pulse_model == "finite"
+            _check_range("rabi", self.rabi, 1 / big if finite else 0.0, big,
+                         "[]" if finite else "(]")
+        if self.theta is not None:
+            _check_range("theta", self.theta, 0.0, math.pi / 2, "(]")
         if self.sequence == "hahn_echo":
             if self.delta != 0.0:
                 raise ConfigError("delta", "hahn_echo is resonant, set delta = 0")
@@ -203,8 +211,7 @@ def load_config(path: str | None, flags: dict) -> RunConfig:
                 if isinstance(val, float) and not val.is_integer():
                     raise ValueError   # int() truncates 2.7 and overflows on inf
                 val = int(val)
-            elif key in ("sequence", "engine", "freq_unit", "noise_kind",
-                         "tilt_convention", "pulse_model", "out"):
+            elif key in _CHOICES or key == "out":
                 val = str(val)
         except (TypeError, ValueError):
             raise ConfigError(key, f"cannot parse value {val!r}")
@@ -232,20 +239,16 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _check_tau_scale(tau_scale: float) -> None:
-    if not (math.isfinite(tau_scale) and tau_scale > 0):
-        raise ConfigError("--tau-scale", "must be finite and > 0")
-
-
 def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
     """Read tau,signal[,stderr] (or tau,mean,stderr,n) data files.
 
     tau_scale converts the file's declared time unit to the working unit
-    (microseconds): stored tau = file tau * tau_scale.  A row that is short,
-    does not parse, holds a non-finite value or a stored |tau| over
-    MAX_MAGNITUDE raises ConfigError naming the file and line.
+    (microseconds): stored tau = file tau * tau_scale.  A row with fewer
+    cells than the header, one that does not parse, holds a non-finite
+    value, a negative stderr or a stored |tau| over MAX_MAGNITUDE raises
+    ConfigError naming the file and line.
     """
-    _check_tau_scale(tau_scale)
+    _check_range("--tau-scale", tau_scale, 0.0, math.inf, "()")
     if not Path(path).is_file():
         raise ConfigError("data", f"file not found: {path}")
     taus, means, errs = [], [], []
@@ -258,29 +261,33 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
                 continue
             if header is None:
                 header = [c.strip().lower() for c in line.split(",")]
+                width = 3 if header[2:3] == ["stderr"] else 2
                 continue
             where = f"{path} line {lineno}"
             cells = line.split(",")
-            has_err = len(cells) > 2 and len(header) > 2 and header[2] == "stderr"
+            if len(cells) < len(header):
+                raise ConfigError("data", f"{where}: the header has {len(header)} "
+                                          f"columns, got {line!r}")
             try:
-                row = [float(c) for c in cells[:3 if has_err else 2]]
+                row = [float(c) for c in cells[:width]]
                 if len(cells) > 3 and header[-1] == "n":
                     n = int(cells[3])
             except ValueError:
                 raise ConfigError("data", f"{where}: cannot parse {line!r}") from None
             row[0] *= tau_scale
             if len(row) < 2 or not (all(map(math.isfinite, row))
-                                    and abs(row[0]) <= MAX_MAGNITUDE):
-                raise ConfigError("data", f"{where}: need finite cells and |tau| <= "
-                                          f"{MAX_MAGNITUDE:g} after scaling, got {line!r}")
+                                    and abs(row[0]) <= MAX_MAGNITUDE
+                                    and min(row[2:], default=0.0) >= 0):
+                raise ConfigError("data", f"{where}: need finite cells, |tau| <= "
+                                          f"{MAX_MAGNITUDE:g} after scaling and a "
+                                          f"stderr >= 0, got {line!r}")
             taus.append(row[0])
             means.append(row[1])
             errs.extend(row[2:])
     if header is None or len(taus) == 0:
         raise ConfigError("data", f"no data rows in {path}")
-    errs = errs if len(errs) == len(taus) else [0.0] * len(taus)
     return montecarlo.SignalCurve(np.asarray(taus), np.asarray(means),
-                                  np.asarray(errs), n)
+                                  np.asarray(errs or [0.0] * len(taus)), n)
 
 
 def _require_gaussian(cfg: RunConfig, what: str) -> None:
@@ -297,10 +304,10 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
+def cmd_simulate(cfg: RunConfig, ns) -> int:
     theta = (cfg.closed_form_theta() if cfg.engine in ("analytic", "both")
              else cfg.resolved_theta())
-    if with_components and cfg.sequence != "hahn_ramsey":
+    if ns.with_components and cfg.sequence != "hahn_ramsey":
         raise ConfigError("sequence",
                           "component columns exist only for hahn_ramsey")
     if cfg.engine == "analytic":
@@ -327,7 +334,7 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
     if an is not None:
         path = out / f"{cfg.sequence}_analytic.csv"
         header, rows = "tau,signal", zip(taus, an)
-        if with_components:
+        if ns.with_components:
             header += "".join(f",component_{n}" for n in
                               ("constant", "ramsey_like", "cos_delta", "cos_2delta"))
             terms = analytic._detuned_echo_terms(
@@ -364,9 +371,8 @@ def cmd_simulate(cfg: RunConfig, with_components: bool = False) -> int:
     return 0
 
 
-def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
-    if not 1 <= theta_count <= MAX_COUNT:
-        raise ConfigError("--theta-count", f"must lie in [1, {MAX_COUNT}]")
+def cmd_components(cfg: RunConfig, ns) -> int:
+    _check_range("--theta-count", ns.theta_count, 1, MAX_COUNT)
     taus, p = cfg.taus(), cfg.noise_params()
     rows = np.column_stack([taus, *noise.filter_exponents(p, taus)])
     out = _out_dir(cfg)
@@ -375,7 +381,7 @@ def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
     _write_csv(path1, "tau," + ",".join(k.value for k in noise.FilterKind), rows,
                comments)
     path2 = out / "component_weights.csv"
-    thetas = np.linspace(1e-3, math.pi / 2, theta_count)
+    thetas = np.linspace(1e-3, math.pi / 2, ns.theta_count)
     _write_csv(path2, "theta,constant,ramsey_like,cos_delta,cos_2delta",
                ((th, *analytic.component_weights(float(th))) for th in thetas), comments)
     print(path1)
@@ -383,14 +389,14 @@ def cmd_components(cfg: RunConfig, theta_count: int = 91) -> int:
     return 0
 
 
-def cmd_fit(cfg: RunConfig, data_path: str, model: str,
-            tau_scale: float = 1.0) -> int:
+def cmd_fit(cfg: RunConfig, ns) -> int:
     # the fit runs in the file's own time unit, so the solver and its
     # covariance never see the scale; the time-valued results convert after
-    _check_tau_scale(tau_scale)
+    data_path, tau_scale = ns.data, ns.tau_scale
+    _check_range("--tau-scale", tau_scale, 0.0, math.inf, "()")
     curve = read_curve_csv(data_path)
     try:
-        fit = analysis.fit_decay(curve, analysis.FitModel(model))
+        fit = analysis.fit_decay(curve, analysis.FitModel(ns.model))
     except analysis.FitInputError as exc:
         raise ConfigError("data", f"{data_path}: {exc}") from None
     scaled = {"tau_c": fit.tau_c * tau_scale, "tau_c_err": fit.tau_c_err * tau_scale,
@@ -399,7 +405,7 @@ def cmd_fit(cfg: RunConfig, data_path: str, model: str,
         raise ConfigError("--tau-scale", f"{tau_scale:g} takes the fitted tau_c, "
                                          f"tau_c_err or frequency out of float range")
     return _write_json(cfg, f"fit_{Path(data_path).stem}.json",
-                       {"config_sha256": config_hash(cfg), "model": model,
+                       {"config_sha256": config_hash(cfg), "model": ns.model,
                         "data": str(data_path), **fit.to_dict(), **scaled})
 
 
@@ -412,57 +418,49 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:
     return 0
 
 
-def _check_scan_grid(name: str, spec, positive: bool) -> None:
-    """Check the --NAME-min/max/count flags of a scan grid: values up to
-    MAX_MAGNITUDE and >= 1/MAX_MAGNITUDE when positive, else >= 0; 1 to
-    MAX_COUNT points."""
-    low = 1 / MAX_MAGNITUDE if positive else 0.0
-    for suffix, value in zip(("min", "max"), spec):
-        if not low <= value <= MAX_MAGNITUDE:
-            raise ConfigError(f"--{name}-{suffix}",
-                              f"must lie in [{low:g}, {MAX_MAGNITUDE:g}]")
-    if not 1 <= spec[2] <= MAX_COUNT:
-        raise ConfigError(f"--{name}-count", f"must lie in [1, {MAX_COUNT}]")
-
-
-def cmd_scan(cfg: RunConfig, data_paths, lam_spec, gamma_spec,
-             tau_scale: float = 1.0) -> int:
-    _check_scan_grid("lambda", lam_spec, positive=True)
-    _check_scan_grid("gamma", gamma_spec, positive=False)
-    if lam_spec[2] * gamma_spec[2] > MAX_COUNT:
-        raise ConfigError("--lambda-count, --gamma-count",
-                          f"the scan needs at most {MAX_COUNT} cells, got "
-                          f"{lam_spec[2]} * {gamma_spec[2]}")
-    lam_grid, gamma_grid = np.linspace(*lam_spec), np.linspace(*gamma_spec)
+def cmd_scan(cfg: RunConfig, ns) -> int:
+    for name, least in (("lambda", 1 / MAX_MAGNITUDE), ("gamma", 0.0)):
+        for end in ("min", "max"):
+            _check_range(f"--{name}-{end}", getattr(ns, f"{name}_{end}"),
+                         least, MAX_MAGNITUDE)
+        _check_range(f"--{name}-count", getattr(ns, f"{name}_count"), 1, MAX_COUNT)
+    _check_range("--lambda-count, --gamma-count",
+                 ns.lambda_count * ns.gamma_count, 1, MAX_COUNT)
+    stems = [Path(dp).stem for dp in ns.data]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise ConfigError("data", f"{stems.count(stem)} files would write "
+                                      f"scan_{stem}.csv")
+    lam_grid = np.linspace(ns.lambda_min, ns.lambda_max, ns.lambda_count)
+    gamma_grid = np.linspace(ns.gamma_min, ns.gamma_max, ns.gamma_count)
     _require_gaussian(cfg, "the scan's residual model")
     theta = cfg.closed_form_theta()
-    curves = [read_curve_csv(dp, tau_scale) for dp in data_paths]
+    curves = [read_curve_csv(dp, ns.tau_scale) for dp in ns.data]
     out = _out_dir(cfg)
     comment = f"config_sha256={config_hash(cfg)}"
     kind = spincore.SequenceKind(cfg.sequence)
-    for dp, curve in zip(data_paths, curves):
+    for stem, curve in zip(stems, curves):
         m = analysis.scan_noise_params(curve, kind, theta, cfg.delta,
                                        lam_grid, gamma_grid)
-        path = out / f"scan_{Path(dp).stem}.csv"
+        path = out / f"scan_{stem}.csv"
         m.to_csv(path, comment)
         print(f"{path} argmin lambda={m.best[0]:.6g} gamma={m.best[1]:.6g}")
     return 0
 
 
-def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
+def cmd_sensitivity(cfg: RunConfig, ns) -> int:
     if cfg.sequence != "hahn_ramsey":
         raise ConfigError("sequence", "the sensitivity model is the detuned "
                                       "echo's: only hahn_ramsey has it")
     # within these bounds, and gamma's, the field floor and eta stay finite
     # and nonzero: u / 2 does not underflow, nor gamma^2
     low = 1 / MAX_MAGNITUDE
-    if not (low <= u <= MAX_MAGNITUDE and 0 <= v < u):
-        raise ConfigError("--u", f"need u in [{low:g}, {MAX_MAGNITUDE:g}] and "
-                                 f"0 <= v < u (bright above dark)")
-    if not low <= gamma_e <= MAX_MAGNITUDE:
-        raise ConfigError("--gamma-e", f"must lie in [{low:g}, {MAX_MAGNITUDE:g}]")
-    if not cfg.noise_params().gamma >= low:
-        raise ConfigError("gamma", f"sensitivity needs a dephasing strength >= {low:g}")
+    u, v, gamma_e = ns.u, ns.v, ns.gamma_e
+    _check_range("--u", u, low, MAX_MAGNITUDE)
+    _check_range("--v", v, 0.0, MAX_MAGNITUDE)
+    _check_range("--u", u, v, MAX_MAGNITUDE, "(]")   # bright above dark
+    _check_range("--gamma-e", gamma_e, low, MAX_MAGNITUDE)
+    _check_range("gamma", cfg.noise_params().gamma, low, MAX_MAGNITUDE)
     _require_gaussian(cfg, "the bias-slope model of sensitivity")
     readout = analysis.ReadoutModel(u, v)
     theta = None
@@ -485,15 +483,13 @@ def cmd_sensitivity(cfg: RunConfig, u: float, v: float, gamma_e: float) -> int:
         "eta": res.eta, "t2": res.t2, "gamma_e": gamma_e, "u": u, "v": v})
 
 
-def cmd_bloch(cfg: RunConfig, tau: float, samples: int) -> int:
-    if not 0 <= tau <= MAX_MAGNITUDE:
-        raise ConfigError("--tau", f"must lie in [0, {MAX_MAGNITUDE:g}]")
-    if not 1 <= samples <= MAX_COUNT:
-        raise ConfigError("--samples", f"must lie in [1, {MAX_COUNT}]")
+def cmd_bloch(cfg: RunConfig, ns) -> int:
+    _check_range("--tau", ns.tau, 0.0, MAX_MAGNITUDE)
+    _check_range("--samples", ns.samples, 1, MAX_COUNT)
     out = _out_dir(cfg)
     pts = montecarlo.bloch_trajectory(spincore.SequenceKind(cfg.sequence),
-                                      cfg.resolved_theta(), cfg.delta, tau,
-                                      samples)
+                                      cfg.resolved_theta(), cfg.delta, ns.tau,
+                                      ns.samples)
     path = out / f"bloch_{cfg.sequence}.csv"
     montecarlo.bloch_to_csv(pts, path, f"config_sha256={config_hash(cfg)}")
     print(path)
@@ -505,16 +501,16 @@ def _add_common(sub):
     # integer fields take strings: load_config parses them, as from env and files
     sub.add_argument("--seed")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--freq-unit", choices=["rad", "cycles"], dest="freq_unit")
-    sub.add_argument("--sequence", choices=_SEQUENCES)
+    sub.add_argument("--freq-unit", choices=_CHOICES["freq_unit"], dest="freq_unit")
+    sub.add_argument("--sequence", choices=_CHOICES["sequence"])
     sub.add_argument("--theta", type=float, help="tilt angle in rad")
     sub.add_argument("--rabi", type=float)
-    sub.add_argument("--tilt-convention", choices=["geometric", "nutation"],
+    sub.add_argument("--tilt-convention", choices=_CHOICES["tilt_convention"],
                      dest="tilt_convention")
     sub.add_argument("--delta", type=float, help="fringe detuning")
     sub.add_argument("--lam", type=float, help="noise correlation rate (1/us)")
     sub.add_argument("--gamma", type=float, help="noise strength")
-    sub.add_argument("--noise-kind", choices=["ou", "renewal", "none"],
+    sub.add_argument("--noise-kind", choices=_CHOICES["noise_kind"],
                      dest="noise_kind")
     sub.add_argument("--tau-start", type=float, dest="tau_start")
     sub.add_argument("--tau-stop", type=float, dest="tau_stop")
@@ -530,12 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="signal curves per engine")
     _add_common(sim)
-    sim.add_argument("--engine", choices=["analytic", "montecarlo", "both"])
+    sim.add_argument("--engine", choices=_CHOICES["engine"])
     sim.add_argument("--n-trajectories", dest="n_trajectories")
     sim.add_argument("--time-step", type=float, dest="time_step",
                      help="step of finite pulses; delays are drawn exactly "
                           "and do not use it")
-    sim.add_argument("--pulse-model", choices=["instantaneous", "finite"],
+    sim.add_argument("--pulse-model", choices=_CHOICES["pulse_model"],
                      dest="pulse_model")
     sim.add_argument("--workers")
     sim.add_argument("--with-components", action="store_true",
@@ -594,22 +590,9 @@ def main(argv=None) -> int:
     flags = {k: v for k, v in vars(ns).items() if k in _CFG_KEYS}
     try:
         cfg = load_config(ns.config, flags)
-        if ns.command == "simulate":
-            return cmd_simulate(cfg, ns.with_components)
-        if ns.command == "components":
-            return cmd_components(cfg, ns.theta_count)
-        if ns.command == "fit":
-            return cmd_fit(cfg, ns.data, ns.model, ns.tau_scale)
-        if ns.command == "scan":
-            return cmd_scan(cfg, ns.data,
-                            (ns.lambda_min, ns.lambda_max, ns.lambda_count),
-                            (ns.gamma_min, ns.gamma_max, ns.gamma_count),
-                            ns.tau_scale)
-        if ns.command == "sensitivity":
-            return cmd_sensitivity(cfg, ns.u, ns.v, ns.gamma_e)
-        if ns.command == "bloch":
-            return cmd_bloch(cfg, ns.tau, ns.samples)
-        raise ValueError(f"unknown command {ns.command}")
+        # looked up at each call, so that a wrapper set on a cmd_* function
+        # after the parser was built runs
+        return globals()[f"cmd_{ns.command}"](cfg, ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,9 +11,10 @@ Two processes share the stationary correlation C(dt) = Gamma^2 exp(-lambda|dt|):
 One function, filter_exponents, forms the decay exponents of the three
 filter windows (FilterKind) of the detuned echo, which equal the overlaps
 of those windows with the Lorentzian spectral density; each is a sum of
-non-negative terms in x = lambda tau, so none cancels at small x.  The
-dephasing integrals f1 (the half-period exponent) and delta_f (half the
-gap between the Ramsey-like and Hahn-like exponents) are read from it.
+non-negative terms in x = lambda tau, so none cancels at small x.  In
+the dephasing integrals F1 (half the variance of the phase of one free
+interval) and dF (half the covariance of the phases of two adjacent
+ones) they are 2 (F1 + dF), F1 and 2 (F1 - dF); f1 reads F1 from it.
 
 Its samplers are the two exact window kernels, one per noise kind
 (_WINDOW_INTEGRALS): from the values f0 at the start of one window they
@@ -33,10 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "NoiseKind", "NoiseParams", "FilterKind", "correlation", "f1", "delta_f",
-    "filter_exponent", "filter_exponents",
-]
+__all__ = ["NoiseKind", "NoiseParams", "FilterKind", "f1", "filter_exponents"]
 
 
 class NoiseKind(enum.Enum):
@@ -62,17 +60,12 @@ class NoiseParams:
             raise ValueError("kind NONE requires gamma = 0")
 
 
-def correlation(p: NoiseParams, dt: float):
-    """Stationary autocovariance Gamma^2 exp(-lambda |dt|)."""
-    return p.gamma ** 2 * np.exp(-p.lam * np.abs(dt))
-
-
 class FilterKind(enum.Enum):
-    #: sin^2(w tau) window; full-window free-precession decay, 2 (f1 + delta_f)
+    #: sin^2(w tau) window; full-window free-precession decay, 2 (F1 + dF)
     RAMSEY_LIKE = "ramsey_like"
-    #: sin^2(w tau / 2) window; half-window decay, f1
+    #: sin^2(w tau / 2) window; half-window decay, F1
     HALF_PERIOD = "half_period"
-    #: sin^4(w tau / 2) window; refocused (echo) decay, 2 (f1 - delta_f)
+    #: sin^4(w tau / 2) window; refocused (echo) decay, 2 (F1 - dF)
     HAHN_LIKE = "hahn_like"
 
 
@@ -96,13 +89,14 @@ def filter_exponents(p: NoiseParams, tau) -> tuple:
     terms below x = 2), t = tanh(x/2) and m = expm1(-x), each is
     (Gamma/lambda)^2 times a sum of non-negative terms:
 
-        Ramsey-like  2 (f1 + delta_f) = 2 f1 + m^2
-        half-period  f1               = (g + x t) / (1 + t)   (= x + m)
-        Hahn-like    2 (f1 - delta_f) = 2 g + t m^2
+        Ramsey-like  2 (F1 + dF) = 2 F1 + m^2
+        half-period  F1          = (g + x t) / (1 + t)   (= x + m)
+        Hahn-like    2 (F1 - dF) = 2 g + t m^2
 
-    so nothing cancels at small x, where x + e^-x - 1 and 2 (f1 - delta_f)
+    so nothing cancels at small x, where x + e^-x - 1 and 2 (F1 - dF)
     lose every digit.  Over x in [1e-100, 1e24] each is within 1e-15
-    relative of 50-digit values."""
+    relative of 50-digit values.  dF, (Gamma/lambda)^2 m^2 / 2, is
+    (Ramsey-like - Hahn-like) / 4."""
     x = _lam_tau(p, tau)
     t, m, g = np.tanh(0.5 * x), np.expm1(-x), _x_minus_2_tanh_half(x)
     half = (g + x * t) / (1.0 + t)
@@ -111,23 +105,11 @@ def filter_exponents(p: NoiseParams, tau) -> tuple:
                  for e in (2.0 * half + m * m, half, 2.0 * g + t * m * m))
 
 
-def filter_exponent(kind: FilterKind, p: NoiseParams, tau):
-    """The exponent of the filter window `kind` from filter_exponents."""
-    return filter_exponents(p, tau)[list(FilterKind).index(kind)]
-
-
 def f1(p: NoiseParams, tau):
     """Half the variance of the phase integrated over one interval of
     length tau, (Gamma/lambda)^2 (lambda tau + exp(-lambda tau) - 1): the
     half-period exponent."""
     return filter_exponents(p, tau)[1]
-
-
-def delta_f(p: NoiseParams, tau):
-    """Half the covariance between the phases of two adjacent intervals,
-    (Gamma/lambda)^2 expm1(-lambda tau)^2 / 2."""
-    m = np.expm1(-_lam_tau(p, tau))
-    return _float_or_array(0.5 * (p.gamma / p.lam) ** 2 * (m * m))
 
 
 #: 2k / (2k+1)! for k = 12 down to 1: y cosh y - sinh y is y^3 times

@@ -1,14 +1,15 @@
 """Quadrature oracle of the filter exponents, independent of the closed
-forms in noise.filter_exponent: the overlap of each filter window with
+forms in noise.filter_exponents: the overlap of each filter window with
 the Lorentzian spectral density 2 Gamma^2 lam / (w^2 + lam^2), by one
 composite 12-point Gauss-Legendre rule on uniform panels and an analytic
-tail past its cutoff.
+tail past its cutoff.  Beside it, the textbook noise laws: the
+correlation function and the exponents from F1 and dF.
 """
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from hahnramsey.noise import FilterKind
+from hahnramsey.noise import FilterKind, f1
 
 _NODES, _WEIGHTS = leggauss(12)
 TARGET_ERROR = 1e-8     # absolute, on the exponent
@@ -44,3 +45,22 @@ def chi_filter(kind, p, tau, refine=1):
             @ (0.5 * h * _WEIGHTS).ravel())
     tail = mean / lam ** 2 * (1.0 / w_max - (np.pi / 2 - np.arctan(w_max / lam)) / lam)
     return pref * (rule + tail)
+
+
+def correlation(p, dt):
+    """Stationary autocovariance Gamma^2 exp(-lam |dt|)."""
+    return p.gamma ** 2 * np.exp(-p.lam * np.abs(dt))
+
+
+def delta_f(p, tau):
+    """dF, half the covariance between the phases of two adjacent
+    intervals of length tau: (Gamma/lam)^2 expm1(-lam tau)^2 / 2."""
+    m = np.expm1(-p.lam * np.asarray(tau, dtype=float))
+    return 0.5 * (p.gamma / p.lam) ** 2 * (m * m)
+
+
+def textbook_exponents(p, tau):
+    """The exponents in FilterKind order as 2 (F1 + dF), F1 and
+    2 (F1 - dF), which cancels at small lam tau."""
+    F1, dF = f1(p, tau), delta_f(p, tau)
+    return 2 * (F1 + dF), F1, 2 * (F1 - dF)

@@ -11,14 +11,13 @@ from scipy.integrate import quad
 from hahnramsey.analysis import (OPTIMAL_THETA, FitModel, ReadoutModel,
                                  fit_decay, max_bias_slope,
                                  min_detectable_field, scan_noise_params)
-from hahnramsey.analytic import (BiasParams, closed_form_signal,
-                                 hr_signal_biased)
+from hahnramsey.analytic import BiasParams, closed_form_signal
 from hahnramsey.cli import main as cli_main
 from hahnramsey.montecarlo import McConfig, run_mc, SignalCurve
-from hahnramsey.noise import (FilterKind, NoiseParams, delta_f, f1,
-                              filter_exponent)
+from hahnramsey.noise import FilterKind, NoiseParams, filter_exponents
 from hahnramsey.spincore import SequenceKind, build_sequence
-from filter_oracle import chi_filter
+from biased_signal import hr_signal_biased
+from filter_oracle import chi_filter, textbook_exponents
 from spin_oracle import propagate, sigma_z
 from tilt_oracle import optimal_theta_per_tilt
 
@@ -72,8 +71,11 @@ def test_criterion_2_dephasing_constants_match_quadrature():
         cross = 0.5 * quad(lambda t2: quad(lambda t1: c(t1, t2), 0, tau,
                                            epsabs=1e-16, epsrel=1e-12)[0],
                            tau, 2 * tau, epsabs=1e-16, epsrel=1e-12)[0]
-        worst = max(worst, abs(f1(FIG_NOISE, tau) - same) / same)
-        worst = max(worst, abs(delta_f(FIG_NOISE, tau) - cross) / cross)
+        # F1 is the half-period exponent, dF a quarter of the gap between
+        # the Ramsey-like and Hahn-like ones
+        ramsey_like, half_period, hahn_like = filter_exponents(FIG_NOISE, tau)
+        worst = max(worst, abs(half_period - same) / same)
+        worst = max(worst, abs((ramsey_like - hahn_like) / 4 - cross) / cross)
     el = time.perf_counter() - t0
     report(2, "F1/dF closed forms vs 2-d quadrature (1e-8 rel)",
            worst < 1e-8 and el < 10.0, el, f"max rel err={worst:.2e}")
@@ -83,12 +85,10 @@ def test_criterion_3_filter_function_identities():
     t0 = time.perf_counter()
     worst = 0.0
     for tau in np.geomspace(0.01 / LAM, 10 / LAM, 50):
-        F1, dF = f1(FIG_NOISE, tau), delta_f(FIG_NOISE, tau)
-        closed = {FilterKind.RAMSEY_LIKE: 2 * (F1 + dF), FilterKind.HALF_PERIOD: F1,
-                  FilterKind.HAHN_LIKE: 2 * (F1 - dF)}
-        for kind, want in closed.items():
+        for kind, want, exponent in zip(FilterKind, textbook_exponents(FIG_NOISE, tau),
+                                        filter_exponents(FIG_NOISE, tau)):
             got = chi_filter(kind, FIG_NOISE, tau)
-            for ref in (want, filter_exponent(kind, FIG_NOISE, tau)):
+            for ref in (want, exponent):
                 worst = max(worst, abs(got - ref) / ref)
     el = time.perf_counter() - t0
     report(3, "spectral-overlap quadrature vs closed forms (50 taus, 1e-4 rel)",

@@ -15,7 +15,7 @@ from hahnramsey.analysis import (OPTIMAL_THETA, FitError, FitModel,
 from hahnramsey.analytic import (BiasParams, _bias_slope_coefficients,
                                  closed_form_signal, hr_signal_derivative)
 from hahnramsey.montecarlo import SignalCurve
-from hahnramsey.noise import NoiseParams, delta_f, f1, filter_exponents
+from hahnramsey.noise import NoiseParams, filter_exponents
 from hahnramsey.spincore import SequenceKind
 from tilt_oracle import optimal_theta_per_tilt
 
@@ -531,10 +531,11 @@ def test_zero_bias_slope_factorizes_in_the_tilt(noise, delta, tau_grid):
     # detuning, so one tilt is steepest on every grid.  Checked to 1e-12 of
     # the factor's size before its two terms cancel, which is the float
     # accuracy of a slope near one of its zeros.
-    F1, dF = f1(noise, tau_grid), delta_f(noise, tau_grid)
+    ramsey_like, half_period, _ = filter_exponents(noise, tau_grid)
     rng = np.random.default_rng(1717)
     for d in [delta, *rng.uniform(-6.0, 6.0, 20)]:
-        fringe, echo = np.cos(d * tau_grid) * np.exp(-F1), np.exp(-2 * (F1 + dF))
+        fringe = np.cos(d * tau_grid) * np.exp(-half_period)
+        echo = np.exp(-ramsey_like)
         want = -4 * tau_grid * (fringe + echo)
         size = 4 * tau_grid * (np.abs(fringe) + echo)
         for th in rng.uniform(1e-3, np.pi / 2 - 1e-3, 5):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnramsey.analytic import (BiasParams, closed_form_signal,
-                                 component_weights, hr_signal_biased,
-                                 hr_signal_derivative, signal_components)
-from hahnramsey.noise import FilterKind, NoiseParams, f1, delta_f, filter_exponent
+from hahnramsey.analytic import (BiasParams, _detuned_echo_terms,
+                                 closed_form_signal, component_weights,
+                                 hr_signal_derivative)
+from hahnramsey.noise import FilterKind, NoiseParams, f1, filter_exponents
 from hahnramsey.spincore import PulseParams, SequenceKind, build_sequence
+from biased_signal import hr_signal_biased
 from filter_oracle import chi_filter
 from spin_oracle import UP, propagate, pulse_unitary, sigma_z
 
@@ -108,19 +109,6 @@ def test_component_weights_patterns():
     assert w0 == pytest.approx((0.5, 0.0, 0.0, 0.0))
 
 
-def test_components_sum_to_signal():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        th = rng.uniform(1e-3, np.pi / 2)
-        d = rng.uniform(-5, 5)
-        tau = rng.uniform(0, 5)
-        c = signal_components(th, d, P, tau)
-        assert c.total == pytest.approx(
-            closed_form_signal(SequenceKind.HAHN_RAMSEY, th, d, P, tau), abs=1e-12)
-        assert 2 * (c.constant_term + c.ramsey_like_term + c.cos_delta_term
-                    + c.cos_2delta_term) == pytest.approx(c.total, abs=1e-15)
-
-
 def test_biased_reduces_at_zero_bias():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -208,15 +196,14 @@ def test_long_time_limit_is_constant_term():
 
 def test_consistency_with_spectral_exponents():
     # the three decay exponents of the decomposition match the quadrature
-    # oracle and filter_exponent
+    # oracle and filter_exponents
     tau = 1.2
-    c = signal_components(0.2 * np.pi, 0.0, P, tau)
-    w = c.weights
-    terms = (c.ramsey_like_term, c.cos_delta_term, c.cos_2delta_term)
-    for term, weight, kind in zip(terms, w[1:], FilterKind):
+    exponents = filter_exponents(P, tau)
+    _, *terms = _detuned_echo_terms(0.2 * np.pi, 0.0, exponents, tau, 0.0)
+    weights = component_weights(0.2 * np.pi)[1:]
+    for term, weight, kind, exponent in zip(terms, weights, FilterKind, exponents):
         assert term == pytest.approx(weight * np.exp(-chi_filter(kind, P, tau)), rel=1e-4)
-        assert term == pytest.approx(weight * np.exp(-filter_exponent(kind, P, tau)),
-                                     rel=1e-12)
+        assert term == pytest.approx(weight * np.exp(-exponent), rel=1e-12)
 
 
 # (theta, delta) at which each standard sequence has a closed form

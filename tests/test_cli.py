@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -16,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnramsey.analytic import (closed_form_signal, signal_components,
+from filter_oracle import textbook_exponents
+from hahnramsey.analytic import (_detuned_echo_terms, closed_form_signal,
                                  signal_from_exponents)
 import hahnramsey
 from hahnramsey.cli import MAX_TRAJECTORY_POINTS, main, read_curve_csv
-from hahnramsey.noise import NoiseParams, FilterKind, filter_exponent, f1, delta_f
+from hahnramsey.noise import NoiseParams, filter_exponents
 from hahnramsey.spincore import SequenceKind, build_sequence
 
 
@@ -158,14 +158,10 @@ def test_components(tmp_path):
     _, exps = read_rows(tmp_path / "filter_exponents.csv")
     assert np.allclose(exps[0, 1:], 0.0)   # tau = 0 row
     p = NoiseParams(2.5, 0.6283)
-    for row in exps[1:]:
-        tau = row[0]
-        expect = [2 * (f1(p, tau) + delta_f(p, tau)), f1(p, tau),
-                  2 * (f1(p, tau) - delta_f(p, tau))]
-        np.testing.assert_allclose(row[1:], expect, rtol=1e-4)
-    # the file holds filter_exponent to the last written digit
-    for col, kind in enumerate(FilterKind, 1):
-        assert exps[:, col].tolist() == filter_exponent(kind, p, exps[:, 0]).tolist()
+    np.testing.assert_allclose(exps[1:, 1:], np.column_stack(
+        textbook_exponents(p, exps[1:, 0])), rtol=1e-4)
+    # the file holds filter_exponents to the last written digit
+    assert exps[:, 1:].T.tolist() == [e.tolist() for e in filter_exponents(p, exps[:, 0])]
     _, w = read_rows(tmp_path / "component_weights.csv")
     last = w[-1]                           # theta = pi/2 row
     assert np.allclose(last[1:4], 0.0, atol=1e-12)
@@ -240,7 +236,7 @@ def test_simulate_with_component_columns(tmp_path):
                                atol=1e-12)
     # one array call over the taus gives the per-tau decomposition
     p = NoiseParams(2.5, 0.6283)
-    per_tau = [dataclasses.astuple(signal_components(0.2 * np.pi, 1.885, p, t))[:4]
+    per_tau = [_detuned_echo_terms(0.2 * np.pi, 1.885, filter_exponents(p, t), t, 0.0)
                for t in rows[:, 0]]
     np.testing.assert_allclose(rows[:, 2:], per_tau, rtol=0, atol=1e-15)
 
@@ -461,9 +457,8 @@ def test_components_resolve_large_exponents(tmp_path):
     header, rows = read_rows(tmp_path / "filter_exponents.csv")
     assert header == ["tau", "ramsey_like", "half_period", "hahn_like"]
     p = NoiseParams(2.5, 1e4)
-    F1, dF = f1(p, rows[:, 0]), delta_f(p, rows[:, 0])
     np.testing.assert_allclose(rows[:, 1:], np.column_stack(
-        [2 * (F1 + dF), F1, 2 * (F1 - dF)]), rtol=1e-12, atol=0)
+        textbook_exponents(p, rows[:, 0])), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("args", [
@@ -476,17 +471,17 @@ def test_components_write_grids_past_the_former_quadrature(args, tmp_path):
     assert np.isfinite(rows).all() and (rows[:, 1:] >= 0).all()
     flags = dict(a.lstrip("-").split("=") for a in args)
     p = NoiseParams(float(flags.get("lam", 1.0)), float(flags["gamma"]))
-    for col, kind in enumerate(FilterKind, 1):
-        assert rows[:, col].tolist() == filter_exponent(kind, p, rows[:, 0]).tolist()
+    assert rows[:, 1:].T.tolist() == [e.tolist() for e in filter_exponents(p, rows[:, 0])]
 
 
 def test_read_curve_csv_roundtrip(tmp_path):
     path = tmp_path / "x.csv"
-    path.write_text("# comment\ntau,mean,stderr,n\n0.0,1.0,0.01,500\n"
+    # Monte Carlo files hold a zero stderr at tau 0
+    path.write_text("# comment\ntau,mean,stderr,n\n0.0,1.0,0,500\n"
                     "1.0,0.5,0.02,500\n")
     c = read_curve_csv(path)
     assert c.n == 500
-    np.testing.assert_allclose(c.stderrs, [0.01, 0.02])
+    np.testing.assert_allclose(c.stderrs, [0.0, 0.02])
 
 
 # --------------------------------------------------------------------------
@@ -518,6 +513,7 @@ def test_non_finite_config_value_exits_2(field, value, source, tmp_path,
     ('"tau_count": Infinity', "tau_count"),
     ('"n_trajectories": 2.7', "n_trajectories"),  # was truncated to 2, exit 0
     ('"tau_count": 1e20', "tau_count"),           # numpy size error, exit 3
+    ('"delta": null', "delta"),                   # a TypeError, exit 3
 ])
 def test_bad_config_file_count_exits_2(text, field, tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
@@ -529,14 +525,16 @@ def test_bad_config_file_count_exits_2(text, field, tmp_path, capsys):
     assert not out.exists()
 
 
-def _write_ramsey_data(path, rows=None):
+def _write_ramsey_data(path, rows=None, stderr=None):
+    """40 rows of tau,signal, or of tau,signal,stderr given a stderr."""
     taus = np.linspace(0.1, 6, 40)
     y = np.asarray(closed_form_signal(SequenceKind.RAMSEY, np.pi / 2, 1.885,
                                       NoiseParams(2.5, 0.6), taus))
+    tail = "" if stderr is None else f",{stderr}"
     with open(path, "w") as fh:
-        fh.write("tau,signal\n")
+        fh.write("tau,signal\n" if stderr is None else "tau,signal,stderr\n")
         for ti, yi in zip(taus, y):
-            fh.write(f"{ti},{yi}\n")
+            fh.write(f"{ti},{yi}{tail}\n")
         for row in rows or ():
             fh.write(row + "\n")
     return path
@@ -568,6 +566,18 @@ def test_scan_refuses_more_cells_than_max_count(tmp_path, capsys):
     assert run([*_SCAN, "--data", data, "--lambda-count=1001",
                 "--gamma-count=1000", "--out", out]) == 2
     assert "'--lambda-count, --gamma-count'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_refuses_data_files_that_share_a_stem(tmp_path, capsys):
+    # both would write scan_ram.csv: the second map replaced the first, exit 0
+    data = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        data += ["--data", _write_ramsey_data(tmp_path / name / "ram.csv")]
+    out = tmp_path / "o"
+    assert run([*_SCAN, *data, "--out", out]) == 2
+    assert "'data'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -609,11 +619,17 @@ def test_tiny_lambda_tau_with_large_gamma_over_lambda_stays_finite(command,
         np.testing.assert_allclose(rows[:, 1], want, rtol=0, atol=1e-6)
 
 
+_BAD_ROWS = ["1.0,abc", "7.0", "7.0,nan", "inf,0.5", "1.1e12,0.5", "-1.1e12,0.5"]
+
+
 @pytest.mark.parametrize("command", ["fit", "scan"])
-@pytest.mark.parametrize("row", ["1.0,abc", "7.0", "7.0,nan", "inf,0.5",
-                                 "1.1e12,0.5", "-1.1e12,0.5"])
-def test_bad_data_row_names_file_and_line(command, row, tmp_path, capsys):
-    data = _write_ramsey_data(tmp_path / "bad.csv", rows=[row])
+@pytest.mark.parametrize("row, stderr", [
+    *((row, None) for row in _BAD_ROWS), *((row + ",0.01", 0.01) for row in _BAD_ROWS),
+    # under a stderr header, a short row set every stderr to 0 and a
+    # negative one dropped every fit weight, both with exit 0
+    ("7.0,0.5", 0.01), ("7.0,0.5,-0.01", 0.01)])
+def test_bad_data_row_names_file_and_line(command, row, stderr, tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "bad.csv", rows=[row], stderr=stderr)
     args = (["fit", "--data", data] if command == "fit"
             else [*_SCAN, "--data", data])
     assert run([*args, "--out", tmp_path / "o"]) == 2
@@ -709,6 +725,21 @@ def test_bad_command_option_exits_2(args, name, tmp_path, capsys):
     assert run([*args, "--out", tmp_path / "o"]) == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--time-step", 0], "'time_step': must lie in (0, 1e+12], got 0.0"),
+    (["simulate", "--theta", 2], "'theta': must lie in (0, 1.5707963267948966], got 2.0"),
+    (["simulate", "--n-trajectories", 0], "'n_trajectories': must lie in [1, inf), got 0"),
+    (["bloch", "--tau", 1, "--samples", 0], "'--samples': must lie in [1, 1e+06], got 0"),
+    (["fit", "--data", "x.csv", "--tau-scale", "inf"],
+     "'--tau-scale': must lie in (0, inf), got inf"),
+])
+def test_range_errors_name_the_field_its_range_and_the_value(args, message, tmp_path,
+                                                             capsys):
+    # one form for every bound, in which a strict bound reads strict
+    assert run([*args, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"error: config field {message}\n"
 
 
 def test_scan_with_renewal_noise_exits_2(tmp_path, capsys):

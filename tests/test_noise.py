@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from filter_oracle import TARGET_ERROR, chi_filter
+from filter_oracle import (TARGET_ERROR, chi_filter, correlation, delta_f,
+                           textbook_exponents)
 from hahnramsey.analytic import closed_form_signal, component_weights
 from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
                               _ou_window_integrals, _renewal_window_integrals,
-                              _x_minus_2_tanh_half, correlation, delta_f,
-                              f1, filter_exponent)
+                              _x_minus_2_tanh_half, f1, filter_exponents)
 from hahnramsey.spincore import SequenceKind
 
 P = NoiseParams(2.5, 2 * np.pi * 0.1)
@@ -30,25 +30,12 @@ def test_params_validation():
     NoiseParams(1.0, 0.0, NoiseKind.NONE)   # fine
 
 
-def test_correlation_values():
-    assert correlation(P, 0.0) == pytest.approx(P.gamma ** 2)
-    assert correlation(P, 1e6) == pytest.approx(0.0, abs=1e-300)
-    assert correlation(P, 1.0) == pytest.approx(0.0324059, rel=1e-5)
-    assert correlation(P, -1.0) == correlation(P, 1.0)
-
-
 def test_f1_values():
     assert f1(P, 0.0) == 0.0
     # quadratic short-time limit
     tau = 1e-4
     assert f1(P, tau) == pytest.approx(P.gamma ** 2 * tau ** 2 / 2, rel=1e-3)
     assert f1(P, 1.0) == pytest.approx(0.0999325, rel=1e-5)
-
-
-def test_delta_f_values():
-    assert delta_f(P, 0.0) == 0.0
-    limit = P.gamma ** 2 / (2 * P.lam ** 2)
-    assert delta_f(P, 1e3) == pytest.approx(limit, rel=1e-12)
 
 
 def test_f1_delta_f_against_quadrature():
@@ -60,12 +47,13 @@ def test_f1_delta_f_against_quadrature():
             lambda t1: gam ** 2 * np.exp(-lam * (t2 - t1)), 0, t2,
             epsabs=1e-13, epsrel=1e-12)[0]
         same = quad(inner, 0, tau, epsabs=1e-13, epsrel=1e-12)[0]
-        assert f1(P, tau) == pytest.approx(same, rel=1e-8)
+        ramsey_like, half_period, hahn_like = filter_exponents(P, tau)
+        assert half_period == pytest.approx(same, rel=1e-8)
         innerx = lambda t2: quad(
             lambda t1: gam ** 2 * np.exp(-lam * (t2 - t1)), 0, tau,
             epsabs=1e-13, epsrel=1e-12)[0]
         cross = 0.5 * quad(innerx, tau, 2 * tau, epsabs=1e-13, epsrel=1e-12)[0]
-        assert delta_f(P, tau) == pytest.approx(cross, rel=1e-8)
+        assert (ramsey_like - hahn_like) / 4 == pytest.approx(cross, rel=1e-8)
 
 
 def _f1_delta_f_50_digits(x):
@@ -78,39 +66,40 @@ def _f1_delta_f_50_digits(x):
         return float(d + e - 1), float((1 - e) ** 2 / 2)
 
 
-def test_f1_and_delta_f_keep_their_digits_at_small_lam_tau():
+def test_f1_and_ramsey_like_keep_their_digits_at_small_lam_tau():
     unit = NoiseParams(1.0, 1.0)
     xs = np.concatenate([np.logspace(-100, 2, 81), np.linspace(0.04, 0.3, 131)])
     for x in xs:
         want_f1, want_df = _f1_delta_f_50_digits(x)
-        assert f1(unit, x) == pytest.approx(want_f1, rel=2e-15, abs=0)
-        assert delta_f(unit, x) == pytest.approx(want_df, rel=2e-15, abs=0)
+        ramsey_like, half_period, _ = filter_exponents(unit, x)
+        assert half_period == pytest.approx(want_f1, rel=2e-15, abs=0)
+        assert ramsey_like == pytest.approx(2 * (want_f1 + want_df), rel=2e-15, abs=0)
     # arrays take the same branches as scalars
-    assert_allclose(f1(unit, xs), [f1(unit, x) for x in xs], rtol=0, atol=0)
-    assert_allclose(delta_f(unit, xs), [delta_f(unit, x) for x in xs], rtol=0, atol=0)
+    for column, exponent in zip(filter_exponents(unit, xs),
+                                zip(*(filter_exponents(unit, x) for x in xs))):
+        assert_allclose(column, exponent, rtol=0, atol=0)
 
 
 @given(taus_st)
 @settings(max_examples=80, deadline=None)
 def test_dephasing_constant_invariants(tau):
-    F1, dF = f1(P, tau), delta_f(P, tau)
-    assert F1 >= 0
-    assert F1 - dF >= -1e-15
-    assert F1 + dF >= 0
-    assert dF <= P.gamma ** 2 / (2 * P.lam ** 2) + 1e-15
+    # F1 >= dF >= 0, dF below its long-time limit, and all three exponents
+    # growing with tau
     eps = 1e-4
-    assert f1(P, tau + eps) >= f1(P, tau)
-    assert delta_f(P, tau + eps) >= delta_f(P, tau) - 1e-15
+    now, later = filter_exponents(P, tau), filter_exponents(P, tau + eps)
+    ramsey_like, half_period, hahn_like = now
+    dF = (ramsey_like - hahn_like) / 4
+    assert min(now) >= 0 and dF >= 0
+    assert dF <= P.gamma ** 2 / (2 * P.lam ** 2) + 1e-15
+    assert all(b >= a for a, b in zip(now, later))
+    assert (later[0] - later[2]) / 4 >= dF - 1e-15
 
 
-def test_filter_exponent_zero_cases():
-    for kind in FilterKind:
-        assert filter_exponent(kind, P, 0.0) == 0.0
-        assert filter_exponent(kind, NoiseParams(2.5, 0.0), 1.0) == 0.0
+def test_filter_exponents_zero_cases():
+    assert filter_exponents(P, 0.0) == (0.0, 0.0, 0.0)
+    assert filter_exponents(NoiseParams(2.5, 0.0), 1.0) == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        filter_exponent(FilterKind.HAHN_LIKE, P, [1.0, -1e-9])
-    with pytest.raises(ValueError):
-        filter_exponent("hahn_like", P, 1.0)
+        filter_exponents(P, [1.0, -1e-9])
 
 
 def test_chi_filter_zero_cases():
@@ -119,38 +108,31 @@ def test_chi_filter_zero_cases():
         assert chi_filter(kind, NoiseParams(2.5, 0.0), 1.0) == 0.0
 
 
-def _closed_form_exponent(kind, p, tau):
-    F1, dF = f1(p, tau), delta_f(p, tau)
-    return {FilterKind.RAMSEY_LIKE: 2 * (F1 + dF), FilterKind.HALF_PERIOD: F1,
-            FilterKind.HAHN_LIKE: 2 * (F1 - dF)}[kind]
-
-
 @pytest.mark.parametrize("tau", [0.01 / 2.5, 0.2, 1.0, 4.0])
 def test_chi_filter_identities(tau):
-    # the quadrature oracle against filter_exponent and the closed forms
-    for kind in FilterKind:
-        closed = _closed_form_exponent(kind, P, tau)
-        assert chi_filter(kind, P, tau) == pytest.approx(
-            filter_exponent(kind, P, tau), rel=1e-4)
+    # the quadrature oracle against filter_exponents and the closed forms
+    for kind, exponent, closed in zip(FilterKind, filter_exponents(P, tau),
+                                      textbook_exponents(P, tau)):
+        assert chi_filter(kind, P, tau) == pytest.approx(exponent, rel=1e-4)
         assert chi_filter(kind, P, tau) == pytest.approx(closed, rel=1e-4)
-        assert filter_exponent(kind, P, tau) == pytest.approx(closed, rel=1e-12)
+        assert exponent == pytest.approx(closed, rel=1e-12)
 
 
 def test_chi_filter_meets_its_target_error_against_the_closed_forms():
     taus = np.linspace(0.05, 7.0, 81)
-    for kind in FilterKind:
+    for kind, exponent, closed in zip(FilterKind, filter_exponents(P, taus),
+                                      textbook_exponents(P, taus)):
         oracle = np.array([chi_filter(kind, P, tau) for tau in taus])
-        assert np.abs(oracle - filter_exponent(kind, P, taus)).max() <= TARGET_ERROR
-        assert np.abs(oracle - _closed_form_exponent(kind, P, taus)).max() <= TARGET_ERROR
+        assert np.abs(oracle - exponent).max() <= TARGET_ERROR
+        assert np.abs(oracle - closed).max() <= TARGET_ERROR
 
 
 @pytest.mark.parametrize("p", [P, NoiseParams(10.0, 3.0)])
 @pytest.mark.parametrize("lam_tau", [1e-3, 0.5, 5.0, 50.0])
-def test_filter_exponent_matches_the_quadrature_oracle(lam_tau, p):
+def test_filter_exponents_match_the_quadrature_oracle(lam_tau, p):
     tau = lam_tau / p.lam
-    for kind in FilterKind:
-        assert abs(chi_filter(kind, p, tau) - filter_exponent(kind, p, tau)) \
-            <= TARGET_ERROR
+    for kind, exponent in zip(FilterKind, filter_exponents(p, tau)):
+        assert abs(chi_filter(kind, p, tau) - exponent) <= TARGET_ERROR
 
 
 def test_chi_filter_hahn_matches_standard_echo_exponent():
@@ -160,8 +142,7 @@ def test_chi_filter_hahn_matches_standard_echo_exponent():
             2 * lam * tau - 3 + 4 * np.exp(-lam * tau) - np.exp(-2 * lam * tau))
         assert chi_filter(FilterKind.HAHN_LIKE, P, tau) == pytest.approx(
             expected, rel=1e-4)
-        assert filter_exponent(FilterKind.HAHN_LIKE, P, tau) == pytest.approx(
-            expected, rel=1e-12)
+        assert filter_exponents(P, tau)[2] == pytest.approx(expected, rel=1e-12)
 
 
 def test_chi_filter_equals_the_2n_panel_rule_on_the_components_grid():
@@ -183,17 +164,16 @@ def _hahn_exponent_digits(x):
         return float(2 * d - 3 + 4 * e - e * e)
 
 
-def test_filter_exponent_hahn_keeps_its_digits():
-    # the echo column where 2 (f1 - delta_f) cancels: x = lam tau from 1e-100
+def test_filter_exponents_hahn_keeps_its_digits():
+    # the echo column where 2 (F1 - dF) cancels: x = lam tau from 1e-100
     xs = np.concatenate([np.logspace(-100, 3, 104), np.linspace(0.15, 3.0, 115)])
     p = NoiseParams(2.5, 0.6283)
     scale = (p.gamma / p.lam) ** 2
-    got = filter_exponent(FilterKind.HAHN_LIKE, p, xs / p.lam)
+    got = filter_exponents(p, xs / p.lam)[2]
     want = scale * np.array([_hahn_exponent_digits(x) for x in xs])
     assert_allclose(got, want, rtol=1e-15, atol=0)
     # scalars take the same branches as arrays
-    assert [filter_exponent(FilterKind.HAHN_LIKE, p, t) for t in xs / p.lam] == \
-        got.tolist()
+    assert [filter_exponents(p, t)[2] for t in xs / p.lam] == got.tolist()
 
 
 _QUASI_STATIC = NoiseParams(1e-12, 1e6)     # (Gamma/lambda)^2 = 1e36
@@ -213,7 +193,7 @@ def _quasi_static_exponents_50_digits():
 
 def test_quasi_static_hahn_echo_keeps_its_digits():
     # the echo decays on 1e36 x (2/3) (lambda tau)^3, whose digits
-    # 2 (f1 - delta_f) loses to cancellation (8e-5 relative here)
+    # 2 (F1 - dF) loses to cancellation (8e-5 relative here)
     got = closed_form_signal(SequenceKind.HAHN_ECHO, np.pi / 2, 0.0,
                              _QUASI_STATIC, _QUASI_STATIC_TAUS)
     hahn = _quasi_static_exponents_50_digits()[2]
@@ -243,9 +223,8 @@ def test_filter_exponents_keep_their_digits_where_the_quadrature_ran_out_of_pane
     want = {FilterKind.RAMSEY_LIKE: 2 * (want_f1 + want_df),
             FilterKind.HALF_PERIOD: want_f1,
             FilterKind.HAHN_LIKE: _hahn_exponent_digits(lam_tau)}
-    for kind in FilterKind:
-        assert filter_exponent(kind, P, tau) == pytest.approx(
-            scale * want[kind], rel=1e-13, abs=0)
+    for kind, exponent in zip(FilterKind, filter_exponents(P, tau)):
+        assert exponent == pytest.approx(scale * want[kind], rel=1e-13, abs=0)
 
 
 def test_filter_exponents_are_finite_and_non_negative_over_the_input_range():
@@ -255,8 +234,7 @@ def test_filter_exponents_are_finite_and_non_negative_over_the_input_range():
     for lam in np.logspace(-12, 12, 25):
         for gamma in np.logspace(-12, 12, 9):
             p = NoiseParams(lam, gamma)
-            for kind in FilterKind:
-                out = filter_exponent(kind, p, taus)
+            for kind, out in zip(FilterKind, filter_exponents(p, taus)):
                 assert np.isfinite(out).all() and (out >= 0).all(), (kind, lam, gamma)
 
 
