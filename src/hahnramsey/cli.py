@@ -1,19 +1,20 @@
 """Command-line interface.
 
 Units at the boundary: times in microseconds, rates (lambda) in 1/us,
-and frequencies (delta, gamma, rabi) in rad/us by default.  With
-``--freq-unit cycles`` the frequency-like inputs are read in cycles/us
-(MHz) and multiplied by 2 pi on ingest; lambda is a rate, never
-converted.
+and frequencies (delta, gamma, rabi and the scan's gamma grid) in rad/us,
+or with ``--freq-unit cycles`` in cycles/us (MHz), multiplied by 2 pi on
+ingest; gamma_e stays in cycles/(us gauss).
 
-Configuration precedence: flags > HRSIM_* environment variables > JSON
-config file > defaults.  Every output file embeds a header comment with
-a hash of the fully resolved configuration, and reruns with the same
-configuration and seed are byte-identical at any worker count.
+Every input is a RunConfig field: a flag ``--<field>`` of every command,
+an ``HRSIM_<FIELD>`` environment variable and a key of the JSON
+``--config`` file, in that precedence over the defaults.  Every output
+file embeds a hash of the command and its resolved configuration, and
+reruns with the same configuration and seed are byte-identical at any
+worker count.
 
-Exit codes: 0 success; 2 bad input (a configuration value, flag or data
-file line), with the field, flag or file line named on stderr; 3 runtime
-failure.  Non-finite numbers are bad input wherever they are read.
+Exit codes: 0 success; 2 bad input, with the field or data file line
+named on stderr; 3 runtime failure.  Non-finite numbers are bad input
+wherever they are read.
 """
 
 from __future__ import annotations
@@ -35,19 +36,22 @@ from ._datafile import write_csv as _write_csv
 
 ENV_PREFIX = "HRSIM_"
 # bound on |float input|, and 1/MAX_MAGNITUDE on lam (so that (Gamma/lam)^2
-# does not overflow) and on --gamma-e
+# does not overflow) and on gamma_e
 MAX_MAGNITUDE = 1e12
 # bound on the points of every grid (tau, theta, bloch samples) and on the
 # cells of a scan: numpy cannot allocate 1e20 of them, and a 3e4 x 3e4 scan
 # would take 7 GB
 MAX_COUNT = 10 ** 6
-# bound on Monte Carlo trajectories times tau points: about two minutes of
-# instantaneous-pulse OU sampling on one core (1e20 trajectories never end)
+# bound on Monte Carlo work in trajectory points, about two minutes of
+# instantaneous-pulse OU sampling on one core: n_trajectories plus
+# MC_POINT_COST per tau point, the fixed work of a point (its sequence,
+# seeding and rows), 70-370 us against 165 ns per OU trajectory point
+# (2-core x86 container, numpy 2.4)
 MAX_TRAJECTORY_POINTS = 10 ** 9
+MC_POINT_COST = 2000
 
-#: the values each choice field takes, for argparse's choices and for
-#: RunConfig.validate; --sequence's are sorted, so that they read in a
-#: fixed order in --help and errors
+#: the values of each choice field, for argparse and RunConfig.validate;
+#: sequence's are sorted, to read in a fixed order in --help and errors
 _CHOICES = {
     "sequence": tuple(sorted(k.value for k in spincore.SequenceKind)),
     "engine": ("analytic", "montecarlo", "both"),
@@ -55,6 +59,14 @@ _CHOICES = {
     "noise_kind": tuple(k.value for k in noise.NoiseKind),
     "tilt_convention": tuple(k.value for k in spincore.TiltConvention),
     "pulse_model": ("instantaneous", "finite"),
+    "model": tuple(m.value for m in analysis.FitModel),
+}
+#: the inputs without which a command cannot run
+_REQUIRED = {
+    "fit": ("data",),
+    "scan": ("data", "lambda_min", "lambda_max", "lambda_count",
+             "gamma_min", "gamma_max", "gamma_count"),
+    "bloch": ("tau",),
 }
 
 
@@ -73,11 +85,13 @@ def _text(x) -> str:
 def _check_range(field: str, value, low, high, ends: str = "[]") -> None:
     """Refuse a value outside the interval from low to high, each end
     closed ("[", "]") or open ("(", ")"); an infinite high end is open,
-    and None (a JSON null) and NaN lie in no interval."""
+    NaN lies in no interval, and None, an unset optional input, is not
+    checked."""
+    if value is None:
+        return
     if high == math.inf:
         ends = ends[0] + ")"
-    if not (value is not None
-            and (value > low if ends[0] == "(" else value >= low)
+    if not ((value > low if ends[0] == "(" else value >= low)
             and (value < high if ends[1] == ")" else value <= high)):
         raise ConfigError(field, f"must lie in {ends[0]}{_text(low)}, "
                                  f"{_text(high)}{ends[1]}, got {value!r}")
@@ -104,43 +118,94 @@ class RunConfig:
     out: str = "out"
     freq_unit: str = "rad"              # rad | cycles
     workers: int = 1
+    # the inputs of single commands, in the order of the cmd_* functions
+    with_components: bool = False
+    theta_count: int = 91
+    data: tuple[str, ...] = ()
+    model: str = "gaussian"
+    tau_scale: float = 1.0
+    lambda_min: float | None = None
+    lambda_max: float | None = None
+    lambda_count: int | None = None
+    gamma_min: float | None = None
+    gamma_max: float | None = None
+    gamma_count: int | None = None
+    u: float = 1.3
+    v: float = 0.7
+    gamma_e: float = analysis.GAMMA_E_PER_GAUSS
+    tau: float | None = None
+    samples: int = 60
 
-    def validate(self) -> None:
+    def validate(self, command: str) -> None:
         for name, allowed in _CHOICES.items():
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(name, f"must be one of {', '.join(allowed)}, "
                                         f"got {value!r}")
+        for name in _REQUIRED.get(command, ()):
+            if getattr(self, name) in (None, ()):
+                raise ConfigError(name, f"{command} needs a value")
         big = MAX_MAGNITUDE
         _check_range("delta", self.delta, -big, big)
         _check_range("lam", self.lam, 1 / big, big)
         _check_range("gamma", self.gamma, 0.0, big)
         _check_range("tau_start", self.tau_start, 0.0, big)
         _check_range("tau_stop", self.tau_stop, self.tau_start, big, "(]")
-        _check_range("tau_count", self.tau_count, 2, MAX_COUNT)
         # --engine both needs a stderr for its z-scores; Monte Carlo runs
-        # at most MAX_TRAJECTORY_POINTS trajectories times tau points
-        _check_range("n_trajectories", self.n_trajectories,
-                     2 if self.engine == "both" else 1,
-                     math.inf if self.engine == "analytic"
-                     else MAX_TRAJECTORY_POINTS // self.tau_count)
+        # at most MAX_TRAJECTORY_POINTS trajectory points, so tau_count
+        # leaves room for the fewest trajectories
+        mc = self.engine != "analytic"
+        least = 2 if self.engine == "both" else 1
+        _check_range("tau_count", self.tau_count, 2,
+                     min(MAX_COUNT, MAX_TRAJECTORY_POINTS // (least + MC_POINT_COST))
+                     if mc else MAX_COUNT)
+        _check_range("n_trajectories", self.n_trajectories, least,
+                     MAX_TRAJECTORY_POINTS // self.tau_count - MC_POINT_COST
+                     if mc else math.inf)
         _check_range("time_step", self.time_step, 0.0, big, "(]")
         _check_range("workers", self.workers, 1, math.inf)
         _check_range("seed", self.seed, 0, math.inf)
-        if self.pulse_model == "finite" and self.rabi is None:
+        finite = self.pulse_model == "finite"
+        if finite and self.rabi is None:
             raise ConfigError("rabi", "finite pulses need a rabi frequency")
-        if self.rabi is not None:
-            # finite pulses of area/rabi must last a finite time
-            finite = self.pulse_model == "finite"
-            _check_range("rabi", self.rabi, 1 / big if finite else 0.0, big,
-                         "[]" if finite else "(]")
-        if self.theta is not None:
-            _check_range("theta", self.theta, 0.0, math.pi / 2, "(]")
+        # finite pulses of area/rabi must last a finite time
+        _check_range("rabi", self.rabi, 1 / big if finite else 0.0, big,
+                     "[]" if finite else "(]")
+        _check_range("theta", self.theta, 0.0, math.pi / 2, "(]")
         if self.sequence == "hahn_echo":
             if self.delta != 0.0:
                 raise ConfigError("delta", "hahn_echo is resonant, set delta = 0")
             if self.theta is not None and not spincore.is_resonant(self.theta):
                 raise ConfigError("theta", "hahn_echo uses theta = pi/2")
+        _check_range("theta_count", self.theta_count, 1, MAX_COUNT)
+        if command == "fit" and len(self.data) > 1:
+            raise ConfigError("data", f"fit reads one data file, got {len(self.data)}")
+        _check_range("tau_scale", self.tau_scale, 0.0, math.inf, "()")
+        for name, low in (("lambda", 1 / big), ("gamma", 0.0)):
+            for end in ("min", "max"):
+                _check_range(f"{name}_{end}", getattr(self, f"{name}_{end}"),
+                             low, big)
+            _check_range(f"{name}_count", getattr(self, f"{name}_count"), 1, MAX_COUNT)
+        if None not in (self.lambda_count, self.gamma_count):
+            _check_range("lambda_count, gamma_count",
+                         self.lambda_count * self.gamma_count, 1, MAX_COUNT)
+        # within these bounds, and gamma's for sensitivity, the field floor
+        # and eta stay finite and nonzero: u / 2 does not underflow, nor gamma^2
+        _check_range("u", self.u, 1 / big, big)
+        _check_range("v", self.v, 0.0, big)
+        _check_range("u", self.u, self.v, big, "(]")   # bright above dark
+        _check_range("gamma_e", self.gamma_e, 1 / big, big)
+        if command == "sensitivity":
+            _check_range("gamma", self.noise_params().gamma, 1 / big, big)
+        # renewal noise shares the OU second moments but not the Gaussian
+        # averaging behind every closed form, so those are no model for it
+        if self.noise_kind == "renewal" and (
+                command in ("scan", "sensitivity")
+                or command == "simulate" and self.engine == "analytic"):
+            raise ConfigError("noise_kind", f"the closed forms of {command} assume "
+                                            f"Gaussian (ou) noise, not renewal noise")
+        _check_range("tau", self.tau, 0.0, big)
+        _check_range("samples", self.samples, 1, MAX_COUNT)
 
     def resolved_theta(self) -> float:
         if self.sequence == "hahn_echo":
@@ -171,13 +236,45 @@ class RunConfig:
         return np.linspace(self.tau_start, self.tau_stop, self.tau_count)
 
 
-_FREQ_FIELDS = ("delta", "gamma", "rabi")  # converted under --freq-unit cycles
-_FLOAT_FIELDS = {"theta", "rabi", "delta", "lam", "gamma", "tau_start",
-                 "tau_stop", "time_step"}
-_INT_FIELDS = {"tau_count", "n_trajectories", "seed", "workers"}
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# converted under --freq-unit cycles
+_FREQ_FIELDS = ("delta", "gamma", "rabi", "gamma_min", "gamma_max")
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
+_HELP = {
+    "theta": "tilt angle in rad",
+    "lam": "noise correlation rate (1/us)",
+    "time_step": "step of finite pulses; delays are drawn exactly and do not use it",
+    "with_components": "append component_* columns to the analytic CSV",
+    "data": "data file, tau,signal[,stderr]; scan takes several",
+    "tau_scale": "data file time unit in us (tau is multiplied by this)",
+    "u": "bright-state mean counts per shot",
+    "v": "dark-state mean counts per shot",
+    "gamma_e": "gyromagnetic ratio, cycles/(us gauss)",
+    "samples": "points per pulse/delay segment",
+}
 
 
-def load_config(path: str | None, flags: dict) -> RunConfig:
+def _parse(field: dataclasses.Field, value):
+    """value as its field's annotation reads (a string, by the __future__
+    import): float, int, bool, a tuple of paths (from one path or a
+    list) or str; None only where the annotation allows it."""
+    kind = field.type.removesuffix(" | None")
+    if value is None and kind != field.type:
+        return None
+    if kind == "float":
+        return float(value)
+    if kind == "int":
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError   # int() truncates 2.7 and overflows on inf
+        return int(value)
+    if kind == "bool":
+        return _BOOLS[str(value).lower()]
+    if kind == "tuple[str, ...]":
+        return tuple(map(str, [value] if isinstance(value, str) else value))
+    return str(value)
+
+
+def load_config(path: str | None, flags: dict, command: str) -> RunConfig:
     values: dict = {}
     if path:
         p = Path(path)
@@ -189,31 +286,18 @@ def load_config(path: str | None, flags: dict) -> RunConfig:
             raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}")
         if not isinstance(raw, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        for key, val in raw.items():
-            key = "lam" if key == "lambda" else key
-            values[key] = val
-    for field in dataclasses.fields(RunConfig):
-        env = os.environ.get(ENV_PREFIX + field.name.upper())
-        if env is not None:
-            values[field.name] = env
-    for key, val in flags.items():
-        if val is not None:
-            values[key] = val
+        values = {"lam" if key == "lambda" else key: val for key, val in raw.items()}
+    env = {name: os.environ.get(ENV_PREFIX + name.upper()) for name in _FIELDS}
+    for source in (env, flags):
+        values.update((key, val) for key, val in source.items() if val is not None)
 
     cfg = RunConfig()
     for key, val in values.items():
-        if key not in _CFG_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(key, "unknown configuration key")
         try:
-            if key in _FLOAT_FIELDS and val is not None:
-                val = float(val)
-            elif key in _INT_FIELDS:
-                if isinstance(val, float) and not val.is_integer():
-                    raise ValueError   # int() truncates 2.7 and overflows on inf
-                val = int(val)
-            elif key in _CHOICES or key == "out":
-                val = str(val)
-        except (TypeError, ValueError):
+            val = _parse(_FIELDS[key], val)
+        except (KeyError, TypeError, ValueError):
             raise ConfigError(key, f"cannot parse value {val!r}")
         setattr(cfg, key, val)
     if cfg.freq_unit == "cycles":
@@ -222,33 +306,31 @@ def load_config(path: str | None, flags: dict) -> RunConfig:
             if v is not None:
                 setattr(cfg, name, 2 * math.pi * v)
         cfg.freq_unit = "rad"   # record post-conversion state
-    cfg.validate()
+    cfg.validate(command)
     return cfg
 
 
-def config_hash(cfg: RunConfig) -> str:
-    """Hash of the resolved physics + seed configuration; placement
-    (out), scheduling (workers) and, unless pulses are finite, time_step
-    do not change the result bytes and are excluded."""
-    d = dataclasses.asdict(cfg)
-    d.pop("out", None)
-    d.pop("workers", None)
+def config_hash(cfg: RunConfig, command: str) -> str:
+    """Hash of the command and its resolved inputs; placement (out, the
+    data paths), scheduling (workers) and, unless pulses are finite,
+    time_step do not change the result bytes and are excluded."""
+    d = {k: v for k, v in dataclasses.asdict(cfg).items()
+         if k not in ("out", "data", "workers")}
     if cfg.pulse_model != "finite":
-        d.pop("time_step", None)
-    blob = json.dumps(d, sort_keys=True)
+        del d["time_step"]
+    blob = json.dumps({"command": command, **d}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
     """Read tau,signal[,stderr] (or tau,mean,stderr,n) data files.
 
-    tau_scale converts the file's declared time unit to the working unit
-    (microseconds): stored tau = file tau * tau_scale.  A row with fewer
-    cells than the header, one that does not parse, holds a non-finite
-    value, a negative stderr or a stored |tau| over MAX_MAGNITUDE raises
-    ConfigError naming the file and line.
+    tau_scale > 0 converts the file's declared time unit to the working
+    unit (microseconds): stored tau = file tau * tau_scale.  A row with
+    fewer cells than the header, one that does not parse, holds a
+    non-finite value, a negative stderr or a stored |tau| over
+    MAX_MAGNITUDE raises ConfigError naming the file and line.
     """
-    _check_range("--tau-scale", tau_scale, 0.0, math.inf, "()")
     if not Path(path).is_file():
         raise ConfigError("data", f"file not found: {path}")
     taus, means, errs = [], [], []
@@ -290,28 +372,19 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
                                   np.asarray(errs or [0.0] * len(taus)), n)
 
 
-def _require_gaussian(cfg: RunConfig, what: str) -> None:
-    """Renewal noise shares the OU second moments but not the Gaussian
-    averaging behind every closed form, so those are no model for it."""
-    if cfg.noise_kind == "renewal":
-        raise ConfigError("noise_kind", f"{what} assumes Gaussian (ou) noise, "
-                                        f"renewal noise has no closed form here")
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def cmd_simulate(cfg: RunConfig, ns) -> int:
+def cmd_simulate(cfg: RunConfig, stamp: str) -> int:
+    """signal curves per engine"""
     theta = (cfg.closed_form_theta() if cfg.engine in ("analytic", "both")
              else cfg.resolved_theta())
-    if ns.with_components and cfg.sequence != "hahn_ramsey":
+    if cfg.with_components and cfg.sequence != "hahn_ramsey":
         raise ConfigError("sequence",
                           "component columns exist only for hahn_ramsey")
-    if cfg.engine == "analytic":
-        _require_gaussian(cfg, "the analytic engine")
     taus = cfg.taus()
     kind = spincore.SequenceKind(cfg.sequence)
     an = mc = None
@@ -329,12 +402,12 @@ def cmd_simulate(cfg: RunConfig, ns) -> int:
         except montecarlo.RenewalEventError as exc:
             raise ConfigError("lam", f"{exc}; lower lam or tau_stop") from None
     out = _out_dir(cfg)
-    comment = f"config_sha256={config_hash(cfg)}"
+    comment = f"config_sha256={stamp}"
     wrote = []
     if an is not None:
         path = out / f"{cfg.sequence}_analytic.csv"
         header, rows = "tau,signal", zip(taus, an)
-        if ns.with_components:
+        if cfg.with_components:
             header += "".join(f",component_{n}" for n in
                               ("constant", "ramsey_like", "cos_delta", "cos_2delta"))
             terms = analytic._detuned_echo_terms(
@@ -371,17 +444,17 @@ def cmd_simulate(cfg: RunConfig, ns) -> int:
     return 0
 
 
-def cmd_components(cfg: RunConfig, ns) -> int:
-    _check_range("--theta-count", ns.theta_count, 1, MAX_COUNT)
+def cmd_components(cfg: RunConfig, stamp: str) -> int:
+    """filter exponents and weights"""
     taus, p = cfg.taus(), cfg.noise_params()
     rows = np.column_stack([taus, *noise.filter_exponents(p, taus)])
     out = _out_dir(cfg)
-    comments = [f"config_sha256={config_hash(cfg)}"]
+    comments = [f"config_sha256={stamp}"]
     path1 = out / "filter_exponents.csv"
     _write_csv(path1, "tau," + ",".join(k.value for k in noise.FilterKind), rows,
                comments)
     path2 = out / "component_weights.csv"
-    thetas = np.linspace(1e-3, math.pi / 2, ns.theta_count)
+    thetas = np.linspace(1e-3, math.pi / 2, cfg.theta_count)
     _write_csv(path2, "theta,constant,ramsey_like,cos_delta,cos_2delta",
                ((th, *analytic.component_weights(float(th))) for th in thetas), comments)
     print(path1)
@@ -389,24 +462,24 @@ def cmd_components(cfg: RunConfig, ns) -> int:
     return 0
 
 
-def cmd_fit(cfg: RunConfig, ns) -> int:
+def cmd_fit(cfg: RunConfig, stamp: str) -> int:
+    """decay-envelope fit of a data file"""
     # the fit runs in the file's own time unit, so the solver and its
     # covariance never see the scale; the time-valued results convert after
-    data_path, tau_scale = ns.data, ns.tau_scale
-    _check_range("--tau-scale", tau_scale, 0.0, math.inf, "()")
+    (data_path,), tau_scale = cfg.data, cfg.tau_scale
     curve = read_curve_csv(data_path)
     try:
-        fit = analysis.fit_decay(curve, analysis.FitModel(ns.model))
+        fit = analysis.fit_decay(curve, analysis.FitModel(cfg.model))
     except analysis.FitInputError as exc:
         raise ConfigError("data", f"{data_path}: {exc}") from None
     scaled = {"tau_c": fit.tau_c * tau_scale, "tau_c_err": fit.tau_c_err * tau_scale,
               "frequency": fit.frequency / tau_scale}
     if not all(map(math.isfinite, scaled.values())):
-        raise ConfigError("--tau-scale", f"{tau_scale:g} takes the fitted tau_c, "
-                                         f"tau_c_err or frequency out of float range")
+        raise ConfigError("tau_scale", f"{tau_scale:g} takes the fitted tau_c, "
+                                       f"tau_c_err or frequency out of float range")
     return _write_json(cfg, f"fit_{Path(data_path).stem}.json",
-                       {"config_sha256": config_hash(cfg), "model": ns.model,
-                        "data": str(data_path), **fit.to_dict(), **scaled})
+                       {"config_sha256": stamp, "model": cfg.model,
+                        "data": data_path, **fit.to_dict(), **scaled})
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:
@@ -418,26 +491,19 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:
     return 0
 
 
-def cmd_scan(cfg: RunConfig, ns) -> int:
-    for name, least in (("lambda", 1 / MAX_MAGNITUDE), ("gamma", 0.0)):
-        for end in ("min", "max"):
-            _check_range(f"--{name}-{end}", getattr(ns, f"{name}_{end}"),
-                         least, MAX_MAGNITUDE)
-        _check_range(f"--{name}-count", getattr(ns, f"{name}_count"), 1, MAX_COUNT)
-    _check_range("--lambda-count, --gamma-count",
-                 ns.lambda_count * ns.gamma_count, 1, MAX_COUNT)
-    stems = [Path(dp).stem for dp in ns.data]
+def cmd_scan(cfg: RunConfig, stamp: str) -> int:
+    """(lambda, gamma) residual maps"""
+    stems = [Path(dp).stem for dp in cfg.data]
     for stem in stems:
         if stems.count(stem) > 1:
             raise ConfigError("data", f"{stems.count(stem)} files would write "
                                       f"scan_{stem}.csv")
-    lam_grid = np.linspace(ns.lambda_min, ns.lambda_max, ns.lambda_count)
-    gamma_grid = np.linspace(ns.gamma_min, ns.gamma_max, ns.gamma_count)
-    _require_gaussian(cfg, "the scan's residual model")
+    lam_grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
+    gamma_grid = np.linspace(cfg.gamma_min, cfg.gamma_max, cfg.gamma_count)
     theta = cfg.closed_form_theta()
-    curves = [read_curve_csv(dp, ns.tau_scale) for dp in ns.data]
+    curves = [read_curve_csv(dp, cfg.tau_scale) for dp in cfg.data]
     out = _out_dir(cfg)
-    comment = f"config_sha256={config_hash(cfg)}"
+    comment = f"config_sha256={stamp}"
     kind = spincore.SequenceKind(cfg.sequence)
     for stem, curve in zip(stems, curves):
         m = analysis.scan_noise_params(curve, kind, theta, cfg.delta,
@@ -448,21 +514,12 @@ def cmd_scan(cfg: RunConfig, ns) -> int:
     return 0
 
 
-def cmd_sensitivity(cfg: RunConfig, ns) -> int:
+def cmd_sensitivity(cfg: RunConfig, stamp: str) -> int:
+    """DC-field sensitivity report"""
     if cfg.sequence != "hahn_ramsey":
         raise ConfigError("sequence", "the sensitivity model is the detuned "
                                       "echo's: only hahn_ramsey has it")
-    # within these bounds, and gamma's, the field floor and eta stay finite
-    # and nonzero: u / 2 does not underflow, nor gamma^2
-    low = 1 / MAX_MAGNITUDE
-    u, v, gamma_e = ns.u, ns.v, ns.gamma_e
-    _check_range("--u", u, low, MAX_MAGNITUDE)
-    _check_range("--v", v, 0.0, MAX_MAGNITUDE)
-    _check_range("--u", u, v, MAX_MAGNITUDE, "(]")   # bright above dark
-    _check_range("--gamma-e", gamma_e, low, MAX_MAGNITUDE)
-    _check_range("gamma", cfg.noise_params().gamma, low, MAX_MAGNITUDE)
-    _require_gaussian(cfg, "the bias-slope model of sensitivity")
-    readout = analysis.ReadoutModel(u, v)
+    readout = analysis.ReadoutModel(cfg.u, cfg.v)
     theta = None
     tilt_name = "theta" if cfg.theta is not None else "rabi"
     if cfg.theta is not None or cfg.rabi is not None:
@@ -472,127 +529,66 @@ def cmd_sensitivity(cfg: RunConfig, ns) -> int:
             raise ConfigError(tilt_name, "a resonant tilt (pi/2) has no bias "
                                          "slope to sense a field with")
     try:
-        res = analysis.sensitivity(cfg.noise_params(), readout, theta, gamma_e)
+        res = analysis.sensitivity(cfg.noise_params(), readout, theta, cfg.gamma_e)
     except analysis.FitInputError as exc:
         # below a tilt of about 3e-7 the fringe has no contrast left to fit
         raise ConfigError(tilt_name,
                           f"the tilt leaves the fringe flat: {exc}") from None
     return _write_json(cfg, "sensitivity.json", {
-        "config_sha256": config_hash(cfg), "delta_b_min_gauss": res.delta_b_min,
+        "config_sha256": stamp, "delta_b_min_gauss": res.delta_b_min,
         "optimal_tau": res.optimal_tau, "optimal_theta_rad": res.optimal_theta,
-        "eta": res.eta, "t2": res.t2, "gamma_e": gamma_e, "u": u, "v": v})
+        "eta": res.eta, "t2": res.t2, "gamma_e": cfg.gamma_e, "u": cfg.u, "v": cfg.v})
 
 
-def cmd_bloch(cfg: RunConfig, ns) -> int:
-    _check_range("--tau", ns.tau, 0.0, MAX_MAGNITUDE)
-    _check_range("--samples", ns.samples, 1, MAX_COUNT)
+def cmd_bloch(cfg: RunConfig, stamp: str) -> int:
+    """noiseless Bloch-sphere trajectory"""
     out = _out_dir(cfg)
     pts = montecarlo.bloch_trajectory(spincore.SequenceKind(cfg.sequence),
-                                      cfg.resolved_theta(), cfg.delta, ns.tau,
-                                      ns.samples)
+                                      cfg.resolved_theta(), cfg.delta, cfg.tau,
+                                      cfg.samples)
     path = out / f"bloch_{cfg.sequence}.csv"
-    montecarlo.bloch_to_csv(pts, path, f"config_sha256={config_hash(cfg)}")
+    montecarlo.bloch_to_csv(pts, path, f"config_sha256={stamp}")
     print(path)
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    # integer fields take strings: load_config parses them, as from env and files
-    sub.add_argument("--seed")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--freq-unit", choices=_CHOICES["freq_unit"], dest="freq_unit")
-    sub.add_argument("--sequence", choices=_CHOICES["sequence"])
-    sub.add_argument("--theta", type=float, help="tilt angle in rad")
-    sub.add_argument("--rabi", type=float)
-    sub.add_argument("--tilt-convention", choices=_CHOICES["tilt_convention"],
-                     dest="tilt_convention")
-    sub.add_argument("--delta", type=float, help="fringe detuning")
-    sub.add_argument("--lam", type=float, help="noise correlation rate (1/us)")
-    sub.add_argument("--gamma", type=float, help="noise strength")
-    sub.add_argument("--noise-kind", choices=_CHOICES["noise_kind"],
-                     dest="noise_kind")
-    sub.add_argument("--tau-start", type=float, dest="tau_start")
-    sub.add_argument("--tau-stop", type=float, dest="tau_stop")
-    sub.add_argument("--tau-count", dest="tau_count")
+# argparse actions by annotation; every other flag takes its value as a
+# string for load_config to parse, as from the environment and files
+_ACTIONS = {"bool": {"action": "store_const", "const": True},
+            "tuple[str, ...]": {"action": "append"}}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every command takes --config and one --<field> flag per field."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    for field in _FIELDS.values():
+        action = _ACTIONS.get(field.type, {"choices": _CHOICES.get(field.name)})
+        common.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                            help=_HELP.get(field.name), **action)
     ap = argparse.ArgumentParser(
         prog="hahnramsey",
         description="Detuned spin-echo dephasing simulations and analysis "
                     "(times in us, frequencies in rad/us unless --freq-unit cycles)")
     subs = ap.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="signal curves per engine")
-    _add_common(sim)
-    sim.add_argument("--engine", choices=_CHOICES["engine"])
-    sim.add_argument("--n-trajectories", dest="n_trajectories")
-    sim.add_argument("--time-step", type=float, dest="time_step",
-                     help="step of finite pulses; delays are drawn exactly "
-                          "and do not use it")
-    sim.add_argument("--pulse-model", choices=_CHOICES["pulse_model"],
-                     dest="pulse_model")
-    sim.add_argument("--workers")
-    sim.add_argument("--with-components", action="store_true",
-                     help="append component_* columns to the analytic CSV")
-
-    comp = subs.add_parser("components", help="filter exponents and weights")
-    _add_common(comp)
-    comp.add_argument("--theta-count", type=int, default=91)
-
-    fit = subs.add_parser("fit", help="decay-envelope fit of a data file")
-    _add_common(fit)
-    fit.add_argument("--data", required=True)
-    fit.add_argument("--model", choices=["gaussian", "exponential"],
-                     default="gaussian")
-    fit.add_argument("--tau-scale", type=float, default=1.0,
-                     help="data file time unit in us (tau is multiplied by this)")
-
-    scan = subs.add_parser("scan", help="(lambda, gamma) residual maps")
-    _add_common(scan)
-    scan.add_argument("--data", required=True, action="append")
-    scan.add_argument("--tau-scale", type=float, default=1.0,
-                      help="data file time unit in us (tau is multiplied by this)")
-    scan.add_argument("--lambda-min", type=float, required=True)
-    scan.add_argument("--lambda-max", type=float, required=True)
-    scan.add_argument("--lambda-count", type=int, required=True)
-    scan.add_argument("--gamma-min", type=float, required=True)
-    scan.add_argument("--gamma-max", type=float, required=True)
-    scan.add_argument("--gamma-count", type=int, required=True)
-
-    sens = subs.add_parser("sensitivity", help="DC-field sensitivity report")
-    _add_common(sens)
-    sens.add_argument("--u", type=float, default=1.3,
-                      help="bright-state mean counts per shot")
-    sens.add_argument("--v", type=float, default=0.7,
-                      help="dark-state mean counts per shot")
-    sens.add_argument("--gamma-e", type=float,
-                      default=analysis.GAMMA_E_PER_GAUSS,
-                      help="gyromagnetic ratio, cycles/(us gauss)")
-
-    bloch = subs.add_parser("bloch", help="noiseless Bloch-sphere trajectory")
-    _add_common(bloch)
-    bloch.add_argument("--tau", type=float, required=True)
-    bloch.add_argument("--samples", type=int, default=60,
-                       help="points per pulse/delay segment")
-
+    for name, cmd in list(globals().items()):
+        if name.startswith("cmd_"):
+            subs.add_parser(name[4:], help=cmd.__doc__, parents=[common])
     return ap
 
 
-_CFG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 # parse_args leaves the parser unchanged, so a process builds it once
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
-    flags = {k: v for k, v in vars(ns).items() if k in _CFG_KEYS}
+    flags = vars(_parser().parse_args(argv))
+    command, path = flags.pop("command"), flags.pop("config")
     try:
-        cfg = load_config(ns.config, flags)
+        cfg = load_config(path, flags, command)
         # looked up at each call, so that a wrapper set on a cmd_* function
         # after the parser was built runs
-        return globals()[f"cmd_{ns.command}"](cfg, ns)
+        return globals()[f"cmd_{command}"](cfg, config_hash(cfg, command))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

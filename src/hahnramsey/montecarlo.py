@@ -314,10 +314,10 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     the module docstring for the seeding scheme.
     """
     taus = _validate(theta, delta, noise, taus)
-    seqs = [build_sequence(seq_kind, theta, delta, float(t)) for t in taus]
     noisy = noise.gamma > 0.0
     # the longest sequence; its pulses are those of every tau
-    windows = [op for op in _timeline(seqs[int(np.argmax(taus))], delta, noise, cfg)
+    longest = build_sequence(seq_kind, theta, delta, float(taus.max()))
+    windows = [op for op in _timeline(longest, delta, noise, cfg)
                if isinstance(op, tuple)]
     span = sum(h * steps for h, _, _, steps in windows)
     if (noisy and noise.kind is NoiseKind.RENEWAL
@@ -338,7 +338,9 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     errs = np.empty(taus.size)
 
     def work(i):
-        sample = _sampler(seqs[i], delta, noise, cfg)
+        # each tau's sequence lives only while its point is estimated
+        seq = build_sequence(seq_kind, theta, delta, float(taus[i]))
+        sample = _sampler(seq, delta, noise, cfg)
         means[i], errs[i] = _point_estimate(sample, noisy, cfg, i)
 
     if cfg.workers == 1:

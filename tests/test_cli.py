@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from filter_oracle import textbook_exponents
 from hahnramsey.analytic import (_detuned_echo_terms, closed_form_signal,
                                  signal_from_exponents)
 import hahnramsey
-from hahnramsey.cli import MAX_TRAJECTORY_POINTS, main, read_curve_csv
+from hahnramsey.cli import MAX_TRAJECTORY_POINTS, RunConfig, main, read_curve_csv
 from hahnramsey.noise import NoiseParams, filter_exponents
 from hahnramsey.spincore import SequenceKind, build_sequence
 
@@ -555,7 +556,7 @@ def test_scan_rejects_bad_grid(flag, value, tmp_path, capsys):
     data = _write_ramsey_data(tmp_path / "ram.csv")
     out = tmp_path / "o"
     assert run([*_SCAN, "--data", data, f"{flag}={value}", "--out", out]) == 2
-    assert flag in capsys.readouterr().err
+    assert f"'{flag[2:].replace('-', '_')}'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -565,7 +566,7 @@ def test_scan_refuses_more_cells_than_max_count(tmp_path, capsys):
     out = tmp_path / "o"
     assert run([*_SCAN, "--data", data, "--lambda-count=1001",
                 "--gamma-count=1000", "--out", out]) == 2
-    assert "'--lambda-count, --gamma-count'" in capsys.readouterr().err
+    assert "'lambda_count, gamma_count'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -666,31 +667,31 @@ def test_scan_refuses_taus_the_tau_scale_takes_beyond_max_magnitude(tmp_path, ca
 
 
 @pytest.mark.parametrize("args, name", [
-    (["bloch", "--sequence", "ramsey", "--tau", 1.0, "--samples", 0], "--samples"),
-    (["bloch", "--sequence", "ramsey", "--tau", "nan"], "--tau"),
+    (["bloch", "--sequence", "ramsey", "--tau", 1.0, "--samples", 0], "'samples'"),
+    (["bloch", "--sequence", "ramsey", "--tau", "nan"], "'tau'"),
     # delta * tau overflowed: bloch wrote NaN with exit 0
     (["bloch", "--sequence", "hahn_ramsey", "--theta", 0.6, "--delta", 1e12,
-      "--tau", 1e300, "--samples", 3], "--tau"),
-    (["components", "--theta-count", -1], "--theta-count"),
-    (["components", "--theta-count", 0], "--theta-count"),
+      "--tau", 1e300, "--samples", 3], "'tau'"),
+    (["components", "--theta-count", -1], "'theta_count'"),
+    (["components", "--theta-count", 0], "'theta_count'"),
     # grids of 1e20 points raised numpy's size error, exit 3
-    (["components", "--theta-count", 10 ** 20], "--theta-count"),
+    (["components", "--theta-count", 10 ** 20], "'theta_count'"),
     (["bloch", "--sequence", "ramsey", "--tau", 1.0, "--samples", 10 ** 20],
-     "--samples"),
+     "'samples'"),
     (["simulate", "--theta", 0.5, "--tau-count", 10 ** 20], "'tau_count'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.0], "'gamma'"),
-    (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--u", 0.5], "--u"),
-    (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--gamma-e", 0], "--gamma-e"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--u", 0.5], "'u'"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--gamma-e", 0], "'gamma_e'"),
     # the flag was ignored: every sequence got the detuned echo's report
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--sequence", "ramsey"],
      "'sequence'"),
     # wrote "eta": Infinity, and eta 0.0 beside a field floor of 2.7e-156
-    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--gamma-e", 1e-320], "--gamma-e"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--gamma-e", 1e-320], "'gamma_e'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--u", 1e308, "--v", 1e307],
-     "--u"),
+     "'u'"),
     # exit 3: u / 2 and gamma^2 underflowed to 0, and a fringe at a tilt
     # of 1e-9 (given, or from rabi and delta) was too flat to fit
-    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--u", 5e-324, "--v", 0], "--u"),
+    (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--u", 5e-324, "--v", 0], "'u'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 1e-200], "'gamma'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--theta", 1e-9], "'theta'"),
     (["sensitivity", "--lam", 2.5, "--gamma", 0.6283, "--rabi", 1, "--delta", 1e9],
@@ -731,9 +732,9 @@ def test_bad_command_option_exits_2(args, name, tmp_path, capsys):
     (["simulate", "--time-step", 0], "'time_step': must lie in (0, 1e+12], got 0.0"),
     (["simulate", "--theta", 2], "'theta': must lie in (0, 1.5707963267948966], got 2.0"),
     (["simulate", "--n-trajectories", 0], "'n_trajectories': must lie in [1, inf), got 0"),
-    (["bloch", "--tau", 1, "--samples", 0], "'--samples': must lie in [1, 1e+06], got 0"),
+    (["bloch", "--tau", 1, "--samples", 0], "'samples': must lie in [1, 1e+06], got 0"),
     (["fit", "--data", "x.csv", "--tau-scale", "inf"],
-     "'--tau-scale': must lie in (0, inf), got inf"),
+     "'tau_scale': must lie in (0, inf), got inf"),
 ])
 def test_range_errors_name_the_field_its_range_and_the_value(args, message, tmp_path,
                                                              capsys):
@@ -763,6 +764,138 @@ def test_renewal_compare_warns_the_closed_form_is_gaussian(kind, warned, tmp_pat
         assert lines[2] == "tau,analytic,mc_mean,mc_stderr,zscore"
     else:
         assert lines[1] == "tau,analytic,mc_mean,mc_stderr,zscore"
+
+
+def _stamp(path):
+    """The config_sha256 of a CSV header or a JSON report."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["config_sha256"]
+    return re.match(r"# config_sha256=(\w+)\n", path.read_text())[1]
+
+
+def test_the_config_hash_identifies_the_run(tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    copy = tmp_path / "copy" / "ram.csv"
+    copy.parent.mkdir()
+    copy.write_bytes(data.read_bytes())
+    # every input of scan and bloch: the two commands run on one config
+    both = [*_SCAN[1:], "--tau", 1.0]
+    runs = {
+        "scan": (["scan", *both, "--data", data], "scan_ram.csv"),
+        "scan again": (["scan", *both, "--data", data], "scan_ram.csv"),
+        "scan, 21 lambdas": (["scan", *both, "--lambda-count", 21, "--data", data],
+                             "scan_ram.csv"),
+        "scan, 3 workers": (["scan", *both, "--workers", 3, "--data", data],
+                            "scan_ram.csv"),
+        "scan of the copy": (["scan", *both, "--data", copy], "scan_ram.csv"),
+        "bloch": (["bloch", *both, "--data", data], "bloch_ramsey.csv"),
+        "bloch, 50 samples": (["bloch", *both, "--data", data, "--samples", 50],
+                              "bloch_ramsey.csv"),
+        "simulate": (["simulate", *BASE], "hahn_ramsey_analytic.csv"),
+        "simulate with components": (["simulate", *BASE, "--with-components"],
+                                     "hahn_ramsey_analytic.csv"),
+        "fit": (["fit", "--data", data], "fit_ram.json"),
+        "fit exponential": (["fit", "--data", data, "--model", "exponential"],
+                            "fit_ram.json"),
+        "fit of the copy": (["fit", "--data", copy], "fit_ram.json"),
+    }
+    stamps = {}
+    for i, (name, (args, written)) in enumerate(runs.items()):
+        assert run([*args, "--out", tmp_path / f"o{i}"]) == 0, name
+        stamps[name] = _stamp(tmp_path / f"o{i}" / written)
+    capsys.readouterr()
+    for a, b in [("scan", "scan, 21 lambdas"), ("bloch", "bloch, 50 samples"),
+                 ("simulate", "simulate with components"), ("scan", "bloch"),
+                 ("fit", "fit exponential")]:
+        assert stamps[a] != stamps[b], (a, b)
+    # placement and scheduling do not change the result bytes
+    for a, b in [("scan", "scan again"), ("scan", "scan, 3 workers"),
+                 ("scan", "scan of the copy"), ("fit", "fit of the copy")]:
+        assert stamps[a] == stamps[b], (a, b)
+
+
+def test_freq_unit_cycles_converts_the_scan_gamma_grid(tmp_path, capsys):
+    data = _write_ramsey_data(tmp_path / "ram.csv")     # gamma 0.6 rad/us
+    grid = ["--lambda-min", 1.5, "--lambda-max", 3.5, "--lambda-count", 5,
+            "--gamma-count", 2, "--data", data]
+    delta = 1.885 / (2 * math.pi)                        # in cycles/us
+    assert run(["scan", "--sequence", "ramsey", *grid, "--freq-unit", "cycles",
+                "--delta", delta, "--gamma-min", 0.1, "--gamma-max", 0.2,
+                "--out", tmp_path / "cycles"]) == 0
+    cycles = capsys.readouterr().out
+    assert run(["scan", "--sequence", "ramsey", *grid, "--delta", 2 * math.pi * delta,
+                "--gamma-min", 2 * math.pi * 0.1, "--gamma-max", 2 * math.pi * 0.2,
+                "--out", tmp_path / "rad"]) == 0
+    rad = capsys.readouterr().out
+    rows = [read_rows(tmp_path / unit / "scan_ram.csv")[1] for unit in ("cycles", "rad")]
+    assert rows[0].tobytes() == rows[1].tobytes()
+    argmin = [text.split(" argmin ")[1] for text in (cycles, rad)]
+    assert argmin[0] == argmin[1] and argmin[0].endswith(" gamma=0.628319\n")
+
+
+@pytest.mark.parametrize("route", ["flag", "env", "config"])
+def test_every_route_sets_a_command_input(route, tmp_path, monkeypatch):
+    args = ["bloch", "--sequence", "ramsey", "--delta", 1.0, "--tau", 1.0]
+    assert run([*args, "--samples", 5, "--out", tmp_path / "want"]) == 0
+    if route == "flag":
+        args += ["--samples", 5]
+    elif route == "env":
+        monkeypatch.setenv("HRSIM_SAMPLES", "5")
+    else:
+        (tmp_path / "cfg.json").write_text('{"samples": 5}')
+        args += ["--config", tmp_path / "cfg.json"]
+    assert run([*args, "--out", tmp_path / "got"]) == 0
+    assert (tmp_path / "got" / "bloch_ramsey.csv").read_bytes() == \
+        (tmp_path / "want" / "bloch_ramsey.csv").read_bytes()
+
+
+@pytest.mark.parametrize("env, config, args, message", [
+    # the variable was ignored: exit 0 with 60 samples
+    ({"HRSIM_SAMPLES": "0"}, None, ["bloch", "--tau", 1.0], "'samples': must lie in"),
+    # the key was refused as unknown
+    ({}, {"u": 0.1}, ["sensitivity", "--lam", 2.5, "--gamma", 0.6], "'u': must lie in"),
+    # argparse's usage error
+    ({}, None, ["simulate", "--theta", "abc"], "'theta': cannot parse value 'abc'"),
+    # the last file was fitted, exit 0
+    ({}, None, ["fit"], "'data': fit reads one data file, got 2"),
+])
+def test_every_route_to_an_input_refuses_bad_values(env, config, args, message,
+                                                    tmp_path, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = [*args, "--config", tmp_path / "cfg.json"]
+    if args == ["fit"]:
+        for name in ("a.csv", "b.csv"):
+            args += ["--data", _write_ramsey_data(tmp_path / name)]
+    assert run([*args, "--out", tmp_path / "o"]) == 2
+    assert f"error: config field {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("engine", ["montecarlo", "both"])
+def test_tau_points_beyond_their_fixed_monte_carlo_cost_exit_2(engine, tmp_path,
+                                                                capsys):
+    # every tau point costs about MC_POINT_COST trajectory points whatever
+    # the trajectory count: 1e6 of them at 4 trajectories ran for minutes
+    with mock.patch("hahnramsey.montecarlo.run_mc",
+                    side_effect=AssertionError("the run started")):
+        assert run(["simulate", "--engine", engine, "--theta", 0.6283,
+                    "--lam", 2.5, "--gamma", 0.6283, "--n-trajectories", 4,
+                    "--tau-count", 10 ** 6, "--out", tmp_path / "o"]) == 2
+    assert "config field 'tau_count'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_command_takes_every_field(capsys):
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    for command in ("simulate", "components", "fit", "scan", "sensitivity", "bloch"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        for name in fields:
+            assert f"--{name.replace('_', '-')} " in text, (command, name)
 
 
 def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
@@ -813,7 +946,7 @@ def test_fit_tau_scale_beyond_float_range_exits_2(tmp_path, capsys):
     data = _write_ramsey_data(tmp_path / "ram.csv")
     assert run(["fit", "--data", data, "--tau-scale", 1e308,
                 "--out", tmp_path / "out"]) == 2
-    assert "--tau-scale" in capsys.readouterr().err
+    assert "'tau_scale'" in capsys.readouterr().err
     assert not (tmp_path / "out" / "fit_ram.json").exists()
 
 
@@ -821,7 +954,7 @@ def test_fit_rejects_bad_tau_scale(tmp_path, capsys):
     data = _write_ramsey_data(tmp_path / "ram.csv")
     assert run(["fit", "--data", data, "--tau-scale", 0,
                 "--out", tmp_path]) == 2
-    assert "--tau-scale" in capsys.readouterr().err
+    assert "'tau_scale'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("signal", [
@@ -842,8 +975,8 @@ def test_fit_unusable_data_exits_2(signal, tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# property: any flag, HRSIM_* or --config value either runs clean or exits 2
-# naming it
+# property: any flag, HRSIM_* or --config value of any input either runs
+# clean or exits 2 naming it
 
 _ODD_FLOATS = st.one_of(
     st.floats(-10.0, 10.0), st.floats(),
@@ -851,10 +984,9 @@ _ODD_FLOATS = st.one_of(
                      1e6, 1e9, 1e13, 1e300, -1e300, 1.7e308,
                      math.inf, -math.inf, math.nan,
                      math.nextafter(math.pi / 2, 0.0)]))   # resonant to 1 ulp
-# command flags are argparse ints; config fields also take what a file or
-# the environment can hold
-_ODD_COUNTS = st.one_of(st.integers(-2, 4), st.just(10 ** 20))
-_ODD_FIELD_COUNTS = st.one_of(_ODD_COUNTS, st.sampled_from([2.5, math.inf]))
+# counts also take what a file or the environment can hold
+_ODD_COUNTS = st.one_of(st.integers(-2, 4), st.just(10 ** 20),
+                        st.sampled_from([2.5, math.inf]))
 # a valid base run; generated values replace some of these, and the drawn
 # sequence replaces hahn_ramsey
 _BASE_FIELDS = {"sequence": "hahn_ramsey", "theta": 0.6283, "delta": 1.885,
@@ -863,32 +995,33 @@ _BASE_FIELDS = {"sequence": "hahn_ramsey", "theta": 0.6283, "delta": 1.885,
 _FIELD_VALUES = {"theta": _ODD_FLOATS, "rabi": _ODD_FLOATS, "delta": _ODD_FLOATS,
                  "lam": _ODD_FLOATS, "gamma": _ODD_FLOATS,
                  "tau_start": _ODD_FLOATS, "tau_stop": _ODD_FLOATS,
-                 "tau_count": _ODD_FIELD_COUNTS}
-# per command: its extra flags; "montecarlo" is simulate --engine montecarlo
+                 "tau_count": _ODD_COUNTS}
+# per command: its own inputs; "montecarlo" is simulate --engine montecarlo
 # or both with instantaneous pulses, which always sets the fields of
 # _MC_FIELDS; "finite" is simulate --pulse-model finite with --engine
 # montecarlo or both, which sets those and the fields of _FINITE_FIELDS as
 # well; "scan" and "fit" read a generated data file (_write_data); "bloch"
-# always gets a --tau, 1.0 unless drawn
-_COMMAND_FLAGS = {
+# always gets a tau, 1.0 unless drawn
+_COMMAND_FIELDS = {
     "simulate": {},
     "montecarlo": {},
     "finite": {},
-    "components": {"--theta-count": _ODD_COUNTS},
-    "sensitivity": {"--u": _ODD_FLOATS, "--v": _ODD_FLOATS, "--gamma-e": _ODD_FLOATS},
-    "scan": {"--lambda-min": _ODD_FLOATS, "--lambda-max": _ODD_FLOATS,
-             "--lambda-count": _ODD_COUNTS, "--gamma-min": _ODD_FLOATS,
-             "--gamma-max": _ODD_FLOATS, "--gamma-count": _ODD_COUNTS},
-    "fit": {"--tau-scale": _ODD_FLOATS},
-    "bloch": {"--tau": _ODD_FLOATS, "--samples": _ODD_COUNTS}}
+    "components": {"theta_count": _ODD_COUNTS},
+    "sensitivity": {"u": _ODD_FLOATS, "v": _ODD_FLOATS, "gamma_e": _ODD_FLOATS},
+    "scan": {"lambda_min": _ODD_FLOATS, "lambda_max": _ODD_FLOATS,
+             "lambda_count": _ODD_COUNTS, "gamma_min": _ODD_FLOATS,
+             "gamma_max": _ODD_FLOATS, "gamma_count": _ODD_COUNTS},
+    "fit": {"tau_scale": _ODD_FLOATS},
+    "bloch": {"tau": _ODD_FLOATS, "samples": _ODD_COUNTS}}
 # huge n_trajectories exit 2 through MAX_TRAJECTORY_POINTS
 _MC_FIELDS = {"n_trajectories": st.one_of(
                   st.integers(-2, 16),
                   st.sampled_from([2.5, math.inf, 10 ** 9, 10 ** 20])),
               "noise_kind": st.sampled_from(["ou", "renewal", "none"])}
 _FINITE_FIELDS = {"rabi": _ODD_FLOATS, "time_step": _ODD_FLOATS}
-_SCAN_GRID = {"--lambda-min": 1.5, "--lambda-max": 3.5, "--lambda-count": 2,
-              "--gamma-min": 0.3, "--gamma-max": 1.0, "--gamma-count": 2}
+_COMMAND_BASE = {"scan": {"lambda_min": 1.5, "lambda_max": 3.5, "lambda_count": 2,
+                          "gamma_min": 0.3, "gamma_max": 1.0, "gamma_count": 2},
+                 "bloch": {"tau": 1.0}}
 
 
 def _write_data(data, path):
@@ -922,24 +1055,24 @@ def _only_finite_numbers(path):
 @given(data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
-    command = data.draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    command = data.draw(st.sampled_from(sorted(_COMMAND_FIELDS)))
     fields = data.draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)),
                                 max_size=2, unique=True))
     fields = {k: data.draw(_FIELD_VALUES[k], label=k) for k in fields}
-    extra_flags = _COMMAND_FLAGS[command]
-    flags = {k: data.draw(v, label=k) for k, v in extra_flags.items()
-             if data.draw(st.booleans(), label=f"set {k}")}
+    own = _COMMAND_FIELDS[command]
+    fields.update({k: data.draw(v, label=k) for k, v in own.items()
+                   if data.draw(st.booleans(), label=f"set {k}")})
     if command in ("montecarlo", "finite"):
         fields.update({k: data.draw(v, label=k) for k, v in _MC_FIELDS.items()})
     if command == "finite":
         fields.update({k: data.draw(v, label=k) for k, v in _FINITE_FIELDS.items()})
     source = {k: data.draw(st.sampled_from(["flag", "env", "config"]),
                            label=f"source of {k}") for k in fields}
-    # sensitivity refuses the other sequences before it reads anything else
+    # sensitivity refuses the other sequences before it runs
     sequences = (["hahn_ramsey"] if command == "sensitivity"
                  else [k.value for k in SequenceKind])
     sequence = data.draw(st.sampled_from(sequences), label="sequence")
-    base = {**_BASE_FIELDS, "sequence": sequence}
+    base = {**_BASE_FIELDS, "sequence": sequence, **_COMMAND_BASE.get(command, {})}
     if sequence != "hahn_ramsey":
         base.pop("theta")       # ramsey and hahn_echo default to pi/2
     if sequence == "hahn_echo" and data.draw(st.booleans(), label="echo at delta 0"):
@@ -966,11 +1099,6 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
             args += ["--pulse-model", "finite"]
         if command in ("scan", "fit"):
             args += ["--data", str(_write_data(data, Path(tmp) / "fringe.csv"))]
-        if command == "scan":
-            flags = {**_SCAN_GRID, **flags}
-        if command == "bloch":
-            flags = {"--tau": 1.0, **flags}
-        args += [f"{k}={v}" for k, v in flags.items()]
         err = io.StringIO()
         with mock.patch.dict(os.environ, env), redirect_stderr(err), \
                 redirect_stdout(io.StringIO()):
@@ -982,6 +1110,6 @@ def test_any_flag_or_env_value_runs_clean_or_exits_2(data):
             assert rc == 2, err.getvalue()
             named = re.search(r"config field '([^']+)'", err.getvalue())
             known = {*_FIELD_VALUES, *_BASE_FIELDS, *_MC_FIELDS, *_FINITE_FIELDS,
-                     *extra_flags, "data"}
+                     *own, "data"}
             assert named and set(named[1].split(", ")) <= known, err.getvalue()
             assert not out.exists()

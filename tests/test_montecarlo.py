@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ def test_stderr_scales_with_sqrt_n():
                  McConfig(8000, master_seed=22))
     ratio = (small.stderrs / big.stderrs).mean()
     assert ratio == pytest.approx(np.sqrt(2), rel=0.10)
+
+
+def test_memory_does_not_grow_by_a_sequence_per_tau_point():
+    # each tau point builds its sequence when it runs: past the two result
+    # arrays (16 B per tau point) memory stays flat in the tau count, where
+    # a list of every sequence held about 725 B per tau point
+    def peak(count):
+        tracemalloc.start()
+        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE,
+               np.linspace(0.05, 7.0, count), McConfig(4, master_seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    peak(10)     # first-call caches
+    assert (peak(400) - peak(10)) / 390 < 64
 
 
 def test_stderr_bound():
