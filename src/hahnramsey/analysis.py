@@ -34,14 +34,13 @@ slope is a trigonometric polynomial of degree 2 in epsilon tau, whose
 stationary points are the roots of one quartic in tan(epsilon tau / 2),
 so its maximum is the largest of at most five values.
 
-scipy.optimize loads on the first fit or sensitivity call, not on import.
+The fits use numpy only: a bounded Levenberg-Marquardt and a Newton root.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -59,23 +58,6 @@ __all__ = [
     "min_detectable_field", "max_bias_slope", "OPTIMAL_THETA",
     "SensitivityResult", "sensitivity",
 ]
-
-# scipy.optimize takes most of the package's import time and only the fits
-# use it (brentq sizes the window of the sensitivity fringe fit), so these
-# names load on first access (PEP 562) and are then plain module globals.
-# Callers look them up through _module at call time, so a wrapper set on
-# analysis.curve_fit is honoured.
-_OPTIMIZE_NAMES = ("brentq", "curve_fit")
-_module = sys.modules[__name__]
-
-
-def __getattr__(name):
-    if name not in _OPTIMIZE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import scipy.optimize
-    value = globals()[name] = getattr(scipy.optimize, name)
-    return value
-
 
 #: electron gyromagnetic ratio, cycles per (time unit x gauss); with time
 #: in microseconds this is the NV value 2.8025 MHz/G.  Overridable.
@@ -174,6 +156,44 @@ def _tau_c_guess(t, y):
     return float(t[below[0]]) if below.size and below[0] > 0 else float(t[-1] / 2)
 
 
+#: a fit ends at a taken step that lowers the SSR by at most this fraction
+#: (scipy's ftol): the rounding floor's last bits follow the data's
+_FTOL = 1e-8
+_MAX_STEPS = 1000   # per fit, or per fringe-window root (at most 86 Newton steps)
+
+
+def curve_fit(fn, x, y, p0, bounds, jac, sigma=None):
+    """Bounded Levenberg-Marquardt fit of fn(x, *p) to y: (popt, pcov).  A
+    step solves (J^T J + mu D) dp = -J^T r, r = (fn - y) / sigma, D the
+    running max of diag(J^T J), clipped to bounds; mu falls tenfold after
+    a step that lowers the SSR, else rises tenfold.  pcov is scipy's: the
+    SVD pseudo-inverse of J^T J, times SSR / (m - n) if sigma is None."""
+    w = np.ones_like(y) if sigma is None else 1.0 / sigma
+    p, mu, d = np.clip(p0, *bounds), 1e-3, 0.0
+    r = (fn(x, *p) - y) * w
+    jw, ssr = jac(x, *p) * w[:, None], r @ r
+    for _ in range(_MAX_STEPS):
+        a = jw.T @ jw
+        d = np.maximum(d, np.diag(a))
+        trial = np.clip(p - np.linalg.lstsq(a + mu * np.diag(d), jw.T @ r)[0], *bounds)
+        if (trial == p).all():   # the step rounds to no move
+            break
+        rt = (fn(x, *trial) - y) * w
+        if not rt @ rt < ssr:
+            mu *= 10
+            continue
+        p, r, drop, ssr, mu = trial, rt, ssr - rt @ rt, rt @ rt, mu / 10
+        jw = jac(x, *p) * w[:, None]
+        if drop <= _FTOL * (ssr + drop):
+            break
+    else:
+        raise FitError(f"gave up after {_MAX_STEPS} steps")
+    _, s, vt = np.linalg.svd(jw, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jw.shape) * s[0]
+    pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    return p, pcov * (ssr / (y.size - p.size) if sigma is None else 1.0)
+
+
 def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) -> DecayFit:
     """Nonlinear least-squares envelope fit of a signal curve.
 
@@ -220,11 +240,9 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
                                 np.ones_like(x)])
         wts = np.ones_like(x) if sigma is None else 1.0 / sigma
         (a, b, c0), *_ = np.linalg.lstsq(cols * wts[:, None], y * wts, rcond=None)
-        p0 = np.clip([math.hypot(a, b), w0, math.atan2(b, a), tc0, c0], lo, hi)
+        p0 = [math.hypot(a, b), w0, math.atan2(b, a), tc0, c0]
     try:
-        popt, pcov = _module.curve_fit(fn, x, y, p0=p0, bounds=(lo, hi), jac=jac,
-                                       sigma=sigma, absolute_sigma=sigma is not None,
-                                       maxfev=20000)
+        popt, pcov = curve_fit(fn, x, y, p0, (lo, hi), jac, sigma)
     except RuntimeError as exc:
         raise FitError(f"{model.value} fit failed to converge: {exc}") from exc
     resid = fn(x, *popt) - y
@@ -453,10 +471,17 @@ def _fringe_envelope_fit(theta: float, noise: NoiseParams) -> DecayFit:
     """Coherence time of the detuned-echo fringe: fit the oscillating
     analytic curve on the total-duration axis over a window scaled to
     the half-window decay scale (where exp(-f1) reaches 1/e)."""
-    # F1 grows like gamma^2 tau / lam at long times, so this upper
-    # bracket always clears the 1/e crossing
-    hi = 10.0 * (noise.lam / noise.gamma ** 2 + 1.0 / noise.lam)
-    tau_e = _module.brentq(lambda t: f1(noise, t) - 1.0, 1e-12, hi)
+    # f1 is convex and increasing (slope -(gamma^2/lam) expm1(-lam tau)) and
+    # grows like gamma^2 tau / lam at long times: Newton from above the root
+    tau_e = 10.0 * (noise.lam / noise.gamma ** 2 + 1.0 / noise.lam)
+    for _ in range(_MAX_STEPS):
+        new = tau_e + ((f1(noise, tau_e) - 1.0) * noise.lam / noise.gamma ** 2
+                       / math.expm1(-noise.lam * tau_e))
+        if not new < tau_e:
+            break
+        tau_e = new
+    else:
+        raise FitError(f"no 1/e point of f1 in {_MAX_STEPS} Newton steps")
     taus = np.linspace(tau_e / 60, 2.2 * tau_e, 130)
     delta_fit = 8 * 2 * np.pi / (2.2 * tau_e)   # ~8 fringes in the window
     y = np.asarray(closed_form_signal(SequenceKind.HAHN_RAMSEY, theta,

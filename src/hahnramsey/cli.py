@@ -311,11 +311,18 @@ def load_config(path: str | None, flags: dict, command: str) -> RunConfig:
 
 
 def config_hash(cfg: RunConfig, command: str) -> str:
-    """Hash of the command and its resolved inputs; placement (out, the
-    data paths), scheduling (workers) and, unless pulses are finite,
+    """Hash of the command and its resolved inputs, each data file by the
+    sha256 of its bytes (one it cannot read is a bad data field); placement
+    (out, data paths), scheduling (workers) and, unless pulses are finite,
     time_step do not change the result bytes and are excluded."""
     d = {k: v for k, v in dataclasses.asdict(cfg).items()
          if k not in ("out", "data", "workers")}
+    try:
+        sums = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in cfg.data]
+    except OSError as exc:
+        raise ConfigError("data", f"cannot read {exc.filename}: {exc.strerror}") from None
+    if sums:   # runs without data keep their stamps
+        d["data"] = sums
     if cfg.pulse_model != "finite":
         del d["time_step"]
     blob = json.dumps({"command": command, **d}, sort_keys=True)
@@ -331,8 +338,6 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
     non-finite value, a negative stderr or a stored |tau| over
     MAX_MAGNITUDE raises ConfigError naming the file and line.
     """
-    if not Path(path).is_file():
-        raise ConfigError("data", f"file not found: {path}")
     taus, means, errs = [], [], []
     n = 0
     with open(path) as fh:

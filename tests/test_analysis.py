@@ -15,7 +15,7 @@ from hahnramsey.analysis import (OPTIMAL_THETA, FitError, FitModel,
 from hahnramsey.analytic import (BiasParams, _bias_slope_coefficients,
                                  closed_form_signal, hr_signal_derivative)
 from hahnramsey.montecarlo import SignalCurve
-from hahnramsey.noise import NoiseParams, filter_exponents
+from hahnramsey.noise import NoiseParams, f1, filter_exponents
 from hahnramsey.spincore import SequenceKind
 from tilt_oracle import optimal_theta_per_tilt
 
@@ -156,17 +156,26 @@ def _fit_move_cases():
         FitModel.PLAIN_EXPONENTIAL
 
 
-@pytest.mark.parametrize("fit", [
+_FITS = [
     pytest.param(lambda c=c, m=m: fit_decay(c, m), id=name)
     for name, c, m in _fit_move_cases()] + [
     # the fringe fit inside sensitivity, at the tilt it picks
     pytest.param(lambda: analysis._fringe_envelope_fit(OPTIMAL_THETA, FIG_NOISE),
-                 id="sensitivity-fringe")])
-def test_exact_jacobian_fit_matches_the_finite_difference_fit(monkeypatch, fit):
-    import scipy.optimize
+                 id="sensitivity-fringe")]
 
-    def without_jac(*args, jac=None, **kwargs):
-        return scipy.optimize.curve_fit(*args, **kwargs)
+
+def _scipy_curve_fit(fn, x, y, p0, bounds, jac, sigma=None, **stop):
+    """scipy's bounded curve_fit on the problem fit_decay poses; the oracle."""
+    import scipy.optimize
+    return scipy.optimize.curve_fit(fn, x, y, p0=p0, bounds=bounds, jac=jac, sigma=sigma,
+                                    absolute_sigma=sigma is not None, maxfev=20000,
+                                    **stop)
+
+
+@pytest.mark.parametrize("fit", _FITS)
+def test_exact_jacobian_fit_matches_the_finite_difference_fit(monkeypatch, fit):
+    def without_jac(fn, x, y, p0, bounds, jac, sigma=None):
+        return _scipy_curve_fit(fn, x, y, p0, bounds, "2-point", sigma)
 
     exact = fit()
     # oracle: the same fit with scipy's default finite-difference Jacobian
@@ -174,6 +183,42 @@ def test_exact_jacobian_fit_matches_the_finite_difference_fit(monkeypatch, fit):
     oracle = fit()
     assert exact.tau_c_err > 0
     assert abs(exact.tau_c - oracle.tau_c) <= 1e-3 * exact.tau_c_err
+
+
+@pytest.mark.parametrize("fit", _FITS)
+def test_fit_covariance_matches_scipy_curve_fit(monkeypatch, fit):
+    # the fringe-* curves carry a stderr column, so their covariance is
+    # absolute; the others are scaled by SSR / (m - n)
+    real, seen = analysis.curve_fit, []
+    monkeypatch.setattr(analysis, "curve_fit",
+                        lambda *args: seen.append((args, real(*args))) or seen[-1][1])
+    ours = fit()
+    [(args, (popt, pcov))] = seen
+    # the formula: scipy's covariance at popt itself (gtol inf ends its run
+    # before a first step), entry by entry on the scale of the diagonal
+    ref = _scipy_curve_fit(*args[:3], popt, *args[4:], gtol=np.inf)[1]
+    assert (np.abs(pcov - ref) <= 1e-12 * np.sqrt(np.outer(*[np.diag(ref)] * 2))).all()
+    # and from the same start: the two solvers stop at different points of a
+    # slow approach (hahn_ramsey: scipy 8.6e-6 short of the converged
+    # tau_c_err, this fit 9e-7), so the bound is 1e-5
+    monkeypatch.setattr(analysis, "curve_fit", _scipy_curve_fit)
+    oracle = fit()
+    assert ours.tau_c_err == pytest.approx(oracle.tau_c_err, rel=1e-5, abs=0)
+
+
+def test_fringe_window_is_the_brentq_root_of_f1_within_the_newton_cap(monkeypatch):
+    from scipy.optimize import brentq
+    seen = []
+    monkeypatch.setattr(analysis, "fit_decay", seen.append)
+    grid = np.logspace(-12, 12, 25)   # the lam and gamma that sensitivity takes
+    for noise in [FIG_NOISE, *(NoiseParams(lam, g) for lam in grid for g in grid)]:
+        analysis._fringe_envelope_fit(OPTIMAL_THETA, noise)   # FitError past the cap
+        # the window ends at 2.2 tau_e, on the total-duration axis 2 tau
+        got = seen[-1].taus[-1] / 4.4
+        hi = 10.0 * (noise.lam / noise.gamma ** 2 + 1.0 / noise.lam)
+        want = brentq(lambda t: f1(noise, t) - 1.0, 0.0, hi, xtol=1e-300,
+                      rtol=4 * np.finfo(float).eps, maxiter=2000)
+        assert got == pytest.approx(want, rel=1e-12, abs=0), noise
 
 
 def _four_phase_fit(c):
@@ -621,9 +666,8 @@ def test_max_bias_slope_with_its_stationary_point_at_u_pi():
     assert got == pytest.approx(dense, rel=1e-12, abs=0)
 
 
-# the benchmark tracer's contract, in a fresh process: getattr(analysis,
-# "curve_fit") gives scipy's function, and a wrapper set in its place is the
-# one fit_decay calls, also after brentq loads
+# the benchmark tracer's contract, in a fresh process: a wrapper set on
+# analysis.curve_fit is the one fit_decay calls, and no fit loads scipy
 _COUNTED_FITS = """
 import sys
 import numpy as np
@@ -631,10 +675,7 @@ from hahnramsey import analysis
 from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams
 
-assert "curve_fit" not in vars(analysis) and "scipy" not in sys.modules
-real = getattr(analysis, "curve_fit")
-import scipy.optimize
-assert real is scipy.optimize.curve_fit
+real = analysis.curve_fit
 calls = []
 
 def counting(*args, **kwargs):
@@ -648,7 +689,7 @@ fit = analysis.fit_decay(SignalCurve(t, y, np.zeros_like(t), 0))
 assert abs(fit.tau_c - 2.0) < 1e-6
 print(len(calls))
 analysis.sensitivity(NoiseParams(2.5, 0.6), analysis.ReadoutModel(1.3, 0.7))
-assert analysis.curve_fit is counting
+assert analysis.curve_fit is counting and "scipy" not in sys.modules
 print(len(calls))
 """
 

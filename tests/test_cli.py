@@ -350,8 +350,7 @@ def _python(code, *args, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
-# one fresh process: the commands without fits must not load scipy, fit and
-# sensitivity load it on first use
+# one fresh process: no command loads scipy, the fits included
 _COLD_START = """
 import json, sys
 import hahnramsey
@@ -375,14 +374,13 @@ run("scan", "--sequence", "ramsey", "--delta", 1.885, "--data",
     "--gamma-count", 8, "--out", out)
 run("bloch", "--sequence", "hahn_ramsey", "--theta", 0.6, "--delta", 1.885,
     "--tau", 1.0, "--samples", 15, "--out", out)
-before = scipy_modules()
 run("fit", "--data", fit_data, "--out", out)
 run("sensitivity", *noise, "--theta", 0.6, "--u", 1.3, "--v", 0.7, "--out", out)
-print(json.dumps({"before": before, "after": scipy_modules()}))
+print(json.dumps(scipy_modules()))
 """
 
 
-def test_only_fit_and_sensitivity_load_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     data = tmp_path / "c.csv"
     t = np.linspace(0, 6, 50)
     with open(data, "w") as fh:
@@ -391,9 +389,7 @@ def test_only_fit_and_sensitivity_load_scipy(tmp_path):
             fh.write(f"{ti},{yi}\n")
     proc = _python(_COLD_START, tmp_path / "cold", data)
     assert proc.returncode == 0, proc.stderr
-    modules = json.loads(proc.stdout.splitlines()[-1])
-    assert modules["before"] == []
-    assert "scipy.optimize" in modules["after"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
     # same bytes as the same commands run in this process
     assert run(["fit", "--data", data, "--out", tmp_path / "warm"]) == 0
     assert run(["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--theta", 0.6,
@@ -778,6 +774,12 @@ def test_the_config_hash_identifies_the_run(tmp_path, capsys):
     copy = tmp_path / "copy" / "ram.csv"
     copy.parent.mkdir()
     copy.write_bytes(data.read_bytes())
+    # the same path and size, one signal value changed
+    edited = tmp_path / "edited" / "ram.csv"
+    edited.parent.mkdir()
+    lines = data.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].split(",")[0] + ",0.5\n"
+    edited.write_text("".join(lines))
     # every input of scan and bloch: the two commands run on one config
     both = [*_SCAN[1:], "--tau", 1.0]
     runs = {
@@ -788,6 +790,7 @@ def test_the_config_hash_identifies_the_run(tmp_path, capsys):
         "scan, 3 workers": (["scan", *both, "--workers", 3, "--data", data],
                             "scan_ram.csv"),
         "scan of the copy": (["scan", *both, "--data", copy], "scan_ram.csv"),
+        "scan of the edit": (["scan", *both, "--data", edited], "scan_ram.csv"),
         "bloch": (["bloch", *both, "--data", data], "bloch_ramsey.csv"),
         "bloch, 50 samples": (["bloch", *both, "--data", data, "--samples", 50],
                               "bloch_ramsey.csv"),
@@ -798,6 +801,7 @@ def test_the_config_hash_identifies_the_run(tmp_path, capsys):
         "fit exponential": (["fit", "--data", data, "--model", "exponential"],
                             "fit_ram.json"),
         "fit of the copy": (["fit", "--data", copy], "fit_ram.json"),
+        "fit of the edit": (["fit", "--data", edited], "fit_ram.json"),
     }
     stamps = {}
     for i, (name, (args, written)) in enumerate(runs.items()):
@@ -806,12 +810,28 @@ def test_the_config_hash_identifies_the_run(tmp_path, capsys):
     capsys.readouterr()
     for a, b in [("scan", "scan, 21 lambdas"), ("bloch", "bloch, 50 samples"),
                  ("simulate", "simulate with components"), ("scan", "bloch"),
-                 ("fit", "fit exponential")]:
+                 ("fit", "fit exponential"), ("scan", "scan of the edit"),
+                 ("fit", "fit of the edit")]:
         assert stamps[a] != stamps[b], (a, b)
     # placement and scheduling do not change the result bytes
     for a, b in [("scan", "scan again"), ("scan", "scan, 3 workers"),
                  ("scan", "scan of the copy"), ("fit", "fit of the copy")]:
         assert stamps[a] == stamps[b], (a, b)
+
+
+@pytest.mark.parametrize("command", ["fit", "scan", "bloch"])
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "a directory"])
+def test_a_data_file_that_cannot_be_read_exits_2(command, missing, tmp_path, capsys):
+    # the config hash reads every data file before the command runs
+    data = tmp_path / ("nope.csv" if missing else "dir.csv")
+    if not missing:
+        data.mkdir()
+    args = {"fit": ["fit"], "scan": _SCAN, "bloch": ["bloch", "--tau", 1.0]}[command]
+    out = tmp_path / "o"
+    assert run([*args, "--data", data, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'data'" in err and data.name in err
+    assert not out.exists()
 
 
 def test_freq_unit_cycles_converts_the_scan_gamma_grid(tmp_path, capsys):
