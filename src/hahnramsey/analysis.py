@@ -91,9 +91,10 @@ class DecayFit:
     frequency: float
     phase: float
     residual_norm: float
+    warnings: tuple = ()   # one per parameter left on a fit bound
 
     def to_dict(self) -> dict:
-        return {k: float(v) for k, v in asdict(self).items()}
+        return {k: float(v) for k, v in asdict(self).items() if k != "warnings"}
 
 
 def _gaussian_envelope(t, amp, w, phi, tc, c):
@@ -246,14 +247,18 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
     except RuntimeError as exc:
         raise FitError(f"{model.value} fit failed to converge: {exc}") from exc
     resid = fn(x, *popt) - y
+    names = (("amplitude", "tau_c", "offset") if w0 == 0.0
+             else ("amplitude", "frequency", "phase", "tau_c", "offset"))
+    warnings = tuple(f"{n} ended on a fit bound: it and its error are no fit result"
+                     for n, v, a, b in zip(names, popt, lo, hi) if v in (a, b))
     if w0 == 0.0:
         return _make_fit(popt[1], pcov[1][1], popt[0], popt[2], 0.0, 0.0, resid, y,
-                         unit)
+                         unit, warnings)
     return _make_fit(popt[3], pcov[3][3], popt[0], popt[4], popt[1], popt[2],
-                     resid, y, unit)
+                     resid, y, unit, warnings)
 
 
-def _make_fit(tc, tc_var, amp, c, w, phi, resid, y, unit=1.0) -> DecayFit:
+def _make_fit(tc, tc_var, amp, c, w, phi, resid, y, unit=1.0, warnings=()) -> DecayFit:
     """tc, tc_var and w come in units of `unit` curve time units."""
     tss = float(((y - y.mean()) ** 2).sum())
     ssr = float((resid ** 2).sum())
@@ -265,6 +270,7 @@ def _make_fit(tc, tc_var, amp, c, w, phi, resid, y, unit=1.0) -> DecayFit:
         frequency=float(w / unit),
         phase=float(phi),
         residual_norm=ssr / tss if tss > 0 else ssr,
+        warnings=warnings,
     )
 
 

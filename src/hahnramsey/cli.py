@@ -43,12 +43,13 @@ MAX_MAGNITUDE = 1e12
 # would take 7 GB
 MAX_COUNT = 10 ** 6
 # bound on Monte Carlo work in trajectory points, about two minutes of
-# instantaneous-pulse OU sampling on one core: n_trajectories plus
-# MC_POINT_COST per tau point, the fixed work of a point (its sequence,
-# seeding and rows), 70-370 us against 165 ns per OU trajectory point
-# (2-core x86 container, numpy 2.4)
+# OU sampling on one core: per tau point n_trajectories plus MC_POINT_COST
+# (its sequence, seeding and rows: 70-370 us against 118 ns a trajectory
+# point), and per noisy finite-pulse step n_trajectories (48 ns each) plus
+# MC_STEP_COST for its 45-55 us loop pass (2-core x86 container, numpy 2.4)
 MAX_TRAJECTORY_POINTS = 10 ** 9
 MC_POINT_COST = 2000
+MC_STEP_COST = 500
 
 #: the values of each choice field, for argparse and RunConfig.validate;
 #: sequence's are sorted, to read in a fixed order in --help and errors
@@ -151,17 +152,6 @@ class RunConfig:
         _check_range("gamma", self.gamma, 0.0, big)
         _check_range("tau_start", self.tau_start, 0.0, big)
         _check_range("tau_stop", self.tau_stop, self.tau_start, big, "(]")
-        # --engine both needs a stderr for its z-scores; Monte Carlo runs
-        # at most MAX_TRAJECTORY_POINTS trajectory points, so tau_count
-        # leaves room for the fewest trajectories
-        mc = self.engine != "analytic"
-        least = 2 if self.engine == "both" else 1
-        _check_range("tau_count", self.tau_count, 2,
-                     min(MAX_COUNT, MAX_TRAJECTORY_POINTS // (least + MC_POINT_COST))
-                     if mc else MAX_COUNT)
-        _check_range("n_trajectories", self.n_trajectories, least,
-                     MAX_TRAJECTORY_POINTS // self.tau_count - MC_POINT_COST
-                     if mc else math.inf)
         _check_range("time_step", self.time_step, 0.0, big, "(]")
         _check_range("workers", self.workers, 1, math.inf)
         _check_range("seed", self.seed, 0, math.inf)
@@ -177,6 +167,27 @@ class RunConfig:
                 raise ConfigError("delta", "hahn_echo is resonant, set delta = 0")
             if self.theta is not None and not spincore.is_resonant(self.theta):
                 raise ConfigError("theta", "hahn_echo uses theta = pi/2")
+        # --engine both needs a stderr for its z-scores; Monte Carlo runs
+        # at most MAX_TRAJECTORY_POINTS trajectory points, so tau_count
+        # leaves room for the fewest trajectories
+        mc = self.engine != "analytic"
+        least = 2 if self.engine == "both" else 1
+        steps = 0
+        if mc and finite and self.noise_params().gamma > 0:
+            try:
+                steps = montecarlo._trajectory_pulse_steps(
+                    spincore.SequenceKind(self.sequence), self.resolved_theta(),
+                    self.delta, self.noise_params(), montecarlo.McConfig(
+                        1, time_step=self.time_step, pulse_model="finite", rabi=self.rabi))
+            except montecarlo.PulseStepError as exc:
+                raise ConfigError("rabi", f"{exc}; raise rabi or time_step") from None
+        fixed = MC_POINT_COST + steps * MC_STEP_COST
+        _check_range("tau_count", self.tau_count, 2,
+                     min(MAX_COUNT, MAX_TRAJECTORY_POINTS // ((1 + steps) * least + fixed))
+                     if mc else MAX_COUNT)
+        _check_range("n_trajectories", self.n_trajectories, least,
+                     (MAX_TRAJECTORY_POINTS // self.tau_count - fixed) // (1 + steps)
+                     if mc else math.inf)
         _check_range("theta_count", self.theta_count, 1, MAX_COUNT)
         if command == "fit" and len(self.data) > 1:
             raise ConfigError("data", f"fit reads one data file, got {len(self.data)}")
@@ -402,8 +413,6 @@ def cmd_simulate(cfg: RunConfig, stamp: str) -> int:
         try:
             mc = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(),
                                    taus, mcfg)
-        except montecarlo.PulseStepError as exc:
-            raise ConfigError("rabi", f"{exc}; raise rabi or time_step") from None
         except montecarlo.RenewalEventError as exc:
             raise ConfigError("lam", f"{exc}; lower lam or tau_stop") from None
     out = _out_dir(cfg)
@@ -483,8 +492,9 @@ def cmd_fit(cfg: RunConfig, stamp: str) -> int:
         raise ConfigError("tau_scale", f"{tau_scale:g} takes the fitted tau_c, "
                                        f"tau_c_err or frequency out of float range")
     return _write_json(cfg, f"fit_{Path(data_path).stem}.json",
-                       {"config_sha256": stamp, "model": cfg.model,
-                        "data": data_path, **fit.to_dict(), **scaled})
+                       {"config_sha256": stamp, "model": cfg.model, "data": data_path,
+                        **fit.to_dict(), **scaled,
+                        **({"warnings": list(fit.warnings)} if fit.warnings else {})})
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:

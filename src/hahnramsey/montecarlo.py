@@ -27,10 +27,9 @@ summed with numpy's pairwise summation over each block.
 
 The phase integral of every window step is drawn exactly, for both
 noise kinds, from the window kernels in `noise`, one call per step:
-event-driven for renewal noise; for OU noise two normals per step and
-one for the last step of a trajectory, whose end value nothing reads,
-plus one for the stationary start value.  time_step only sets the grid
-on which noisy finite pulses are stepped.
+event-driven for renewal noise, one normal per step for OU noise (d
+normals per trajectory for d noisy delays).  time_step only sets the
+grid on which noisy finite pulses are stepped.
 """
 
 from __future__ import annotations
@@ -118,18 +117,6 @@ class BlochPoint:
     z: float
 
 
-def _validate(theta, delta, noise, taus):
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("taus must be a non-empty 1-d array")
-    vals = [theta, delta, noise.lam, noise.gamma]
-    if not np.isfinite(taus).all() or not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite simulation parameter")
-    if (taus < 0).any():
-        raise ValueError("taus must be >= 0")
-    return taus
-
-
 def _pulse_axis(p: PulseParams) -> np.ndarray:
     """Rotation axis n = (sin th, 0, cos th) of a tilted-axis pulse,
     th = detuning_sign * theta."""
@@ -208,6 +195,18 @@ def _pulse_steps(duration, lam, time_step):
     return max(1, math.ceil(min(steps, MAX_PULSE_STEPS + 1)))
 
 
+def _trajectory_pulse_steps(seq_kind, theta, delta, noise, cfg) -> int:
+    """Finite-pulse steps of one trajectory at any tau, each a pass of the
+    loop in _sampler; raises PulseStepError past MAX_PULSE_STEPS."""
+    ops = _timeline(build_sequence(seq_kind, theta, delta, 0.0), delta, noise, cfg)
+    steps = sum(op[3] for op in ops if isinstance(op, tuple) and op[2])
+    if steps > MAX_PULSE_STEPS:
+        raise PulseStepError(
+            f"finite pulses need over {MAX_PULSE_STEPS} noisy steps per "
+            f"trajectory (pulse time / min(time_step, 0.05/lam))")
+    return steps
+
+
 def _sampler(seq, delta, noise, cfg):
     """sample(rng, m): sigma_z of m trajectories through the _timeline of
     seq; rng None or gamma 0 means noiseless.
@@ -218,42 +217,33 @@ def _sampler(seq, delta, noise, cfg):
     window step draws the phase integral X of its noise from the exact
     window kernel of the noise kind and rotates by the angle vector
     (nx h, 0, nz h + X): about z for a delay (nx = 0), by Rodrigues'
-    formula about its per-trajectory axis for a pulse step, with cos and
-    sin from one half-angle tangent (_cos_sin: SIMD tan instead of scalar
-    cos and sin).
+    formula about its per-trajectory axis for a pulse step (_cos_sin).
 
-    Nothing reads the noise value at the end of the last window step, so
-    that step asks its kernel for the integral alone (with_end false: one
-    normal instead of two for OU noise), and the stationary start value is
-    drawn only when the timeline has a window to read it.
+    The noise state starts as None, the kernels' stationary start, and
+    each kernel call returns the one the next starts from; nothing reads
+    it after the last window step, which asks for the integral alone
+    (with_end false: no OU state update).
     """
     ops = _timeline(seq, delta, noise, cfg)
-    # only z is read out, so a final rotation applies just its z row
     readout = ops.pop()[2] if ops and isinstance(ops[-1], list) else None
-    # the last window step becomes an op of its own, the only one whose
-    # end value goes unread
     last = max((i for i, op in enumerate(ops) if isinstance(op, tuple)),
                default=None)
-    if last is not None and ops[last][3] > 1:
-        h, nz, nx, steps = ops[last]
-        ops[last:last + 1] = [(h, nz, nx, steps - 1), (h, nz, nx, 1)]
-        last += 1
     kernel = _WINDOW_INTEGRALS.get(noise.kind)
     lam, gamma = noise.lam, noise.gamma
-    noisy = gamma > 0.0 and last is not None
 
     def sample(rng, m):
-        f = rng.normal(0.0, gamma, m) if rng is not None and noisy else None
+        state, noisy = None, rng is not None and gamma > 0.0
         x, y, z = 0.0, 0.0, 1.0
         for i, op in enumerate(ops):
             if isinstance(op, list):
                 x, y, z = [r[0] * x + r[1] * y + r[2] * z for r in op]
                 continue
             h, nz, nx, steps = op
-            for _ in range(steps):
+            for k in range(steps):
                 az = nz * h
-                if f is not None:
-                    f, phase = kernel(rng, f, lam, gamma, h, i != last)
+                if noisy:
+                    state, phase = kernel(rng, state, lam, gamma, h, m,
+                                          i != last or k < steps - 1)
                     az = az + phase
                 if nx == 0.0:
                     c, s = _cos_sin(az)
@@ -303,17 +293,23 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
            noise: NoiseParams, taus, cfg: McConfig) -> SignalCurve:
     """Monte Carlo estimate of <sigma_z> per tau under cfg.pulse_model.
 
-    Both pulse models run the one sampler (_sampler) over the window
-    timeline of each sequence (_timeline).  Finite pulses evolve under
-    ((det + f(t))/2) sigma_z + (rabi/2) sigma_x, stepped on the time_step
-    grid with f held at its mean over each step, and the noise runs
-    continuously through pulses and delays.  Raises PulseStepError when a
-    trajectory would take over MAX_PULSE_STEPS pulse steps, and
-    RenewalEventError when it would expect over MAX_RENEWAL_EVENTS renewal
-    events.  Deterministic for a fixed master_seed at any cfg.workers; see
-    the module docstring for the seeding scheme.
+    Finite pulses evolve under ((det + f(t))/2) sigma_z + (rabi/2) sigma_x,
+    stepped on the time_step grid with f held at its mean over each step,
+    and the noise runs continuously through pulses and delays.  Raises
+    PulseStepError when a trajectory would take over MAX_PULSE_STEPS pulse
+    steps, and RenewalEventError when it would expect over
+    MAX_RENEWAL_EVENTS renewal events.  Deterministic for a fixed
+    master_seed at any cfg.workers; see the module docstring for the
+    seeding scheme.
     """
-    taus = _validate(theta, delta, noise, taus)
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("taus must be a non-empty 1-d array")
+    if not (np.isfinite(taus).all() and np.isfinite([theta, delta, noise.lam,
+                                                     noise.gamma]).all()):
+        raise ValueError("non-finite simulation parameter")
+    if (taus < 0).any():
+        raise ValueError("taus must be >= 0")
     noisy = noise.gamma > 0.0
     # the longest sequence; its pulses are those of every tau
     longest = build_sequence(seq_kind, theta, delta, float(taus.max()))
@@ -325,13 +321,9 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
         raise RenewalEventError(
             f"renewal noise expects lam * {span:.3g} = {noise.lam * span:.3g} "
             f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
-    pulses = [(h * steps, steps) for h, _, nx, steps in windows if nx]
-    pulse_steps = sum(steps for _, steps in pulses)
-    if pulse_steps > MAX_PULSE_STEPS:
-        raise PulseStepError(
-            f"finite pulses need over {MAX_PULSE_STEPS} noisy steps per "
-            f"trajectory (pulse time / min(time_step, 0.05/lam))")
-    coarse = [dur for dur, _ in pulses if dur / cfg.time_step < 10]
+    _trajectory_pulse_steps(seq_kind, theta, delta, noise, cfg)
+    coarse = [h * steps for h, _, nx, steps in windows
+              if nx and h * steps / cfg.time_step < 10]
     warnings = [f"pulse of duration {coarse[0]:.3g} resolved by fewer than 10 "
                 f"steps of {cfg.time_step:.3g}"] if coarse else []
     means = np.empty(taus.size)

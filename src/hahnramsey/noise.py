@@ -17,13 +17,13 @@ interval) and dF (half the covariance of the phases of two adjacent
 ones) they are 2 (F1 + dF), F1 and 2 (F1 - dF); f1 reads F1 from it.
 
 Its samplers are the two exact window kernels, one per noise kind
-(_WINDOW_INTEGRALS): from the values f0 at the start of one window they
-draw its phase integral and the value at its end, with no step-size
-bias; consecutive windows chain the end values.  A caller that will not
-read the end value says so, and the OU kernel then draws the integral
-alone, with the end value integrated out.  The Monte Carlo engine draws
-the phase of every delay and finite-pulse step from them.  They take the
-random generator as an argument; the engine seeds one per block.
+(_WINDOW_INTEGRALS): from a noise state (None: stationary) they draw the
+phase integral of one window, with no step-size bias, and return the
+state the next window starts from: the held value for renewal noise,
+for OU noise the law of the value given the integrals drawn, so that
+each OU window costs one normal.  The Monte Carlo engine draws the phase
+of every delay and finite-pulse step from them.  They take the random
+generator as an argument; the engine seeds one per block.
 """
 
 from __future__ import annotations
@@ -69,14 +69,6 @@ class FilterKind(enum.Enum):
     HAHN_LIKE = "hahn_like"
 
 
-def _lam_tau(p: NoiseParams, tau):
-    """x = lambda tau as a float array, for tau >= 0."""
-    tau = np.asarray(tau, dtype=float)
-    if tau.min(initial=np.inf) < 0:
-        raise ValueError("tau must be >= 0")
-    return p.lam * tau
-
-
 def _float_or_array(out):
     return out if out.ndim else float(out)
 
@@ -97,7 +89,10 @@ def filter_exponents(p: NoiseParams, tau) -> tuple:
     lose every digit.  Over x in [1e-100, 1e24] each is within 1e-15
     relative of 50-digit values.  dF, (Gamma/lambda)^2 m^2 / 2, is
     (Ramsey-like - Hahn-like) / 4."""
-    x = _lam_tau(p, tau)
+    tau = np.asarray(tau, dtype=float)
+    if tau.min(initial=np.inf) < 0:
+        raise ValueError("tau must be >= 0")
+    x = p.lam * tau
     t, m, g = np.tanh(0.5 * x), np.expm1(-x), _x_minus_2_tanh_half(x)
     half = (g + x * t) / (1.0 + t)
     scale = (p.gamma / p.lam) ** 2
@@ -135,52 +130,50 @@ def _x_minus_2_tanh_half(x):
                                     x - 2.0 * np.tanh(0.5 * x)))
 
 
-def _ou_window_integrals(rng, f0, lam, gamma, dur, with_end=True):
-    """Exact OU draw over one window of length dur from the start values
-    f0; returns (f at the end, the integral of f over the window), or
-    (None, the integral) when with_end is false.
+def _ou_window_integrals(rng, state, lam, gamma, dur, n, with_end=True):
+    """Exact OU draw of the integral X of f over one window of length dur
+    for n trajectories; returns (the state the next window starts from,
+    X), or (None, X) when with_end is false.
 
-    Over a window T, with x = lam T and e = exp(-x), f(T) and X = int f dt
-    given f(0) are jointly Gaussian (Gillespie, Phys. Rev. E 54, 2084
-    (1996)): E f(T) = f(0) e, Var f(T) = Gamma^2 (1 - e^2),
-    E X = f(0) (1 - e)/lam, Var X = (Gamma/lam)^2 (2 (x - 1 + e) - (1 - e)^2)
-    and Cov(f(T), X) = (Gamma^2/lam) (1 - e)^2.  X given f(T) is the
-    trapezoid rule with an exact weight plus an independent remainder,
+    The state (m, p) is the law Normal(m, Gamma^2 p) of f at the window's
+    start given the integrals drawn before it, m per trajectory and p one
+    float; None is the stationary start (0, 1), (c, 0) a known value c.
+    X and f(dur) given f(0) are jointly Gaussian (Gillespie, Phys. Rev. E
+    54, 2084 (1996)) and f is Markov, so with x = lam dur, e = exp(-x),
+    q = 1 - e, t = tanh(x/2) and s = 2 (x - 2 tanh(x/2)) / q^2, X is
+    (q/lam) (m + y), y ~ Normal(0, Gamma^2 w), w = s + t + p: one normal
+    per window.  The Kalman update (J. Basic Eng. 82, 35 (1960)) is
 
-        X = tanh(x/2)/lam (f(0) + f(T)) + Normal(0, 2 (Gamma/lam)^2 (x - 2 tanh(x/2))),
+        m <- e m + (q + e p) y / w,   p <- ((1 + e) q s + p (e^2 s + t)) / w,
 
-    two normals per window and no step bias.  Without the end value, X is
-    drawn from its law given f(0) alone, one normal per window:
-
-        X = f(0) (1 - e)/lam + Normal(0, (Gamma/lam)^2 [2 (x - 2 tanh(x/2))
-                                          + tanh(x/2)^2 (1 - e^2)]),
-
-    Var X from above as a sum of two non-negative terms (the remainder and
-    the trapezoid term's share of Var f(T)), so that it keeps its digits
-    at tiny windows; x - 2 tanh(x/2) comes from _x_minus_2_tanh_half.  A
-    zero-length window leaves f as it is and gives X = 0.
+    every term non-negative, so nothing cancels at tiny windows; w >= t
+    keeps it finite where q^2 underflows.  A window too short for
+    tanh(x/2) to leave 0 keeps the state and gives X = 0.
     """
     x = lam * dur
     t = math.tanh(0.5 * x)
-    remainder = 2.0 * _x_minus_2_tanh_half(x)
+    if t == 0.0:
+        return state, np.zeros(n)
+    m, p = (0.0, 1.0) if state is None else state
+    e, q = math.exp(-x), -math.expm1(-x)
+    s = 2.0 * _x_minus_2_tanh_half(x) / q / q
+    w = s + t + p
+    y = rng.normal(0.0, gamma * math.sqrt(w), n)
     if not with_end:
-        x_sd = gamma / lam * math.sqrt(remainder - t * t * math.expm1(-2.0 * x))
-        return None, -math.expm1(-x) / lam * f0 + rng.normal(0.0, x_sd, f0.size)
-    f_sd = gamma * math.sqrt(-math.expm1(-2.0 * x))
-    x_sd = gamma / lam * math.sqrt(remainder)
-    f_end = f0 * math.exp(-x) + rng.normal(0.0, f_sd, f0.size)
-    return f_end, t / lam * (f0 + f_end) + rng.normal(0.0, x_sd, f0.size)
+        return None, q / lam * (m + y)
+    return ((e * m + (q + e * p) / w * y, ((1.0 + e) * q * s + p * (e * e * s + t)) / w),
+            q / lam * (m + y))
 
 
-def _renewal_window_integrals(rng, f0, lam, gamma, dur, with_end=True):
-    """Exact renewal draw over one window from the held values f0,
-    returned as (f at the end, the integral): Exponential(1/lam) waiting
-    times, a fresh Normal(0, Gamma^2) value at each event.  A pass draws
-    only for trajectories short of the end, so nothing is drawn that is
-    not read, and with_end is ignored."""
-    val = f0.copy()
-    out = np.zeros(f0.size)
-    live = np.arange(f0.size if dur > 0 else 0)
+def _renewal_window_integrals(rng, f0, lam, gamma, dur, n, with_end=True):
+    """Exact renewal draw over one window from the held values f0 (None:
+    n stationary draws), returned as (f at the end, the integral):
+    Exponential(1/lam) waiting times, a fresh Normal(0, Gamma^2) value at
+    each event.  A pass draws only for trajectories short of the end, so
+    nothing is drawn that is not read, and with_end is ignored."""
+    val = rng.normal(0.0, gamma, n) if f0 is None else f0.copy()
+    out = np.zeros(n)
+    live = np.arange(n if dur > 0 else 0)
     t = integral = np.zeros(live.size)
     while live.size:
         t_next = np.minimum(t + rng.exponential(1.0 / lam, live.size), dur)
@@ -192,7 +185,6 @@ def _renewal_window_integrals(rng, f0, lam, gamma, dur, with_end=True):
     return val, out
 
 
-#: kernel(rng, f0, lam, gamma, dur, with_end=True) -> (f_end, integral) per
-#: noise kind; f_end may be None when with_end is false
+#: kernel(rng, state, lam, gamma, dur, n, with_end=True) -> (state, integral)
 _WINDOW_INTEGRALS = {NoiseKind.ORNSTEIN_UHLENBECK: _ou_window_integrals,
                      NoiseKind.RENEWAL: _renewal_window_integrals}

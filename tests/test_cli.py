@@ -184,6 +184,30 @@ def test_fit_roundtrip_and_missing_file(tmp_path, capsys):
     assert run(["fit", "--data", tmp_path / "nope.csv", "--out", tmp_path]) == 2
 
 
+def test_fit_pinned_to_a_bound_says_so(tmp_path):
+    # a plain exponential cannot follow an oscillating fringe: its tau_c
+    # ends on the lower bound 1e-4 x tmax, where the tau_c column of the
+    # Jacobian vanishes and tau_c_err reads 0.0
+    data = tmp_path / "fringe.csv"
+    t = np.linspace(0, 7, 60)
+    with open(data, "w") as fh:
+        fh.write("tau,signal\n")
+        for ti, yi in zip(t, 0.5 + 0.4 * np.cos(2 * t) * np.exp(-((t / 4) ** 2))):
+            fh.write(f"{ti},{yi}\n")
+    reports = {}
+    for model in ("exponential", "gaussian"):
+        assert run(["fit", "--data", data, "--model", model,
+                    "--out", tmp_path / model]) == 0
+        reports[model] = json.loads((tmp_path / model / "fit_fringe.json").read_text())
+    pinned = reports["exponential"]
+    assert pinned["tau_c"] == pytest.approx(1e-4 * 7, rel=1e-12)
+    assert pinned["tau_c_err"] == 0.0
+    assert len(pinned["warnings"]) == 1 and pinned["warnings"][0].startswith("tau_c ")
+    # the envelope model fits the fringe, and its report has no warnings
+    assert reports["gaussian"]["tau_c"] == pytest.approx(4.0, rel=1e-6)
+    assert "warnings" not in reports["gaussian"]
+
+
 def test_scan_command(tmp_path):
     taus = np.linspace(0.1, 6, 40)
     p = NoiseParams(2.5, 0.6)      # truth on both scan grids
@@ -906,6 +930,34 @@ def test_tau_points_beyond_their_fixed_monte_carlo_cost_exit_2(engine, tmp_path,
                     "--tau-count", 10 ** 6, "--out", tmp_path / "o"]) == 2
     assert "config field 'tau_count'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("counts, field", [
+    (["--n-trajectories", 4, "--tau-count", 1000], "tau_count"),
+    (["--n-trajectories", 100_000, "--tau-count", 2], "n_trajectories")])
+def test_noisy_finite_pulse_steps_count_into_the_monte_carlo_bound(
+        counts, field, tmp_path, capsys):
+    # each of the 7096 noisy pulse steps of a tau point is one more pass of
+    # the Python loop, 0.37 s a point at 4 trajectories: the bound on
+    # instantaneous pulses let 499750 points through, about two days
+    args = ["simulate", "--engine", "montecarlo", "--pulse-model", "finite",
+            "--rabi", 0.05, "--lam", 2.5, "--gamma", 0.6, "--theta", 0.6,
+            "--delta", 1, *counts, "--out", tmp_path / "o"]
+    with mock.patch("hahnramsey.montecarlo.run_mc",
+                    side_effect=AssertionError("the run started")):
+        assert run(args) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a few points of a few trajectories pass, as do the same counts with
+    # instantaneous or noiseless pulses
+    cfg = RunConfig(sequence="hahn_ramsey", engine="montecarlo", pulse_model="finite",
+                    rabi=0.05, lam=2.5, gamma=0.6, theta=0.6, delta=1.0,
+                    n_trajectories=4, tau_count=200)
+    cfg.validate("simulate")
+    cfg.n_trajectories, cfg.tau_count = counts[1], counts[3]
+    for model, gamma in (("instantaneous", 0.6), ("finite", 0.0)):
+        cfg.pulse_model, cfg.gamma = model, gamma
+        cfg.validate("simulate")
 
 
 def test_every_command_takes_every_field(capsys):

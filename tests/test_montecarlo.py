@@ -150,12 +150,12 @@ class _CountingRng:
     (SequenceKind.RAMSEY, np.pi / 2, DELTA, 1),
     (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, 2),
     (SequenceKind.HAHN_RAMSEY, THETA, DELTA, 2)])
-def test_ou_draws_the_start_and_two_normals_per_delay_less_the_unread_end(
+def test_ou_draws_one_normal_per_noisy_window_and_no_start(
         kind, theta, delta, n_delays, monkeypatch):
-    # exact window kernel: one stationary start value, then two normals
-    # per delay, whatever the delay length, except that the end value of
-    # the last delay is never drawn; zero-length delays (tau 0) leave no
-    # window to read the start value, so nothing is drawn at all
+    # exact window kernel: one normal per delay, whatever the delay length,
+    # from the law of its phase given the phases already drawn, and no
+    # draw for the stationary start; zero-length delays (tau 0) leave no
+    # window, so nothing is drawn at all
     counts = {}
     make = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
@@ -164,7 +164,7 @@ def test_ou_draws_the_start_and_two_normals_per_delay_less_the_unread_end(
     for tau in (0.0, 1e-6, 0.7, 40.0):
         counts.clear()
         run_mc(kind, theta, delta, FIG_NOISE, [tau], McConfig(n, master_seed=7))
-        assert counts == ({"normal": n * 2 * n_delays} if tau else {})
+        assert counts == ({"normal": n * n_delays} if tau else {})
 
 
 def test_ou_instantaneous_bytes_ignore_time_step(tmp_path):
@@ -199,21 +199,22 @@ def test_input_validation():
 def _spinor_sampler(seq, delta, noise):
     """Oracle: sample(rng, m) propagating the complex spinor, one (2, 2)
     matmul per pulse and a pair of phase factors per delay; same draws,
-    one kernel call per delay, the last one without the end value."""
+    one kernel call per delay from the stationary start state None, the
+    last one without the end state."""
     ops = [el if isinstance(el, Delay) else pulse_unitary(el)
            for el in seq.elements]
     last = max(i for i, op in enumerate(ops) if isinstance(op, Delay))
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
 
     def sample(rng, m):
-        f = None if rng is None else rng.normal(0.0, noise.gamma, m)
+        state = None
         psi = np.tile(UP, (m, 1))
         for i, op in enumerate(ops):
             if isinstance(op, Delay):
                 x = 0.0
-                if f is not None:
-                    f, x = window_integrals(rng, f, noise.lam, noise.gamma,
-                                            op.duration, i != last)
+                if rng is not None:
+                    state, x = window_integrals(rng, state, noise.lam, noise.gamma,
+                                                op.duration, m, i != last)
                 phi = op.detuning_sign * delta * op.duration + x
                 psi[:, 0] *= np.exp(-0.5j * phi)
                 psi[:, 1] *= np.exp(+0.5j * phi)
@@ -293,9 +294,9 @@ def test_cos_sin_is_within_two_ulp_of_numpy():
 def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
     """Oracle: the finite pulses as a spinor stepped in extended precision
     (np.clongdouble), each step's half-angle from np.cos and np.sin of
-    ang / 2; same float draws, the last step without the end value, on
-    its own window timeline of (kind, duration, sigma_z rate, sigma_x
-    rate)."""
+    ang / 2; same float draws from the stationary start state None, the
+    last step without the end state, on its own window timeline of
+    (kind, duration, sigma_z rate, sigma_x rate)."""
     windows = []
     for el in seq.elements:
         if isinstance(el, Delay):
@@ -307,7 +308,7 @@ def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
     lam, gamma = noise.lam, noise.gamma
     noisy = gamma > 0.0 and rng is not None
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
-    f = rng.normal(0.0, gamma, m) if noisy else None
+    state = None
     psi = np.zeros((m, 2), dtype=np.clongdouble)
     psi[:, 0] = 1
     last = max(i for i, w in enumerate(windows) if w[1] > 0.0)
@@ -323,7 +324,8 @@ def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
             nz = np.full(m, np.longdouble(nz_rate))
             if noisy:
                 with_end = (i, k) != (last, steps - 1)
-                f, x = window_integrals(rng, f, lam, gamma, float(h), with_end)
+                state, x = window_integrals(rng, state, lam, gamma, float(h), m,
+                                            with_end)
                 nz = nz + x.astype(np.longdouble) / h
             w = np.sqrt(nz * nz + nx * nx)
             ang = w * h

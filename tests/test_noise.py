@@ -255,44 +255,54 @@ def _cov_within(a, b, expected, k=4):
 def _ou_integrals(tau, n, seed):
     """OU integrals over one window of length tau from a stationary start."""
     rng = np.random.default_rng(seed)
-    f0 = rng.normal(0.0, P.gamma, n)
-    return _ou_window_integrals(rng, f0, P.lam, P.gamma, tau)[1]
+    return _ou_window_integrals(rng, None, P.lam, P.gamma, tau, n)[1]
 
 
-def _chain(kernel, rng, f0, lam, gamma, durations):
+def _chain(kernel, rng, state, lam, gamma, durations, n):
     """Consecutive windows as the Monte Carlo sampler draws them: one
-    kernel call per window, f carried from each window's end to the next,
-    the last window without its end value; returns (what the kernel
-    gives for f at the last end, the integrals of the windows)."""
-    f, xs = f0, []
+    kernel call per window, the state carried from each window to the
+    next, the last window without its end state; returns (what the kernel
+    gives for the last end state, the integrals of the windows)."""
+    xs = []
     for k, dur in enumerate(durations):
-        f, x = kernel(rng, f, lam, gamma, dur, k < len(durations) - 1)
+        state, x = kernel(rng, state, lam, gamma, dur, n, k < len(durations) - 1)
         xs.append(x)
-    return f, xs
+    return state, xs
+
+
+def _ou_end_value(rng, state, gamma):
+    """f at the end of the windows drawn so far, from the OU state (m, p):
+    m + Gamma sqrt(p) z', jointly exact with the integrals drawn."""
+    m, p = state
+    return m + gamma * np.sqrt(p) * rng.normal(0.0, 1.0, np.size(m))
 
 
 def test_ou_zero_strength_is_silent():
     rng = np.random.default_rng(5)
-    f_end, x = _ou_window_integrals(rng, np.zeros(11), 2.5, 0.0, 0.3)
-    assert (f_end == 0.0).all() and (x == 0.0).all()
-    f_end, xs = _chain(_ou_window_integrals, rng, np.zeros(11), 2.5, 0.0, [0.3, 1.0])
-    assert f_end is None and (np.array(xs) == 0.0).all()
+    (m, _), x = _ou_window_integrals(rng, None, 2.5, 0.0, 0.3, 11)
+    assert (m == 0.0).all() and (x == 0.0).all()
+    end, xs = _chain(_ou_window_integrals, rng, None, 2.5, 0.0, [0.3, 1.0], 11)
+    assert end is None and (np.array(xs) == 0.0).all()
 
 
 def test_ou_stationary_statistics():
-    # f at the times 0, 0.4 and 1: the end values of consecutive windows
-    # from a stationary start
+    # f at the times 0, 0.4 and 1: from a stationary value f(t_i), held
+    # as the known state (f(t_i), 0), the windows up to t_j and f(t_j)
+    # rebuilt from the state they leave
     n, times = 100_000, np.array([0.0, 0.4, 1.0])
     rng = np.random.default_rng(999)
-    vals = [rng.normal(0.0, P.gamma, n)]
-    for dt in np.diff(times):
-        vals.append(_ou_window_integrals(rng, vals[-1], P.lam, P.gamma, dt)[0])
     se = P.gamma / np.sqrt(n)
-    for v in vals:
-        assert abs(v.mean()) < 4 * se
-    # lagged autocovariance vs the exponential correlation
     for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        prod = vals[i] * vals[j]
+        start = rng.normal(0.0, P.gamma, n)
+        durations = np.diff(times[i:j + 1])
+        state = (start, 0.0)
+        for dur in durations:
+            state, _ = _ou_window_integrals(rng, state, P.lam, P.gamma, dur, n)
+        end = _ou_end_value(rng, state, P.gamma)
+        assert abs(end.mean()) < 4 * se
+        assert _var_within(end, P.gamma ** 2)
+        # lagged autocovariance vs the exponential correlation
+        prod = start * end
         se_cov = prod.std(ddof=1) / np.sqrt(n)
         assert abs(prod.mean() - correlation(P, times[j] - times[i])) < 4 * se_cov
 
@@ -323,14 +333,15 @@ def test_ou_window_kernel_moments(lam_t):
     lam, gam = P.lam, P.gamma
     rng = np.random.default_rng(int(100 * lam_t))
     # stationary start: Var X = 2 F1, Cov(X1, X2) = 2 dF over adjacent windows
-    f0 = rng.normal(0.0, gam, n)
-    _, (x1, x2) = _chain(_ou_window_integrals, rng, f0, lam, gam, [tau, tau])
+    _, (x1, x2) = _chain(_ou_window_integrals, rng, None, lam, gam, [tau, tau], n)
     assert _var_within(x1, 2 * f1(P, tau))
     assert _var_within(x2, 2 * f1(P, tau))
     assert _cov_within(x1, x2, 2 * delta_f(P, tau))
-    # fixed start c: the joint Gaussian moments of (f(T), X) given f(0)
+    # fixed start c, the state (c, 0): the joint Gaussian moments of
+    # (f(T), X) given f(0)
     c, e = 0.8 * gam, np.exp(-lam_t)
-    f_end, x = _ou_window_integrals(rng, np.full(n, c), lam, gam, tau)
+    state, x = _ou_window_integrals(rng, (np.full(n, c), 0.0), lam, gam, tau, n)
+    f_end = _ou_end_value(rng, state, gam)
     var_x = (2 * gam ** 2 / lam ** 2 * (lam_t + np.expm1(-lam_t))
              - gam ** 2 * (1 - e) ** 2 / lam ** 2)
     assert abs(f_end.mean() - c * e) < 4 * gam * np.sqrt((1 - e * e) / n)
@@ -338,11 +349,47 @@ def test_ou_window_kernel_moments(lam_t):
     assert _var_within(f_end, gam ** 2 * (1 - e * e))
     assert _var_within(x, var_x)
     assert _cov_within(f_end, x, gam ** 2 / lam * (1 - e) ** 2)
-    # the end-free form: the same law of X given f(0), f(T) integrated out
-    f_end, x = _ou_window_integrals(rng, np.full(n, c), lam, gam, tau, False)
-    assert f_end is None
+    # the end-free form: the same law of X given f(0), no end state
+    state, x = _ou_window_integrals(rng, (np.full(n, c), 0.0), lam, gam, tau, n,
+                                    False)
+    assert state is None
     assert abs(x.mean() - c * (1 - e) / lam) < 4 * np.sqrt(var_x / n)
     assert _var_within(x, var_x)
+
+
+def test_ou_window_kernel_covariance_of_unequal_windows():
+    # three consecutive windows of lam h = 0.01, 1 and 7 from a stationary
+    # start: Var X_i = 2 F1(h_i), and for i < j
+    # Cov(X_i, X_j) = (Gamma/lam)^2 q_i q_j exp(-lam gap), q = 1 - exp(-lam h),
+    # gap the time between the end of window i and the start of window j
+    n, lam_h = 200_000, np.array([0.01, 1.0, 7.0])
+    h = lam_h / P.lam
+    _, xs = _chain(_ou_window_integrals, np.random.default_rng(31), None,
+                   P.lam, P.gamma, h, n)
+    q = -np.expm1(-lam_h)
+    starts = np.concatenate([[0.0], np.cumsum(h)])
+    for i in range(3):
+        assert _var_within(xs[i], 2 * f1(P, h[i]))
+        for j in range(i + 1, 3):
+            gap = starts[j] - starts[i + 1]
+            want = (P.gamma / P.lam) ** 2 * q[i] * q[j] * np.exp(-P.lam * gap)
+            assert _cov_within(xs[i], xs[j], want), (i, j)
+
+
+def test_ou_window_kernel_keeps_its_state_over_many_tiny_windows():
+    # 1e5 windows of lam h = 1e-12: the variance p stays finite in (0, 1],
+    # and the sum of the integrals has the variance 2 F1 of the whole span
+    n, steps, h = 500, 100_000, 1e-12 / P.lam
+    rng = np.random.default_rng(41)
+    state, total = None, np.zeros(n)
+    p_min = p_max = 1.0
+    for _ in range(steps):
+        state, x = _ou_window_integrals(rng, state, P.lam, P.gamma, h, n)
+        total += x
+        p_min, p_max = min(p_min, state[1]), max(p_max, state[1])
+    assert np.isfinite(state[0]).all()
+    assert 0.0 < p_min and p_max <= 1.0 and np.isfinite(p_min)
+    assert _var_within(total, 2 * f1(P, steps * h))
 
 
 @pytest.mark.parametrize("lam_t", [0.01, 1.0, 7.0])
@@ -353,9 +400,8 @@ def test_ou_window_kernel_matches_stepped_oracle(lam_t, sample_ou_ensemble):
     vals = sample_ou_ensemble(P, grid, n, 5)
     o1 = np.trapezoid(vals[:, :steps + 1], grid[:steps + 1], axis=1)
     o2 = np.trapezoid(vals[:, steps:], grid[steps:], axis=1)
-    rng = np.random.default_rng(6)
-    _, (x1, x2) = _chain(_ou_window_integrals, rng, rng.normal(0.0, P.gamma, n),
-                         P.lam, P.gamma, [tau, tau])
+    _, (x1, x2) = _chain(_ou_window_integrals, np.random.default_rng(6), None,
+                         P.lam, P.gamma, [tau, tau], n)
     for a, b in ((o1, x1), (o2, x2)):
         va, vb = a.var(ddof=1), b.var(ddof=1)
         assert abs(va - vb) < 4 * np.hypot(va, vb) * np.sqrt(2 / (n - 1))
@@ -380,23 +426,27 @@ def test_ou_window_kernel_tiny_window_variances():
     lam_t = 1e-9
     rng = _ScaleRecorder(3)
     f0 = np.linspace(-1.0, 1.0, 7)
-    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, lam_t / P.lam)
-    assert len(rng.scales) == 2
-    assert all(np.isfinite(s) and s >= 0 for s in rng.scales)
-    assert np.isfinite(f_end).all() and np.isfinite(x).all()
-    # X = T f0 up to the O(sqrt(lam T)) change of f over the window
-    assert_allclose(x, f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
-    # the remainder keeps its O(x^3) variance 2 (Gamma/lam)^2 x^3/12
-    assert rng.scales[1] ** 2 == pytest.approx(
-        lam_t ** 3 / 6 * (P.gamma / P.lam) ** 2, rel=1e-12, abs=0)
-    # the end-free form: one draw, of variance (2/3 - x/2) x^3 (Gamma/lam)^2
-    # (the x^5 term is 1e-18 of it)
-    rng.scales = []
-    f_end, x = _ou_window_integrals(rng, f0, P.lam, P.gamma, lam_t / P.lam, False)
-    assert f_end is None and len(rng.scales) == 1
-    assert rng.scales[0] ** 2 == pytest.approx(
-        (2 / 3 - lam_t / 2) * lam_t ** 3 * (P.gamma / P.lam) ** 2, rel=1e-12, abs=0)
-    assert_allclose(x, f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
+    q = -np.expm1(-lam_t)
+    for with_end in (True, False):
+        rng.scales = []
+        state, x = _ou_window_integrals(rng, (f0, 0.0), P.lam, P.gamma,
+                                        lam_t / P.lam, f0.size, with_end)
+        # one draw, all of X's variance given f(0):
+        # (2/3 - x/2) x^3 (Gamma/lam)^2 (the x^5 term is 1e-18 of it)
+        assert len(rng.scales) == 1
+        assert np.isfinite(rng.scales[0]) and rng.scales[0] >= 0
+        assert (q / P.lam * rng.scales[0]) ** 2 == pytest.approx(
+            (2 / 3 - lam_t / 2) * lam_t ** 3 * (P.gamma / P.lam) ** 2, rel=1e-12, abs=0)
+        assert np.isfinite(x).all()
+        # X = T f0 up to the O(sqrt(lam T)) change of f over the window
+        assert_allclose(x, f0 * 1e-9 / P.lam, rtol=0, atol=1e-3 * 1e-9 / P.lam)
+    assert state is None
+    # the end state: f(T) given f(0) and X keeps its O(x) variance, x/2
+    # Gamma^2 to first order
+    (m, p), _ = _ou_window_integrals(rng, (f0, 0.0), P.lam, P.gamma, lam_t / P.lam,
+                                     f0.size)
+    assert np.isfinite(m).all()
+    assert p == pytest.approx(lam_t / 2, rel=1e-6)
 
 
 def _x_minus_2_tanh_half_50_digits(x):
@@ -423,17 +473,17 @@ def test_x_minus_2_tanh_half_keeps_its_digits():
     assert _x_minus_2_tanh_half(0.0) == 0.0
 
 
-@pytest.mark.parametrize("kernel", [_ou_window_integrals, _renewal_window_integrals],
-                         ids=["ou", "renewal"])
-def test_window_kernel_zero_window_is_identity(kernel):
+@pytest.mark.parametrize("kernel, start", [
+    (_ou_window_integrals, (np.linspace(-1.0, 1.0, 50), 0.3)),
+    (_renewal_window_integrals, np.linspace(-1.0, 1.0, 50))], ids=["ou", "renewal"])
+def test_window_kernel_zero_window_is_identity(kernel, start):
     rng = np.random.default_rng(4)
-    f0 = rng.normal(0.0, P.gamma, 50)
-    f_end, x = kernel(rng, f0, P.lam, P.gamma, 0.0)
-    assert (f_end == f0).all()
+    state, x = kernel(rng, start, P.lam, P.gamma, 0.0, 50)
+    assert np.array_equal(np.hstack(state), np.hstack(start))
     assert (x == 0.0).all()
-    assert (kernel(rng, f0, P.lam, P.gamma, 0.0, False)[1] == 0.0).all()
+    assert (kernel(rng, start, P.lam, P.gamma, 0.0, 50, False)[1] == 0.0).all()
     # and between two windows
-    _, x = _chain(kernel, rng, f0, P.lam, P.gamma, [0.5, 0.0, 0.5])
+    _, x = _chain(kernel, rng, start, P.lam, P.gamma, [0.5, 0.0, 0.5], 50)
     assert (x[1] == 0.0).all()
 
 
@@ -444,7 +494,7 @@ def test_renewal_window_kernel_moments(lam_t):
     # stationary start: the same second moments as OU noise
     f0 = rng.normal(0.0, P.gamma, n)
     f_end, (x1, x2) = _chain(_renewal_window_integrals, rng, f0, P.lam, P.gamma,
-                             [tau, tau])
+                             [tau, tau], n)
     assert _var_within(x1, 2 * f1(P, tau))
     assert _var_within(x2, 2 * f1(P, tau))
     assert _cov_within(x1, x2, 2 * delta_f(P, tau))
@@ -478,7 +528,7 @@ def test_renewal_window_kernel_draws_nothing_for_finished_trajectories():
     f = np.random.default_rng(6).normal(0.0, P.gamma, n)
     for dur in (0.3, 0.9, 0.3):
         rng.exponential_sizes, rng.normal_sizes = [], []
-        f, _ = _renewal_window_integrals(rng, f, P.lam, P.gamma, dur)
+        f, _ = _renewal_window_integrals(rng, f, P.lam, P.gamma, dur, n)
         waits, values = rng.exponential_sizes, rng.normal_sizes
         # a pass draws one waiting time per trajectory still short of the
         # end, then one value per trajectory whose event fell before the
@@ -493,15 +543,16 @@ def test_renewal_window_kernel_draws_nothing_for_finished_trajectories():
 def test_renewal_window_kernel_ignores_with_end():
     # it draws nothing it does not read, so both forms draw the same
     f0 = np.random.default_rng(8).normal(0.0, P.gamma, 500)
-    a = _renewal_window_integrals(np.random.default_rng(9), f0, P.lam, P.gamma, 0.7)
+    a = _renewal_window_integrals(np.random.default_rng(9), f0, P.lam, P.gamma, 0.7,
+                                  500)
     b = _renewal_window_integrals(np.random.default_rng(9), f0, P.lam, P.gamma, 0.7,
-                                  False)
+                                  500, False)
     assert all((u == v).all() for u, v in zip(a, b))
 
 
 def test_renewal_constant_in_no_jump_limit():
     rng = np.random.default_rng(7)
     f0 = rng.normal(0.0, 1.0, 1000)
-    f_end, x = _renewal_window_integrals(rng, f0, 1e-9, 1.0, 10.0)
+    f_end, x = _renewal_window_integrals(rng, f0, 1e-9, 1.0, 10.0, 1000)
     assert (f_end == f0).all()
     assert (x == f0 * 10.0).all()
