@@ -168,7 +168,11 @@ def curve_fit(fn, x, y, p0, bounds, jac, sigma=None):
     step solves (J^T J + mu D) dp = -J^T r, r = (fn - y) / sigma, D the
     running max of diag(J^T J), clipped to bounds; mu falls tenfold after
     a step that lowers the SSR, else rises tenfold.  pcov is scipy's: the
-    SVD pseudo-inverse of J^T J, times SSR / (m - n) if sigma is None."""
+    SVD pseudo-inverse of J^T J, times SSR / (m - n) if sigma is None.
+    Raises FitError after _MAX_STEPS steps, unless the fit then has a
+    parameter pinned to a bound, one whose projected gradient vanishes
+    because J^T r pushes it out of the box: the others may walk a flat
+    valley beside that bound until the cap, and fit_decay flags it."""
     w = np.ones_like(y) if sigma is None else 1.0 / sigma
     p, mu, d = np.clip(p0, *bounds), 1e-3, 0.0
     r = (fn(x, *p) - y) * w
@@ -188,7 +192,9 @@ def curve_fit(fn, x, y, p0, bounds, jac, sigma=None):
         if drop <= _FTOL * (ssr + drop):
             break
     else:
-        raise FitError(f"gave up after {_MAX_STEPS} steps")
+        g, (lo, hi) = jw.T @ r, np.asarray(bounds, dtype=float)
+        if not (((p == lo) & (g > 0)) | ((p == hi) & (g < 0))).any():
+            raise FitError(f"gave up after {_MAX_STEPS} steps")
     _, s, vt = np.linalg.svd(jw, full_matrices=False)
     keep = s > np.finfo(float).eps * max(jw.shape) * s[0]
     pcov = (vt[keep].T / s[keep] ** 2) @ vt[keep]

@@ -326,8 +326,7 @@ def config_hash(cfg: RunConfig, command: str) -> str:
     sha256 of its bytes (one it cannot read is a bad data field); placement
     (out, data paths), scheduling (workers) and, unless pulses are finite,
     time_step do not change the result bytes and are excluded."""
-    d = {k: v for k, v in dataclasses.asdict(cfg).items()
-         if k not in ("out", "data", "workers")}
+    d = {k: getattr(cfg, k) for k in _FIELDS if k not in ("out", "data", "workers")}
     try:
         sums = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in cfg.data]
     except OSError as exc:

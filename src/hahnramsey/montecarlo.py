@@ -27,9 +27,9 @@ summed with numpy's pairwise summation over each block.
 
 The phase integral of every window step is drawn exactly, for both
 noise kinds, from the window kernels in `noise`, one call per step:
-event-driven for renewal noise, one normal per step for OU noise (d
-normals per trajectory for d noisy delays).  time_step only sets the
-grid on which noisy finite pulses are stepped.
+event-driven for renewal noise, and for OU noise one Box-Muller normal,
+from one uniform per trajectory, per window (noise._normals).  time_step
+only sets the grid on which noisy finite pulses are stepped.
 """
 
 from __future__ import annotations
@@ -215,9 +215,11 @@ def _sampler(seq, delta, noise, cfg):
     the scalars (0, 0, 1).  A rotation op is applied as it stands, a
     final one only in its z row, since only z is read out.  Each
     window step draws the phase integral X of its noise from the exact
-    window kernel of the noise kind and rotates by the angle vector
-    (nx h, 0, nz h + X): about z for a delay (nx = 0), by Rodrigues'
-    formula about its per-trajectory axis for a pulse step (_cos_sin).
+    window kernel of the noise kind (for OU noise one Box-Muller normal,
+    from one uniform per trajectory, per window) and rotates by the angle
+    vector (nx h, 0, nz h + X): about z for a delay (nx = 0), by
+    Rodrigues' formula about its per-trajectory axis for a pulse step
+    (_cos_sin).
 
     The noise state starts as None, the kernels' stationary start, and
     each kernel call returns the one the next starts from; nothing reads
@@ -259,7 +261,8 @@ def _sampler(seq, delta, noise, cfg):
                                z * c + kx * y * s + kz * d)
         if readout is not None:
             z = readout[0] * x + readout[1] * y + readout[2] * z
-        return np.broadcast_to(z, (m,))     # scalar while nothing was drawn
+        # z is an (m,) array once a window drew noise, else a scalar
+        return z if np.ndim(z) else np.broadcast_to(z, (m,))
 
     return sample
 

@@ -20,7 +20,8 @@ from filter_oracle import textbook_exponents
 from hahnramsey.analytic import (_detuned_echo_terms, closed_form_signal,
                                  signal_from_exponents)
 import hahnramsey
-from hahnramsey.cli import MAX_TRAJECTORY_POINTS, RunConfig, main, read_curve_csv
+from hahnramsey.cli import (MAX_TRAJECTORY_POINTS, RunConfig, config_hash, main,
+                           read_curve_csv)
 from hahnramsey.noise import NoiseParams, filter_exponents
 from hahnramsey.spincore import SequenceKind, build_sequence
 
@@ -206,6 +207,24 @@ def test_fit_pinned_to_a_bound_says_so(tmp_path):
     # the envelope model fits the fringe, and its report has no warnings
     assert reports["gaussian"]["tau_c"] == pytest.approx(4.0, rel=1e-6)
     assert "warnings" not in reports["gaussian"]
+
+
+def test_fit_reaching_its_step_cap_beside_a_bound_reports_the_pin(tmp_path):
+    # a fringe decaying far slower than its span: the plain exponential's
+    # offset ends on its upper bound, and amplitude and tau_c walk a flat
+    # valley beside it until the step cap; the fit is reported, flagged
+    data = tmp_path / "slow.csv"
+    t = np.linspace(0, 7, 60)
+    with open(data, "w") as fh:
+        fh.write("tau,signal\n")
+        for ti, yi in zip(t, 0.5 + 0.4 * np.cos(2 * t) * np.exp(-((t / 100) ** 2))):
+            fh.write(f"{ti},{yi}\n")
+    assert run(["fit", "--data", data, "--model", "exponential",
+                "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "fit_slow.json").read_text())
+    assert len(report["warnings"]) == 1 and report["warnings"][0].startswith("offset ")
+    vals = [v for v in report.values() if isinstance(v, (int, float))]
+    assert vals and all(map(math.isfinite, vals))
 
 
 def test_scan_command(tmp_path):
@@ -841,6 +860,30 @@ def test_the_config_hash_identifies_the_run(tmp_path, capsys):
     for a, b in [("scan", "scan again"), ("scan", "scan, 3 workers"),
                  ("scan", "scan of the copy"), ("fit", "fit of the copy")]:
         assert stamps[a] == stamps[b], (a, b)
+
+
+def test_config_hashes_keep_their_values(tmp_path):
+    # stamps written before the hash read its fields by getattr; a data
+    # file counts by its bytes, not its path
+    data = tmp_path / "c.csv"
+    data.write_text("tau,signal\n0,1\n1,0.5\n")
+    cases = [
+        (RunConfig(), "simulate", "5a93fb846933cadd"),
+        (RunConfig(sequence="ramsey", delta=1.3, engine="both", n_trajectories=500,
+                   seed=9, workers=3), "simulate", "bea8a339e882975d"),
+        (RunConfig(pulse_model="finite", rabi=6.283, time_step=0.02,
+                   noise_kind="renewal"), "simulate", "f4ed7e30effa2b2f"),
+        (RunConfig(data=(str(data),), model="exponential", tau_scale=1e-3), "fit",
+         "0885d27c33431998"),
+        (RunConfig(data=(str(data),), lambda_min=1.0, lambda_max=4.0, lambda_count=31,
+                   gamma_min=0.2, gamma_max=1.2, gamma_count=31), "scan",
+         "51793a91209ba8fb"),
+        (RunConfig(u=1.3, v=0.7, gamma_e=2.8), "sensitivity", "96cbe32090c8f5ab"),
+        (RunConfig(tau=1.0, samples=50, with_components=True, theta_count=7), "bloch",
+         "0d20d2769e325a9c"),
+    ]
+    for cfg, command, want in cases:
+        assert config_hash(cfg, command) == want, command
 
 
 @pytest.mark.parametrize("command", ["fit", "scan", "bloch"])

@@ -155,7 +155,8 @@ def test_ou_draws_one_normal_per_noisy_window_and_no_start(
     # exact window kernel: one normal per delay, whatever the delay length,
     # from the law of its phase given the phases already drawn, and no
     # draw for the stationary start; zero-length delays (tau 0) leave no
-    # window, so nothing is drawn at all
+    # window, so nothing is drawn at all.  Each normal is a Box-Muller one
+    # (noise._normals): n uniforms per window for the even block sizes
     counts = {}
     make = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
@@ -164,7 +165,7 @@ def test_ou_draws_one_normal_per_noisy_window_and_no_start(
     for tau in (0.0, 1e-6, 0.7, 40.0):
         counts.clear()
         run_mc(kind, theta, delta, FIG_NOISE, [tau], McConfig(n, master_seed=7))
-        assert counts == ({"normal": n * n_delays} if tau else {})
+        assert counts == ({"random": n * n_delays} if tau else {})
 
 
 def test_ou_instantaneous_bytes_ignore_time_step(tmp_path):

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from filter_oracle import (TARGET_ERROR, chi_filter, correlation, delta_f,
                            textbook_exponents)
 from hahnramsey.analytic import closed_form_signal, component_weights
-from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams,
+from hahnramsey import noise
+from hahnramsey.noise import (FilterKind, NoiseKind, NoiseParams, _normals,
                               _ou_window_integrals, _renewal_window_integrals,
                               _x_minus_2_tanh_half, f1, filter_exponents)
 from hahnramsey.spincore import SequenceKind
@@ -411,31 +412,32 @@ def test_ou_window_kernel_matches_stepped_oracle(lam_t, sample_ou_ensemble):
 
 
 class _ScaleRecorder:
-    """Generator wrapper that records the scale of every normal draw."""
+    """Stands in for noise._normals and records the scale of every draw."""
 
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
+    def __init__(self):
         self.scales = []
 
-    def normal(self, loc, scale, size):
+    def __call__(self, rng, n, scale):
         self.scales.append(scale)
-        return self._rng.normal(loc, scale, size)
+        return _normals(rng, n, scale)
 
 
-def test_ou_window_kernel_tiny_window_variances():
+def test_ou_window_kernel_tiny_window_variances(monkeypatch):
     lam_t = 1e-9
-    rng = _ScaleRecorder(3)
+    rec = _ScaleRecorder()
+    monkeypatch.setattr(noise, "_normals", rec)
+    rng = np.random.default_rng(3)
     f0 = np.linspace(-1.0, 1.0, 7)
     q = -np.expm1(-lam_t)
     for with_end in (True, False):
-        rng.scales = []
+        rec.scales = []
         state, x = _ou_window_integrals(rng, (f0, 0.0), P.lam, P.gamma,
                                         lam_t / P.lam, f0.size, with_end)
         # one draw, all of X's variance given f(0):
         # (2/3 - x/2) x^3 (Gamma/lam)^2 (the x^5 term is 1e-18 of it)
-        assert len(rng.scales) == 1
-        assert np.isfinite(rng.scales[0]) and rng.scales[0] >= 0
-        assert (q / P.lam * rng.scales[0]) ** 2 == pytest.approx(
+        assert len(rec.scales) == 1
+        assert np.isfinite(rec.scales[0]) and rec.scales[0] >= 0
+        assert (q / P.lam * rec.scales[0]) ** 2 == pytest.approx(
             (2 / 3 - lam_t / 2) * lam_t ** 3 * (P.gamma / P.lam) ** 2, rel=1e-12, abs=0)
         assert np.isfinite(x).all()
         # X = T f0 up to the O(sqrt(lam T)) change of f over the window
@@ -473,6 +475,79 @@ def test_x_minus_2_tanh_half_keeps_its_digits():
     assert _x_minus_2_tanh_half(0.0) == 0.0
 
 
+def test_x_minus_2_tanh_half_float_path_keeps_its_digits():
+    # a Python float, as the OU kernel passes, takes the math path
+    xs = np.concatenate([np.logspace(-100, -1, 60), np.linspace(0.15, 3.0, 115),
+                         np.logspace(-0.5, 3, 30), [2.0 - 2 ** -52, 2.0]])
+    for x in xs.tolist():
+        got = _x_minus_2_tanh_half(x)
+        assert type(got) is float
+        assert got == pytest.approx(_x_minus_2_tanh_half_50_digits(x), rel=6e-16, abs=0)
+    assert _x_minus_2_tanh_half(0.0) == 0.0
+
+
+# --------------------------------------------------------------------------
+# Box-Muller normals: every normal of both window kernels
+
+
+def _within(got, want, se, k=5):
+    return abs(got - want) < k * se
+
+
+def test_normals_moments_and_shares():
+    # 1e6 draws at scale 2: mean, variance, 4th moment and the shares
+    # within 1, 2 and 3 sigma, each within 5 standard errors
+    n, scale = 10 ** 6, 2.0
+    z = _normals(np.random.default_rng(2024), n, scale) / scale
+    assert z.shape == (n,)
+    assert _within(z.mean(), 0.0, 1 / np.sqrt(n))
+    assert _within((z ** 2).mean(), 1.0, np.sqrt(2 / n))
+    assert _within((z ** 4).mean(), 3.0, np.sqrt((105 - 9) / n))
+    for k, share in ((1, 0.6826894921370859), (2, 0.9544997361036416),
+                     (3, 0.9973002039367398)):
+        assert _within((np.abs(z) < k).mean(), share, np.sqrt(share * (1 - share) / n))
+
+
+def test_normals_cos_and_sin_halves_are_uncorrelated():
+    n = 10 ** 6
+    z = _normals(np.random.default_rng(77), n, 1.0)
+    a, b = z[:n // 2], z[n // 2:]
+    assert _cov_within(a, b, 0.0, k=5)
+    # the same radius, so their squares are correlated only through it:
+    # Cov(a^2, b^2) = E r^4 cos^2 sin^2 - 1 = 8/8 - 1 = 0
+    assert _cov_within(a * a, b * b, 0.0, k=5)
+
+
+class _StubUniforms:
+    """A generator whose uniforms are the given values, in turn."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        return np.resize(self._values, size)
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2 ** -53])
+@pytest.mark.parametrize("v", [0.0, 0.25, 0.5, 1.0 - 2 ** -53])
+def test_normals_stay_finite_at_the_ends_of_the_uniforms(u, v):
+    # radius from u, angle from v: the largest radius sqrt(106 ln 2) = 8.57
+    z = _normals(_StubUniforms([u, v]), 2, 1.5)
+    assert np.isfinite(z).all()
+    assert (np.abs(z) <= 8.6 * 1.5).all()
+    assert np.hypot(*z) == pytest.approx(1.5 * np.sqrt(-2 * np.log1p(-u)), rel=1e-15,
+                                         abs=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8192 + 101])
+def test_normals_return_n_values(n):
+    z = _normals(np.random.default_rng(5), n, 0.7)
+    assert z.shape == (n,) and np.isfinite(z).all()
+    # the even count reads the same uniforms, so z is its first n values
+    assert_allclose(z, _normals(np.random.default_rng(5), n + n % 2, 0.7)[:n],
+                    rtol=0, atol=0)
+
+
 @pytest.mark.parametrize("kernel, start", [
     (_ou_window_integrals, (np.linspace(-1.0, 1.0, 50), 0.3)),
     (_renewal_window_integrals, np.linspace(-1.0, 1.0, 50))], ids=["ou", "renewal"])
@@ -507,37 +582,40 @@ def test_renewal_window_kernel_moments(lam_t):
 
 class _DrawRecorder:
     """Generator wrapper that records the size of every exponential and
-    normal draw."""
+    uniform draw."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.exponential_sizes, self.normal_sizes = [], []
+        self.exponential_sizes, self.random_sizes = [], []
 
     def exponential(self, scale, size):
         self.exponential_sizes.append(size)
         return self._rng.exponential(scale, size)
 
-    def normal(self, loc, scale, size):
-        self.normal_sizes.append(size)
-        return self._rng.normal(loc, scale, size)
+    def random(self, size):
+        self.random_sizes.append(size)
+        return self._rng.random(size)
 
 
 def test_renewal_window_kernel_draws_nothing_for_finished_trajectories():
     n = 2000
     rng = _DrawRecorder(5)
     f = np.random.default_rng(6).normal(0.0, P.gamma, n)
+    odd = 0
     for dur in (0.3, 0.9, 0.3):
-        rng.exponential_sizes, rng.normal_sizes = [], []
+        rng.exponential_sizes, rng.random_sizes = [], []
         f, _ = _renewal_window_integrals(rng, f, P.lam, P.gamma, dur, n)
-        waits, values = rng.exponential_sizes, rng.normal_sizes
+        waits = rng.exponential_sizes
         # a pass draws one waiting time per trajectory still short of the
         # end, then one value per trajectory whose event fell before the
         # end: those are the ones the next pass draws for
         assert waits[0] == n and all(a >= b > 0 for a, b in zip(waits, waits[1:]))
-        assert values == waits[1:] + [0]
-        # so each trajectory draws one waiting time per event, plus the one
-        # that ends it
-        assert sum(waits) == n + sum(values)
+        values = waits[1:] + [0]
+        # each value is a Box-Muller normal, so a pass of w values reads
+        # 2 ceil(w/2) uniforms: one it does not use when w is odd
+        assert rng.random_sizes == [2 * (-(-w // 2)) for w in values]
+        odd += sum(w % 2 for w in values)
+    assert odd > 0
 
 
 def test_renewal_window_kernel_ignores_with_end():
