@@ -402,6 +402,32 @@ def min_detectable_field(readout: ReadoutModel, tau: float,
                   * math.sqrt(readout.beta))
 
 
+def _stacked_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real parts of np.roots of every row of coeffs (n, d + 1), from one
+    np.linalg.eigvals call per distinct span of nonzero coefficients (one
+    in practice) on the companion matrices that np.roots builds, so each
+    row's roots are its np.roots bit for bit: leading zeros lower the
+    degree, trailing zeros are roots 0 and a zero row has none.  Each row
+    holds its roots in np.roots order, padded with inf to d columns."""
+    n, width = coeffs.shape
+    out = np.full((n, width - 1), np.inf)
+    nonzero = coeffs != 0
+    live = nonzero.any(axis=1)
+    firsts = nonzero.argmax(axis=1)
+    stops = width - nonzero[:, ::-1].argmax(axis=1)
+    for first, stop in set(zip(firsts[live].tolist(), stops[live].tolist())):
+        rows = live & (firsts == first) & (stops == stop)
+        c = coeffs[rows, first:stop]
+        deg = stop - first - 1
+        if deg > 0:
+            companion = np.zeros((len(c), deg, deg))
+            companion[:, 1:, :-1] = np.eye(deg - 1)
+            companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+            out[rows, :deg] = np.linalg.eigvals(companion).real
+        out[rows, deg:width - 1 - first] = 0.0
+    return out
+
+
 def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
                    tau: float | np.ndarray):
     """max over the bias epsilon of |d<s>/d epsilon| at fixed tau; the
@@ -419,18 +445,21 @@ def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
 
     and u = pi is its root at t = infinity.  The slope is evaluated at
     u = 2 arctan(Re t_k) for every root t_k (a double root may round into
-    a complex pair) and at u = pi, and the largest |slope| is kept.
+    a complex pair) and at u = pi, and the largest |slope| is kept.  The
+    quartics of all taus are solved together (_stacked_roots).
     """
     tau = np.asarray(tau, dtype=float)
     if (tau <= 0).any():
         raise ValueError("tau must be > 0")
     a, b2 = math.cos(theta), math.sin(theta) ** 2
     p, q = _bias_slope_coefficients(theta, delta, noise, tau)
-    us = np.full((tau.size, 5), np.pi)   # per tau: the roots' u, then pi
-    for row, pk, qk in zip(us, np.ravel(p), np.ravel(q)):
-        roots = np.roots([pk * a + 2 * qk * b2, 16 * a * qk - 2 * pk,
-                          -12 * qk * b2, -2 * pk - 16 * a * qk, 2 * qk * b2 - pk * a])
-        row[:roots.size] = 2 * np.arctan(roots.real)
+    p, q = np.ravel(p), np.ravel(q)
+    roots = _stacked_roots(np.stack(
+        [p * a + 2 * q * b2, 16 * a * q - 2 * p, -12 * q * b2,
+         -2 * p - 16 * a * q, 2 * q * b2 - p * a], axis=-1))
+    # per tau: the roots' u (a missing root is t = inf, u = pi), then pi
+    us = np.concatenate([2 * np.arctan(roots), np.full((tau.size, 1), np.pi)],
+                        axis=1)
     col = tau[..., None]
     us = us.reshape(tau.shape + (5,))
     out = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / col),

@@ -11,8 +11,14 @@ Both list the sequence as one timeline of ops (_timeline) and run one
 sampler (_sampler) on the real Bloch vector: a 3x3 rotation per
 instantaneous pulse and, per window step, one rotation from one
 half-angle tangent, since numpy's tan is SIMD-vectorized and its cos and
-sin are not (see _cos_sin).  Seeding, block reduction and worker fan-out
-are shared as well.
+sin are not.  A delay rotates straight from its tangent (_z_rotation:
+one tan, one division, 14 array passes); a finite-pulse step takes cos
+and sin first (_cos_sin) for Rodrigues' formula.  The readout is pulled
+back at build time through a last delay and the pulse before it, so the
+echoes' last delay, pi pulse and readout cost 23 passes where rotating
+the state through them cost 37, and ramsey's delay and readout 11 where
+they cost 24.  Seeding, block reduction and worker fan-out are shared
+as well.
 
 Reproducibility scheme
 ----------------------
@@ -142,18 +148,35 @@ def _bloch_rotation(p: PulseParams) -> list:
 
 def _cos_sin(phi):
     """cos(phi) and sin(phi) from one half-angle tangent t = tan(phi/2):
-    cos = (1 - t^2) / (1 + t^2), sin = 2 t / (1 + t^2).  numpy's float64
-    tan is vectorized with SIMD while its cos and sin are not, so this
-    costs about a quarter of np.cos plus np.sin, within 2 ulp of them (t
-    stays finite: no double is an odd multiple of pi).  For |t| < 1 cos is
-    taken as 1 - 2 t^2 / (1 + t^2): the rounding of 1 + t^2 then touches
-    only the small term, so cos^2 + sin^2 stays as close to 1 as with
-    np.cos and np.sin, and many small finite-pulse steps do not pile up
-    norm error."""
+    cos = (1 - t^2) / (1 + t^2), sin = 2 t / (1 + t^2), for the axis
+    rotation of a finite-pulse step (delays rotate by _z_rotation).
+    numpy's float64 tan is vectorized with SIMD while its cos and sin are
+    not, so this costs about a quarter of np.cos plus np.sin, within 2
+    ulp of them (t stays finite: no double is an odd multiple of pi).
+    For |t| < 1 cos is taken as 1 - 2 t^2 / (1 + t^2): the rounding of
+    1 + t^2 then touches only the small term, so cos^2 + sin^2 stays as
+    close to 1 as with np.cos and np.sin, and many small finite-pulse
+    steps do not pile up norm error."""
     t = np.tan(0.5 * phi)
     t2 = t * t
     d = 1.0 + t2
     return np.where(t2 < 1.0, 1.0 - 2.0 * t2 / d, (1.0 - t2) / d), 2.0 * t / d
+
+
+def _half_tan_sin(phi):
+    """t = tan(phi/2) and sin(phi) = 2 t / (1 + t^2); cos(phi) is then
+    1 - t sin(phi), the form that stays accurate for small phi."""
+    t = np.tan(0.5 * phi)
+    return t, 2.0 * t / (1.0 + t * t)
+
+
+def _z_rotation(x, y, phi):
+    """(x, y) rotated by phi about z, straight from t = tan(phi/2) and
+    s = sin(phi): x - s (t x + y), y + s (x - t y), with cos phi written
+    as 1 - t s.  One tan, one division and 14 array passes, where
+    _cos_sin and a rotation take 19."""
+    t, s = _half_tan_sin(phi)
+    return x - s * (t * x + y), y + s * (x - t * y)
 
 
 def _timeline(seq, delta, noise, cfg) -> list:
@@ -213,13 +236,25 @@ def _sampler(seq, delta, noise, cfg):
 
     The state is carried as the real Bloch vector (x, y, z), starting as
     the scalars (0, 0, 1).  A rotation op is applied as it stands, a
-    final one only in its z row, since only z is read out.  Each
+    final one only in its z row r, since only z is read out.  Each
     window step draws the phase integral X of its noise from the exact
     window kernel of the noise kind (for OU noise one Box-Muller normal,
     from one uniform per trajectory, per window) and rotates by the angle
-    vector (nx h, 0, nz h + X): about z for a delay (nx = 0), by
-    Rodrigues' formula about its per-trajectory axis for a pulse step
-    (_cos_sin).
+    vector (nx h, 0, nz h + X): about z for a delay (nx = 0), straight
+    from the half-angle tangent of its angle (_z_rotation, one tan and
+    one division), by Rodrigues' formula about its per-trajectory axis
+    for a pulse step (_cos_sin).
+
+    When the timeline ends in a rotation M, a delay and the readout row
+    r, the readout is pulled back through both at build time: with
+    t = tan(az/2) and s = sin(az) of the delay, z = c.v + s (b.v - t a.v)
+    for the state v before M and the rows a = (r0, r1, 0) M,
+    b = (r1, -r0, 0) M and c = (r0, r1, r2) M (cos az = 1 - t s).  So
+    the echoes' last delay, pi pulse and readout take 23 array passes
+    (37 rotating the state through them), and for ramsey, whose v is
+    still the scalar (0, 0, 1), the delay and readout take 11 (24), 4 of
+    them after t and s.  A timeline that ends in a pulse window (finite
+    pulses) or in a rotation (tau 0) reads z as it stands, after r.
 
     The noise state starts as None, the kernels' stationary start, and
     each kernel call returns the one the next starts from; nothing reads
@@ -228,8 +263,18 @@ def _sampler(seq, delta, noise, cfg):
     """
     ops = _timeline(seq, delta, noise, cfg)
     readout = ops.pop()[2] if ops and isinstance(ops[-1], list) else None
-    last = max((i for i, op in enumerate(ops) if isinstance(op, tuple)),
-               default=None)
+    tail = rows = None   # pulled-back readout: last delay (h, nz), rows a, b, c
+    if readout is not None and ops and isinstance(ops[-1], tuple) \
+            and ops[-1][2:] == (0.0, 1):
+        tail = ops.pop()[:2]
+        r0, r1, r2 = readout
+        rows = [[r0, r1, 0.0], [r1, -r0, 0.0], [r0, r1, r2]]
+        if ops and isinstance(ops[-1], list):
+            rot = ops.pop()
+            rows = [[row[0] * rot[0][j] + row[1] * rot[1][j] + row[2] * rot[2][j]
+                     for j in range(3)] for row in rows]
+    last = None if tail else max(
+        (i for i, op in enumerate(ops) if isinstance(op, tuple)), default=None)
     kernel = _WINDOW_INTEGRALS.get(noise.kind)
     lam, gamma = noise.lam, noise.gamma
 
@@ -248,8 +293,7 @@ def _sampler(seq, delta, noise, cfg):
                                           i != last or k < steps - 1)
                     az = az + phase
                 if nx == 0.0:
-                    c, s = _cos_sin(az)
-                    x, y = x * c - y * s, x * s + y * c
+                    x, y = _z_rotation(x, y, az)
                 else:
                     ax = nx * h
                     angle = np.sqrt(ax * ax + az * az)
@@ -259,7 +303,15 @@ def _sampler(seq, delta, noise, cfg):
                     x, y, z = (x * c - kz * y * s + kx * d,
                                y * c + (kz * x - kx * z) * s,
                                z * c + kx * y * s + kz * d)
-        if readout is not None:
+        if tail is not None:
+            h, nz = tail
+            az = nz * h
+            if noisy:
+                az = az + kernel(rng, state, lam, gamma, h, m, False)[1]
+            t, s = _half_tan_sin(az)
+            av, bv, cv = [r[0] * x + r[1] * y + r[2] * z for r in rows]
+            z = cv + s * (bv - t * av)
+        elif readout is not None:
             z = readout[0] * x + readout[1] * y + readout[2] * z
         # z is an (m,) array once a window drew noise, else a scalar
         return z if np.ndim(z) else np.broadcast_to(z, (m,))

@@ -666,6 +666,79 @@ def test_max_bias_slope_with_its_stationary_point_at_u_pi():
     assert got == pytest.approx(dense, rel=1e-12, abs=0)
 
 
+def _max_bias_slope_by_np_roots(theta, delta, noise, taus):
+    """Oracle: max_bias_slope with one np.roots call per tau."""
+    a, b2 = np.cos(theta), np.sin(theta) ** 2
+    p, q = _bias_slope_coefficients(theta, delta, noise, taus)
+    out = []
+    for pk, qk, tau in zip(p, q, taus):
+        roots = np.roots([pk * a + 2 * qk * b2, 16 * a * qk - 2 * pk,
+                          -12 * qk * b2, -2 * pk - 16 * a * qk,
+                          2 * qk * b2 - pk * a])
+        us = np.append(2 * np.arctan(roots.real), np.pi)
+        out.append(np.abs(hr_signal_derivative(theta, delta, BiasParams(us / tau),
+                                               noise, tau)).max())
+    return np.array(out)
+
+
+def _delta_with_a_vanishing_leading_coefficient(theta, noise, taus):
+    """(tau, delta) among taus and the few doubles around each tau's
+    delta of test_max_bias_slope_with_its_stationary_point_at_u_pi where
+    the quartic's leading coefficient p a + 2 q b^2 rounds to exactly 0."""
+    a, b2 = np.cos(theta), np.sin(theta) ** 2
+    for tau in taus:
+        ramsey_like, half_period, _ = filter_exponents(noise, tau)
+        start = np.arccos(-(b2 / a ** 2) * np.exp(half_period - ramsey_like)) / tau
+        for k in range(-8, 9):
+            delta = start + k * np.spacing(start)
+            p, q = _bias_slope_coefficients(theta, delta, noise, tau)
+            if p * a + 2 * q * b2 == 0.0:
+                return tau, delta
+    raise AssertionError("no vanishing leading coefficient found")
+
+
+@pytest.mark.parametrize("theta", [0.1, THETA, 0.7, OPTIMAL_THETA, 1.2,
+                                   np.pi / 2, 2.0, -0.5])
+def test_max_bias_slope_matches_np_roots_per_tau(theta):
+    # all quartics go to one eigvals call on np.roots' companion matrices;
+    # the 1e5 and 1e6 / lam rows are all zeros (both decays underflow)
+    for noise, delta in [(FIG_NOISE, 0.0), (FIG_NOISE, DELTA),
+                         (NoiseParams(0.3, 1.0), -4.0), (QUIET, 1.3)]:
+        taus = np.append(np.linspace(0.1, 10.0, 60), [1e5, 1e6]) / noise.lam
+        with np.errstate(all="raise", under="ignore"):
+            got = max_bias_slope(theta, delta, noise, taus)
+            want = _max_bias_slope_by_np_roots(theta, delta, noise, taus)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_max_bias_slope_drops_a_degree_where_the_leading_coefficient_vanishes():
+    # one row of the stack is a cubic, as np.roots makes it, among quartics
+    theta = OPTIMAL_THETA
+    tau, delta = _delta_with_a_vanishing_leading_coefficient(
+        theta, FIG_NOISE, np.linspace(0.5, 2.0, 40))
+    taus = np.append(np.linspace(0.1, 10.0, 60) / FIG_NOISE.lam, tau)
+    with np.errstate(all="raise"):
+        got = max_bias_slope(theta, delta, FIG_NOISE, taus)
+        want = _max_bias_slope_by_np_roots(theta, delta, FIG_NOISE, taus)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_stacked_roots_are_np_roots_row_by_row():
+    coeffs = np.array([[1.0, -2.0, 3.0, 0.5, -1.0],
+                       [0.0, 2.0, -1.0, 4.0, 3.0],     # a cubic
+                       [2.0, 0.0, -3.0, 0.0, 0.0],     # two roots 0
+                       [0.0, 0.0, 0.0, 0.0, 0.0],      # no roots
+                       [0.0, 0.0, 0.0, 0.0, 5.0],      # a constant: no roots
+                       [0.0, 1.0, 1e-3, 0.0, 0.0],
+                       [-3.0, 1.0, 2.0, 7.0, -0.25]])
+    got = analysis._stacked_roots(coeffs)
+    assert got.shape == (7, 4)
+    for row, c in zip(got, coeffs):
+        want = np.roots(c).real
+        np.testing.assert_array_equal(row[:want.size], want)
+        assert (row[want.size:] == np.inf).all()
+
+
 # the benchmark tracer's contract, in a fresh process: a wrapper set on
 # analysis.curve_fit is the one fit_decay calls, and no fit loads scipy
 _COUNTED_FITS = """

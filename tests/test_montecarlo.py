@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from hahnramsey.analytic import closed_form_signal
 from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
                                    _bloch_rotation, _cos_sin, _pulse_steps,
-                                   _sampler, bloch_trajectory, bloch_to_csv,
-                                   run_mc)
+                                   _sampler, _z_rotation, bloch_trajectory,
+                                   bloch_to_csv, run_mc)
 from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from hahnramsey.spincore import Delay, PulseParams, SequenceKind, build_sequence
 from spin_oracle import (SIGMA_X, SIGMA_Y, SIGMA_Z, UP, analytic_density_matrix_hr,
@@ -288,6 +288,55 @@ def test_cos_sin_is_within_two_ulp_of_numpy():
     assert _cos_sin(0.0) == (1.0, 0.0)
 
 
+def test_z_rotation_matches_the_cos_sin_rotation():
+    # a delay rotates straight from t = tan(phi/2), cos phi = 1 - t sin phi;
+    # against np.cos and np.sin within 1e-15 absolute per unit of the
+    # vector's length (3 ulp of 1 measured), and |(x, y)| kept within 4 ulp
+    rng = np.random.default_rng(7)
+    odd_pi = (2 * np.arange(-500, 500) + 1) * np.pi     # odd multiples up to 1e3 pi
+    phi = np.concatenate([[0.0, np.pi, -np.pi], odd_pi,
+                          rng.uniform(-1e12, 1e12, 20000),
+                          rng.uniform(-10.0, 10.0, 20000),
+                          rng.uniform(-1e-6, 1e-6, 2000)])
+    ang = rng.uniform(-np.pi, np.pi, phi.size)
+    for scale in (1.0, 0.37, 1e3):
+        x, y = scale * np.cos(ang), scale * np.sin(ang)
+        xr, yr = _z_rotation(x, y, phi)
+        c, s = np.cos(phi), np.sin(phi)
+        assert_allclose(xr, x * c - y * s, rtol=0, atol=1e-15 * scale)
+        assert_allclose(yr, x * s + y * c, rtol=0, atol=1e-15 * scale)
+        norm = np.hypot(x, y)
+        assert np.abs(np.hypot(xr, yr) - norm).max() <= 4 * np.finfo(float).eps * scale
+    assert _z_rotation(0.3, -0.2, 0.0) == (0.3, -0.2)
+
+
+@pytest.mark.parametrize("noise_kind", ["ou", "renewal", "none"])
+@pytest.mark.parametrize("kind, theta, delta", [
+    (SequenceKind.RAMSEY, 0.45 * np.pi, 1.3),
+    (SequenceKind.RAMSEY, 0.45 * np.pi, -1.3),
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+    (SequenceKind.HAHN_RAMSEY, THETA, DELTA),
+    (SequenceKind.HAHN_RAMSEY, THETA, -DELTA)])
+def test_pulled_back_readout_matches_the_spinor_oracle(kind, theta, delta,
+                                                       noise_kind):
+    # the last delay, the pulse before it and the readout fold into three
+    # rows; checked out to delta tau about 1e4, and at tau 0, where no
+    # delay is left to fold and the readout row is applied as it stands
+    noise = _NOISES[noise_kind]
+    if noise_kind == "renewal":
+        noise = NoiseParams(0.01, 0.6, NoiseKind.RENEWAL)   # few events out to 7700
+    for tau in (0.0, 0.05, 3.0, 770.0, 7700.0):
+        seq = build_sequence(kind, theta, delta, tau)
+        got = _sampler(seq, delta, noise, McConfig(1))
+        want = _spinor_sampler(seq, delta, noise)
+        assert_allclose(got(None, 3), want(None, 3), rtol=0, atol=2e-15)
+        if noise_kind != "none":
+            a = got(np.random.default_rng(29), 300)
+            b = want(np.random.default_rng(29), 300)
+            assert a.shape == (300,)
+            assert_allclose(a, b, rtol=0, atol=2e-15)
+
+
 # --------------------------------------------------------------------------
 # finite-duration pulses
 
@@ -354,6 +403,24 @@ def test_finite_sampler_matches_the_cos_sin_oracle(kind, theta, delta,
                                              np.random.default_rng(23), 400)
         assert got.shape == (400,)
         assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("noise_kind", sorted(_NOISES))
+@pytest.mark.parametrize("kind, theta, delta", [
+    (SequenceKind.RAMSEY, np.pi / 2, -DELTA),
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+    (SequenceKind.HAHN_RAMSEY, THETA, -DELTA)])
+def test_finite_sampler_long_delays_match_the_cos_sin_oracle(kind, theta, delta,
+                                                             noise_kind):
+    # a finite-pulse timeline ends in a pulse window, so its readout is not
+    # pulled back; its delays rotate by _z_rotation out to delta tau 13
+    noise = _NOISES[noise_kind]
+    cfg = McConfig(1, time_step=0.01, pulse_model="finite", rabi=2 * np.pi)
+    seq = build_sequence(kind, theta, delta, 7.0)
+    got = _sampler(seq, delta, noise, cfg)(np.random.default_rng(31), 300)
+    want = _finite_block_samples_cos_sin(seq, delta, noise, cfg,
+                                         np.random.default_rng(31), 300)
+    assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_finite_pulses_noiseless_match_instantaneous():
