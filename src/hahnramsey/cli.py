@@ -175,10 +175,11 @@ class RunConfig:
         steps = 0
         if mc and finite and self.noise_params().gamma > 0:
             try:
-                steps = montecarlo._trajectory_pulse_steps(
-                    spincore.SequenceKind(self.sequence), self.resolved_theta(),
-                    self.delta, self.noise_params(), montecarlo.McConfig(
-                        1, time_step=self.time_step, pulse_model="finite", rabi=self.rabi))
+                seq = spincore.build_sequence(spincore.SequenceKind(self.sequence),
+                                              self.resolved_theta(), self.delta, 0.0)
+                steps = montecarlo._pulse_step_count(montecarlo._timeline(
+                    seq, self.delta, self.noise_params(), montecarlo.McConfig(
+                        1, time_step=self.time_step, pulse_model="finite", rabi=self.rabi)))
             except montecarlo.PulseStepError as exc:
                 raise ConfigError("rabi", f"{exc}; raise rabi or time_step") from None
         fixed = MC_POINT_COST + steps * MC_STEP_COST

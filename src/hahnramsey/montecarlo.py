@@ -8,17 +8,18 @@ One function, run_mc, serves both pulse models of McConfig.pulse_model:
 instantaneous pulses (tilted-axis rotations that take no time) and
 finite pulses (driven windows through which the noise keeps running).
 Both list the sequence as one timeline of ops (_timeline) and run one
-sampler (_sampler) on the real Bloch vector: a 3x3 rotation per
-instantaneous pulse and, per window step, one rotation from one
+sampler (_sampler), built once per curve: every delay is tau, so a tau
+point only sets the delays' length.  Per window step it takes one
 half-angle tangent, since numpy's tan is SIMD-vectorized and its cos and
-sin are not.  A delay rotates straight from its tangent (_z_rotation:
-one tan, one division, 14 array passes); a finite-pulse step takes cos
-and sin first (_cos_sin) for Rodrigues' formula.  The readout is pulled
-back at build time through a last delay and the pulse before it, so the
-echoes' last delay, pi pulse and readout cost 23 passes where rotating
-the state through them cost 37, and ramsey's delay and readout 11 where
-they cost 24.  Seeding, block reduction and worker fan-out are shared
-as well.
+sin are not.  Finite pulses carry the real Bloch vector: a delay rotates
+it straight from its tangent (_z_rotation: one tan, one division, 14
+array passes), a pulse step takes cos and sin first (_cos_sin) for
+Rodrigues' formula.  With instantaneous pulses the readout is folded
+back at build time through the whole timeline, pulses and delays, into
+scalars, so no state is rotated: past each delay's tangent and sine the
+echoes' readout takes 16 array passes where rotating (x, y) through the
+first delay and reading three pulled-back rows took 24, and ramsey's 4.
+Seeding, block reduction and worker fan-out are shared as well.
 
 Reproducibility scheme
 ----------------------
@@ -28,8 +29,9 @@ stream of block b at tau-point i is seeded by
 reduced in ascending block order.  The estimate is therefore bitwise
 identical for a given master seed at any worker count, for either
 pulse model, since neither stream layout nor summation order depends
-on scheduling.  Within a tau-point, per-trajectory sigma_z values are
-summed with numpy's pairwise summation over each block.
+on scheduling.  Within a tau-point, the deviations of the per-trajectory
+sigma_z values from the first one are summed with numpy's pairwise
+summation over each block, their squares by one einsum.
 
 The phase integral of every window step is drawn exactly, for both
 noise kinds, from the window kernels in `noise`, one call per step:
@@ -41,7 +43,6 @@ only sets the grid on which noisy finite pulses are stepped.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,27 +186,27 @@ def _timeline(seq, delta, noise, cfg) -> list:
     `steps` steps of length h.
 
     A delay is one step at sigma_x rate 0 with the instantaneous-pulse
-    phase convention sign*delta.  A finite pulse realizes the requested
-    tilt exactly: the drive detuning is rabi/tan(theta) (mirrored for
-    detuning_sign -1) and the duration is area/effective_rabi, each window
-    in its own drive frame; a noisy pulse is cut into _pulse_steps steps.
-    Zero-length windows are left out, so they draw no noise.
+    phase convention sign*delta, kept at any length, zero included: every
+    delay of build_sequence is tau, so _sampler sets their length per
+    sample.  A finite pulse realizes the requested tilt exactly: the drive
+    detuning is rabi/tan(theta) (mirrored for detuning_sign -1) and the
+    duration is area/effective_rabi, each window in its own drive frame;
+    a noisy pulse is cut into _pulse_steps steps, and a zero-length one is
+    left out.
     """
     ops = []
     for el in seq.elements:
         if isinstance(el, Delay):
-            window = (el.duration, el.detuning_sign * delta, 0.0, 1)
+            ops.append((el.duration, el.detuning_sign * delta, 0.0, 1))
         elif cfg.pulse_model == "instantaneous":
             ops.append(_bloch_rotation(el))
-            continue
         else:
             det = cfg.rabi / math.tan(el.theta) if el.theta < math.pi / 2 else 0.0
             dur = el.beta / math.hypot(cfg.rabi, det)
             steps = (_pulse_steps(dur, noise.lam, cfg.time_step)
                      if noise.gamma > 0.0 else 1)
-            window = (dur / steps, el.detuning_sign * det, cfg.rabi, steps)
-        if window[0] > 0.0:
-            ops.append(window)
+            if dur > 0.0:
+                ops.append((dur / steps, el.detuning_sign * det, cfg.rabi, steps))
     return ops
 
 
@@ -218,10 +219,10 @@ def _pulse_steps(duration, lam, time_step):
     return max(1, math.ceil(min(steps, MAX_PULSE_STEPS + 1)))
 
 
-def _trajectory_pulse_steps(seq_kind, theta, delta, noise, cfg) -> int:
-    """Finite-pulse steps of one trajectory at any tau, each a pass of the
-    loop in _sampler; raises PulseStepError past MAX_PULSE_STEPS."""
-    ops = _timeline(build_sequence(seq_kind, theta, delta, 0.0), delta, noise, cfg)
+def _pulse_step_count(ops) -> int:
+    """Finite-pulse steps of one trajectory through the timeline ops (the
+    same at any tau), each a pass of the loop in _sampler; raises
+    PulseStepError past MAX_PULSE_STEPS."""
     steps = sum(op[3] for op in ops if isinstance(op, tuple) and op[2])
     if steps > MAX_PULSE_STEPS:
         raise PulseStepError(
@@ -230,69 +231,73 @@ def _trajectory_pulse_steps(seq_kind, theta, delta, noise, cfg) -> int:
     return steps
 
 
-def _sampler(seq, delta, noise, cfg):
-    """sample(rng, m): sigma_z of m trajectories through the _timeline of
-    seq; rng None or gamma 0 means noiseless.
+def _sampler(seq, delta, noise, cfg, ops=None):
+    """sample(rng, m, tau=None): sigma_z of m trajectories through the
+    _timeline ops of seq (formed here unless given), every delay of length
+    tau (None: as in seq); rng None or gamma 0 means noiseless.  Built once
+    per curve: a tau point only sets the delays' length.
 
-    The state is carried as the real Bloch vector (x, y, z), starting as
-    the scalars (0, 0, 1).  A rotation op is applied as it stands, a
-    final one only in its z row r, since only z is read out.  Each
-    window step draws the phase integral X of its noise from the exact
-    window kernel of the noise kind (for OU noise one Box-Muller normal,
-    from one uniform per trajectory, per window) and rotates by the angle
-    vector (nx h, 0, nz h + X): about z for a delay (nx = 0), straight
-    from the half-angle tangent of its angle (_z_rotation, one tan and
-    one division), by Rodrigues' formula about its per-trajectory axis
-    for a pulse step (_cos_sin).
-
-    When the timeline ends in a rotation M, a delay and the readout row
-    r, the readout is pulled back through both at build time: with
-    t = tan(az/2) and s = sin(az) of the delay, z = c.v + s (b.v - t a.v)
-    for the state v before M and the rows a = (r0, r1, 0) M,
-    b = (r1, -r0, 0) M and c = (r0, r1, r2) M (cos az = 1 - t s).  So
-    the echoes' last delay, pi pulse and readout take 23 array passes
-    (37 rotating the state through them), and for ramsey, whose v is
-    still the scalar (0, 0, 1), the delay and readout take 11 (24), 4 of
-    them after t and s.  A timeline that ends in a pulse window (finite
-    pulses) or in a rotation (tau 0) reads z as it stands, after r.
-
-    The noise state starts as None, the kernels' stationary start, and
-    each kernel call returns the one the next starts from; nothing reads
-    it after the last window step, which asks for the integral alone
+    Each window step of nonzero length draws the phase integral X of its
+    noise from the exact window kernel of the noise kind (for OU noise one
+    Box-Muller normal, from one uniform per trajectory, per window) and
+    turns by the angle vector (nx h, 0, nz h + X); a zero-length delay
+    draws nothing.  The noise state starts as None, the kernels'
+    stationary start, and each kernel call returns the one the next
+    starts from; the last window step asks for the integral alone
     (with_end false: no OU state update).
+
+    Finite pulses carry the real Bloch vector (x, y, z) from the scalars
+    (0, 0, 1): a delay rotates (x, y) straight from the half-angle tangent
+    of its angle (_z_rotation), a pulse step by Rodrigues' formula about
+    its per-trajectory axis (_cos_sin), and z is read as it stands.
+
+    With instantaneous pulses the z readout row is folded back at build
+    time through the whole timeline: through a pulse M every row w
+    becomes w M; through a delay it becomes the rows w, (w1, -w0, 0) and
+    (w0, w1, 0), since w.v after the delay is
+    w.v + s ((w1, -w0, 0).v - t (w0, w1, 0).v) before it, with
+    t = tan(az/2) and s = sin(az) of its angle (cos az = 1 - t s); at the
+    start (0, 0, 1) each row is its scalar w2.  A sample takes t and s of
+    each delay in turn (_half_tan_sin) and reads each consecutive triple
+    (a, b, c) as a + s (b - t c).  So the echoes read nine scalars
+    through both delays in 12 + 4 array passes past their t and s, where
+    rotating (x, y) through the first and taking three row products cost
+    20 for the first 12, and ramsey's delay and readout take 4.
     """
-    ops = _timeline(seq, delta, noise, cfg)
-    readout = ops.pop()[2] if ops and isinstance(ops[-1], list) else None
-    tail = rows = None   # pulled-back readout: last delay (h, nz), rows a, b, c
-    if readout is not None and ops and isinstance(ops[-1], tuple) \
-            and ops[-1][2:] == (0.0, 1):
-        tail = ops.pop()[:2]
-        r0, r1, r2 = readout
-        rows = [[r0, r1, 0.0], [r1, -r0, 0.0], [r0, r1, r2]]
-        if ops and isinstance(ops[-1], list):
-            rot = ops.pop()
-            rows = [[row[0] * rot[0][j] + row[1] * rot[1][j] + row[2] * rot[2][j]
-                     for j in range(3)] for row in rows]
-    last = None if tail else max(
-        (i for i, op in enumerate(ops) if isinstance(op, tuple)), default=None)
+    if ops is None:
+        ops = _timeline(seq, delta, noise, cfg)
+    windows = [op for op in ops if isinstance(op, tuple)]
+    folded = cfg.pulse_model == "instantaneous"
+    rows = [[0.0, 0.0, 1.0]]   # the z readout, folded back through ops
+    for op in reversed(ops) if folded else ():
+        if isinstance(op, list):
+            rows = [[w[0] * op[0][j] + w[1] * op[1][j] + w[2] * op[2][j]
+                     for j in range(3)] for w in rows]
+        else:
+            rows = [v for w in rows for v in (w, [w[1], -w[0], 0.0], [w[0], w[1], 0.0])]
+    rows = [w[2] for w in rows]
+    last = len(windows) - 1
     kernel = _WINDOW_INTEGRALS.get(noise.kind)
     lam, gamma = noise.lam, noise.gamma
 
-    def sample(rng, m):
+    def sample(rng, m, tau=None):
         state, noisy = None, rng is not None and gamma > 0.0
         x, y, z = 0.0, 0.0, 1.0
-        for i, op in enumerate(ops):
-            if isinstance(op, list):
-                x, y, z = [r[0] * x + r[1] * y + r[2] * z for r in op]
-                continue
-            h, nz, nx, steps = op
+        vals = rows
+        for i, (h, nz, nx, steps) in enumerate(windows):
+            if nx == 0.0 and tau is not None:
+                h = tau
             for k in range(steps):
                 az = nz * h
-                if noisy:
+                if noisy and h > 0.0:
                     state, phase = kernel(rng, state, lam, gamma, h, m,
-                                          i != last or k < steps - 1)
-                    az = az + phase
-                if nx == 0.0:
+                                          i < last or k < steps - 1)
+                    az = az + phase if nz else phase
+                if folded:
+                    t, s = _half_tan_sin(az)
+                    vals = [a + s * (b - t * c)
+                            for a, b, c in zip(vals[::3], vals[1::3], vals[2::3])]
+                elif nx == 0.0:
                     x, y = _z_rotation(x, y, az)
                 else:
                     ax = nx * h
@@ -303,45 +308,37 @@ def _sampler(seq, delta, noise, cfg):
                     x, y, z = (x * c - kz * y * s + kx * d,
                                y * c + (kz * x - kx * z) * s,
                                z * c + kx * y * s + kz * d)
-        if tail is not None:
-            h, nz = tail
-            az = nz * h
-            if noisy:
-                az = az + kernel(rng, state, lam, gamma, h, m, False)[1]
-            t, s = _half_tan_sin(az)
-            av, bv, cv = [r[0] * x + r[1] * y + r[2] * z for r in rows]
-            z = cv + s * (bv - t * av)
-        elif readout is not None:
-            z = readout[0] * x + readout[1] * y + readout[2] * z
+        if folded:
+            z = vals[0]
         # z is an (m,) array once a window drew noise, else a scalar
         return z if np.ndim(z) else np.broadcast_to(z, (m,))
 
     return sample
 
 
-def _point_estimate(sample, noisy, cfg, point_idx):
+def _point_estimate(sample, noisy, cfg, point_idx, tau):
     """Mean and standard error at one tau-point, blocks seeded and reduced
-    as in the module docstring; a noiseless point is one exact sample."""
+    as in the module docstring; a noiseless point is one exact sample.  A
+    block is reduced in 3 array passes: the deviations from the first
+    sample (0 when all agree, no cancellation), their sum and, by einsum,
+    the sum of their squares."""
     if not noisy:
-        return float(sample(None, 1)[0]), 0.0
+        return float(sample(None, 1, tau)[0]), 0.0
     n = cfg.n_trajectories
-    total = 0.0
     dev = dev_sq = 0.0
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     for b in range(n_blocks):
         m = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.master_seed, spawn_key=(point_idx, b)))
-        sz = sample(rng, m)
-        if b == 0:   # deviations from a sample: 0 when all agree, no cancellation
-            shift = sz[0]
-        total += float(sz.sum())
+        sz = sample(rng, m, tau)
+        if b == 0:
+            shift = float(sz[0])
         d = sz - shift
         dev += float(d.sum())
-        dev_sq += float((d * d).sum())
-    mean = total / n
+        dev_sq += float(np.einsum("i,i", d, d))
     var = max(0.0, (dev_sq - dev * dev / n) / max(1, n - 1))
-    return mean, math.sqrt(var / n)
+    return shift + dev / n, math.sqrt(var / n)
 
 
 def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
@@ -355,7 +352,8 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     steps, and RenewalEventError when it would expect over
     MAX_RENEWAL_EVENTS renewal events.  Deterministic for a fixed
     master_seed at any cfg.workers; see the module docstring for the
-    seeding scheme.
+    seeding scheme.  The sequence, its timeline and the sampler are built
+    once, at the longest tau, and the checks read that timeline.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -366,34 +364,32 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     if (taus < 0).any():
         raise ValueError("taus must be >= 0")
     noisy = noise.gamma > 0.0
-    # the longest sequence; its pulses are those of every tau
     longest = build_sequence(seq_kind, theta, delta, float(taus.max()))
-    windows = [op for op in _timeline(longest, delta, noise, cfg)
-               if isinstance(op, tuple)]
+    ops = _timeline(longest, delta, noise, cfg)
+    windows = [op for op in ops if isinstance(op, tuple)]
     span = sum(h * steps for h, _, _, steps in windows)
     if (noisy and noise.kind is NoiseKind.RENEWAL
             and noise.lam * span > MAX_RENEWAL_EVENTS):
         raise RenewalEventError(
             f"renewal noise expects lam * {span:.3g} = {noise.lam * span:.3g} "
             f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
-    _trajectory_pulse_steps(seq_kind, theta, delta, noise, cfg)
+    _pulse_step_count(windows)
     coarse = [h * steps for h, _, nx, steps in windows
               if nx and h * steps / cfg.time_step < 10]
     warnings = [f"pulse of duration {coarse[0]:.3g} resolved by fewer than 10 "
                 f"steps of {cfg.time_step:.3g}"] if coarse else []
-    means = np.empty(taus.size)
-    errs = np.empty(taus.size)
+    sample = _sampler(longest, delta, noise, cfg, ops)
+    means, errs = np.empty(taus.size), np.empty(taus.size)
 
     def work(i):
-        # each tau's sequence lives only while its point is estimated
-        seq = build_sequence(seq_kind, theta, delta, float(taus[i]))
-        sample = _sampler(seq, delta, noise, cfg)
-        means[i], errs[i] = _point_estimate(sample, noisy, cfg, i)
+        means[i], errs[i] = _point_estimate(sample, noisy, cfg, i, float(taus[i]))
 
     if cfg.workers == 1:
         for i in range(taus.size):
             work(i)
     else:
+        # imported here, so that a one-worker run loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             list(pool.map(work, range(taus.size)))
     return SignalCurve(taus, means, errs, cfg.n_trajectories, tuple(warnings))

@@ -444,6 +444,21 @@ def test_no_command_loads_scipy(tmp_path):
                - 2.0) < 1e-6
 
 
+def test_one_worker_simulate_does_not_load_the_thread_pool(tmp_path):
+    # concurrent.futures (and the logging it imports) loads only when a run
+    # fans out to more than one worker
+    proc = _python("import sys\n"
+                   "from hahnramsey.cli import main\n"
+                   "rc = main(sys.argv[1:])\n"
+                   "print(rc, 'concurrent.futures' in sys.modules)",
+                   "simulate", "--sequence", "ramsey", "--delta", 1.885, "--lam", 2.5,
+                   "--gamma", 0.6283, "--engine", "both", "--workers", 1,
+                   "--n-trajectories", 100, "--tau-count", 3, "--out", tmp_path / "o")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "o" / "ramsey_compare.csv").exists()
+
+
 def test_finite_pulses_beyond_the_step_budget_exit_2(tmp_path):
     # a pulse of theta/rabi = 6e5 us would take about 3.5e8 noisy steps
     proc = _python("from hahnramsey.cli import entry; entry()",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hahnramsey import montecarlo
 from hahnramsey.analytic import closed_form_signal
 from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
                                    _bloch_rotation, _cos_sin, _pulse_steps,
@@ -105,11 +106,25 @@ def test_stderr_scales_with_sqrt_n():
     assert ratio == pytest.approx(np.sqrt(2), rel=0.10)
 
 
+def _fill_tuple_free_lists():
+    """CPython keeps up to 2000 freed tuples of each length below 20 for
+    reuse, and tracemalloc counts one freed while tracing as held.  Filled
+    before tracing, the lists take no tuple the run frees, and the tuples
+    the run takes from them were allocated before it, so they read as no
+    growth."""
+    held = [tuple([None] * k) for k in range(1, 20) for _ in range(2000)]
+    del held
+
+
 def test_memory_does_not_grow_by_a_sequence_per_tau_point():
-    # each tau point builds its sequence when it runs: past the two result
-    # arrays (16 B per tau point) memory stays flat in the tau count, where
-    # a list of every sequence held about 725 B per tau point
+    # the sequence, its timeline and the sampler are built once per curve:
+    # past the result arrays and the taus (24 B per tau point) memory stays
+    # flat in the tau count, where holding every tau point's sampler read
+    # about 1000 B per tau point and its timeline about 1800 B; with the
+    # free lists filled, a tuple freed per tau point reads as nothing
+    # (89 B per tau point unfilled)
     def peak(count):
+        _fill_tuple_free_lists()
         tracemalloc.start()
         run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE,
                np.linspace(0.05, 7.0, count), McConfig(4, master_seed=3))
@@ -119,6 +134,60 @@ def test_memory_does_not_grow_by_a_sequence_per_tau_point():
 
     peak(10)     # first-call caches
     assert (peak(400) - peak(10)) / 390 < 64
+
+
+def test_run_mc_builds_the_sequence_once_per_curve(monkeypatch):
+    # every delay is tau, so a tau point only sets the delays' length; the
+    # checks read the timeline of the same sequence
+    calls = []
+    build = montecarlo.build_sequence
+    monkeypatch.setattr(montecarlo, "build_sequence",
+                        lambda *a: calls.append(a) or build(*a))
+    taus = np.linspace(0.0, 7.0, 400)
+    for extra in ({}, {"pulse_model": "finite", "rabi": 2 * np.pi}):
+        calls.clear()
+        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+               McConfig(4, master_seed=3, **extra))
+        assert calls == [(SequenceKind.HAHN_RAMSEY, THETA, DELTA, 7.0)]
+
+
+@pytest.mark.parametrize("noise_kind", ["ou", "renewal"])
+@pytest.mark.parametrize("extra", [{}, {"pulse_model": "finite", "rabi": 2 * np.pi}],
+                         ids=["instantaneous", "finite"])
+@pytest.mark.parametrize("kind, theta, delta", [
+    (SequenceKind.RAMSEY, np.pi / 2, DELTA),
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+    (SequenceKind.HAHN_RAMSEY, THETA, -DELTA)])
+def test_sampler_at_any_tau_is_the_sampler_built_at_it(kind, theta, delta, extra,
+                                                       noise_kind):
+    # a sampler built at the longest tau gives at each shorter tau, zero
+    # included, the very values of one built at that tau
+    noise, cfg = _NOISES[noise_kind], McConfig(1, **extra)
+    longest = _sampler(build_sequence(kind, theta, delta, 5.0), delta, noise, cfg)
+    for tau in (0.0, 0.3, 5.0):
+        at_tau = _sampler(build_sequence(kind, theta, delta, tau), delta, noise, cfg)
+        for rng in (lambda: None, lambda: np.random.default_rng(19)):
+            assert np.array_equal(longest(rng(), 50, tau), at_tau(rng(), 50))
+
+
+@pytest.mark.parametrize("kind, theta, delta", [
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
+    (SequenceKind.HAHN_RAMSEY, THETA, DELTA)])
+def test_echo_readout_folds_through_both_delays(kind, theta, delta, monkeypatch):
+    # with instantaneous pulses no sample rotates the state through a delay;
+    # finite pulses do, once per delay
+    calls = []
+    rotate = montecarlo._z_rotation
+    monkeypatch.setattr(montecarlo, "_z_rotation",
+                        lambda *a: calls.append(1) or rotate(*a))
+    seq = build_sequence(kind, theta, delta, 0.7)
+    for cfg, count in ((McConfig(1), 0),
+                       (McConfig(1, pulse_model="finite", rabi=2 * np.pi), 2)):
+        sample = _sampler(seq, delta, FIG_NOISE, cfg)
+        for rng in (None, np.random.default_rng(3)):
+            calls.clear()
+            assert sample(rng, 100).shape == (100,)
+            assert len(calls) == count
 
 
 def test_stderr_bound():

@@ -428,16 +428,15 @@ def test_ou_window_kernel_tiny_window_variances(monkeypatch):
     monkeypatch.setattr(noise, "_normals", rec)
     rng = np.random.default_rng(3)
     f0 = np.linspace(-1.0, 1.0, 7)
-    q = -np.expm1(-lam_t)
     for with_end in (True, False):
         rec.scales = []
         state, x = _ou_window_integrals(rng, (f0, 0.0), P.lam, P.gamma,
                                         lam_t / P.lam, f0.size, with_end)
-        # one draw, all of X's variance given f(0):
+        # one draw, its scale X's standard deviation given f(0):
         # (2/3 - x/2) x^3 (Gamma/lam)^2 (the x^5 term is 1e-18 of it)
         assert len(rec.scales) == 1
         assert np.isfinite(rec.scales[0]) and rec.scales[0] >= 0
-        assert (q / P.lam * rec.scales[0]) ** 2 == pytest.approx(
+        assert rec.scales[0] ** 2 == pytest.approx(
             (2 / 3 - lam_t / 2) * lam_t ** 3 * (P.gamma / P.lam) ** 2, rel=1e-12, abs=0)
         assert np.isfinite(x).all()
         # X = T f0 up to the O(sqrt(lam T)) change of f over the window
@@ -537,6 +536,23 @@ def test_normals_stay_finite_at_the_ends_of_the_uniforms(u, v):
     assert (np.abs(z) <= 8.6 * 1.5).all()
     assert np.hypot(*z) == pytest.approx(1.5 * np.sqrt(-2 * np.log1p(-u)), rel=1e-15,
                                          abs=0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 3e5])
+def test_normals_match_the_cos_sin_box_muller_oracle(scale):
+    # the radius scale sqrt(-2 log1p(-u)) from the first half of the
+    # uniforms, the angle 2 pi v - pi from the second, the cos half first;
+    # within 4 ulp of the radius (3.2 measured over 4e5 values)
+    rng = np.random.default_rng(13)
+    k = 20_000
+    u = np.concatenate([[0.0, 0.5, 1.0 - 2 ** -53, 2 ** -53], rng.random(k - 4)])
+    v = np.concatenate([[0.0, 0.25, 0.5, 0.75, 1.0 - 2 ** -53, 2 ** -53],
+                        rng.random(k - 6)])
+    got = _normals(_StubUniforms(np.concatenate([u, v])), 2 * k, scale)
+    rad = scale * np.sqrt(-2.0 * np.log1p(-u))
+    angle = 2 * np.pi * v - np.pi
+    for half, want in ((got[:k], rad * np.cos(angle)), (got[k:], rad * np.sin(angle))):
+        assert (np.abs(half - want) <= 4 * np.finfo(float).eps * rad).all()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8192 + 101])
