@@ -15,10 +15,12 @@ and reports SSR normalized by the total sum of squares; ties at the
 minimum break toward the smallest indices (row-major order).  The model
 is a constant plus, per filter window it reads, a tau-only amplitude
 times exp(-(gamma/lambda)^2 e_k(lambda tau)), so the amplitudes are
-formed once, and one call forms the exponents e_k at unit strength for
-every (lambda, tau).  Lambda rows are then evaluated a chunk at a time
-over the whole gamma grid, in two work buffers allocated once per call,
-with the residual taken by einsum.
+formed once, and the exponents e_k at unit strength for a buffer's worth
+of (lambda, tau) pairs at a time.  The cells are evaluated a chunk at a
+time, whole lambda rows while one fits the two work buffers (allocated
+once per call) and a part of one row otherwise, with the residual taken
+by einsum; so the memory of a scan follows its buffers, not its cells
+times taus.
 
 Sensitivity follows the shot-noise readout model: with mean photon
 counts u (bright) and v (dark), contrast alpha = (u-v)/(u+v) and
@@ -302,10 +304,10 @@ class ResidualMap:
                         [header_comment] if header_comment else [])
 
 
-#: bytes in each of the scan's two work buffers, whole lambda rows of
-#: gamma x tau cells and at least one: under glibc's 128 KiB mmap
-#: threshold, so they come from the heap and cost no fresh page faults
-#: (4 rows of the benchmark's 101 x 40)
+#: bytes in each of the scan's two work buffers of gamma x tau cells,
+#: whole lambda rows while one fits and a part of one row otherwise: under
+#: glibc's 128 KiB mmap threshold, so they come from the heap and cost no
+#: fresh page faults (4 rows of the benchmark's 101 x 40)
 _SCAN_BUFFER_BYTES = 127 * 2 ** 10
 
 
@@ -327,26 +329,36 @@ def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,
         raise ValueError("scan data must be non-empty and finite")
     tss = float(((y - y.mean()) ** 2).sum())
     constant, amplitudes = _decay_amplitudes(seq_kind, theta, delta, taus)
-    # the exponents at lambda tau with the factor (gamma/lam)^2 = 1, every
-    # lambda row in one call; only the windows the kind reads are kept
-    unit = filter_exponents(NoiseParams(1.0, 1.0), lambda_grid[:, None] * taus)
-    windows = [(a, e) for a, e in zip(amplitudes, unit) if a is not None]
-    rows = max(1, _SCAN_BUFFER_BYTES // (8 * gamma_grid.size * taus.size))
-    diff = np.empty((rows, gamma_grid.size, taus.size))
+    cells = max(1, _SCAN_BUFFER_BYTES // (8 * taus.size))
+    rows, cols = max(1, cells // gamma_grid.size), min(cells, gamma_grid.size)
+    # lambda rows per call of filter_exponents: a buffer's worth of taus
+    block = cells // rows * rows
+    diff = np.empty((rows, cols, taus.size))
     term = np.empty_like(diff)
     res = np.empty((lambda_grid.size, gamma_grid.size))
-    for start in range(0, lambda_grid.size, rows):
-        chunk = slice(start, start + rows)
-        # each exponent is (gamma/lam)^2 times its unit value
-        minus_scale = -(gamma_grid / lambda_grid[chunk, None]) ** 2
-        d, t = diff[:minus_scale.shape[0]], term[:minus_scale.shape[0]]
-        d[...] = y - constant
-        for a, e in windows:
-            np.multiply(minus_scale[:, :, None], e[chunk, None, :], out=t)
-            np.exp(t, out=t)
-            t *= a
-            d -= t
-        np.einsum("ijk,ijk->ij", d, d, out=res[chunk])
+    for top in range(0, lambda_grid.size, block):
+        # the exponents at lambda tau with the factor (gamma/lam)^2 = 1;
+        # only the windows the kind reads are kept
+        unit = filter_exponents(NoiseParams(1.0, 1.0),
+                                lambda_grid[top:top + block, None] * taus)
+        windows = [(a, e) for a, e in zip(amplitudes, unit) if a is not None]
+        for start in range(top, min(top + block, lambda_grid.size), rows):
+            lam = lambda_grid[start:start + rows, None]
+            for first in range(0, gamma_grid.size, cols):
+                gamma = gamma_grid[first:first + cols]
+                # each exponent is (gamma/lam)^2 times its unit value
+                minus_scale = -(gamma / lam) ** 2
+                d = diff[:len(lam), :len(gamma)]
+                t = term[:len(lam), :len(gamma)]
+                d[...] = y - constant
+                for a, e in windows:
+                    np.multiply(minus_scale[:, :, None],
+                                e[start - top:start - top + rows, None, :], out=t)
+                    np.exp(t, out=t)
+                    t *= a
+                    d -= t
+                np.einsum("ijk,ijk->ij", d, d,
+                          out=res[start:start + rows, first:first + cols])
     res /= tss if tss > 0 else 1.0
     flat = np.argmin(res)   # first minimum in row-major order on ties
     return ResidualMap(lambda_grid, gamma_grid, res,

@@ -112,7 +112,8 @@ class SignalCurve:
     def to_csv(self, path, header_comment: str | None = None) -> None:
         comments = [header_comment] if header_comment else []
         _write_csv(path, "tau,mean,stderr,n",
-                   ((*row, self.n) for row in zip(self.taus, self.means, self.stderrs)),
+                   np.column_stack([self.taus, self.means, self.stderrs,
+                                    np.full(len(self.taus), self.n)]),
                    comments + [f"warning: {w}" for w in self.warnings])
 
 
@@ -401,7 +402,16 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
 
 def bloch_trajectory(seq_kind: SequenceKind, theta: float, delta: float,
                      tau: float, samples_per_segment: int = 60) -> list:
-    """Noiseless (x, y, z) path of the pure state along the sequence.
+    """Noiseless (x, y, z) path of the pure state along the sequence, as
+    BlochPoints (see _bloch_path)."""
+    return [BlochPoint(*p) for p in
+            _bloch_path(seq_kind, theta, delta, tau, samples_per_segment).tolist()]
+
+
+def _bloch_path(seq_kind: SequenceKind, theta: float, delta: float,
+                tau: float, samples_per_segment: int) -> np.ndarray:
+    """Rows t, x, y, z of the noiseless path of the pure state along the
+    sequence.
 
     Pulses are swept as continuous rotations about their tilted axes but
     advance no time (instantaneous-pulse model); delays advance t.  Each
@@ -435,10 +445,9 @@ def bloch_trajectory(seq_kind: SequenceKind, theta: float, delta: float,
             ts.append(t + dt)
             t += el.duration
         paths.append(xyz)
-    cols = (np.concatenate(ts), *np.concatenate(paths).T)
-    return [BlochPoint(*p) for p in zip(*(c.tolist() for c in cols))]
+    return np.column_stack([np.concatenate(ts), np.concatenate(paths)])
 
 
 def bloch_to_csv(points, path, header_comment: str | None = None) -> None:
-    _write_csv(path, "t,x,y,z", ((p.t, p.x, p.y, p.z) for p in points),
+    _write_csv(path, "t,x,y,z", [(p.t, p.x, p.y, p.z) for p in points],
                [header_comment] if header_comment else [])

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -390,6 +391,29 @@ def test_scan_rows_match_cell_by_cell_models():
         np.testing.assert_allclose(m.residuals, ref, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n_taus", [300, 9000])
+def test_scan_cells_do_not_depend_on_the_chunk(n_taus, monkeypatch):
+    # whole grid rows in one chunk, gamma rows split in parts of 3 cells
+    # (the last ragged), and one cell per chunk give the same bits; past
+    # 8192 taus numpy's einsum sums a tau row in buffer-sized parts when a
+    # chunk holds more than one cell, so there every chunk holds one
+    taus = np.linspace(0.1, 4.0, n_taus)
+    data = make_data(2.5, 0.5, taus, sigma=0.01, seed=4)
+    lam_grid, gam_grid = np.linspace(1.0, 4.0, 4), np.linspace(0.0, 1.0, 7)
+    maps = []
+    for cells in (28, 3, 1):
+        monkeypatch.setattr(analysis, "_SCAN_BUFFER_BYTES", 8 * n_taus * cells)
+        maps.append(scan_noise_params(data, SequenceKind.HAHN_RAMSEY, THETA, DELTA,
+                                      lam_grid, gam_grid).residuals)
+    if n_taus > 8192:
+        maps = maps[2:]
+    for m in maps:
+        assert m.tobytes() == maps[-1].tobytes()
+    cell = scan_noise_params(data, SequenceKind.HAHN_RAMSEY, THETA, DELTA,
+                             lam_grid[2:3], gam_grid[5:6]).residuals
+    assert cell.tobytes() == maps[-1][2:3, 5:6].tobytes()
+
+
 @pytest.mark.parametrize("lam_grid, gam_grid", [
     ([-1.0, 2.5], [0.3]),
     ([0.0, 2.5], [0.3]),
@@ -427,15 +451,24 @@ def test_scan_rejects_tilted_ramsey():
                           np.array([2.5]), np.array([0.3]))
 
 
-# at 2^10 cells per write, (700, 3), (23, 101) and (1, 2000) are written
-# in 3, 3 and 1 chunks, the first two with a ragged last chunk
-@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 2), (37, 3), (1, 101),
-                                   (23, 101), (700, 3), (1, 2000)])
-def test_residual_map_csv_is_the_per_cell_format(shape, tmp_path):
+# at 2^11 cells per write, (700, 3), (23, 101) and (1, 2000) are written
+# in 2, 2 and 1 chunks, the first two splitting a row at a ragged chunk
+# edge; the last set holds cells the numpy text leaves to '%'
+_SPECIAL_CELLS = [-0.0, 0.0, -2.5, 1e-300, -1e300, 5e-324, 1e16, 1e17, -1e-5,
+                  2.0 ** -25, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("shape, special", [
+    ((1, 1), False), ((3, 5), False), ((7, 2), False), ((37, 3), False),
+    ((1, 101), False), ((23, 101), False), ((700, 3), False), ((1, 2000), False),
+    ((6, 12), True)], ids=[f"shape{k}" for k in range(8)] + ["special"])
+def test_residual_map_csv_is_the_per_cell_format(shape, special, tmp_path):
     rng = np.random.default_rng(3)
     lam = np.sort(rng.uniform(0.1, 4.0, shape[0]))
     gam = np.sort(rng.uniform(0.0, 1.2, shape[1]))
     res = rng.random(shape) * 10.0 ** rng.integers(-12, 3, shape)
+    if special:
+        res.flat[::3] = _SPECIAL_CELLS + [-v for v in _SPECIAL_CELLS[2:]]
     ResidualMap(lam, gam, res, (0, 0)).to_csv(tmp_path / "m.csv", "hdr")
     cells = "".join(f"{lam[i]:.17g},{gam[j]:.17g},{res[i, j]:.17g}\n"
                     for i in range(shape[0]) for j in range(shape[1]))

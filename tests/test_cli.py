@@ -20,6 +20,7 @@ from filter_oracle import textbook_exponents
 from hahnramsey.analytic import (_detuned_echo_terms, closed_form_signal,
                                  signal_from_exponents)
 import hahnramsey
+from hahnramsey import cli
 from hahnramsey.cli import (MAX_TRAJECTORY_POINTS, RunConfig, config_hash, main,
                            read_curve_csv)
 from hahnramsey.noise import NoiseParams, filter_exponents
@@ -622,6 +623,54 @@ def test_scan_refuses_more_cells_than_max_count(tmp_path, capsys):
                 "--gamma-count=1000", "--out", out]) == 2
     assert "'lambda_count, gamma_count'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "scan"])
+def test_data_rows_past_max_data_rows_exit_2(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DATA_ROWS", 40)
+    args = ["fit"] if command == "fit" else _SCAN
+    # 40 rows are read, the 41st is refused where it stands
+    assert run([*args, "--data", _write_ramsey_data(tmp_path / "ram.csv"),
+                "--out", tmp_path / "ok"]) == 0
+    data = _write_ramsey_data(tmp_path / "long.csv", rows=["6.5,0.1"])
+    out = tmp_path / "o"
+    assert run([*args, "--data", data, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'data'" in err and "long.csv line 42" in err and "more than 40" in err
+    assert not out.exists()
+
+
+# RSS growth of a tall and a wide scan over a 3000-row file, in a fresh
+# process: the peak (ru_maxrss, KiB) after the import, then after each scan
+_SCAN_MEMORY = """
+import resource, sys
+from hahnramsey import cli
+data, out = sys.argv[1:]
+peaks = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
+for lam, gamma in [(3000, 1), (1, 3000)]:
+    assert cli.main(["scan", "--sequence", "hahn_ramsey", "--theta", "0.6",
+                     "--delta", "1.9", "--data", data, "--lambda-min", "1",
+                     "--lambda-max", "4", "--lambda-count", str(lam),
+                     "--gamma-min", "0.2", "--gamma-max", "1.2",
+                     "--gamma-count", str(gamma), "--out", out]) == 0
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(*peaks)
+"""
+
+
+def test_scan_memory_follows_its_chunk_not_cells_times_taus(tmp_path):
+    # cells x taus is 9e6 for both grids.  Forming the unit exponents for
+    # the whole lambda grid asked for 72 MB per array (3000 x 3000 x 8 B)
+    # on the tall one; a chunk of at least one whole gamma row asked for
+    # two 72 MB buffers on the wide one.  Measured: 2.5 MiB.
+    taus = np.linspace(0.0, 7.0, 3000)
+    data = tmp_path / "long.csv"
+    data.write_text("tau,signal\n" + "".join(
+        f"{t!r},{y!r}\n" for t, y in zip(taus.tolist(), np.cos(taus).tolist())))
+    proc = _python(_SCAN_MEMORY, data, tmp_path / "o")
+    assert proc.returncode == 0, proc.stderr
+    base, tall, wide = map(int, proc.stdout.splitlines()[-1].split())
+    assert tall - base < 16 * 1024 and wide - base < 16 * 1024
 
 
 def test_scan_refuses_data_files_that_share_a_stem(tmp_path, capsys):
