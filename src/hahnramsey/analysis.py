@@ -17,10 +17,12 @@ is a constant plus, per filter window it reads, a tau-only amplitude
 times exp(-(gamma/lambda)^2 e_k(lambda tau)), so the amplitudes are
 formed once, and the exponents e_k at unit strength for a buffer's worth
 of (lambda, tau) pairs at a time.  The cells are evaluated a chunk at a
-time, whole lambda rows while one fits the two work buffers (allocated
-once per call) and a part of one row otherwise, with the residual taken
-by einsum; so the memory of a scan follows its buffers, not its cells
-times taus.
+time, whole lambda rows while one fits a buffer and a part of one row
+otherwise, with the residual taken by einsum.  Each call allocates its
+chunk-shaped buffers once: two work buffers, the data less the constant
+and each amplitude that varies with tau broadcast to a chunk's shape (so
+every pass over a chunk is contiguous), each under 128 KiB; so the memory
+of a scan follows its buffers, not its cells times taus.
 
 Sensitivity follows the shot-noise readout model: with mean photon
 counts u (bright) and v (dark), contrast alpha = (u-v)/(u+v) and
@@ -304,10 +306,13 @@ class ResidualMap:
                         [header_comment] if header_comment else [])
 
 
-#: bytes in each of the scan's two work buffers of gamma x tau cells,
-#: whole lambda rows while one fits and a part of one row otherwise: under
-#: glibc's 128 KiB mmap threshold, so they come from the heap and cost no
-#: fresh page faults (4 rows of the benchmark's 101 x 40)
+#: bytes in each of the scan's chunk-shaped buffers of gamma x tau cells,
+#: whole lambda rows while one fits and a part of one row otherwise (4 rows
+#: of the benchmark's 101 x 40): the two work buffers, the data less the
+#: constant, and one per amplitude that varies with tau (one for ramsey,
+#: none for hahn_echo, three for hahn_ramsey), so at most six.  Each is
+#: under glibc's 128 KiB mmap threshold, so it comes from the heap and not
+#: from a mapping of its own
 _SCAN_BUFFER_BYTES = 127 * 2 ** 10
 
 
@@ -333,30 +338,40 @@ def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,
     rows, cols = max(1, cells // gamma_grid.size), min(cells, gamma_grid.size)
     # lambda rows per call of filter_exponents: a buffer's worth of taus
     block = cells // rows * rows
-    diff = np.empty((rows, cols, taus.size))
+    shape = (rows, cols, taus.size)
+    diff = np.empty(shape)
     term = np.empty_like(diff)
+    # the data less the constant, and each amplitude that varies with tau,
+    # broadcast once to a chunk's shape, so that their passes are contiguous;
+    # a window is (its index in FilterKind order, its amplitude)
+    rest = np.broadcast_to(y - constant, shape).copy()
+    windows = [(k, np.broadcast_to(a, shape).copy() if np.ndim(a) else a)
+               for k, a in enumerate(amplitudes) if a is not None]
     res = np.empty((lambda_grid.size, gamma_grid.size))
     for top in range(0, lambda_grid.size, block):
-        # the exponents at lambda tau with the factor (gamma/lam)^2 = 1;
-        # only the windows the kind reads are kept
+        # the exponents at lambda tau with the factor (gamma/lam)^2 = 1
         unit = filter_exponents(NoiseParams(1.0, 1.0),
                                 lambda_grid[top:top + block, None] * taus)
-        windows = [(a, e) for a, e in zip(amplitudes, unit) if a is not None]
         for start in range(top, min(top + block, lambda_grid.size), rows):
             lam = lambda_grid[start:start + rows, None]
             for first in range(0, gamma_grid.size, cols):
                 gamma = gamma_grid[first:first + cols]
                 # each exponent is (gamma/lam)^2 times its unit value
                 minus_scale = -(gamma / lam) ** 2
-                d = diff[:len(lam), :len(gamma)]
-                t = term[:len(lam), :len(gamma)]
-                d[...] = y - constant
-                for a, e in windows:
-                    np.multiply(minus_scale[:, :, None],
-                                e[start - top:start - top + rows, None, :], out=t)
+                chunk = np.s_[:len(lam), :len(gamma)]
+                d, t = diff[chunk], term[chunk]
+                for n, (k, a) in enumerate(windows):
+                    # the outer product, one multiply per element; einsum
+                    # adds it to 0, which turns -0 to +0, and exp maps
+                    # both to 1
+                    np.einsum("ij,ik->ijk", minus_scale,
+                              unit[k][start - top:start - top + len(lam)], out=t)
                     np.exp(t, out=t)
-                    t *= a
-                    d -= t
+                    t *= a[chunk] if np.ndim(a) else a
+                    if n:
+                        d -= t
+                    else:
+                        np.subtract(rest[chunk], t, out=d)
                 np.einsum("ijk,ijk->ij", d, d,
                           out=res[start:start + rows, first:first + cols])
     res /= tss if tss > 0 else 1.0

@@ -53,6 +53,10 @@ MC_STEP_COST = 500
 # bound on the data rows of a file: reading 10^6 rows grew RSS by 107 MiB,
 # and a one-cell scan of them by 25 MiB more (2-core x86 container)
 MAX_DATA_ROWS = 10 ** 5
+# bound on scan work in cells times data rows, summed over the files: about
+# two minutes at the 12-17 ns a cell and row of hahn_ramsey's three windows
+# at 10^5 rows (2-core x86 container, numpy 2.4)
+MAX_SCAN_WORK = 8 * 10 ** 9
 
 #: the values of each choice field, for argparse and RunConfig.validate;
 #: sequence's are sorted, to read in a fixed order in --help and errors
@@ -521,6 +525,11 @@ def cmd_scan(cfg: RunConfig, stamp: str) -> int:
     gamma_grid = np.linspace(cfg.gamma_min, cfg.gamma_max, cfg.gamma_count)
     theta = cfg.closed_form_theta()
     curves = [read_curve_csv(dp, cfg.tau_scale) for dp in cfg.data]
+    rows = sum(curve.taus.size for curve in curves)
+    if lam_grid.size * gamma_grid.size * rows > MAX_SCAN_WORK:
+        raise ConfigError("lambda_count, gamma_count",
+                          f"{lam_grid.size} x {gamma_grid.size} cells over {rows} "
+                          f"data rows exceed {_text(MAX_SCAN_WORK)} cells x rows")
     out = _out_dir(cfg)
     comment = f"config_sha256={stamp}"
     kind = spincore.SequenceKind(cfg.sequence)

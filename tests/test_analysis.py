@@ -18,6 +18,7 @@ from hahnramsey.analytic import (BiasParams, _bias_slope_coefficients,
 from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams, f1, filter_exponents
 from hahnramsey.spincore import SequenceKind
+from scan_oracle import scan_residuals
 from tilt_oracle import optimal_theta_per_tilt
 
 FIG_NOISE = NoiseParams(2.5, 2 * np.pi * 0.1)
@@ -412,6 +413,35 @@ def test_scan_cells_do_not_depend_on_the_chunk(n_taus, monkeypatch):
     cell = scan_noise_params(data, SequenceKind.HAHN_RAMSEY, THETA, DELTA,
                              lam_grid[2:3], gam_grid[5:6]).residuals
     assert cell.tobytes() == maps[-1][2:3, 5:6].tobytes()
+
+
+# (taus, lambda count, gamma count, buffer cells or None for the default):
+# the benchmark's 101 x 101 in chunks of 4 whole rows, the last partial;
+# chunks of 3 whole rows over 11, the last partial; gamma rows of 7 split
+# in 3, 3 and 1; a 1 x 1 grid; 9000 taus, one cell per chunk
+_ORACLE_SHAPES = [(40, 101, 101, None), (40, 11, 7, 21), (30, 4, 7, 3),
+                  (40, 1, 1, None), (9000, 3, 4, None)]
+
+
+@pytest.mark.parametrize("kind, theta, delta", [
+    (SequenceKind.RAMSEY, np.pi / 2, DELTA),        # one window, constant -0.0
+    (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),       # one scalar amplitude
+    (SequenceKind.HAHN_RAMSEY, THETA, DELTA),       # three windows
+])
+@pytest.mark.parametrize("n_taus, n_lam, n_gam, cells", _ORACLE_SHAPES)
+def test_scan_residuals_are_the_oracle_loops_bits(kind, theta, delta, n_taus,
+                                                  n_lam, n_gam, cells, monkeypatch):
+    taus = np.linspace(0.1, 6.0, n_taus)
+    y = closed_form_signal(kind, theta, delta, NoiseParams(2.5, 0.6), taus)
+    data = curve(taus, y + np.random.default_rng(7).normal(0, 0.01, n_taus))
+    if cells is not None:
+        monkeypatch.setattr(analysis, "_SCAN_BUFFER_BYTES", 8 * n_taus * cells)
+    lam_grid, gam_grid = np.linspace(1.0, 4.0, n_lam), np.linspace(0.0, 1.2, n_gam)
+    got = scan_noise_params(data, kind, theta, delta, lam_grid, gam_grid).residuals
+    want = scan_residuals(data, kind, theta, delta, lam_grid, gam_grid,
+                          analysis._SCAN_BUFFER_BYTES)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lam_grid, gam_grid", [

@@ -625,6 +625,37 @@ def test_scan_refuses_more_cells_than_max_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_refuses_more_work_than_max_scan_work(tmp_path, capsys):
+    # 10^6 cells over 8001 rows, or over two files of 4001: each count and
+    # file is within bounds, the work is not; refused before any cell
+    assert cli.MAX_SCAN_WORK < 10 ** 6 * 8001
+    data = tmp_path / "long.csv"
+    data.write_text("tau,signal\n" + "".join(f"{0.001 * k!r},0.5\n" for k in range(8001)))
+    halves = [_write_ramsey_data(tmp_path / name, rows=[f"{7 + 0.001 * k!r},0.1"
+                                                        for k in range(3961)])
+              for name in ("a.csv", "b.csv")]
+    cells = ["--lambda-count=1000", "--gamma-count=1000"]
+    for files, rows in ((["--data", data], 8001),
+                        (["--data", halves[0], "--data", halves[1]], 8002)):
+        out = tmp_path / "o"
+        assert run([*_SCAN, *files, *cells, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "'lambda_count, gamma_count'" in err and f"over {rows} data rows" in err
+        assert not out.exists()
+
+
+def test_scan_work_bound_counts_cells_times_rows(tmp_path, capsys, monkeypatch):
+    # _SCAN's 5 x 8 cells over 40 rows: at the bound the scan runs
+    data = _write_ramsey_data(tmp_path / "ram.csv")
+    monkeypatch.setattr(cli, "MAX_SCAN_WORK", 5 * 8 * 40)
+    assert run([*_SCAN, "--data", data, "--out", tmp_path / "ok"]) == 0
+    monkeypatch.setattr(cli, "MAX_SCAN_WORK", 5 * 8 * 40 - 1)
+    out = tmp_path / "o"
+    assert run([*_SCAN, "--data", data, "--out", out]) == 2
+    assert "'lambda_count, gamma_count'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "scan"])
 def test_data_rows_past_max_data_rows_exit_2(command, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_DATA_ROWS", 40)
