@@ -359,6 +359,11 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
     """
     taus, means, errs = [], [], []
     n = 0
+
+    def bad_row(what):
+        # the file and line are formatted only for a row that is refused
+        return ConfigError("data", f"{path} line {lineno}: {what}")
+
     with open(path) as fh:
         header = None
         for lineno, line in enumerate(fh, 1):
@@ -369,27 +374,23 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
                 header = [c.strip().lower() for c in line.split(",")]
                 width = 3 if header[2:3] == ["stderr"] else 2
                 continue
-            where = f"{path} line {lineno}"
             if len(taus) == MAX_DATA_ROWS:
-                raise ConfigError("data", f"{where}: more than {MAX_DATA_ROWS} "
-                                          f"data rows")
+                raise bad_row(f"more than {MAX_DATA_ROWS} data rows")
             cells = line.split(",")
             if len(cells) < len(header):
-                raise ConfigError("data", f"{where}: the header has {len(header)} "
-                                          f"columns, got {line!r}")
+                raise bad_row(f"the header has {len(header)} columns, got {line!r}")
             try:
                 row = [float(c) for c in cells[:width]]
                 if len(cells) > 3 and header[-1] == "n":
                     n = int(cells[3])
             except ValueError:
-                raise ConfigError("data", f"{where}: cannot parse {line!r}") from None
+                raise bad_row(f"cannot parse {line!r}") from None
             row[0] *= tau_scale
             if len(row) < 2 or not (all(map(math.isfinite, row))
                                     and abs(row[0]) <= MAX_MAGNITUDE
                                     and min(row[2:], default=0.0) >= 0):
-                raise ConfigError("data", f"{where}: need finite cells, |tau| <= "
-                                          f"{MAX_MAGNITUDE:g} after scaling and a "
-                                          f"stderr >= 0, got {line!r}")
+                raise bad_row(f"need finite cells, |tau| <= {MAX_MAGNITUDE:g} after "
+                              f"scaling and a stderr >= 0, got {line!r}")
             taus.append(row[0])
             means.append(row[1])
             errs.extend(row[2:])
@@ -508,8 +509,9 @@ def cmd_fit(cfg: RunConfig, stamp: str) -> int:
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> int:
     """Write the report to the output directory and echo it."""
     path = _out_dir(cfg) / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    path.write_text(text + "\n")
+    print(text)
     print(path)
     return 0
 

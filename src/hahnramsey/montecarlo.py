@@ -19,7 +19,9 @@ back at build time through the whole timeline, pulses and delays, into
 scalars, so no state is rotated: past each delay's tangent and sine the
 echoes' readout takes 16 array passes where rotating (x, y) through the
 first delay and reading three pulled-back rows took 24, and ramsey's 4.
-Seeding, block reduction and worker fan-out are shared as well.
+Seeding, block reduction and worker fan-out are shared as well: with N
+workers the caller runs one lane of the tau points and N - 1 pool
+threads the others.
 
 Reproducibility scheme
 ----------------------
@@ -355,6 +357,11 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     master_seed at any cfg.workers; see the module docstring for the
     seeding scheme.  The sequence, its timeline and the sampler are built
     once, at the longest tau, and the checks read that timeline.
+
+    cfg.workers N deals the tau points round-robin into min(N, len(taus))
+    lanes: the caller runs the first lane and a pool of N - 1 threads
+    (fewer when there are fewer tau points) one other lane each; a helper
+    lane's exception is raised in the caller.  One lane loads no pool.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -381,18 +388,22 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
                 f"steps of {cfg.time_step:.3g}"] if coarse else []
     sample = _sampler(longest, delta, noise, cfg, ops)
     means, errs = np.empty(taus.size), np.empty(taus.size)
+    lanes = min(cfg.workers, taus.size)
 
-    def work(i):
-        means[i], errs[i] = _point_estimate(sample, noisy, cfg, i, float(taus[i]))
+    def lane(j):
+        for i in range(j, taus.size, lanes):
+            means[i], errs[i] = _point_estimate(sample, noisy, cfg, i, float(taus[i]))
 
-    if cfg.workers == 1:
-        for i in range(taus.size):
-            work(i)
+    if lanes == 1:
+        lane(0)
     else:
         # imported here, so that a one-worker run loads no thread pool
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(work, range(taus.size)))
+        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+            helpers = [pool.submit(lane, j) for j in range(1, lanes)]
+            lane(0)
+        for helper in helpers:
+            helper.result()   # re-raises a helper lane's exception here
     return SignalCurve(taus, means, errs, cfg.n_trajectories, tuple(warnings))
 
 

@@ -33,6 +33,34 @@ def curve(t, y, err=None):
                        np.asarray(e, float), 0)
 
 
+def _median_cases():
+    rng = np.random.default_rng(20191218)
+    for n in [*range(1, 65), 120, 129]:
+        yield rng.normal(size=n)
+        yield rng.integers(0, 3, size=n).astype(float)            # ties
+        yield rng.choice([-0.0, 0.0], size=n)
+        yield rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+        yield rng.choice([-np.inf, np.inf, -0.0, 0.0, 2.5], size=n)
+        for at in {0, n // 2, n - 1}:                             # NaN anywhere
+            x = rng.normal(size=n)
+            x[at] = np.nan
+            yield x
+    yield np.array([-np.inf, np.inf])                              # two infinite
+    yield np.array([1.0, -np.inf, np.inf, 2.0])                   # middles
+    yield np.array([-np.inf, -np.inf, np.inf, np.inf])
+    yield np.array([np.inf, np.inf, 0.0])
+    yield np.array([-0.0, -0.0])
+    yield np.array([-0.0])
+
+
+def test_median_is_np_median_bit_for_bit():
+    with np.errstate(invalid="ignore"):
+        for x in _median_cases():
+            got, want = analysis._median(x), np.median(x)
+            assert type(got) is type(want), x
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+
+
 def test_fit_round_trip_exact():
     t = np.linspace(0.0, 6.0, 50)
     y = np.cos(1.7 * t) * np.exp(-((t / 2.0) ** 2))

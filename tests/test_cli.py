@@ -420,7 +420,7 @@ run("bloch", "--sequence", "hahn_ramsey", "--theta", 0.6, "--delta", 1.885,
     "--tau", 1.0, "--samples", 15, "--out", out)
 run("fit", "--data", fit_data, "--out", out)
 run("sensitivity", *noise, "--theta", 0.6, "--u", 1.3, "--v", 0.7, "--out", out)
-print(json.dumps(scipy_modules()))
+print(json.dumps([scipy_modules(), "numpy.ma" in sys.modules]))
 """
 
 
@@ -433,7 +433,8 @@ def test_no_command_loads_scipy(tmp_path):
             fh.write(f"{ti},{yi}\n")
     proc = _python(_COLD_START, tmp_path / "cold", data)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    # no scipy, and no numpy.ma (np.median's first call imports it)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], False]
     # same bytes as the same commands run in this process
     assert run(["fit", "--data", data, "--out", tmp_path / "warm"]) == 0
     assert run(["sensitivity", "--lam", 2.5, "--gamma", 0.6, "--theta", 0.6,
@@ -458,6 +459,23 @@ def test_one_worker_simulate_does_not_load_the_thread_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
     assert (tmp_path / "o" / "ramsey_compare.csv").exists()
+
+
+def test_a_helper_lanes_exception_exits_3(tmp_path, capsys):
+    # tau point 1 is the first of the helper's lane at --workers 2
+    estimate = cli.montecarlo._point_estimate
+
+    def failing(sample, noisy, cfg, point_idx, tau):
+        if point_idx == 1:
+            raise FloatingPointError("helper lane failed")
+        return estimate(sample, noisy, cfg, point_idx, tau)
+
+    with mock.patch.object(cli.montecarlo, "_point_estimate", failing):
+        rc = run(["simulate", *BASE, "--engine", "montecarlo", "--workers", 2,
+                  "--n-trajectories", 50, "--out", tmp_path / "o"])
+    assert rc == 3
+    assert "FloatingPointError: helper lane failed" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "hahn_ramsey_montecarlo.csv").exists()
 
 
 def test_finite_pulses_beyond_the_step_budget_exit_2(tmp_path):

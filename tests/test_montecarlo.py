@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,64 @@ def test_bitwise_reproducibility_and_worker_independence():
     d = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
                McConfig(3 * BLOCK_SIZE + 17, master_seed=6))
     assert (a.means != d.means).any()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_run_on_the_caller_and_workers_minus_one_threads(workers, monkeypatch):
+    # every call waits for one from each lane, so no helper thread can run
+    # two lanes; round-robin lanes of equal length keep the waits in step
+    estimate, barrier = montecarlo._point_estimate, threading.Barrier(workers)
+    threads, points = set(), []
+
+    def recorded(sample, noisy, cfg, point_idx, tau):
+        threads.add(threading.get_ident())
+        points.append(point_idx)
+        barrier.wait(timeout=30)
+        return estimate(sample, noisy, cfg, point_idx, tau)
+
+    monkeypatch.setattr(montecarlo, "_point_estimate", recorded)
+    taus = np.linspace(0.2, 2.0, 2 * workers)
+    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+                   McConfig(300, master_seed=5, workers=workers))
+    assert len(threads) == workers and threading.get_ident() in threads
+    assert sorted(points) == list(range(taus.size))
+    monkeypatch.undo()
+    one = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+                 McConfig(300, master_seed=5, workers=1))
+    assert curve.means.tobytes() == one.means.tobytes()
+    assert curve.stderrs.tobytes() == one.stderrs.tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_helper_lanes_exception_reaches_the_caller(workers, monkeypatch):
+    # the last tau point belongs to a helper lane; it must raise, not leave
+    # its mean unset
+    estimate, taus = montecarlo._point_estimate, np.linspace(0.2, 2.0, 6)
+    last = taus.size - 1
+    assert last % workers != 0
+
+    def failing(sample, noisy, cfg, point_idx, tau):
+        if point_idx == last:
+            raise FloatingPointError(f"point {point_idx}")
+        return estimate(sample, noisy, cfg, point_idx, tau)
+
+    monkeypatch.setattr(montecarlo, "_point_estimate", failing)
+    with pytest.raises(FloatingPointError, match=f"point {last}"):
+        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+               McConfig(300, master_seed=5, workers=workers))
+
+
+def test_one_tau_point_runs_on_the_caller_alone(monkeypatch):
+    estimate, threads = montecarlo._point_estimate, []
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return estimate(*args)
+
+    monkeypatch.setattr(montecarlo, "_point_estimate", recorded)
+    run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, [0.5],
+           McConfig(300, master_seed=5, workers=4))
+    assert threads == [threading.get_ident()]
 
 
 def test_renewal_bitwise_reproducibility():
