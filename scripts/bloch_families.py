@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Noiseless Bloch-sphere trajectories of one detuned-echo fringe for a
-family of tilt angles, exported as t,x,y,z point sets."""
+family of tilt angles, exported as t,x,y,z point sets, one directory per
+tilt."""
 
 import argparse
 from pathlib import Path
 
 import numpy as np
 
-from hahnramsey.montecarlo import bloch_to_csv, bloch_trajectory
-from hahnramsey.spincore import SequenceKind
+from hahnramsey.cli import main as cli
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
@@ -16,11 +16,10 @@ if __name__ == "__main__":
     ap.add_argument("--delta", type=float, default=2 * np.pi * 0.3)
     ap.add_argument("--tau", type=float, default=1.0)
     args = ap.parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for theta in (0.49 * np.pi, 0.3 * np.pi, 0.2 * np.pi):
-        pts = bloch_trajectory(SequenceKind.HAHN_RAMSEY, theta, args.delta,
-                               args.tau, samples_per_segment=120)
-        path = out / f"bloch_theta_{theta / np.pi:.2f}pi.csv"
-        bloch_to_csv(pts, path, f"theta={theta:.6f} delta={args.delta:.6f}")
-        print(path)
+        out = Path(args.out) / f"theta_{theta / np.pi:.2f}pi"
+        rc = cli(["bloch", "--sequence", "hahn_ramsey", "--theta", repr(theta),
+                  "--delta", repr(args.delta), "--tau", repr(args.tau),
+                  "--samples", "120", "--out", str(out)])
+        if rc:
+            raise SystemExit(rc)

@@ -18,8 +18,7 @@ from .analysis import (DecayFit, FitError, FitModel, GAMMA_E_PER_GAUSS,
                        min_detectable_field, scan_noise_params, sensitivity)
 from .analytic import (BiasParams, closed_form_signal, component_weights,
                        hr_signal_derivative, signal_from_exponents)
-from .montecarlo import (BlochPoint, McConfig, SignalCurve, bloch_to_csv,
-                         bloch_trajectory, run_mc)
+from .montecarlo import McConfig, SignalCurve, run_mc
 from .noise import FilterKind, NoiseKind, NoiseParams, f1, filter_exponents
 from .spincore import (Delay, DrivingParams, PulseParams, PulseSequence,
                        SequenceKind, TiltConvention, build_sequence, tilt_angle)

@@ -9,8 +9,9 @@ Every input is a RunConfig field: a flag ``--<field>`` of every command,
 an ``HRSIM_<FIELD>`` environment variable and a key of the JSON
 ``--config`` file, in that precedence over the defaults.  Every output
 file embeds a hash of the command and its resolved configuration, and
-reruns with the same configuration and seed are byte-identical at any
-worker count.
+reruns with the same configuration and seed are byte-identical.
+``--workers`` is accepted for compatibility and changes nothing: every
+tau point runs on the calling thread.
 
 Exit codes: 0 success; 2 bad input, with the field or data file line
 named on stderr; 3 runtime failure.  Non-finite numbers are bad input
@@ -42,14 +43,19 @@ MAX_MAGNITUDE = 1e12
 # cells of a scan: numpy cannot allocate 1e20 of them, and a 3e4 x 3e4 scan
 # would take 7 GB
 MAX_COUNT = 10 ** 6
-# bound on Monte Carlo work in trajectory points, about two minutes of
-# OU sampling on one core: per tau point n_trajectories plus MC_POINT_COST
-# (its sequence, seeding and rows: 70-370 us against 118 ns a trajectory
-# point), and per noisy finite-pulse step n_trajectories (48 ns each) plus
-# MC_STEP_COST for its 45-55 us loop pass (2-core x86 container, numpy 2.4)
+# bound on Monte Carlo work in trajectory points, about 40 s of sampling:
+# an OU trajectory point of hahn_ramsey, instantaneous pulses, costs 38-45
+# ns at full blocks.  Each tau point adds n_trajectories plus MC_POINT_COST
+# (seeding and the sampler's fixed calls: 35-57 us, 870-1500 points); each
+# noisy finite-pulse step n_trajectories (31-35 ns each) plus MC_STEP_COST
+# for its 30.6 us loop pass; and each expected renewal event, lam times
+# the longest sequence time, n_trajectories / 2 (20-22 ns each) plus
+# MC_EVENT_COST for its 14.1-14.8 us pass of the event loop (2-core x86
+# container, Python 3.11, numpy 2.4)
 MAX_TRAJECTORY_POINTS = 10 ** 9
 MC_POINT_COST = 2000
-MC_STEP_COST = 500
+MC_STEP_COST = 700
+MC_EVENT_COST = 350
 # bound on the data rows of a file: reading 10^6 rows grew RSS by 107 MiB,
 # and a one-cell scan of them by 25 MiB more (2-core x86 container)
 MAX_DATA_ROWS = 10 ** 5
@@ -90,11 +96,12 @@ def _text(x) -> str:
     return short if float(short) == x else repr(x)
 
 
-def _check_range(field: str, value, low, high, ends: str = "[]") -> None:
+def _check_range(field: str, value, low, high, ends: str = "[]",
+                 why: str = "") -> None:
     """Refuse a value outside the interval from low to high, each end
-    closed ("[", "]") or open ("(", ")"); an infinite high end is open,
-    NaN lies in no interval, and None, an unset optional input, is not
-    checked."""
+    closed ("[", "]") or open ("(", ")"), with why appended to the
+    message; an infinite high end is open, NaN lies in no interval, and
+    None, an unset optional input, is not checked."""
     if value is None:
         return
     if high == math.inf:
@@ -102,7 +109,7 @@ def _check_range(field: str, value, low, high, ends: str = "[]") -> None:
     if not ((value > low if ends[0] == "(" else value >= low)
             and (value < high if ends[1] == ")" else value <= high)):
         raise ConfigError(field, f"must lie in {ends[0]}{_text(low)}, "
-                                 f"{_text(high)}{ends[1]}, got {value!r}")
+                                 f"{_text(high)}{ends[1]}, got {value!r}{why}")
 
 
 @dataclasses.dataclass
@@ -179,23 +186,37 @@ class RunConfig:
         # leaves room for the fewest trajectories
         mc = self.engine != "analytic"
         least = 2 if self.engine == "both" else 1
-        steps = 0
-        if mc and finite and self.noise_params().gamma > 0:
+        steps = events = 0
+        p = self.noise_params()
+        if (mc and command == "simulate" and p.gamma > 0
+                and (finite or p.kind is noise.NoiseKind.RENEWAL)):
+            # run_mc's timeline, at the longest tau: its noisy pulse steps
+            # are the same at every tau, its renewal events the most
+            seq = spincore.build_sequence(spincore.SequenceKind(self.sequence),
+                                          self.resolved_theta(), self.delta,
+                                          self.tau_stop)
+            ops = montecarlo._timeline(seq, self.delta, p, montecarlo.McConfig(
+                1, time_step=self.time_step, pulse_model=self.pulse_model, rabi=self.rabi))
             try:
-                seq = spincore.build_sequence(spincore.SequenceKind(self.sequence),
-                                              self.resolved_theta(), self.delta, 0.0)
-                steps = montecarlo._pulse_step_count(montecarlo._timeline(
-                    seq, self.delta, self.noise_params(), montecarlo.McConfig(
-                        1, time_step=self.time_step, pulse_model="finite", rabi=self.rabi)))
+                steps = montecarlo._pulse_step_count(ops)
             except montecarlo.PulseStepError as exc:
                 raise ConfigError("rabi", f"{exc}; raise rabi or time_step") from None
-        fixed = MC_POINT_COST + steps * MC_STEP_COST
+            try:
+                events = montecarlo._renewal_event_count(ops, p)
+            except montecarlo.RenewalEventError as exc:
+                raise ConfigError("lam", f"{exc}; lower lam or tau_stop") from None
+        per_trajectory = 1 + steps + events / 2
+        fixed = MC_POINT_COST + steps * MC_STEP_COST + events * MC_EVENT_COST
+        why = (f" (renewal noise: {events:.3g} events a trajectory at each tau "
+               f"point; lower lam or tau_stop)" if events else "")
         _check_range("tau_count", self.tau_count, 2,
-                     min(MAX_COUNT, MAX_TRAJECTORY_POINTS // ((1 + steps) * least + fixed))
-                     if mc else MAX_COUNT)
+                     min(MAX_COUNT, int(MAX_TRAJECTORY_POINTS
+                                        // (per_trajectory * least + fixed)))
+                     if mc else MAX_COUNT, why=why)
         _check_range("n_trajectories", self.n_trajectories, least,
-                     (MAX_TRAJECTORY_POINTS // self.tau_count - fixed) // (1 + steps)
-                     if mc else math.inf)
+                     int((MAX_TRAJECTORY_POINTS // self.tau_count - fixed)
+                         // per_trajectory)
+                     if mc else math.inf, why=why)
         _check_range("theta_count", self.theta_count, 1, MAX_COUNT)
         if command == "fit" and len(self.data) > 1:
             raise ConfigError("data", f"fit reads one data file, got {len(self.data)}")
@@ -270,6 +291,8 @@ _HELP = {
     "v": "dark-state mean counts per shot",
     "gamma_e": "gyromagnetic ratio, cycles/(us gauss)",
     "samples": "points per pulse/delay segment",
+    "workers": "accepted for compatibility; every tau point runs on the "
+               "calling thread, so the value changes nothing",
 }
 
 
@@ -332,8 +355,9 @@ def load_config(path: str | None, flags: dict, command: str) -> RunConfig:
 def config_hash(cfg: RunConfig, command: str) -> str:
     """Hash of the command and its resolved inputs, each data file by the
     sha256 of its bytes (one it cannot read is a bad data field); placement
-    (out, data paths), scheduling (workers) and, unless pulses are finite,
-    time_step do not change the result bytes and are excluded."""
+    (out, data paths), workers (accepted, with no effect) and, unless
+    pulses are finite, time_step do not change the result bytes and are
+    excluded."""
     d = {k: getattr(cfg, k) for k in _FIELDS if k not in ("out", "data", "workers")}
     try:
         sums = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in cfg.data]
@@ -421,12 +445,8 @@ def cmd_simulate(cfg: RunConfig, stamp: str) -> int:
                                          cfg.noise_params(), taus)
     if cfg.engine in ("montecarlo", "both"):
         mcfg = montecarlo.McConfig(cfg.n_trajectories, cfg.seed, cfg.time_step,
-                                   cfg.pulse_model, cfg.rabi, cfg.workers)
-        try:
-            mc = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(),
-                                   taus, mcfg)
-        except montecarlo.RenewalEventError as exc:
-            raise ConfigError("lam", f"{exc}; lower lam or tau_stop") from None
+                                   cfg.pulse_model, cfg.rabi)
+        mc = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(), taus, mcfg)
     out = _out_dir(cfg)
     comment = f"config_sha256={stamp}"
     wrote = []

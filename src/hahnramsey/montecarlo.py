@@ -19,9 +19,8 @@ back at build time through the whole timeline, pulses and delays, into
 scalars, so no state is rotated: past each delay's tangent and sine the
 echoes' readout takes 16 array passes where rotating (x, y) through the
 first delay and reading three pulled-back rows took 24, and ramsey's 4.
-Seeding, block reduction and worker fan-out are shared as well: with N
-workers the caller runs one lane of the tau points and N - 1 pool
-threads the others.
+Seeding and block reduction are shared as well, and every tau point
+runs in turn on the calling thread.
 
 Reproducibility scheme
 ----------------------
@@ -29,11 +28,12 @@ Trajectories are processed in fixed blocks of BLOCK_SIZE; the random
 stream of block b at tau-point i is seeded by
 ``SeedSequence(master_seed, spawn_key=(i, b))``.  Block results are
 reduced in ascending block order.  The estimate is therefore bitwise
-identical for a given master seed at any worker count, for either
-pulse model, since neither stream layout nor summation order depends
-on scheduling.  Within a tau-point, the deviations of the per-trajectory
-sigma_z values from the first one are summed with numpy's pairwise
-summation over each block, their squares by one einsum.
+identical for a given master seed, for either pulse model, since
+neither stream layout nor summation order depends on the order in
+which tau points run.  Within a tau-point, the deviations of the
+per-trajectory sigma_z values from the first one are summed with
+numpy's pairwise summation over each block, their squares by one
+einsum.
 
 The phase integral of every window step is drawn exactly, for both
 noise kinds, from the window kernels in `noise`, one call per step:
@@ -53,8 +53,7 @@ from ._datafile import write_csv as _write_csv
 from .noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from .spincore import Delay, PulseParams, SequenceKind, build_sequence
 
-__all__ = ["McConfig", "SignalCurve", "BlochPoint", "run_mc",
-           "bloch_trajectory", "bloch_to_csv", "BLOCK_SIZE",
+__all__ = ["McConfig", "SignalCurve", "run_mc", "BLOCK_SIZE",
            "MAX_PULSE_STEPS", "PulseStepError", "MAX_RENEWAL_EVENTS",
            "RenewalEventError"]
 
@@ -85,7 +84,6 @@ class McConfig:
     time_step: float = 0.01
     pulse_model: str = "instantaneous"   # or "finite"
     rabi: float | None = None            # required for finite pulses
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_trajectories < 1:
@@ -96,8 +94,6 @@ class McConfig:
             raise ValueError("pulse_model must be 'instantaneous' or 'finite'")
         if self.pulse_model == "finite" and not (self.rabi and self.rabi > 0):
             raise ValueError("finite pulses need rabi > 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -117,14 +113,6 @@ class SignalCurve:
                    np.column_stack([self.taus, self.means, self.stderrs,
                                     np.full(len(self.taus), self.n)]),
                    comments + [f"warning: {w}" for w in self.warnings])
-
-
-@dataclass(frozen=True)
-class BlochPoint:
-    t: float
-    x: float
-    y: float
-    z: float
 
 
 def _pulse_axis(p: PulseParams) -> np.ndarray:
@@ -232,6 +220,21 @@ def _pulse_step_count(ops) -> int:
             f"finite pulses need over {MAX_PULSE_STEPS} noisy steps per "
             f"trajectory (pulse time / min(time_step, 0.05/lam))")
     return steps
+
+
+def _renewal_event_count(ops, noise) -> float:
+    """Expected renewal events of one trajectory through the timeline ops,
+    lam times their span (0 unless the noise is renewal noise that draws),
+    each a pass of the event loop in noise._renewal_window_integrals;
+    raises RenewalEventError past MAX_RENEWAL_EVENTS."""
+    if noise.kind is not NoiseKind.RENEWAL or not noise.gamma > 0.0:
+        return 0.0
+    span = sum(op[0] * op[3] for op in ops if isinstance(op, tuple))
+    if noise.lam * span > MAX_RENEWAL_EVENTS:
+        raise RenewalEventError(
+            f"renewal noise expects lam * {span:.3g} = {noise.lam * span:.3g} "
+            f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
+    return noise.lam * span
 
 
 def _sampler(seq, delta, noise, cfg, ops=None):
@@ -354,14 +357,10 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     PulseStepError when a trajectory would take over MAX_PULSE_STEPS pulse
     steps, and RenewalEventError when it would expect over
     MAX_RENEWAL_EVENTS renewal events.  Deterministic for a fixed
-    master_seed at any cfg.workers; see the module docstring for the
-    seeding scheme.  The sequence, its timeline and the sampler are built
-    once, at the longest tau, and the checks read that timeline.
-
-    cfg.workers N deals the tau points round-robin into min(N, len(taus))
-    lanes: the caller runs the first lane and a pool of N - 1 threads
-    (fewer when there are fewer tau points) one other lane each; a helper
-    lane's exception is raised in the caller.  One lane loads no pool.
+    master_seed; see the module docstring for the seeding scheme.  The
+    sequence, its timeline and the sampler are built once, at the longest
+    tau, and the checks read that timeline.  The tau points run in index
+    order on the calling thread, and the first exception ends the run.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
@@ -375,12 +374,7 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     longest = build_sequence(seq_kind, theta, delta, float(taus.max()))
     ops = _timeline(longest, delta, noise, cfg)
     windows = [op for op in ops if isinstance(op, tuple)]
-    span = sum(h * steps for h, _, _, steps in windows)
-    if (noisy and noise.kind is NoiseKind.RENEWAL
-            and noise.lam * span > MAX_RENEWAL_EVENTS):
-        raise RenewalEventError(
-            f"renewal noise expects lam * {span:.3g} = {noise.lam * span:.3g} "
-            f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
+    _renewal_event_count(windows, noise)
     _pulse_step_count(windows)
     coarse = [h * steps for h, _, nx, steps in windows
               if nx and h * steps / cfg.time_step < 10]
@@ -388,35 +382,13 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
                 f"steps of {cfg.time_step:.3g}"] if coarse else []
     sample = _sampler(longest, delta, noise, cfg, ops)
     means, errs = np.empty(taus.size), np.empty(taus.size)
-    lanes = min(cfg.workers, taus.size)
-
-    def lane(j):
-        for i in range(j, taus.size, lanes):
-            means[i], errs[i] = _point_estimate(sample, noisy, cfg, i, float(taus[i]))
-
-    if lanes == 1:
-        lane(0)
-    else:
-        # imported here, so that a one-worker run loads no thread pool
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
-            helpers = [pool.submit(lane, j) for j in range(1, lanes)]
-            lane(0)
-        for helper in helpers:
-            helper.result()   # re-raises a helper lane's exception here
+    for i, tau in enumerate(taus.tolist()):
+        means[i], errs[i] = _point_estimate(sample, noisy, cfg, i, tau)
     return SignalCurve(taus, means, errs, cfg.n_trajectories, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
 # noiseless Bloch-sphere trajectories
-
-
-def bloch_trajectory(seq_kind: SequenceKind, theta: float, delta: float,
-                     tau: float, samples_per_segment: int = 60) -> list:
-    """Noiseless (x, y, z) path of the pure state along the sequence, as
-    BlochPoints (see _bloch_path)."""
-    return [BlochPoint(*p) for p in
-            _bloch_path(seq_kind, theta, delta, tau, samples_per_segment).tolist()]
 
 
 def _bloch_path(seq_kind: SequenceKind, theta: float, delta: float,
@@ -457,8 +429,3 @@ def _bloch_path(seq_kind: SequenceKind, theta: float, delta: float,
             t += el.duration
         paths.append(xyz)
     return np.column_stack([np.concatenate(ts), np.concatenate(paths)])
-
-
-def bloch_to_csv(points, path, header_comment: str | None = None) -> None:
-    _write_csv(path, "t,x,y,z", [(p.t, p.x, p.y, p.z) for p in points],
-               [header_comment] if header_comment else [])

@@ -23,6 +23,7 @@ import hahnramsey
 from hahnramsey import cli
 from hahnramsey.cli import (MAX_TRAJECTORY_POINTS, RunConfig, config_hash, main,
                            read_curve_csv)
+from hahnramsey.montecarlo import _bloch_path
 from hahnramsey.noise import NoiseParams, filter_exponents
 from hahnramsey.spincore import SequenceKind, build_sequence
 
@@ -269,6 +270,19 @@ def test_bloch_command(tmp_path):
     assert np.abs(norms - 1).max() < 1e-10
 
 
+def test_bloch_csv(tmp_path):
+    # the path's rows as written, in '%.17g' text, under the config stamp
+    assert run(["bloch", "--sequence", "hahn_ramsey", "--theta", 0.2 * np.pi,
+                "--delta", 2 * np.pi * 0.3, "--tau", 0.9, "--samples", 10,
+                "--out", tmp_path]) == 0
+    lines = (tmp_path / "bloch_hahn_ramsey.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_sha256=")
+    assert lines[1] == "t,x,y,z"
+    want = _bloch_path(SequenceKind.HAHN_RAMSEY, 0.2 * np.pi, 2 * np.pi * 0.3, 0.9, 10)
+    assert len(lines) == 2 + len(want) == 2 + 1 + 5 * 10
+    assert lines[2:] == [",".join("%.17g" % v for v in row) for row in want.tolist()]
+
+
 def test_simulate_with_component_columns(tmp_path):
     assert run(["simulate", *BASE, "--engine", "analytic",
                 "--with-components", "--out", tmp_path]) == 0
@@ -446,36 +460,57 @@ def test_no_command_loads_scipy(tmp_path):
                - 2.0) < 1e-6
 
 
-def test_one_worker_simulate_does_not_load_the_thread_pool(tmp_path):
-    # concurrent.futures (and the logging it imports) loads only when a run
-    # fans out to more than one worker
-    proc = _python("import sys\n"
+def test_simulate_at_three_workers_starts_no_thread(tmp_path):
+    # --workers is accepted and changes nothing: no pool is loaded and no
+    # thread is started, whatever the count
+    proc = _python("import sys, threading\n"
+                   "def refuse(self): raise AssertionError('a thread was started')\n"
+                   "threading.Thread.start = refuse\n"
                    "from hahnramsey.cli import main\n"
                    "rc = main(sys.argv[1:])\n"
                    "print(rc, 'concurrent.futures' in sys.modules)",
                    "simulate", "--sequence", "ramsey", "--delta", 1.885, "--lam", 2.5,
-                   "--gamma", 0.6283, "--engine", "both", "--workers", 1,
+                   "--gamma", 0.6283, "--engine", "both", "--workers", 3,
                    "--n-trajectories", 100, "--tau-count", 3, "--out", tmp_path / "o")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
     assert (tmp_path / "o" / "ramsey_compare.csv").exists()
 
 
-def test_a_helper_lanes_exception_exits_3(tmp_path, capsys):
-    # tau point 1 is the first of the helper's lane at --workers 2
+@pytest.mark.parametrize("failing_point", [0, 1, 5])
+def test_an_exception_at_any_tau_point_exits_3(failing_point, tmp_path, capsys):
     estimate = cli.montecarlo._point_estimate
 
     def failing(sample, noisy, cfg, point_idx, tau):
-        if point_idx == 1:
-            raise FloatingPointError("helper lane failed")
+        if point_idx == failing_point:
+            raise FloatingPointError(f"point {point_idx} failed")
         return estimate(sample, noisy, cfg, point_idx, tau)
 
     with mock.patch.object(cli.montecarlo, "_point_estimate", failing):
         rc = run(["simulate", *BASE, "--engine", "montecarlo", "--workers", 2,
                   "--n-trajectories", 50, "--out", tmp_path / "o"])
     assert rc == 3
-    assert "FloatingPointError: helper lane failed" in capsys.readouterr().err
+    assert (f"FloatingPointError: point {failing_point} failed"
+            in capsys.readouterr().err)
     assert not (tmp_path / "o" / "hahn_ramsey_montecarlo.csv").exists()
+
+
+@pytest.mark.parametrize("noise_args", [
+    ["--noise-kind", "ou", "--n-trajectories", 3 * 8192 + 17],
+    ["--noise-kind", "renewal", "--gamma", 0.4, "--n-trajectories", 2 * 8192 + 5],
+    ["--pulse-model", "finite", "--rabi", 2 * np.pi, "--time-step", 0.005,
+     "--n-trajectories", 300],
+    ["--noise-kind", "renewal", "--gamma", 0.4, "--pulse-model", "finite",
+     "--rabi", 2 * np.pi, "--time-step", 0.005, "--n-trajectories", 300]],
+    ids=["ou", "renewal", "finite_ou", "finite_renewal"])
+def test_any_worker_count_writes_the_same_bytes(noise_args, tmp_path):
+    args = ["simulate", *BASE[:-6], "--tau-start", 0.2, "--tau-stop", 2,
+            "--tau-count", 5, "--engine", "montecarlo", "--seed", 4, *noise_args]
+    files = []
+    for workers in (1, 2, 3):
+        assert run([*args, "--workers", workers, "--out", tmp_path / f"w{workers}"]) == 0
+        files.append((tmp_path / f"w{workers}" / "hahn_ramsey_montecarlo.csv").read_bytes())
+    assert files[0] == files[1] == files[2]
 
 
 def test_finite_pulses_beyond_the_step_budget_exit_2(tmp_path):
@@ -1114,6 +1149,46 @@ def test_noisy_finite_pulse_steps_count_into_the_monte_carlo_bound(
     for model, gamma in (("instantaneous", 0.6), ("finite", 0.0)):
         cfg.pulse_model, cfg.gamma = model, gamma
         cfg.validate("simulate")
+
+
+def test_renewal_events_count_into_the_monte_carlo_bound(tmp_path, capsys):
+    # 1e4 expected events a trajectory at each of 1000 tau points of 990000
+    # trajectories, one event-loop pass each: about a day; the bound once
+    # priced it as OU sampling
+    out = tmp_path / "o"
+    args = ["simulate", "--sequence", "hahn_ramsey", "--theta", 0.6, "--delta", 1,
+            "--noise-kind", "renewal", "--lam", 1000, "--gamma", 0.628,
+            "--engine", "montecarlo", "--tau-stop", 5, "--tau-count", 1000,
+            "--n-trajectories", 990000, "--out", out]
+    with mock.patch("hahnramsey.montecarlo.run_mc",
+                    side_effect=AssertionError("the run started")):
+        assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "config field 'tau_count'" in err and "lower lam or tau_stop" in err
+    assert not out.exists()
+    # OU noise draws no events, so the same counts are within the bound
+    cfg = RunConfig(sequence="hahn_ramsey", theta=0.6, delta=1.0, noise_kind="ou",
+                    lam=1000.0, gamma=0.628, engine="montecarlo", tau_stop=5.0,
+                    tau_count=1000, n_trajectories=990000)
+    cfg.validate("simulate")
+
+
+def _n_trajectories_bound(**fields):
+    """The largest n_trajectories that validate admits at 10 tau points."""
+    cfg = RunConfig(sequence="hahn_ramsey", theta=0.6, delta=1.0, lam=50.0,
+                    gamma=0.6, engine="montecarlo", tau_stop=5.0, tau_count=10,
+                    n_trajectories=10 ** 20, **fields)
+    with pytest.raises(cli.ConfigError, match="'n_trajectories'") as refused:
+        cfg.validate("simulate")
+    return float(re.search(r"must lie in \[1, ([^\]]+)\]", str(refused.value))[1])
+
+
+def test_finite_pulses_under_renewal_noise_count_steps_and_events():
+    ou = _n_trajectories_bound()
+    renewal = _n_trajectories_bound(noise_kind="renewal")
+    finite = _n_trajectories_bound(pulse_model="finite", rabi=2.0)
+    both = _n_trajectories_bound(noise_kind="renewal", pulse_model="finite", rabi=2.0)
+    assert 0 < both < min(renewal, finite) and max(renewal, finite) < ou
 
 
 def test_every_command_takes_every_field(capsys):

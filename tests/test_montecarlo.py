@@ -8,10 +8,9 @@ from numpy.testing import assert_allclose
 
 from hahnramsey import montecarlo
 from hahnramsey.analytic import closed_form_signal
-from hahnramsey.montecarlo import (BLOCK_SIZE, BlochPoint, McConfig,
+from hahnramsey.montecarlo import (BLOCK_SIZE, McConfig, _bloch_path,
                                    _bloch_rotation, _cos_sin, _pulse_steps,
-                                   _sampler, _z_rotation, bloch_trajectory,
-                                   bloch_to_csv, run_mc)
+                                   _sampler, _z_rotation, run_mc)
 from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from hahnramsey.spincore import Delay, PulseParams, SequenceKind, build_sequence
 from spin_oracle import (SIGMA_X, SIGMA_Y, SIGMA_Z, UP, analytic_density_matrix_hr,
@@ -72,86 +71,54 @@ def test_renewal_agreement_small_strength():
     assert (z < 3).all(), f"z-scores {z}"
 
 
-def test_bitwise_reproducibility_and_worker_independence():
+def test_bitwise_reproducibility():
+    # byte identity at any --workers is checked at the command line
     taus = np.linspace(0.2, 2.0, 5)
     a = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-               McConfig(3 * BLOCK_SIZE + 17, master_seed=5, workers=1))
+               McConfig(3 * BLOCK_SIZE + 17, master_seed=5))
     b = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-               McConfig(3 * BLOCK_SIZE + 17, master_seed=5, workers=1))
-    c = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-               McConfig(3 * BLOCK_SIZE + 17, master_seed=5, workers=4))
+               McConfig(3 * BLOCK_SIZE + 17, master_seed=5))
     assert (a.means == b.means).all() and (a.stderrs == b.stderrs).all()
-    assert (a.means == c.means).all() and (a.stderrs == c.stderrs).all()
     d = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
                McConfig(3 * BLOCK_SIZE + 17, master_seed=6))
     assert (a.means != d.means).any()
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_workers_run_on_the_caller_and_workers_minus_one_threads(workers, monkeypatch):
-    # every call waits for one from each lane, so no helper thread can run
-    # two lanes; round-robin lanes of equal length keep the waits in step
-    estimate, barrier = montecarlo._point_estimate, threading.Barrier(workers)
-    threads, points = set(), []
+def test_every_tau_point_runs_on_the_caller_in_order(monkeypatch):
+    estimate, calls = montecarlo._point_estimate, []
 
     def recorded(sample, noisy, cfg, point_idx, tau):
-        threads.add(threading.get_ident())
-        points.append(point_idx)
-        barrier.wait(timeout=30)
+        calls.append((threading.get_ident(), point_idx))
         return estimate(sample, noisy, cfg, point_idx, tau)
 
     monkeypatch.setattr(montecarlo, "_point_estimate", recorded)
-    taus = np.linspace(0.2, 2.0, 2 * workers)
-    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-                   McConfig(300, master_seed=5, workers=workers))
-    assert len(threads) == workers and threading.get_ident() in threads
-    assert sorted(points) == list(range(taus.size))
-    monkeypatch.undo()
-    one = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-                 McConfig(300, master_seed=5, workers=1))
-    assert curve.means.tobytes() == one.means.tobytes()
-    assert curve.stderrs.tobytes() == one.stderrs.tobytes()
+    taus = np.linspace(0.2, 2.0, 6)
+    run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+           McConfig(300, master_seed=5))
+    assert calls == [(threading.get_ident(), i) for i in range(taus.size)]
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_a_helper_lanes_exception_reaches_the_caller(workers, monkeypatch):
-    # the last tau point belongs to a helper lane; it must raise, not leave
-    # its mean unset
-    estimate, taus = montecarlo._point_estimate, np.linspace(0.2, 2.0, 6)
-    last = taus.size - 1
-    assert last % workers != 0
+@pytest.mark.parametrize("failing_point", [0, 3, 5])
+def test_an_exception_at_any_tau_point_reaches_the_caller(failing_point, monkeypatch):
+    # it must raise, not leave a mean unset
+    estimate = montecarlo._point_estimate
 
     def failing(sample, noisy, cfg, point_idx, tau):
-        if point_idx == last:
+        if point_idx == failing_point:
             raise FloatingPointError(f"point {point_idx}")
         return estimate(sample, noisy, cfg, point_idx, tau)
 
     monkeypatch.setattr(montecarlo, "_point_estimate", failing)
-    with pytest.raises(FloatingPointError, match=f"point {last}"):
-        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-               McConfig(300, master_seed=5, workers=workers))
-
-
-def test_one_tau_point_runs_on_the_caller_alone(monkeypatch):
-    estimate, threads = montecarlo._point_estimate, []
-
-    def recorded(*args):
-        threads.append(threading.get_ident())
-        return estimate(*args)
-
-    monkeypatch.setattr(montecarlo, "_point_estimate", recorded)
-    run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, [0.5],
-           McConfig(300, master_seed=5, workers=4))
-    assert threads == [threading.get_ident()]
+    with pytest.raises(FloatingPointError, match=f"point {failing_point}"):
+        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE,
+               np.linspace(0.2, 2.0, 6), McConfig(300, master_seed=5))
 
 
 def test_renewal_bitwise_reproducibility():
     p = NoiseParams(2.5, 0.4, NoiseKind.RENEWAL)
     taus = np.linspace(0.2, 2.0, 4)
-    a = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus,
-               McConfig(2 * BLOCK_SIZE + 5, master_seed=8, workers=1))
-    b = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus,
-               McConfig(2 * BLOCK_SIZE + 5, master_seed=8, workers=3))
+    a, b = (run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus,
+                   McConfig(2 * BLOCK_SIZE + 5, master_seed=8)) for _ in range(2))
     assert (a.means == b.means).all() and (a.stderrs == b.stderrs).all()
 
 
@@ -614,19 +581,6 @@ def test_finite_pulse_warning_for_coarse_steps():
     assert curve.warnings
 
 
-def test_finite_pulses_worker_independent():
-    p = NoiseParams(2.5, 0.4, NoiseKind.RENEWAL)
-    taus = np.linspace(0.2, 1.5, 4)
-    runs = [run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, noise, taus,
-                   McConfig(300, master_seed=4, time_step=0.005,
-                            pulse_model="finite", rabi=2 * np.pi,
-                            workers=workers))
-            for noise in (FIG_NOISE, p) for workers in (1, 3)]
-    for a, b in (runs[:2], runs[2:]):
-        assert a.means.tobytes() == b.means.tobytes()
-        assert a.stderrs.tobytes() == b.stderrs.tobytes()
-
-
 def test_pulse_model_selects_the_sampler():
     # a finite-pulse config must not silently run instantaneous pulses
     taus = np.array([0.5, 1.0])
@@ -646,31 +600,17 @@ def test_finite_config_requires_rabi():
 
 
 def test_bloch_trajectory_invariants():
-    pts = bloch_trajectory(SequenceKind.HAHN_RAMSEY, THETA, DELTA, 1.3,
-                           samples_per_segment=40)
-    assert (pts[0].x, pts[0].y, pts[0].z) == (0.0, 0.0, 1.0)
-    norms = np.array([p.x ** 2 + p.y ** 2 + p.z ** 2 for p in pts])
-    assert np.abs(norms - 1).max() < 1e-10
+    t, x, y, z = _bloch_path(SequenceKind.HAHN_RAMSEY, THETA, DELTA, 1.3, 40).T
+    assert (x[0], y[0], z[0]) == (0.0, 0.0, 1.0)
+    assert np.abs(x ** 2 + y ** 2 + z ** 2 - 1).max() < 1e-10
     ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA, DELTA, QUIET, 1.3)
-    assert pts[-1].z == pytest.approx(ref, abs=1e-10)
+    assert z[-1] == pytest.approx(ref, abs=1e-10)
 
 
 def test_bloch_z_constant_during_delays():
-    pts = bloch_trajectory(SequenceKind.RAMSEY, np.pi / 2, 3.0, 2.0,
-                           samples_per_segment=25)
+    t, _, _, z = _bloch_path(SequenceKind.RAMSEY, np.pi / 2, 3.0, 2.0, 25).T
     # strictly interior times belong to the delay (pulses advance no time)
-    zs = [p.z for p in pts if 0 < p.t < 2.0]
-    assert np.ptp(zs) < 1e-12
-
-
-def test_bloch_csv(tmp_path):
-    pts = bloch_trajectory(SequenceKind.HAHN_RAMSEY, THETA, DELTA, 0.9, 10)
-    path = tmp_path / "bloch.csv"
-    bloch_to_csv(pts, path, "demo")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "t,x,y,z"
-    assert len(lines) == 2 + len(pts)
+    assert np.ptp(z[(0 < t) & (t < 2.0)]) < 1e-12
 
 
 def _bloch_per_sample(seq_kind, theta, delta, tau, samples):
@@ -707,9 +647,7 @@ def _bloch_per_sample(seq_kind, theta, delta, tau, samples):
     (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, 0.7, 7)])
 def test_bloch_trajectory_matches_the_per_sample_path(kind, theta, delta, tau,
                                                       samples):
-    pts = bloch_trajectory(kind, theta, delta, tau, samples)
-    assert all(type(p) is BlochPoint for p in pts)
-    got = np.array([(p.t, p.x, p.y, p.z) for p in pts])
+    got = _bloch_path(kind, theta, delta, tau, samples)
     want = _bloch_per_sample(kind, theta, delta, tau, samples)
     assert got.shape == want.shape
     assert np.array_equal(got[:, 0], want[:, 0])
@@ -720,8 +658,7 @@ def test_bloch_tilt_families_distinct():
     # the qualitative trajectory families differ with tilt angle
     finals = []
     for th in (0.49 * np.pi, 0.3 * np.pi, 0.2 * np.pi):
-        pts = bloch_trajectory(SequenceKind.HAHN_RAMSEY, th, DELTA, 1.0, 30)
-        finals.append(pts[-1].z)
+        finals.append(_bloch_path(SequenceKind.HAHN_RAMSEY, th, DELTA, 1.0, 30)[-1, 3])
     assert len({round(f, 6) for f in finals}) == 3
 
 

@@ -11,7 +11,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.mark.parametrize("script, args, expect", [
-    ("bloch_families.py", [], "bloch_theta_0.20pi.csv"),
+    ("bloch_families.py", [], "theta_0.20pi/bloch_hahn_ramsey.csv"),
     ("filter_components.py", [], "component_weights.csv"),
     ("sequence_comparison.py", ["--n-trajectories", "20"],
      "hahn_ramsey_compare.csv"),
