@@ -21,6 +21,6 @@ from .analytic import (BiasParams, closed_form_signal, component_weights,
 from .montecarlo import McConfig, SignalCurve, run_mc
 from .noise import FilterKind, NoiseKind, NoiseParams, f1, filter_exponents
 from .spincore import (Delay, DrivingParams, PulseParams, PulseSequence,
-                       SequenceKind, TiltConvention, build_sequence, tilt_angle)
+                       SequenceKind, build_sequence, tilt_angle)
 
 __version__ = "0.1.0"

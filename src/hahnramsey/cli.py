@@ -71,7 +71,6 @@ _CHOICES = {
     "engine": ("analytic", "montecarlo", "both"),
     "freq_unit": ("rad", "cycles"),
     "noise_kind": tuple(k.value for k in noise.NoiseKind),
-    "tilt_convention": tuple(k.value for k in spincore.TiltConvention),
     "pulse_model": ("instantaneous", "finite"),
     "model": tuple(m.value for m in analysis.FitModel),
 }
@@ -117,7 +116,6 @@ class RunConfig:
     sequence: str = "hahn_ramsey"
     theta: float | None = None          # rad; exclusive with rabi+delta
     rabi: float | None = None
-    tilt_convention: str = "geometric"  # or "nutation"
     delta: float = 0.0
     lam: float = 1.0
     gamma: float = 0.0
@@ -253,9 +251,7 @@ class RunConfig:
         if self.theta is not None:
             return self.theta
         if self.rabi is not None:
-            return spincore.tilt_angle(
-                spincore.DrivingParams(self.rabi, self.delta),
-                spincore.TiltConvention(self.tilt_convention))
+            return spincore.tilt_angle(spincore.DrivingParams(self.rabi, self.delta))
         if self.sequence == "ramsey":
             return math.pi / 2
         raise ConfigError("theta", "hahn_ramsey needs theta or rabi+delta")
@@ -357,8 +353,10 @@ def config_hash(cfg: RunConfig, command: str) -> str:
     sha256 of its bytes (one it cannot read is a bad data field); placement
     (out, data paths), workers (accepted, with no effect) and, unless
     pulses are finite, time_step do not change the result bytes and are
-    excluded."""
+    excluded.  The tilt law was once a field; its one value stays in the
+    hash, so stamps keep their values."""
     d = {k: getattr(cfg, k) for k in _FIELDS if k not in ("out", "data", "workers")}
+    d["tilt_convention"] = "geometric"
     try:
         sums = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in cfg.data]
     except OSError as exc:

@@ -9,12 +9,13 @@ instantaneous pulses (tilted-axis rotations that take no time) and
 finite pulses (driven windows through which the noise keeps running).
 Both list the sequence as one timeline of ops (_timeline) and run one
 sampler (_sampler), built once per curve: every delay is tau, so a tau
-point only sets the delays' length.  Per window step it takes one
-half-angle tangent, since numpy's tan is SIMD-vectorized and its cos and
-sin are not.  Finite pulses carry the real Bloch vector: a delay rotates
-it straight from its tangent (_z_rotation: one tan, one division, 14
-array passes), a pulse step takes cos and sin first (_cos_sin) for
-Rodrigues' formula.  With instantaneous pulses the readout is folded
+point only sets the delays' length.  Every turn of a window step is
+taken from one half-angle tangent t = tan(phi/2) and s = sin(phi), with
+cos phi written as 1 - t s (_half_tan_sin), since numpy's tan is
+SIMD-vectorized and its cos and sin are not.  Finite pulses carry the
+real Bloch vector: a delay turns it about z (_z_rotation: one tan, one
+division, 14 array passes), a pulse step about its per-trajectory axis
+by Rodrigues' formula.  With instantaneous pulses the readout is folded
 back at build time through the whole timeline, pulses and delays, into
 scalars, so no state is rotated: past each delay's tangent and sine the
 echoes' readout takes 16 array passes where rotating (x, y) through the
@@ -115,49 +116,33 @@ class SignalCurve:
                    comments + [f"warning: {w}" for w in self.warnings])
 
 
-def _pulse_axis(p: PulseParams) -> np.ndarray:
-    """Rotation axis n = (sin th, 0, cos th) of a tilted-axis pulse,
-    th = detuning_sign * theta."""
-    th = p.detuning_sign * p.theta
-    return np.array([math.sin(th), 0.0, math.cos(th)])
-
-
-def _bloch_rotation(p: PulseParams) -> list:
-    """SO(3) matrix, as nested lists of floats, of a tilted-axis pulse: the
-    rotation by beta about n = (sin th, 0, cos th) = _pulse_axis(p), with
-    the entries of Rodrigues' formula
+def _bloch_rotation(p: PulseParams, beta=None) -> list:
+    """SO(3) matrix, as nested lists, of a tilted-axis pulse: the rotation
+    by beta (p.beta unless given) about n = (sin th, 0, cos th),
+    th = detuning_sign * theta, with the entries of Rodrigues' formula
     n n^T + cos(beta) (I - n n^T) + sin(beta) [n]x written out for n_y = 0.
     It is the Bloch-vector image of the pulse unitary
-    cos(beta/2) I - i sin(beta/2) (n . sigma)."""
+    cos(beta/2) I - i sin(beta/2) (n . sigma).  The entries are floats for
+    p.beta, and arrays for an array of areas beta, whose cos is taken as
+    1 - t sin from t = tan(beta/2) (_half_tan_sin)."""
     th = p.detuning_sign * p.theta
     nx, nz = math.sin(th), math.cos(th)
-    c, s = math.cos(p.beta), math.sin(p.beta)
+    if beta is None:
+        c, s = math.cos(p.beta), math.sin(p.beta)
+    else:
+        t, s = _half_tan_sin(beta)
+        c = 1.0 - t * s
     xx, xz, zz = nx * nx, nx * nz, nz * nz
     return [[xx + c * (1.0 - xx), -s * nz, xz - c * xz],
             [s * nz, c, -s * nx],
             [xz - c * xz, s * nx, zz + c * (1.0 - zz)]]
 
 
-def _cos_sin(phi):
-    """cos(phi) and sin(phi) from one half-angle tangent t = tan(phi/2):
-    cos = (1 - t^2) / (1 + t^2), sin = 2 t / (1 + t^2), for the axis
-    rotation of a finite-pulse step (delays rotate by _z_rotation).
-    numpy's float64 tan is vectorized with SIMD while its cos and sin are
-    not, so this costs about a quarter of np.cos plus np.sin, within 2
-    ulp of them (t stays finite: no double is an odd multiple of pi).
-    For |t| < 1 cos is taken as 1 - 2 t^2 / (1 + t^2): the rounding of
-    1 + t^2 then touches only the small term, so cos^2 + sin^2 stays as
-    close to 1 as with np.cos and np.sin, and many small finite-pulse
-    steps do not pile up norm error."""
-    t = np.tan(0.5 * phi)
-    t2 = t * t
-    d = 1.0 + t2
-    return np.where(t2 < 1.0, 1.0 - 2.0 * t2 / d, (1.0 - t2) / d), 2.0 * t / d
-
-
 def _half_tan_sin(phi):
     """t = tan(phi/2) and sin(phi) = 2 t / (1 + t^2); cos(phi) is then
-    1 - t sin(phi), the form that stays accurate for small phi."""
+    1 - t sin(phi), the form that stays accurate for small phi, so many
+    small steps do not pile up norm error.  t stays finite: no double is
+    an odd multiple of pi."""
     t = np.tan(0.5 * phi)
     return t, 2.0 * t / (1.0 + t * t)
 
@@ -165,8 +150,7 @@ def _half_tan_sin(phi):
 def _z_rotation(x, y, phi):
     """(x, y) rotated by phi about z, straight from t = tan(phi/2) and
     s = sin(phi): x - s (t x + y), y + s (x - t y), with cos phi written
-    as 1 - t s.  One tan, one division and 14 array passes, where
-    _cos_sin and a rotation take 19."""
+    as 1 - t s.  One tan, one division and 14 array passes."""
     t, s = _half_tan_sin(phi)
     return x - s * (t * x + y), y + s * (x - t * y)
 
@@ -180,8 +164,9 @@ def _timeline(seq, delta, noise, cfg) -> list:
     phase convention sign*delta, kept at any length, zero included: every
     delay of build_sequence is tau, so _sampler sets their length per
     sample.  A finite pulse realizes the requested tilt exactly: the drive
-    detuning is rabi/tan(theta) (mirrored for detuning_sign -1) and the
-    duration is area/effective_rabi, each window in its own drive frame;
+    detuning is rabi/tan(theta) (mirrored for detuning_sign -1), the
+    inverse of spincore.tilt_angle, and the duration is area over the
+    turn rate hypot(rabi, detuning), each window in its own drive frame;
     a noisy pulse is cut into _pulse_steps steps, and a zero-length one is
     left out.
     """
@@ -252,10 +237,14 @@ def _sampler(seq, delta, noise, cfg, ops=None):
     starts from; the last window step asks for the integral alone
     (with_end false: no OU state update).
 
-    Finite pulses carry the real Bloch vector (x, y, z) from the scalars
-    (0, 0, 1): a delay rotates (x, y) straight from the half-angle tangent
-    of its angle (_z_rotation), a pulse step by Rodrigues' formula about
-    its per-trajectory axis (_cos_sin), and z is read as it stands.
+    Finite pulses carry the real Bloch vector v = (x, y, z) from the
+    scalars (0, 0, 1), each turn straight from the half-angle tangent t
+    and the sine s of its angle: a delay rotates (x, y) (_z_rotation), a
+    pulse step turns v about its per-trajectory axis k by Rodrigues'
+    formula with cos written as 1 - t s, v + s (k x v - t v) + t s (k.v) k,
+    each component taking its small increment in one addition, so that
+    rounding does not pile up over thousands of steps; z is read as it
+    stands.
 
     With instantaneous pulses the z readout row is folded back at build
     time through the whole timeline: through a pulse M every row w
@@ -308,12 +297,12 @@ def _sampler(seq, delta, noise, cfg, ops=None):
                 else:
                     ax = nx * h
                     angle = np.sqrt(ax * ax + az * az)
-                    c, s = _cos_sin(angle)
+                    t, s = _half_tan_sin(angle)
                     kx, kz = ax / angle, az / angle
-                    d = (1.0 - c) * (kx * x + kz * z)
-                    x, y, z = (x * c - kz * y * s + kx * d,
-                               y * c + (kz * x - kx * z) * s,
-                               z * c + kx * y * s + kz * d)
+                    d = t * s * (kx * x + kz * z)
+                    x, y, z = (x + (kx * d - s * (t * x + kz * y)),
+                               y + s * (kz * x - kx * z - t * y),
+                               z + (kz * d + s * (kx * y - t * z)))
         if folded:
             z = vals[0]
         # z is an (m,) array once a window drew noise, else a scalar
@@ -399,8 +388,8 @@ def _bloch_path(seq_kind: SequenceKind, theta: float, delta: float,
     Pulses are swept as continuous rotations about their tilted axes but
     advance no time (instantaneous-pulse model); delays advance t.  Each
     segment's samples are one array expression on the Bloch vector: a
-    pulse applies Rodrigues' rotation (as in _bloch_rotation) by its
-    partial areas, a delay the z rotations by its partial phases.
+    pulse applies _bloch_rotation at its partial areas, a delay
+    _z_rotation by its partial phases.
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
@@ -410,20 +399,14 @@ def _bloch_path(seq_kind: SequenceKind, theta: float, delta: float,
     t = 0.0
     ts, paths = [np.zeros(1)], [xyz]
     for el in seq.elements:
-        start = xyz[-1]
+        x, y, z = xyz[-1]
         if isinstance(el, PulseParams):
-            n = _pulse_axis(el)
-            along = (n @ start) * n
-            angle = (el.beta * frac / samples_per_segment)[:, None]
-            xyz = (along + np.cos(angle) * (start - along)
-                   + np.sin(angle) * np.cross(n, start))
+            m = _bloch_rotation(el, el.beta * frac / samples_per_segment)
+            xyz = np.stack([r[0] * x + r[1] * y + r[2] * z for r in m], axis=1)
             ts.append(np.full(samples_per_segment, t))
         else:
             dt = el.duration * frac / samples_per_segment
-            phi = el.detuning_sign * delta * dt
-            c, s = np.cos(phi), np.sin(phi)
-            x, y, z = start
-            xyz = np.stack([x * c - y * s, x * s + y * c,
+            xyz = np.stack([*_z_rotation(x, y, el.detuning_sign * delta * dt),
                             np.full(samples_per_segment, z)], axis=1)
             ts.append(t + dt)
             t += el.duration

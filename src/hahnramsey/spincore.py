@@ -26,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "PulseParams", "Delay", "DrivingParams", "SequenceKind", "PulseSequence",
-    "TiltConvention", "tilt_angle", "is_resonant", "build_sequence",
+    "tilt_angle", "is_resonant", "build_sequence",
 ]
 
 
@@ -77,11 +77,6 @@ class DrivingParams:
         if not self.rabi > 0:
             raise ValueError("rabi frequency must be > 0")
 
-    @property
-    def effective_rabi(self) -> float:
-        """Nutation frequency sqrt(rabi^2 + detuning^2)."""
-        return math.hypot(self.rabi, self.detuning)
-
 
 class SequenceKind(enum.Enum):
     RAMSEY = "ramsey"
@@ -105,30 +100,15 @@ class PulseSequence:
         return tuple(el for el in self.elements if isinstance(el, Delay))
 
 
-class TiltConvention(enum.Enum):
-    #: arctan(rabi / detuning), the geometric tilt of the rotation axis.
-    GEOMETRIC = "geometric"
-    #: arctan(effective_rabi / detuning), with the nutation frequency in
-    #: the numerator.  Kept selectable because both conventions circulate.
-    NUTATION = "nutation"
-
-
-def tilt_angle(d: DrivingParams,
-               convention: TiltConvention = TiltConvention.GEOMETRIC) -> float:
-    """Map (rabi, detuning) to a tilt angle theta in (0, pi/2].
+def tilt_angle(d: DrivingParams) -> float:
+    """The tilt theta = arctan(rabi / |detuning|) in (0, pi/2] of the
+    rotation axis of a drive.
 
     Resonant driving gives theta = pi/2.  A negative detuning gives the
     tilt of its magnitude: the side it drives on is a pulse's
     detuning_sign, not part of theta.
     """
-    det = abs(d.detuning)
-    if det == 0.0:
-        return np.pi / 2
-    if convention is TiltConvention.GEOMETRIC:
-        return math.atan2(d.rabi, det)
-    if convention is TiltConvention.NUTATION:
-        return math.atan2(d.effective_rabi, det)
-    raise ValueError(f"unknown tilt convention {convention!r}")
+    return math.atan2(d.rabi, abs(d.detuning))
 
 
 def is_resonant(theta: float) -> bool:

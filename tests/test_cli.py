@@ -20,12 +20,12 @@ from filter_oracle import textbook_exponents
 from hahnramsey.analytic import (_detuned_echo_terms, closed_form_signal,
                                  signal_from_exponents)
 import hahnramsey
-from hahnramsey import cli
+from hahnramsey import cli, montecarlo
 from hahnramsey.cli import (MAX_TRAJECTORY_POINTS, RunConfig, config_hash, main,
                            read_curve_csv)
 from hahnramsey.montecarlo import _bloch_path
 from hahnramsey.noise import NoiseParams, filter_exponents
-from hahnramsey.spincore import SequenceKind, build_sequence
+from hahnramsey.spincore import PulseParams, SequenceKind, build_sequence
 
 
 def run(args):
@@ -355,6 +355,42 @@ def test_cli_takes_a_tilt_as_resonant_where_the_sequences_do(sequence, engine,
             read_rows(tmp_path / "r" / name)[1].tobytes()
 
 
+@pytest.mark.parametrize("delta", [1.5, -1.5])
+@pytest.mark.parametrize("sequence", ["ramsey", "hahn_ramsey"])
+def test_finite_pulses_drive_at_the_given_detuning(sequence, delta, tmp_path):
+    # one tilt law, theta = arctan(rabi / |delta|), which the timeline
+    # inverts: rabi 2 at detuning 1.5 drives each pulse at 1.5, mirrored by
+    # its detuning sign, for its area over hypot(2, 1.5) = 2.5
+    with mock.patch.object(montecarlo, "run_mc", wraps=montecarlo.run_mc) as rec:
+        assert run(["simulate", "--sequence", sequence, "--engine", "montecarlo",
+                    "--pulse-model", "finite", "--rabi", 2, "--delta", delta,
+                    "--n-trajectories", 2, "--out", tmp_path]) == 0
+    kind, theta, d, noise, _, mcfg = rec.call_args.args
+    seq = build_sequence(kind, theta, d, 1.0)
+    pulses = [el for el in seq.elements if isinstance(el, PulseParams)]
+    windows = [op for op in montecarlo._timeline(seq, d, noise, mcfg) if op[2]]
+    assert len(windows) == len(pulses) == (2 if sequence == "ramsey" else 3)
+    for (h, rate, rabi, steps), el in zip(windows, pulses):
+        assert rate == pytest.approx(el.detuning_sign * 1.5, rel=1e-15)
+        assert h * steps == pytest.approx(el.beta / 2.5, rel=1e-15)
+        assert rabi == 2.0
+
+
+def test_the_tilt_has_no_second_convention(tmp_path, capsys):
+    # the nutation convention and its field are gone: a config key or a
+    # flag that asks for one exits 2 and names it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tilt_convention": "nutation"}')
+    args = ["simulate", "--rabi", 2, "--delta", 1.5, "--out", tmp_path / "o"]
+    assert run([*args, "--config", cfg]) == 2
+    assert "config field 'tilt_convention'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--tilt-convention", "nutation"])
+    assert exc.value.code == 2
+    assert "--tilt-convention" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_finite_pulses(tmp_path):
     args = ["simulate", *BASE, "--engine", "montecarlo",
             "--pulse-model", "finite", "--rabi", 20.0,
@@ -412,7 +448,7 @@ def _python(code, *args, timeout=120):
 _COLD_START = """
 import json, sys
 import hahnramsey
-from hahnramsey import cli
+from hahnramsey import cli, montecarlo
 
 def run(*args):
     assert cli.main([str(a) for a in args]) == 0, args
@@ -728,7 +764,7 @@ def test_data_rows_past_max_data_rows_exit_2(command, tmp_path, capsys, monkeypa
 # process: the peak (ru_maxrss, KiB) after the import, then after each scan
 _SCAN_MEMORY = """
 import resource, sys
-from hahnramsey import cli
+from hahnramsey import cli, montecarlo
 data, out = sys.argv[1:]
 peaks = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
 for lam, gamma in [(3000, 1), (1, 3000)]:
@@ -1133,18 +1169,33 @@ def test_noisy_finite_pulse_steps_count_into_the_monte_carlo_bound(
     # instantaneous pulses let 499750 points through, about two days
     args = ["simulate", "--engine", "montecarlo", "--pulse-model", "finite",
             "--rabi", 0.05, "--lam", 2.5, "--gamma", 0.6, "--theta", 0.6,
-            "--delta", 1, *counts, "--out", tmp_path / "o"]
+            "--delta", 1, "--out", tmp_path / "o"]
     with mock.patch("hahnramsey.montecarlo.run_mc",
                     side_effect=AssertionError("the run started")):
-        assert run(args) == 2
+        assert run([*args, *counts]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-    # a few points of a few trajectories pass, as do the same counts with
-    # instantaneous or noiseless pulses
+    # the most points of 4 trajectories that the constants price within the
+    # bound pass, and one more exits 2: tau_count is named when no count of
+    # trajectories fits that many points, else n_trajectories
+    steps = montecarlo._pulse_step_count(montecarlo._timeline(
+        build_sequence(SequenceKind.HAHN_RAMSEY, 0.6, 1.0, 1.0), 1.0,
+        NoiseParams(2.5, 0.6), montecarlo.McConfig(1, pulse_model="finite", rabi=0.05)))
+    assert steps == 7096
+    fixed = cli.MC_POINT_COST + steps * cli.MC_STEP_COST
+    largest = MAX_TRAJECTORY_POINTS // (fixed + 4 * (1 + steps))
     cfg = RunConfig(sequence="hahn_ramsey", engine="montecarlo", pulse_model="finite",
                     rabi=0.05, lam=2.5, gamma=0.6, theta=0.6, delta=1.0,
-                    n_trajectories=4, tau_count=200)
+                    n_trajectories=4, tau_count=largest)
     cfg.validate("simulate")
+    over = ("tau_count" if largest + 1 > MAX_TRAJECTORY_POINTS // (fixed + 1 + steps)
+            else "n_trajectories")
+    with mock.patch("hahnramsey.montecarlo.run_mc",
+                    side_effect=AssertionError("the run started")):
+        assert run([*args, "--n-trajectories", 4, "--tau-count", largest + 1]) == 2
+    assert f"config field '{over}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the same counts pass with instantaneous or noiseless pulses
     cfg.n_trajectories, cfg.tau_count = counts[1], counts[3]
     for model, gamma in (("instantaneous", 0.6), ("finite", 0.0)):
         cfg.pulse_model, cfg.gamma = model, gamma

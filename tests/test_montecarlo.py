@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from hahnramsey import montecarlo
 from hahnramsey.analytic import closed_form_signal
 from hahnramsey.montecarlo import (BLOCK_SIZE, McConfig, _bloch_path,
-                                   _bloch_rotation, _cos_sin, _pulse_steps,
-                                   _sampler, _z_rotation, run_mc)
+                                   _bloch_rotation, _pulse_steps,
+                                   _sampler, _timeline, _z_rotation, run_mc)
 from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from hahnramsey.spincore import Delay, PulseParams, SequenceKind, build_sequence
 from spin_oracle import (SIGMA_X, SIGMA_Y, SIGMA_Z, UP, analytic_density_matrix_hr,
@@ -370,19 +370,6 @@ def test_bloch_rotation_is_a_proper_rotation(theta, sign):
         assert abs(np.linalg.det(r) - 1.0) <= 1e-15
 
 
-def test_cos_sin_is_within_two_ulp_of_numpy():
-    rng = np.random.default_rng(5)
-    odd_pi = (2 * np.arange(-500, 500) + 1) * np.pi     # odd multiples up to 1e3 pi
-    phi = np.concatenate([[0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi], odd_pi,
-                          rng.uniform(-1e12, 1e12, 20000),
-                          rng.uniform(-1e20, 1e20, 20000)])
-    c, s = _cos_sin(phi)
-    assert_allclose(c, np.cos(phi), rtol=0, atol=4.5e-16)
-    assert_allclose(s, np.sin(phi), rtol=0, atol=4.5e-16)
-    assert np.abs(c * c + s * s - 1.0).max() <= 4.5e-16
-    assert _cos_sin(0.0) == (1.0, 0.0)
-
-
 def test_z_rotation_matches_the_cos_sin_rotation():
     # a delay rotates straight from t = tan(phi/2), cos phi = 1 - t sin phi;
     # against np.cos and np.sin within 1e-15 absolute per unit of the
@@ -515,6 +502,23 @@ def test_finite_sampler_long_delays_match_the_cos_sin_oracle(kind, theta, delta,
     got = _sampler(seq, delta, noise, cfg)(np.random.default_rng(31), 300)
     want = _finite_block_samples_cos_sin(seq, delta, noise, cfg,
                                          np.random.default_rng(31), 300)
+    assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("noise_kind", ["ou", "renewal"])
+@pytest.mark.parametrize("rabi, steps", [(0.5, 711), (0.1, 3548)])
+def test_long_noisy_finite_pulses_match_the_cos_sin_oracle(rabi, steps, noise_kind):
+    # thousands of small pulse steps: each adds one small increment to a
+    # component, cos written as 1 - t s, so rounding does not pile up
+    # (7e-15 at most measured; two additions per component read up to
+    # 3.1e-14 under renewal noise)
+    noise = _NOISES[noise_kind]
+    cfg = McConfig(1, time_step=0.01, pulse_model="finite", rabi=rabi)
+    seq = build_sequence(SequenceKind.HAHN_RAMSEY, 0.6, 1.0, 0.7)
+    assert montecarlo._pulse_step_count(_timeline(seq, 1.0, noise, cfg)) == steps
+    got = _sampler(seq, 1.0, noise, cfg)(np.random.default_rng(37), 200)
+    want = _finite_block_samples_cos_sin(seq, 1.0, noise, cfg,
+                                         np.random.default_rng(37), 200)
     assert_allclose(got, want, rtol=0, atol=1e-14)
 
 

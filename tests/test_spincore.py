@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hahnramsey.spincore import (Delay, DrivingParams, PulseParams,
-                                 PulseSequence, SequenceKind, TiltConvention,
-                                 build_sequence, is_resonant, tilt_angle)
+                                 PulseSequence, SequenceKind, build_sequence,
+                                 is_resonant, tilt_angle)
 from spin_oracle import (UP, analytic_density_matrix_hr, free_phase,
                          long_time_density_matrix, propagate, pulse_unitary,
                          sigma_z)
@@ -94,16 +94,15 @@ def test_pi_phase_flips_x():
 
 
 def test_tilt_angle_examples():
-    d = DrivingParams(1.0, 0.0)
-    assert abs(tilt_angle(d, TiltConvention.GEOMETRIC) - np.pi / 2) < 1e-12
-    assert abs(tilt_angle(d, TiltConvention.NUTATION) - np.pi / 2) < 1e-12
+    # the geometric tilt arctan(rabi / |detuning|), exactly pi/2 on resonance
+    assert tilt_angle(DrivingParams(1.0, 0.0)) == np.pi / 2
+    assert tilt_angle(DrivingParams(1.0, -0.0)) == np.pi / 2
     far = DrivingParams(1.0, 1e9)
-    assert tilt_angle(far, TiltConvention.GEOMETRIC) < 1e-8
+    assert tilt_angle(far) < 1e-8
     eq = DrivingParams(1.0, 1.0)
-    assert abs(tilt_angle(eq, TiltConvention.GEOMETRIC) - np.pi / 4) < 1e-12
-    assert abs(tilt_angle(eq, TiltConvention.NUTATION)
-               - np.arctan(np.sqrt(2))) < 1e-12
+    assert abs(tilt_angle(eq) - np.pi / 4) < 1e-12
     assert abs(tilt_angle(DrivingParams(1.0, -1.0)) - np.pi / 4) < 1e-12
+    assert abs(tilt_angle(DrivingParams(2.0, 1.5)) - np.arctan(2.0 / 1.5)) < 1e-15
 
 
 def test_tilt_angle_rejects_nonpositive_rabi():
@@ -216,13 +215,6 @@ def test_pulse_sequence_rejects_foreign_elements():
     assert isinstance(seq.elements, tuple) and seq.delays == (Delay(2.0),)
     with pytest.raises(TypeError):
         PulseSequence(SequenceKind.RAMSEY, (PulseParams(0.3, np.pi / 2), 2.0))
-
-
-def test_tilt_angle_rejects_unknown_convention():
-    d = DrivingParams(3.0, 4.0)
-    assert d.effective_rabi == 5.0
-    with pytest.raises(ValueError):
-        tilt_angle(d, "geometric")
 
 
 def test_build_sequence_dispatch():
