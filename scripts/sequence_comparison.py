@@ -19,7 +19,7 @@ from hahnramsey.analytic import closed_form_signal
 from hahnramsey.cli import main as cli
 from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams
-from hahnramsey.spincore import SequenceKind, build_sequence
+from hahnramsey.spincore import Delay, SequenceKind, build_sequence
 
 THETA = 0.2 * np.pi
 DELTA = 2 * np.pi * 0.3
@@ -48,7 +48,8 @@ def run(out: Path, n_traj: int, seed: int) -> None:
     print("fitted decay constants (total-duration axis):")
     for seq, delta, theta, t_end in SEQUENCES:
         kind = SequenceKind(seq)
-        n_delays = len(build_sequence(kind, theta, delta, 1.0).delays)
+        n_delays = sum(isinstance(el, Delay)
+                       for el in build_sequence(kind, theta, delta, 1.0))
         t = np.linspace(0.05, t_end, 90)
         y = np.asarray(closed_form_signal(kind, theta, delta, p, t / n_delays))
         fit = fit_decay(SignalCurve(t, y, np.zeros_like(t), 0))

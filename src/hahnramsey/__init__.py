@@ -16,11 +16,11 @@ from .analysis import (DecayFit, FitError, FitModel, GAMMA_E_PER_GAUSS,
                        OPTIMAL_THETA, ReadoutModel, ResidualMap,
                        SensitivityResult, fit_decay, max_bias_slope,
                        min_detectable_field, scan_noise_params, sensitivity)
-from .analytic import (BiasParams, closed_form_signal, component_weights,
+from .analytic import (closed_form_signal, component_weights,
                        hr_signal_derivative, signal_from_exponents)
 from .montecarlo import McConfig, SignalCurve, run_mc
 from .noise import FilterKind, NoiseKind, NoiseParams, f1, filter_exponents
-from .spincore import (Delay, DrivingParams, PulseParams, PulseSequence,
-                       SequenceKind, build_sequence, tilt_angle)
+from .spincore import (Delay, PulseParams, SequenceKind, build_sequence,
+                       tilt_angle)
 
 __version__ = "0.1.0"

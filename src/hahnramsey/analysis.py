@@ -22,7 +22,9 @@ otherwise, with the residual taken by einsum.  Each call allocates its
 chunk-shaped buffers once: two work buffers, the data less the constant
 and each amplitude that varies with tau broadcast to a chunk's shape (so
 every pass over a chunk is contiguous), each under 128 KiB; so the memory
-of a scan follows its buffers, not its cells times taus.
+of a scan follows its buffers, not its cells times taus.  The map comes
+back as arrays in a ResidualMap; this module writes no file (cli writes
+every output).
 
 Sensitivity follows the shot-noise readout model: with mean photon
 counts u (bright) and v (dark), contrast alpha = (u-v)/(u+v) and
@@ -52,8 +54,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._datafile import write_grid_csv as _write_grid_csv
-from .analytic import (BiasParams, _bias_slope_coefficients, _decay_amplitudes,
+from .analytic import (_bias_slope_coefficients, _decay_amplitudes,
                        closed_form_signal, hr_signal_derivative)
 from .montecarlo import SignalCurve
 from .noise import NoiseParams, f1, filter_exponents
@@ -315,11 +316,6 @@ class ResidualMap:
         return (float(self.lambda_grid[self.argmin[0]]),
                 float(self.gamma_grid[self.argmin[1]]))
 
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        _write_grid_csv(path, "lambda,gamma,residual", self.lambda_grid,
-                        self.gamma_grid, self.residuals,
-                        [header_comment] if header_comment else [])
-
 
 #: bytes in each of the scan's chunk-shaped buffers of gamma x tau cells,
 #: whole lambda rows while one fits and a part of one row otherwise (4 rows
@@ -504,8 +500,8 @@ def max_bias_slope(theta: float, delta: float, noise: NoiseParams,
                         axis=1)
     col = tau[..., None]
     us = us.reshape(tau.shape + (5,))
-    out = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / col),
-                                      noise, col)).max(axis=-1)
+    out = np.abs(hr_signal_derivative(theta, delta, us / col, noise,
+                                      col)).max(axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -22,14 +22,12 @@ uniformly to the canonical sigma_z signal in [-1, 1], which is what
 direct matrix propagation yields.
 
 A static bias field shifts the accumulated phase of both free intervals
-by +epsilon*tau (common mode).  _detuned_echo_terms forms the biased
-terms; the DC-sensitivity analysis reads the epsilon derivative of their
-sum, hr_signal_derivative.
+by +epsilon*tau (common mode), epsilon a plain float or an array of
+biases.  _detuned_echo_terms forms the biased terms; the DC-sensitivity
+analysis reads the epsilon derivative of their sum, hr_signal_derivative.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,21 +35,9 @@ from .noise import NoiseParams, _float_or_array, filter_exponents
 from .spincore import SequenceKind, is_resonant
 
 __all__ = [
-    "BiasParams", "closed_form_signal", "signal_from_exponents",
+    "closed_form_signal", "signal_from_exponents",
     "hr_signal_derivative", "component_weights",
 ]
-
-
-@dataclass(frozen=True)
-class BiasParams:
-    """Bias detuning epsilon in rad/time (epsilon = 2 pi gamma_e B); a
-    float, or an array to evaluate a whole bias grid in one call."""
-
-    epsilon: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.epsilon).all():
-            raise ValueError("epsilon must be finite")
 
 
 def component_weights(theta: float) -> tuple:
@@ -148,16 +134,20 @@ def _bias_slope_coefficients(theta, delta, noise: NoiseParams, tau) -> tuple:
     return p, q
 
 
-def hr_signal_derivative(theta: float, delta: float, bias: BiasParams,
+def hr_signal_derivative(theta: float, delta: float, epsilon,
                          noise: NoiseParams, tau):
-    """d<s>/d(epsilon) at the given bias point, where the biased
-    detuned-echo signal <s> in [-1, 1] is twice the sum of
-    _detuned_echo_terms; at epsilon 0 <s> is the closed-form hahn_ramsey
-    signal."""
+    """d<s>/d(epsilon) at the bias epsilon in rad/time (epsilon =
+    2 pi gamma_e B), where the biased detuned-echo signal <s> in [-1, 1]
+    is twice the sum of _detuned_echo_terms; at epsilon 0 <s> is the
+    closed-form hahn_ramsey signal.  epsilon is a float, or an array to
+    evaluate a whole bias grid in one call, and broadcasts with tau;
+    raises ValueError unless it is finite."""
+    if not np.isfinite(epsilon).all():
+        raise ValueError("epsilon must be finite")
     tau = np.asarray(tau, dtype=float)
     a, b = np.cos(theta), np.sin(theta)
-    e = bias.epsilon
     p, q = _bias_slope_coefficients(theta, delta, noise, tau)
-    out = 2.0 * (p * (np.cos(e * tau) - a * np.sin(e * tau))
-                 + q * (2 * a * np.cos(2 * e * tau) + b ** 2 * np.sin(2 * e * tau)))
+    out = 2.0 * (p * (np.cos(epsilon * tau) - a * np.sin(epsilon * tau))
+                 + q * (2 * a * np.cos(2 * epsilon * tau)
+                        + b ** 2 * np.sin(2 * epsilon * tau)))
     return _float_or_array(out)

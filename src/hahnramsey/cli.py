@@ -7,9 +7,12 @@ ingest; gamma_e stays in cycles/(us gauss).
 
 Every input is a RunConfig field: a flag ``--<field>`` of every command,
 an ``HRSIM_<FIELD>`` environment variable and a key of the JSON
-``--config`` file, in that precedence over the defaults.  Every output
-file embeds a hash of the command and its resolved configuration, and
-reruns with the same configuration and seed are byte-identical.
+``--config`` file, in that precedence over the defaults.  lam is also
+``lambda`` in the file and ``HRSIM_LAMBDA``; any other file key or
+``HRSIM_`` variable is bad input.  This module writes every output file,
+the CSVs through ``_datafile``, and each embeds a hash of the command and
+its resolved configuration; reruns with the same configuration and seed
+are byte-identical.
 ``--workers`` is accepted for compatibility and changes nothing: every
 tau point runs on the calling thread.
 
@@ -34,6 +37,7 @@ import numpy as np
 
 from . import analysis, analytic, montecarlo, noise, spincore
 from ._datafile import write_csv as _write_csv
+from ._datafile import write_grid_csv as _write_grid_csv
 
 ENV_PREFIX = "HRSIM_"
 # bound on |float input|, and 1/MAX_MAGNITUDE on lam (so that (Gamma/lam)^2
@@ -251,7 +255,7 @@ class RunConfig:
         if self.theta is not None:
             return self.theta
         if self.rabi is not None:
-            return spincore.tilt_angle(spincore.DrivingParams(self.rabi, self.delta))
+            return spincore.tilt_angle(self.rabi, self.delta)
         if self.sequence == "ramsey":
             return math.pi / 2
         raise ConfigError("theta", "hahn_ramsey needs theta or rabi+delta")
@@ -312,7 +316,32 @@ def _parse(field: dataclasses.Field, value):
     return str(value)
 
 
+#: the one other name of a field, in a config file and the environment
+_ALIASES = {"lambda": "lam"}
+#: the environment variable of each field and alias, and that name
+_ENV_NAMES = {ENV_PREFIX + name.upper(): name for name in [*_FIELDS, *_ALIASES]}
+
+
+def _fields_of(source) -> dict:
+    """{field: value} of the (name, key, value) entries of one input
+    source.  Each key, through _ALIASES, must be a field that no earlier
+    entry set; an entry that breaks this is refused by its name."""
+    values, names = {}, {}
+    for name, key, val in source:
+        field = _ALIASES.get(key, key)
+        if field not in _FIELDS:
+            raise ConfigError(name, "unknown configuration key")
+        if field in names:
+            raise ConfigError(name, f"sets {field}, as {names[field]} does")
+        values[field], names[field] = val, name
+    return values
+
+
 def load_config(path: str | None, flags: dict, command: str) -> RunConfig:
+    """The RunConfig of the flags, then every HRSIM_ environment variable,
+    then the config file at path, then the defaults, validated for the
+    command.  A file key and a variable are read through one rule: each
+    names a field or its alias, and any other is bad input."""
     values: dict = {}
     if path:
         p = Path(path)
@@ -324,15 +353,15 @@ def load_config(path: str | None, flags: dict, command: str) -> RunConfig:
             raise ConfigError("config", f"invalid JSON at line {exc.lineno}: {exc.msg}")
         if not isinstance(raw, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        values = {"lam" if key == "lambda" else key: val for key, val in raw.items()}
-    env = {name: os.environ.get(ENV_PREFIX + name.upper()) for name in _FIELDS}
-    for source in (env, flags):
-        values.update((key, val) for key, val in source.items() if val is not None)
+        values = _fields_of((key, key, val) for key, val in raw.items())
+    # the names first, so that only HRSIM_ values are read and decoded
+    env = os.environ
+    values.update(_fields_of((name, _ENV_NAMES.get(name, name), env[name])
+                             for name in env if name.startswith(ENV_PREFIX)))
+    values.update((key, val) for key, val in flags.items() if val is not None)
 
     cfg = RunConfig()
     for key, val in values.items():
-        if key not in _FIELDS:
-            raise ConfigError(key, "unknown configuration key")
         try:
             val = _parse(_FIELDS[key], val)
         except (KeyError, TypeError, ValueError):
@@ -462,7 +491,10 @@ def cmd_simulate(cfg: RunConfig, stamp: str) -> int:
         wrote.append(path)
     if mc is not None:
         path = out / f"{cfg.sequence}_montecarlo.csv"
-        mc.to_csv(path, comment)
+        _write_csv(path, "tau,mean,stderr,n",
+                   np.column_stack([taus, mc.means, mc.stderrs,
+                                    np.full(taus.size, mc.n)]),
+                   [comment] + [f"warning: {w}" for w in mc.warnings])
         wrote.append(path)
     if cfg.engine == "both":
         path = out / f"{cfg.sequence}_compare.csv"
@@ -557,7 +589,8 @@ def cmd_scan(cfg: RunConfig, stamp: str) -> int:
         m = analysis.scan_noise_params(curve, kind, theta, cfg.delta,
                                        lam_grid, gamma_grid)
         path = out / f"scan_{stem}.csv"
-        m.to_csv(path, comment)
+        _write_grid_csv(path, "lambda,gamma,residual", lam_grid, gamma_grid,
+                        m.residuals, [comment])
         print(f"{path} argmin lambda={m.best[0]:.6g} gamma={m.best[1]:.6g}")
     return 0
 

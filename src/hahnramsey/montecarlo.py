@@ -21,7 +21,8 @@ scalars, so no state is rotated: past each delay's tangent and sine the
 echoes' readout takes 16 array passes where rotating (x, y) through the
 first delay and reading three pulled-back rows took 24, and ramsey's 4.
 Seeding and block reduction are shared as well, and every tau point
-runs in turn on the calling thread.
+runs in turn on the calling thread.  The estimates come back as arrays
+in a SignalCurve; this module writes no file (cli writes every output).
 
 Reproducibility scheme
 ----------------------
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._datafile import write_csv as _write_csv
 from .noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from .spincore import Delay, PulseParams, SequenceKind, build_sequence
 
@@ -108,13 +108,6 @@ class SignalCurve:
     n: int
     warnings: tuple = ()
 
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        comments = [header_comment] if header_comment else []
-        _write_csv(path, "tau,mean,stderr,n",
-                   np.column_stack([self.taus, self.means, self.stderrs,
-                                    np.full(len(self.taus), self.n)]),
-                   comments + [f"warning: {w}" for w in self.warnings])
-
 
 def _bloch_rotation(p: PulseParams, beta=None) -> list:
     """SO(3) matrix, as nested lists, of a tilted-axis pulse: the rotation
@@ -156,9 +149,10 @@ def _z_rotation(x, y, phi):
 
 
 def _timeline(seq, delta, noise, cfg) -> list:
-    """seq as the ops of _sampler: a 3x3 rotation (an instantaneous pulse,
-    _bloch_rotation) or a window (h, sigma_z rate, sigma_x rate, steps) of
-    `steps` steps of length h.
+    """The elements of seq, a build_sequence tuple, as the ops of
+    _sampler: a 3x3 rotation (an instantaneous pulse, _bloch_rotation) or
+    a window (h, sigma_z rate, sigma_x rate, steps) of `steps` steps of
+    length h.
 
     A delay is one step at sigma_x rate 0 with the instantaneous-pulse
     phase convention sign*delta, kept at any length, zero included: every
@@ -171,7 +165,7 @@ def _timeline(seq, delta, noise, cfg) -> list:
     left out.
     """
     ops = []
-    for el in seq.elements:
+    for el in seq:
         if isinstance(el, Delay):
             ops.append((el.duration, el.detuning_sign * delta, 0.0, 1))
         elif cfg.pulse_model == "instantaneous":
@@ -393,12 +387,11 @@ def _bloch_path(seq_kind: SequenceKind, theta: float, delta: float,
     """
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    seq = build_sequence(seq_kind, theta, delta, tau)
     frac = np.arange(1, samples_per_segment + 1)
     xyz = np.array([[0.0, 0.0, 1.0]])
     t = 0.0
     ts, paths = [np.zeros(1)], [xyz]
-    for el in seq.elements:
+    for el in build_sequence(seq_kind, theta, delta, tau):
         x, y, z = xyz[-1]
         if isinstance(el, PulseParams):
             m = _bloch_rotation(el, el.beta * frac / samples_per_segment)

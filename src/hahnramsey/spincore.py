@@ -12,8 +12,10 @@ phase for delay i is  sign_i * delta * tau_i + epsilon * tau_i + X_i,
 where X_i is the integrated noise over the delay and epsilon is a
 common-mode bias (a static field shifts both delays the same way).
 
-Every value here is immutable after construction and safe to share
-between threads.
+A sequence is a plain tuple of PulseParams and Delay elements in time
+order (build_sequence), and the tilt of a drive is a function of its Rabi
+frequency and detuning (tilt_angle).  Every value here is immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PulseParams", "Delay", "DrivingParams", "SequenceKind", "PulseSequence",
-    "tilt_angle", "is_resonant", "build_sequence",
+    "PulseParams", "Delay", "SequenceKind", "tilt_angle", "is_resonant",
+    "build_sequence",
 ]
 
 
@@ -66,49 +68,24 @@ class Delay:
             raise ValueError("detuning_sign must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class DrivingParams:
-    """Resonant Rabi frequency and drive detuning, both rad per time unit."""
-
-    rabi: float
-    detuning: float
-
-    def __post_init__(self):
-        if not self.rabi > 0:
-            raise ValueError("rabi frequency must be > 0")
-
-
 class SequenceKind(enum.Enum):
     RAMSEY = "ramsey"
     HAHN_ECHO = "hahn_echo"
     HAHN_RAMSEY = "hahn_ramsey"
 
 
-@dataclass(frozen=True)
-class PulseSequence:
-    kind: SequenceKind
-    elements: tuple
-
-    def __post_init__(self):
-        for el in self.elements:
-            if not isinstance(el, (PulseParams, Delay)):
-                raise TypeError(f"sequence element {el!r} is neither a pulse nor a delay")
-        object.__setattr__(self, "elements", tuple(self.elements))
-
-    @property
-    def delays(self) -> tuple:
-        return tuple(el for el in self.elements if isinstance(el, Delay))
-
-
-def tilt_angle(d: DrivingParams) -> float:
+def tilt_angle(rabi: float, detuning: float) -> float:
     """The tilt theta = arctan(rabi / |detuning|) in (0, pi/2] of the
-    rotation axis of a drive.
+    rotation axis of a drive of Rabi frequency rabi > 0 and detuning
+    detuning, both rad per time unit; raises ValueError unless rabi > 0.
 
     Resonant driving gives theta = pi/2.  A negative detuning gives the
     tilt of its magnitude: the side it drives on is a pulse's
     detuning_sign, not part of theta.
     """
-    return math.atan2(d.rabi, abs(d.detuning))
+    if not rabi > 0:
+        raise ValueError("rabi frequency must be > 0")
+    return math.atan2(rabi, abs(detuning))
 
 
 def is_resonant(theta: float) -> bool:
@@ -119,8 +96,9 @@ def is_resonant(theta: float) -> bool:
 
 
 def build_sequence(kind: SequenceKind, theta: float, delta: float,
-                   tau: float) -> PulseSequence:
-    """The standard sequence of a kind at tilt theta and delay tau.
+                   tau: float) -> tuple:
+    """The standard sequence of a kind at tilt theta and delay tau, as a
+    tuple of PulseParams and Delay elements in time order.
 
     ramsey: pi/2 -- tau -- readout pulse.  The readout pulse is a 3pi/2
     rotation about the same axis, equal to the inverse pi/2 rotation up to
@@ -133,21 +111,17 @@ def build_sequence(kind: SequenceKind, theta: float, delta: float,
     theta = pi/2 and delta = 0; delta is only checked here.
     """
     if kind is SequenceKind.RAMSEY:
-        return PulseSequence(kind, (
-            PulseParams(theta, np.pi / 2, +1),
-            Delay(tau, +1),
-            PulseParams(theta, 3 * np.pi / 2, +1),
-        ))
+        return (PulseParams(theta, np.pi / 2, +1),
+                Delay(tau, +1),
+                PulseParams(theta, 3 * np.pi / 2, +1))
     if kind is SequenceKind.HAHN_ECHO:
         if not is_resonant(theta):
             raise ValueError("hahn_echo uses resonant pulses, theta = pi/2")
         if delta != 0.0:
             raise ValueError("hahn_echo is resonant, delta must be 0")
         theta = np.pi / 2
-    return PulseSequence(kind, (
-        PulseParams(theta, np.pi / 2, +1),
-        Delay(tau, +1),
-        PulseParams(theta, np.pi, -1),
-        Delay(tau, -1),
-        PulseParams(theta, np.pi / 2, +1),
-    ))
+    return (PulseParams(theta, np.pi / 2, +1),
+            Delay(tau, +1),
+            PulseParams(theta, np.pi, -1),
+            Delay(tau, -1),
+            PulseParams(theta, np.pi / 2, +1))

@@ -8,9 +8,9 @@ from hahnramsey.analytic import _detuned_echo_terms
 from hahnramsey.noise import filter_exponents
 
 
-def hr_signal_biased(theta, delta, bias, noise, tau):
+def hr_signal_biased(theta, delta, epsilon, noise, tau):
     """Signal in [-1, 1] with both free-interval phases shifted by
-    bias.epsilon * tau; the closed-form hahn_ramsey signal at epsilon 0."""
+    epsilon * tau; the closed-form hahn_ramsey signal at epsilon 0."""
     tau = np.asarray(tau, dtype=float)
     return 2.0 * sum(_detuned_echo_terms(theta, delta, filter_exponents(noise, tau),
-                                         tau, bias.epsilon))
+                                         tau, epsilon))

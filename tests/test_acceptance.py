@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from hahnramsey.analysis import (OPTIMAL_THETA, FitModel, ReadoutModel,
                                  fit_decay, max_bias_slope,
                                  min_detectable_field, scan_noise_params)
-from hahnramsey.analytic import BiasParams, closed_form_signal
+from hahnramsey.analytic import closed_form_signal
 from hahnramsey.cli import main as cli_main
 from hahnramsey.montecarlo import McConfig, run_mc, SignalCurve
 from hahnramsey.noise import FilterKind, NoiseParams, filter_exponents
@@ -37,7 +37,7 @@ def report(num, desc, ok, elapsed, detail=""):
 
 def matrix_signal(theta, delta, tau, eps=0.0):
     seq = build_sequence(SequenceKind.HAHN_RAMSEY, theta, delta, tau)
-    return sigma_z(propagate(seq.elements, delta, eps=eps))
+    return sigma_z(propagate(seq, delta, eps=eps))
 
 
 def test_criterion_1_closed_form_matches_matrix_oracle():
@@ -52,7 +52,7 @@ def test_criterion_1_closed_form_matches_matrix_oracle():
         worst = max(worst, abs(closed_form_signal(SequenceKind.HAHN_RAMSEY, th, d,
                                                   QUIET, tau)
                                - matrix_signal(th, d, tau)))
-        worst = max(worst, abs(hr_signal_biased(th, d, BiasParams(e), QUIET, tau)
+        worst = max(worst, abs(hr_signal_biased(th, d, e, QUIET, tau)
                                - matrix_signal(th, d, tau, e)))
     el = time.perf_counter() - t0
     report(1, "closed forms equal matrix propagation (1000 draws, 1e-10)",

@@ -10,10 +10,10 @@ import pytest
 import hahnramsey
 from hahnramsey import analysis
 from hahnramsey.analysis import (OPTIMAL_THETA, FitError, FitModel,
-                                 ReadoutModel, ResidualMap, fit_decay,
+                                 ReadoutModel, fit_decay,
                                  max_bias_slope, min_detectable_field,
                                  scan_noise_params, sensitivity)
-from hahnramsey.analytic import (BiasParams, _bias_slope_coefficients,
+from hahnramsey.analytic import (_bias_slope_coefficients,
                                  closed_form_signal, hr_signal_derivative)
 from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams, f1, filter_exponents
@@ -509,32 +509,6 @@ def test_scan_rejects_tilted_ramsey():
                           np.array([2.5]), np.array([0.3]))
 
 
-# at 2^11 cells per write, (700, 3), (23, 101) and (1, 2000) are written
-# in 2, 2 and 1 chunks, the first two splitting a row at a ragged chunk
-# edge; the last set holds cells the numpy text leaves to '%'
-_SPECIAL_CELLS = [-0.0, 0.0, -2.5, 1e-300, -1e300, 5e-324, 1e16, 1e17, -1e-5,
-                  2.0 ** -25, math.inf, -math.inf, math.nan]
-
-
-@pytest.mark.parametrize("shape, special", [
-    ((1, 1), False), ((3, 5), False), ((7, 2), False), ((37, 3), False),
-    ((1, 101), False), ((23, 101), False), ((700, 3), False), ((1, 2000), False),
-    ((6, 12), True)], ids=[f"shape{k}" for k in range(8)] + ["special"])
-def test_residual_map_csv_is_the_per_cell_format(shape, special, tmp_path):
-    rng = np.random.default_rng(3)
-    lam = np.sort(rng.uniform(0.1, 4.0, shape[0]))
-    gam = np.sort(rng.uniform(0.0, 1.2, shape[1]))
-    res = rng.random(shape) * 10.0 ** rng.integers(-12, 3, shape)
-    if special:
-        res.flat[::3] = _SPECIAL_CELLS + [-v for v in _SPECIAL_CELLS[2:]]
-    ResidualMap(lam, gam, res, (0, 0)).to_csv(tmp_path / "m.csv", "hdr")
-    cells = "".join(f"{lam[i]:.17g},{gam[j]:.17g},{res[i, j]:.17g}\n"
-                    for i in range(shape[0]) for j in range(shape[1]))
-    # the exact text, compared line by line so that a failure reports fast
-    assert (tmp_path / "m.csv").read_text().split("\n") == (
-        "# hdr\nlambda,gamma,residual\n" + cells).split("\n")
-
-
 # --------------------------------------------------------------------------
 # sensitivity
 
@@ -589,10 +563,10 @@ def test_optimal_theta_interior_maximum():
 
 def test_optimal_theta_is_a_maximizer():
     grid = np.linspace(0.3, 2.0, 8)
-    best = np.max(np.abs(hr_signal_derivative(OPTIMAL_THETA, DELTA, BiasParams(0.0),
+    best = np.max(np.abs(hr_signal_derivative(OPTIMAL_THETA, DELTA, 0.0,
                                               FIG_NOISE, grid)))
     for other in np.linspace(0.05, np.pi / 2 - 0.05, 25):
-        val = np.max(np.abs(hr_signal_derivative(other, DELTA, BiasParams(0.0),
+        val = np.max(np.abs(hr_signal_derivative(other, DELTA, 0.0,
                                                  FIG_NOISE, grid)))
         assert best >= val - 1e-12
 
@@ -632,13 +606,13 @@ def _max_bias_slope_per_tau(theta, delta, noise, tau, n_grid=801):
     where the maximum of the bracket is its end, the grid value is kept."""
     from scipy.optimize import minimize_scalar
     us = np.linspace(-np.pi, np.pi, n_grid)
-    vals = np.abs(hr_signal_derivative(theta, delta, BiasParams(us / tau),
+    vals = np.abs(hr_signal_derivative(theta, delta, us / tau,
                                        noise, tau))
     k = int(vals.argmax())
     h = us[1] - us[0]
     lo, hi = us[k] - h, us[k] + h     # wraps at u = +-pi: the slope is periodic
     ref = minimize_scalar(
-        lambda u: -abs(hr_signal_derivative(theta, delta, BiasParams(u / tau),
+        lambda u: -abs(hr_signal_derivative(theta, delta, u / tau,
                                             noise, tau)),
         bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     return max(float(-ref.fun), float(vals[k]))
@@ -675,7 +649,7 @@ def test_zero_bias_slope_factorizes_in_the_tilt(noise, delta, tau_grid):
         want = -4 * tau_grid * (fringe + echo)
         size = 4 * tau_grid * (np.abs(fringe) + echo)
         for th in rng.uniform(1e-3, np.pi / 2 - 1e-3, 5):
-            got = (hr_signal_derivative(th, d, BiasParams(0.0), noise, tau_grid)
+            got = (hr_signal_derivative(th, d, 0.0, noise, tau_grid)
                    / (np.cos(th) ** 3 * np.sin(th) ** 2))
             assert (np.abs(got - want) <= 1e-12 * size).all(), (th, d)
 
@@ -701,10 +675,10 @@ def _grid_peak_and_dense_max_near_pi(theta, delta, tau):
     [-pi, pi], and the largest |slope| on a 2e6-point grid's spacing over
     the +-0.05 around u = pi."""
     grid = np.linspace(-np.pi, np.pi, 801)
-    k = np.abs(hr_signal_derivative(theta, delta, BiasParams(grid / tau),
+    k = np.abs(hr_signal_derivative(theta, delta, grid / tau,
                                     FIG_NOISE, tau)).argmax()
     dense_us = np.pi + np.arange(-15_915, 15_916) * (2 * np.pi / 2e6)
-    return k, np.abs(hr_signal_derivative(theta, delta, BiasParams(dense_us / tau),
+    return k, np.abs(hr_signal_derivative(theta, delta, dense_us / tau,
                                           FIG_NOISE, tau)).max()
 
 
@@ -767,7 +741,7 @@ def _max_bias_slope_by_np_roots(theta, delta, noise, taus):
                           -12 * qk * b2, -2 * pk - 16 * a * qk,
                           2 * qk * b2 - pk * a])
         us = np.append(2 * np.arctan(roots.real), np.pi)
-        out.append(np.abs(hr_signal_derivative(theta, delta, BiasParams(us / tau),
+        out.append(np.abs(hr_signal_derivative(theta, delta, us / tau,
                                                noise, tau)).max())
     return np.array(out)
 

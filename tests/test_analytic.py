@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnramsey.analytic import (BiasParams, _detuned_echo_terms,
+from hahnramsey.analytic import (_detuned_echo_terms,
                                  closed_form_signal, component_weights,
                                  hr_signal_derivative)
 from hahnramsey.noise import FilterKind, NoiseParams, f1, filter_exponents
@@ -22,7 +22,7 @@ times = st.floats(min_value=0.0, max_value=8.0)
 
 def matrix_hr(theta, delta, tau, eps=0.0):
     seq = build_sequence(SequenceKind.HAHN_RAMSEY, theta, delta, tau)
-    return sigma_z(propagate(seq.elements, delta, eps=eps))
+    return sigma_z(propagate(seq, delta, eps=eps))
 
 
 def test_ramsey_signal_examples():
@@ -39,7 +39,7 @@ def test_ramsey_matches_matrix_propagation():
     for dtau in (0.0, 0.7, 2.1):
         seq = build_sequence(SequenceKind.RAMSEY, np.pi / 2, dtau, 1.0)
         closed = closed_form_signal(SequenceKind.RAMSEY, np.pi / 2, dtau, QUIET, 1.0)
-        assert closed == pytest.approx(sigma_z(propagate(seq.elements, dtau)),
+        assert closed == pytest.approx(sigma_z(propagate(seq, dtau)),
                                        abs=1e-12)
 
 
@@ -115,7 +115,7 @@ def test_biased_reduces_at_zero_bias():
         th = rng.uniform(1e-3, np.pi / 2)
         d = rng.uniform(-5, 5)
         tau = rng.uniform(0, 5)
-        assert hr_signal_biased(th, d, BiasParams(0.0), P, tau) == pytest.approx(
+        assert hr_signal_biased(th, d, 0.0, P, tau) == pytest.approx(
             closed_form_signal(SequenceKind.HAHN_RAMSEY, th, d, P, tau), abs=1e-14)
 
 
@@ -129,7 +129,7 @@ def test_biased_matches_matrix_oracle():
         e = rng.uniform(-2, 2)
         tau = rng.uniform(0, 4)
         m = matrix_hr(th, d, tau, eps=e)
-        c = hr_signal_biased(th, d, BiasParams(e), QUIET, tau)
+        c = hr_signal_biased(th, d, e, QUIET, tau)
         worst = max(worst, abs(m - c))
     assert worst < 1e-12
 
@@ -137,8 +137,8 @@ def test_biased_matches_matrix_oracle():
 def test_biased_theta_half_pi_is_bias_insensitive():
     # at theta = pi/2 every bias-dependent weight vanishes
     taus = np.linspace(0, 3, 13)
-    s0 = hr_signal_biased(np.pi / 2, 1.1, BiasParams(0.0), QUIET, taus)
-    s1 = hr_signal_biased(np.pi / 2, 1.1, BiasParams(0.8), QUIET, taus)
+    s0 = hr_signal_biased(np.pi / 2, 1.1, 0.0, QUIET, taus)
+    s1 = hr_signal_biased(np.pi / 2, 1.1, 0.8, QUIET, taus)
     np.testing.assert_allclose(s0, s1, atol=1e-12)
     np.testing.assert_allclose(s0, np.cos(2 * 1.1 * taus), atol=1e-12)
 
@@ -151,9 +151,9 @@ def test_derivative_matches_finite_differences():
         d = rng.uniform(-3, 3)
         e = rng.uniform(-0.9, 0.9)
         tau = rng.uniform(0.1, 3)
-        fd = (hr_signal_biased(th, d, BiasParams(e + h), P, tau)
-              - hr_signal_biased(th, d, BiasParams(e - h), P, tau)) / (2 * h)
-        an = hr_signal_derivative(th, d, BiasParams(e), P, tau)
+        fd = (hr_signal_biased(th, d, e + h, P, tau)
+              - hr_signal_biased(th, d, e - h, P, tau)) / (2 * h)
+        an = hr_signal_derivative(th, d, e, P, tau)
         if abs(an) > 1e-7:
             assert fd == pytest.approx(an, rel=1e-6)
         else:
@@ -161,7 +161,7 @@ def test_derivative_matches_finite_differences():
 
 
 def test_derivative_vanishes_at_zero_tilt():
-    assert hr_signal_derivative(1e-9, 1.0, BiasParams(0.3), P, 2.0) == \
+    assert hr_signal_derivative(1e-9, 1.0, 0.3, P, 2.0) == \
         pytest.approx(0.0, abs=1e-12)
 
 
@@ -182,7 +182,7 @@ def test_biased_signal_matches_noise_averaged_propagation(sample_ou_ensemble):
         psi[:, 1] *= np.exp(+0.5j * phi)
         psi = psi @ u.T
     sz = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
-    ref = hr_signal_biased(th, d, BiasParams(e), P, tau)
+    ref = hr_signal_biased(th, d, e, P, tau)
     assert abs(sz.mean() - ref) < 3 * sz.std(ddof=1) / np.sqrt(n)
 
 
@@ -218,7 +218,7 @@ _CLOSED_FORM_ARGS = {
 def test_closed_form_dispatch_matches_built_sequence(kind):
     theta, delta = _CLOSED_FORM_ARGS[kind]
     taus = np.linspace(0.0, 4.0, 9)
-    expect = [sigma_z(propagate(build_sequence(kind, theta, delta, tau).elements,
+    expect = [sigma_z(propagate(build_sequence(kind, theta, delta, tau),
                                 delta)) for tau in taus]
     np.testing.assert_allclose(
         closed_form_signal(kind, theta, delta, QUIET, taus), expect, atol=1e-12)
@@ -232,12 +232,13 @@ def test_closed_form_dispatch_rejects_unknown_cases():
 def test_bias_grid_in_one_call_equals_scalar_calls():
     us = np.linspace(-np.pi, np.pi, 101)
     tau = 1.3
-    grid = hr_signal_derivative(0.3, 0.5, BiasParams(us / tau), P, tau)
-    loop = [hr_signal_derivative(0.3, 0.5, BiasParams(u / tau), P, tau)
+    grid = hr_signal_derivative(0.3, 0.5, us / tau, P, tau)
+    loop = [hr_signal_derivative(0.3, 0.5, u / tau, P, tau)
             for u in us]
     assert grid.tobytes() == np.array(loop).tobytes()
-    biased = hr_signal_biased(0.3, 0.5, BiasParams(us / tau), P, tau)
-    loop = [hr_signal_biased(0.3, 0.5, BiasParams(u / tau), P, tau) for u in us]
+    biased = hr_signal_biased(0.3, 0.5, us / tau, P, tau)
+    loop = [hr_signal_biased(0.3, 0.5, u / tau, P, tau) for u in us]
     np.testing.assert_array_equal(biased, loop)
-    with pytest.raises(ValueError):
-        BiasParams(np.array([0.0, np.nan]))
+    for bad in (np.array([0.0, np.nan]), np.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            hr_signal_derivative(0.3, 0.5, bad, P, tau)

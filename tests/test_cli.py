@@ -20,7 +20,7 @@ from filter_oracle import textbook_exponents
 from hahnramsey.analytic import (_detuned_echo_terms, closed_form_signal,
                                  signal_from_exponents)
 import hahnramsey
-from hahnramsey import cli, montecarlo
+from hahnramsey import analysis, cli, montecarlo
 from hahnramsey.cli import (MAX_TRAJECTORY_POINTS, RunConfig, config_hash, main,
                            read_curve_csv)
 from hahnramsey.montecarlo import _bloch_path
@@ -249,6 +249,15 @@ def test_scan_command(tmp_path):
     best = rows[np.argmin(rows[:, 2])]
     assert best[0] == pytest.approx(2.5)
     assert best[1] == pytest.approx(0.6)
+    # the map's cells as written, in '%.17g' text, under the config stamp
+    m = analysis.scan_noise_params(cli.read_curve_csv(data), SequenceKind.RAMSEY,
+                                   np.pi / 2, 1.885, np.linspace(1.5, 3.5, 5),
+                                   np.linspace(0.3, 1.0, 8))
+    lines = (tmp_path / "scan_ram.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_sha256=")
+    assert lines[2:] == [f"{lam:.17g},{gam:.17g},{m.residuals[i, j]:.17g}"
+                         for i, lam in enumerate(m.lambda_grid)
+                         for j, gam in enumerate(m.gamma_grid)]
 
 
 def test_sensitivity_command(tmp_path):
@@ -281,6 +290,31 @@ def test_bloch_csv(tmp_path):
     want = _bloch_path(SequenceKind.HAHN_RAMSEY, 0.2 * np.pi, 2 * np.pi * 0.3, 0.9, 10)
     assert len(lines) == 2 + len(want) == 2 + 1 + 5 * 10
     assert lines[2:] == [",".join("%.17g" % v for v in row) for row in want.tolist()]
+
+
+@pytest.mark.parametrize("pulse_model, warned", [("instantaneous", False),
+                                                 ("finite", True)])
+def test_montecarlo_csv_is_the_curve_of_run_mc(pulse_model, warned, tmp_path):
+    # the curve's rows as written, in '%.17g' text, under the config stamp
+    # and a line per run_mc warning; OU noise with instantaneous pulses
+    # never reads time_step, so its bytes do not depend on it
+    mcfg = montecarlo.McConfig(3000, 11, 0.5, pulse_model, 20.0)
+    curve = montecarlo.run_mc(SequenceKind.HAHN_RAMSEY, 0.2 * np.pi, 1.885,
+                              NoiseParams(2.5, 0.6283), np.linspace(0, 2, 6), mcfg)
+    assert bool(curve.warnings) == warned
+    texts = []
+    for step in (0.01, 0.5):
+        out = tmp_path / f"step_{step}"
+        assert run(["simulate", *BASE, "--engine", "montecarlo", "--rabi", 20.0,
+                    "--pulse-model", pulse_model, "--n-trajectories", 3000,
+                    "--seed", 11, "--time-step", step, "--out", out]) == 0
+        texts.append((out / "hahn_ramsey_montecarlo.csv").read_text())
+    lines = texts[1].splitlines()
+    assert lines[0].startswith("# config_sha256=")
+    assert lines[1:] == [f"# warning: {w}" for w in curve.warnings] + [
+        "tau,mean,stderr,n"] + [f"{t:.17g},{m:.17g},{e:.17g},3000" for t, m, e in
+                                zip(curve.taus, curve.means, curve.stderrs)]
+    assert (texts[0] == texts[1]) is (pulse_model == "instantaneous")
 
 
 def test_simulate_with_component_columns(tmp_path):
@@ -367,7 +401,7 @@ def test_finite_pulses_drive_at_the_given_detuning(sequence, delta, tmp_path):
                     "--n-trajectories", 2, "--out", tmp_path]) == 0
     kind, theta, d, noise, _, mcfg = rec.call_args.args
     seq = build_sequence(kind, theta, d, 1.0)
-    pulses = [el for el in seq.elements if isinstance(el, PulseParams)]
+    pulses = [el for el in seq if isinstance(el, PulseParams)]
     windows = [op for op in montecarlo._timeline(seq, d, noise, mcfg) if op[2]]
     assert len(windows) == len(pulses) == (2 if sequence == "ramsey" else 3)
     for (h, rate, rabi, steps), el in zip(windows, pulses):
@@ -388,6 +422,54 @@ def test_the_tilt_has_no_second_convention(tmp_path, capsys):
         run([*args, "--tilt-convention", "nutation"])
     assert exc.value.code == 2
     assert "--tilt-convention" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["HRSIM_TILT_CONVENTION", "HRSIM_FOO",
+                                  "HRSIM_tau_count", "HRSIM_"])
+def test_an_unknown_hrsim_variable_exits_2(name, tmp_path, monkeypatch, capsys):
+    # every HRSIM_ variable is read, and one that names no field is bad
+    # input, as an unknown config file key is
+    monkeypatch.setenv(name, "nutation")
+    out = tmp_path / "o"
+    assert run(["simulate", "--rabi", 2, "--delta", 1.5, "--out", out]) == 2
+    assert f"config field '{name}': unknown configuration key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _rabi_stamp(out, *args):
+    assert run(["simulate", "--rabi", 2, "--delta", 1.5, *args, "--out", out]) == 0
+    return (out / "hahn_ramsey_analytic.csv").read_text().splitlines()[0]
+
+
+def test_lambda_names_lam_in_the_environment_as_in_a_file(tmp_path, monkeypatch):
+    # HRSIM_LAMBDA=7 is --lam 7, as "lambda" in a file is, and the
+    # precedence stays flags > environment > file > defaults
+    seven, three = (_rabi_stamp(tmp_path / f"flag{v}", "--lam", v) for v in (7, 3))
+    assert seven != _rabi_stamp(tmp_path / "default")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lambda": 3}')
+    assert _rabi_stamp(tmp_path / "file", "--config", cfg) == three
+    monkeypatch.setenv("HRSIM_LAMBDA", "7")
+    assert _rabi_stamp(tmp_path / "env") == seven
+    assert _rabi_stamp(tmp_path / "env_file", "--config", cfg) == seven
+    assert _rabi_stamp(tmp_path / "env_flag", "--lam", 3) == three
+
+
+@pytest.mark.parametrize("source", ["env", "file"])
+def test_a_field_named_twice_in_one_source_exits_2(source, tmp_path, monkeypatch,
+                                                   capsys):
+    # lam and its alias lambda in one source leave no order to pick by
+    args = ["simulate", "--rabi", 2, "--delta", 1.5, "--out", tmp_path / "o"]
+    if source == "env":
+        monkeypatch.setenv("HRSIM_LAM", "3")
+        monkeypatch.setenv("HRSIM_LAMBDA", "7")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lam": 3, "lambda": 7}')
+        args += ["--config", cfg]
+    assert run(args) == 2
+    assert "sets lam, as" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -448,7 +530,7 @@ def _python(code, *args, timeout=120):
 _COLD_START = """
 import json, sys
 import hahnramsey
-from hahnramsey import cli, montecarlo
+from hahnramsey import analysis, cli, montecarlo
 
 def run(*args):
     assert cli.main([str(a) for a in args]) == 0, args
@@ -764,7 +846,7 @@ def test_data_rows_past_max_data_rows_exit_2(command, tmp_path, capsys, monkeypa
 # process: the peak (ru_maxrss, KiB) after the import, then after each scan
 _SCAN_MEMORY = """
 import resource, sys
-from hahnramsey import cli, montecarlo
+from hahnramsey import analysis, cli, montecarlo
 data, out = sys.argv[1:]
 peaks = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
 for lam, gamma in [(3000, 1), (1, 3000)]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hahnramsey._datafile import _text_bytes, write_csv
+from hahnramsey._datafile import _text_bytes, write_csv, write_grid_csv
 
 
 def texts(values) -> list:
@@ -97,3 +97,29 @@ def test_write_csv_is_the_per_row_format(n_rows, n_cols, tmp_path):
     write_csv(tmp_path / "new.csv", "h", rows, ["c1", "c2"])
     write_rows_per_format(tmp_path / "old.csv", "h", rows.tolist(), ["c1", "c2"])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# at 2^11 cells per write, (700, 3), (23, 101) and (1, 2000) are written
+# in 2, 2 and 1 chunks, the first two splitting a row at a ragged chunk
+# edge; the last set holds cells the numpy text leaves to '%'
+_SPECIAL_CELLS = [-0.0, 0.0, -2.5, 1e-300, -1e300, 5e-324, 1e16, 1e17, -1e-5,
+                  2.0 ** -25, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("shape, special", [
+    ((1, 1), False), ((3, 5), False), ((7, 2), False), ((37, 3), False),
+    ((1, 101), False), ((23, 101), False), ((700, 3), False), ((1, 2000), False),
+    ((6, 12), True)], ids=[f"shape{k}" for k in range(8)] + ["special"])
+def test_write_grid_csv_is_the_per_cell_format(shape, special, tmp_path):
+    rng = np.random.default_rng(3)
+    lam = np.sort(rng.uniform(0.1, 4.0, shape[0]))
+    gam = np.sort(rng.uniform(0.0, 1.2, shape[1]))
+    res = rng.random(shape) * 10.0 ** rng.integers(-12, 3, shape)
+    if special:
+        res.flat[::3] = _SPECIAL_CELLS + [-v for v in _SPECIAL_CELLS[2:]]
+    write_grid_csv(tmp_path / "m.csv", "lambda,gamma,residual", lam, gam, res, ["hdr"])
+    cells = "".join(f"{lam[i]:.17g},{gam[j]:.17g},{res[i, j]:.17g}\n"
+                    for i in range(shape[0]) for j in range(shape[1]))
+    # the exact text, compared line by line so that a failure reports fast
+    assert (tmp_path / "m.csv").read_text().split("\n") == (
+        "# hdr\nlambda,gamma,residual\n" + cells).split("\n")

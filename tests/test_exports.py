@@ -27,3 +27,21 @@ def test_public_functions_of_public_modules_are_defined_in_public_modules(name):
              if not n.startswith("_") and inspect.isfunction(f)
              and f.__module__.startswith("hahnramsey.")}
     assert {n: h for n, h in homes.items() if "._" in h} == {}
+
+
+def test_only_cli_holds_the_csv_writers():
+    # every output format lives in cli: no other module holds a function of
+    # the private writer module, under any name
+    holders = {(name, n) for name in MODULES
+               if name not in ("hahnramsey.cli", "hahnramsey._datafile")
+               for n, f in vars(importlib.import_module(name)).items()
+               if inspect.isfunction(f) and f.__module__ == "hahnramsey._datafile"}
+    assert holders == set()
+
+
+def test_plain_values_cross_the_layers():
+    # a drive is (rabi, detuning), a bias a float or array, a sequence a
+    # tuple of elements: no module holds a wrapper class for one
+    gone = ("DrivingParams", "BiasParams", "PulseSequence")
+    assert {(name, n) for name in MODULES for n in gone
+            if hasattr(importlib.import_module(name), n)} == set()

@@ -263,17 +263,6 @@ def test_ou_draws_one_normal_per_noisy_window_and_no_start(
         assert counts == ({"random": n * n_delays} if tau else {})
 
 
-def test_ou_instantaneous_bytes_ignore_time_step(tmp_path):
-    taus = np.linspace(0.0, 3.0, 5)
-    paths = []
-    for step in (0.01, 0.5):
-        curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-                       McConfig(3000, master_seed=11, time_step=step))
-        paths.append(tmp_path / f"step_{step}.csv")
-        curve.to_csv(paths[-1], "same header")
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
 def test_input_validation():
     with pytest.raises(ValueError):
         McConfig(0)
@@ -298,7 +287,7 @@ def _spinor_sampler(seq, delta, noise):
     one kernel call per delay from the stationary start state None, the
     last one without the end state."""
     ops = [el if isinstance(el, Delay) else pulse_unitary(el)
-           for el in seq.elements]
+           for el in seq]
     last = max(i for i, op in enumerate(ops) if isinstance(op, Delay))
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
 
@@ -430,7 +419,7 @@ def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
     last step without the end state, on its own window timeline of
     (kind, duration, sigma_z rate, sigma_x rate)."""
     windows = []
-    for el in seq.elements:
+    for el in seq:
         if isinstance(el, Delay):
             windows.append(("delay", el.duration, el.detuning_sign * delta, 0.0))
         else:
@@ -625,7 +614,7 @@ def _bloch_per_sample(seq_kind, theta, delta, tau, samples):
 
     psi, t = UP, 0.0
     pts = [(t, *xyz(psi))]
-    for el in build_sequence(seq_kind, theta, delta, tau).elements:
+    for el in build_sequence(seq_kind, theta, delta, tau):
         start = psi
         for k in range(1, samples + 1):
             if isinstance(el, PulseParams):

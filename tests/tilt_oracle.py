@@ -8,7 +8,7 @@ neighbouring grid tilts of the grid maximum.
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from hahnramsey.analytic import BiasParams, hr_signal_derivative
+from hahnramsey.analytic import hr_signal_derivative
 
 
 def optimal_theta_per_tilt(noise, delta, tau_grid, n_grid=181):
@@ -17,7 +17,7 @@ def optimal_theta_per_tilt(noise, delta, tau_grid, n_grid=181):
 
     def objective(th):
         return float(np.max(np.abs(hr_signal_derivative(
-            th, delta, BiasParams(0.0), noise, tau_grid))))
+            th, delta, 0.0, noise, tau_grid))))
 
     vals = np.array([objective(th) for th in thetas])
     k = int(vals.argmax())
