@@ -17,7 +17,6 @@ import numpy as np
 from hahnramsey.analysis import fit_decay
 from hahnramsey.analytic import closed_form_signal
 from hahnramsey.cli import main as cli
-from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams
 from hahnramsey.spincore import Delay, SequenceKind, build_sequence
 
@@ -52,7 +51,7 @@ def run(out: Path, n_traj: int, seed: int) -> None:
                        for el in build_sequence(kind, theta, delta, 1.0))
         t = np.linspace(0.05, t_end, 90)
         y = np.asarray(closed_form_signal(kind, theta, delta, p, t / n_delays))
-        fit = fit_decay(SignalCurve(t, y, np.zeros_like(t), 0))
+        fit = fit_decay(t, y)
         print(f"  {seq:12s} tau_c = {fit.tau_c:6.2f} +- {fit.tau_c_err:.2f} us")
 
 

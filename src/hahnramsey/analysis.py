@@ -1,14 +1,17 @@
 """Decay-envelope fitting, noise-parameter residual scans, and DC-field
 sensitivity.
 
-Fit initialization is deterministic: the fringe frequency comes from the
-peak of the discrete spectrum of the detrended data, the decay constant
-from the first crossing of the envelope below 1/e.  At those two the
-fringe is linear in A cos phi, A sin phi and c (separable least squares:
-Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so one weighted
-linear solve starts the one bounded fit.  Curves whose detrended
-spectrum peaks in the lowest nonzero bin are fitted with the bare
-envelope (frequency and phase reported as 0).
+The fits take plain arrays of taus, signal and, optionally, stderrs, in
+any order and with repeated taus: the points are fitted in tau order,
+and the guesses read the distinct taus, each with the mean of its
+signal.  Fit initialization is deterministic: the fringe frequency
+comes from the peak of the discrete spectrum of the detrended data, the
+decay constant from the first crossing of the envelope below 1/e.  At
+those two the fringe is linear in A cos phi, A sin phi and c (separable
+least squares: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)),
+so one weighted linear solve starts the one bounded fit.  Curves whose
+detrended spectrum peaks in the lowest nonzero bin are fitted with the
+bare envelope (frequency and phase reported as 0).
 
 The residual scan evaluates the analytic model on a (lambda, gamma) grid
 and reports SSR normalized by the total sum of squares; ties at the
@@ -56,7 +59,6 @@ import numpy as np
 
 from .analytic import (_bias_slope_coefficients, _decay_amplitudes,
                        closed_form_signal, hr_signal_derivative)
-from .montecarlo import SignalCurve
 from .noise import NoiseParams, f1, filter_exponents
 from .spincore import SequenceKind
 
@@ -221,24 +223,35 @@ def curve_fit(fn, x, y, p0, bounds, jac, sigma=None):
     return p, pcov * (ssr / (y.size - p.size) if sigma is None else 1.0)
 
 
-def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) -> DecayFit:
-    """Nonlinear least-squares envelope fit of a signal curve.
+def fit_decay(taus, signal, stderrs=None,
+              model: FitModel = FitModel.GAUSSIAN_ENVELOPE) -> DecayFit:
+    """Nonlinear least-squares envelope fit of the signal at taus.
 
-    Uses curve stderrs as weights when available and each model's exact
-    Jacobian.  One curve_fit call; a fringe starts from its linear
-    least-squares amplitude, phase and offset, and lands within 1e-8 of
-    the SSR and 1e-3 tau_c_err of the best of four blind-phase starts
-    (tests/test_analysis.py).  Raises FitInputError on fewer than 6
-    points or flat data, FitError when the fit fails to converge.
+    Uses the stderrs as weights when all are positive and each model's
+    exact Jacobian.  The points are taken in tau order by a stable sort,
+    and the frequency guess, the decay guess and the frequency bound read
+    the distinct taus, each with the mean of its signal, so that repeated
+    measurements leave the sample spacing nonzero.  One curve_fit call; a
+    fringe starts from its linear least-squares amplitude, phase and
+    offset, and lands within 1e-8 of the SSR and 1e-3 tau_c_err of the
+    best of four blind-phase starts (tests/test_analysis.py).  Raises
+    FitInputError on fewer than 6 points or flat data, FitError when the
+    fit fails to converge.
     """
-    t = np.asarray(curve.taus, dtype=float)
-    y = np.asarray(curve.means, dtype=float)
+    t = np.asarray(taus, dtype=float)
+    y = np.asarray(signal, dtype=float)
     if t.size < 6:
         raise FitInputError(f"need at least 6 points, got {t.size}")
     if np.ptp(y) < 1e-13 * max(1.0, np.abs(y).max()):
         raise FitInputError("flat data, decay constant unidentifiable")
-    errs = np.asarray(curve.stderrs, dtype=float)
-    sigma = errs if errs.size == t.size and (errs > 0).all() else None
+    order = np.argsort(t, kind="stable")
+    t, y = t[order], y[order]
+    errs = np.asarray([] if stderrs is None else stderrs, dtype=float)
+    sigma = errs[order] if errs.size == t.size and (errs > 0).all() else None
+    # the distinct taus, each with its mean signal (np.unique loads numpy.ma)
+    first = np.flatnonzero(np.concatenate(([True], np.diff(t) > 0)))
+    td = t[first]
+    yd = np.add.reduceat(y, first) / np.diff(np.append(first, t.size))
 
     span = float(np.ptp(y))
     exponential = model is FitModel.PLAIN_EXPONENTIAL
@@ -247,8 +260,8 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
     # far from 1
     unit = float(t.max()) if t.max() > 0 else 1.0
     x = t / unit
-    tc0 = _tau_c_guess(t, y) / unit
-    w0 = 0.0 if exponential else _freq_guess(t, y) * unit
+    tc0 = _tau_c_guess(td, yd) / unit
+    w0 = 0.0 if exponential else _freq_guess(td, yd) * unit
     if w0 == 0.0:
         # plain exponential, or no resolvable fringe: bare Gaussian envelope
         fn, jac = ((_plain_exponential, _plain_exponential_jac) if exponential
@@ -259,8 +272,8 @@ def fit_decay(curve: SignalCurve, model: FitModel = FitModel.GAUSSIAN_ENVELOPE) 
     else:
         fn, jac = _gaussian_envelope, _gaussian_envelope_jac
         lo = [0.0, 0.0, -2 * np.pi, 1e-4, y.min() - span - 1.0]
-        hi = [10 * span + 1e-9, np.pi / _median(np.diff(x)), 2 * np.pi, 1e3,
-              y.max() + span + 1.0]
+        hi = [10 * span + 1e-9, np.pi / _median(np.diff(td / unit)), 2 * np.pi,
+              1e3, y.max() + span + 1.0]
         # least-SSR A cos phi, A sin phi and c at (w0, tc0): module docstring
         g = np.exp(-((x / tc0) ** 2))
         cols = np.column_stack([g * np.cos(w0 * x), -g * np.sin(w0 * x),
@@ -327,11 +340,11 @@ class ResidualMap:
 _SCAN_BUFFER_BYTES = 127 * 2 ** 10
 
 
-def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,
+def scan_noise_params(taus, signal, seq_kind: SequenceKind, theta: float,
                       delta: float, lambda_grid, gamma_grid) -> ResidualMap:
-    """Normalized residual ||data - model||^2 / ||data - mean||^2 on a
+    """Normalized residual ||signal - model||^2 / ||signal - mean||^2 on a
     (lambda, gamma) grid of finite values with lambda > 0, gamma >= 0, for
-    non-empty finite data."""
+    a non-empty finite signal at finite taus."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     if lambda_grid.size == 0 or gamma_grid.size == 0:
@@ -339,8 +352,8 @@ def scan_noise_params(data: SignalCurve, seq_kind: SequenceKind, theta: float,
     if not (np.isfinite(lambda_grid).all() and np.isfinite(gamma_grid).all()
             and (lambda_grid > 0).all() and (gamma_grid >= 0).all()):
         raise ValueError("scan grids need finite lambda > 0 and gamma >= 0")
-    taus = np.asarray(data.taus, dtype=float)
-    y = np.asarray(data.means, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    y = np.asarray(signal, dtype=float)
     if taus.size == 0 or not (np.isfinite(taus).all() and np.isfinite(y).all()):
         raise ValueError("scan data must be non-empty and finite")
     tss = float(((y - y.mean()) ** 2).sum())
@@ -565,4 +578,4 @@ def _fringe_envelope_fit(theta: float, noise: NoiseParams) -> DecayFit:
     delta_fit = 8 * 2 * np.pi / (2.2 * tau_e)   # ~8 fringes in the window
     y = np.asarray(closed_form_signal(SequenceKind.HAHN_RAMSEY, theta,
                                       delta_fit, noise, taus))
-    return fit_decay(SignalCurve(2 * taus, y, np.zeros_like(taus), 0))
+    return fit_decay(2 * taus, y)

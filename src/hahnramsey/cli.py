@@ -192,19 +192,15 @@ class RunConfig:
         p = self.noise_params()
         if (mc and command == "simulate" and p.gamma > 0
                 and (finite or p.kind is noise.NoiseKind.RENEWAL)):
-            # run_mc's timeline, at the longest tau: its noisy pulse steps
-            # are the same at every tau, its renewal events the most
-            seq = spincore.build_sequence(spincore.SequenceKind(self.sequence),
-                                          self.resolved_theta(), self.delta,
-                                          self.tau_stop)
-            ops = montecarlo._timeline(seq, self.delta, p, montecarlo.McConfig(
-                1, time_step=self.time_step, pulse_model=self.pulse_model, rabi=self.rabi))
+            # run_mc's plan, at the longest tau: its noisy pulse steps are
+            # the same at every tau, its renewal events the most
             try:
-                steps = montecarlo._pulse_step_count(ops)
+                _, steps, events = montecarlo._plan(
+                    spincore.SequenceKind(self.sequence), self.resolved_theta(),
+                    self.delta, p, self.tau_stop, self.rabi if finite else None,
+                    self.time_step)
             except montecarlo.PulseStepError as exc:
                 raise ConfigError("rabi", f"{exc}; raise rabi or time_step") from None
-            try:
-                events = montecarlo._renewal_event_count(ops, p)
             except montecarlo.RenewalEventError as exc:
                 raise ConfigError("lam", f"{exc}; lower lam or tau_stop") from None
         per_trajectory = 1 + steps + events / 2
@@ -398,18 +394,19 @@ def config_hash(cfg: RunConfig, command: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
-    """Read tau,signal[,stderr] (or tau,mean,stderr,n) data files.
+def read_curve_csv(path, tau_scale: float = 1.0):
+    """(taus, signal, stderrs) of a tau,signal[,stderr] (or
+    tau,mean,stderr,n) data file, as arrays; stderrs is None without a
+    stderr column.  An n cell must be an integer, and is not kept.
 
     tau_scale > 0 converts the file's declared time unit to the working
     unit (microseconds): stored tau = file tau * tau_scale.  A row with
     fewer cells than the header, one that does not parse, holds a
-    non-finite value, a negative stderr or a stored |tau| over
+    non-finite value, a negative stderr, a stored tau below 0 or one over
     MAX_MAGNITUDE raises ConfigError naming the file and line, and so
     does a row past MAX_DATA_ROWS.
     """
     taus, means, errs = [], [], []
-    n = 0
 
     def bad_row(what):
         # the file and line are formatted only for a row that is refused
@@ -433,22 +430,21 @@ def read_curve_csv(path, tau_scale: float = 1.0) -> montecarlo.SignalCurve:
             try:
                 row = [float(c) for c in cells[:width]]
                 if len(cells) > 3 and header[-1] == "n":
-                    n = int(cells[3])
+                    int(cells[3])
             except ValueError:
                 raise bad_row(f"cannot parse {line!r}") from None
             row[0] *= tau_scale
             if len(row) < 2 or not (all(map(math.isfinite, row))
-                                    and abs(row[0]) <= MAX_MAGNITUDE
+                                    and 0 <= row[0] <= MAX_MAGNITUDE
                                     and min(row[2:], default=0.0) >= 0):
-                raise bad_row(f"need finite cells, |tau| <= {MAX_MAGNITUDE:g} after "
+                raise bad_row(f"need finite cells, 0 <= tau <= {MAX_MAGNITUDE:g} after "
                               f"scaling and a stderr >= 0, got {line!r}")
             taus.append(row[0])
             means.append(row[1])
             errs.extend(row[2:])
     if header is None or len(taus) == 0:
         raise ConfigError("data", f"no data rows in {path}")
-    return montecarlo.SignalCurve(np.asarray(taus), np.asarray(means),
-                                  np.asarray(errs or [0.0] * len(taus)), n)
+    return np.asarray(taus), np.asarray(means), np.asarray(errs) if errs else None
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -471,9 +467,10 @@ def cmd_simulate(cfg: RunConfig, stamp: str) -> int:
         an = analytic.closed_form_signal(kind, theta, cfg.delta,
                                          cfg.noise_params(), taus)
     if cfg.engine in ("montecarlo", "both"):
-        mcfg = montecarlo.McConfig(cfg.n_trajectories, cfg.seed, cfg.time_step,
-                                   cfg.pulse_model, cfg.rabi)
-        mc = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(), taus, mcfg)
+        mc = montecarlo.run_mc(kind, theta, cfg.delta, cfg.noise_params(), taus,
+                               cfg.n_trajectories, cfg.seed,
+                               cfg.rabi if cfg.pulse_model == "finite" else None,
+                               cfg.time_step)
     out = _out_dir(cfg)
     comment = f"config_sha256={stamp}"
     wrote = []
@@ -490,18 +487,19 @@ def cmd_simulate(cfg: RunConfig, stamp: str) -> int:
         _write_csv(path, header, rows, [comment])
         wrote.append(path)
     if mc is not None:
+        means, s, warnings = mc
         path = out / f"{cfg.sequence}_montecarlo.csv"
         _write_csv(path, "tau,mean,stderr,n",
-                   np.column_stack([taus, mc.means, mc.stderrs,
-                                    np.full(taus.size, mc.n)]),
-                   [comment] + [f"warning: {w}" for w in mc.warnings])
+                   np.column_stack([taus, means, s,
+                                    np.full(taus.size, cfg.n_trajectories)]),
+                   [comment] + [f"warning: {w}" for w in warnings])
         wrote.append(path)
     if cfg.engine == "both":
         path = out / f"{cfg.sequence}_compare.csv"
-        off, s = mc.means - an, mc.stderrs
+        off = means - an
         z = np.divide(off, s, out=np.where(np.abs(off) < 1e-12, 0.0, math.inf),
                       where=s > 0)
-        rows = np.column_stack([taus, an, mc.means, s, z])
+        rows = np.column_stack([taus, an, means, s, z])
         comments = [comment]
         if cfg.pulse_model == "finite" and cfg.noise_params().gamma > 0:
             comments.append("warning: the closed form assumes instantaneous pulses, "
@@ -540,9 +538,9 @@ def cmd_fit(cfg: RunConfig, stamp: str) -> int:
     # the fit runs in the file's own time unit, so the solver and its
     # covariance never see the scale; the time-valued results convert after
     (data_path,), tau_scale = cfg.data, cfg.tau_scale
-    curve = read_curve_csv(data_path)
+    taus, signal, stderrs = read_curve_csv(data_path)
     try:
-        fit = analysis.fit_decay(curve, analysis.FitModel(cfg.model))
+        fit = analysis.fit_decay(taus, signal, stderrs, analysis.FitModel(cfg.model))
     except analysis.FitInputError as exc:
         raise ConfigError("data", f"{data_path}: {exc}") from None
     scaled = {"tau_c": fit.tau_c * tau_scale, "tau_c_err": fit.tau_c_err * tau_scale,
@@ -577,7 +575,7 @@ def cmd_scan(cfg: RunConfig, stamp: str) -> int:
     gamma_grid = np.linspace(cfg.gamma_min, cfg.gamma_max, cfg.gamma_count)
     theta = cfg.closed_form_theta()
     curves = [read_curve_csv(dp, cfg.tau_scale) for dp in cfg.data]
-    rows = sum(curve.taus.size for curve in curves)
+    rows = sum(taus.size for taus, _, _ in curves)
     if lam_grid.size * gamma_grid.size * rows > MAX_SCAN_WORK:
         raise ConfigError("lambda_count, gamma_count",
                           f"{lam_grid.size} x {gamma_grid.size} cells over {rows} "
@@ -585,8 +583,8 @@ def cmd_scan(cfg: RunConfig, stamp: str) -> int:
     out = _out_dir(cfg)
     comment = f"config_sha256={stamp}"
     kind = spincore.SequenceKind(cfg.sequence)
-    for stem, curve in zip(stems, curves):
-        m = analysis.scan_noise_params(curve, kind, theta, cfg.delta,
+    for stem, (taus, signal, _) in zip(stems, curves):
+        m = analysis.scan_noise_params(taus, signal, kind, theta, cfg.delta,
                                        lam_grid, gamma_grid)
         path = out / f"scan_{stem}.csv"
         _write_grid_csv(path, "lambda,gamma,residual", lam_grid, gamma_grid,

@@ -4,25 +4,26 @@ standard errors.  Independent of the closed forms in `analytic`, which
 is the point: agreement between the two is the end-to-end check of the
 Gaussian averaging behind every decay law.
 
-One function, run_mc, serves both pulse models of McConfig.pulse_model:
-instantaneous pulses (tilted-axis rotations that take no time) and
-finite pulses (driven windows through which the noise keeps running).
-Both list the sequence as one timeline of ops (_timeline) and run one
-sampler (_sampler), built once per curve: every delay is tau, so a tau
-point only sets the delays' length.  Every turn of a window step is
-taken from one half-angle tangent t = tan(phi/2) and s = sin(phi), with
-cos phi written as 1 - t s (_half_tan_sin), since numpy's tan is
-SIMD-vectorized and its cos and sin are not.  Finite pulses carry the
-real Bloch vector: a delay turns it about z (_z_rotation: one tan, one
-division, 14 array passes), a pulse step about its per-trajectory axis
-by Rodrigues' formula.  With instantaneous pulses the readout is folded
-back at build time through the whole timeline, pulses and delays, into
-scalars, so no state is rotated: past each delay's tangent and sine the
-echoes' readout takes 16 array passes where rotating (x, y) through the
-first delay and reading three pulled-back rows took 24, and ramsey's 4.
-Seeding and block reduction are shared as well, and every tau point
-runs in turn on the calling thread.  The estimates come back as arrays
-in a SignalCurve; this module writes no file (cli writes every output).
+One function, run_mc, serves both pulse models: instantaneous pulses
+(tilted-axis rotations that take no time; rabi None) and finite pulses
+(driven windows at the given rabi frequency, through which the noise
+keeps running).  Both list the sequence as one timeline of ops (_plan,
+which also counts the work of a trajectory for the run's bounds and
+for cli's) and run one sampler (_sampler), built once per curve: every
+delay is tau, so a tau point only sets the delays' length.  Every turn
+of a window step is taken from one half-angle tangent t = tan(phi/2)
+and s = sin(phi), with cos phi written as 1 - t s (_half_tan_sin),
+since numpy's tan is SIMD-vectorized and its cos and sin are not.
+Finite pulses carry the real Bloch vector: a delay turns it about z
+(_z_rotation: one tan, one division, 14 array passes), a pulse step
+about its per-trajectory axis by Rodrigues' formula.  With
+instantaneous pulses the readout is folded back at build time through
+the whole timeline, pulses and delays, into scalars, so no state is
+rotated: past each delay's tangent and sine the echoes' readout takes
+16 array passes, and ramsey's 4.  Seeding and block reduction are
+shared as well, and every tau point runs in turn on the calling
+thread.  The estimates come back as plain arrays; this module writes
+no file (cli writes every output).
 
 Reproducibility scheme
 ----------------------
@@ -47,16 +48,14 @@ only sets the grid on which noisy finite pulses are stepped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from .spincore import Delay, PulseParams, SequenceKind, build_sequence
 
-__all__ = ["McConfig", "SignalCurve", "run_mc", "BLOCK_SIZE",
-           "MAX_PULSE_STEPS", "PulseStepError", "MAX_RENEWAL_EVENTS",
-           "RenewalEventError"]
+__all__ = ["run_mc", "BLOCK_SIZE", "MAX_PULSE_STEPS", "PulseStepError",
+           "MAX_RENEWAL_EVENTS", "RenewalEventError"]
 
 BLOCK_SIZE = 8192
 #: bound on the noisy finite-pulse steps of one trajectory; each step is a
@@ -76,37 +75,6 @@ class PulseStepError(ValueError):
 class RenewalEventError(ValueError):
     """Renewal noise with more than MAX_RENEWAL_EVENTS expected events per
     trajectory (lam times the longest sequence too large)."""
-
-
-@dataclass(frozen=True)
-class McConfig:
-    n_trajectories: int
-    master_seed: int = 12345
-    time_step: float = 0.01
-    pulse_model: str = "instantaneous"   # or "finite"
-    rabi: float | None = None            # required for finite pulses
-
-    def __post_init__(self):
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
-        if not self.time_step > 0:
-            raise ValueError("time_step must be > 0")
-        if self.pulse_model not in ("instantaneous", "finite"):
-            raise ValueError("pulse_model must be 'instantaneous' or 'finite'")
-        if self.pulse_model == "finite" and not (self.rabi and self.rabi > 0):
-            raise ValueError("finite pulses need rabi > 0")
-
-
-@dataclass
-class SignalCurve:
-    """Sampled signal estimates; stderr is zero wherever the estimate is
-    deterministic (no noise)."""
-
-    taus: np.ndarray
-    means: np.ndarray
-    stderrs: np.ndarray
-    n: int
-    warnings: tuple = ()
 
 
 def _bloch_rotation(p: PulseParams, beta=None) -> list:
@@ -148,36 +116,56 @@ def _z_rotation(x, y, phi):
     return x - s * (t * x + y), y + s * (x - t * y)
 
 
-def _timeline(seq, delta, noise, cfg) -> list:
-    """The elements of seq, a build_sequence tuple, as the ops of
-    _sampler: a 3x3 rotation (an instantaneous pulse, _bloch_rotation) or
-    a window (h, sigma_z rate, sigma_x rate, steps) of `steps` steps of
-    length h.
+def _plan(seq_kind, theta, delta, noise, tau, rabi=None, time_step=0.01):
+    """(ops, steps, events) of the sequence at tau: its timeline, the
+    noisy finite-pulse steps of one trajectory (the same at any tau),
+    each a pass of the loop in _sampler, and its expected renewal events,
+    lam times the timeline's span (0 unless the noise is renewal noise
+    that draws), each a pass of the event loop in
+    noise._renewal_window_integrals.  Raises PulseStepError past
+    MAX_PULSE_STEPS steps, then RenewalEventError past MAX_RENEWAL_EVENTS
+    events.
 
-    A delay is one step at sigma_x rate 0 with the instantaneous-pulse
-    phase convention sign*delta, kept at any length, zero included: every
-    delay of build_sequence is tau, so _sampler sets their length per
-    sample.  A finite pulse realizes the requested tilt exactly: the drive
-    detuning is rabi/tan(theta) (mirrored for detuning_sign -1), the
-    inverse of spincore.tilt_angle, and the duration is area over the
-    turn rate hypot(rabi, detuning), each window in its own drive frame;
-    a noisy pulse is cut into _pulse_steps steps, and a zero-length one is
-    left out.
+    Each op is a 3x3 rotation (an instantaneous pulse, _bloch_rotation;
+    rabi None) or a window (h, sigma_z rate, sigma_x rate, steps) of
+    `steps` steps of length h.  A delay is one step at sigma_x rate 0
+    with the instantaneous-pulse phase convention sign*delta, kept at any
+    length, zero included: every delay of build_sequence is tau, so
+    _sampler sets their length per sample.  A finite pulse realizes the
+    requested tilt exactly: the drive detuning is rabi/tan(theta)
+    (mirrored for detuning_sign -1), the inverse of spincore.tilt_angle,
+    and the duration is area over the turn rate hypot(rabi, detuning),
+    each window in its own drive frame; a noisy pulse is cut into
+    _pulse_steps steps, and a zero-length one is left out.
     """
+    noisy = noise.gamma > 0.0
     ops = []
-    for el in seq:
+    for el in build_sequence(seq_kind, theta, delta, tau):
         if isinstance(el, Delay):
             ops.append((el.duration, el.detuning_sign * delta, 0.0, 1))
-        elif cfg.pulse_model == "instantaneous":
+        elif rabi is None:
             ops.append(_bloch_rotation(el))
         else:
-            det = cfg.rabi / math.tan(el.theta) if el.theta < math.pi / 2 else 0.0
-            dur = el.beta / math.hypot(cfg.rabi, det)
-            steps = (_pulse_steps(dur, noise.lam, cfg.time_step)
-                     if noise.gamma > 0.0 else 1)
+            det = rabi / math.tan(el.theta) if el.theta < math.pi / 2 else 0.0
+            dur = el.beta / math.hypot(rabi, det)
+            k = _pulse_steps(dur, noise.lam, time_step) if noisy else 1
             if dur > 0.0:
-                ops.append((dur / steps, el.detuning_sign * det, cfg.rabi, steps))
-    return ops
+                ops.append((dur / k, el.detuning_sign * det, rabi, k))
+    windows = [op for op in ops if isinstance(op, tuple)]
+    steps = sum(op[3] for op in windows if op[2]) if noisy else 0
+    if steps > MAX_PULSE_STEPS:
+        raise PulseStepError(
+            f"finite pulses need over {MAX_PULSE_STEPS} noisy steps per "
+            f"trajectory (pulse time / min(time_step, 0.05/lam))")
+    events = 0.0
+    if noisy and noise.kind is NoiseKind.RENEWAL:
+        span = sum(op[0] * op[3] for op in windows)
+        events = noise.lam * span
+        if events > MAX_RENEWAL_EVENTS:
+            raise RenewalEventError(
+                f"renewal noise expects lam * {span:.3g} = {events:.3g} "
+                f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
+    return ops, steps, events
 
 
 def _pulse_steps(duration, lam, time_step):
@@ -189,38 +177,11 @@ def _pulse_steps(duration, lam, time_step):
     return max(1, math.ceil(min(steps, MAX_PULSE_STEPS + 1)))
 
 
-def _pulse_step_count(ops) -> int:
-    """Finite-pulse steps of one trajectory through the timeline ops (the
-    same at any tau), each a pass of the loop in _sampler; raises
-    PulseStepError past MAX_PULSE_STEPS."""
-    steps = sum(op[3] for op in ops if isinstance(op, tuple) and op[2])
-    if steps > MAX_PULSE_STEPS:
-        raise PulseStepError(
-            f"finite pulses need over {MAX_PULSE_STEPS} noisy steps per "
-            f"trajectory (pulse time / min(time_step, 0.05/lam))")
-    return steps
-
-
-def _renewal_event_count(ops, noise) -> float:
-    """Expected renewal events of one trajectory through the timeline ops,
-    lam times their span (0 unless the noise is renewal noise that draws),
-    each a pass of the event loop in noise._renewal_window_integrals;
-    raises RenewalEventError past MAX_RENEWAL_EVENTS."""
-    if noise.kind is not NoiseKind.RENEWAL or not noise.gamma > 0.0:
-        return 0.0
-    span = sum(op[0] * op[3] for op in ops if isinstance(op, tuple))
-    if noise.lam * span > MAX_RENEWAL_EVENTS:
-        raise RenewalEventError(
-            f"renewal noise expects lam * {span:.3g} = {noise.lam * span:.3g} "
-            f"events per trajectory, over {MAX_RENEWAL_EVENTS}")
-    return noise.lam * span
-
-
-def _sampler(seq, delta, noise, cfg, ops=None):
+def _sampler(ops, noise):
     """sample(rng, m, tau=None): sigma_z of m trajectories through the
-    _timeline ops of seq (formed here unless given), every delay of length
-    tau (None: as in seq); rng None or gamma 0 means noiseless.  Built once
-    per curve: a tau point only sets the delays' length.
+    _plan ops, every delay of length tau (None: as planned); rng None or
+    gamma 0 means noiseless.  Built once per curve: a tau point only sets
+    the delays' length.
 
     Each window step of nonzero length draws the phase integral X of its
     noise from the exact window kernel of the noise kind (for OU noise one
@@ -240,23 +201,20 @@ def _sampler(seq, delta, noise, cfg, ops=None):
     rounding does not pile up over thousands of steps; z is read as it
     stands.
 
-    With instantaneous pulses the z readout row is folded back at build
-    time through the whole timeline: through a pulse M every row w
-    becomes w M; through a delay it becomes the rows w, (w1, -w0, 0) and
-    (w0, w1, 0), since w.v after the delay is
+    With instantaneous pulses (no driven window) the z readout row is
+    folded back at build time through the whole timeline: through a
+    pulse M every row w becomes w M; through a delay it becomes the rows
+    w, (w1, -w0, 0) and (w0, w1, 0), since w.v after the delay is
     w.v + s ((w1, -w0, 0).v - t (w0, w1, 0).v) before it, with
     t = tan(az/2) and s = sin(az) of its angle (cos az = 1 - t s); at the
     start (0, 0, 1) each row is its scalar w2.  A sample takes t and s of
     each delay in turn (_half_tan_sin) and reads each consecutive triple
     (a, b, c) as a + s (b - t c).  So the echoes read nine scalars
-    through both delays in 12 + 4 array passes past their t and s, where
-    rotating (x, y) through the first and taking three row products cost
-    20 for the first 12, and ramsey's delay and readout take 4.
+    through both delays in 12 + 4 array passes past their t and s, and
+    ramsey's delay and readout take 4.
     """
-    if ops is None:
-        ops = _timeline(seq, delta, noise, cfg)
     windows = [op for op in ops if isinstance(op, tuple)]
-    folded = cfg.pulse_model == "instantaneous"
+    folded = not any(op[2] for op in windows)
     rows = [[0.0, 0.0, 1.0]]   # the z readout, folded back through ops
     for op in reversed(ops) if folded else ():
         if isinstance(op, list):
@@ -305,7 +263,7 @@ def _sampler(seq, delta, noise, cfg, ops=None):
     return sample
 
 
-def _point_estimate(sample, noisy, cfg, point_idx, tau):
+def _point_estimate(sample, noisy, n, seed, point_idx, tau):
     """Mean and standard error at one tau-point, blocks seeded and reduced
     as in the module docstring; a noiseless point is one exact sample.  A
     block is reduced in 3 array passes: the deviations from the first
@@ -313,13 +271,12 @@ def _point_estimate(sample, noisy, cfg, point_idx, tau):
     the sum of their squares."""
     if not noisy:
         return float(sample(None, 1, tau)[0]), 0.0
-    n = cfg.n_trajectories
     dev = dev_sq = 0.0
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     for b in range(n_blocks):
         m = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
         rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.master_seed, spawn_key=(point_idx, b)))
+            np.random.SeedSequence(seed, spawn_key=(point_idx, b)))
         sz = sample(rng, m, tau)
         if b == 0:
             shift = float(sz[0])
@@ -331,20 +288,31 @@ def _point_estimate(sample, noisy, cfg, point_idx, tau):
 
 
 def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
-           noise: NoiseParams, taus, cfg: McConfig) -> SignalCurve:
-    """Monte Carlo estimate of <sigma_z> per tau under cfg.pulse_model.
+           noise: NoiseParams, taus, n_trajectories: int, seed: int = 12345,
+           rabi: float | None = None, time_step: float = 0.01):
+    """Monte Carlo estimate of <sigma_z> per tau: (means, stderrs,
+    warnings), two arrays and a list of strings.  The stderr is zero
+    wherever the estimate is deterministic (no noise).
 
-    Finite pulses evolve under ((det + f(t))/2) sigma_z + (rabi/2) sigma_x,
-    stepped on the time_step grid with f held at its mean over each step,
-    and the noise runs continuously through pulses and delays.  Raises
-    PulseStepError when a trajectory would take over MAX_PULSE_STEPS pulse
-    steps, and RenewalEventError when it would expect over
-    MAX_RENEWAL_EVENTS renewal events.  Deterministic for a fixed
-    master_seed; see the module docstring for the seeding scheme.  The
-    sequence, its timeline and the sampler are built once, at the longest
-    tau, and the checks read that timeline.  The tau points run in index
-    order on the calling thread, and the first exception ends the run.
+    rabi None means instantaneous pulses.  Finite pulses at rabi evolve
+    under ((det + f(t))/2) sigma_z + (rabi/2) sigma_x, stepped on the
+    time_step grid with f held at its mean over each step, and the noise
+    runs continuously through pulses and delays.  Raises ValueError on
+    n_trajectories < 1, time_step <= 0 or rabi <= 0, PulseStepError when
+    a trajectory would take over MAX_PULSE_STEPS pulse steps, and
+    RenewalEventError when it would expect over MAX_RENEWAL_EVENTS
+    renewal events.  Deterministic for a fixed seed; see the
+    module docstring for the seeding scheme.  The sequence, its timeline
+    and the sampler are built once, at the longest tau, and the checks
+    read that timeline.  The tau points run in index order on the calling
+    thread, and the first exception ends the run.
     """
+    if n_trajectories < 1:
+        raise ValueError("n_trajectories must be >= 1")
+    if not time_step > 0:
+        raise ValueError("time_step must be > 0")
+    if rabi is not None and not rabi > 0:
+        raise ValueError("finite pulses need rabi > 0")
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("taus must be a non-empty 1-d array")
@@ -354,20 +322,18 @@ def run_mc(seq_kind: SequenceKind, theta: float, delta: float,
     if (taus < 0).any():
         raise ValueError("taus must be >= 0")
     noisy = noise.gamma > 0.0
-    longest = build_sequence(seq_kind, theta, delta, float(taus.max()))
-    ops = _timeline(longest, delta, noise, cfg)
-    windows = [op for op in ops if isinstance(op, tuple)]
-    _renewal_event_count(windows, noise)
-    _pulse_step_count(windows)
-    coarse = [h * steps for h, _, nx, steps in windows
-              if nx and h * steps / cfg.time_step < 10]
+    ops, _, _ = _plan(seq_kind, theta, delta, noise, float(taus.max()), rabi,
+                      time_step)
+    coarse = [op[0] * op[3] for op in ops
+              if isinstance(op, tuple) and op[2] and op[0] * op[3] / time_step < 10]
     warnings = [f"pulse of duration {coarse[0]:.3g} resolved by fewer than 10 "
-                f"steps of {cfg.time_step:.3g}"] if coarse else []
-    sample = _sampler(longest, delta, noise, cfg, ops)
+                f"steps of {time_step:.3g}"] if coarse else []
+    sample = _sampler(ops, noise)
     means, errs = np.empty(taus.size), np.empty(taus.size)
     for i, tau in enumerate(taus.tolist()):
-        means[i], errs[i] = _point_estimate(sample, noisy, cfg, i, tau)
-    return SignalCurve(taus, means, errs, cfg.n_trajectories, tuple(warnings))
+        means[i], errs[i] = _point_estimate(sample, noisy, n_trajectories, seed,
+                                            i, tau)
+    return means, errs, warnings
 
 
 # ---------------------------------------------------------------------------

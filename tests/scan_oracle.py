@@ -13,14 +13,14 @@ from hahnramsey.analytic import _decay_amplitudes
 from hahnramsey.noise import NoiseParams, filter_exponents
 
 
-def scan_residuals(data, seq_kind, theta, delta, lambda_grid, gamma_grid,
+def scan_residuals(taus, signal, seq_kind, theta, delta, lambda_grid, gamma_grid,
                    buffer_bytes):
-    """The (lambda, gamma) map of ||data - model||^2 / ||data - mean||^2,
+    """The (lambda, gamma) map of ||signal - model||^2 / ||signal - mean||^2,
     in chunks of buffer_bytes // (8 taus) cells."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
-    taus = np.asarray(data.taus, dtype=float)
-    y = np.asarray(data.means, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    y = np.asarray(signal, dtype=float)
     tss = float(((y - y.mean()) ** 2).sum())
     constant, amplitudes = _decay_amplitudes(seq_kind, theta, delta, taus)
     cells = max(1, buffer_bytes // (8 * taus.size))

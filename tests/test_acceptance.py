@@ -13,7 +13,7 @@ from hahnramsey.analysis import (OPTIMAL_THETA, FitModel, ReadoutModel,
                                  min_detectable_field, scan_noise_params)
 from hahnramsey.analytic import closed_form_signal
 from hahnramsey.cli import main as cli_main
-from hahnramsey.montecarlo import McConfig, run_mc, SignalCurve
+from hahnramsey.montecarlo import run_mc
 from hahnramsey.noise import FilterKind, NoiseParams, filter_exponents
 from hahnramsey.spincore import SequenceKind, build_sequence
 from biased_signal import hr_signal_biased
@@ -98,7 +98,6 @@ def test_criterion_3_filter_function_identities():
 def test_criterion_4_monte_carlo_agreement():
     t0 = time.perf_counter()
     taus = np.linspace(0.15, 6.0, 40)
-    cfg = McConfig(n_trajectories=100_000, master_seed=777)
     runs = [(SequenceKind.RAMSEY, np.pi / 2, DELTA),
             (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
             (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]
@@ -106,8 +105,8 @@ def test_criterion_4_monte_carlo_agreement():
     details = []
     for kind, th, d in runs:
         ref = closed_form_signal(kind, th, d, FIG_NOISE, taus)
-        curve = run_mc(kind, th, d, FIG_NOISE, taus, cfg)
-        z = np.abs(curve.means - ref) / curve.stderrs
+        means, errs, _ = run_mc(kind, th, d, FIG_NOISE, taus, 100_000, seed=777)
+        z = np.abs(means - ref) / errs
         frac = (z < 3).mean()
         details.append(f"{kind.value}: {100 * frac:.0f}% within 3 sigma")
         ok = ok and frac >= 0.95
@@ -120,14 +119,12 @@ def test_criterion_5_decay_constant_ordering():
     t0 = time.perf_counter()
     t_r = np.linspace(0.05, 9.0, 90)      # ramsey total time = tau
     t_e = np.linspace(0.05, 14.0, 90)     # echoes total time = 2 tau
-    def as_curve(t, y):
-        return SignalCurve(t, np.asarray(y), np.zeros_like(t), 0)
-    ram = fit_decay(as_curve(t_r, closed_form_signal(
-        SequenceKind.RAMSEY, np.pi / 2, DELTA, FIG_NOISE, t_r)))
-    hr = fit_decay(as_curve(t_e, closed_form_signal(
-        SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, t_e / 2)))
-    he = fit_decay(as_curve(t_e, closed_form_signal(
-        SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, FIG_NOISE, t_e / 2)))
+    ram = fit_decay(t_r, closed_form_signal(
+        SequenceKind.RAMSEY, np.pi / 2, DELTA, FIG_NOISE, t_r))
+    hr = fit_decay(t_e, closed_form_signal(
+        SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, t_e / 2))
+    he = fit_decay(t_e, closed_form_signal(
+        SequenceKind.HAHN_ECHO, np.pi / 2, 0.0, FIG_NOISE, t_e / 2))
     ok = (hr.tau_c - hr.tau_c_err > ram.tau_c + ram.tau_c_err
           and hr.tau_c - hr.tau_c_err > he.tau_c + he.tau_c_err)
     el = time.perf_counter() - t0
@@ -192,9 +189,8 @@ def test_criterion_9_scan_truth_recovery():
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(8000 + seed)
-        data = SignalCurve(taus, clean + rng.normal(0, 0.005, taus.size),
-                           np.zeros_like(taus), 0)
-        m = scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
+        data = clean + rng.normal(0, 0.005, taus.size)
+        m = scan_noise_params(taus, data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
                               lam_grid, gam_grid)
         if (abs(m.argmin[0] - truth[0]) <= 1
                 and abs(m.argmin[1] - truth[1]) <= 1):

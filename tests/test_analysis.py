@@ -15,7 +15,6 @@ from hahnramsey.analysis import (OPTIMAL_THETA, FitError, FitModel,
                                  scan_noise_params, sensitivity)
 from hahnramsey.analytic import (_bias_slope_coefficients,
                                  closed_form_signal, hr_signal_derivative)
-from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams, f1, filter_exponents
 from hahnramsey.spincore import SequenceKind
 from scan_oracle import scan_residuals
@@ -28,9 +27,9 @@ DELTA = 2 * np.pi * 0.3
 
 
 def curve(t, y, err=None):
-    e = np.zeros_like(np.asarray(t)) if err is None else err
-    return SignalCurve(np.asarray(t, float), np.asarray(y, float),
-                       np.asarray(e, float), 0)
+    """(taus, signal, stderrs) as fit_decay takes them."""
+    return (np.asarray(t, float), np.asarray(y, float),
+            None if err is None else np.asarray(err, float))
 
 
 def _median_cases():
@@ -64,7 +63,7 @@ def test_median_is_np_median_bit_for_bit():
 def test_fit_round_trip_exact():
     t = np.linspace(0.0, 6.0, 50)
     y = np.cos(1.7 * t) * np.exp(-((t / 2.0) ** 2))
-    fit = fit_decay(curve(t, y))
+    fit = fit_decay(t, y)
     assert abs(fit.tau_c - 2.0) < 1e-6
     assert fit.frequency == pytest.approx(1.7, abs=1e-6)
     assert fit.residual_norm < 1e-12
@@ -73,7 +72,7 @@ def test_fit_round_trip_exact():
 def test_fit_plain_exponential():
     t = np.linspace(0.0, 10.0, 40)
     y = 0.8 * np.exp(-t / 3.0) + 0.1
-    fit = fit_decay(curve(t, y), FitModel.PLAIN_EXPONENTIAL)
+    fit = fit_decay(t, y, model=FitModel.PLAIN_EXPONENTIAL)
     assert abs(fit.tau_c - 3.0) < 1e-8
     assert abs(fit.offset - 0.1) < 1e-8
     assert fit.frequency == 0.0
@@ -82,17 +81,29 @@ def test_fit_plain_exponential():
 def test_fit_monotone_curve_drops_cosine():
     t = np.linspace(0.05, 12.0, 80)
     y = np.exp(-((t / 4.0) ** 2))
-    fit = fit_decay(curve(t, y))
+    fit = fit_decay(t, y)
     assert fit.frequency == 0.0
     assert abs(fit.tau_c - 4.0) < 1e-6
+
+
+def test_fit_takes_points_in_any_order_and_repeated_taus():
+    # the points are fitted in tau order; the guesses read the distinct
+    # taus, so that a tau measured twice leaves the spacing nonzero
+    t, y, err = _scatter_curve(4)
+    want = fit_decay(t, y, err)
+    for rows in (np.arange(t.size)[::-1], np.random.default_rng(2).permutation(t.size)):
+        assert fit_decay(t[rows], y[rows], err[rows]) == want
+    twice = fit_decay(np.repeat(t, 2), np.repeat(y, 2), np.repeat(err, 2))
+    assert twice.tau_c == pytest.approx(want.tau_c, rel=1e-9)
+    assert twice.frequency == pytest.approx(want.frequency, rel=1e-9)
 
 
 def test_fit_rejects_flat_and_short_data():
     t = np.linspace(0, 1, 20)
     with pytest.raises(FitError):
-        fit_decay(curve(t, np.ones_like(t)))
+        fit_decay(t, np.ones_like(t))
     with pytest.raises(FitError):
-        fit_decay(curve(t[:4], np.cos(t[:4])))
+        fit_decay(t[:4], np.cos(t[:4]))
 
 
 def _scatter_curve(seed):
@@ -106,7 +117,7 @@ def _scatter_curve(seed):
 def test_fit_noisy_scatter_within_reported_uncertainty():
     hits = 0
     for seed in range(10):
-        fit = fit_decay(_scatter_curve(seed))
+        fit = fit_decay(*_scatter_curve(seed))
         if abs(fit.tau_c - 2.0) <= 3 * fit.tau_c_err:
             hits += 1
     assert hits >= 9
@@ -115,11 +126,11 @@ def test_fit_noisy_scatter_within_reported_uncertainty():
 def test_fit_ordering_detuned_echo_beats_ramsey():
     # compare on the total-duration axis: ramsey lasts tau, echoes 2 tau
     t = np.linspace(0.05, 9.0, 90)
-    ram = fit_decay(curve(t, closed_form_signal(SequenceKind.RAMSEY, np.pi / 2,
-                                                DELTA, FIG_NOISE, t)))
+    ram = fit_decay(t, closed_form_signal(SequenceKind.RAMSEY, np.pi / 2,
+                                          DELTA, FIG_NOISE, t))
     t2 = np.linspace(0.05, 14.0, 90)
-    hr = fit_decay(curve(t2, closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA,
-                                                DELTA, FIG_NOISE, t2 / 2)))
+    hr = fit_decay(t2, closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA,
+                                          DELTA, FIG_NOISE, t2 / 2))
     assert hr.tau_c - hr.tau_c_err > ram.tau_c + ram.tau_c_err
 
 
@@ -187,7 +198,7 @@ def _fit_move_cases():
 
 
 _FITS = [
-    pytest.param(lambda c=c, m=m: fit_decay(c, m), id=name)
+    pytest.param(lambda c=c, m=m: fit_decay(*c, m), id=name)
     for name, c, m in _fit_move_cases()] + [
     # the fringe fit inside sensitivity, at the tilt it picks
     pytest.param(lambda: analysis._fringe_envelope_fit(OPTIMAL_THETA, FIG_NOISE),
@@ -239,12 +250,12 @@ def test_fit_covariance_matches_scipy_curve_fit(monkeypatch, fit):
 def test_fringe_window_is_the_brentq_root_of_f1_within_the_newton_cap(monkeypatch):
     from scipy.optimize import brentq
     seen = []
-    monkeypatch.setattr(analysis, "fit_decay", seen.append)
+    monkeypatch.setattr(analysis, "fit_decay", lambda *a: seen.append(a))
     grid = np.logspace(-12, 12, 25)   # the lam and gamma that sensitivity takes
     for noise in [FIG_NOISE, *(NoiseParams(lam, g) for lam in grid for g in grid)]:
         analysis._fringe_envelope_fit(OPTIMAL_THETA, noise)   # FitError past the cap
         # the window ends at 2.2 tau_e, on the total-duration axis 2 tau
-        got = seen[-1].taus[-1] / 4.4
+        got = seen[-1][0][-1] / 4.4
         hi = 10.0 * (noise.lam / noise.gamma ** 2 + 1.0 / noise.lam)
         want = brentq(lambda t: f1(noise, t) - 1.0, 0.0, hi, xtol=1e-300,
                       rtol=4 * np.finfo(float).eps, maxiter=2000)
@@ -256,9 +267,7 @@ def _four_phase_fit(c):
     from the blind start phases 0, pi/2, pi and -pi/2 (amplitude half the
     data range, offset the data mean), keeping the fit of least SSR."""
     import scipy.optimize
-    t, y = np.asarray(c.taus, float), np.asarray(c.means, float)
-    errs = np.asarray(c.stderrs, float)
-    sigma = errs if errs.size == t.size and (errs > 0).all() else None
+    t, y, sigma = c
     span, tmax = float(np.ptp(y)), float(t.max())
     w0, tc0 = analysis._freq_guess(t, y), analysis._tau_c_guess(t, y)
     dt = float(np.median(np.diff(t)))
@@ -281,13 +290,13 @@ def _sensitivity_fringe():
     """The curve the fringe fit inside sensitivity fits, at the tilt it picks."""
     seen = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "fit_decay", lambda c: seen.append(c) or fit_decay(c))
+        mp.setattr(analysis, "fit_decay", lambda *a: seen.append(a) or fit_decay(*a))
         analysis._fringe_envelope_fit(OPTIMAL_THETA, FIG_NOISE)
-    return seen[0]
+    return curve(*seen[0])
 
 
 def _oscillating(c):
-    return analysis._freq_guess(np.asarray(c.taus), np.asarray(c.means)) > 0
+    return analysis._freq_guess(c[0], c[1]) > 0
 
 
 @pytest.mark.parametrize("make", [
@@ -302,7 +311,7 @@ def test_single_start_fit_matches_the_four_phase_oracle(monkeypatch, make):
     real, calls = analysis.curve_fit, []
     monkeypatch.setattr(analysis, "curve_fit",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    fit = fit_decay(c)
+    fit = fit_decay(*c)
     oracle = _four_phase_fit(c)
     assert len(calls) == 1
     assert fit.residual_norm <= (1 + 1e-8) * oracle.residual_norm
@@ -319,8 +328,9 @@ def test_fringe_fit_does_not_depend_on_the_time_unit(c, model, scale):
     # in the curve's own unit, taus from about 1e7 on gave a tau_c_err 1e-18
     # too small, and from about 3e10 on a single start stopped short; the
     # bare-envelope and exponential fits broke at tiny and huge taus
-    base = fit_decay(c, model)
-    fit = fit_decay(curve(c.taus * scale, c.means, c.stderrs), model)
+    t, y, err = c
+    base = fit_decay(t, y, err, model)
+    fit = fit_decay(t * scale, y, err, model)
     assert fit.tau_c / scale == pytest.approx(base.tau_c, rel=1e-12, abs=0)
     assert fit.tau_c_err / scale == pytest.approx(base.tau_c_err, rel=1e-12, abs=0)
     assert fit.frequency * scale == pytest.approx(base.frequency, rel=1e-12, abs=0)
@@ -345,7 +355,7 @@ def test_fit_that_does_not_converge_raises_fit_error_naming_the_model(
     monkeypatch.setattr(analysis, "curve_fit", failing)
     with pytest.raises(FitError, match=f"^{model.value} fit failed to converge: "
                                        "Optimal parameters not found$"):
-        fit_decay(c, model)
+        fit_decay(*c, model)
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +367,7 @@ def make_data(lam, gam, taus, sigma=0.0, seed=0):
                                       NoiseParams(lam, gam), taus))
     if sigma > 0:
         y = y + np.random.default_rng(seed).normal(0, sigma, taus.size)
-    return curve(taus, y)
+    return taus, y
 
 
 def test_scan_recovers_truth_exactly_without_noise():
@@ -365,7 +375,7 @@ def test_scan_recovers_truth_exactly_without_noise():
     lam_grid = np.linspace(1.5, 3.5, 11)
     gam_grid = np.linspace(2 * np.pi * 0.06, 2 * np.pi * 0.14, 11)
     data = make_data(lam_grid[5], gam_grid[5], taus)
-    m = scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
+    m = scan_noise_params(*data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
                           lam_grid, gam_grid)
     assert m.argmin == (5, 5)
     assert m.residuals[5, 5] == pytest.approx(0.0, abs=1e-20)
@@ -377,7 +387,7 @@ def test_scan_flat_along_lambda_for_quiet_data():
     lam_grid = np.linspace(1.0, 3.0, 5)
     gam_grid = np.array([0.0, 0.3, 0.6])
     data = make_data(2.0, 0.0, taus)
-    m = scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
+    m = scan_noise_params(*data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
                           lam_grid, gam_grid)
     assert np.ptp(m.residuals[:, 0]) == pytest.approx(0.0, abs=1e-25)
     assert m.argmin == (0, 0)      # tie broken toward the smallest index
@@ -392,7 +402,7 @@ def test_scan_recovery_with_noise():
     hits = 0
     for seed in range(10):
         data = make_data(lam_grid[5], gam_grid[5], taus, sigma=0.005, seed=seed)
-        m = scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
+        m = scan_noise_params(*data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
                               lam_grid, gam_grid)
         if abs(m.argmin[0] - 5) <= 1 and abs(m.argmin[1] - 5) <= 1:
             hits += 1
@@ -408,12 +418,12 @@ def test_scan_rows_match_cell_by_cell_models():
     rows = analysis._SCAN_BUFFER_BYTES // (8 * gam_grid.size * taus.size)
     assert rows >= 2
     lam_grid = np.linspace(1.0, 4.0, 2 * rows + rows // 2 + 1)
-    y = data.means
+    y = data[1]
     tss = ((y - y.mean()) ** 2).sum()
     for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, DELTA),
                                (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
                                (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]:
-        m = scan_noise_params(data, kind, theta, delta, lam_grid, gam_grid)
+        m = scan_noise_params(*data, kind, theta, delta, lam_grid, gam_grid)
         ref = [[((y - closed_form_signal(kind, theta, delta,
                                          NoiseParams(lam, gam), taus)) ** 2
                  ).sum() / tss for gam in gam_grid] for lam in lam_grid]
@@ -432,13 +442,13 @@ def test_scan_cells_do_not_depend_on_the_chunk(n_taus, monkeypatch):
     maps = []
     for cells in (28, 3, 1):
         monkeypatch.setattr(analysis, "_SCAN_BUFFER_BYTES", 8 * n_taus * cells)
-        maps.append(scan_noise_params(data, SequenceKind.HAHN_RAMSEY, THETA, DELTA,
+        maps.append(scan_noise_params(*data, SequenceKind.HAHN_RAMSEY, THETA, DELTA,
                                       lam_grid, gam_grid).residuals)
     if n_taus > 8192:
         maps = maps[2:]
     for m in maps:
         assert m.tobytes() == maps[-1].tobytes()
-    cell = scan_noise_params(data, SequenceKind.HAHN_RAMSEY, THETA, DELTA,
+    cell = scan_noise_params(*data, SequenceKind.HAHN_RAMSEY, THETA, DELTA,
                              lam_grid[2:3], gam_grid[5:6]).residuals
     assert cell.tobytes() == maps[-1][2:3, 5:6].tobytes()
 
@@ -461,12 +471,12 @@ def test_scan_residuals_are_the_oracle_loops_bits(kind, theta, delta, n_taus,
                                                   n_lam, n_gam, cells, monkeypatch):
     taus = np.linspace(0.1, 6.0, n_taus)
     y = closed_form_signal(kind, theta, delta, NoiseParams(2.5, 0.6), taus)
-    data = curve(taus, y + np.random.default_rng(7).normal(0, 0.01, n_taus))
+    data = taus, y + np.random.default_rng(7).normal(0, 0.01, n_taus)
     if cells is not None:
         monkeypatch.setattr(analysis, "_SCAN_BUFFER_BYTES", 8 * n_taus * cells)
     lam_grid, gam_grid = np.linspace(1.0, 4.0, n_lam), np.linspace(0.0, 1.2, n_gam)
-    got = scan_noise_params(data, kind, theta, delta, lam_grid, gam_grid).residuals
-    want = scan_residuals(data, kind, theta, delta, lam_grid, gam_grid,
+    got = scan_noise_params(*data, kind, theta, delta, lam_grid, gam_grid).residuals
+    want = scan_residuals(*data, kind, theta, delta, lam_grid, gam_grid,
                           analysis._SCAN_BUFFER_BYTES)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
@@ -483,21 +493,21 @@ def test_scan_residuals_are_the_oracle_loops_bits(kind, theta, delta, n_taus,
 def test_scan_rejects_bad_grids(lam_grid, gam_grid):
     data = make_data(2.5, 0.3, np.linspace(0.1, 2.0, 10))
     with pytest.raises(ValueError):
-        scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
+        scan_noise_params(*data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
                           np.array(lam_grid), np.array(gam_grid))
 
 
 def test_scan_rejects_non_finite_data():
     data = make_data(2.5, 0.3, np.linspace(0.1, 2.0, 10))
-    data.means[3] = np.nan
+    data[1][3] = np.nan
     with pytest.raises(ValueError):
-        scan_noise_params(data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
+        scan_noise_params(*data, SequenceKind.RAMSEY, np.pi / 2, DELTA,
                           np.array([2.5]), np.array([0.3]))
 
 
 def test_scan_rejects_empty_data():
     with pytest.raises(ValueError, match="non-empty"):
-        scan_noise_params(curve(np.empty(0), np.empty(0)), SequenceKind.RAMSEY,
+        scan_noise_params(np.empty(0), np.empty(0), SequenceKind.RAMSEY,
                           np.pi / 2, DELTA, np.array([2.5]), np.array([0.3]))
 
 
@@ -505,7 +515,7 @@ def test_scan_rejects_tilted_ramsey():
     # the ramsey closed form exists at theta = pi/2 only
     data = make_data(2.5, 0.3, np.linspace(0.1, 2.0, 10))
     with pytest.raises(ValueError):
-        scan_noise_params(data, SequenceKind.RAMSEY, 0.5, DELTA,
+        scan_noise_params(*data, SequenceKind.RAMSEY, 0.5, DELTA,
                           np.array([2.5]), np.array([0.3]))
 
 
@@ -810,7 +820,6 @@ _COUNTED_FITS = """
 import sys
 import numpy as np
 from hahnramsey import analysis
-from hahnramsey.montecarlo import SignalCurve
 from hahnramsey.noise import NoiseParams
 
 real = analysis.curve_fit
@@ -823,7 +832,7 @@ def counting(*args, **kwargs):
 analysis.curve_fit = counting
 t = np.linspace(0.0, 6.0, 50)
 y = np.cos(1.7 * t) * np.exp(-((t / 2.0) ** 2))
-fit = analysis.fit_decay(SignalCurve(t, y, np.zeros_like(t), 0))
+fit = analysis.fit_decay(t, y)
 assert abs(fit.tau_c - 2.0) < 1e-6
 print(len(calls))
 analysis.sensitivity(NoiseParams(2.5, 0.6), analysis.ReadoutModel(1.3, 0.7))

@@ -250,7 +250,8 @@ def test_scan_command(tmp_path):
     assert best[0] == pytest.approx(2.5)
     assert best[1] == pytest.approx(0.6)
     # the map's cells as written, in '%.17g' text, under the config stamp
-    m = analysis.scan_noise_params(cli.read_curve_csv(data), SequenceKind.RAMSEY,
+    taus, signal, _ = cli.read_curve_csv(data)
+    m = analysis.scan_noise_params(taus, signal, SequenceKind.RAMSEY,
                                    np.pi / 2, 1.885, np.linspace(1.5, 3.5, 5),
                                    np.linspace(0.3, 1.0, 8))
     lines = (tmp_path / "scan_ram.csv").read_text().splitlines()
@@ -298,10 +299,11 @@ def test_montecarlo_csv_is_the_curve_of_run_mc(pulse_model, warned, tmp_path):
     # the curve's rows as written, in '%.17g' text, under the config stamp
     # and a line per run_mc warning; OU noise with instantaneous pulses
     # never reads time_step, so its bytes do not depend on it
-    mcfg = montecarlo.McConfig(3000, 11, 0.5, pulse_model, 20.0)
-    curve = montecarlo.run_mc(SequenceKind.HAHN_RAMSEY, 0.2 * np.pi, 1.885,
-                              NoiseParams(2.5, 0.6283), np.linspace(0, 2, 6), mcfg)
-    assert bool(curve.warnings) == warned
+    taus = np.linspace(0, 2, 6)
+    means, errs, warnings = montecarlo.run_mc(
+        SequenceKind.HAHN_RAMSEY, 0.2 * np.pi, 1.885, NoiseParams(2.5, 0.6283), taus,
+        3000, 11, 20.0 if pulse_model == "finite" else None, 0.5)
+    assert bool(warnings) == warned
     texts = []
     for step in (0.01, 0.5):
         out = tmp_path / f"step_{step}"
@@ -311,9 +313,9 @@ def test_montecarlo_csv_is_the_curve_of_run_mc(pulse_model, warned, tmp_path):
         texts.append((out / "hahn_ramsey_montecarlo.csv").read_text())
     lines = texts[1].splitlines()
     assert lines[0].startswith("# config_sha256=")
-    assert lines[1:] == [f"# warning: {w}" for w in curve.warnings] + [
+    assert lines[1:] == [f"# warning: {w}" for w in warnings] + [
         "tau,mean,stderr,n"] + [f"{t:.17g},{m:.17g},{e:.17g},3000" for t, m, e in
-                                zip(curve.taus, curve.means, curve.stderrs)]
+                                zip(taus, means, errs)]
     assert (texts[0] == texts[1]) is (pulse_model == "instantaneous")
 
 
@@ -399,10 +401,12 @@ def test_finite_pulses_drive_at_the_given_detuning(sequence, delta, tmp_path):
         assert run(["simulate", "--sequence", sequence, "--engine", "montecarlo",
                     "--pulse-model", "finite", "--rabi", 2, "--delta", delta,
                     "--n-trajectories", 2, "--out", tmp_path]) == 0
-    kind, theta, d, noise, _, mcfg = rec.call_args.args
-    seq = build_sequence(kind, theta, d, 1.0)
-    pulses = [el for el in seq if isinstance(el, PulseParams)]
-    windows = [op for op in montecarlo._timeline(seq, d, noise, mcfg) if op[2]]
+    kind, theta, d, noise, _, _, _, rabi, time_step = rec.call_args.args
+    assert rabi == 2.0
+    pulses = [el for el in build_sequence(kind, theta, d, 1.0)
+              if isinstance(el, PulseParams)]
+    windows = [op for op in montecarlo._plan(kind, theta, d, noise, 1.0, rabi,
+                                             time_step)[0] if op[2]]
     assert len(windows) == len(pulses) == (2 if sequence == "ramsey" else 3)
     for (h, rate, rabi, steps), el in zip(windows, pulses):
         assert rate == pytest.approx(el.detuning_sign * 1.5, rel=1e-15)
@@ -599,10 +603,10 @@ def test_simulate_at_three_workers_starts_no_thread(tmp_path):
 def test_an_exception_at_any_tau_point_exits_3(failing_point, tmp_path, capsys):
     estimate = cli.montecarlo._point_estimate
 
-    def failing(sample, noisy, cfg, point_idx, tau):
+    def failing(sample, noisy, n, seed, point_idx, tau):
         if point_idx == failing_point:
             raise FloatingPointError(f"point {point_idx} failed")
-        return estimate(sample, noisy, cfg, point_idx, tau)
+        return estimate(sample, noisy, n, seed, point_idx, tau)
 
     with mock.patch.object(cli.montecarlo, "_point_estimate", failing):
         rc = run(["simulate", *BASE, "--engine", "montecarlo", "--workers", 2,
@@ -706,9 +710,13 @@ def test_read_curve_csv_roundtrip(tmp_path):
     # Monte Carlo files hold a zero stderr at tau 0
     path.write_text("# comment\ntau,mean,stderr,n\n0.0,1.0,0,500\n"
                     "1.0,0.5,0.02,500\n")
-    c = read_curve_csv(path)
-    assert c.n == 500
-    np.testing.assert_allclose(c.stderrs, [0.0, 0.02])
+    taus, signal, errs = read_curve_csv(path)
+    assert taus.tolist() == [0.0, 1.0] and signal.tolist() == [1.0, 0.5]
+    np.testing.assert_allclose(errs, [0.0, 0.02])
+    # an n cell must still be an integer
+    path.write_text("tau,mean,stderr,n\n0.0,1.0,0,500\n1.0,0.5,0.02,5.5\n")
+    with pytest.raises(cli.ConfigError, match="x.csv line 3"):
+        read_curve_csv(path)
 
 
 # --------------------------------------------------------------------------
@@ -925,7 +933,8 @@ def test_tiny_lambda_tau_with_large_gamma_over_lambda_stays_finite(command,
         np.testing.assert_allclose(rows[:, 1], want, rtol=0, atol=1e-6)
 
 
-_BAD_ROWS = ["1.0,abc", "7.0", "7.0,nan", "inf,0.5", "1.1e12,0.5", "-1.1e12,0.5"]
+_BAD_ROWS = ["1.0,abc", "7.0", "7.0,nan", "inf,0.5", "1.1e12,0.5", "-1.1e12,0.5",
+             "-1.0,0.5"]
 
 
 @pytest.mark.parametrize("command", ["fit", "scan"])
@@ -1260,9 +1269,8 @@ def test_noisy_finite_pulse_steps_count_into_the_monte_carlo_bound(
     # the most points of 4 trajectories that the constants price within the
     # bound pass, and one more exits 2: tau_count is named when no count of
     # trajectories fits that many points, else n_trajectories
-    steps = montecarlo._pulse_step_count(montecarlo._timeline(
-        build_sequence(SequenceKind.HAHN_RAMSEY, 0.6, 1.0, 1.0), 1.0,
-        NoiseParams(2.5, 0.6), montecarlo.McConfig(1, pulse_model="finite", rabi=0.05)))
+    steps = montecarlo._plan(SequenceKind.HAHN_RAMSEY, 0.6, 1.0, NoiseParams(2.5, 0.6),
+                             1.0, 0.05)[1]
     assert steps == 7096
     fixed = cli.MC_POINT_COST + steps * cli.MC_STEP_COST
     largest = MAX_TRAJECTORY_POINTS // (fixed + 4 * (1 + steps))
@@ -1393,6 +1401,57 @@ def test_fit_rejects_bad_tau_scale(tmp_path, capsys):
     assert "'tau_scale'" in capsys.readouterr().err
 
 
+def _write_fringe(path, rows):
+    """The noisy tau_c 5, w 4 fringe at taus 0..12 with its stderr column,
+    written in the given order of its 121 rows (indices may repeat)."""
+    t = np.linspace(0.0, 12.0, 121)
+    y = (0.8 * np.cos(4 * t) * np.exp(-((t / 5) ** 2))
+         + np.random.default_rng(3).normal(0.0, 0.01, t.size))
+    with open(path, "w") as fh:
+        fh.write("tau,signal,stderr\n")
+        for i in rows:
+            fh.write(f"{t[i]:.17g},{y[i]:.17g},0.01\n")
+    return path
+
+
+def _fit_json(tmp_path, data):
+    """The fit report of a data file, less its path and the config stamp,
+    which hashes the file's bytes."""
+    out = tmp_path / f"out_{data.stem}"
+    assert run(["fit", "--data", data, "--out", out]) == 0
+    report = json.loads((out / f"fit_{data.stem}.json").read_text())
+    assert report.pop("data") == str(data)
+    del report["config_sha256"]
+    return report
+
+
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+def test_fit_reads_rows_in_any_order(order, tmp_path):
+    # the fit read its points in file order: these descending rows exited 3
+    # (LinAlgError), the shuffled ones fitted frequency -12.57 and tau_c
+    # 0.0012 with exit 0
+    rows = (np.arange(120, -1, -1) if order == "descending"
+            else np.random.default_rng(5).permutation(121))
+    want = _fit_json(tmp_path, _write_fringe(tmp_path / "asc.csv", range(121)))
+    got = _fit_json(tmp_path, _write_fringe(tmp_path / f"{order}.csv", rows))
+    assert got == want and want["tau_c"] == pytest.approx(5.0, abs=0.1)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_fit_of_repeated_taus_exits_0(order, tmp_path):
+    # each tau twice: the median tau spacing was 0, a ZeroDivisionError
+    # in the frequency guess and exit 3
+    rows = np.repeat(np.arange(121), 2)
+    want = _fit_json(tmp_path, _write_fringe(tmp_path / "asc.csv", range(121)))
+    if order == "descending":
+        rows = rows[::-1]
+    got = _fit_json(tmp_path, _write_fringe(tmp_path / "twice.csv", rows))
+    for key in ("tau_c", "frequency", "amplitude", "offset", "phase"):
+        assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-12), key
+    # twice the points at the same stderr: the error falls by sqrt(2)
+    assert got["tau_c_err"] == pytest.approx(want["tau_c_err"] / math.sqrt(2), rel=1e-6)
+
+
 @pytest.mark.parametrize("signal", [
     lambda t: np.cos(t)[:5],                  # fewer than 6 rows
     lambda t: np.full(t.size, 0.25)])         # flat data
@@ -1461,15 +1520,22 @@ _COMMAND_BASE = {"scan": {"lambda_min": 1.5, "lambda_max": 3.5, "lambda_count": 
 
 
 def _write_data(data, path):
-    """A generated data file for fit and scan: 0 to 130 rows of a noisy
-    tau_c 4, w 2 fringe on taus 0..12 times a magnitude from 1e-6 to
-    1e300, with or without a stderr column."""
-    rows = data.draw(st.integers(0, 130), label="rows")
+    """A generated data file for fit and scan: 0 to 130 taus of a noisy
+    tau_c 4, w 2 fringe on 0..12 times a magnitude from 1e-6 to 1e300,
+    each measured 1 to 3 times, the rows in ascending, descending or
+    shuffled tau order, with or without a stderr column."""
+    taus = data.draw(st.integers(0, 130), label="taus")
+    repeats = data.draw(st.integers(1, 3), label="rows per tau")
+    order = data.draw(st.sampled_from(["ascending", "descending", "shuffled"]),
+                      label="row order")
     magnitude = data.draw(st.floats(-6.0, 300.0), label="log10 tau magnitude")
     with_err = data.draw(st.booleans(), label="stderr column")
-    x = np.linspace(0.0, 12.0, rows)
+    x = np.repeat(np.linspace(0.0, 12.0, taus), repeats)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="noise seed"))
-    y = 0.8 * np.cos(2 * x) * np.exp(-((x / 4) ** 2)) + rng.normal(0.0, 0.01, rows)
+    y = 0.8 * np.cos(2 * x) * np.exp(-((x / 4) ** 2)) + rng.normal(0.0, 0.01, x.size)
+    if order != "ascending":
+        rows = np.arange(x.size)[::-1] if order == "descending" else rng.permutation(x.size)
+        x, y = x[rows], y[rows]
     with open(path, "w") as fh:
         fh.write("tau,signal,stderr\n" if with_err else "tau,signal\n")
         for xi, yi in zip(x * 10.0 ** magnitude, y):

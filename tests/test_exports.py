@@ -41,7 +41,16 @@ def test_only_cli_holds_the_csv_writers():
 
 def test_plain_values_cross_the_layers():
     # a drive is (rabi, detuning), a bias a float or array, a sequence a
-    # tuple of elements: no module holds a wrapper class for one
-    gone = ("DrivingParams", "BiasParams", "PulseSequence")
+    # tuple of elements, a Monte Carlo run its count, seed, rabi and step,
+    # and a curve its arrays: no module holds a wrapper class for one
+    gone = ("DrivingParams", "BiasParams", "PulseSequence", "McConfig", "SignalCurve")
     assert {(name, n) for name in MODULES for n in gone
             if hasattr(importlib.import_module(name), n)} == set()
+
+
+def test_analysis_binds_nothing_from_montecarlo():
+    # the fits read data, not the engine: no name of analysis comes from it
+    analysis = importlib.import_module("hahnramsey.analysis")
+    montecarlo = importlib.import_module("hahnramsey.montecarlo")
+    assert [n for n, v in vars(analysis).items() if v is montecarlo
+            or getattr(v, "__module__", None) == montecarlo.__name__] == []

@@ -8,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from hahnramsey import montecarlo
 from hahnramsey.analytic import closed_form_signal
-from hahnramsey.montecarlo import (BLOCK_SIZE, McConfig, _bloch_path,
-                                   _bloch_rotation, _pulse_steps,
-                                   _sampler, _timeline, _z_rotation, run_mc)
+from hahnramsey.montecarlo import (BLOCK_SIZE, _bloch_path, _bloch_rotation,
+                                   _plan, _pulse_steps, _sampler, _z_rotation,
+                                   run_mc)
 from hahnramsey.noise import _WINDOW_INTEGRALS, NoiseKind, NoiseParams
 from hahnramsey.spincore import Delay, PulseParams, SequenceKind, build_sequence
 from spin_oracle import (SIGMA_X, SIGMA_Y, SIGMA_Z, UP, analytic_density_matrix_hr,
@@ -25,25 +25,23 @@ DELTA = 2 * np.pi * 0.3
 
 def test_noiseless_matches_matrix_exactly():
     taus = np.linspace(0.0, 3.0, 7)
-    cfg = McConfig(n_trajectories=50, master_seed=1)
     for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, 1.3),
                                (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
                                (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]:
-        curve = run_mc(kind, theta, delta, QUIET, taus, cfg)
+        means, errs, _ = run_mc(kind, theta, delta, QUIET, taus, 50, seed=1)
         ref = closed_form_signal(kind, theta, delta, QUIET, taus)
-        assert_allclose(curve.means, ref, atol=1e-12)
-        assert (curve.stderrs == 0).all()
+        assert_allclose(means, ref, atol=1e-12)
+        assert (errs == 0).all()
 
 
 def test_ou_agreement_with_closed_forms():
     taus = np.linspace(0.3, 4.0, 6)
-    cfg = McConfig(n_trajectories=20_000, master_seed=42)
     for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, DELTA),
                                (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
                                (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]:
-        curve = run_mc(kind, theta, delta, FIG_NOISE, taus, cfg)
+        means, errs, _ = run_mc(kind, theta, delta, FIG_NOISE, taus, 20_000, seed=42)
         ref = closed_form_signal(kind, theta, delta, FIG_NOISE, taus)
-        z = np.abs(curve.means - ref) / curve.stderrs
+        z = np.abs(means - ref) / errs
         assert (z < 4).all(), f"{kind}: z-scores {z}"
         assert (z < 3).sum() >= len(taus) - 1
 
@@ -51,11 +49,10 @@ def test_ou_agreement_with_closed_forms():
 def test_agreeing_noisy_trajectories_have_zero_stderr():
     # at tau 0 the noise has no time to act: every trajectory gives the
     # same sigma_z, and the variance must not be rounding residue
-    curve = run_mc(SequenceKind.HAHN_RAMSEY, 0.6283, 1.885,
-                   NoiseParams(2.5, 0.6283), [0.0, 0.5],
-                   McConfig(20_000, master_seed=7))
-    assert curve.stderrs[0] == 0.0
-    assert curve.stderrs[1] > 0.0
+    _, errs, _ = run_mc(SequenceKind.HAHN_RAMSEY, 0.6283, 1.885,
+                        NoiseParams(2.5, 0.6283), [0.0, 0.5], 20_000, seed=7)
+    assert errs[0] == 0.0
+    assert errs[1] > 0.0
 
 
 def test_renewal_agreement_small_strength():
@@ -63,38 +60,33 @@ def test_renewal_agreement_small_strength():
     # gamma/lambda = 0.1 the non-Gaussian corrections are negligible
     p = NoiseParams(2.5, 0.25, NoiseKind.RENEWAL)
     taus = np.linspace(0.5, 4.0, 4)
-    cfg = McConfig(n_trajectories=20_000, master_seed=9)
-    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus, cfg)
+    means, errs, _ = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus,
+                            20_000, seed=9)
     ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA, DELTA,
                              NoiseParams(2.5, 0.25), taus)
-    z = np.abs(curve.means - ref) / curve.stderrs
+    z = np.abs(means - ref) / errs
     assert (z < 3).all(), f"z-scores {z}"
 
 
 def test_bitwise_reproducibility():
     # byte identity at any --workers is checked at the command line
     taus = np.linspace(0.2, 2.0, 5)
-    a = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-               McConfig(3 * BLOCK_SIZE + 17, master_seed=5))
-    b = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-               McConfig(3 * BLOCK_SIZE + 17, master_seed=5))
-    assert (a.means == b.means).all() and (a.stderrs == b.stderrs).all()
-    d = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-               McConfig(3 * BLOCK_SIZE + 17, master_seed=6))
-    assert (a.means != d.means).any()
+    a, b, d = (run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+                      3 * BLOCK_SIZE + 17, seed=seed) for seed in (5, 5, 6))
+    assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
+    assert (a[0] != d[0]).any()
 
 
 def test_every_tau_point_runs_on_the_caller_in_order(monkeypatch):
     estimate, calls = montecarlo._point_estimate, []
 
-    def recorded(sample, noisy, cfg, point_idx, tau):
+    def recorded(sample, noisy, n, seed, point_idx, tau):
         calls.append((threading.get_ident(), point_idx))
-        return estimate(sample, noisy, cfg, point_idx, tau)
+        return estimate(sample, noisy, n, seed, point_idx, tau)
 
     monkeypatch.setattr(montecarlo, "_point_estimate", recorded)
     taus = np.linspace(0.2, 2.0, 6)
-    run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-           McConfig(300, master_seed=5))
+    run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus, 300, seed=5)
     assert calls == [(threading.get_ident(), i) for i in range(taus.size)]
 
 
@@ -103,32 +95,32 @@ def test_an_exception_at_any_tau_point_reaches_the_caller(failing_point, monkeyp
     # it must raise, not leave a mean unset
     estimate = montecarlo._point_estimate
 
-    def failing(sample, noisy, cfg, point_idx, tau):
+    def failing(sample, noisy, n, seed, point_idx, tau):
         if point_idx == failing_point:
             raise FloatingPointError(f"point {point_idx}")
-        return estimate(sample, noisy, cfg, point_idx, tau)
+        return estimate(sample, noisy, n, seed, point_idx, tau)
 
     monkeypatch.setattr(montecarlo, "_point_estimate", failing)
     with pytest.raises(FloatingPointError, match=f"point {failing_point}"):
         run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE,
-               np.linspace(0.2, 2.0, 6), McConfig(300, master_seed=5))
+               np.linspace(0.2, 2.0, 6), 300, seed=5)
 
 
 def test_renewal_bitwise_reproducibility():
     p = NoiseParams(2.5, 0.4, NoiseKind.RENEWAL)
     taus = np.linspace(0.2, 2.0, 4)
     a, b = (run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus,
-                   McConfig(2 * BLOCK_SIZE + 5, master_seed=8)) for _ in range(2))
-    assert (a.means == b.means).all() and (a.stderrs == b.stderrs).all()
+                   2 * BLOCK_SIZE + 5, seed=8) for _ in range(2))
+    assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
 
 
 def test_stderr_scales_with_sqrt_n():
     taus = np.linspace(0.5, 3.0, 8)
-    small = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-                   McConfig(4000, master_seed=21))
-    big = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-                 McConfig(8000, master_seed=22))
-    ratio = (small.stderrs / big.stderrs).mean()
+    _, small, _ = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+                         4000, seed=21)
+    _, big, _ = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+                       8000, seed=22)
+    ratio = (small / big).mean()
     assert ratio == pytest.approx(np.sqrt(2), rel=0.10)
 
 
@@ -153,7 +145,7 @@ def test_memory_does_not_grow_by_a_sequence_per_tau_point():
         _fill_tuple_free_lists()
         tracemalloc.start()
         run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE,
-               np.linspace(0.05, 7.0, count), McConfig(4, master_seed=3))
+               np.linspace(0.05, 7.0, count), 4, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return peak
@@ -170,28 +162,31 @@ def test_run_mc_builds_the_sequence_once_per_curve(monkeypatch):
     monkeypatch.setattr(montecarlo, "build_sequence",
                         lambda *a: calls.append(a) or build(*a))
     taus = np.linspace(0.0, 7.0, 400)
-    for extra in ({}, {"pulse_model": "finite", "rabi": 2 * np.pi}):
+    for rabi in (None, 2 * np.pi):
         calls.clear()
-        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-               McConfig(4, master_seed=3, **extra))
+        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus, 4,
+               seed=3, rabi=rabi)
         assert calls == [(SequenceKind.HAHN_RAMSEY, THETA, DELTA, 7.0)]
 
 
 @pytest.mark.parametrize("noise_kind", ["ou", "renewal"])
-@pytest.mark.parametrize("extra", [{}, {"pulse_model": "finite", "rabi": 2 * np.pi}],
-                         ids=["instantaneous", "finite"])
+@pytest.mark.parametrize("rabi", [None, 2 * np.pi], ids=["instantaneous", "finite"])
 @pytest.mark.parametrize("kind, theta, delta", [
     (SequenceKind.RAMSEY, np.pi / 2, DELTA),
     (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
     (SequenceKind.HAHN_RAMSEY, THETA, -DELTA)])
-def test_sampler_at_any_tau_is_the_sampler_built_at_it(kind, theta, delta, extra,
+def test_sampler_at_any_tau_is_the_sampler_built_at_it(kind, theta, delta, rabi,
                                                        noise_kind):
     # a sampler built at the longest tau gives at each shorter tau, zero
     # included, the very values of one built at that tau
-    noise, cfg = _NOISES[noise_kind], McConfig(1, **extra)
-    longest = _sampler(build_sequence(kind, theta, delta, 5.0), delta, noise, cfg)
+    noise = _NOISES[noise_kind]
+
+    def sampler(tau):
+        return _sampler(_plan(kind, theta, delta, noise, tau, rabi)[0], noise)
+
+    longest = sampler(5.0)
     for tau in (0.0, 0.3, 5.0):
-        at_tau = _sampler(build_sequence(kind, theta, delta, tau), delta, noise, cfg)
+        at_tau = sampler(tau)
         for rng in (lambda: None, lambda: np.random.default_rng(19)):
             assert np.array_equal(longest(rng(), 50, tau), at_tau(rng(), 50))
 
@@ -206,10 +201,9 @@ def test_echo_readout_folds_through_both_delays(kind, theta, delta, monkeypatch)
     rotate = montecarlo._z_rotation
     monkeypatch.setattr(montecarlo, "_z_rotation",
                         lambda *a: calls.append(1) or rotate(*a))
-    seq = build_sequence(kind, theta, delta, 0.7)
-    for cfg, count in ((McConfig(1), 0),
-                       (McConfig(1, pulse_model="finite", rabi=2 * np.pi), 2)):
-        sample = _sampler(seq, delta, FIG_NOISE, cfg)
+    for rabi, count in ((None, 0), (2 * np.pi, 2)):
+        sample = _sampler(_plan(kind, theta, delta, FIG_NOISE, 0.7, rabi)[0],
+                          FIG_NOISE)
         for rng in (None, np.random.default_rng(3)):
             calls.clear()
             assert sample(rng, 100).shape == (100,)
@@ -218,9 +212,9 @@ def test_echo_readout_folds_through_both_delays(kind, theta, delta, monkeypatch)
 
 def test_stderr_bound():
     taus = np.linspace(0.5, 2.0, 3)
-    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-                   McConfig(2000, master_seed=2))
-    assert (curve.stderrs <= 2 / np.sqrt(2000)).all()
+    _, errs, _ = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
+                        2000, seed=2)
+    assert (errs <= 2 / np.sqrt(2000)).all()
 
 
 class _CountingRng:
@@ -259,22 +253,23 @@ def test_ou_draws_one_normal_per_noisy_window_and_no_start(
     n = BLOCK_SIZE + 100
     for tau in (0.0, 1e-6, 0.7, 40.0):
         counts.clear()
-        run_mc(kind, theta, delta, FIG_NOISE, [tau], McConfig(n, master_seed=7))
+        run_mc(kind, theta, delta, FIG_NOISE, [tau], n, seed=7)
         assert counts == ({"random": n * n_delays} if tau else {})
 
 
 def test_input_validation():
+    with pytest.raises(ValueError, match="n_trajectories must be >= 1"):
+        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, [1.0], 0)
+    for step in (0.0, -0.01, np.nan):
+        with pytest.raises(ValueError, match="time_step must be > 0"):
+            run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, [1.0], 10,
+                   time_step=step)
     with pytest.raises(ValueError):
-        McConfig(0)
+        run_mc(SequenceKind.HAHN_RAMSEY, THETA, np.nan, FIG_NOISE, [1.0], 10)
     with pytest.raises(ValueError):
-        run_mc(SequenceKind.HAHN_RAMSEY, THETA, np.nan, FIG_NOISE, [1.0],
-               McConfig(10))
+        run_mc(SequenceKind.HAHN_ECHO, np.pi / 2, 1.0, FIG_NOISE, [1.0], 10)
     with pytest.raises(ValueError):
-        run_mc(SequenceKind.HAHN_ECHO, np.pi / 2, 1.0, FIG_NOISE, [1.0],
-               McConfig(10))
-    with pytest.raises(ValueError):
-        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, [],
-               McConfig(10))
+        run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, [], 10)
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +323,7 @@ def test_bloch_sampler_matches_the_spinor_oracle(kind, theta, delta, tau,
     # hahn sequences mirror their pi pulse (-theta), so both tilt signs run
     noise = _NOISES[noise_kind]
     seq = build_sequence(kind, theta, delta, tau)
-    got = _sampler(seq, delta, noise, McConfig(1))
+    got = _sampler(_plan(kind, theta, delta, noise, tau)[0], noise)
     want = _spinor_sampler(seq, delta, noise)
     assert_allclose(got(None, 3), want(None, 3), rtol=0, atol=2e-15)
     if noise_kind != "none":
@@ -398,7 +393,7 @@ def test_pulled_back_readout_matches_the_spinor_oracle(kind, theta, delta,
         noise = NoiseParams(0.01, 0.6, NoiseKind.RENEWAL)   # few events out to 7700
     for tau in (0.0, 0.05, 3.0, 770.0, 7700.0):
         seq = build_sequence(kind, theta, delta, tau)
-        got = _sampler(seq, delta, noise, McConfig(1))
+        got = _sampler(_plan(kind, theta, delta, noise, tau)[0], noise)
         want = _spinor_sampler(seq, delta, noise)
         assert_allclose(got(None, 3), want(None, 3), rtol=0, atol=2e-15)
         if noise_kind != "none":
@@ -412,7 +407,7 @@ def test_pulled_back_readout_matches_the_spinor_oracle(kind, theta, delta,
 # finite-duration pulses
 
 
-def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
+def _finite_block_samples_cos_sin(seq, delta, noise, rabi, time_step, rng, m):
     """Oracle: the finite pulses as a spinor stepped in extended precision
     (np.clongdouble), each step's half-angle from np.cos and np.sin of
     ang / 2; same float draws from the stationary start state None, the
@@ -423,9 +418,9 @@ def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
         if isinstance(el, Delay):
             windows.append(("delay", el.duration, el.detuning_sign * delta, 0.0))
         else:
-            det = cfg.rabi / math.tan(el.theta) if el.theta < math.pi / 2 else 0.0
-            windows.append(("pulse", el.beta / math.hypot(cfg.rabi, det),
-                            el.detuning_sign * det, cfg.rabi))
+            det = rabi / math.tan(el.theta) if el.theta < math.pi / 2 else 0.0
+            windows.append(("pulse", el.beta / math.hypot(rabi, det),
+                            el.detuning_sign * det, rabi))
     lam, gamma = noise.lam, noise.gamma
     noisy = gamma > 0.0 and rng is not None
     window_integrals = _WINDOW_INTEGRALS.get(noise.kind)
@@ -438,7 +433,7 @@ def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
             continue
         steps = 1
         if noisy and kind == "pulse":
-            steps = _pulse_steps(dur, lam, cfg.time_step)
+            steps = _pulse_steps(dur, lam, time_step)
         h = np.longdouble(dur / steps)
         nx = np.longdouble(nx_rate)
         for k in range(steps):
@@ -466,11 +461,11 @@ def _finite_block_samples_cos_sin(seq, delta, noise, cfg, rng, m):
 def test_finite_sampler_matches_the_cos_sin_oracle(kind, theta, delta,
                                                    noise_kind):
     noise = _NOISES[noise_kind]
-    cfg = McConfig(1, time_step=0.01, pulse_model="finite", rabi=2 * np.pi)
     for tau in (0.0, 0.7):
         seq = build_sequence(kind, theta, delta, tau)
-        got = _sampler(seq, delta, noise, cfg)(np.random.default_rng(23), 400)
-        want = _finite_block_samples_cos_sin(seq, delta, noise, cfg,
+        ops = _plan(kind, theta, delta, noise, tau, 2 * np.pi, 0.01)[0]
+        got = _sampler(ops, noise)(np.random.default_rng(23), 400)
+        want = _finite_block_samples_cos_sin(seq, delta, noise, 2 * np.pi, 0.01,
                                              np.random.default_rng(23), 400)
         assert got.shape == (400,)
         assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -486,10 +481,10 @@ def test_finite_sampler_long_delays_match_the_cos_sin_oracle(kind, theta, delta,
     # a finite-pulse timeline ends in a pulse window, so its readout is not
     # pulled back; its delays rotate by _z_rotation out to delta tau 13
     noise = _NOISES[noise_kind]
-    cfg = McConfig(1, time_step=0.01, pulse_model="finite", rabi=2 * np.pi)
     seq = build_sequence(kind, theta, delta, 7.0)
-    got = _sampler(seq, delta, noise, cfg)(np.random.default_rng(31), 300)
-    want = _finite_block_samples_cos_sin(seq, delta, noise, cfg,
+    ops = _plan(kind, theta, delta, noise, 7.0, 2 * np.pi, 0.01)[0]
+    got = _sampler(ops, noise)(np.random.default_rng(31), 300)
+    want = _finite_block_samples_cos_sin(seq, delta, noise, 2 * np.pi, 0.01,
                                          np.random.default_rng(31), 300)
     assert_allclose(got, want, rtol=0, atol=1e-14)
 
@@ -502,11 +497,11 @@ def test_long_noisy_finite_pulses_match_the_cos_sin_oracle(rabi, steps, noise_ki
     # (7e-15 at most measured; two additions per component read up to
     # 3.1e-14 under renewal noise)
     noise = _NOISES[noise_kind]
-    cfg = McConfig(1, time_step=0.01, pulse_model="finite", rabi=rabi)
     seq = build_sequence(SequenceKind.HAHN_RAMSEY, 0.6, 1.0, 0.7)
-    assert montecarlo._pulse_step_count(_timeline(seq, 1.0, noise, cfg)) == steps
-    got = _sampler(seq, 1.0, noise, cfg)(np.random.default_rng(37), 200)
-    want = _finite_block_samples_cos_sin(seq, 1.0, noise, cfg,
+    ops, planned, _ = _plan(SequenceKind.HAHN_RAMSEY, 0.6, 1.0, noise, 0.7, rabi, 0.01)
+    assert planned == steps
+    got = _sampler(ops, noise)(np.random.default_rng(37), 200)
+    want = _finite_block_samples_cos_sin(seq, 1.0, noise, rabi, 0.01,
                                          np.random.default_rng(37), 200)
     assert_allclose(got, want, rtol=0, atol=1e-14)
 
@@ -515,28 +510,25 @@ def test_finite_pulses_noiseless_match_instantaneous():
     # constant-generator windows make each pulse exactly the tilted-axis
     # rotation, so the noiseless finite-pulse result is exact for any rabi
     taus = np.linspace(0.0, 2.0, 5)
-    cfg = McConfig(10, master_seed=1, time_step=0.001, pulse_model="finite",
-                   rabi=20.0)
     for kind, theta, delta in [(SequenceKind.RAMSEY, np.pi / 2, 1.3),
                                (SequenceKind.HAHN_ECHO, np.pi / 2, 0.0),
                                (SequenceKind.HAHN_RAMSEY, THETA, DELTA)]:
-        curve = run_mc(kind, theta, delta, QUIET, taus, cfg)
+        means, errs, _ = run_mc(kind, theta, delta, QUIET, taus, 10, seed=1,
+                                rabi=20.0, time_step=0.001)
         ref = closed_form_signal(kind, theta, delta, QUIET, taus)
-        assert_allclose(curve.means, ref, rtol=0, atol=1e-12)
-        assert (curve.stderrs == 0).all()
+        assert_allclose(means, ref, rtol=0, atol=1e-12)
+        assert (errs == 0).all()
 
 
 def test_finite_pulse_matches_rotation_composition():
     # single resonant pulse area pi/2 at theta = pi/2, 1000 steps
-    cfg = McConfig(1, master_seed=1, time_step=np.pi / 2 / 20 / 1000,
-                   pulse_model="finite", rabi=20.0)
-    taus = np.array([0.0])
-    curve = run_mc(SequenceKind.RAMSEY, np.pi / 2, 0.0, QUIET, taus, cfg)
+    means, _, _ = run_mc(SequenceKind.RAMSEY, np.pi / 2, 0.0, QUIET, [0.0], 1,
+                         seed=1, rabi=20.0, time_step=np.pi / 2 / 20 / 1000)
     # pi/2 then 3pi/2 about x is the identity on <sigma_z>
     u = pulse_unitary(PulseParams(np.pi / 2, 3 * np.pi / 2)) @ \
         pulse_unitary(PulseParams(np.pi / 2, np.pi / 2))
     ref = sigma_z(u @ UP)
-    assert curve.means[0] == pytest.approx(ref, abs=1e-6)
+    assert means[0] == pytest.approx(ref, abs=1e-6)
 
 
 def test_finite_pulses_converge_to_instantaneous_with_noise():
@@ -546,46 +538,44 @@ def test_finite_pulses_converge_to_instantaneous_with_noise():
     ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus)
     errs = []
     for rabi in (5.0, 50.0):
-        cfg = McConfig(8000, master_seed=33, time_step=0.002,
-                       pulse_model="finite", rabi=rabi)
-        curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE,
-                       taus, cfg)
-        errs.append(abs(curve.means[0] - ref[0]))
-        stderr = curve.stderrs[0]
+        means, stderrs, _ = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE,
+                                   taus, 8000, seed=33, rabi=rabi, time_step=0.002)
+        errs.append(abs(means[0] - ref[0]))
+        stderr = stderrs[0]
     assert errs[1] < 4 * stderr
 
 
 def test_finite_pulses_renewal_small_strength():
     p = NoiseParams(2.5, 0.25, NoiseKind.RENEWAL)
-    cfg = McConfig(8000, master_seed=61, time_step=0.002,
-                   pulse_model="finite", rabi=50.0)
     taus = np.array([1.0])
-    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus, cfg)
+    means, errs, _ = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, p, taus, 8000,
+                            seed=61, rabi=50.0, time_step=0.002)
     ref = closed_form_signal(SequenceKind.HAHN_RAMSEY, THETA, DELTA,
                              NoiseParams(2.5, 0.25), taus)
-    assert abs(curve.means[0] - ref[0]) < 4 * curve.stderrs[0]
+    assert abs(means[0] - ref[0]) < 4 * errs[0]
 
 
 def test_finite_pulse_warning_for_coarse_steps():
-    cfg = McConfig(4, master_seed=1, time_step=0.5, pulse_model="finite",
-                   rabi=10.0)
-    curve = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, QUIET,
-                   np.array([1.0]), cfg)
-    assert curve.warnings
+    _, _, warnings = run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, QUIET, [1.0], 4,
+                            seed=1, rabi=10.0, time_step=0.5)
+    assert warnings
 
 
 def test_pulse_model_selects_the_sampler():
-    # a finite-pulse config must not silently run instantaneous pulses
+    # a rabi frequency must not silently run instantaneous pulses
     taus = np.array([0.5, 1.0])
     inst, fin = (run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, taus,
-                        McConfig(200, master_seed=3, **extra))
-                 for extra in ({}, {"pulse_model": "finite", "rabi": 2 * np.pi}))
-    assert not np.array_equal(inst.means, fin.means)
+                        200, seed=3, rabi=rabi)[0]
+                 for rabi in (None, 2 * np.pi))
+    assert not np.array_equal(inst, fin)
 
 
 def test_finite_config_requires_rabi():
-    with pytest.raises(ValueError):
-        McConfig(10, pulse_model="finite")
+    # rabi None is instantaneous pulses; a finite pulse needs rabi > 0
+    for rabi in (0.0, -2.0, np.nan):
+        with pytest.raises(ValueError, match="finite pulses need rabi > 0"):
+            run_mc(SequenceKind.HAHN_RAMSEY, THETA, DELTA, FIG_NOISE, [1.0], 10,
+                   rabi=rabi)
 
 
 # --------------------------------------------------------------------------
